@@ -362,6 +362,8 @@ def initial_state(cfg: KamConfig, omega=None):
 
 def run(cfg: KamConfig, omega=None):
     """Run the requested number of KAM steps; returns (reports, states)."""
+    if cfg.steps < 0:
+        raise ValidationError(f"steps must be >= 0, got {cfg.steps}")
     state, H = initial_state(cfg, omega)
     reports = []
     states = [state]

@@ -17,6 +17,7 @@ Both carry the same coefficients after expansion.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -26,12 +27,12 @@ from .lattice import (
     LatticeParams,
     MI_ZERO,
     _mode_sort_key,
+    _weight_cached,
     mi,
     mi_add,
     mi_degree,
     mi_get,
     sorted_system,
-    weight,
 )
 
 COEFF_FLOOR = 1e-300
@@ -59,7 +60,7 @@ class HamParams:
         return LatticeParams(self.d, self.sigma, self.floor_const)
 
     def weight(self, mode) -> float:
-        return weight(mode, self.lattice)
+        return _weight_cached(tuple(mode), self.sigma, self.floor_const)
 
     def action0(self, mode) -> float:
         """Frozen initial action I_n(0) = exp(-2 r w(n))."""
@@ -123,6 +124,9 @@ class Hamiltonian:
         clean = {}
         if terms:
             for key, c in terms.items():
+                if validate and not cmath.isfinite(c):
+                    raise ValidationError(
+                        f"non-finite coefficient {c} at term {key}")
                 if abs(c) < COEFF_FLOOR:
                     continue
                 if validate:
@@ -381,13 +385,11 @@ def multiply(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
     """
     H1._assert_compatible(H2)
     cap = H1.params.degree_cap
+    if H1.terms and H2.terms and H1.degree() + H2.degree() > cap:
+        raise CapacityError(f"product degree exceeds cap {cap}")
     acc = {}
     for (a1, k1, kb1, j1), c1 in H1.terms.items():
-        d1 = term_degree((a1, k1, kb1, j1))
         for (a2, k2, kb2, j2), c2 in H2.terms.items():
-            if d1 + term_degree((a2, k2, kb2, j2)) > cap:
-                raise CapacityError(
-                    f"product degree exceeds cap {cap}")
             key = (mi_add(a1, a2), mi_add(k1, k2), mi_add(kb1, kb2),
                    tuple(sorted(j1 + j2)))
             c = c1 * c2
@@ -400,51 +402,80 @@ def multiply(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
                        H1.error_budget + H2.error_budget, validate=False)
 
 
+def _mi_dec(m: tuple, mode) -> tuple:
+    """Canonical multi-index m with the exponent at ``mode`` (>= 1) less 1."""
+    for i, (mm, e) in enumerate(m):
+        if mm == mode:
+            if e == 1:
+                return m[:i] + m[i + 1:]
+            return m[:i] + ((mm, e - 1),) + m[i + 1:]
+
+
 def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
     """Canonical bracket on expanded forms.
 
     On monomial pairs the coefficient rule is
     sqrt(-1) * sum_j (k_j K'_j - k'_j K_j) with exponents merged as
     a+A, k+K-e_j, k'+K'-e_j.
+
+    A pair contributes when some common mode j has a nonzero factor; its
+    output degree is d1 + d2 - 2.  Before accumulating anything, a
+    capacity probe walks only the pairs whose degree sum exceeds the cap,
+    in the main loop's order (H1 terms outer, H2 terms inner), and raises
+    CapacityError on the first contributing one.  So the bracket raises
+    exactly when a contributing pair is over the cap, names the degree
+    of the first such pair, and builds no partial result.
     """
     H1._assert_compatible(H2)
     A = H1.expanded()
-    B = H2.expanded()
     cap = H1.params.degree_cap
+    # Per-term data of the inner operand, computed once per call.  The
+    # outer and inner supports are built by different expressions on
+    # purpose: the iteration order of their intersection depends on how
+    # each set was built, and it fixes the insertion order of the result.
+    inner = []
+    for (a2, k2, kb2, _), c2 in H2.expanded().terms.items():
+        inner.append((a2, k2, kb2, dict(k2), dict(kb2),
+                      {m for m, _ in k2} | {m for m, _ in kb2},
+                      2 * mi_degree(a2) + mi_degree(k2) + mi_degree(kb2),
+                      c2))
+    # A nonempty common support needs d1, d2 >= 1, so only pairs with
+    # d1 + d2 >= 2 can contribute.
+    max_d2 = max((row[6] for row in inner), default=0)
+    for a1, k1, kb1, _ in A.terms:
+        d1 = 2 * mi_degree(a1) + mi_degree(k1) + mi_degree(kb1)
+        if d1 + max_d2 - 2 <= cap:
+            continue
+        k1d, kb1d = dict(k1), dict(kb1)
+        sup1 = set(k1d) | set(kb1d)
+        for _, _, _, k2d, kb2d, sup2, d2, _ in inner:
+            if d1 + d2 - 2 <= cap:
+                continue
+            for m in sup1 & sup2:
+                if (k1d.get(m, 0) * kb2d.get(m, 0)
+                        != kb1d.get(m, 0) * k2d.get(m, 0)):
+                    raise CapacityError(
+                        f"bracket degree {d1 + d2 - 2} exceeds cap {cap}")
     acc = {}
     for (a1, k1, kb1, _), c1 in A.terms.items():
-        d1 = 2 * mi_degree(a1) + mi_degree(k1) + mi_degree(kb1)
         k1d, kb1d = dict(k1), dict(kb1)
-        for (a2, k2, kb2, _), c2 in B.terms.items():
-            d2 = 2 * mi_degree(a2) + mi_degree(k2) + mi_degree(kb2)
-            if d1 + d2 < 2:
-                continue
-            common = (set(k1d) | set(kb1d)) & (
-                {m for m, _ in k2} | {m for m, _ in kb2})
+        sup1 = set(k1d) | set(kb1d)
+        for a2, k2, kb2, k2d, kb2d, sup2, _, c2 in inner:
+            common = sup1 & sup2
             if not common:
                 continue
-            k2d, kb2d = dict(k2), dict(kb2)
             base = c1 * c2 * 1j
+            merged = None
             for m in common:
                 f = (k1d.get(m, 0) * kb2d.get(m, 0)
                      - kb1d.get(m, 0) * k2d.get(m, 0))
                 if f == 0:
                     continue
-                if d1 + d2 - 2 > cap:
-                    raise CapacityError(
-                        f"bracket degree {d1 + d2 - 2} exceeds cap {cap}")
-                nk = dict(k1d)
-                for mm, e in k2:
-                    nk[mm] = nk.get(mm, 0) + e
-                nk[m] -= 1
-                nkb = dict(kb1d)
-                for mm, e in kb2:
-                    nkb[mm] = nkb.get(mm, 0) + e
-                nkb[m] -= 1
-                key = (mi_add(a1, a2),
-                       tuple(sorted((mm, e) for mm, e in nk.items() if e)),
-                       tuple(sorted((mm, e) for mm, e in nkb.items() if e)),
-                       ())
+                if merged is None:
+                    merged = (mi_add(a1, a2), mi_add(k1, k2),
+                              mi_add(kb1, kb2))
+                key = (merged[0], _mi_dec(merged[1], m),
+                       _mi_dec(merged[2], m), ())
                 acc[key] = acc.get(key, 0j) + base * f
     return Hamiltonian(H1.params, acc,
                        H1.error_budget + H2.error_budget, validate=False)

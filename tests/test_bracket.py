@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlskam import (
+    CapacityError,
     HamParams,
     Hamiltonian,
     evaluate,
@@ -14,7 +16,7 @@ from nlskam import (
     norm,
     poisson_bracket,
 )
-from nlskam.lattice import conservation_check
+from nlskam.lattice import conservation_check, mi_add, mi_degree
 from nlskam.verification import random_hamiltonian
 
 PARAMS = HamParams(d=1, sigma=2.5, r=1.0, floor_const=1024.0,
@@ -123,3 +125,113 @@ def test_antisymmetry_property(seed):
     S = linear_combine(1.0, poisson_bracket(F, G), 1.0,
                        poisson_bracket(G, F))
     assert norm(S, "star_rho", 0.0) == 0.0
+
+
+def _reference_bracket(H1, H2):
+    """The plain pair-loop bracket kernel, kept frozen as the reference.
+
+    ``poisson_bracket`` must match it bit for bit: the same terms in the
+    same insertion order, and the same CapacityError message.
+    """
+    H1._assert_compatible(H2)
+    A = H1.expanded()
+    B = H2.expanded()
+    cap = H1.params.degree_cap
+    acc = {}
+    for (a1, k1, kb1, _), c1 in A.terms.items():
+        d1 = 2 * mi_degree(a1) + mi_degree(k1) + mi_degree(kb1)
+        k1d, kb1d = dict(k1), dict(kb1)
+        for (a2, k2, kb2, _), c2 in B.terms.items():
+            d2 = 2 * mi_degree(a2) + mi_degree(k2) + mi_degree(kb2)
+            if d1 + d2 < 2:
+                continue
+            common = (set(k1d) | set(kb1d)) & (
+                {m for m, _ in k2} | {m for m, _ in kb2})
+            if not common:
+                continue
+            k2d, kb2d = dict(k2), dict(kb2)
+            base = c1 * c2 * 1j
+            for m in common:
+                f = (k1d.get(m, 0) * kb2d.get(m, 0)
+                     - kb1d.get(m, 0) * k2d.get(m, 0))
+                if f == 0:
+                    continue
+                if d1 + d2 - 2 > cap:
+                    raise CapacityError(
+                        f"bracket degree {d1 + d2 - 2} exceeds cap {cap}")
+                nk = dict(k1d)
+                for mm, e in k2:
+                    nk[mm] = nk.get(mm, 0) + e
+                nk[m] -= 1
+                nkb = dict(kb1d)
+                for mm, e in kb2:
+                    nkb[mm] = nkb.get(mm, 0) + e
+                nkb[m] -= 1
+                key = (mi_add(a1, a2),
+                       tuple(sorted((mm, e) for mm, e in nk.items() if e)),
+                       tuple(sorted((mm, e) for mm, e in nkb.items() if e)),
+                       ())
+                acc[key] = acc.get(key, 0j) + base * f
+    return Hamiltonian(H1.params, acc,
+                       H1.error_budget + H2.error_budget, validate=False)
+
+
+def _outcome(kernel, H1, H2):
+    try:
+        B = kernel(H1, H2)
+    except CapacityError as e:
+        return "raise", str(e)
+    return "ok", list(B.terms.items()), B.error_budget
+
+
+SMALL = replace(PARAMS, degree_cap=4)
+
+
+def _mono(k, kb, a=()):
+    return Hamiltonian.monomial(SMALL, a=a, k=k, k_bar=kb)
+
+
+def test_bracket_over_cap_raises():
+    # {q1^2 qbar1^2, q1 qbar1^2}: factor 2*2 - 2*1 = 2, degree 4+3-2 = 5
+    F = _mono([((1,), 2)], [((1,), 2)])
+    G = _mono([((1,), 1)], [((1,), 2)])
+    with pytest.raises(CapacityError, match="bracket degree 5 exceeds cap 4"):
+        poisson_bracket(F, G)
+
+
+def test_bracket_over_cap_without_contribution_passes():
+    F = _mono([((1,), 2)], [((1,), 2)])
+    # no common mode
+    G = _mono([((2,), 2)], [((0,), 1)])
+    assert poisson_bracket(F, G).is_zero()
+    # common mode 1 with factor 2*1 - 2*1 = 0 (actions commute)
+    I12 = _mono([((1,), 1), ((2,), 1)], [((1,), 1), ((2,), 1)])
+    assert poisson_bracket(F, I12).is_zero()
+    # an over-cap pair with zero factor next to contributing in-cap pairs
+    q1 = _mono([((1,), 1)], [])
+    G = linear_combine(1.0, I12, 1.0, q1)
+    assert _outcome(poisson_bracket, F, G) == _outcome(
+        _reference_bracket, F, G)
+    assert len(poisson_bracket(F, G)) == 1
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
+       offset=st.integers(-3, 1), collect=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_bracket_matches_reference_kernel(seed, d, offset, collect):
+    # caps at and just below the largest pair degree, so some draws raise
+    rng = np.random.default_rng(seed)
+    wide = HamParams(d=d, sigma=2.5, r=1.0, degree_cap=64,
+                     mode_radius=2 if d == 1 else 1)
+    F = random_hamiltonian(wide, rng, n_terms=6, max_factors=6,
+                           max_actions=2)
+    G = random_hamiltonian(wide, rng, n_terms=6, max_factors=6,
+                           max_actions=2)
+    if collect:
+        F, G = F.collected(), G.collected()
+    top = F.degree() + G.degree() - 2
+    p = replace(wide, degree_cap=max(F.degree(), G.degree(), top + offset))
+    F, G = Hamiltonian(p, F.terms), Hamiltonian(p, G.terms)
+    for H1, H2 in ((F, G), (G, F), (F, F)):
+        assert _outcome(poisson_bracket, H1, H2) == _outcome(
+            _reference_bracket, H1, H2)

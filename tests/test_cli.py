@@ -50,6 +50,14 @@ def test_kam_run_steps0_roundtrip(tmp_path):
     assert csv[0].startswith("s,rho,eps,")
 
 
+def test_kam_run_negative_steps_exit_code(tmp_path, capsys):
+    assert run_cli("kam-run", "--d", "1", "--radius", "1", "--steps", "-1",
+                   "--out-prefix", str(tmp_path / "k")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: steps must be >= 0, got -1"]
+    assert not (tmp_path / "k.steps.csv").exists()
+
+
 def test_kam_run_small_divisor_exit_code(tmp_path):
     # at d=2, (1,0)+(-1,0) and (0,1)+(0,-1) share sum and square sum, so
     # the fully resonant omega = 0 yields an exact zero divisor
@@ -73,6 +81,22 @@ def test_capacity_exit_code(tmp_path):
 
 def test_validation_exit_code_on_missing_file(tmp_path):
     assert run_cli("norms", str(tmp_path / "missing.json")) == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_norms_rejects_non_finite_coefficient(tmp_path, capsys, bad):
+    h = tmp_path / "h.json"
+    run_cli("build-nls", "--d", "1", "--radius", "1", "--eps", "1e-6",
+            "--out", str(h))
+    doc = json.loads(h.read_text())
+    doc["terms"][0]["re"] = bad
+    h.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("norms", str(h)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: non-finite coefficient")
 
 
 def test_measure_csv_schema(tmp_path):

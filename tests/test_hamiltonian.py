@@ -64,8 +64,10 @@ def test_multiply_capacity(params):
     small = HamParams(d=1, sigma=2.5, r=1.0, floor_const=1024.0,
                       degree_cap=3, mode_radius=2)
     q = Hamiltonian.monomial(small, k=[((1,), 2)])
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="product degree exceeds cap 3"):
         multiply(q, q)
+    assert multiply(q, Hamiltonian.monomial(small, k=[((1,), 1)])).terms == {
+        ((), (((1,), 3),), (), ()): 1.0}
 
 
 def test_expand_collect_exact_roundtrip(params, rng):
@@ -195,6 +197,13 @@ def test_serialization_roundtrip(params, rng):
     assert H2.terms == H.terms
     assert H2.params == H.params
     assert H.dumps() == H2.dumps()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_coefficient_rejected(params, bad):
+    with pytest.raises(ValidationError, match="non-finite coefficient"):
+        Hamiltonian.monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)],
+                             coeff=bad)
 
 
 def test_loads_rejects_foreign_document(params):
