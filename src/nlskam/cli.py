@@ -269,7 +269,8 @@ def _cmd_kam_run(args):
         ell_budget=args.ell_budget, floor_const=args.floor, sign=args.sign,
         prune_tol=args.prune_tol, lie_order_cap=args.lie_order_cap,
         strict=args.strict, force=args.force, threads=args.threads)
-    omega = frequency_loads(_read(args.freq)) if args.freq else None
+    omega = (frequency_loads(_read(args.freq), args.d) if args.freq
+             else None)
     reports, states = run(cfg, omega)
     if not args.timings:
         for rep in reports:
@@ -316,7 +317,7 @@ def _cmd_bracket(args):
 
 
 def _cmd_dioph_check(args):
-    omega = frequency_loads(_read(args.file))
+    omega = frequency_loads(_read(args.file), args.d)
     p = DiophParams(gamma=args.gamma, d=args.d, ell_budget=args.ell_budget,
                     mode_radius=args.radius)
     violations, checked = check_frequency(omega, p)

@@ -11,13 +11,16 @@ small modes with <n>^(d+7).
 
 from __future__ import annotations
 
+import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import _mode_sort_key, angle_norm
+from .lattice import _mode_sort_key, angle_norm, box_modes, check_mode
 
 MEASURE_CSV_SCHEMA = (
     "gamma,trials,violations,fraction,stderr,ell_budget,mode_radius,seed")
@@ -35,13 +38,14 @@ class DiophParams:
             raise ValidationError(f"gamma must lie in [0,1), got {self.gamma}")
         if self.ell_budget < 1:
             raise ValidationError("ell_budget must be >= 1")
+        if self.d < 1:
+            raise ValidationError(f"dimension must be >= 1, got {self.d}")
+        if self.mode_radius < 0:
+            raise ValidationError(
+                f"mode_radius must be >= 0, got {self.mode_radius}")
 
     def box_modes(self):
-        rng = range(-self.mode_radius, self.mode_radius + 1)
-        modes = [()]
-        for _ in range(self.d):
-            modes = [m + (c,) for m in modes for c in rng]
-        return sorted(modes)
+        return box_modes(self.d, self.mode_radius)
 
 
 def dist_to_integers(x: float) -> float:
@@ -50,34 +54,67 @@ def dist_to_integers(x: float) -> float:
     return min(f, 0.5)
 
 
+class EllRows(Sequence):
+    """The rows of an l-matrix, each read as an l tuple.
+
+    ``matrix[i, j]`` is the value of row i at ``modes[j]``.  Row i reads as
+    the tuple of (mode, value) pairs with nonzero value, in mode order.
+    """
+
+    def __init__(self, modes, matrix):
+        self.modes = modes
+        self.matrix = matrix
+
+    def __len__(self):
+        return len(self.matrix)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EllRows(self.modes, self.matrix[i])
+        return self._ell(self.matrix[i].tolist())
+
+    def __iter__(self):
+        return map(self._ell, self.matrix.tolist())
+
+    def _ell(self, row):
+        return tuple((m, v) for m, v in zip(self.modes, row) if v)
+
+
+def _ell_dtype(budget):
+    """The smallest signed integer dtype that holds +-budget."""
+    for dt in (np.int8, np.int16, np.int32):
+        if budget <= np.iinfo(dt).max:
+            return dt
+    return np.int64
+
+
 def enumerate_ells(modes, budget):
-    """All signed integer vectors l != 0 with |l| <= budget.
+    """All signed integer vectors l != 0 with |l| <= budget, as EllRows.
 
     Ordered by |l| first, then lexicographically in the per-mode values
-    over the sorted mode list.  Each l is a tuple of (mode, value) pairs
-    with nonzero values only.
+    over the sorted mode list.  Each l reads as a tuple of (mode, value)
+    pairs with nonzero values only.
     """
     modes = sorted(tuple(m) for m in modes)
-
-    def gen(total):
-        def walk(idx, left, acc):
-            if idx == len(modes):
-                if left == 0 and acc:
-                    yield tuple(acc)
-                return
-            for v in range(-left, left + 1):
-                if v == 0:
-                    yield from walk(idx + 1, left, acc)
-                else:
-                    acc.append((modes[idx], v))
-                    yield from walk(idx + 1, left - abs(v), acc)
-                    acc.pop()
-        yield from walk(0, total, [])
-
-    result = []
-    for total in range(1, budget + 1):
-        result.extend(gen(total))
-    return result
+    dtype = _ell_dtype(budget)
+    # sphere[t]: every vector over the last k modes with |v| == t, in
+    # lexicographic order; grown one mode at a time by prepending each
+    # value v in [-t, t] to the (t - |v|)-sphere of the modes after it.
+    sphere = [np.zeros((1 if t == 0 else 0, 0), dtype)
+              for t in range(budget + 1)]
+    for k in range(1, len(modes) + 1):
+        nxt = []
+        for t in range(budget + 1):
+            blocks = []
+            for v in range(-t, t + 1):
+                tail = sphere[t - abs(v)]
+                block = np.empty((len(tail), k), dtype)
+                block[:, 0] = v
+                block[:, 1:] = tail
+                blocks.append(block)
+            nxt.append(np.concatenate(blocks))
+        sphere = nxt
+    return EllRows(modes, np.concatenate(sphere[1:]))
 
 
 def ell_sorted_norms(ell):
@@ -120,24 +157,108 @@ def dioph_rhs(ell, p: DiophParams, which: int) -> float:
     raise ValidationError(f"which must be 1 or 2, got {which}")
 
 
+# Rows per block of the l-table's right-hand-side pass; bounds its float
+# temporaries at a few hundred kB whatever the table size.
+_ROW_BLOCK = 8192
+
+
+class EllTable(NamedTuple):
+    """Every l with 0 < |l| <= ell_budget and both of its right-hand sides.
+
+    Row i of ``ells.matrix`` is l; ``rhs1[i]`` and ``rhs2[i]`` equal
+    ``dioph_rhs(l, p, 1)`` and ``dioph_rhs(l, p, 2)`` bit for bit, and
+    ``cond2[i]`` equals ``condition2_applies(l)``.
+    """
+
+    ells: EllRows
+    rhs1: np.ndarray
+    rhs2: np.ndarray
+    cond2: np.ndarray
+
+    def rhs(self):
+        """The bound a strongly nonresonant frequency must clear per l."""
+        return np.where(self.cond2, np.maximum(self.rhs1, self.rhs2),
+                        self.rhs1)
+
+
+def _ell_table(modes, p: DiophParams) -> EllTable:
+    """The l-table over ``modes``, with columns in sorted-mode order.
+
+    The right-hand sides depend only on l, so they are computed once and
+    reused across candidate draws.  Each product runs column by column in
+    sorted-mode order, the order in which ``dioph_rhs`` walks the nonzero
+    entries of l; a zero entry multiplies by exactly 1.0.  Per-mode factors
+    are looked up by |l_n| in tables built with the scalar expressions of
+    ``dioph_rhs``.
+    """
+    ells = enumerate_ells(modes, p.ell_budget)
+    L, modes = ells.matrix, ells.modes
+    powers = range(p.ell_budget + 1)
+    fac1 = [np.array([1.0 / (1.0 + a ** 3 * angle_norm(m) ** (p.d + 4))
+                      for a in powers]) for m in modes]
+    fac2 = [np.array([(1.0 / (1.0 + a ** 3 * angle_norm(m) ** (p.d + 7)))
+                      ** 10 for a in powers]) for m in modes]
+    norms = [math.sqrt(sum(c * c for c in m)) for m in modes]
+    # Distinct mode norms, largest first: ell_sorted_norms(l)[k] is the
+    # norm of the first level whose cumulative |l| count exceeds k.
+    sq = [sum(c * c for c in m) for m in modes]
+    levels = sorted(set(sq), reverse=True)
+    level_of = [levels.index(q) for q in sq]
+    level_norm = np.array([math.sqrt(q) for q in levels])
+
+    n = len(L)
+    rhs1, rhs2 = np.empty(n), np.empty(n)
+    cond2 = np.empty(n, dtype=bool)
+    for i0 in range(0, n, _ROW_BLOCK):
+        A = np.abs(L[i0:i0 + _ROW_BLOCK])
+        counts = np.zeros((len(A), len(levels)), dtype=np.int64)
+        prod1 = np.ones(len(A))
+        for j, f in enumerate(fac1):
+            prod1 *= f[A[:, j]]
+            counts[:, level_of[j]] += A[:, j]
+        cum = np.cumsum(counts, axis=1)
+        total = cum[:, -1]
+        n2 = level_norm[np.argmax(cum >= 2, axis=1)]
+        n3 = np.where(total >= 3, level_norm[np.argmax(cum >= 3, axis=1)],
+                      -1.0)
+        prod2 = np.ones(len(A))
+        for j, f in enumerate(fac2):
+            prod2 *= np.where(norms[j] <= n3, f[A[:, j]], 1.0)
+        block = slice(i0, i0 + len(A))
+        rhs1[block] = p.gamma * prod1
+        rhs2[block] = (p.gamma ** 5 / 100.0) * prod2
+        cond2[block] = (total >= 2) & (np.maximum(n3, 0.0) < n2)
+    return EllTable(ells, rhs1, rhs2, cond2)
+
+
 def check_frequency(omega: dict, p: DiophParams):
     """Test both conditions over all l with |l| <= ell_budget.
 
     Returns (violations, checked) where violations is a list of
-    (ell, which, lhs, rhs) for every failed inequality.
+    (ell, which, lhs, rhs) for every failed inequality, ordered by l and,
+    per l, condition 1 before condition 2.
     """
-    ells = enumerate_ells(omega.keys(), p.ell_budget)
+    modes = sorted(omega)
+    for m in modes:
+        check_mode(m, p.d)
+    table = _ell_table(modes, p)
+    L = table.ells.matrix
+    # <l, omega> accumulated in sorted-mode order, as a left-to-right sum
+    # over the entries of l would be.
+    x = np.zeros(len(L))
+    for j, m in enumerate(modes):
+        x += L[:, j] * float(omega[m])
+    lhs = np.minimum(np.abs(x - np.rint(x)), 0.5)
+    bad1 = lhs < table.rhs1
+    bad2 = table.cond2 & (lhs < table.rhs2)
     violations = []
-    for ell in ells:
-        lhs = dist_to_integers(sum(v * omega[mode] for mode, v in ell))
-        rhs1 = dioph_rhs(ell, p, 1)
-        if lhs < rhs1:
-            violations.append((ell, 1, lhs, rhs1))
-        if condition2_applies(ell):
-            rhs2 = dioph_rhs(ell, p, 2)
-            if lhs < rhs2:
-                violations.append((ell, 2, lhs, rhs2))
-    return violations, len(ells)
+    for i in np.flatnonzero(bad1 | bad2).tolist():
+        ell = table.ells[i]
+        if bad1[i]:
+            violations.append((ell, 1, float(lhs[i]), float(table.rhs1[i])))
+        if bad2[i]:
+            violations.append((ell, 2, float(lhs[i]), float(table.rhs2[i])))
+    return violations, len(L)
 
 
 def _mode_rng(seed, mode):
@@ -157,30 +278,14 @@ def sample_frequency(modes, seed) -> dict:
     return out
 
 
-def _ell_table(modes, p: DiophParams):
-    """(ells, L matrix, per-ell rhs) for vectorized condition checks.
-
-    The right-hand sides depend only on l, so they are computed once and
-    reused across candidate draws.
-    """
-    ells = enumerate_ells(modes, p.ell_budget)
-    idx = {m: i for i, m in enumerate(modes)}
-    L = np.zeros((len(ells), len(modes)))
-    rhs = np.zeros(len(ells))
-    for j, ell in enumerate(ells):
-        for mode, v in ell:
-            L[j, idx[mode]] = v
-        r = dioph_rhs(ell, p, 1)
-        if condition2_applies(ell):
-            r = max(r, dioph_rhs(ell, p, 2))
-        rhs[j] = r
-    return ells, L, rhs
-
-
 def sample_strong_frequency(modes, p: DiophParams, seed, max_tries=1000):
     """First strongly nonresonant draw from successive sub-seeds."""
     modes = sorted(tuple(m) for m in modes)
-    _, L, rhs = _ell_table(modes, p)
+    table = _ell_table(modes, p)
+    rhs = table.rhs()
+    # One full matrix-vector product per draw: a row-chunked product can
+    # round differently in the last bit and flip an accept/reject decision.
+    L = table.ells.matrix.astype(float)
     for t in range(max_tries):
         omega = sample_frequency(modes, (int(seed) << 20) + t)
         x = L @ np.array([omega[m] for m in modes])
@@ -192,18 +297,53 @@ def sample_strong_frequency(modes, p: DiophParams, seed, max_tries=1000):
 
 def frequency_dumps(omega: dict) -> str:
     """JSON document for a frequency map; modes serialized as int lists."""
-    import json
     entries = [[list(m), float(v)] for m, v in sorted(omega.items())]
     return json.dumps({"format": "nlskam-frequency", "version": 1,
                        "omega": entries}, indent=1)
 
 
-def frequency_loads(text: str) -> dict:
-    import json
-    doc = json.loads(text)
-    if doc.get("format") != "nlskam-frequency":
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def frequency_loads(text: str, d: int | None = None) -> dict:
+    """Parse a frequency document; every mode must have dimension ``d``.
+
+    Without ``d``, every mode must have the dimension of the first one.
+    Raises ValidationError on any malformed document.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"frequency document is not JSON: {e}") from e
+    if not isinstance(doc, dict) or doc.get("format") != "nlskam-frequency":
         raise ValidationError("not a frequency document")
-    return {tuple(int(c) for c in m): float(v) for m, v in doc["omega"]}
+    entries = doc.get("omega")
+    if not isinstance(entries, list):
+        raise ValidationError("frequency document needs an 'omega' list")
+    omega = {}
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ValidationError(
+                f"omega entry {entry!r} is not a [mode, value] pair")
+        m, v = entry
+        if not (isinstance(m, list) and all(_is_int(c) for c in m)):
+            raise ValidationError(f"mode {m!r} is not a list of integers")
+        try:
+            val = float(v) if _is_int(v) or isinstance(v, float) else math.nan
+        except OverflowError:           # an integer beyond float range
+            val = math.inf
+        if not math.isfinite(val):
+            raise ValidationError(
+                f"frequency at mode {m} is not a finite number: {v!r}")
+        mode = tuple(m)
+        if d is None:
+            d = len(mode)
+        check_mode(mode, d)
+        if mode in omega:
+            raise ValidationError(f"mode {mode} appears twice")
+        omega[mode] = val
+    return omega
 
 
 def resonance_measure(p: DiophParams, trials: int, seed):
@@ -219,10 +359,10 @@ def resonance_measure(p: DiophParams, trials: int, seed):
     for i, m in enumerate(modes):
         draws[:, i] = _mode_rng(seed, m).uniform(
             0.0, 1.0 / angle_norm(m), size=trials)
-    _, L, rhs = _ell_table(modes, p)
-    x = draws @ L.T
+    table = _ell_table(modes, p)
+    x = draws @ table.ells.matrix.astype(float).T
     lhs = np.abs(x - np.rint(x))
-    bad = (lhs < rhs[None, :]).any(axis=1)
+    bad = (lhs < table.rhs()[None, :]).any(axis=1)
     violations = int(bad.sum())
     fraction = violations / trials
     stderr = math.sqrt(max(fraction * (1.0 - fraction), 1e-300) / trials)

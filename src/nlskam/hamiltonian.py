@@ -28,6 +28,7 @@ from .lattice import (
     MI_ZERO,
     _mode_sort_key,
     _weight_cached,
+    box_modes,
     mi,
     mi_add,
     mi_degree,
@@ -68,12 +69,7 @@ class HamParams:
 
     def box_modes(self):
         """All modes of the truncation box, in lexicographic order."""
-        rad = self.mode_radius
-        rng = range(-rad, rad + 1)
-        modes = [()]
-        for _ in range(self.d):
-            modes = [m + (c,) for m in modes for c in rng]
-        return sorted(modes)
+        return box_modes(self.d, self.mode_radius)
 
 
 def term_degree(key) -> int:

@@ -83,6 +83,15 @@ def angle_norm(n) -> float:
     return max(1.0, math.sqrt(sum(c * c for c in n)))
 
 
+def box_modes(d: int, radius: int) -> list:
+    """All modes of Z^d with every coordinate in [-radius, radius], sorted."""
+    rng = range(-radius, radius + 1)
+    modes = [()]
+    for _ in range(d):
+        modes = [m + (c,) for m in modes for c in rng]
+    return sorted(modes)
+
+
 # ---------------------------------------------------------------------------
 # Multi-index helpers (canonical tuple-of-pairs form)
 # ---------------------------------------------------------------------------

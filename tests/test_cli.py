@@ -135,6 +135,56 @@ def test_dioph_check_roundtrip(tmp_path, capsys):
                    "--ell-budget", "3", "--radius", "1") == 1
 
 
+@pytest.mark.parametrize("doc,match", [
+    ([[[0], 0.1]], "not a frequency document"),
+    ({"format": "nlskam-frequency"}, "'omega' list"),
+    ({"format": "nlskam-frequency", "omega": [[[0], "abc"]]},
+     "not a finite number"),
+    ({"format": "nlskam-frequency", "omega": [[["a"], 0.1]]},
+     "not a list of integers"),
+    ({"format": "nlskam-frequency", "omega": [[[0], float("inf")]]},
+     "not a finite number"),
+    ({"format": "nlskam-frequency", "omega": [[[0, 0], 0.1]]},
+     "has dimension 2, expected 1"),
+])
+def test_dioph_check_rejects_malformed_frequency(tmp_path, capsys, doc,
+                                                 match):
+    f = tmp_path / "freq.json"
+    f.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("dioph-check", str(f), "--d", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and match in line
+
+
+def test_kam_run_rejects_frequency_of_other_dimension(tmp_path, capsys):
+    from nlskam.diophantine import frequency_dumps
+    f = tmp_path / "freq.json"
+    f.write_text(frequency_dumps({(m,): 0.1 for m in (-1, 0, 1)}))
+    capsys.readouterr()
+    assert run_cli("kam-run", "--d", "2", "--radius", "1", "--freq", str(f),
+                   "--out-prefix", str(tmp_path / "k")) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: mode (-1,) has dimension 1, expected 2"
+    assert not (tmp_path / "k.steps.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--d", "0", "error: dimension must be >= 1, got 0"),
+    ("--radius", "-1", "error: mode_radius must be >= 0, got -1"),
+])
+def test_measure_rejects_bad_dimension_and_radius(tmp_path, capsys, flag,
+                                                  value, message):
+    out = tmp_path / "m.csv"
+    capsys.readouterr()
+    assert run_cli("measure", "--trials", "10", "--gamma", "0.05",
+                   flag, value, "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
 def test_tl_check_table(tmp_path):
     h = tmp_path / "h.json"
     run_cli("build-nls", "--d", "1", "--radius", "2", "--eps", "1e-6",

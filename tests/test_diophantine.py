@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from nlskam import (
@@ -13,6 +14,7 @@ from nlskam import (
     sample_strong_frequency,
 )
 from nlskam.diophantine import (
+    _ell_table,
     condition2_applies,
     dioph_rhs,
     dist_to_integers,
@@ -130,3 +132,235 @@ def test_frequency_file_roundtrip():
     assert frequency_loads(text) == omega
     with pytest.raises(ValidationError):
         frequency_loads('{"format": "nope"}')
+
+
+def test_params_reject_bad_dimension_and_radius():
+    with pytest.raises(ValidationError, match="dimension"):
+        DiophParams(gamma=0.1, d=0, ell_budget=3, mode_radius=2)
+    with pytest.raises(ValidationError, match="mode_radius"):
+        DiophParams(gamma=0.1, d=1, ell_budget=3, mode_radius=-1)
+
+
+# ---------------------------------------------------------------------------
+# The l-table against a frozen copy of the per-l reference path
+# ---------------------------------------------------------------------------
+
+def _reference_ells(modes, budget):
+    """The recursive l enumeration the array builder replaced."""
+    modes = sorted(tuple(m) for m in modes)
+
+    def walk(idx, left, acc):
+        if idx == len(modes):
+            if left == 0 and acc:
+                yield tuple(acc)
+            return
+        for v in range(-left, left + 1):
+            if v == 0:
+                yield from walk(idx + 1, left, acc)
+            else:
+                acc.append((modes[idx], v))
+                yield from walk(idx + 1, left - abs(v), acc)
+                acc.pop()
+
+    out = []
+    for total in range(1, budget + 1):
+        out.extend(walk(0, total, []))
+    return out
+
+
+def _reference_matrix(ells, modes):
+    idx = {m: i for i, m in enumerate(sorted(modes))}
+    L = np.zeros((len(ells), len(modes)))
+    for j, ell in enumerate(ells):
+        for mode, v in ell:
+            L[j, idx[mode]] = v
+    return L
+
+
+def _reference_rhs(ells, p):
+    """Per-l bound of the reference sampler: rhs1, or max(rhs1, rhs2)."""
+    rhs = np.zeros(len(ells))
+    for j, ell in enumerate(ells):
+        r = dioph_rhs(ell, p, 1)
+        if condition2_applies(ell):
+            r = max(r, dioph_rhs(ell, p, 2))
+        rhs[j] = r
+    return rhs
+
+
+def _reference_sample(modes, ells, rhs, seed, max_tries=1000):
+    modes = sorted(tuple(m) for m in modes)
+    L = _reference_matrix(ells, modes)
+    for t in range(max_tries):
+        omega = sample_frequency(modes, (int(seed) << 20) + t)
+        x = L @ np.array([omega[m] for m in modes])
+        if (np.abs(x - np.rint(x)) >= rhs).all():
+            return omega, t
+    raise ValidationError("no draw")
+
+
+def _reference_check(omega, p):
+    ells = _reference_ells(omega.keys(), p.ell_budget)
+    violations = []
+    for ell in ells:
+        lhs = dist_to_integers(sum(v * omega[mode] for mode, v in ell))
+        rhs1 = dioph_rhs(ell, p, 1)
+        if lhs < rhs1:
+            violations.append((ell, 1, lhs, rhs1))
+        if condition2_applies(ell):
+            rhs2 = dioph_rhs(ell, p, 2)
+            if lhs < rhs2:
+                violations.append((ell, 2, lhs, rhs2))
+    return violations, len(ells)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("d,radius,budget,gammas", [
+    (1, 2, 6, (0.01, 0.1, 0.3)),
+    (1, 0, 4, (0.2,)),
+    (2, 1, 4, (0.01, 0.1, 0.3)),
+    (3, 1, 3, (0.3,)),
+])
+def test_ell_table_matches_reference_bit_for_bit(d, radius, budget, gammas):
+    modes = DiophParams(gamma=0.1, d=d, ell_budget=budget,
+                        mode_radius=radius).box_modes()
+    ells = _reference_ells(modes, budget)
+    for gamma in gammas:
+        p = DiophParams(gamma=gamma, d=d, ell_budget=budget,
+                        mode_radius=radius)
+        table = _ell_table(modes, p)
+        assert list(table.ells) == ells
+        assert table.ells.matrix.dtype == np.int8
+        assert np.array_equal(table.ells.matrix,
+                              _reference_matrix(ells, modes))
+        assert _bits(table.rhs1) == _bits([dioph_rhs(e, p, 1) for e in ells])
+        assert _bits(table.rhs2) == _bits([dioph_rhs(e, p, 2) for e in ells])
+        assert table.cond2.tolist() == [condition2_applies(e) for e in ells]
+        assert _bits(table.rhs()) == _bits(_reference_rhs(ells, p))
+
+
+@pytest.fixture(scope="module")
+def d2_reference():
+    # the 9-mode, |l| <= 6 table a d=2 R=1 kam-run samples against
+    p = DiophParams(gamma=0.01, d=2, ell_budget=6, mode_radius=1)
+    ells = _reference_ells(p.box_modes(), 6)
+    return p, ells, _reference_rhs(ells, p)
+
+
+def test_ell_table_d2_sampler_config_bit_for_bit(d2_reference):
+    p, ells, rhs = d2_reference
+    table = _ell_table(p.box_modes(), p)
+    assert len(table.ells) == len(ells) == 75516
+    assert list(table.ells) == ells
+    assert _bits(table.rhs()) == _bits(rhs)
+
+
+@pytest.mark.parametrize("budget,dtype", [
+    (127, np.int8), (128, np.int16), (130, np.int16)])
+def test_ell_matrix_dtype_holds_budget(budget, dtype):
+    p = DiophParams(gamma=0.1, d=1, ell_budget=budget, mode_radius=0)
+    table = _ell_table([(0,)], p)
+    L = table.ells.matrix
+    assert L.dtype == dtype
+    assert L[:, 0].tolist() == [v for s in range(1, budget + 1)
+                                for v in (-s, s)]
+    ells = _reference_ells([(0,)], budget)
+    assert list(table.ells) == ells
+    assert _bits(table.rhs()) == _bits(_reference_rhs(ells, p))
+
+
+def test_ell_rows_view():
+    ells = enumerate_ells([(1,), (0,)], 2)
+    ref = _reference_ells([(0,), (1,)], 2)
+    assert len(ells) == len(ref)
+    assert [ells[i] for i in range(len(ells))] == ref
+    assert ells[-1] == ref[-1]
+    assert list(ells[2:5]) == ref[2:5]
+    assert ((((0,), 1), ((1,), 1)) in ells)
+
+
+@pytest.mark.parametrize("d,radius,budget,gamma,seeds", [
+    (1, 2, 6, 0.15, (0, 1, 5)),
+    (1, 2, 6, 0.05, (3, 4)),
+    (2, 1, 4, 0.03, (1, 4, 6)),
+])
+def test_sample_strong_frequency_matches_reference(d, radius, budget, gamma,
+                                                   seeds):
+    p = DiophParams(gamma=gamma, d=d, ell_budget=budget, mode_radius=radius)
+    modes = p.box_modes()
+    ells = _reference_ells(modes, budget)
+    rhs = _reference_rhs(ells, p)
+    tries = []
+    for seed in seeds:
+        got = sample_strong_frequency(modes, p, seed)
+        assert got == _reference_sample(modes, ells, rhs, seed)
+        tries.append(got[1])
+    assert max(tries) > 0           # some draws were rejected
+
+
+def test_sample_strong_frequency_d2_sampler_config(d2_reference):
+    p, ells, rhs = d2_reference
+    modes = p.box_modes()
+    for seed in (0, 2, 5, 7):
+        assert (sample_strong_frequency(modes, p, seed)
+                == _reference_sample(modes, ells, rhs, seed))
+
+
+def test_check_frequency_matches_reference():
+    p = DiophParams(gamma=0.1, d=1, ell_budget=4, mode_radius=2)
+    modes = p.box_modes()
+    resonant = {m: 0.25 * (i % 3) for i, m in enumerate(modes)}
+    drawn = sample_frequency(modes, 5)
+    passing, _ = sample_strong_frequency(modes, p, seed=7)
+    for omega in (resonant, drawn, passing):
+        got = check_frequency(omega, p)
+        want = _reference_check(omega, p)
+        assert got == want
+        assert all(type(v) is int for ell, *_ in got[0] for _, v in ell)
+    assert check_frequency(resonant, p)[0]
+    assert check_frequency(passing, p)[0] == []
+
+
+def test_check_frequency_rejects_foreign_dimension():
+    with pytest.raises(ValidationError, match="dimension"):
+        check_frequency({(0, 0): 0.1, (1, 0): 0.2}, P)
+
+
+@pytest.mark.parametrize("text,match", [
+    ('[1, 2]', "not a frequency document"),
+    ('{"format": "nlskam-frequency"}', "'omega' list"),
+    ('{"format": "nlskam-frequency", "omega": [[[0], "x"]]}',
+     "finite number"),
+    ('{"format": "nlskam-frequency", "omega": [[[0], true]]}',
+     "finite number"),
+    ('{"format": "nlskam-frequency", "omega": [[[0], NaN]]}',
+     "finite number"),
+    ('{"format": "nlskam-frequency", "omega": [[[0], Infinity]]}',
+     "finite number"),
+    ('{"format": "nlskam-frequency", "omega": [[[0], 1' + '0' * 400 + ']]}',
+     "finite number"),
+    ('{"format": "nlskam-frequency", "omega": [[[0.5], 0.1]]}',
+     "list of integers"),
+    ('{"format": "nlskam-frequency", "omega": [["0", 0.1]]}',
+     "list of integers"),
+    ('{"format": "nlskam-frequency", "omega": [[[0], 0.1, 2]]}',
+     "pair"),
+    ('{"format": "nlskam-frequency", "omega": [[[0], 0.1], [[0, 1], 0.2]]}',
+     "dimension"),
+    ('{"format": "nlskam-frequency", "omega": [[[0], 0.1], [[0], 0.2]]}',
+     "twice"),
+    ('{"format": "nlskam-frequency"', "not JSON"),
+])
+def test_frequency_loads_rejects_malformed(text, match):
+    with pytest.raises(ValidationError, match=match):
+        frequency_loads(text)
+
+
+def test_frequency_loads_checks_requested_dimension():
+    text = frequency_dumps({(0,): 0.1, (1,): 0.2})
+    assert frequency_loads(text, 1) == {(0,): 0.1, (1,): 0.2}
+    with pytest.raises(ValidationError, match="dimension"):
+        frequency_loads(text, 2)

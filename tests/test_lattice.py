@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlskam import LatticeParams, ValidationError, weighted_gap, mode_norms, weight
+from nlskam import (DiophParams, HamParams, LatticeParams, ValidationError,
+                    mode_norms, weight, weighted_gap)
 from nlskam.errors import DimensionMismatchError
 from nlskam.lattice import (
+    box_modes,
     conservation_check,
     mi,
     mi_add,
@@ -131,3 +133,12 @@ def test_gap_nonnegative_property(kmodes, amodes):
     kb = mi([((c,), 1) for c in kb_modes])
     a = mi([((c,), 1) for c in amodes])
     assert weighted_gap(a, k, kb, LAT) >= -1e-12
+
+
+def test_box_modes_shared_by_both_parameter_sets():
+    assert box_modes(2, 1) == sorted(
+        (a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
+    assert box_modes(1, 0) == [(0,)]
+    hp = HamParams(d=2, sigma=2.5, r=1.0, mode_radius=1)
+    dp = DiophParams(gamma=0.1, d=2, ell_budget=3, mode_radius=1)
+    assert hp.box_modes() == dp.box_modes() == box_modes(2, 1)
