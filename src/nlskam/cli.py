@@ -26,22 +26,18 @@ from .diophantine import (
     resonance_measure,
     sample_strong_frequency,
 )
-from .driver import STEP_CSV_SCHEMA, KamConfig, run, tl_defect
+from .driver import STEP_CSV_SCHEMA, KamConfig, _fmt, run, tl_defect
 from .errors import (
     CapacityError,
     DivergenceRiskError,
     SmallDivisorError,
     ValidationError,
 )
-from .hamiltonian import (
-    Hamiltonian,
-    log_bracket_constant_factor,
-    norm,
-    poisson_bracket,
-)
+from .hamiltonian import Hamiltonian, norm, poisson_bracket
 from .nls import NlsConfig, build_cubic_nls
 from .verification import (
     SUITE_CSV_SCHEMA,
+    log_bracket_constant,
     run_suite,
     verify_norm_lemma,
     verify_scalar_lemma,
@@ -50,10 +46,6 @@ from .verification import (
 )
 
 TL_CSV_SCHEMA = "t,defect_qq,defect_qqbar,defect_qbarqbar"
-
-
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
 
 
 def _env_seed() -> int:
@@ -73,8 +65,11 @@ def _write(path, text):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValidationError(f"cannot write {path}: {e}") from e
 
 
 def _read(path) -> str:
@@ -194,7 +189,9 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, default=0.1)
     p.add_argument("--ell-budget", type=int, default=6)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=int, default=2,
+                   help="mode box half-width; a mode of the file outside "
+                   "the box is an error (exit 1)")
     _add_common(p)
 
     p = sub.add_parser("measure", help="Monte Carlo resonant-measure "
@@ -304,8 +301,7 @@ def _cmd_bracket(args):
     p = H1.params
     log_lhs = (math.log(norm(B, "sup_rho", args.rho))
                if not B.is_zero() else -math.inf)
-    log_rhs = (log_bracket_constant_factor(p.d, p.sigma, args.delta1)
-               - math.log(args.delta2))
+    log_rhs = log_bracket_constant(p.d, p.sigma, args.delta1, args.delta2)
     for H, dd in ((H1, args.delta1), (H2, args.delta2)):
         v = norm(H, "sup_rho", args.rho - dd)
         log_rhs += math.log(v) if v > 0 else -math.inf

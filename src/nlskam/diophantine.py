@@ -20,7 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import _mode_sort_key, angle_norm, box_modes, check_mode
+from .lattice import (
+    _is_int,
+    _mode_sort_key,
+    angle_norm,
+    box_modes,
+    check_mode,
+    mode_from_json,
+)
 
 MEASURE_CSV_SCHEMA = (
     "gamma,trials,violations,fraction,stderr,ell_budget,mode_radius,seed")
@@ -234,13 +241,17 @@ def _ell_table(modes, p: DiophParams) -> EllTable:
 def check_frequency(omega: dict, p: DiophParams):
     """Test both conditions over all l with |l| <= ell_budget.
 
-    Returns (violations, checked) where violations is a list of
-    (ell, which, lhs, rhs) for every failed inequality, ordered by l and,
-    per l, condition 1 before condition 2.
+    Every mode of ``omega`` must lie in the box of half-width
+    ``p.mode_radius``.  Returns (violations, checked) where violations is a
+    list of (ell, which, lhs, rhs) for every failed inequality, ordered by
+    l and, per l, condition 1 before condition 2.
     """
     modes = sorted(omega)
     for m in modes:
         check_mode(m, p.d)
+        if any(abs(c) > p.mode_radius for c in m):
+            raise ValidationError(
+                f"mode {m} lies outside the box of radius {p.mode_radius}")
     table = _ell_table(modes, p)
     L = table.ells.matrix
     # <l, omega> accumulated in sorted-mode order, as a left-to-right sum
@@ -302,10 +313,6 @@ def frequency_dumps(omega: dict) -> str:
                        "omega": entries}, indent=1)
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def frequency_loads(text: str, d: int | None = None) -> dict:
     """Parse a frequency document; every mode must have dimension ``d``.
 
@@ -327,8 +334,7 @@ def frequency_loads(text: str, d: int | None = None) -> dict:
             raise ValidationError(
                 f"omega entry {entry!r} is not a [mode, value] pair")
         m, v = entry
-        if not (isinstance(m, list) and all(_is_int(c) for c in m)):
-            raise ValidationError(f"mode {m!r} is not a list of integers")
+        mode = mode_from_json(m)
         try:
             val = float(v) if _is_int(v) or isinstance(v, float) else math.nan
         except OverflowError:           # an integer beyond float range
@@ -336,7 +342,6 @@ def frequency_loads(text: str, d: int | None = None) -> dict:
         if not math.isfinite(val):
             raise ValidationError(
                 f"frequency at mode {m} is not a finite number: {v!r}")
-        mode = tuple(m)
         if d is None:
             d = len(mode)
         check_mode(mode, d)

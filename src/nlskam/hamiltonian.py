@@ -13,6 +13,17 @@ Two canonical representations are used.  ``expanded`` has no J-factors and
 keeps every |q_n|^2 pair inside (k, k_bar); ``j_collected`` regroups pairs
 as I_n(0) + J_n up to total J-degree 2, leaving excess pairs in place.
 Both carry the same coefficients after expansion.
+
+Inside the hot loops (``expanded``, ``collected``, ``class_split``,
+``multiply``, ``poisson_bracket``) a triple (a, k, k_bar) is packed into
+one int by :class:`_Packer`: every mode of the operands gets a w-bit
+field, modes in lexicographic order, one block of fields each for a, k
+and k_bar.  Merging two monomials is then one int addition and removing
+a q_m qbar_m pair one subtraction.  w is derived per call from the
+operands' largest term degrees, so no field can carry and packed keys
+map one-to-one onto tuple keys: accumulation order, insertion order and
+every floating-point operation are those of the tuple form.  Each
+distinct output key is unpacked once into its canonical tuple.
 """
 
 from __future__ import annotations
@@ -25,15 +36,14 @@ from dataclasses import dataclass
 from .errors import CapacityError, DivergenceRiskError, ValidationError
 from .lattice import (
     LatticeParams,
-    MI_ZERO,
+    _is_int,
     _mode_sort_key,
     _weight_cached,
     box_modes,
     mi,
-    mi_add,
     mi_degree,
     mi_get,
-    sorted_system,
+    mode_from_json,
 )
 
 COEFF_FLOOR = 1e-300
@@ -206,23 +216,28 @@ class Hamiltonian:
             if all(not key[3] for key in self.terms):
                 self._expanded = self
             else:
+                pk = _Packer(self.terms)
                 acc = {}
-                for key, c in self.terms.items():
-                    for ekey, ec in _expand_term(key, c):
-                        acc[ekey] = acc.get(ekey, 0j) + ec
+                for (a, k, kb, j), c in self.terms.items():
+                    for x, ec in _expand_term(pk, pk.pack(a, k, kb), j, c):
+                        acc[x] = acc.get(x, 0j) + ec
                 self._expanded = Hamiltonian(
-                    self.params, acc, self.error_budget, validate=False)
+                    self.params, {pk.unpack(x): c for x, c in acc.items()},
+                    self.error_budget, validate=False)
         return self._expanded
 
     def collected(self) -> "Hamiltonian":
         """Regroup |q_n|^2 pairs as I_n(0) + J_n, J-degree capped at 2."""
+        E = self.expanded()
+        pk = _Packer(E.terms)
         acc = {}
-        for key, c in self.expanded().terms.items():
-            a, k, kb, _ = key
-            for ckey, cc in _collect_term(a, k, kb, c, cap=2):
+        for (a, k, kb, _), c in E.terms.items():
+            for ckey, cc in _collect_term(pk, pk.pack(a, k, kb), k, kb, c,
+                                          cap=2):
                 acc[ckey] = acc.get(ckey, 0j) + cc
-        return Hamiltonian(self.params, acc, self.error_budget,
-                           validate=False)
+        return Hamiltonian(
+            self.params, {pk.unpack(x, j): c for (x, j), c in acc.items()},
+            self.error_budget, validate=False)
 
     # -- serialization -----------------------------------------------------
 
@@ -257,27 +272,85 @@ class Hamiltonian:
 
     @classmethod
     def from_dict(cls, doc) -> "Hamiltonian":
-        if doc.get("format") != "nlskam-hamiltonian":
+        """Parse a v1 document; ValidationError on any malformed one."""
+        if (not isinstance(doc, dict)
+                or doc.get("format") != "nlskam-hamiltonian"):
             raise ValidationError("not a Hamiltonian document")
+        _require(doc, _DOC_FIELDS, "Hamiltonian document")
         params = HamParams(
-            d=int(doc["d"]), sigma=float(doc["sigma"]), r=float(doc["r"]),
-            floor_const=float(doc["floor_const"]),
-            degree_cap=int(doc["degree_cap"]),
-            mode_radius=int(doc["mode_radius"]))
+            d=_int(doc["d"], "d"), sigma=_num(doc["sigma"], "sigma"),
+            r=_num(doc["r"], "r"),
+            floor_const=_num(doc["floor_const"], "floor_const"),
+            degree_cap=_int(doc["degree_cap"], "degree_cap"),
+            mode_radius=_int(doc["mode_radius"], "mode_radius"))
+        if not isinstance(doc["terms"], list):
+            raise ValidationError("'terms' is not a list")
         items = []
-        for t in doc["terms"]:
+        for i, t in enumerate(doc["terms"]):
+            where = f"term {i}"
+            if not isinstance(t, dict):
+                raise ValidationError(f"{where} is not an object")
+            _require(t, _TERM_FIELDS, where)
+            if not isinstance(t["j"], list):
+                raise ValidationError(f"{where}: 'j' is not a list")
             items.append((
-                [(tuple(m), e) for m, e in t["a"]],
-                [(tuple(m), e) for m, e in t["k"]],
-                [(tuple(m), e) for m, e in t["k_bar"]],
-                [tuple(m) for m in t["j"]],
-                complex(t["re"], t["im"]),
+                _mi_entries(t["a"], f"{where}: 'a'"),
+                _mi_entries(t["k"], f"{where}: 'k'"),
+                _mi_entries(t["k_bar"], f"{where}: 'k_bar'"),
+                [mode_from_json(m, f"{where}: 'j': ") for m in t["j"]],
+                complex(_num(t["re"], f"{where}: 're'"),
+                        _num(t["im"], f"{where}: 'im'")),
             ))
         return cls.from_terms(params, items)
 
     @classmethod
     def loads(cls, text) -> "Hamiltonian":
-        return cls.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ValidationError(
+                f"Hamiltonian document is not JSON: {e}") from e
+        return cls.from_dict(doc)
+
+
+_DOC_FIELDS = ("d", "sigma", "r", "floor_const", "degree_cap", "mode_radius",
+               "terms")
+_TERM_FIELDS = ("a", "k", "k_bar", "j", "re", "im")
+
+
+def _require(obj, fields, where):
+    for f in fields:
+        if f not in obj:
+            raise ValidationError(f"{where} lacks {f!r}")
+
+
+def _int(v, what) -> int:
+    if not _is_int(v):
+        raise ValidationError(f"{what} is not an integer: {v!r}")
+    return v
+
+
+def _num(v, what) -> float:
+    if not (_is_int(v) or isinstance(v, float)):
+        raise ValidationError(f"{what} is not a number: {v!r}")
+    try:
+        return float(v)
+    except OverflowError as e:          # an integer beyond float range
+        raise ValidationError(f"{what} is out of range: {v!r}") from e
+
+
+def _mi_entries(entries, what) -> list:
+    """[[mode, exponent], ...] of a document as (mode, exponent) pairs."""
+    if not isinstance(entries, list):
+        raise ValidationError(f"{what} is not a list")
+    out = []
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ValidationError(
+                f"{what}: {entry!r} is not a [mode, exponent] pair")
+        out.append((mode_from_json(entry[0], f"{what}: "),
+                    _int(entry[1], what)))
+    return out
 
 
 def canonicalize(H: Hamiltonian, target: str) -> Hamiltonian:
@@ -289,21 +362,101 @@ def canonicalize(H: Hamiltonian, target: str) -> Hamiltonian:
     raise ValidationError(f"unknown representation {target!r}")
 
 
-def _expand_term(key, coeff):
-    """Expand J-factors of one term into pure (a, k, k_bar) terms."""
-    a, k, kb, j = key
-    out = [(a, k, kb, coeff)]
+class _Packer:
+    """Packed exponent keys for the operands of one call.
+
+    Built from the operands' term keys.  Every mode of the operands gets a
+    ``w``-bit field, modes in lexicographic order; a triple (a, k, k_bar)
+    is one int made of three blocks of those fields.  ``w`` holds the sum
+    of the operands' largest term degrees, which bounds every exponent the
+    call can form (a J-factor counts 2, like the pair it expands to), so
+    no field carries and equal packed ints mean equal tuple keys.
+    """
+
+    __slots__ = ("modes", "w", "span", "ua", "uk", "ukb", "uq", "_parts")
+
+    def __init__(self, *key_sets):
+        pairs = set()
+        jmodes = set()
+        top = 0
+        for keys in key_sets:
+            deg = 0
+            for a, k, kb, j in keys:
+                pairs.update(a, k, kb)
+                jmodes.update(j)
+                n = 2 * len(j)
+                for _, e in a:
+                    n += 2 * e
+                for _, e in k:
+                    n += e
+                for _, e in kb:
+                    n += e
+                if n > deg:
+                    deg = n
+            top += deg
+        self.modes = sorted(jmodes.union(m for m, _ in pairs))
+        self.w = w = max(top.bit_length(), 1)
+        self.span = span = w * len(self.modes)
+        self.ua = {m: 1 << (w * i) for i, m in enumerate(self.modes)}
+        self.uk = {m: u << span for m, u in self.ua.items()}
+        self.ukb = {m: u << (2 * span) for m, u in self.ua.items()}
+        # one q_m qbar_m pair
+        self.uq = {m: self.uk[m] + self.ukb[m] for m in self.modes}
+        self._parts = {}
+
+    def pack(self, a, k, kb) -> int:
+        ua, uk, ukb = self.ua, self.uk, self.ukb
+        x = 0
+        for m, e in a:
+            x += e * ua[m]
+        for m, e in k:
+            x += e * uk[m]
+        for m, e in kb:
+            x += e * ukb[m]
+        return x
+
+    def _part(self, x) -> tuple:
+        """Canonical multi-index of one block, memoized per call."""
+        out = self._parts.get(x)
+        if out is None:
+            w, fmask, y = self.w, (1 << self.w) - 1, x
+            items = []
+            for m in self.modes:
+                if not y:
+                    break
+                e = y & fmask
+                if e:
+                    items.append((m, e))
+                y >>= w
+            out = self._parts[x] = tuple(items)
+        return out
+
+    def unpack(self, x, j=()) -> tuple:
+        """The canonical (a, k, k_bar, j) key of packed triple ``x``."""
+        span = self.span
+        mask = (1 << span) - 1
+        return (self._part(x & mask), self._part((x >> span) & mask),
+                self._part(x >> (2 * span)), j)
+
+
+def _expand_term(pk, x, j, coeff):
+    """Expand the J-factors ``j`` of packed term ``x`` into pure terms."""
+    out = [(x, coeff)]
     for m in j:
+        uq, ua = pk.uq[m], pk.ua[m]
         nxt = []
-        for aa, kk, kkb, c in out:
-            nxt.append((aa, mi_add(kk, ((m, 1),)), mi_add(kkb, ((m, 1),)), c))
-            nxt.append((mi_add(aa, ((m, 1),)), kk, kkb, -c))
+        for y, c in out:
+            nxt.append((y + uq, c))
+            nxt.append((y + ua, -c))
         out = nxt
-    return [((aa, kk, kkb, ()), c) for aa, kk, kkb, c in out]
+    return out
 
 
-def _collect_term(a, k, kb, coeff, cap=2, pre_j=()):
+def _collect_term(pk, x, k, kb, coeff, cap=2, pre_j=()):
     """Regroup |q_n|^2 pairs of an expanded term, total J-degree <= cap.
+
+    ``x`` is the term's packed (a, k, k_bar); ``k`` and ``kb`` are its
+    tuple multi-indices.  Returns ((packed, j), coeff) pairs.
 
     Processes overlap modes in descending-norm order.  Per mode with b
     pairs the exact identities used are (X = I(0) + J):
@@ -315,48 +468,40 @@ def _collect_term(a, k, kb, coeff, cap=2, pre_j=()):
     X-powers remain as |q|^2 pairs inside (k, k_bar), so every output term
     with J-degree < 2 has disjoint (k, k_bar) supports.
     """
-    overlap = sorted(
-        (m for m, _ in k if mi_get(kb, m) >= 1 and mi_get(k, m) >= 1),
-        key=_mode_sort_key)
-    kd = dict(k)
     kbd = dict(kb)
-    results = []
-
-    def emit(a_acc, j_acc, removed, c):
-        nk = mi(tuple((m, e - removed.get(m, 0)) for m, e in kd.items()))
-        nkb = mi(tuple((m, e - removed.get(m, 0)) for m, e in kbd.items()))
-        key = (mi_add(a, mi(a_acc)), nk, nkb,
-               tuple(sorted(pre_j + tuple(j_acc))))
-        results.append((key, c))
-
-    def rec(idx, cap_left, a_acc, j_acc, removed, c):
-        if idx == len(overlap):
-            emit(a_acc, j_acc, removed, c)
-            return
-        m = overlap[idx]
+    overlap = sorted((m for m, _ in k if m in kbd), key=_mode_sort_key)
+    kd = dict(k)
+    # Partial expansions (packed, J-modes, coeff, J-degree left), expanded
+    # mode by mode, each into its branches in order: the final list is in
+    # depth-first order of the branch tree.
+    states = [(x, (), coeff, cap)]
+    for m in overlap:
         b = min(kd[m], kbd[m])
-        if cap_left == 0:
-            rec(idx + 1, 0, a_acc, j_acc, removed, c)
-            return
-        # I^b branch
-        rec(idx + 1, cap_left, a_acc + [(m, b)], j_acc,
-            {**removed, m: b}, c)
-        if cap_left >= 2:
-            # b * J * I^(b-1)
-            rec(idx + 1, cap_left - 1, a_acc + [(m, b - 1)], j_acc + [m],
-                {**removed, m: b}, b * c)
-            # (s+1) * I^s * J^2 * X^(b-2-s)
-            for s in range(b - 1):
-                rec(idx + 1, cap_left - 2, a_acc + [(m, s)],
-                    j_acc + [m, m], {**removed, m: s + 2}, (s + 1) * c)
-        else:
-            # J * I^jp * X^(b-1-jp)
-            for jp in range(b):
-                rec(idx + 1, cap_left - 1, a_acc + [(m, jp)], j_acc + [m],
-                    {**removed, m: jp + 1}, c)
-
-    rec(0, cap, [], [], {}, coeff)
-    return results
+        ua, uq = pk.ua[m], pk.uq[m]
+        nxt = []
+        for st in states:
+            y, j_acc, c, left = st
+            if left == 0:
+                nxt.append(st)
+                continue
+            # I^b branch
+            nxt.append((y + b * ua - b * uq, j_acc, c, left))
+            if left >= 2:
+                # b * J * I^(b-1)
+                nxt.append((y + (b - 1) * ua - b * uq, j_acc + (m,), b * c,
+                            left - 1))
+                # (s+1) * I^s * J^2 * X^(b-2-s)
+                for s in range(b - 1):
+                    nxt.append((y + s * ua - (s + 2) * uq, j_acc + (m, m),
+                                (s + 1) * c, left - 2))
+            else:
+                # J * I^jp * X^(b-1-jp)
+                for jp in range(b):
+                    nxt.append((y + jp * ua - (jp + 1) * uq, j_acc + (m,),
+                                c, left - 1))
+        states = nxt
+    return [((y, tuple(sorted(pre_j + j_acc))), c)
+            for y, j_acc, c, _ in states]
 
 
 # ---------------------------------------------------------------------------
@@ -383,28 +528,24 @@ def multiply(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
     cap = H1.params.degree_cap
     if H1.terms and H2.terms and H1.degree() + H2.degree() > cap:
         raise CapacityError(f"product degree exceeds cap {cap}")
+    pk = _Packer(H1.terms, H2.terms)
+    inner = [(pk.pack(a2, k2, kb2), j2, c2)
+             for (a2, k2, kb2, j2), c2 in H2.terms.items()]
     acc = {}
     for (a1, k1, kb1, j1), c1 in H1.terms.items():
-        for (a2, k2, kb2, j2), c2 in H2.terms.items():
-            key = (mi_add(a1, a2), mi_add(k1, k2), mi_add(kb1, kb2),
-                   tuple(sorted(j1 + j2)))
+        x1 = pk.pack(a1, k1, kb1)
+        for x2, j2, c2 in inner:
+            j = tuple(sorted(j1 + j2))
             c = c1 * c2
-            if len(key[3]) > 2:
-                for ekey, ec in _expand_term(key, c):
-                    acc[ekey] = acc.get(ekey, 0j) + ec
+            if len(j) > 2:
+                for ex, ec in _expand_term(pk, x1 + x2, j, c):
+                    acc[ex, ()] = acc.get((ex, ()), 0j) + ec
             else:
+                key = (x1 + x2, j)
                 acc[key] = acc.get(key, 0j) + c
-    return Hamiltonian(H1.params, acc,
-                       H1.error_budget + H2.error_budget, validate=False)
-
-
-def _mi_dec(m: tuple, mode) -> tuple:
-    """Canonical multi-index m with the exponent at ``mode`` (>= 1) less 1."""
-    for i, (mm, e) in enumerate(m):
-        if mm == mode:
-            if e == 1:
-                return m[:i] + m[i + 1:]
-            return m[:i] + ((mm, e - 1),) + m[i + 1:]
+    return Hamiltonian(
+        H1.params, {pk.unpack(x, j): c for (x, j), c in acc.items()},
+        H1.error_budget + H2.error_budget, validate=False)
 
 
 def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
@@ -424,56 +565,67 @@ def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
     """
     H1._assert_compatible(H2)
     A = H1.expanded()
+    B = H2.expanded()
     cap = H1.params.degree_cap
-    # Per-term data of the inner operand, computed once per call.  The
+    pk = _Packer(A.terms, B.terms)
+    uq = pk.uq
+    # Per-term data of both operands, computed once per call: packed
+    # triple, exponents (k_m, k'_m) on the support, support, degree.  The
     # outer and inner supports are built by different expressions on
     # purpose: the iteration order of their intersection depends on how
     # each set was built, and it fixes the insertion order of the result.
+    outer = []
+    for (a1, k1, kb1, _), c1 in A.terms.items():
+        k1d, kb1d = dict(k1), dict(kb1)
+        sup1 = set(k1d) | set(kb1d)
+        outer.append((pk.pack(a1, k1, kb1),
+                      {m: (k1d.get(m, 0), kb1d.get(m, 0)) for m in sup1},
+                      sup1,
+                      2 * mi_degree(a1) + mi_degree(k1) + mi_degree(kb1),
+                      c1))
     inner = []
-    for (a2, k2, kb2, _), c2 in H2.expanded().terms.items():
-        inner.append((a2, k2, kb2, dict(k2), dict(kb2),
-                      {m for m, _ in k2} | {m for m, _ in kb2},
+    for (a2, k2, kb2, _), c2 in B.terms.items():
+        k2d, kb2d = dict(k2), dict(kb2)
+        sup2 = {m for m, _ in k2} | {m for m, _ in kb2}
+        inner.append((pk.pack(a2, k2, kb2),
+                      {m: (k2d.get(m, 0), kb2d.get(m, 0)) for m in sup2},
+                      sup2,
                       2 * mi_degree(a2) + mi_degree(k2) + mi_degree(kb2),
                       c2))
     # A nonempty common support needs d1, d2 >= 1, so only pairs with
     # d1 + d2 >= 2 can contribute.
-    max_d2 = max((row[6] for row in inner), default=0)
-    for a1, k1, kb1, _ in A.terms:
-        d1 = 2 * mi_degree(a1) + mi_degree(k1) + mi_degree(kb1)
+    max_d2 = max((row[3] for row in inner), default=0)
+    for _, e1, sup1, d1, _ in outer:
         if d1 + max_d2 - 2 <= cap:
             continue
-        k1d, kb1d = dict(k1), dict(kb1)
-        sup1 = set(k1d) | set(kb1d)
-        for _, _, _, k2d, kb2d, sup2, d2, _ in inner:
+        for _, e2, sup2, d2, _ in inner:
             if d1 + d2 - 2 <= cap:
                 continue
             for m in sup1 & sup2:
-                if (k1d.get(m, 0) * kb2d.get(m, 0)
-                        != kb1d.get(m, 0) * k2d.get(m, 0)):
+                k1m, kb1m = e1[m]
+                k2m, kb2m = e2[m]
+                if k1m * kb2m != kb1m * k2m:
                     raise CapacityError(
                         f"bracket degree {d1 + d2 - 2} exceeds cap {cap}")
+    # A contributing mode m has k_m >= 1 and k'_m >= 1 in the merged
+    # exponents, so subtracting one q_m qbar_m pair never borrows.
     acc = {}
-    for (a1, k1, kb1, _), c1 in A.terms.items():
-        k1d, kb1d = dict(k1), dict(kb1)
-        sup1 = set(k1d) | set(kb1d)
-        for a2, k2, kb2, k2d, kb2d, sup2, _, c2 in inner:
+    for x1, e1, sup1, _, c1 in outer:
+        for x2, e2, sup2, _, c2 in inner:
             common = sup1 & sup2
             if not common:
                 continue
             base = c1 * c2 * 1j
-            merged = None
+            merged = x1 + x2
             for m in common:
-                f = (k1d.get(m, 0) * kb2d.get(m, 0)
-                     - kb1d.get(m, 0) * k2d.get(m, 0))
+                k1m, kb1m = e1[m]
+                k2m, kb2m = e2[m]
+                f = k1m * kb2m - kb1m * k2m
                 if f == 0:
                     continue
-                if merged is None:
-                    merged = (mi_add(a1, a2), mi_add(k1, k2),
-                              mi_add(kb1, kb2))
-                key = (merged[0], _mi_dec(merged[1], m),
-                       _mi_dec(merged[2], m), ())
+                key = merged - uq[m]
                 acc[key] = acc.get(key, 0j) + base * f
-    return Hamiltonian(H1.params, acc,
+    return Hamiltonian(H1.params, {pk.unpack(x): c for x, c in acc.items()},
                        H1.error_budget + H2.error_budget, validate=False)
 
 
@@ -566,17 +718,20 @@ def class_split(H: Hamiltonian):
     supports are re-collected first, wrapping excess pairs, so the
     class-0/1 disjoint-support constraint holds on output.
     """
+    redo = {key for key in H.terms
+            if len(key[3]) < 2 and any(mi_get(key[2], m) >= 1
+                                       for m, _ in key[1])}
+    pk = _Packer(redo)
     parts = [{}, {}, {}]
     for key, c in H.terms.items():
-        a, k, kb, j = key
-        overlap = any(mi_get(kb, m) >= 1 for m, _ in k)
-        if len(j) < 2 and overlap:
-            fixed = _collect_term(a, k, kb, c, cap=2 - len(j), pre_j=j)
+        if key in redo:
+            a, k, kb, j = key
+            fixed = [(pk.unpack(x, fj), fc) for (x, fj), fc in _collect_term(
+                pk, pk.pack(a, k, kb), k, kb, c, cap=2 - len(j), pre_j=j)]
         else:
             fixed = [(key, c)]
-        for (fa, fk, fkb, fj), fc in fixed:
-            d = parts[len(fj)]
-            fkey = (fa, fk, fkb, fj)
+        for fkey, fc in fixed:
+            d = parts[len(fkey[3])]
             d[fkey] = d.get(fkey, 0j) + fc
     return tuple(
         Hamiltonian(H.params, part, validate=False) for part in parts)
@@ -687,21 +842,3 @@ def lie_transform(H: Hamiltonian, F: Hamiltonian, order_cap: int,
         tail = t_norm * q / (1.0 - q) if q < 1.0 else t_norm
         prev_norm = t_norm
     return total, tail
-
-
-def flow_smallness_lhs(d: int, sigma: float, delta: float,
-                       f_norm: float) -> float:
-    """Log of the flow lemma's smallness expression (2e/delta) C ||F||.
-
-    The closed-form constant overflows double precision for any feasible
-    delta, so the hypothesis is only ever evaluated in log space.
-    """
-    return (math.log(2.0 * math.e / delta)
-            + log_bracket_constant_factor(d, sigma, delta)
-            + (math.log(f_norm) if f_norm > 0 else -math.inf))
-
-
-def log_bracket_constant_factor(d: int, sigma: float, delta: float) -> float:
-    """log of exp{3 (14400 d / delta^2)^d exp{d (24 d / delta)^(1/(sigma-1))}}."""
-    inner = d * (24.0 * d / delta) ** (1.0 / (sigma - 1.0))
-    return 3.0 * (14400.0 * d / delta ** 2) ** d * math.exp(inner)

@@ -51,6 +51,17 @@ class LatticeParams:
                 f"floor_const must be >= 21, got {self.floor_const}")
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def mode_from_json(m, where="") -> tuple:
+    """A mode read from a JSON document (a list of integers) as a tuple."""
+    if not (isinstance(m, list) and all(_is_int(c) for c in m)):
+        raise ValidationError(f"{where}mode {m!r} is not a list of integers")
+    return tuple(m)
+
+
 def check_mode(n, d):
     if len(n) != d:
         raise DimensionMismatchError(

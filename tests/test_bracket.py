@@ -235,3 +235,92 @@ def test_bracket_matches_reference_kernel(seed, d, offset, collect):
     for H1, H2 in ((F, G), (G, F), (F, F)):
         assert _outcome(poisson_bracket, H1, H2) == _outcome(
             _reference_bracket, H1, H2)
+
+
+def _monomials(params, rng, n_terms, max_exp, modes=None):
+    """Random terms with single-mode powers up to ``max_exp``."""
+    modes = modes or params.box_modes()
+    items = []
+    for _ in range(n_terms):
+        parts = []
+        for _ in range(3):
+            picks = rng.integers(0, len(modes), int(rng.integers(0, 3)))
+            parts.append([(modes[i], int(rng.integers(1, max_exp + 1)))
+                          for i in picks])
+        items.append((*parts, (), complex(rng.uniform(-1, 1),
+                                          rng.uniform(-1, 1))))
+    return Hamiltonian.from_terms(params, items)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), max_exp=st.sampled_from([3, 31, 60]))
+@settings(max_examples=40, deadline=None)
+def test_bracket_matches_reference_at_large_exponents(seed, max_exp):
+    # exponents up to 60 on both sides put merged exponents near the top
+    # of their fields, where a field one bit short would carry
+    rng = np.random.default_rng(seed)
+    big = HamParams(d=1, sigma=2.5, r=1.0, degree_cap=1000, mode_radius=2)
+    F = _monomials(big, rng, 5, max_exp)
+    G = _monomials(big, rng, 5, max_exp)
+    for H1, H2 in ((F, G), (G, F), (F, F)):
+        assert _outcome(poisson_bracket, H1, H2) == _outcome(
+            _reference_bracket, H1, H2)
+
+
+def test_bracket_at_a_field_boundary():
+    big = HamParams(d=1, sigma=2.5, r=1.0, degree_cap=200, mode_radius=2)
+    m0, m1 = (0,), (1,)
+    # degrees 64 and 63 sum to 127: every field of the call is 7 bits wide
+    F = Hamiltonian.monomial(big, k=[(m0, 60), (m1, 1)], k_bar=[(m0, 3)])
+    G = Hamiltonian.monomial(big, k=[(m0, 2)], k_bar=[(m0, 60), (m1, 1)])
+    B = poisson_bracket(F, G)
+    assert _outcome(poisson_bracket, F, G) == _outcome(
+        _reference_bracket, F, G)
+    # merged exponents 62 and 63 at m0; f = 60 * 60 - 3 * 2 there and
+    # f = 1 at m1, each removing one q qbar pair at its mode
+    assert B.terms == {
+        ((), ((m0, 61), (m1, 1)), ((m0, 62), (m1, 1)), ()): 3594j,
+        ((), ((m0, 62),), ((m0, 63),), ()): 1j}
+    assert _outcome(poisson_bracket, G, F) == _outcome(
+        _reference_bracket, G, F)
+    # degrees 61 and 5 sum to 66, so fields are 7 bits wide; the merged
+    # exponent 64 at m0 needs the seventh bit
+    F = Hamiltonian.monomial(big, k=[(m0, 60)], k_bar=[(m1, 1)])
+    G = Hamiltonian.monomial(big, k=[(m0, 4), (m1, 1)])
+    assert poisson_bracket(F, G).terms == {((), ((m0, 64),), (), ()): -1j}
+    assert poisson_bracket(G, F).terms == {((), ((m0, 64),), (), ()): 1j}
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_bracket_matches_reference_in_three_dimensions(seed):
+    rng = np.random.default_rng(seed)
+    p3 = HamParams(d=3, sigma=2.5, r=1.0, degree_cap=64, mode_radius=1)
+    F = random_hamiltonian(p3, rng, n_terms=8, max_factors=6, max_actions=2)
+    G = random_hamiltonian(p3, rng, n_terms=8, max_factors=6, max_actions=2)
+    F = linear_combine(1.0, F, 1.0, _monomials(p3, rng, 4, 5))
+    for H1, H2 in ((F, G), (G, F), (F.collected(), G)):
+        assert _outcome(poisson_bracket, H1, H2) == _outcome(
+            _reference_bracket, H1, H2)
+
+
+def test_bracket_with_an_empty_operand(rng):
+    F = random_hamiltonian(PARAMS, rng, n_terms=4)
+    Z = Hamiltonian.zero(PARAMS)
+    for H1, H2 in ((F, Z), (Z, F), (Z, Z)):
+        assert _outcome(poisson_bracket, H1, H2) == ("ok", [], 0.0)
+
+
+def test_bracket_on_disjoint_and_partly_shared_modes(rng):
+    wide = replace(PARAMS, degree_cap=64)
+    left = [(-2,), (-1,)]
+    right = [(1,), (2,)]
+    F = _monomials(wide, rng, 6, 4, modes=left)
+    G = _monomials(wide, rng, 6, 4, modes=right)
+    assert poisson_bracket(F, G).is_zero()
+    # sharing only mode 0: the packed fields of the two operands interleave
+    F0 = _monomials(wide, rng, 6, 4, modes=left + [(0,)])
+    G0 = _monomials(wide, rng, 6, 4, modes=[(0,)] + right)
+    for H1, H2 in ((F0, G0), (G0, F0)):
+        out = _outcome(poisson_bracket, H1, H2)
+        assert out == _outcome(_reference_bracket, H1, H2)
+        assert out[0] == "ok" and out[1]

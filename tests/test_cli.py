@@ -99,6 +99,94 @@ def test_norms_rejects_non_finite_coefficient(tmp_path, capsys, bad):
     assert line.startswith("error: non-finite coefficient")
 
 
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+def _nls_doc(tmp_path):
+    h = tmp_path / "h.json"
+    run_cli("build-nls", "--d", "1", "--radius", "1", "--eps", "1e-6",
+            "--out", str(h))
+    return json.loads(h.read_text())
+
+
+def _parent(doc, path):
+    for step in path[:-1]:
+        doc = doc[step]
+    return doc
+
+
+def _drop(*path):
+    def edit(doc):
+        del _parent(doc, path)[path[-1]]
+    return edit
+
+
+def _set(path, value):
+    def edit(doc):
+        _parent(doc, path)[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda doc: [1, 2], "not a Hamiltonian document"),
+    (_drop("d"), "Hamiltonian document lacks 'd'"),
+    (_drop("terms"), "Hamiltonian document lacks 'terms'"),
+    (_set(["terms"], {"a": []}), "'terms' is not a list"),
+    (_set(["terms", 0], [1, 2]), "term 0 is not an object"),
+    *[(_drop("terms", 0, f), f"term 0 lacks '{f}'")
+      for f in ("a", "k", "k_bar", "j", "re", "im")],
+    (_set(["terms", 0, "re"], "abc"), "term 0: 're' is not a number"),
+    (_set(["terms", 0, "im"], None), "term 0: 'im' is not a number"),
+    (_set(["terms", 0, "re"], 10 ** 400), "term 0: 're' is out of range"),
+    (_set(["sigma"], "2.5"), "sigma is not a number"),
+    (_set(["d"], 1.5), "d is not an integer"),
+    (_set(["terms", 0, "k"], [[[0], "x"]]), "term 0: 'k' is not an integer"),
+    (_set(["terms", 0, "k"], [[["a"], 1]]), "is not a list of integers"),
+    (_set(["terms", 0, "k_bar"], [[[0], 1, 2]]),
+     "is not a [mode, exponent] pair"),
+    (_set(["terms", 0, "a"], 3), "term 0: 'a' is not a list"),
+    (_set(["terms", 0, "j"], 3), "term 0: 'j' is not a list"),
+])
+def test_norms_rejects_malformed_hamiltonian(tmp_path, capsys, edit, match):
+    doc = _nls_doc(tmp_path)
+    doc = edit(doc) or doc
+    h = tmp_path / "bad.json"
+    h.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("norms", str(h)) == 1
+    assert match in _one_error_line(capsys)
+
+
+def test_norms_rejects_non_json(tmp_path, capsys):
+    h = tmp_path / "bad.json"
+    h.write_text("{not json")
+    capsys.readouterr()
+    assert run_cli("norms", str(h)) == 1
+    assert "is not JSON" in _one_error_line(capsys)
+
+
+def test_build_nls_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "h.json"
+    capsys.readouterr()
+    assert run_cli("build-nls", "--d", "1", "--radius", "1",
+                   "--out", str(out)) == 1
+    assert _one_error_line(capsys).startswith(f"error: cannot write {out}")
+
+
+def test_kam_run_into_missing_directory(tmp_path, capsys):
+    prefix = tmp_path / "no" / "such" / "k"
+    capsys.readouterr()
+    assert run_cli("kam-run", "--d", "1", "--radius", "1", "--steps", "0",
+                   "--out-prefix", str(prefix)) == 1
+    assert _one_error_line(capsys).startswith(
+        f"error: cannot write {prefix}.steps.csv")
+
+
 def test_measure_csv_schema(tmp_path):
     out = tmp_path / "m.csv"
     assert run_cli("measure", "--trials", "200", "--gamma", "0.05",
@@ -157,6 +245,23 @@ def test_dioph_check_rejects_malformed_frequency(tmp_path, capsys, doc,
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and match in line
+
+
+def test_dioph_check_radius_bounds_the_modes(tmp_path, capsys):
+    from nlskam.diophantine import (DiophParams, frequency_dumps,
+                                    sample_strong_frequency)
+    p = DiophParams(gamma=0.01, d=2, ell_budget=3, mode_radius=1)
+    omega, _ = sample_strong_frequency(p.box_modes(), p, seed=5)
+    f = tmp_path / "freq.json"
+    f.write_text(frequency_dumps(omega))
+    args = ("dioph-check", str(f), "--d", "2", "--gamma", "0.01",
+            "--ell-budget", "3")
+    capsys.readouterr()
+    assert run_cli(*args, "--radius", "1") == 0
+    assert "violations 0" in capsys.readouterr().out
+    assert run_cli(*args, "--radius", "0") == 1
+    assert _one_error_line(capsys) == (
+        "error: mode (-1, -1) lies outside the box of radius 0")
 
 
 def test_kam_run_rejects_frequency_of_other_dimension(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlskam import (
     CapacityError,
@@ -19,6 +21,7 @@ from nlskam import (
     vector_field,
 )
 from nlskam.hamiltonian import term_degree
+from nlskam.lattice import _mode_sort_key, mi, mi_add, mi_get
 from nlskam.verification import random_hamiltonian
 
 
@@ -214,3 +217,176 @@ def test_loads_rejects_foreign_document(params):
 def test_term_degree():
     key = ((((1,), 2),), (((0,), 1),), (), ((2,),))
     assert term_degree(key) == 2 * 2 + 1 + 2
+
+
+# -- frozen tuple-keyed kernels ----------------------------------------------
+#
+# The plain tuple-keyed J-expansion, J-collection, class split and product,
+# kept frozen as the reference: the packed-key kernels must match them bit
+# for bit, in the same insertion order.
+
+def _ref_expand_term(key, coeff):
+    a, k, kb, j = key
+    out = [(a, k, kb, coeff)]
+    for m in j:
+        nxt = []
+        for aa, kk, kkb, c in out:
+            nxt.append((aa, mi_add(kk, ((m, 1),)), mi_add(kkb, ((m, 1),)), c))
+            nxt.append((mi_add(aa, ((m, 1),)), kk, kkb, -c))
+        out = nxt
+    return [((aa, kk, kkb, ()), c) for aa, kk, kkb, c in out]
+
+
+def _ref_expanded(H):
+    if all(not key[3] for key in H.terms):
+        return H
+    acc = {}
+    for key, c in H.terms.items():
+        for ekey, ec in _ref_expand_term(key, c):
+            acc[ekey] = acc.get(ekey, 0j) + ec
+    return Hamiltonian(H.params, acc, H.error_budget, validate=False)
+
+
+def _ref_collect_term(a, k, kb, coeff, cap=2, pre_j=()):
+    overlap = sorted(
+        (m for m, _ in k if mi_get(kb, m) >= 1 and mi_get(k, m) >= 1),
+        key=_mode_sort_key)
+    kd = dict(k)
+    kbd = dict(kb)
+    results = []
+
+    def emit(a_acc, j_acc, removed, c):
+        nk = mi(tuple((m, e - removed.get(m, 0)) for m, e in kd.items()))
+        nkb = mi(tuple((m, e - removed.get(m, 0)) for m, e in kbd.items()))
+        key = (mi_add(a, mi(a_acc)), nk, nkb,
+               tuple(sorted(pre_j + tuple(j_acc))))
+        results.append((key, c))
+
+    def rec(idx, cap_left, a_acc, j_acc, removed, c):
+        if idx == len(overlap):
+            emit(a_acc, j_acc, removed, c)
+            return
+        m = overlap[idx]
+        b = min(kd[m], kbd[m])
+        if cap_left == 0:
+            rec(idx + 1, 0, a_acc, j_acc, removed, c)
+            return
+        rec(idx + 1, cap_left, a_acc + [(m, b)], j_acc,
+            {**removed, m: b}, c)
+        if cap_left >= 2:
+            rec(idx + 1, cap_left - 1, a_acc + [(m, b - 1)], j_acc + [m],
+                {**removed, m: b}, b * c)
+            for s in range(b - 1):
+                rec(idx + 1, cap_left - 2, a_acc + [(m, s)],
+                    j_acc + [m, m], {**removed, m: s + 2}, (s + 1) * c)
+        else:
+            for jp in range(b):
+                rec(idx + 1, cap_left - 1, a_acc + [(m, jp)], j_acc + [m],
+                    {**removed, m: jp + 1}, c)
+
+    rec(0, cap, [], [], {}, coeff)
+    return results
+
+
+def _ref_collected(H):
+    acc = {}
+    for (a, k, kb, _), c in _ref_expanded(H).terms.items():
+        for ckey, cc in _ref_collect_term(a, k, kb, c, cap=2):
+            acc[ckey] = acc.get(ckey, 0j) + cc
+    return Hamiltonian(H.params, acc, H.error_budget, validate=False)
+
+
+def _ref_class_split(H):
+    parts = [{}, {}, {}]
+    for key, c in H.terms.items():
+        a, k, kb, j = key
+        overlap = any(mi_get(kb, m) >= 1 for m, _ in k)
+        if len(j) < 2 and overlap:
+            fixed = _ref_collect_term(a, k, kb, c, cap=2 - len(j), pre_j=j)
+        else:
+            fixed = [(key, c)]
+        for fkey, fc in fixed:
+            d = parts[len(fkey[3])]
+            d[fkey] = d.get(fkey, 0j) + fc
+    return tuple(
+        Hamiltonian(H.params, part, validate=False) for part in parts)
+
+
+def _ref_multiply(H1, H2):
+    acc = {}
+    for (a1, k1, kb1, j1), c1 in H1.terms.items():
+        for (a2, k2, kb2, j2), c2 in H2.terms.items():
+            key = (mi_add(a1, a2), mi_add(k1, k2), mi_add(kb1, kb2),
+                   tuple(sorted(j1 + j2)))
+            c = c1 * c2
+            if len(key[3]) > 2:
+                for ekey, ec in _ref_expand_term(key, c):
+                    acc[ekey] = acc.get(ekey, 0j) + ec
+            else:
+                acc[key] = acc.get(key, 0j) + c
+    return Hamiltonian(H1.params, acc,
+                       H1.error_budget + H2.error_budget, validate=False)
+
+
+def _bits(H):
+    """Terms in insertion order, coefficients as exact hex strings."""
+    return ([(key, c.real.hex(), c.imag.hex()) for key, c in H.terms.items()],
+            H.error_budget)
+
+
+def _with_j_factors(params, rng, n_terms, max_exp):
+    """Terms with up to two J-factors and overlapping (k, k_bar) powers."""
+    modes = params.box_modes()
+    items = []
+    for _ in range(n_terms):
+        parts = []
+        for _ in range(3):
+            picks = rng.integers(0, len(modes), int(rng.integers(0, 4)))
+            parts.append([(modes[i], int(rng.integers(1, max_exp + 1)))
+                          for i in picks])
+        j = [modes[i] for i in rng.integers(0, len(modes),
+                                            int(rng.integers(0, 3)))]
+        items.append((*parts, j, complex(rng.uniform(-1, 1),
+                                         rng.uniform(-1, 1))))
+    return Hamiltonian.from_terms(params, items, error_budget=0.25)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
+       max_exp=st.sampled_from([1, 3, 6]))
+@settings(max_examples=60, deadline=None)
+def test_packed_kernels_match_tuple_reference(seed, d, max_exp):
+    rng = np.random.default_rng(seed)
+    p = HamParams(d=d, sigma=2.5, r=1.0, degree_cap=200,
+                  mode_radius=2 if d == 1 else 1)
+    H = _with_j_factors(p, rng, 8, max_exp)
+    G = _with_j_factors(p, rng, 4, max_exp)
+    R = random_hamiltonian(p, rng, n_terms=6, max_factors=6, max_actions=2)
+    assert _bits(H.expanded()) == _bits(_ref_expanded(H))
+    for X in (H, R, linear_combine(1.0, H, 1.0, R)):
+        assert _bits(X.collected()) == _bits(_ref_collected(X))
+        # class_split on raw terms takes the pre_j path (caps 1 and 2);
+        # on collected terms it mostly passes keys through
+        for Y in (X, X.collected()):
+            got, want = class_split(Y), _ref_class_split(Y)
+            assert [_bits(g) for g in got] == [_bits(w) for w in want]
+    # J-lists of up to four factors: products past two expand on the spot
+    for X, Y in ((H, G), (G, H), (R, H)):
+        assert _bits(multiply(X, Y)) == _bits(_ref_multiply(X, Y))
+
+
+def test_packed_collect_at_a_field_boundary(params):
+    # the largest term degree is 8, so every field is 4 bits wide; q^8 and
+    # the k-field 8 of the product both fill a field to its top bit
+    p = HamParams(d=1, sigma=2.5, r=1.0, degree_cap=16, mode_radius=2)
+    H = Hamiltonian.from_terms(p, [
+        ([], [((1,), 8)], [], (), 1.0),
+        ([], [((1,), 5), ((2,), 1)], [((1,), 2)], (), 2.0 - 1.0j),
+        ([((0,), 1)], [((1,), 3)], [((1,), 3)], (), 0.5j),
+        ([], [((1,), 1)], [((1,), 1)], [(1,), (2,)], 3.0),
+    ])
+    assert _bits(H.expanded()) == _bits(_ref_expanded(H))
+    assert _bits(H.collected()) == _bits(_ref_collected(H))
+    assert [_bits(g) for g in class_split(H)] == [
+        _bits(w) for w in _ref_class_split(H)]
+    Q = Hamiltonian.monomial(p, k=[((1,), 4)], k_bar=[((1,), 4)])
+    assert _bits(multiply(Q, Q)) == _bits(_ref_multiply(Q, Q))
