@@ -21,10 +21,8 @@ from .diophantine import (
     MEASURE_CSV_SCHEMA,
     DiophParams,
     check_frequency,
-    frequency_dumps,
     frequency_loads,
     resonance_measure,
-    sample_strong_frequency,
 )
 from .driver import STEP_CSV_SCHEMA, KamConfig, _fmt, run, tl_defect
 from .errors import (
@@ -116,7 +114,7 @@ def _apply_config(parser, args):
 def _add_common(p):
     p.add_argument("--config", help="key = value file overriding flags")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (results are thread-count independent)")
+                   help="accepted for compatibility; has no effect")
 
 
 def _add_lattice_flags(p):
@@ -265,20 +263,16 @@ def _cmd_kam_run(args):
         degree_cap=args.degree_cap, steps=args.steps, seed=args.seed,
         ell_budget=args.ell_budget, floor_const=args.floor, sign=args.sign,
         prune_tol=args.prune_tol, lie_order_cap=args.lie_order_cap,
-        strict=args.strict, force=args.force, threads=args.threads)
+        strict=args.strict, force=args.force)
     omega = (frequency_loads(_read(args.freq), args.d) if args.freq
              else None)
-    reports, states = run(cfg, omega)
+    reports, states, H0 = run(cfg, omega)
     if not args.timings:
         for rep in reports:
             rep.wall_time = 0.0
     lines = [STEP_CSV_SCHEMA]
     lines.extend(rep.csv_row() for rep in reports)
     _write(f"{args.out_prefix}.steps.csv", "\n".join(lines) + "\n")
-    H0 = build_cubic_nls(NlsConfig(
-        d=cfg.d, mode_radius=cfg.mode_radius, epsilon=cfg.epsilon,
-        sign=cfg.sign, sigma=cfg.sigma, r=cfg.r,
-        floor_const=cfg.floor_const, degree_cap=cfg.degree_cap))
     _write(f"{args.out_prefix}.step0.json", H0.dumps())
     for i, st in enumerate(states[1:], 1):
         total = st.R0 + st.R1 + st.R2

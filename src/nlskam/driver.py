@@ -3,8 +3,8 @@
 One step: truncate and solve the homological equation, push the
 Hamiltonian through the time-1 Lie transform of F, re-split the remainder
 into classes, absorb the resonant part into the normal form, extract the
-frequency shift, and re-freeze the frequencies at the sampled omega by a
-damped fixed-point update of the potential parameter.
+frequency shift, and re-freeze the frequencies at the sampled omega by
+moving the potential parameter: V* = omega - cumulative shift.
 
 The remainder after the step is assembled from the exact series identity
 
@@ -14,28 +14,30 @@ The remainder after the step is assembled from the exact series identity
 where E are the eliminated parts ({N,F} = -E0 - E1).  This is the closed
 form of the bracket-integral bookkeeping: the first sum collects the
 {R,F}-chains, the second the {{N,F},F}-chains, and class routing falls
-out of J-collection of the summed remainder.
+out of J-collection of the summed remainder.  The sum is
+:func:`nlskam.hamiltonian.lie_transform` with G = R0+R1+R2 and E = E0+E1.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .hamiltonian import (
     Hamiltonian,
     class_split,
+    lie_transform,
     linear_combine,
     norm,
-    poisson_bracket,
     prune,
     vf_sup_norm,
 )
 from .homological import (
     RHO0,
     NormalForm,
+    homological_residual,
     solve_homological,
     truncation_budget,
 )
@@ -117,7 +119,6 @@ class KamConfig:
     tail_tol: float = 1e-30
     strict: bool = False
     force: bool = False
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -190,50 +191,20 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     guard = cfg.gamma * sched.eps_s ** 0.01
     B = truncation_budget(sched.s, _eps0_of(cfg))
     sol = solve_homological(state.R0, state.R1, state.nf, guard, B)
-    F = linear_combine(1.0, sol.F0, 1.0, sol.F1).expanded()
+    resid, base = homological_residual(sol, state.R0, state.R1, state.nf)
+    residual_rel = resid / base if base else 0.0
 
-    elim = _subtract(
-        linear_combine(1.0, state.R0, 1.0, state.R1),
-        linear_combine(1.0, sol.resonant0, 1.0, sol.resonant1),
-        linear_combine(1.0, sol.deferred0, 1.0, sol.deferred1)).expanded()
+    # Lie series of the remainder
     G = linear_combine(
         1.0, linear_combine(1.0, state.R0, 1.0, state.R1),
         1.0, state.R2).expanded()
-
-    # residual of the homological equation, for the report
-    N = state.nf.as_hamiltonian(state.R0.params)
-    resid = linear_combine(1.0, poisson_bracket(N, F), 1.0, elim)
-    base = norm(linear_combine(1.0, state.R0, 1.0, state.R1),
-                "star_rho", 0.0)
-    residual_rel = norm(resid, "star_rho", 0.0) / base if base else 0.0
-
-    # Lie series of the remainder
-    R_plus = linear_combine(1.0, sol.deferred0,
-                            1.0, linear_combine(1.0, sol.deferred1,
-                                                1.0, state.R2))
-    TG, TE = G, elim
-    fact = 1.0
-    budget = 0.0
-    for n in range(1, cfg.lie_order_cap + 1):
-        try:
-            TG = poisson_bracket(TG, F)
-            TE = poisson_bracket(TE, F)
-        except CapacityError:
-            budget += norm(TG, "star_rho", 0.0) / fact
-            break
-        fact *= n
-        contrib = linear_combine(1.0 / fact, TG,
-                                 -1.0 / (fact * (n + 1)), TE)
-        contrib = prune(contrib, cfg.prune_tol)
-        c_norm = norm(contrib, "star_rho", 0.0)
-        R_plus = linear_combine(1.0, R_plus, 1.0, contrib)
-        if c_norm < cfg.tail_tol:
-            break
-    else:
-        # series truncated at the order cap: charge a geometric estimate
-        budget += c_norm
-
-    R_plus = prune(R_plus.collected(), cfg.prune_tol)
+    start = linear_combine(1.0, sol.deferred0,
+                           1.0, linear_combine(1.0, sol.deferred1,
+                                               1.0, state.R2))
+    series = lie_transform(start, G, sol.F, cfg.lie_order_cap,
+                           E=sol.eliminated, prune_tol=cfg.prune_tol,
+                           tail_tol=cfg.tail_tol)
+    R_plus = prune(series.total.collected(), cfg.prune_tol)
     R0n, R1n, R2n = class_split(R_plus)
 
     # frequency shift from the resonant class-1 part
@@ -255,16 +226,17 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     # re-freeze the frequencies at omega: the parameter absorbs the shift
     cum = {m: state.nf.cum_shift.get(m, 0.0) + decay[m]
            for m in state.nf.modes}
-    v_star = _freeze_parameter(state.nf, cum)
     nf_new = NormalForm(
         v_breve=state.nf.v_breve + limit,
         v_hat=dict(state.nf.v_hat),
-        modes=state.nf.modes, cum_shift=cum, v_star=v_star)
+        modes=state.nf.modes, cum_shift=cum,
+        v_star={m: om - cum.get(m, 0.0)
+                for m, om in state.nf.v_hat.items()})
 
     # near-identity proxy for the transformation
     x_unit = {m: complex(math.exp(-p.r * p.weight(m)))
               for m in state.nf.modes}
-    vf_proxy = vf_sup_norm(F, x_unit, p.r)
+    vf_proxy = vf_sup_norm(sol.F, x_unit, p.r)
 
     after_norms = (norm(R0n, "plus_rho", sched.rho_next),
                    norm(R1n, "plus_rho", sched.rho_next),
@@ -281,6 +253,7 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
             for m in state.nf.modes),
         "vf_proxy": vf_proxy <= sched.eps_s ** 0.5 + 1e-30,
         "residual": residual_rel <= 1e-10,
+        "lie_decay": series.decays,
         "conserving": _conserving(R0n) and _conserving(R1n)
         and _conserving(R2n),
         "reality": reality <= 1e-10 * max(1.0, base),
@@ -289,7 +262,7 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
         raise ValidationError(f"strict mode: failed flags "
                               f"{[k for k, v in flags.items() if not v]}")
 
-    new_budget = (state.error_budget + budget
+    new_budget = (state.error_budget + series.charge
                   + R0n.error_budget + R1n.error_budget + R2n.error_budget)
     new_state = KamState(nf=nf_new, R0=R0n, R1=R1n, R2=R2n,
                          s=state.s + 1, error_budget=new_budget)
@@ -304,38 +277,8 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     return new_state, report
 
 
-def _subtract(H, *others):
-    out = H
-    for o in others:
-        out = linear_combine(1.0, out, -1.0, o)
-    return out
-
-
 def _eps0_of(cfg) -> float:
     return cfg.epsilon / (2.0 * math.pi) ** cfg.d
-
-
-def _freeze_parameter(nf: NormalForm, cum_shift: dict, tol=1e-12,
-                      damping=1.0, max_iter=200) -> dict:
-    """Damped fixed point of Vhat(X) = omega on the finite mode set.
-
-    The frozen-shift approximation Vhat(X) = X + cum_shift makes the map a
-    near-identity perturbation, so the iteration contracts immediately;
-    it still runs to tolerance for fidelity to the update rule.
-    """
-    omega = dict(nf.v_hat)
-    x = dict(nf.v_star) if nf.v_star else dict(omega)
-    for _ in range(max_iter):
-        worst = 0.0
-        nxt = {}
-        for m, om in omega.items():
-            err = (x.get(m, om) + cum_shift.get(m, 0.0)) - om
-            nxt[m] = x.get(m, om) - damping * err
-            worst = max(worst, abs(err))
-        x = nxt
-        if worst <= tol:
-            break
-    return x
 
 
 def initial_state(cfg: KamConfig, omega=None):
@@ -361,7 +304,11 @@ def initial_state(cfg: KamConfig, omega=None):
 
 
 def run(cfg: KamConfig, omega=None):
-    """Run the requested number of KAM steps; returns (reports, states)."""
+    """Run the requested number of KAM steps.
+
+    Returns (reports, states, H) with H the NLS Hamiltonian the initial
+    state was split from.
+    """
     if cfg.steps < 0:
         raise ValidationError(f"steps must be >= 0, got {cfg.steps}")
     state, H = initial_state(cfg, omega)
@@ -380,13 +327,13 @@ def run(cfg: KamConfig, omega=None):
             flags={"initial_norm":
                    norm(H, "sup_rho", sched0.rho_s) <= _eps0_of(cfg)
                    * (1 + 1e-12)}))
-        return reports, states
+        return reports, states, H
     for s in range(cfg.steps):
         sched = schedule(s, _eps0_of(cfg))
         state, report = kam_step(state, sched, cfg)
         reports.append(report)
         states.append(state)
-    return reports, states
+    return reports, states, H
 
 
 def final_remainder_check(state: KamState, eps0: float,

@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import CapacityError, DivergenceRiskError, ValidationError
+from .errors import CapacityError, ValidationError
 from .lattice import (
     LatticeParams,
     _is_int,
@@ -806,39 +806,69 @@ def vf_sup_norm(H: Hamiltonian, x: dict, rho: float) -> float:
 # Lie series
 # ---------------------------------------------------------------------------
 
-def lie_transform(H: Hamiltonian, F: Hamiltonian, order_cap: int,
-                  tail_tol: float = 1e-16):
-    """Time-1 Lie transform H o Phi_F as the series sum ad_F^n H / n!.
+@dataclass(frozen=True)
+class LieSeries:
+    """Partial sum of a Lie series and how it stopped.
 
-    Stops once the scaled term's star norm (at rho=0) drops below
-    ``tail_tol`` or the order cap is reached.  Returns the partial sum and
-    a geometric tail bound estimated from the last two term norms.  Raises
-    if the computed term norms fail to decay, which is the operational
-    smallness guard on F.
+    ``norms`` holds the star norm (rho = 0) of each order actually added,
+    so ``len(norms)`` is the number of orders applied.  ``charge`` is the
+    star norm charged for the part left out: the last order's norm at the
+    order cap, 0 when an order fell below ``tail_tol``, and ||T|| / (n-1)!
+    when a bracket of order n raised CapacityError (``capped``), T being
+    the last ad_F^m G computed (m = n-1, or n if only the E bracket
+    raised).
+    """
+
+    total: Hamiltonian
+    charge: float
+    norms: tuple
+    capped: bool
+
+    @property
+    def decays(self) -> bool:
+        """The smallness guard on F: no order n > 1 has a norm at least
+        that of order n-1."""
+        return not any(0.0 < prev <= cur
+                       for prev, cur in zip(self.norms, self.norms[1:]))
+
+
+def lie_transform(start: Hamiltonian, G: Hamiltonian, F: Hamiltonian,
+                  order_cap: int, E: Hamiltonian | None = None,
+                  prune_tol: float = 0.0,
+                  tail_tol: float = 1e-16) -> LieSeries:
+    """Time-1 Lie series of F: the one Lie-series loop of the package.
+
+    Returns start + sum_{n>=1} [ad_F^n G / n! - ad_F^n E / (n+1)!] with
+    ad_F X = {X, F}, each order pruned at ``prune_tol`` before it is
+    added.  With start = G = H and no E this is H o Phi_F; a KAM step
+    passes its remainder as G and the eliminated part {N,F} = -E.
+
+    The sum stops after the first order whose star norm (rho = 0) is
+    below ``tail_tol``, at ``order_cap``, or when a bracket raises
+    CapacityError; see :class:`LieSeries` for what each stop charges.
     """
     if order_cap < 1:
         raise ValidationError("order_cap must be >= 1")
-    H1 = H.expanded()
-    total = H1
-    current = H1
-    prev_norm = norm(H1, "star_rho", 0.0)
-    tail = 0.0
+    total, TG, TE = start, G, E
     fact = 1.0
+    norms = []
     for n in range(1, order_cap + 1):
-        current = poisson_bracket(current, F)
+        try:
+            TG = poisson_bracket(TG, F)
+            if TE is not None:
+                TE = poisson_bracket(TE, F)
+        except CapacityError:
+            return LieSeries(total, norm(TG, "star_rho", 0.0) / fact,
+                             tuple(norms), True)
         fact *= n
-        scaled = current.scale(1.0 / fact)
-        total = total + scaled
-        t_norm = norm(scaled, "star_rho", 0.0)
-        if t_norm < tail_tol or t_norm == 0.0:
-            tail = t_norm
-            break
-        if prev_norm > 0.0 and t_norm >= prev_norm and n > 1:
-            raise DivergenceRiskError(
-                f"Lie-series term norms not decaying at order {n}: "
-                f"{prev_norm:.3e} -> {t_norm:.3e}")
-        q = t_norm / prev_norm if prev_norm > 0 else 0.5
-        q = min(q, 0.5) if n == 1 else q
-        tail = t_norm * q / (1.0 - q) if q < 1.0 else t_norm
-        prev_norm = t_norm
-    return total, tail
+        if TE is None:
+            term = TG.scale(1.0 / fact)
+        else:
+            term = linear_combine(1.0 / fact, TG,
+                                  -1.0 / (fact * (n + 1)), TE)
+        term = prune(term, prune_tol)
+        norms.append(norm(term, "star_rho", 0.0))
+        total = linear_combine(1.0, total, 1.0, term)
+        if norms[-1] < tail_tol:
+            return LieSeries(total, 0.0, tuple(norms), False)
+    return LieSeries(total, norms[-1], tuple(norms), False)

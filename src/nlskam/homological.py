@@ -50,6 +50,12 @@ class NormalForm:
 
 @dataclass
 class HomologicalSolution:
+    """The generator F = F0 + F1 (expanded) and the parts of R0, R1.
+
+    ``eliminated`` is R0 + R1 - [R0] - [R1] - deferred, expanded: the
+    part {N, F} removes.  The residual and the Lie series both read it.
+    """
+
     F0: Hamiltonian
     F1: Hamiltonian
     resonant0: Hamiltonian
@@ -57,6 +63,8 @@ class HomologicalSolution:
     deferred0: Hamiltonian
     deferred1: Hamiltonian
     stats: dict
+    F: Hamiltonian
+    eliminated: Hamiltonian
 
 
 def divisor(k, k_bar, nf: NormalForm) -> float:
@@ -147,7 +155,13 @@ def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
         "deferred_mass": deferred_mass,
         "quad_nonresonant": quad_diag,
     }
-    return HomologicalSolution(F0, F1, res0, res1, def0, def1, stats)
+    F = linear_combine(1.0, F0, 1.0, F1).expanded()
+    elim = linear_combine(1.0, linear_combine(1.0, R0, 1.0, R1),
+                          -1.0, linear_combine(1.0, res0, 1.0, res1))
+    elim = linear_combine(1.0, elim,
+                          -1.0, linear_combine(1.0, def0, 1.0, def1))
+    return HomologicalSolution(F0, F1, res0, res1, def0, def1, stats,
+                               F, elim.expanded())
 
 
 def homological_residual(sol: HomologicalSolution, R0, R1,
@@ -156,18 +170,11 @@ def homological_residual(sol: HomologicalSolution, R0, R1,
 
     Primes denote the eliminated parts.  {N,F} is evaluated through the
     generic Poisson bracket, which pins the solver's phase convention
-    independently of the divisor formula.
+    independently of the divisor formula.  The base is the star norm of
+    R0 + R1.
     """
-    params = R0.params
-    N = nf.as_hamiltonian(params)
-    F = linear_combine(1.0, sol.F0, 1.0, sol.F1)
-    elim0 = linear_combine(1.0, R0, -1.0,
-                           linear_combine(1.0, sol.resonant0, 1.0,
-                                          sol.deferred0))
-    elim1 = linear_combine(1.0, R1, -1.0,
-                           linear_combine(1.0, sol.resonant1, 1.0,
-                                          sol.deferred1))
-    residual = linear_combine(1.0, poisson_bracket(N, F), 1.0,
-                              linear_combine(1.0, elim0, 1.0, elim1))
+    N = nf.as_hamiltonian(R0.params)
+    residual = linear_combine(1.0, poisson_bracket(N, sol.F),
+                              1.0, sol.eliminated)
     base = norm(linear_combine(1.0, R0, 1.0, R1), "star_rho", rho)
     return norm(residual, "star_rho", rho), base

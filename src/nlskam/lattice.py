@@ -126,10 +126,6 @@ def mi(entries) -> tuple:
     return tuple(sorted((m, e) for m, e in acc.items() if e > 0))
 
 
-def mi_single(mode, e=1) -> tuple:
-    return ((tuple(mode), e),) if e else MI_ZERO
-
-
 def mi_get(m: tuple, mode) -> int:
     for mm, e in m:
         if mm == mode:
@@ -147,10 +143,6 @@ def mi_add(*ms) -> tuple:
 
 def mi_degree(m: tuple) -> int:
     return sum(e for _, e in m)
-
-
-def mi_support(m: tuple):
-    return frozenset(mode for mode, _ in m)
 
 
 def mi_signed(pos: tuple, neg: tuple) -> dict:

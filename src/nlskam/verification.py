@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, DivergenceRiskError, ValidationError
 from .hamiltonian import (
     HamParams,
     Hamiltonian,
@@ -182,6 +182,26 @@ def _shell_counts(d, k_max):
             yield k, (2 * k + 1) ** d - (2 * k - 1) ** d
 
 
+def _shell_sum(case, per_mode):
+    """sum over sup-norm shells k of count_k * per_mode(ln^sigma floor(k)).
+
+    Shells are added in order k = 0, 1, ...; the walk stops after the
+    first shell past the floor whose contribution is below 1e-18, and
+    never goes past shell 10,000,099 (about 1e7 shells).
+    """
+    sigma = case.params.get("sigma", 2.5)
+    d = case.params.get("d", 1)
+    floor_const = case.params.get("floor_const", 1024.0)
+    total = 0.0
+    for kk, count in _shell_counts(d, 10_000_099):
+        w = math.log(max(floor_const, float(max(kk, 1)))) ** sigma
+        term = count * per_mode(w)
+        total += term
+        if kk > floor_const and term < 1e-18:
+            break
+    return total
+
+
 def _geometric_product(case):
     """prod_n 1/(1 - e^{-delta ln^sigma floor(n)}) over Z^d, in log space.
 
@@ -191,24 +211,8 @@ def _geometric_product(case):
     sigma = case.params.get("sigma", 2.5)
     delta = case.params["delta"]
     d = case.params.get("d", 1)
-    floor_const = case.params.get("floor_const", 1024.0)
-    log_lhs = 0.0
-    k = 0
-    while True:
-        k_top = k + 100_000
-        done = False
-        for kk, count in _shell_counts(d, k_top):
-            if kk < k:
-                continue
-            w = math.log(max(floor_const, float(max(kk, 1)))) ** sigma
-            f = -math.log(1.0 - math.exp(-delta * w))
-            log_lhs += count * f
-            if kk > floor_const and count * f < 1e-18:
-                done = True
-                break
-        if done or k_top > 10_000_000:
-            break
-        k = k_top + 1
+    log_lhs = _shell_sum(
+        case, lambda w: -math.log(1.0 - math.exp(-delta * w)))
     log_rhs = ((100.0 * d / delta ** 2) ** d
                * math.exp(d * (2.0 * d / delta) ** (1.0 / (sigma - 1.0))))
     case.worst_margin = log_rhs - log_lhs
@@ -228,27 +232,13 @@ def _poly_product(case):
     delta = case.params["delta"]
     d = case.params.get("d", 1)
     p = case.params.get("p", 2)
-    floor_const = case.params.get("floor_const", 1024.0)
-    log_lhs = 0.0
-    k = 0
-    while True:
-        k_top = k + 100_000
-        done = False
-        for kk, count in _shell_counts(d, k_top):
-            if kk < k:
-                continue
-            w = math.log(max(floor_const, float(max(kk, 1)))) ** sigma
-            per_mode = _golden_max(
-                lambda a: math.log1p(a ** p) - 2.0 * delta * a * w,
-                0.0, 10.0 * p / (2.0 * delta * w) + 10.0, grid=400)
-            per_mode = max(per_mode, 0.0)
-            log_lhs += count * per_mode
-            if kk > floor_const and count * per_mode < 1e-18:
-                done = True
-                break
-        if done or k_top > 10_000_000:
-            break
-        k = k_top + 1
+
+    def per_mode(w):
+        return max(_golden_max(
+            lambda a: math.log1p(a ** p) - 2.0 * delta * a * w,
+            0.0, 10.0 * p / (2.0 * delta * w) + 10.0, grid=400), 0.0)
+
+    log_lhs = _shell_sum(case, per_mode)
     log_rhs = (3.0 * d * p * (p / delta) ** (1.0 / (sigma - 1.0))
                * math.exp((1.0 / delta) ** (1.0 / sigma)))
     case.worst_margin = log_rhs - log_lhs
@@ -487,8 +477,16 @@ def _check_flow_bound(rng, p):
     F = random_hamiltonian(hp, rng, n_terms=3).scale(p.get("f_scale", 1e-4))
     rho = rng.uniform(0.05, 0.15)
     delta = rng.uniform(0.2 * rho, 0.9 * rho)
-    HF, _ = lie_transform(H, F, order_cap=4, tail_tol=1e-30)
-    log_lhs = _log(norm(HF, "sup_rho", rho))
+    HE = H.expanded()
+    series = lie_transform(HE, HE, F, order_cap=4, tail_tol=1e-30)
+    if not series.decays:
+        raise DivergenceRiskError(
+            "Lie-series term norms not decaying: "
+            + " -> ".join(f"{t:.3e}" for t in series.norms))
+    if series.capped:
+        raise CapacityError(
+            f"Lie series of F exceeds the degree cap {hp.degree_cap}")
+    log_lhs = _log(norm(series.total, "sup_rho", rho))
     log_c = (math.log(4.0 * math.e / delta)
              + log_bracket_constant(hp.d, hp.sigma, delta, delta)
              + math.log(delta))  # drop the 1/delta2 factor: plain C here

@@ -213,7 +213,7 @@ def test_criterion_05_operator_bounds():
 def test_criterion_06_contraction():
     cfg = KamConfig(d=1, mode_radius=2, epsilon=1e-6, steps=2, seed=7,
                     prune_tol=0.0)
-    reports, _ = run(cfg)
+    reports, _, _ = run(cfg)
     eps0 = _eps0_of(cfg)
     n0 = [reports[0].norms_before[0]] + [r.norms_after[0] for r in reports]
     bound_r0 = reports[0].norms_after[0] <= eps0 ** 1.4

@@ -58,6 +58,15 @@ def test_kam_run_negative_steps_exit_code(tmp_path, capsys):
     assert not (tmp_path / "k.steps.csv").exists()
 
 
+def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
+    assert run_cli("kam-run", "--d", "1", "--radius", "1",
+                   "--lie-order-cap", "0",
+                   "--out-prefix", str(tmp_path / "k")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: order_cap must be >= 1"]
+    assert not (tmp_path / "k.steps.csv").exists()
+
+
 def test_kam_run_small_divisor_exit_code(tmp_path):
     # at d=2, (1,0)+(-1,0) and (0,1)+(0,-1) share sum and square sum, so
     # the fully resonant omega = 0 yields an exact zero divisor

@@ -81,16 +81,16 @@ def test_step_entry_bounds_enforced():
 
 
 def test_run_steps0_row():
-    reports, states = run(KamConfig(d=1, mode_radius=1, epsilon=1e-6,
-                                    steps=0, seed=7))
+    reports, states, _ = run(KamConfig(d=1, mode_radius=1, epsilon=1e-6,
+                                       steps=0, seed=7))
     assert len(reports) == 1 and len(states) == 1
     assert reports[0].flags["initial_norm"]
     assert reports[0].norms_before == reports[0].norms_after
 
 
 def test_run_determinism():
-    r1, _ = run(CFG)
-    r2, _ = run(CFG)
+    r1, _, _ = run(CFG)
+    r2, _, _ = run(CFG)
     a = r1[0].csv_row().rsplit(",", 1)[0]   # strip wall time
     b = r2[0].csv_row().rsplit(",", 1)[0]
     assert a == b
@@ -108,7 +108,7 @@ def test_frequency_freezing_keeps_omega():
 
 
 def test_final_remainder_check():
-    _, states = run(CFG)
+    _, states, _ = run(CFG)
     val, ok = final_remainder_check(states[-1], _eps0_of(CFG))
     assert ok and val >= 0.0
 

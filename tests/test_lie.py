@@ -1,0 +1,179 @@
+"""The one Lie-series loop: ``hamiltonian.lie_transform``.
+
+Both callers are checked against frozen copies of the loops they ran
+before they shared this one: the ``flow_bound`` oracle's plain series
+(no E, no pruning) and the KAM step's split series with its
+capacity and order-cap charges.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlskam import (
+    CapacityError,
+    DivergenceRiskError,
+    HamParams,
+    KamConfig,
+    ValidationError,
+    initial_state,
+    kam_step,
+    lie_transform,
+    linear_combine,
+    norm,
+    poisson_bracket,
+    prune,
+    schedule,
+    solve_homological,
+    truncation_budget,
+    verify_norm_lemma,
+)
+from nlskam.driver import KamState, _eps0_of
+from nlskam.verification import random_hamiltonian
+
+CFG = KamConfig(d=1, mode_radius=2, epsilon=1e-6, seed=7, steps=1)
+
+
+def _bits(H):
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in H.terms.items()]
+
+
+def _frozen_plain_series(H, F, order_cap, tail_tol):
+    """sum_n ad_F^n H / n! as the flow_bound oracle summed it before."""
+    H1 = H.expanded()
+    total = H1
+    current = H1
+    prev_norm = norm(H1, "star_rho", 0.0)
+    fact = 1.0
+    for n in range(1, order_cap + 1):
+        current = poisson_bracket(current, F)
+        fact *= n
+        scaled = current.scale(1.0 / fact)
+        total = total + scaled
+        t_norm = norm(scaled, "star_rho", 0.0)
+        if t_norm < tail_tol or t_norm == 0.0:
+            break
+        if prev_norm > 0.0 and t_norm >= prev_norm and n > 1:
+            raise DivergenceRiskError("not decaying")
+        prev_norm = t_norm
+    return total
+
+
+def _frozen_kam_series(start, G, E, F, order_cap, prune_tol, tail_tol):
+    """The Lie loop kam_step ran inline before; returns (sum, charge)."""
+    R_plus = start
+    TG, TE = G, E
+    fact = 1.0
+    budget = 0.0
+    for n in range(1, order_cap + 1):
+        try:
+            TG = poisson_bracket(TG, F)
+            TE = poisson_bracket(TE, F)
+        except CapacityError:
+            budget += norm(TG, "star_rho", 0.0) / fact
+            break
+        fact *= n
+        contrib = linear_combine(1.0 / fact, TG,
+                                 -1.0 / (fact * (n + 1)), TE)
+        contrib = prune(contrib, prune_tol)
+        c_norm = norm(contrib, "star_rho", 0.0)
+        R_plus = linear_combine(1.0, R_plus, 1.0, contrib)
+        if c_norm < tail_tol:
+            break
+    else:
+        budget += c_norm
+    return R_plus, budget
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
+       f_scale=st.sampled_from([1e-4, 1e-1, 1.0, 30.0]),
+       order_cap=st.integers(1, 4), degree_cap=st.sampled_from([8, 12, 64]))
+@settings(max_examples=60, deadline=None)
+def test_plain_series_matches_frozen_loop(seed, d, f_scale, order_cap,
+                                          degree_cap):
+    params = HamParams(d=d, sigma=2.5, r=1.0, degree_cap=degree_cap,
+                       mode_radius=2 if d == 1 else 1)
+    rng = np.random.default_rng(seed)
+    H = random_hamiltonian(params, rng, n_terms=4)
+    F = random_hamiltonian(params, rng, n_terms=3).scale(f_scale)
+    HE = H.expanded()
+    series = lie_transform(HE, HE, F, order_cap, tail_tol=1e-30)
+    try:
+        ref = _frozen_plain_series(H, F, order_cap, 1e-30)
+    except DivergenceRiskError:
+        assert not series.decays
+        return
+    except CapacityError:
+        assert series.capped and series.decays
+        return
+    assert series.decays and not series.capped
+    assert _bits(series.total) == _bits(ref)
+
+
+def _step_inputs(cfg):
+    state, _ = initial_state(cfg)
+    sched = schedule(0, _eps0_of(cfg))
+    sol = solve_homological(state.R0, state.R1, state.nf,
+                            cfg.gamma * sched.eps_s ** 0.01,
+                            truncation_budget(0, _eps0_of(cfg)))
+    G = linear_combine(1.0, linear_combine(1.0, state.R0, 1.0, state.R1),
+                       1.0, state.R2).expanded()
+    start = linear_combine(1.0, sol.deferred0,
+                           1.0, linear_combine(1.0, sol.deferred1,
+                                               1.0, state.R2))
+    return state, sched, sol, G, start
+
+
+@pytest.mark.parametrize("degree_cap,order_cap,orders,capped", [
+    (4, 3, 0, True),     # the order-1 bracket is over the degree cap
+    (6, 3, 1, True),     # the order-2 bracket is over the degree cap
+    (16, 3, 2, False),   # order 2 falls below tail_tol: no charge
+    (16, 1, 1, False),   # stops at the order cap: charges order 1
+])
+def test_step_series_and_charges(degree_cap, order_cap, orders, capped):
+    cfg = replace(CFG, degree_cap=degree_cap, lie_order_cap=order_cap)
+    state, sched, sol, G, start = _step_inputs(cfg)
+    series = lie_transform(start, G, sol.F, order_cap, E=sol.eliminated,
+                           prune_tol=cfg.prune_tol, tail_tol=cfg.tail_tol)
+    ref, charge = _frozen_kam_series(start, G, sol.eliminated, sol.F,
+                                     order_cap, cfg.prune_tol, cfg.tail_tol)
+    assert len(series.norms) == orders and series.capped == capped
+    assert _bits(series.total) == _bits(ref)
+    assert series.charge == charge
+    if degree_cap == 4:
+        assert charge == norm(G, "star_rho", 0.0) > 0.0
+    if order_cap == 1:
+        assert charge == series.norms[0] > 0.0
+    new_state, report = kam_step(state, sched, cfg)
+    assert report.error_budget == (charge + new_state.R0.error_budget
+                                   + new_state.R1.error_budget
+                                   + new_state.R2.error_budget)
+
+
+def test_non_decaying_series_is_reported():
+    # a large F: term norms grow with the order
+    with pytest.raises(DivergenceRiskError):
+        verify_norm_lemma("flow_bound", params={"f_scale": 100.0},
+                          samples=3, seed=0)
+    state, _ = initial_state(CFG)
+    big = KamState(nf=state.nf, R0=state.R0.scale(1e6), R1=state.R1,
+                   R2=state.R2, s=0)
+    sched = schedule(0, _eps0_of(CFG))
+    cfg = replace(CFG, force=True)
+    _, report = kam_step(big, sched, cfg)
+    assert report.flags["lie_decay"] is False
+    with pytest.raises(ValidationError, match="lie_decay"):
+        kam_step(big, sched, replace(cfg, strict=True))
+    # the same step at the sampled size decays
+    _, report = kam_step(state, sched, CFG)
+    assert report.flags["lie_decay"] is True
+
+
+def test_flow_bound_oracle_raises_at_the_degree_cap():
+    with pytest.raises(CapacityError, match="Lie series of F"):
+        verify_norm_lemma("flow_bound", params={"degree_cap": 6},
+                          samples=3, seed=0)
+
