@@ -288,6 +288,11 @@ def _cmd_norms(args):
 
 
 def _cmd_bracket(args):
+    # the bound reads the operands' norms at rho - delta
+    if not (0 < args.delta1 <= args.rho and 0 < args.delta2 <= args.rho):
+        raise ValidationError(
+            f"need 0 < delta1, delta2 <= rho, got delta1={args.delta1}, "
+            f"delta2={args.delta2}, rho={args.rho}")
     H1 = Hamiltonian.loads(_read(args.file1))
     H2 = Hamiltonian.loads(_read(args.file2))
     B = poisson_bracket(H1, H2)
@@ -336,6 +341,7 @@ def _cmd_measure(args):
 
 
 def _cmd_verify_lemmas(args):
+    samples_norm = 100 if args.samples is None else args.samples
     if args.lemma:
         cases = []
         for name in args.lemma:
@@ -344,12 +350,12 @@ def _cmd_verify_lemmas(args):
                     name, samples=args.samples, seed=args.seed))
             elif name in NORM_LEMMAS:
                 cases.append(verify_norm_lemma(
-                    name, samples=args.samples or 100, seed=args.seed))
+                    name, samples=samples_norm, seed=args.seed))
             else:
                 raise ValidationError(f"unknown lemma {name!r}")
     else:
         cases = run_suite(samples_scalar=args.samples,
-                          samples_norm=args.samples or 100, seed=args.seed)
+                          samples_norm=samples_norm, seed=args.seed)
     if not args.timings:
         for c in cases:
             c.seconds = 0.0

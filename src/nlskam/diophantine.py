@@ -259,7 +259,7 @@ def check_frequency(omega: dict, p: DiophParams):
     x = np.zeros(len(L))
     for j, m in enumerate(modes):
         x += L[:, j] * float(omega[m])
-    lhs = np.minimum(np.abs(x - np.rint(x)), 0.5)
+    lhs = np.abs(x - np.rint(x))
     bad1 = lhs < table.rhs1
     bad2 = table.cond2 & (lhs < table.rhs2)
     violations = []

@@ -116,9 +116,13 @@ class KamConfig:
     sign: int = 1
     prune_tol: float = 1e-18
     lie_order_cap: int = 3
-    tail_tol: float = 1e-30
     strict: bool = False
     force: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.prune_tol) and self.prune_tol >= 0):
+            raise ValidationError(
+                f"prune_tol must be finite and >= 0, got {self.prune_tol}")
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,8 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     resid, base = homological_residual(sol, state.R0, state.R1, state.nf)
     residual_rel = resid / base if base else 0.0
 
-    # Lie series of the remainder
+    # Lie series of the remainder; the ledger gets every mass truncated
+    ledger = []
     G = linear_combine(
         1.0, linear_combine(1.0, state.R0, 1.0, state.R1),
         1.0, state.R2).expanded()
@@ -203,20 +208,19 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
                                                1.0, state.R2))
     series = lie_transform(start, G, sol.F, cfg.lie_order_cap,
                            E=sol.eliminated, prune_tol=cfg.prune_tol,
-                           tail_tol=cfg.tail_tol)
-    R_plus = prune(series.total.collected(), cfg.prune_tol)
+                           ledger=ledger)
+    ledger.append(series.charge)
+    R_plus = prune(series.total.collected(), cfg.prune_tol, ledger)
     R0n, R1n, R2n = class_split(R_plus)
 
     # frequency shift from the resonant class-1 part
     shift = {m: 0.0 for m in state.nf.modes}
-    imag_leak = 0.0
     p = state.R0.params
     for (a, _, _, j), c in sol.resonant1.terms.items():
         val = c
         for mode, e in a:
             val *= p.action0(mode) ** e
         shift[j[0]] += val.real
-        imag_leak = max(imag_leak, abs(val.imag))
     far_mode = sorted(state.nf.modes, key=_mode_sort_key)[0]
     limit = shift[far_mode]
     decay = {m: shift[m] - limit for m in state.nf.modes}
@@ -229,9 +233,7 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     nf_new = NormalForm(
         v_breve=state.nf.v_breve + limit,
         v_hat=dict(state.nf.v_hat),
-        modes=state.nf.modes, cum_shift=cum,
-        v_star={m: om - cum.get(m, 0.0)
-                for m, om in state.nf.v_hat.items()})
+        modes=state.nf.modes, cum_shift=cum)
 
     # near-identity proxy for the transformation
     x_unit = {m: complex(math.exp(-p.r * p.weight(m)))
@@ -254,6 +256,7 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
         "vf_proxy": vf_proxy <= sched.eps_s ** 0.5 + 1e-30,
         "residual": residual_rel <= 1e-10,
         "lie_decay": series.decays,
+        "lie_complete": not series.capped,
         "conserving": _conserving(R0n) and _conserving(R1n)
         and _conserving(R2n),
         "reality": reality <= 1e-10 * max(1.0, base),
@@ -262,8 +265,7 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
         raise ValidationError(f"strict mode: failed flags "
                               f"{[k for k, v in flags.items() if not v]}")
 
-    new_budget = (state.error_budget + series.charge
-                  + R0n.error_budget + R1n.error_budget + R2n.error_budget)
+    new_budget = state.error_budget + sum(ledger)
     new_state = KamState(nf=nf_new, R0=R0n, R1=R1n, R2=R2n,
                          s=state.s + 1, error_budget=new_budget)
     report = StepReport(

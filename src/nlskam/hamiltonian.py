@@ -47,6 +47,8 @@ from .lattice import (
 )
 
 COEFF_FLOOR = 1e-300
+# A Lie-series order whose star norm is below this ends the sum.
+TAIL_TOL = 1e-30
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,9 @@ class HamParams:
     def __post_init__(self):
         if not self.r >= 1:
             raise ValidationError(f"r must be >= 1, got {self.r}")
+        if self.mode_radius < 0:
+            raise ValidationError(
+                f"mode_radius must be >= 0, got {self.mode_radius}")
         # delegate sigma / floor validation
         LatticeParams(self.d, self.sigma, self.floor_const)
 
@@ -117,15 +122,11 @@ class Hamiltonian:
         Map from (a, k, k_bar, j) keys to complex coefficients.  Keys must
         be canonical (see :func:`nlskam.lattice.mi`); coefficients with
         magnitude below 1e-300 are dropped.
-    error_budget : float
-        Accumulated star-norm mass removed by pruning, carried along so
-        norm reports stay honest.
     """
 
-    __slots__ = ("params", "terms", "error_budget", "_expanded")
+    __slots__ = ("params", "terms", "_expanded")
 
-    def __init__(self, params: HamParams, terms=None, error_budget=0.0,
-                 validate=True):
+    def __init__(self, params: HamParams, terms=None, validate=True):
         self.params = params
         clean = {}
         if terms:
@@ -139,7 +140,6 @@ class Hamiltonian:
                     _check_key(key, params)
                 clean[key] = complex(c)
         self.terms = clean
-        self.error_budget = float(error_budget)
         self._expanded = None
 
     # -- constructors ------------------------------------------------------
@@ -149,13 +149,13 @@ class Hamiltonian:
         return cls(params, {})
 
     @classmethod
-    def from_terms(cls, params, items, error_budget=0.0):
+    def from_terms(cls, params, items):
         """Build from an iterable of (a, k, k_bar, j, coeff) tuples."""
         acc = {}
         for a, k, kb, j, c in items:
             key = (mi(a), mi(k), mi(kb), tuple(sorted(tuple(m) for m in j)))
             acc[key] = acc.get(key, 0j) + c
-        return cls(params, acc, error_budget)
+        return cls(params, acc)
 
     @classmethod
     def monomial(cls, params, a=(), k=(), k_bar=(), j=(), coeff=1.0):
@@ -191,7 +191,7 @@ class Hamiltonian:
     def scale(self, c):
         return Hamiltonian(
             self.params, {k: c * v for k, v in self.terms.items()},
-            self.error_budget, validate=False)
+            validate=False)
 
     def __mul__(self, other):
         if isinstance(other, Hamiltonian):
@@ -223,7 +223,7 @@ class Hamiltonian:
                         acc[x] = acc.get(x, 0j) + ec
                 self._expanded = Hamiltonian(
                     self.params, {pk.unpack(x): c for x, c in acc.items()},
-                    self.error_budget, validate=False)
+                    validate=False)
         return self._expanded
 
     def collected(self) -> "Hamiltonian":
@@ -237,7 +237,7 @@ class Hamiltonian:
                 acc[ckey] = acc.get(ckey, 0j) + cc
         return Hamiltonian(
             self.params, {pk.unpack(x, j): c for (x, j), c in acc.items()},
-            self.error_budget, validate=False)
+            validate=False)
 
     # -- serialization -----------------------------------------------------
 
@@ -514,8 +514,7 @@ def linear_combine(c1, H1: Hamiltonian, c2, H2: Hamiltonian) -> Hamiltonian:
     acc = {k: c1 * v for k, v in H1.terms.items()}
     for k, v in H2.terms.items():
         acc[k] = acc.get(k, 0j) + c2 * v
-    return Hamiltonian(H1.params, acc,
-                       H1.error_budget + H2.error_budget, validate=False)
+    return Hamiltonian(H1.params, acc, validate=False)
 
 
 def multiply(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
@@ -545,7 +544,7 @@ def multiply(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
                 acc[key] = acc.get(key, 0j) + c
     return Hamiltonian(
         H1.params, {pk.unpack(x, j): c for (x, j), c in acc.items()},
-        H1.error_budget + H2.error_budget, validate=False)
+        validate=False)
 
 
 def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
@@ -626,13 +625,13 @@ def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
                 key = merged - uq[m]
                 acc[key] = acc.get(key, 0j) + base * f
     return Hamiltonian(H1.params, {pk.unpack(x): c for x, c in acc.items()},
-                       H1.error_budget + H2.error_budget, validate=False)
+                       validate=False)
 
 
-def prune(H: Hamiltonian, tol) -> Hamiltonian:
+def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
     """Drop terms whose star-norm contribution at rho=0 is below tol.
 
-    The removed mass is added to the error budget.
+    When ``tol`` > 0 the dropped mass is appended to ``ledger``, if given.
     """
     if tol <= 0:
         return H
@@ -647,7 +646,9 @@ def prune(H: Hamiltonian, tol) -> Hamiltonian:
             lost += contrib
         else:
             keep[key] = c
-    return Hamiltonian(H.params, keep, H.error_budget + lost, validate=False)
+    if ledger is not None:
+        ledger.append(lost)
+    return Hamiltonian(H.params, keep, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +685,8 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
         with the J-mode corrected exponent; requires rho < r.
     """
     p = H.params
-    if rho < 0:
-        raise ValidationError("rho must be >= 0")
+    if not rho >= 0:
+        raise ValidationError(f"rho must be >= 0, got {rho}")
     if kind in ("star_rho", "plus_rho") and not rho < p.r:
         raise ValidationError(f"need rho < r for {kind}, got rho={rho}")
     if kind == "sup_rho":
@@ -813,7 +814,7 @@ class LieSeries:
     ``norms`` holds the star norm (rho = 0) of each order actually added,
     so ``len(norms)`` is the number of orders applied.  ``charge`` is the
     star norm charged for the part left out: the last order's norm at the
-    order cap, 0 when an order fell below ``tail_tol``, and ||T|| / (n-1)!
+    order cap, 0 when an order fell below ``TAIL_TOL``, and ||T|| / (n-1)!
     when a bracket of order n raised CapacityError (``capped``), T being
     the last ad_F^m G computed (m = n-1, or n if only the E bracket
     raised).
@@ -834,17 +835,16 @@ class LieSeries:
 
 def lie_transform(start: Hamiltonian, G: Hamiltonian, F: Hamiltonian,
                   order_cap: int, E: Hamiltonian | None = None,
-                  prune_tol: float = 0.0,
-                  tail_tol: float = 1e-16) -> LieSeries:
+                  prune_tol: float = 0.0, ledger=None) -> LieSeries:
     """Time-1 Lie series of F: the one Lie-series loop of the package.
 
     Returns start + sum_{n>=1} [ad_F^n G / n! - ad_F^n E / (n+1)!] with
-    ad_F X = {X, F}, each order pruned at ``prune_tol`` before it is
-    added.  With start = G = H and no E this is H o Phi_F; a KAM step
-    passes its remainder as G and the eliminated part {N,F} = -E.
+    ad_F X = {X, F}, each order pruned at ``prune_tol`` into ``ledger``
+    before it is added.  With start = G = H and no E this is H o Phi_F; a
+    KAM step passes its remainder as G and the eliminated part {N,F} = -E.
 
     The sum stops after the first order whose star norm (rho = 0) is
-    below ``tail_tol``, at ``order_cap``, or when a bracket raises
+    below ``TAIL_TOL``, at ``order_cap``, or when a bracket raises
     CapacityError; see :class:`LieSeries` for what each stop charges.
     """
     if order_cap < 1:
@@ -866,9 +866,9 @@ def lie_transform(start: Hamiltonian, G: Hamiltonian, F: Hamiltonian,
         else:
             term = linear_combine(1.0 / fact, TG,
                                   -1.0 / (fact * (n + 1)), TE)
-        term = prune(term, prune_tol)
+        term = prune(term, prune_tol, ledger)
         norms.append(norm(term, "star_rho", 0.0))
         total = linear_combine(1.0, total, 1.0, term)
-        if norms[-1] < tail_tol:
+        if norms[-1] < TAIL_TOL:
             return LieSeries(total, 0.0, tuple(norms), False)
     return LieSeries(total, norms[-1], tuple(norms), False)

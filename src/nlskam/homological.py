@@ -32,12 +32,17 @@ class NormalForm:
     v_hat: dict
     modes: tuple
     cum_shift: dict = field(default_factory=dict)
-    v_star: dict = field(default_factory=dict)
 
     def omega_tangential(self, mode) -> float:
         """Omega_n = ||n||^2 + Vbreve + Vhat_n (derived, never stored)."""
         return (sum(c * c for c in mode) + self.v_breve
                 + self.v_hat.get(mode, 0.0))
+
+    @property
+    def v_star(self) -> dict:
+        """V*_n = Vhat_n - cum_shift_n (derived, never stored)."""
+        return {m: om - self.cum_shift.get(m, 0.0)
+                for m, om in self.v_hat.items()}
 
     def as_hamiltonian(self, params) -> Hamiltonian:
         """N = sum_n Omega_n q_n qbar_n over the truncated mode set."""

@@ -77,5 +77,4 @@ def build_normal_form(cfg: NlsConfig, omega: dict) -> NormalForm:
             raise ValidationError(f"omega missing mode {m}")
     v_hat = {m: float(omega[m]) for m in modes}
     return NormalForm(v_breve=0.0, v_hat=v_hat, modes=modes,
-                      cum_shift={m: 0.0 for m in modes},
-                      v_star=dict(v_hat))
+                      cum_shift={m: 0.0 for m in modes})

@@ -79,6 +79,8 @@ def _golden_max(f, lo, hi, grid=10_000, iters=200):
 # ---------------------------------------------------------------------------
 
 def _case(name, params, samples, seed):
+    if samples < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
     return LemmaCase(name=name, params=dict(params), samples=samples,
                      seed=seed)
 
@@ -276,7 +278,8 @@ def verify_scalar_lemma(name, params=None, samples=None, seed=0) -> LemmaCase:
         raise ValidationError("sigma must be > 2")
     if not 0 < merged.get("delta", 0.5) < 1:
         raise ValidationError("delta must lie in (0,1)")
-    case = _case(name, merged, samples or default_samples, seed)
+    case = _case(name, merged,
+                 default_samples if samples is None else samples, seed)
     t0 = time.perf_counter()
     case = SCALAR_LEMMAS[name](case)
     case.seconds = time.perf_counter() - t0
@@ -478,7 +481,7 @@ def _check_flow_bound(rng, p):
     rho = rng.uniform(0.05, 0.15)
     delta = rng.uniform(0.2 * rho, 0.9 * rho)
     HE = H.expanded()
-    series = lie_transform(HE, HE, F, order_cap=4, tail_tol=1e-30)
+    series = lie_transform(HE, HE, F, order_cap=4)
     if not series.decays:
         raise DivergenceRiskError(
             "Lie-series term norms not decaying: "

@@ -67,6 +67,43 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
     assert not (tmp_path / "k.steps.csv").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bracket", "{h}", "{h}", "--delta1", "0"], "error: need 0 < delta1, "
+     "delta2 <= rho, got delta1=0.0, delta2=0.004, rho=0.1"),
+    (["bracket", "{h}", "{h}", "--delta2", "0"], "error: need 0 < delta1, "
+     "delta2 <= rho, got delta1=0.004, delta2=0.0, rho=0.1"),
+    (["bracket", "{h}", "{h}", "--delta2", "-0.1"], "error: need 0 < delta1, "
+     "delta2 <= rho, got delta1=0.004, delta2=-0.1, rho=0.1"),
+    (["bracket", "{h}", "{h}", "--rho", "0.001", "--out", "{out}"],
+     "error: need 0 < delta1, delta2 <= rho, got delta1=0.004, "
+     "delta2=0.004, rho=0.001"),
+    (["norms", "{h}", "--rho", "nan"], "error: rho must be >= 0, got nan"),
+    (["kam-run", "--d", "1", "--radius", "1", "--prune-tol", "nan",
+      "--out-prefix", "{out}"],
+     "error: prune_tol must be finite and >= 0, got nan"),
+    (["kam-run", "--d", "1", "--radius", "1", "--prune-tol=-1e-18",
+      "--out-prefix", "{out}"],
+     "error: prune_tol must be finite and >= 0, got -1e-18"),
+    (["verify-lemmas", "--samples", "-2", "--out", "{out}"],
+     "error: samples must be >= 1, got -2"),
+    (["verify-lemmas", "--lemma", "g_max", "--samples", "0", "--out",
+      "{out}"], "error: samples must be >= 1, got 0"),
+    (["build-nls", "--radius", "-2", "--out", "{out}"],
+     "error: mode_radius must be >= 0, got -2"),
+])
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
+    h = tmp_path / "h.json"
+    run_cli("build-nls", "--d", "1", "--radius", "1", "--eps", "1e-6",
+            "--out", str(h))
+    capsys.readouterr()
+    args = [a.format(h=h, out=tmp_path / "out") for a in argv]
+    assert run_cli(*args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+    assert os.listdir(tmp_path) == ["h.json"]
+
+
 def test_kam_run_small_divisor_exit_code(tmp_path):
     # at d=2, (1,0)+(-1,0) and (0,1)+(0,-1) share sum and square sum, so
     # the fully resonant omega = 0 yields an exact zero divisor

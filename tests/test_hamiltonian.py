@@ -33,6 +33,8 @@ def test_params_validation():
     with pytest.raises(ValidationError):
         HamParams(d=1, sigma=2.5, r=0.5, floor_const=1024.0,
                   degree_cap=8, mode_radius=2)
+    with pytest.raises(ValidationError, match="mode_radius"):
+        HamParams(d=1, sigma=2.5, r=1.0, mode_radius=-1)
 
 
 def test_action0_value(params):
@@ -150,6 +152,8 @@ def test_star_norm_needs_rho_below_r(params):
         norm(H, "plus_rho", 1.5)
     with pytest.raises(ValidationError):
         norm(H, "sup_rho", -0.1)
+    with pytest.raises(ValidationError):
+        norm(H, "sup_rho", math.nan)
 
 
 def test_plus_norm_j_correction(params):
@@ -168,10 +172,16 @@ def test_prune_tracks_budget(params):
     tiny = Hamiltonian.monomial(params, k=[((0,), 1)], k_bar=[((0,), 1)],
                                 coeff=1e-20)
     H = big + tiny
-    P = prune(H, 1e-10)
+    ledger = [0.5]
+    P = prune(H, 1e-10, ledger)
     assert len(P.terms) == 1
-    assert P.error_budget == pytest.approx(1e-20)
-    assert prune(H, 0.0) is H
+    assert ledger == [0.5, pytest.approx(1e-20)]
+    assert len(prune(H, 1e-10).terms) == 1
+    assert prune(big, 1e-10, ledger).terms == big.terms
+    assert ledger[2] == 0.0
+    assert prune(H, 0.0, ledger) is H
+    assert prune(H, -1.0, ledger) is H
+    assert len(ledger) == 3
 
 
 def test_evaluate_and_vector_field(params):
@@ -244,7 +254,7 @@ def _ref_expanded(H):
     for key, c in H.terms.items():
         for ekey, ec in _ref_expand_term(key, c):
             acc[ekey] = acc.get(ekey, 0j) + ec
-    return Hamiltonian(H.params, acc, H.error_budget, validate=False)
+    return Hamiltonian(H.params, acc, validate=False)
 
 
 def _ref_collect_term(a, k, kb, coeff, cap=2, pre_j=()):
@@ -293,7 +303,7 @@ def _ref_collected(H):
     for (a, k, kb, _), c in _ref_expanded(H).terms.items():
         for ckey, cc in _ref_collect_term(a, k, kb, c, cap=2):
             acc[ckey] = acc.get(ckey, 0j) + cc
-    return Hamiltonian(H.params, acc, H.error_budget, validate=False)
+    return Hamiltonian(H.params, acc, validate=False)
 
 
 def _ref_class_split(H):
@@ -324,14 +334,12 @@ def _ref_multiply(H1, H2):
                     acc[ekey] = acc.get(ekey, 0j) + ec
             else:
                 acc[key] = acc.get(key, 0j) + c
-    return Hamiltonian(H1.params, acc,
-                       H1.error_budget + H2.error_budget, validate=False)
+    return Hamiltonian(H1.params, acc, validate=False)
 
 
 def _bits(H):
     """Terms in insertion order, coefficients as exact hex strings."""
-    return ([(key, c.real.hex(), c.imag.hex()) for key, c in H.terms.items()],
-            H.error_budget)
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in H.terms.items()]
 
 
 def _with_j_factors(params, rng, n_terms, max_exp):
@@ -348,7 +356,7 @@ def _with_j_factors(params, rng, n_terms, max_exp):
                                             int(rng.integers(0, 3)))]
         items.append((*parts, j, complex(rng.uniform(-1, 1),
                                          rng.uniform(-1, 1))))
-    return Hamiltonian.from_terms(params, items, error_budget=0.25)
+    return Hamiltonian.from_terms(params, items)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),

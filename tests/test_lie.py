@@ -6,6 +6,7 @@ before they shared this one: the ``flow_bound`` oracle's plain series
 capacity and order-cap charges.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,13 +26,13 @@ from nlskam import (
     linear_combine,
     norm,
     poisson_bracket,
-    prune,
     schedule,
     solve_homological,
     truncation_budget,
     verify_norm_lemma,
 )
 from nlskam.driver import KamState, _eps0_of
+from nlskam.hamiltonian import TAIL_TOL, Hamiltonian, class_split
 from nlskam.verification import random_hamiltonian
 
 CFG = KamConfig(d=1, mode_radius=2, epsilon=1e-6, seed=7, steps=1)
@@ -62,12 +63,37 @@ def _frozen_plain_series(H, F, order_cap, tail_tol):
     return total
 
 
+def _frozen_prune(H, tol):
+    """prune's rule recomputed: (kept part, dropped star mass at rho=0).
+
+    A term's mass is |c| I(0)^a 2^(number of J-factors), each J_m being
+    at most 2 in absolute value; with tol <= 0 nothing is dropped and no
+    mass is recorded.
+    """
+    if tol <= 0:
+        return H, []
+    keep, lost = {}, 0.0
+    for (a, k, kb, j), c in H.terms.items():
+        mass = abs(c) * math.exp(-2.0 * H.params.r * sum(
+            e * H.params.weight(m) for m, e in a)) * 2.0 ** len(j)
+        if mass < tol:
+            lost += mass
+        else:
+            keep[a, k, kb, j] = c
+    return Hamiltonian(H.params, keep, validate=False), [lost]
+
+
 def _frozen_kam_series(start, G, E, F, order_cap, prune_tol, tail_tol):
-    """The Lie loop kam_step ran inline before; returns (sum, charge)."""
+    """The Lie loop kam_step ran inline before.
+
+    Returns (sum, charge, masses) with masses the star mass each order's
+    prune dropped.
+    """
     R_plus = start
     TG, TE = G, E
     fact = 1.0
     budget = 0.0
+    masses = []
     for n in range(1, order_cap + 1):
         try:
             TG = poisson_bracket(TG, F)
@@ -78,14 +104,15 @@ def _frozen_kam_series(start, G, E, F, order_cap, prune_tol, tail_tol):
         fact *= n
         contrib = linear_combine(1.0 / fact, TG,
                                  -1.0 / (fact * (n + 1)), TE)
-        contrib = prune(contrib, prune_tol)
+        contrib, lost = _frozen_prune(contrib, prune_tol)
+        masses += lost
         c_norm = norm(contrib, "star_rho", 0.0)
         R_plus = linear_combine(1.0, R_plus, 1.0, contrib)
         if c_norm < tail_tol:
             break
     else:
         budget += c_norm
-    return R_plus, budget
+    return R_plus, budget, masses
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
@@ -100,7 +127,7 @@ def test_plain_series_matches_frozen_loop(seed, d, f_scale, order_cap,
     H = random_hamiltonian(params, rng, n_terms=4)
     F = random_hamiltonian(params, rng, n_terms=3).scale(f_scale)
     HE = H.expanded()
-    series = lie_transform(HE, HE, F, order_cap, tail_tol=1e-30)
+    series = lie_transform(HE, HE, F, order_cap)
     try:
         ref = _frozen_plain_series(H, F, order_cap, 1e-30)
     except DivergenceRiskError:
@@ -113,8 +140,16 @@ def test_plain_series_matches_frozen_loop(seed, d, f_scale, order_cap,
     assert _bits(series.total) == _bits(ref)
 
 
-def _step_inputs(cfg):
+def _step_inputs(cfg, tiny_r2=False):
     state, _ = initial_state(cfg)
+    if tiny_r2:
+        # a class-2 term below prune_tol: the series carries it over in
+        # `start`, and the final prune drops it
+        m = state.nf.modes[0]
+        tiny = Hamiltonian.monomial(
+            state.R2.params, k=[((-1,), 1), ((2,), 1)],
+            k_bar=[((0,), 1), ((1,), 1)], j=(m, m), coeff=1e-19)
+        state = replace(state, R2=linear_combine(1.0, state.R2, 1.0, tiny))
     sched = schedule(0, _eps0_of(cfg))
     sol = solve_homological(state.R0, state.R1, state.nf,
                             cfg.gamma * sched.eps_s ** 0.01,
@@ -127,19 +162,21 @@ def _step_inputs(cfg):
     return state, sched, sol, G, start
 
 
-@pytest.mark.parametrize("degree_cap,order_cap,orders,capped", [
-    (4, 3, 0, True),     # the order-1 bracket is over the degree cap
-    (6, 3, 1, True),     # the order-2 bracket is over the degree cap
-    (16, 3, 2, False),   # order 2 falls below tail_tol: no charge
-    (16, 1, 1, False),   # stops at the order cap: charges order 1
+@pytest.mark.parametrize("degree_cap,order_cap,orders,capped,tiny_r2", [
+    (4, 3, 0, True, False),     # the order-1 bracket is over the degree cap
+    (6, 3, 1, True, False),     # the order-2 bracket is over the degree cap
+    (16, 3, 2, False, False),   # order 2 falls below TAIL_TOL: no charge
+    (16, 1, 1, False, False),   # stops at the order cap: charges order 1
+    (16, 3, 2, False, True),    # the final prune drops a term of R2
 ])
-def test_step_series_and_charges(degree_cap, order_cap, orders, capped):
+def test_step_series_and_charges(degree_cap, order_cap, orders, capped,
+                                 tiny_r2):
     cfg = replace(CFG, degree_cap=degree_cap, lie_order_cap=order_cap)
-    state, sched, sol, G, start = _step_inputs(cfg)
+    state, sched, sol, G, start = _step_inputs(cfg, tiny_r2)
     series = lie_transform(start, G, sol.F, order_cap, E=sol.eliminated,
-                           prune_tol=cfg.prune_tol, tail_tol=cfg.tail_tol)
-    ref, charge = _frozen_kam_series(start, G, sol.eliminated, sol.F,
-                                     order_cap, cfg.prune_tol, cfg.tail_tol)
+                           prune_tol=cfg.prune_tol)
+    ref, charge, masses = _frozen_kam_series(
+        start, G, sol.eliminated, sol.F, order_cap, cfg.prune_tol, TAIL_TOL)
     assert len(series.norms) == orders and series.capped == capped
     assert _bits(series.total) == _bits(ref)
     assert series.charge == charge
@@ -148,9 +185,20 @@ def test_step_series_and_charges(degree_cap, order_cap, orders, capped):
     if order_cap == 1:
         assert charge == series.norms[0] > 0.0
     new_state, report = kam_step(state, sched, cfg)
-    assert report.error_budget == (charge + new_state.R0.error_budget
-                                   + new_state.R1.error_budget
-                                   + new_state.R2.error_budget)
+    # the budget is the ledger: each order's dropped mass, the charge and
+    # the mass the final prune dropped, in that order
+    R_plus, final = _frozen_prune(ref.collected(), cfg.prune_tol)
+    assert [_bits(X) for X in class_split(R_plus)] == [
+        _bits(new_state.R0), _bits(new_state.R1), _bits(new_state.R2)]
+    assert report.error_budget == sum([*masses, charge, *final])
+    if degree_cap == 16:
+        assert sum(masses + final) > 0.0
+    if tiny_r2:
+        assert final[0] > 0.1 * report.error_budget
+    assert report.flags["lie_complete"] is not capped
+    if capped:
+        with pytest.raises(ValidationError, match="lie_complete"):
+            kam_step(state, sched, replace(cfg, strict=True))
 
 
 def test_non_decaying_series_is_reported():
