@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 from .diophantine import (
@@ -47,11 +48,21 @@ TL_CSV_SCHEMA = "t,defect_qq,defect_qqbar,defect_qbarqbar"
 
 
 def _env_seed() -> int:
-    return int(os.environ.get("NLSKAM_SEED", "0"))
+    raw = os.environ.get("NLSKAM_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"NLSKAM_SEED must be an integer, got {raw!r}")
 
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors surface as ValidationError (exit code 1)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read a negative number such as -1e-18 as a value, not an option
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ValidationError(message)
@@ -78,37 +89,42 @@ def _read(path) -> str:
         raise ValidationError(f"cannot read {path}: {e}") from e
 
 
-def _apply_config(parser, args):
-    """Override parsed flags with ``key = value`` lines from the file."""
+def _apply_config(parser, argv, args):
+    """Override parsed flags with ``key = value`` lines from the file.
+
+    Value lines are re-parsed as ``--key=value`` flags after ``argv``, so
+    argparse types them; a repeatable key's lines replace its list.
+    """
     if not getattr(args, "config", None):
         return args
-    actions = list(parser._actions)
-    for act in parser._actions:
-        if isinstance(act, argparse._SubParsersAction):
-            sub = act.choices.get(args.command)
-            if sub is not None:
-                actions.extend(sub._actions)
-    types = {}
-    for act in actions:
-        types[act.dest] = act.type or (
-            (lambda s: s) if not isinstance(
-                act, (argparse._StoreTrueAction,
-                      argparse._StoreFalseAction)) else
-            (lambda s: s.lower() in ("1", "true", "yes")))
+    flags, switches = [], {}
     for line_no, raw in enumerate(_read(args.config).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, val = (part.strip() for part in line.partition("="))
+        dest, where = key.replace("-", "_"), f"{args.config}:{line_no}"
+        if not eq:
+            raise ValidationError(f"{where}: expected key = value")
+        if dest in ("command", "config") or not hasattr(args, dest):
+            raise ValidationError(f"{where}: unknown key {key!r}")
+        if not isinstance(getattr(args, dest), bool):
+            flags.append(f"--{dest.replace('_', '-')}={val}")
+        elif val.lower() in ("1", "true", "yes", "0", "false", "no"):
+            switches[dest] = val.lower() in ("1", "true", "yes")
+        else:
             raise ValidationError(
-                f"{args.config}:{line_no}: expected key = value")
-        key, _, val = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        if dest not in types:
-            raise ValidationError(
-                f"{args.config}:{line_no}: unknown key {key.strip()!r}")
-        setattr(args, dest, types[dest](val.strip()))
-    return args
+                f"{where}: {key} must be true or false, got {val!r}")
+    try:
+        new = parser.parse_args([*argv, *flags])
+    except ValidationError as e:
+        raise ValidationError(f"{args.config}: {e}") from None
+    for dest, old in vars(args).items():
+        vals = getattr(new, dest)
+        if isinstance(vals, list) and vals != old:
+            setattr(new, dest, vals[len(old or ()):])
+    vars(new).update(switches)
+    return new
 
 
 def _add_common(p):
@@ -392,10 +408,11 @@ _COMMANDS = {
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
-        args = _apply_config(parser, args)
+        args = _apply_config(parser, argv, args)
         return _COMMANDS[args.command](args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,21 +1,21 @@
 """Iteration schedule, one full KAM step, multi-step runs, TL defects.
 
-One step: truncate and solve the homological equation, push the
-Hamiltonian through the time-1 Lie transform of F, re-split the remainder
-into classes, absorb the resonant part into the normal form, extract the
-frequency shift, and re-freeze the frequencies at the sampled omega by
-moving the potential parameter: V* = omega - cumulative shift.
+One step: solve the homological equation in one pass over R0 + R1, push
+the Hamiltonian through the time-1 Lie transform of F, re-split the
+remainder into classes, absorb the resonant part into the normal form,
+extract the frequency shift, and re-freeze the frequencies at the sampled
+omega by moving the potential parameter: V* = omega - cumulative shift.
 
 The remainder after the step is assembled from the exact series identity
 
     R+ = deferred + R2 + sum_{n>=1} [ ad_F^n(R0+R1+R2)/n!
-                                      - ad_F^n(E0+E1)/(n+1)! ]
+                                      - ad_F^n(E)/(n+1)! ]
 
-where E are the eliminated parts ({N,F} = -E0 - E1).  This is the closed
-form of the bracket-integral bookkeeping: the first sum collects the
-{R,F}-chains, the second the {{N,F},F}-chains, and class routing falls
-out of J-collection of the summed remainder.  The sum is
-:func:`nlskam.hamiltonian.lie_transform` with G = R0+R1+R2 and E = E0+E1.
+where E is the eliminated part of R0 + R1 ({N,F} = -E).  This is the
+closed form of the bracket-integral bookkeeping: the first sum collects
+the {R,F}-chains, the second the {{N,F},F}-chains, and class routing
+falls out of J-collection of the summed remainder.  The sum is
+:func:`nlskam.hamiltonian.lie_transform` with G = R0+R1+R2.
 """
 
 from __future__ import annotations
@@ -132,6 +132,7 @@ class KamState:
     R1: Hamiltonian
     R2: Hamiltonian
     s: int
+    norms: tuple  # class_norms at this state's rho_s
     error_budget: float = 0.0
 
 
@@ -168,10 +169,8 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def class_norms(state: KamState, rho: float) -> tuple:
-    return (norm(state.R0, "plus_rho", rho),
-            norm(state.R1, "plus_rho", rho),
-            norm(state.R2, "plus_rho", rho))
+def class_norms(R0, R1, R2, rho: float) -> tuple:
+    return tuple(norm(R, "plus_rho", rho) for R in (R0, R1, R2))
 
 
 def _conserving(H: Hamiltonian) -> bool:
@@ -182,7 +181,7 @@ def _conserving(H: Hamiltonian) -> bool:
 def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     """One full KAM step; returns (new state, report)."""
     t0 = time.perf_counter()
-    before = class_norms(state, sched.rho_s)
+    before = state.norms
     flags = {
         "r0_bound": before[0] <= sched.eps_s * (1 + 1e-9),
         "r1_bound": before[1] <= sched.eps_s ** 0.6 * (1 + 1e-9),
@@ -203,9 +202,7 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     G = linear_combine(
         1.0, linear_combine(1.0, state.R0, 1.0, state.R1),
         1.0, state.R2).expanded()
-    start = linear_combine(1.0, sol.deferred0,
-                           1.0, linear_combine(1.0, sol.deferred1,
-                                               1.0, state.R2))
+    start = linear_combine(1.0, sol.deferred, 1.0, state.R2)
     series = lie_transform(start, G, sol.F, cfg.lie_order_cap,
                            E=sol.eliminated, prune_tol=cfg.prune_tol,
                            ledger=ledger)
@@ -213,10 +210,12 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     R_plus = prune(series.total.collected(), cfg.prune_tol, ledger)
     R0n, R1n, R2n = class_split(R_plus)
 
-    # frequency shift from the resonant class-1 part
+    # frequency shift from the resonant terms with one J-factor
     shift = {m: 0.0 for m in state.nf.modes}
     p = state.R0.params
-    for (a, _, _, j), c in sol.resonant1.terms.items():
+    for (a, _, _, j), c in sol.resonant.terms.items():
+        if len(j) != 1:
+            continue
         val = c
         for mode, e in a:
             val *= p.action0(mode) ** e
@@ -240,9 +239,7 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
               for m in state.nf.modes}
     vf_proxy = vf_sup_norm(sol.F, x_unit, p.r)
 
-    after_norms = (norm(R0n, "plus_rho", sched.rho_next),
-                   norm(R1n, "plus_rho", sched.rho_next),
-                   norm(R2n, "plus_rho", sched.rho_next))
+    after_norms = class_norms(R0n, R1n, R2n, sched.rho_next)
     reality = max(R0n.check_reality(), R1n.check_reality(),
                   R2n.check_reality())
     flags.update({
@@ -257,6 +254,7 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
         "residual": residual_rel <= 1e-10,
         "lie_decay": series.decays,
         "lie_complete": not series.capped,
+        "budget": sum(ledger) <= sched.eps_next,
         "conserving": _conserving(R0n) and _conserving(R1n)
         and _conserving(R2n),
         "reality": reality <= 1e-10 * max(1.0, base),
@@ -267,7 +265,8 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
 
     new_budget = state.error_budget + sum(ledger)
     new_state = KamState(nf=nf_new, R0=R0n, R1=R1n, R2=R2n,
-                         s=state.s + 1, error_budget=new_budget)
+                         s=state.s + 1, norms=after_norms,
+                         error_budget=new_budget)
     report = StepReport(
         s=sched.s, rho=sched.rho_s, eps=sched.eps_s,
         norms_before=before, norms_after=after_norms,
@@ -302,7 +301,8 @@ def initial_state(cfg: KamConfig, omega=None):
             nls_cfg.ham_params.box_modes(), dp, cfg.seed)
     nf = build_normal_form(nls_cfg, omega)
     R0, R1, R2 = class_split(H.collected())
-    return KamState(nf=nf, R0=R0, R1=R1, R2=R2, s=0), H
+    return KamState(nf=nf, R0=R0, R1=R1, R2=R2, s=0,
+                    norms=class_norms(R0, R1, R2, RHO0)), H
 
 
 def run(cfg: KamConfig, omega=None):
@@ -318,10 +318,9 @@ def run(cfg: KamConfig, omega=None):
     states = [state]
     sched0 = schedule(0, _eps0_of(cfg))
     if cfg.steps == 0:
-        before = class_norms(state, sched0.rho_s)
         reports.append(StepReport(
-            s=0, rho=sched0.rho_s, eps=sched0.eps_s, norms_before=before,
-            norms_after=before, min_divisor=math.inf, deferred_mass=0.0,
+            s=0, rho=sched0.rho_s, eps=sched0.eps_s, norms_before=state.norms,
+            norms_after=state.norms, min_divisor=math.inf, deferred_mass=0.0,
             shift_magnitude=0.0, vf_proxy=0.0, residual_rel=0.0,
             reality_defect=max(state.R0.check_reality(),
                                state.R1.check_reality(),

@@ -2,10 +2,10 @@
 
 The normal form is N = sum_n Omega_n |q_n|^2 with Omega_n = ||n||^2 +
 Vbreve + Vhat_n.  One elimination step solves {N, F} + R0 + R1 = [R0] +
-[R1] termwise: resonant keys (k = k' = 0) are kept as the new normal-form
-increment, nonresonant keys with small enough tail weight are divided by
-the small divisor sum (k - k') . Omega, and heavy-tailed keys are
-deferred to the next remainder untouched.
+[R1] in one termwise pass over R0 + R1: resonant keys (k = k' = 0) are
+kept as the new normal-form increment, nonresonant keys with small enough
+tail weight are divided by the small divisor (k - k') . Omega, and
+heavy-tailed keys are deferred to the next remainder untouched.
 """
 
 from __future__ import annotations
@@ -55,21 +55,17 @@ class NormalForm:
 
 @dataclass
 class HomologicalSolution:
-    """The generator F = F0 + F1 (expanded) and the parts of R0, R1.
+    """The generator F and the parts of R0 + R1 the solve sorted out.
 
-    ``eliminated`` is R0 + R1 - [R0] - [R1] - deferred, expanded: the
-    part {N, F} removes.  The residual and the Lie series both read it.
+    ``F`` and ``eliminated`` (R0 + R1 - resonant - deferred, the part
+    {N, F} removes) are expanded; the residual and the Lie series read both.
     """
 
-    F0: Hamiltonian
-    F1: Hamiltonian
-    resonant0: Hamiltonian
-    resonant1: Hamiltonian
-    deferred0: Hamiltonian
-    deferred1: Hamiltonian
-    stats: dict
     F: Hamiltonian
+    resonant: Hamiltonian
+    deferred: Hamiltonian
     eliminated: Hamiltonian
+    stats: dict
 
 
 def divisor(k, k_bar, nf: NormalForm) -> float:
@@ -109,25 +105,21 @@ def truncation_budget(s: int, eps0: float, rho0: float = RHO0) -> float:
 
 def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
                       guard: float, B: float) -> HomologicalSolution:
-    """Solve {N,F} + R0 + R1 = [R0] + [R1] termwise.
+    """Solve {N,F} + R0 + R1 = [R0] + [R1] termwise, in one pass.
 
-    R0 and R1 must be in their J-collected class forms.  Raises
-    SmallDivisorError when a required divisor falls below ``guard``.
+    R0 and R1 must be in their J-collected class forms, so their keys
+    are disjoint.  Raises SmallDivisorError when a required divisor
+    falls below ``guard``.
     """
     if guard <= 0:
         raise ValidationError("guard must be positive")
     params = R0.params
     lattice = params.lattice
     min_div = math.inf
-    solved = 0
     quad_diag = []
     deferred_mass = 0.0
-
-    def split_one(R):
-        f_terms = {}
-        res_terms = {}
-        def_terms = {}
-        nonlocal min_div, solved, deferred_mass
+    f_terms, res_terms, def_terms, elim_terms = {}, {}, {}, {}
+    for R in (R0, R1):
         for key, c in R.terms.items():
             a, k, kb, j = key
             if k == MI_ZERO and kb == MI_ZERO:
@@ -145,28 +137,18 @@ def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
                     f"divisor {D:.3e} below guard {guard:.3e} "
                     f"for k={k}, k_bar={kb}", key=key, divisor=D)
             min_div = min(min_div, abs(D))
-            solved += 1
             f_terms[key] = c / (1j * D)
-        return (Hamiltonian(params, f_terms, validate=False),
-                Hamiltonian(params, res_terms, validate=False),
-                Hamiltonian(params, def_terms, validate=False))
-
-    F0, res0, def0 = split_one(R0)
-    F1, res1, def1 = split_one(R1)
+            elim_terms[key] = c
     stats = {
-        "min_divisor": min_div if solved else math.inf,
-        "solved_terms": solved,
-        "deferred_terms": len(def0.terms) + len(def1.terms),
+        "min_divisor": min_div,
+        "solved_terms": len(f_terms),
+        "deferred_terms": len(def_terms),
         "deferred_mass": deferred_mass,
         "quad_nonresonant": quad_diag,
     }
-    F = linear_combine(1.0, F0, 1.0, F1).expanded()
-    elim = linear_combine(1.0, linear_combine(1.0, R0, 1.0, R1),
-                          -1.0, linear_combine(1.0, res0, 1.0, res1))
-    elim = linear_combine(1.0, elim,
-                          -1.0, linear_combine(1.0, def0, 1.0, def1))
-    return HomologicalSolution(F0, F1, res0, res1, def0, def1, stats,
-                               F, elim.expanded())
+    F, res, dfr, elim = (Hamiltonian(params, t, validate=False) for t in (
+        f_terms, res_terms, def_terms, elim_terms))
+    return HomologicalSolution(F.expanded(), res, dfr, elim.expanded(), stats)
 
 
 def homological_residual(sol: HomologicalSolution, R0, R1,

@@ -84,6 +84,11 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
     (["kam-run", "--d", "1", "--radius", "1", "--prune-tol=-1e-18",
       "--out-prefix", "{out}"],
      "error: prune_tol must be finite and >= 0, got -1e-18"),
+    (["kam-run", "--d", "1", "--radius", "1", "--prune-tol", "-1e-18",
+      "--out-prefix", "{out}"],
+     "error: prune_tol must be finite and >= 0, got -1e-18"),
+    (["norms", "{h}", "--rho", "-1e-3"],
+     "error: rho must be >= 0, got -0.001"),
     (["verify-lemmas", "--samples", "-2", "--out", "{out}"],
      "error: samples must be >= 1, got -2"),
     (["verify-lemmas", "--lemma", "g_max", "--samples", "0", "--out",
@@ -374,6 +379,61 @@ def test_config_file_overrides_flags(tmp_path):
     assert len(doc["terms"]) == 8
     cfgf.write_text("no_such_key = 1\n")
     assert run_cli("build-nls", "--config", str(cfgf)) == 1
+
+
+def test_env_seed_not_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NLSKAM_SEED", "abc")
+    assert run_cli("build-nls", "--out", str(tmp_path / "h.json")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: NLSKAM_SEED must be an integer, got 'abc'"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,lines,rows", [
+    # a repeatable key's file values replace the flag's list
+    (["measure", "--trials", "100", "--gamma", "0.01"],
+     ["gamma = 0.05", "gamma = 0.1"], ["0.050000000000000003,100,",
+                                        "0.10000000000000001,100,"]),
+    (["verify-lemmas", "--samples", "3"], ["lemma = g_max"], ["g_max,"]),
+])
+def test_config_repeatable_key(tmp_path, argv, lines, rows):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--config", str(cfgf), "--out", str(out)) == 0
+    body = out.read_text().splitlines()[1:]
+    assert len(body) == len(rows)
+    assert all(line.startswith(row) for line, row in zip(body, rows))
+
+
+@pytest.mark.parametrize("line,message", [
+    ("command = norms", "{cfg}:1: unknown key 'command'"),
+    ("radius = x", "{cfg}: argument --radius: invalid int value: 'x'"),
+    ("strict = maybe", "{cfg}:1: strict must be true or false, got 'maybe'"),
+])
+def test_config_bad_value_exits_1_with_one_line(tmp_path, capsys, line,
+                                                message):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(line + "\n")
+    assert run_cli("kam-run", "--d", "1", "--radius", "1", "--steps", "0",
+                   "--config", str(cfgf),
+                   "--out-prefix", str(tmp_path / "k")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: " + message.format(cfg=cfgf)]
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_config_switch_values(tmp_path):
+    # at degree cap 4 the Lie series is capped, so strict fails the step
+    cfgf = tmp_path / "run.cfg"
+    argv = ["kam-run", "--d", "1", "--radius", "1", "--degree-cap", "4",
+            "--config", str(cfgf), "--out-prefix", str(tmp_path / "k")]
+    cfgf.write_text("strict = yes\n")
+    assert run_cli(*argv) == 1
+    cfgf.write_text("strict = false\n")
+    assert run_cli(*argv, "--strict") == 0
 
 
 def test_byte_determinism_across_runs_and_threads(tmp_path):

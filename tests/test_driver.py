@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+import nlskam
 from nlskam import (
     Hamiltonian,
     KamConfig,
@@ -9,11 +11,12 @@ from nlskam import (
     final_remainder_check,
     initial_state,
     kam_step,
+    linear_combine,
     run,
     schedule,
     tl_defect,
 )
-from nlskam.driver import STEP_CSV_SCHEMA, _eps0_of, class_norms
+from nlskam.driver import STEP_CSV_SCHEMA, KamState, _eps0_of, class_norms
 from nlskam.homological import RHO0
 from nlskam.nls import NlsConfig, build_cubic_nls
 
@@ -49,7 +52,9 @@ def test_initial_state_classes():
     assert all(len(key[3]) == 0 for key in state.R0.terms)
     assert all(len(key[3]) == 1 for key in state.R1.terms)
     eps0 = _eps0_of(CFG)
-    n0, n1, n2 = class_norms(state, schedule(0, eps0).rho_s)
+    n0, n1, n2 = state.norms
+    assert state.norms == class_norms(state.R0, state.R1, state.R2,
+                                      schedule(0, eps0).rho_s)
     assert n0 <= eps0 * (1 + 1e-9)
     assert n1 <= eps0 ** 0.6
     assert n2 <= (1 + 0.0) * eps0 * (1 + 1e-9)
@@ -70,14 +75,64 @@ def test_single_step_contracts_and_reports():
 def test_step_entry_bounds_enforced():
     state, _ = initial_state(CFG)
     big = state.R0.scale(1e6)
-    from nlskam.driver import KamState
-    bad = KamState(nf=state.nf, R0=big, R1=state.R1, R2=state.R2, s=0)
+    bad = KamState(nf=state.nf, R0=big, R1=state.R1, R2=state.R2, s=0,
+                   norms=class_norms(big, state.R1, state.R2, RHO0))
     sched = schedule(0, _eps0_of(CFG))
     with pytest.raises(ValidationError):
         kam_step(bad, sched, CFG)
     # force pushes through regardless
-    from dataclasses import replace
     kam_step(bad, sched, replace(CFG, force=True))
+
+
+def test_schedule_rho_next_is_next_rho_s():
+    # the carried norms of a state are valid only if these are bit-equal
+    for s in range(31):
+        assert schedule(s, 1e-7).rho_next == schedule(s + 1, 1e-7).rho_s
+
+
+def test_norms_are_carried_between_steps():
+    reports, states, _ = run(replace(CFG, steps=2))
+    assert reports[1].norms_before == reports[0].norms_after
+    for rep, st in zip(reports, states):
+        assert rep.norms_before == st.norms
+
+
+def test_one_norm_pass_per_state(monkeypatch):
+    # criterion 6's config: three states, three class norms each
+    calls = []
+    real = nlskam.hamiltonian.norm
+
+    def counting(H, kind, rho):
+        calls.append(kind)
+        return real(H, kind, rho)
+
+    for mod in (nlskam.hamiltonian, nlskam.driver, nlskam.homological):
+        monkeypatch.setattr(mod, "norm", counting)
+    run(replace(CFG, steps=2, prune_tol=0.0))
+    assert calls.count("plus_rho") == 9
+
+
+def test_budget_flag_fails_when_the_ledger_exceeds_eps_next():
+    cfg = replace(CFG, prune_tol=1e-9)
+    state, _ = initial_state(cfg)
+    sched = schedule(0, _eps0_of(cfg))
+    _, report = kam_step(state, sched, cfg)
+    assert report.flags["budget"] and report.error_budget < sched.eps_next
+    # a class-2 term of mass 4e-10, above eps_next (6.3e-11) and below
+    # prune_tol: the final prune drops it into the ledger
+    m = state.nf.modes[0]
+    heavy = Hamiltonian.monomial(
+        state.R2.params, k=[((-1,), 1), ((2,), 1)],
+        k_bar=[((0,), 1), ((1,), 1)], j=(m, m), coeff=1e-10)
+    R2 = linear_combine(1.0, state.R2, 1.0, heavy)
+    state = replace(state, R2=R2,
+                    norms=class_norms(state.R0, state.R1, R2, RHO0))
+    _, report = kam_step(state, sched, cfg)
+    assert report.error_budget > sched.eps_next
+    assert [k for k, v in report.flags.items() if not v] == ["budget"]
+    assert report.csv_row().split(",")[15] == "0"
+    with pytest.raises(ValidationError, match="budget"):
+        kam_step(state, sched, replace(cfg, strict=True))
 
 
 def test_run_steps0_row():

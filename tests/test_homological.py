@@ -75,14 +75,14 @@ def test_solver_splits_resonant_and_inverts_divisors():
     cfg, nf, R0, R1, R2 = _setup()
     sol = solve_homological(R0, R1, nf, guard=1e-8, B=1e9)
     # resonant terms have empty (k, k') and were not inverted
-    for part in (sol.resonant0, sol.resonant1):
-        for (_, k, kb, _) in part.terms:
-            assert k == () and kb == ()
-    # every solved coefficient equals c / (i * divisor)
-    for key, f in sol.F0.terms.items():
+    for (_, k, kb, _) in sol.resonant.terms:
+        assert k == () and kb == ()
+    # every solved class-0 coefficient equals c / (i * divisor)
+    solved0 = [key for key in sol.F.terms if key in R0.terms]
+    assert solved0
+    for key in solved0:
         _, k, kb, _ = key
-        c = R0.terms[key]
-        assert f == c / (1j * divisor(k, kb, nf))
+        assert sol.F.terms[key] == R0.terms[key] / (1j * divisor(k, kb, nf))
     assert sol.stats["solved_terms"] > 0
     assert sol.stats["min_divisor"] >= 1e-8
 
@@ -100,7 +100,7 @@ def test_solver_defers_heavy_tails():
     cfg, nf, R0, R1, R2 = _setup()
     sol = solve_homological(R0, R1, nf, guard=1e-8, B=0.0)
     # with a zero budget every nonresonant term is deferred
-    assert sol.F0.is_zero() and sol.F1.is_zero()
+    assert sol.F.is_zero() and sol.eliminated.is_zero()
     assert sol.stats["deferred_terms"] > 0
     assert sol.stats["deferred_mass"] > 0.0
 

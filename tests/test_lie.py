@@ -31,8 +31,9 @@ from nlskam import (
     truncation_budget,
     verify_norm_lemma,
 )
-from nlskam.driver import KamState, _eps0_of
+from nlskam.driver import KamState, _eps0_of, class_norms
 from nlskam.hamiltonian import TAIL_TOL, Hamiltonian, class_split
+from nlskam.homological import RHO0
 from nlskam.verification import random_hamiltonian
 
 CFG = KamConfig(d=1, mode_radius=2, epsilon=1e-6, seed=7, steps=1)
@@ -149,16 +150,16 @@ def _step_inputs(cfg, tiny_r2=False):
         tiny = Hamiltonian.monomial(
             state.R2.params, k=[((-1,), 1), ((2,), 1)],
             k_bar=[((0,), 1), ((1,), 1)], j=(m, m), coeff=1e-19)
-        state = replace(state, R2=linear_combine(1.0, state.R2, 1.0, tiny))
+        R2 = linear_combine(1.0, state.R2, 1.0, tiny)
+        state = replace(state, R2=R2,
+                        norms=class_norms(state.R0, state.R1, R2, RHO0))
     sched = schedule(0, _eps0_of(cfg))
     sol = solve_homological(state.R0, state.R1, state.nf,
                             cfg.gamma * sched.eps_s ** 0.01,
                             truncation_budget(0, _eps0_of(cfg)))
     G = linear_combine(1.0, linear_combine(1.0, state.R0, 1.0, state.R1),
                        1.0, state.R2).expanded()
-    start = linear_combine(1.0, sol.deferred0,
-                           1.0, linear_combine(1.0, sol.deferred1,
-                                               1.0, state.R2))
+    start = linear_combine(1.0, sol.deferred, 1.0, state.R2)
     return state, sched, sol, G, start
 
 
@@ -207,8 +208,9 @@ def test_non_decaying_series_is_reported():
         verify_norm_lemma("flow_bound", params={"f_scale": 100.0},
                           samples=3, seed=0)
     state, _ = initial_state(CFG)
-    big = KamState(nf=state.nf, R0=state.R0.scale(1e6), R1=state.R1,
-                   R2=state.R2, s=0)
+    R0 = state.R0.scale(1e6)
+    big = KamState(nf=state.nf, R0=R0, R1=state.R1, R2=state.R2, s=0,
+                   norms=class_norms(R0, state.R1, state.R2, RHO0))
     sched = schedule(0, _eps0_of(CFG))
     cfg = replace(CFG, force=True)
     _, report = kam_step(big, sched, cfg)
