@@ -144,6 +144,9 @@ def _add_lattice_flags(p):
     p.add_argument("--degree-cap", type=int, default=16)
 
 
+_SEED_HELP = "default: the NLSKAM_SEED environment variable, else 0"
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="nlskam",
                   description="KAM normal-form engine for the cubic NLS")
@@ -165,7 +168,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sign", type=int, default=1, choices=(1, -1))
     p.add_argument("--gamma", type=float, default=0.1)
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=_env_seed())
+    p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p.add_argument("--ell-budget", type=int, default=6)
     p.add_argument("--prune-tol", type=float, default=1e-18)
     p.add_argument("--lie-order-cap", type=int, default=3)
@@ -213,7 +216,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, action="append", default=None,
                    help="repeatable; default 0.01 0.05 0.1")
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=_env_seed())
+    p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p.add_argument("--ell-budget", type=int, default=4)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--radius", type=int, default=2)
@@ -225,7 +228,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lemma", action="append", default=None,
                    help="repeatable; default: every registered lemma")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=_env_seed())
+    p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p.add_argument("--out", default="-")
     p.add_argument("--timings", action="store_true",
                    help="write real per-case seconds (breaks byte-for-byte "
@@ -413,6 +416,9 @@ def dispatch(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         args = _apply_config(parser, argv, args)
+        # the variable is read only by a seeded command run without a seed
+        if getattr(args, "seed", 0) is None:
+            args.seed = _env_seed()
         return _COMMANDS[args.command](args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

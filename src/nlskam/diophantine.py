@@ -351,6 +351,37 @@ def frequency_loads(text: str, d: int | None = None) -> dict:
     return omega
 
 
+# Entries of one trials x l float64 block of the measure's product
+# (16 MB); the block's row count follows from the table's width.
+_MEASURE_BLOCK = 1 << 21
+
+
+def _trial_blocks(draws, width):
+    """``draws`` split into row blocks of about _MEASURE_BLOCK / width rows.
+
+    No block has a single row unless ``draws`` has: a one-row product
+    runs through BLAS gemv, whose sums can differ in the last bit from
+    the gemm of the whole product.
+    """
+    rows = max(2, _MEASURE_BLOCK // max(1, width))
+    return np.array_split(draws, max(1, len(draws) // rows))
+
+
+def _resonant_draws(draws, table: EllTable) -> np.ndarray:
+    """Which rows of ``draws`` violate a condition for some l of ``table``.
+
+    ``draws @ L.T`` is reduced block by block over the rows, so no
+    trials x l matrix is held whole.
+    """
+    Lt = table.ells.matrix.astype(float).T
+    rhs = table.rhs()
+    bad = []
+    for block in _trial_blocks(draws, len(rhs)):
+        x = block @ Lt
+        bad.append((np.abs(x - np.rint(x)) < rhs).any(axis=1))
+    return np.concatenate(bad)
+
+
 def resonance_measure(p: DiophParams, trials: int, seed):
     """Monte Carlo estimate of the resonant-set measure.
 
@@ -364,11 +395,7 @@ def resonance_measure(p: DiophParams, trials: int, seed):
     for i, m in enumerate(modes):
         draws[:, i] = _mode_rng(seed, m).uniform(
             0.0, 1.0 / angle_norm(m), size=trials)
-    table = _ell_table(modes, p)
-    x = draws @ table.ells.matrix.astype(float).T
-    lhs = np.abs(x - np.rint(x))
-    bad = (lhs < table.rhs()[None, :]).any(axis=1)
-    violations = int(bad.sum())
+    violations = int(_resonant_draws(draws, _ell_table(modes, p)).sum())
     fraction = violations / trials
     stderr = math.sqrt(max(fraction * (1.0 - fraction), 1e-300) / trials)
     return fraction, stderr, violations

@@ -268,7 +268,41 @@ class Hamiltonian:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
+        """The text of ``json.dumps(self.to_dict(), indent=1)``.
+
+        Written directly: json's indenting encoder is pure Python.  Each
+        distinct multi-index and J-list is formatted once per call, and
+        floats are written as json writes them.
+        """
+        p = self.params
+        head = [f' "{name}": {json.dumps(v)}' for name, v in (
+            ("format", "nlskam-hamiltonian"), ("version", 1), ("d", p.d),
+            ("sigma", p.sigma), ("r", p.r), ("floor_const", p.floor_const),
+            ("degree_cap", p.degree_cap), ("mode_radius", p.mode_radius))]
+        mis, jls = {}, {}
+        terms = []
+        for key in sorted(self.terms):
+            a, k, kb, j = key
+            c = self.terms[key]
+            texts = []
+            for entries in (a, k, kb):
+                t = mis.get(entries)
+                if t is None:
+                    t = mis[entries] = _json_list([_json_list(
+                        [_json_list(map(str, m), 6), str(e)], 5)
+                        for m, e in entries], 4)
+                texts.append(t)
+            t = jls.get(j)
+            if t is None:
+                t = jls[j] = _json_list(
+                    [_json_list(map(str, m), 5) for m in j], 4)
+            terms.append(
+                f'{{\n   "a": {texts[0]},\n   "k": {texts[1]},\n'
+                f'   "k_bar": {texts[2]},\n   "j": {t},\n'
+                f'   "re": {_json_float(c.real)},\n'
+                f'   "im": {_json_float(c.imag)}\n  }}')
+        return ("{\n" + ",\n".join(head)
+                + f',\n "terms": {_json_list(terms, 2)}\n}}')
 
     @classmethod
     def from_dict(cls, doc) -> "Hamiltonian":
@@ -311,6 +345,25 @@ class Hamiltonian:
             raise ValidationError(
                 f"Hamiltonian document is not JSON: {e}") from e
         return cls.from_dict(doc)
+
+
+def _json_list(items, depth) -> str:
+    """A json list as ``indent=1`` writes it, of already written items,
+    each on its own line at ``depth`` spaces."""
+    items = list(items)
+    if not items:
+        return "[]"
+    pad = "\n" + " " * depth
+    return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x) -> str:
+    """A float as json writes it: ``float.__repr__``, or NaN / Infinity."""
+    s = float.__repr__(x)
+    return _JSON_NONFINITE.get(s, s)
 
 
 _DOC_FIELDS = ("d", "sigma", "r", "floor_const", "degree_cap", "mode_radius",
@@ -777,28 +830,67 @@ def evaluate(H: Hamiltonian, x: dict) -> complex:
     return total
 
 
+def _field_values(H: Hamiltonian, x: dict):
+    """dH/dq_n and dH/dqbar_n at x for every field mode n, in one pass.
+
+    Returns (modes, d_q, d_qbar): the sorted modes of the expanded terms'
+    k and k_bar, and the two derivatives' values by mode (a mode no term
+    contributes to is absent).  Each value is, bit for bit,
+    ``evaluate(partial(H, n, conjugate), x)``: contributions in term
+    order, each ``0j + e*c`` (dropped below COEFF_FLOOR, as the
+    Hamiltonian constructor drops it) times the a-, k- and k_bar-factors
+    in that order, the differentiated factor at its reduced exponent and
+    left out when that is 0.
+    """
+    p = H.params
+    powers = {}
+
+    def power(m, e, conj):
+        # action0(m)**e for conj None, else x[m]**e or conj(x[m])**e
+        v = powers.get((m, e, conj))
+        if v is None:
+            if conj is None:
+                v = p.action0(m) ** e
+            else:
+                z = x.get(m, 0j)
+                v = (z.conjugate() if conj else z) ** e
+            powers[m, e, conj] = v
+        return v
+
+    modes, d_q, d_qbar = set(), {}, {}
+    for (a, k, kb, _), c in H.expanded().terms.items():
+        facs = ([power(m, e, None) for m, e in a]
+                + [power(m, e, False) for m, e in k]
+                + [power(m, e, True) for m, e in kb])
+        for conj, src, start, acc in ((False, k, len(a), d_q),
+                                      (True, kb, len(a) + len(k), d_qbar)):
+            for i, (n, e) in enumerate(src, start):
+                modes.add(n)
+                val = 0j + e * c
+                if abs(val) < COEFF_FLOOR:
+                    continue
+                for f in facs[:i]:
+                    val *= f
+                if e > 1:
+                    val *= power(n, e - 1, conj)
+                for f in facs[i + 1:]:
+                    val *= f
+                acc[n] = acc.get(n, 0j) + val
+    return sorted(modes), d_q, d_qbar
+
+
 def vector_field(H: Hamiltonian, x: dict) -> dict:
     """The Hamiltonian vector field at x: qdot_n = i dH/dqbar_n."""
-    out = {}
-    for n in _field_support(H):
-        out[n] = 1j * evaluate(partial(H, n, True), x)
-    return out
-
-
-def _field_support(H):
-    modes = set()
-    for (_, k, kb, _) in H.expanded().terms:
-        modes.update(m for m, _ in k)
-        modes.update(m for m, _ in kb)
-    return sorted(modes)
+    modes, _, d_qbar = _field_values(H, x)
+    return {n: 1j * d_qbar.get(n, 0j) for n in modes}
 
 
 def vf_sup_norm(H: Hamiltonian, x: dict, rho: float) -> float:
     """sup_n of the field component magnitude weighted by e^{rho w(n)}."""
+    modes, d_q, d_qbar = _field_values(H, x)
     best = 0.0
-    for n in _field_support(H):
-        mag = max(abs(evaluate(partial(H, n, True), x)),
-                  abs(evaluate(partial(H, n, False), x)))
+    for n in modes:
+        mag = max(abs(d_qbar.get(n, 0j)), abs(d_q.get(n, 0j)))
         best = max(best, mag * math.exp(rho * H.params.weight(n)))
     return best
 

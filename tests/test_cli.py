@@ -383,10 +383,27 @@ def test_config_file_overrides_flags(tmp_path):
 
 def test_env_seed_not_an_integer(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NLSKAM_SEED", "abc")
-    assert run_cli("build-nls", "--out", str(tmp_path / "h.json")) == 1
+    assert run_cli("measure", "--trials", "100", "--gamma", "0.05",
+                   "--out", str(tmp_path / "m.csv")) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: NLSKAM_SEED must be an integer, got 'abc'"]
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "{h}"],
+    ["build-nls", "--d", "1", "--radius", "1", "--out", "{out}"],
+    ["kam-run", "--d", "1", "--radius", "1", "--steps", "0", "--seed", "3",
+     "--out-prefix", "{out}"],
+    ["measure", "--trials", "100", "--seed", "3", "--out", "{out}"],
+])
+def test_env_seed_read_only_when_needed(tmp_path, monkeypatch, argv):
+    h = tmp_path / "h.json"
+    assert run_cli("build-nls", "--d", "1", "--radius", "1",
+                   "--out", str(h)) == 0
+    monkeypatch.setenv("NLSKAM_SEED", "abc")
+    out = str(tmp_path / "out")
+    assert run_cli(*(a.format(h=h, out=out) for a in argv)) == 0
 
 
 @pytest.mark.parametrize("argv,lines,rows", [

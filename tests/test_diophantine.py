@@ -13,8 +13,11 @@ from nlskam import (
     sample_frequency,
     sample_strong_frequency,
 )
+from nlskam import diophantine
 from nlskam.diophantine import (
     _ell_table,
+    _resonant_draws,
+    _trial_blocks,
     condition2_applies,
     dioph_rhs,
     dist_to_integers,
@@ -123,6 +126,28 @@ def test_resonance_measure_deterministic_and_monotone():
     f2, _, _ = resonance_measure(big, 400, seed=3)
     assert f2 >= f1
     assert 0.0 <= f1 <= 1.0 and s1 >= 0.0
+
+
+@pytest.mark.parametrize("block_rows", [7, 1])
+@pytest.mark.parametrize("trials", [1, 8, 15, 50])
+def test_resonant_draws_blocked_equals_full(monkeypatch, block_rows, trials):
+    # trials = 1 mod 7: the short tail must not become a one-row product
+    p = DiophParams(gamma=0.1, d=1, ell_budget=4, mode_radius=2)
+    modes = p.box_modes()
+    table = _ell_table(modes, p)
+    width = len(table.rhs())
+    monkeypatch.setattr(diophantine, "_MEASURE_BLOCK", block_rows * width)
+    draws = np.random.default_rng(trials).uniform(
+        0.0, 1.0, (trials, len(modes)))
+    Lt = table.ells.matrix.astype(float).T
+    x = draws @ Lt
+    blocks = _trial_blocks(draws, width)
+    assert min(len(b) for b in blocks) >= min(2, trials)
+    assert np.concatenate([b @ Lt for b in blocks]).tobytes() == x.tobytes()
+    full = (np.abs(x - np.rint(x)) < table.rhs()[None, :]).any(axis=1)
+    assert np.array_equal(_resonant_draws(draws, table), full)
+    if trials == 50:
+        assert 0 < full.sum() < trials
 
 
 def test_frequency_file_roundtrip():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from nlskam import (
     CapacityError,
     HamParams,
     Hamiltonian,
+    KamConfig,
     ValidationError,
     canonicalize,
     class_split,
@@ -18,11 +20,15 @@ from nlskam import (
     norm,
     partial,
     prune,
+    run,
     vector_field,
+    vf_sup_norm,
 )
+from nlskam import driver
 from nlskam.hamiltonian import term_degree
 from nlskam.lattice import _mode_sort_key, mi, mi_add, mi_get
-from nlskam.verification import random_hamiltonian
+from nlskam.nls import NlsConfig, build_cubic_nls
+from nlskam.verification import random_hamiltonian, random_state
 
 
 def J_mono(params, m, coeff=1.0):
@@ -398,3 +404,93 @@ def test_packed_collect_at_a_field_boundary(params):
         _bits(w) for w in _ref_class_split(H)]
     Q = Hamiltonian.monomial(p, k=[((1,), 4)], k_bar=[((1,), 4)])
     assert _bits(multiply(Q, Q)) == _bits(_ref_multiply(Q, Q))
+
+
+# -- direct JSON text and the one-pass vector field ---------------------------
+
+def test_dumps_writes_the_bytes_of_json_indent_1(params):
+    special = Hamiltonian(params, {
+        ((((0,), 1),), (((1,), 2),), (((2,), 1),), ((1,),)):
+            complex(-0.0, 1.0),
+        ((), (((1,), 1),), (((1,), 1),), ((-2,), (1,))):
+            complex(2.0, 5e-324),
+        ((), (((-1,), 1),), (), ()): complex(1e300, -0.0),
+        ((), (), (((2,), 3),), ((0,), (0,))): complex(3.0, -5e-324),
+        ((), (((0,), 1),), (((0,), 1),), ()): complex(1e16, 0.1),
+    })
+    _, states, _ = run(KamConfig(d=1, mode_radius=2, epsilon=1e-6, seed=7,
+                                 steps=1))
+    step = states[1]
+    for H in (Hamiltonian.zero(params),
+              build_cubic_nls(NlsConfig(d=1, mode_radius=2, epsilon=1e-6)),
+              build_cubic_nls(NlsConfig(d=2, mode_radius=1, epsilon=1e-6)),
+              special, step.R0 + step.R1 + step.R2):
+        assert H.dumps() == json.dumps(H.to_dict(), indent=1)
+    assert special.dumps().count("-0.0") == 2
+    odd = Hamiltonian(params, {((), (((1,), 1),), (), ()): complex(
+        math.nan, -math.inf), ((), (), (), ()): complex(math.inf, 1.0)},
+        validate=False)
+    assert odd.dumps() == json.dumps(odd.to_dict(), indent=1)
+
+
+def _ref_field_modes(H):
+    modes = set()
+    for (_, k, kb, _) in H.expanded().terms:
+        modes.update(m for m, _ in k)
+        modes.update(m for m, _ in kb)
+    return sorted(modes)
+
+
+def _ref_vf_sup_norm(H, x, rho):
+    """vf_sup_norm as two partial/evaluate passes per field mode."""
+    best = 0.0
+    for n in _ref_field_modes(H):
+        mag = max(abs(evaluate(partial(H, n, True), x)),
+                  abs(evaluate(partial(H, n, False), x)))
+        best = max(best, mag * math.exp(rho * H.params.weight(n)))
+    return best
+
+
+def _ref_vector_field(H, x):
+    return {n: 1j * evaluate(partial(H, n, True), x)
+            for n in _ref_field_modes(H)}
+
+
+@pytest.mark.parametrize("cfg", [
+    KamConfig(d=1, mode_radius=2, epsilon=1e-6, seed=7, steps=1),
+    KamConfig(d=2, mode_radius=1, epsilon=1e-6, gamma=0.01, seed=7,
+              steps=1),
+])
+def test_vf_sup_norm_bits_on_kam_steps(monkeypatch, cfg):
+    calls = []
+
+    def record(H, x, rho):
+        got = vf_sup_norm(H, x, rho)
+        calls.append((H, x, rho, got))
+        return got
+
+    monkeypatch.setattr(driver, "vf_sup_norm", record)
+    run(cfg)
+    assert len(calls) == 1 and len(calls[0][0]) > 0
+    for H, x, rho, got in calls:
+        assert got.hex() == _ref_vf_sup_norm(H, x, rho).hex()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_vf_sup_norm_and_vector_field_bits_on_random_input(d):
+    rng = np.random.default_rng(d)
+    p = HamParams(d=d, sigma=2.5, r=1.0, degree_cap=64,
+                  mode_radius=2 if d == 1 else 1)
+    for _ in range(40):
+        H = random_hamiltonian(p, rng, n_terms=8, max_factors=6,
+                               max_actions=2)
+        for X in (H, _with_j_factors(p, rng, 6, 3)):
+            x = random_state(p, rng, p.r)
+            del x[p.box_modes()[0]]        # a mode x does not carry
+            for rho in (0.0, 0.7):
+                assert (vf_sup_norm(X, x, rho).hex()
+                        == _ref_vf_sup_norm(X, x, rho).hex())
+            got, want = vector_field(X, x), _ref_vector_field(X, x)
+            assert list(got) == list(want)
+            assert [(v.real.hex(), v.imag.hex()) for v in got.values()] == [
+                (v.real.hex(), v.imag.hex()) for v in want.values()]
