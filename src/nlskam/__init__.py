@@ -17,7 +17,6 @@ from .lattice import LatticeParams, weighted_gap, mode_norms, weight
 from .hamiltonian import (
     HamParams,
     Hamiltonian,
-    canonicalize,
     class_split,
     evaluate,
     lie_transform,

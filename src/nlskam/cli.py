@@ -419,6 +419,8 @@ def dispatch(argv=None) -> int:
         # the variable is read only by a seeded command run without a seed
         if getattr(args, "seed", 0) is None:
             args.seed = _env_seed()
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -300,7 +300,7 @@ def initial_state(cfg: KamConfig, omega=None):
         omega, _ = sample_strong_frequency(
             nls_cfg.ham_params.box_modes(), dp, cfg.seed)
     nf = build_normal_form(nls_cfg, omega)
-    R0, R1, R2 = class_split(H.collected())
+    R0, R1, R2 = class_split(H)
     return KamState(nf=nf, R0=R0, R1=R1, R2=R2, s=0,
                     norms=class_norms(R0, R1, R2, RHO0)), H
 

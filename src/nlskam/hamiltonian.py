@@ -9,13 +9,13 @@ log-power weight), and J_m = |q_m|^2 - I_m(0) is the action deviation.
 Terms are stored in a dict keyed by the canonical tuple (a, k, k_bar, j)
 with complex coefficients; at most two J-factors per term are permitted.
 
-Two canonical representations are used.  ``expanded`` has no J-factors and
-keeps every |q_n|^2 pair inside (k, k_bar); ``j_collected`` regroups pairs
-as I_n(0) + J_n up to total J-degree 2, leaving excess pairs in place.
-Both carry the same coefficients after expansion.
+Two canonical representations are used, each cached.  ``expanded`` has no
+J-factors and keeps every |q_n|^2 pair inside (k, k_bar); ``collected``
+regroups pairs as I_n(0) + J_n up to total J-degree 2, leaving excess
+pairs in place.  Both carry the same coefficients after expansion.
 
-Inside the hot loops (``expanded``, ``collected``, ``class_split``,
-``multiply``, ``poisson_bracket``) a triple (a, k, k_bar) is packed into
+Inside the hot loops (``expanded``, ``collected``, ``multiply``,
+``poisson_bracket``) a triple (a, k, k_bar) is packed into
 one int by :class:`_Packer`: every mode of the operands gets a w-bit
 field, modes in lexicographic order, one block of fields each for a, k
 and k_bar.  Merging two monomials is then one int addition and removing
@@ -47,6 +47,9 @@ from .lattice import (
 )
 
 COEFF_FLOOR = 1e-300
+# The cached form of a Hamiltonian that is its own expanded or collected
+# form: a marker, since a self-reference would make a reference cycle.
+_SELF = object()
 # A Lie-series order whose star norm is below this ends the sum.
 TAIL_TOL = 1e-30
 
@@ -65,9 +68,10 @@ class HamParams:
     def __post_init__(self):
         if not self.r >= 1:
             raise ValidationError(f"r must be >= 1, got {self.r}")
-        if self.mode_radius < 0:
-            raise ValidationError(
-                f"mode_radius must be >= 0, got {self.mode_radius}")
+        for name in ("degree_cap", "mode_radius"):
+            if getattr(self, name) < 0:
+                raise ValidationError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
         # delegate sigma / floor validation
         LatticeParams(self.d, self.sigma, self.floor_const)
 
@@ -124,7 +128,7 @@ class Hamiltonian:
         magnitude below 1e-300 are dropped.
     """
 
-    __slots__ = ("params", "terms", "_expanded")
+    __slots__ = ("params", "terms", "_expanded", "_collected")
 
     def __init__(self, params: HamParams, terms=None, validate=True):
         self.params = params
@@ -141,6 +145,7 @@ class Hamiltonian:
                 clean[key] = complex(c)
         self.terms = clean
         self._expanded = None
+        self._collected = None
 
     # -- constructors ------------------------------------------------------
 
@@ -214,7 +219,7 @@ class Hamiltonian:
         """Replace every J_m by q_m qbar_m - I_m(0); cached."""
         if self._expanded is None:
             if all(not key[3] for key in self.terms):
-                self._expanded = self
+                self._expanded = _SELF
             else:
                 pk = _Packer(self.terms)
                 acc = {}
@@ -224,20 +229,24 @@ class Hamiltonian:
                 self._expanded = Hamiltonian(
                     self.params, {pk.unpack(x): c for x, c in acc.items()},
                     validate=False)
-        return self._expanded
+        return self if self._expanded is _SELF else self._expanded
 
     def collected(self) -> "Hamiltonian":
-        """Regroup |q_n|^2 pairs as I_n(0) + J_n, J-degree capped at 2."""
-        E = self.expanded()
-        pk = _Packer(E.terms)
-        acc = {}
-        for (a, k, kb, _), c in E.terms.items():
-            for ckey, cc in _collect_term(pk, pk.pack(a, k, kb), k, kb, c,
-                                          cap=2):
-                acc[ckey] = acc.get(ckey, 0j) + cc
-        return Hamiltonian(
-            self.params, {pk.unpack(x, j): c for (x, j), c in acc.items()},
-            validate=False)
+        """Regroup |q_n|^2 pairs as I_n(0) + J_n, J-degree capped at 2.
+
+        Cached, like ``expanded``.  A collected form is its own collected
+        form, and so is ``prune`` or ``class_split`` of one.
+        """
+        if self._collected is None:
+            E = self.expanded()
+            pk = _Packer(E.terms)
+            acc = {}
+            for (a, k, kb, _), c in E.terms.items():
+                for ckey, cc in _collect_term(pk, pk.pack(a, k, kb), k, kb, c):
+                    acc[ckey] = acc.get(ckey, 0j) + cc
+            self._collected = _collected_form(
+                self.params, {pk.unpack(x, j): c for (x, j), c in acc.items()})
+        return self if self._collected is _SELF else self._collected
 
     # -- serialization -----------------------------------------------------
 
@@ -347,6 +356,13 @@ class Hamiltonian:
         return cls.from_dict(doc)
 
 
+def _collected_form(params, terms) -> Hamiltonian:
+    """A Hamiltonian of collected terms, marked as its own collected form."""
+    H = Hamiltonian(params, terms, validate=False)
+    H._collected = _SELF
+    return H
+
+
 def _json_list(items, depth) -> str:
     """A json list as ``indent=1`` writes it, of already written items,
     each on its own line at ``depth`` spaces."""
@@ -404,15 +420,6 @@ def _mi_entries(entries, what) -> list:
         out.append((mode_from_json(entry[0], f"{what}: "),
                     _int(entry[1], what)))
     return out
-
-
-def canonicalize(H: Hamiltonian, target: str) -> Hamiltonian:
-    """Convert to ``expanded`` or ``j_collected`` form."""
-    if target == "expanded":
-        return H.expanded()
-    if target == "j_collected":
-        return H.collected()
-    raise ValidationError(f"unknown representation {target!r}")
 
 
 class _Packer:
@@ -505,18 +512,19 @@ def _expand_term(pk, x, j, coeff):
     return out
 
 
-def _collect_term(pk, x, k, kb, coeff, cap=2, pre_j=()):
-    """Regroup |q_n|^2 pairs of an expanded term, total J-degree <= cap.
+def _collect_term(pk, x, k, kb, coeff):
+    """Regroup |q_n|^2 pairs of an expanded term, total J-degree <= 2.
 
     ``x`` is the term's packed (a, k, k_bar); ``k`` and ``kb`` are its
     tuple multi-indices.  Returns ((packed, j), coeff) pairs.
 
     Processes overlap modes in descending-norm order.  Per mode with b
-    pairs the exact identities used are (X = I(0) + J):
+    pairs, L being the J-degree still free, the exact identities used are
+    (X = I(0) + J):
 
-        cap 2:  X^b = I^b + b J I^(b-1) + sum_s (s+1) I^s J^2 X^(b-2-s)
-        cap 1:  X^b = I^b + J sum_j I^j X^(b-1-j)
-        cap 0:  X^b left in place.
+        L = 2:  X^b = I^b + b J I^(b-1) + sum_s (s+1) I^s J^2 X^(b-2-s)
+        L = 1:  X^b = I^b + J sum_j I^j X^(b-1-j)
+        L = 0:  X^b left in place.
 
     X-powers remain as |q|^2 pairs inside (k, k_bar), so every output term
     with J-degree < 2 has disjoint (k, k_bar) supports.
@@ -527,7 +535,7 @@ def _collect_term(pk, x, k, kb, coeff, cap=2, pre_j=()):
     # Partial expansions (packed, J-modes, coeff, J-degree left), expanded
     # mode by mode, each into its branches in order: the final list is in
     # depth-first order of the branch tree.
-    states = [(x, (), coeff, cap)]
+    states = [(x, (), coeff, 2)]
     for m in overlap:
         b = min(kd[m], kbd[m])
         ua, uq = pk.ua[m], pk.uq[m]
@@ -553,8 +561,7 @@ def _collect_term(pk, x, k, kb, coeff, cap=2, pre_j=()):
                     nxt.append((y + jp * ua - (jp + 1) * uq, j_acc + (m,),
                                 c, left - 1))
         states = nxt
-    return [((y, tuple(sorted(pre_j + j_acc))), c)
-            for y, j_acc, c, _ in states]
+    return [((y, tuple(sorted(j_acc))), c) for y, j_acc, c, _ in states]
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +692,7 @@ def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
     """Drop terms whose star-norm contribution at rho=0 is below tol.
 
     When ``tol`` > 0 the dropped mass is appended to ``ledger``, if given.
+    The pruned form of a collected form is collected.
     """
     if tol <= 0:
         return H
@@ -701,6 +709,8 @@ def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
             keep[key] = c
     if ledger is not None:
         ledger.append(lost)
+    if H._collected is _SELF:
+        return _collected_form(H.params, keep)
     return Hamiltonian(H.params, keep, validate=False)
 
 
@@ -766,29 +776,16 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
 
 
 def class_split(H: Hamiltonian):
-    """Partition a J-collected Hamiltonian into classes 0 / 1 / 2.
+    """Partition ``H.collected()`` into classes 0 / 1 / 2 by J-degree.
 
-    Terms with fewer than two J-factors but overlapping (k, k_bar)
-    supports are re-collected first, wrapping excess pairs, so the
-    class-0/1 disjoint-support constraint holds on output.
+    Each part keeps its terms' order and is its own collected form, so a
+    class norm reads exactly its terms.  Collected terms with fewer than
+    two J-factors have disjoint (k, k_bar) supports, so parts 0 and 1 do.
     """
-    redo = {key for key in H.terms
-            if len(key[3]) < 2 and any(mi_get(key[2], m) >= 1
-                                       for m, _ in key[1])}
-    pk = _Packer(redo)
-    parts = [{}, {}, {}]
-    for key, c in H.terms.items():
-        if key in redo:
-            a, k, kb, j = key
-            fixed = [(pk.unpack(x, fj), fc) for (x, fj), fc in _collect_term(
-                pk, pk.pack(a, k, kb), k, kb, c, cap=2 - len(j), pre_j=j)]
-        else:
-            fixed = [(key, c)]
-        for fkey, fc in fixed:
-            d = parts[len(fkey[3])]
-            d[fkey] = d.get(fkey, 0j) + fc
-    return tuple(
-        Hamiltonian(H.params, part, validate=False) for part in parts)
+    parts = ({}, {}, {})
+    for key, c in H.collected().terms.items():
+        parts[len(key[3])][key] = c
+    return tuple(_collected_form(H.params, part) for part in parts)
 
 
 # ---------------------------------------------------------------------------

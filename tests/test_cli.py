@@ -95,6 +95,10 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
       "{out}"], "error: samples must be >= 1, got 0"),
     (["build-nls", "--radius", "-2", "--out", "{out}"],
      "error: mode_radius must be >= 0, got -2"),
+    (["build-nls", "--degree-cap", "-1", "--out", "{out}"],
+     "error: degree_cap must be >= 0, got -1"),
+    (["kam-run", "--d", "1", "--radius", "1", "--degree-cap", "-5",
+      "--out-prefix", "{out}"], "error: degree_cap must be >= 0, got -5"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     h = tmp_path / "h.json"
@@ -196,6 +200,7 @@ def _set(path, value):
     (_set(["terms", 0, "re"], 10 ** 400), "term 0: 're' is out of range"),
     (_set(["sigma"], "2.5"), "sigma is not a number"),
     (_set(["d"], 1.5), "d is not an integer"),
+    (_set(["degree_cap"], -1), "degree_cap must be >= 0, got -1"),
     (_set(["terms", 0, "k"], [[[0], "x"]]), "term 0: 'k' is not an integer"),
     (_set(["terms", 0, "k"], [[["a"], 1]]), "is not a list of integers"),
     (_set(["terms", 0, "k_bar"], [[[0], 1, 2]]),
@@ -388,6 +393,36 @@ def test_env_seed_not_an_integer(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: NLSKAM_SEED must be an integer, got 'abc'"]
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,env,config", [
+    (["kam-run", "--d", "1", "--radius", "1", "--seed", "-1",
+      "--out-prefix", "{out}/k"], None, None),
+    (["measure", "--trials", "100", "--seed", "-1", "--out", "{out}/m.csv"],
+     None, None),
+    (["verify-lemmas", "--seed", "-1", "--out", "{out}/v.csv"], None, None),
+    (["verify-lemmas", "--lemma", "f_max", "--seed", "-1",
+      "--out", "{out}/v.csv"], None, None),
+    (["measure", "--trials", "100", "--out", "{out}/m.csv"], "-1", None),
+    (["kam-run", "--d", "1", "--radius", "1", "--out-prefix", "{out}/k"],
+     None, "seed = -1"),
+])
+def test_negative_seed_exits_1_with_one_line(tmp_path, monkeypatch, capsys,
+                                             argv, env, config):
+    out = tmp_path / "out"
+    out.mkdir()
+    args = [a.format(out=out) for a in argv]
+    if env is not None:
+        monkeypatch.setenv("NLSKAM_SEED", env)
+    if config is not None:
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text(config + "\n")
+        args += ["--config", str(cfgf)]
+    assert run_cli(*args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,6 +12,7 @@ from nlskam import (
     initial_state,
     kam_step,
     linear_combine,
+    norm,
     run,
     schedule,
     tl_defect,
@@ -110,6 +111,34 @@ def test_one_norm_pass_per_state(monkeypatch):
         monkeypatch.setattr(mod, "norm", counting)
     run(replace(CFG, steps=2, prune_tol=0.0))
     assert calls.count("plus_rho") == 9
+
+
+@pytest.fixture(scope="module")
+def exact_states():
+    # criterion 6's config: no pruning, three states
+    return run(replace(CFG, steps=2, prune_tol=0.0))[1]
+
+
+def test_class_parts_are_their_own_collected_forms(exact_states):
+    for st in exact_states:
+        for R in (st.R0, st.R1, st.R2):
+            assert R.collected() is R
+
+
+def test_class_norms_read_the_parts_as_a_recollection_would(
+        exact_states, monkeypatch):
+    # a part's plus norm collects nothing, and has the bits of the norm of
+    # a fresh copy, which re-expands and re-collects the part's terms
+    for st in exact_states:
+        rho = schedule(st.s, _eps0_of(CFG)).rho_s
+        parts = (st.R0, st.R1, st.R2)
+        fresh = [norm(Hamiltonian(R.params, R.terms), "plus_rho", rho)
+                 for R in parts]
+        with monkeypatch.context() as m:
+            m.setattr(nlskam.hamiltonian, "_collect_term", None)
+            own = [norm(R, "plus_rho", rho) for R in parts]
+        assert [x.hex() for x in own] == [x.hex() for x in fresh]
+        assert st.norms == tuple(own)
 
 
 def test_budget_flag_fails_when_the_ledger_exceeds_eps_next():

@@ -12,7 +12,6 @@ from nlskam import (
     Hamiltonian,
     KamConfig,
     ValidationError,
-    canonicalize,
     class_split,
     evaluate,
     linear_combine,
@@ -41,6 +40,9 @@ def test_params_validation():
                   degree_cap=8, mode_radius=2)
     with pytest.raises(ValidationError, match="mode_radius"):
         HamParams(d=1, sigma=2.5, r=1.0, mode_radius=-1)
+    with pytest.raises(ValidationError,
+                       match="degree_cap must be >= 0, got -1"):
+        HamParams(d=1, sigma=2.5, r=1.0, degree_cap=-1)
 
 
 def test_action0_value(params):
@@ -101,11 +103,13 @@ def test_collect_pairs_become_actions(params):
     assert back.terms == pytest.approx(H.terms)
 
 
-def test_canonicalize_names(params):
-    H = J_mono(params, (1,))
-    assert canonicalize(H, "expanded") is H.expanded()
-    with pytest.raises(ValidationError):
-        canonicalize(H, "weird")
+def test_collected_is_cached_and_its_own_collected_form(params, rng):
+    H = random_hamiltonian(params, rng, n_terms=5)
+    C = H.collected()
+    assert H.collected() is C
+    assert C.collected() is C
+    # a fresh copy of the same terms is collected anew
+    assert Hamiltonian(params, C.terms).collected() is not C
 
 
 def test_class_invariant_after_collect(params, rng):
@@ -190,6 +194,19 @@ def test_prune_tracks_budget(params):
     assert len(ledger) == 3
 
 
+def test_prune_of_a_collected_form_stays_collected(params):
+    H = (Hamiltonian.monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)])
+         + Hamiltonian.monomial(params, k=[((0,), 1)], k_bar=[((0,), 1)],
+                                coeff=1e-20))
+    C = H.collected()
+    P = prune(C, 1e-10)
+    assert 0 < len(P) < len(C)
+    assert P.collected() is P
+    # only a collected form passes the mark on
+    Q = prune(H, 1e-10)
+    assert Q.collected() is not Q
+
+
 def test_evaluate_and_vector_field(params):
     # H = 2 q_1 qbar_0: dq_0/dt = i 2 q_1, dq_1/dt = -conj(...)-free check
     H = Hamiltonian.monomial(params, k=[((1,), 1)], k_bar=[((0,), 1)],
@@ -263,7 +280,7 @@ def _ref_expanded(H):
     return Hamiltonian(H.params, acc, validate=False)
 
 
-def _ref_collect_term(a, k, kb, coeff, cap=2, pre_j=()):
+def _ref_collect_term(a, k, kb, coeff):
     overlap = sorted(
         (m for m, _ in k if mi_get(kb, m) >= 1 and mi_get(k, m) >= 1),
         key=_mode_sort_key)
@@ -274,8 +291,7 @@ def _ref_collect_term(a, k, kb, coeff, cap=2, pre_j=()):
     def emit(a_acc, j_acc, removed, c):
         nk = mi(tuple((m, e - removed.get(m, 0)) for m, e in kd.items()))
         nkb = mi(tuple((m, e - removed.get(m, 0)) for m, e in kbd.items()))
-        key = (mi_add(a, mi(a_acc)), nk, nkb,
-               tuple(sorted(pre_j + tuple(j_acc))))
+        key = (mi_add(a, mi(a_acc)), nk, nkb, tuple(sorted(j_acc)))
         results.append((key, c))
 
     def rec(idx, cap_left, a_acc, j_acc, removed, c):
@@ -300,30 +316,22 @@ def _ref_collect_term(a, k, kb, coeff, cap=2, pre_j=()):
                 rec(idx + 1, cap_left - 1, a_acc + [(m, jp)], j_acc + [m],
                     {**removed, m: jp + 1}, c)
 
-    rec(0, cap, [], [], {}, coeff)
+    rec(0, 2, [], [], {}, coeff)
     return results
 
 
 def _ref_collected(H):
     acc = {}
     for (a, k, kb, _), c in _ref_expanded(H).terms.items():
-        for ckey, cc in _ref_collect_term(a, k, kb, c, cap=2):
+        for ckey, cc in _ref_collect_term(a, k, kb, c):
             acc[ckey] = acc.get(ckey, 0j) + cc
     return Hamiltonian(H.params, acc, validate=False)
 
 
 def _ref_class_split(H):
     parts = [{}, {}, {}]
-    for key, c in H.terms.items():
-        a, k, kb, j = key
-        overlap = any(mi_get(kb, m) >= 1 for m, _ in k)
-        if len(j) < 2 and overlap:
-            fixed = _ref_collect_term(a, k, kb, c, cap=2 - len(j), pre_j=j)
-        else:
-            fixed = [(key, c)]
-        for fkey, fc in fixed:
-            d = parts[len(fkey[3])]
-            d[fkey] = d.get(fkey, 0j) + fc
+    for key, c in _ref_collected(H).terms.items():
+        parts[len(key[3])][key] = c
     return tuple(
         Hamiltonian(H.params, part, validate=False) for part in parts)
 
@@ -378,11 +386,10 @@ def test_packed_kernels_match_tuple_reference(seed, d, max_exp):
     assert _bits(H.expanded()) == _bits(_ref_expanded(H))
     for X in (H, R, linear_combine(1.0, H, 1.0, R)):
         assert _bits(X.collected()) == _bits(_ref_collected(X))
-        # class_split on raw terms takes the pre_j path (caps 1 and 2);
-        # on collected terms it mostly passes keys through
+        # class_split partitions the collected form, given it or not
+        want = [_bits(w) for w in _ref_class_split(X)]
         for Y in (X, X.collected()):
-            got, want = class_split(Y), _ref_class_split(Y)
-            assert [_bits(g) for g in got] == [_bits(w) for w in want]
+            assert [_bits(g) for g in class_split(Y)] == want
     # J-lists of up to four factors: products past two expand on the spot
     for X, Y in ((H, G), (G, H), (R, H)):
         assert _bits(multiply(X, Y)) == _bits(_ref_multiply(X, Y))
