@@ -390,6 +390,8 @@ def resonance_measure(p: DiophParams, trials: int, seed):
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     modes = p.box_modes()
     draws = np.empty((trials, len(modes)))
     for i, m in enumerate(modes):

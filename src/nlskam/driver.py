@@ -123,6 +123,8 @@ class KamConfig:
         if not (math.isfinite(self.prune_tol) and self.prune_tol >= 0):
             raise ValidationError(
                 f"prune_tol must be finite and >= 0, got {self.prune_tol}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

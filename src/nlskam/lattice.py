@@ -94,13 +94,22 @@ def angle_norm(n) -> float:
     return max(1.0, math.sqrt(sum(c * c for c in n)))
 
 
-def box_modes(d: int, radius: int) -> list:
-    """All modes of Z^d with every coordinate in [-radius, radius], sorted."""
+@lru_cache(maxsize=8)
+def _box_enumeration(d: int, radius: int) -> tuple:
     rng = range(-radius, radius + 1)
     modes = [()]
     for _ in range(d):
         modes = [m + (c,) for m in modes for c in rng]
-    return sorted(modes)
+    return tuple(sorted(modes))
+
+
+def box_modes(d: int, radius: int) -> list:
+    """All modes of Z^d with every coordinate in [-radius, radius], sorted.
+
+    Each call returns a fresh list copied from a cached enumeration, so a
+    caller may mutate or keep the list without affecting later calls.
+    """
+    return list(_box_enumeration(d, radius))
 
 
 # ---------------------------------------------------------------------------

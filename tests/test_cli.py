@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -262,6 +264,16 @@ def test_verify_lemmas_subset(tmp_path):
     assert lines[0].startswith("name,params,")
     assert len(lines) == 3
     assert run_cli("verify-lemmas", "--lemma", "nope") == 1
+
+
+def test_verify_lemmas_deterministic_lemmas_record_one_sample(tmp_path):
+    out = tmp_path / "v.csv"
+    assert run_cli("verify-lemmas", "--lemma", "f_max", "--lemma",
+                   "poly_product", "--lemma", "log_superadditivity",
+                   "--samples", "7", "--out", str(out)) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [(r["name"], r["samples"]) for r in rows] == [
+        ("f_max", "1"), ("poly_product", "1"), ("log_superadditivity", "7")]
 
 
 def test_dioph_check_roundtrip(tmp_path, capsys):

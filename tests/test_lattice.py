@@ -142,3 +142,10 @@ def test_box_modes_shared_by_both_parameter_sets():
     hp = HamParams(d=2, sigma=2.5, r=1.0, mode_radius=1)
     dp = DiophParams(gamma=0.1, d=2, ell_budget=3, mode_radius=1)
     assert hp.box_modes() == dp.box_modes() == box_modes(2, 1)
+
+
+def test_box_modes_returns_a_fresh_list():
+    modes = box_modes(1, 2)
+    modes[0] = (9,)
+    modes.append((7,))
+    assert box_modes(1, 2) == [(-2,), (-1,), (0,), (1,), (2,)]

@@ -3,16 +3,132 @@ import math
 import numpy as np
 import pytest
 
-from nlskam import ValidationError, verify_norm_lemma, verify_scalar_lemma
-from nlskam.lattice import conservation_check
+from nlskam import (DiophParams, HamParams, Hamiltonian, KamConfig,
+                    ValidationError, resonance_measure, run,
+                    verify_norm_lemma, verify_scalar_lemma)
+from nlskam import verification
+from nlskam.lattice import conservation_check, mi, momentum_defect
 from nlskam.verification import (
     NORM_LEMMAS,
     SCALAR_LEMMAS,
     _golden_max,
+    _shell_counts,
+    _shell_sum,
     random_hamiltonian,
     random_state,
     run_suite,
 )
+
+
+# Frozen references: the array-draw random_hamiltonian and the
+# memo-free _shell_sum that the current versions must reproduce bit for
+# bit.  The reference sampler also returns its number of rejected draws.
+
+def _reference_random_hamiltonian(params, rng, n_terms=6, max_factors=4,
+                                  max_actions=1, conserving=True):
+    modes = params.box_modes()
+    items = []
+    guard = 0
+    rejected = 0
+    while len(items) < n_terms and guard < 1000 * n_terms:
+        guard += 1
+        half = rng.integers(1, max_factors // 2 + 1)
+        k = [tuple(modes[i]) for i in rng.integers(0, len(modes), half)]
+        kb = [tuple(modes[i]) for i in rng.integers(0, len(modes), half)]
+        na = int(rng.integers(0, max_actions + 1))
+        a = [tuple(modes[i]) for i in rng.integers(0, len(modes), na)]
+        if conserving:
+            defect = momentum_defect(mi((m, 1) for m in k),
+                                     mi((m, 1) for m in kb), params.d)
+            last = k[-1]
+            repaired = tuple(c - dc for c, dc in zip(last, defect))
+            if any(abs(c) > params.mode_radius for c in repaired):
+                rejected += 1
+                continue
+            k[-1] = repaired
+        radius = math.sqrt(rng.uniform(0.0, 1.0))
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        coeff = radius * complex(math.cos(phase), math.sin(phase))
+        items.append(([(m, 1) for m in a], [(m, 1) for m in k],
+                      [(m, 1) for m in kb], (), coeff))
+    return Hamiltonian.from_terms(params, items), rejected
+
+
+def _reference_shell_sum(case, per_mode):
+    sigma = case.params.get("sigma", 2.5)
+    d = case.params.get("d", 1)
+    floor_const = case.params.get("floor_const", 1024.0)
+    total = 0.0
+    for kk, count in _shell_counts(d, 10_000_099):
+        w = math.log(max(floor_const, float(max(kk, 1)))) ** sigma
+        term = count * per_mode(w)
+        total += term
+        if kk > floor_const and term < 1e-18:
+            break
+    return total
+
+
+def _bits(H):
+    return {key: (c.real.hex(), c.imag.hex()) for key, c in H.terms.items()}
+
+
+@pytest.mark.parametrize("d,radius", [(1, 2), (1, 2048), (2, 2), (2, 6)])
+def test_random_hamiltonian_matches_reference(d, radius):
+    params = HamParams(d=d, sigma=2.5, r=1.0, degree_cap=20,
+                       mode_radius=radius)
+    rejected = 0
+    for seed in range(3):
+        new_rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        for max_factors in range(2, 7):
+            for max_actions in range(3):
+                for conserving in (True, False):
+                    kw = dict(n_terms=4, max_factors=max_factors,
+                              max_actions=max_actions, conserving=conserving)
+                    got = random_hamiltonian(params, new_rng, **kw)
+                    want, rej = _reference_random_hamiltonian(
+                        params, ref_rng, **kw)
+                    rejected += rej
+                    assert _bits(got) == _bits(want)
+                    assert (new_rng.bit_generator.state
+                            == ref_rng.bit_generator.state)
+    assert rejected > 0  # the resampling branch was exercised
+
+
+@pytest.mark.parametrize("name,params", [
+    ("poly_product", {}),
+    # at floor_const 1024 every per-mode maximum is 0; a low floor and a
+    # small delta make the golden-section scans find positive maxima
+    ("poly_product", {"delta": 0.01, "sigma": 2.1, "floor_const": 21.0}),
+    ("poly_product", {"delta": 0.01, "sigma": 2.1, "floor_const": 21.0,
+                      "d": 2, "p": 3}),
+    ("geometric_product", {}),
+    ("geometric_product", {"delta": 0.1, "d": 3, "floor_const": 100.0}),
+])
+def test_shell_sum_lemmas_match_reference(monkeypatch, name, params):
+    got = verify_scalar_lemma(name, params=params)
+    monkeypatch.setattr(verification, "_shell_sum", _reference_shell_sum)
+    want = verify_scalar_lemma(name, params=params)
+    assert got.worst_margin.hex() == want.worst_margin.hex()
+    assert got.notes == want.notes
+
+
+def test_shell_sum_runs_per_mode_once_per_distinct_weight():
+    case = verification._case("count", {"sigma": 2.5, "d": 2,
+                                        "floor_const": 1024.0}, 1, 0)
+    calls = []
+
+    def per_mode(w):
+        calls.append(w)
+        return math.exp(-0.3 * w)
+
+    total = _shell_sum(case, per_mode)
+    assert len(calls) == len(set(calls))
+    # shells 0..1024 share the floor weight; the walk goes past them
+    assert calls[0] == math.log(1024.0) ** 2.5
+    assert calls[1] > calls[0]
+    assert total.hex() == _reference_shell_sum(
+        case, lambda w: math.exp(-0.3 * w)).hex()
 
 
 def test_golden_max_finds_known_maximum():
@@ -28,6 +144,18 @@ def test_unknown_lemma_rejected():
         verify_norm_lemma("nope")
     with pytest.raises(ValidationError):
         verify_scalar_lemma("f_max", params={"delta": 2.0})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run(KamConfig(seed=-1, steps=0, mode_radius=1)),
+    lambda: verify_norm_lemma("monotonicity", samples=2, seed=-1),
+    lambda: verify_scalar_lemma("log_superadditivity", samples=2, seed=-1),
+    lambda: resonance_measure(
+        DiophParams(d=1, mode_radius=1, gamma=0.05, ell_budget=4), 10, -1),
+])
+def test_negative_seed_rejected(call):
+    with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+        call()
 
 
 def test_scalar_lemmas_pass_at_defaults():
