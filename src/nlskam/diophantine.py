@@ -289,21 +289,21 @@ def sample_frequency(modes, seed) -> dict:
     return out
 
 
-def sample_strong_frequency(modes, p: DiophParams, seed, max_tries=1000):
-    """First strongly nonresonant draw from successive sub-seeds."""
+def sample_strong_frequency(modes, p: DiophParams, seed):
+    """First strongly nonresonant draw from the first 1000 sub-seeds."""
     modes = sorted(tuple(m) for m in modes)
     table = _ell_table(modes, p)
     rhs = table.rhs()
     # One full matrix-vector product per draw: a row-chunked product can
     # round differently in the last bit and flip an accept/reject decision.
     L = table.ells.matrix.astype(float)
-    for t in range(max_tries):
+    for t in range(1000):
         omega = sample_frequency(modes, (int(seed) << 20) + t)
         x = L @ np.array([omega[m] for m in modes])
         if (np.abs(x - np.rint(x)) >= rhs).all():
             return omega, t
     raise ValidationError(
-        f"no strongly nonresonant frequency found in {max_tries} tries")
+        "no strongly nonresonant frequency found in 1000 tries")
 
 
 def frequency_dumps(omega: dict) -> str:

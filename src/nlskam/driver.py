@@ -63,7 +63,6 @@ class ScheduleParams:
     lambda_s: float
     eta_s: float
     d_s: float
-    delta_sum: float
 
     @property
     def rho_next(self):
@@ -85,11 +84,9 @@ def schedule(s: int, eps0: float) -> ScheduleParams:
     rho = RHO0
     eta = eps0 ** 0.01
     dd = 0.0
-    dsum = 0.0
     for i in range(s):
         delta = RHO0 / ((i + 4) * math.log(i + 4) ** 2)
         rho += 3.0 * delta
-        dsum += delta
         eta *= (eps0 ** (1.5 ** i)) ** 0.01 / 20.0
         dd += 1.0 / (math.pi ** 2 * (i + 1) ** 2)
     delta = RHO0 / ((s + 4) * math.log(s + 4) ** 2)
@@ -97,7 +94,7 @@ def schedule(s: int, eps0: float) -> ScheduleParams:
     return ScheduleParams(
         s=s, delta_s=delta, rho_s=rho, eps_s=eps,
         eps_next=eps0 ** (1.5 ** (s + 1)), lambda_s=eps ** 0.01,
-        eta_s=eta, d_s=dd, delta_sum=dsum + delta)
+        eta_s=eta, d_s=dd)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ Inside the hot loops (``expanded``, ``collected``, ``multiply``,
 one int by :class:`_Packer`: every mode of the operands gets a w-bit
 field, modes in lexicographic order, one block of fields each for a, k
 and k_bar.  Merging two monomials is then one int addition and removing
-a q_m qbar_m pair one subtraction.  w is derived per call from the
-operands' largest term degrees, so no field can carry and packed keys
+a q_m qbar_m pair one subtraction.  w is fixed by ``degree_cap``, which
+bounds the degree of every term, so no field can carry and packed keys
 map one-to-one onto tuple keys: accumulation order, insertion order and
 every floating-point operation are those of the tuple form.  Each
 distinct output key is unpacked once into its canonical tuple.
@@ -221,7 +221,7 @@ class Hamiltonian:
             if all(not key[3] for key in self.terms):
                 self._expanded = _SELF
             else:
-                pk = _Packer(self.terms)
+                pk = _Packer(self.params, self.terms)
                 acc = {}
                 for (a, k, kb, j), c in self.terms.items():
                     for x, ec in _expand_term(pk, pk.pack(a, k, kb), j, c):
@@ -239,7 +239,7 @@ class Hamiltonian:
         """
         if self._collected is None:
             E = self.expanded()
-            pk = _Packer(E.terms)
+            pk = _Packer(self.params, E.terms)
             acc = {}
             for (a, k, kb, _), c in E.terms.items():
                 for ckey, cc in _collect_term(pk, pk.pack(a, k, kb), k, kb, c):
@@ -425,37 +425,25 @@ def _mi_entries(entries, what) -> list:
 class _Packer:
     """Packed exponent keys for the operands of one call.
 
-    Built from the operands' term keys.  Every mode of the operands gets a
-    ``w``-bit field, modes in lexicographic order; a triple (a, k, k_bar)
-    is one int made of three blocks of those fields.  ``w`` holds the sum
-    of the operands' largest term degrees, which bounds every exponent the
-    call can form (a J-factor counts 2, like the pair it expands to), so
-    no field carries and equal packed ints mean equal tuple keys.
+    Built from the operands' parameters and term keys.  Every mode of the
+    operands gets a ``w``-bit field, modes in lexicographic order; a triple
+    (a, k, k_bar) is one int made of three blocks of those fields.  ``w``
+    holds 2 * ``degree_cap``, the sum of two in-cap exponents, which bounds
+    every exponent a call forms, so no field carries and equal packed ints
+    mean equal tuple keys.
     """
 
     __slots__ = ("modes", "w", "span", "ua", "uk", "ukb", "uq", "_parts")
 
-    def __init__(self, *key_sets):
+    def __init__(self, params, *key_sets):
         pairs = set()
         jmodes = set()
-        top = 0
         for keys in key_sets:
-            deg = 0
             for a, k, kb, j in keys:
                 pairs.update(a, k, kb)
                 jmodes.update(j)
-                n = 2 * len(j)
-                for _, e in a:
-                    n += 2 * e
-                for _, e in k:
-                    n += e
-                for _, e in kb:
-                    n += e
-                if n > deg:
-                    deg = n
-            top += deg
         self.modes = sorted(jmodes.union(m for m, _ in pairs))
-        self.w = w = max(top.bit_length(), 1)
+        self.w = w = max((2 * params.degree_cap).bit_length(), 1)
         self.span = span = w * len(self.modes)
         self.ua = {m: 1 << (w * i) for i, m in enumerate(self.modes)}
         self.uk = {m: u << span for m, u in self.ua.items()}
@@ -587,7 +575,7 @@ def multiply(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
     cap = H1.params.degree_cap
     if H1.terms and H2.terms and H1.degree() + H2.degree() > cap:
         raise CapacityError(f"product degree exceeds cap {cap}")
-    pk = _Packer(H1.terms, H2.terms)
+    pk = _Packer(H1.params, H1.terms, H2.terms)
     inner = [(pk.pack(a2, k2, kb2), j2, c2)
              for (a2, k2, kb2, j2), c2 in H2.terms.items()]
     acc = {}
@@ -626,7 +614,7 @@ def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
     A = H1.expanded()
     B = H2.expanded()
     cap = H1.params.degree_cap
-    pk = _Packer(A.terms, B.terms)
+    pk = _Packer(H1.params, A.terms, B.terms)
     uq = pk.uq
     # Per-term data of both operands, computed once per call: packed
     # triple, exponents (k_m, k'_m) on the support, support, degree.  The

@@ -92,14 +92,14 @@ def tail_weight(a, k, k_bar, jmodes, lattice) -> float:
 RHO0 = (3.0 - 2.0 * math.sqrt(2.0)) / 100.0
 
 
-def truncation_budget(s: int, eps0: float, rho0: float = RHO0) -> float:
-    """B_s = 2 (s+4) ln^2(s+4) / rho0 * ln(1 / eps_{s+1})."""
+def truncation_budget(s: int, eps0: float) -> float:
+    """B_s = 2 (s+4) ln^2(s+4) / rho_0 * ln(1 / eps_{s+1})."""
     if s < 0:
         raise ValidationError("step index must be >= 0")
     if not 0 < eps0 < 1:
         raise ValidationError("eps0 must lie in (0,1)")
     eps_next = eps0 ** (1.5 ** (s + 1))
-    return (2.0 * (s + 4) * math.log(s + 4) ** 2 / rho0
+    return (2.0 * (s + 4) * math.log(s + 4) ** 2 / RHO0
             * math.log(1.0 / eps_next))
 
 
@@ -151,9 +151,8 @@ def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
     return HomologicalSolution(F.expanded(), res, dfr, elim.expanded(), stats)
 
 
-def homological_residual(sol: HomologicalSolution, R0, R1,
-                         nf: NormalForm, rho: float = 0.0):
-    """Star norm of {N,F} + R0' + R1' - [R0] - [R1] and the base norm.
+def homological_residual(sol: HomologicalSolution, R0, R1, nf: NormalForm):
+    """Star norm (rho = 0) of {N,F} + R0' + R1' - [R0] - [R1] and the base.
 
     Primes denote the eliminated parts.  {N,F} is evaluated through the
     generic Poisson bracket, which pins the solver's phase convention
@@ -163,5 +162,5 @@ def homological_residual(sol: HomologicalSolution, R0, R1,
     N = nf.as_hamiltonian(R0.params)
     residual = linear_combine(1.0, poisson_bracket(N, sol.F),
                               1.0, sol.eliminated)
-    base = norm(linear_combine(1.0, R0, 1.0, R1), "star_rho", rho)
-    return norm(residual, "star_rho", rho), base
+    base = norm(linear_combine(1.0, R0, 1.0, R1), "star_rho", 0.0)
+    return norm(residual, "star_rho", 0.0), base

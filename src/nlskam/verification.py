@@ -5,11 +5,12 @@ refinement; infinite sums and lattice products use exact partial sums
 with convexity-based tail bounds.  The closed-form constants of the norm
 lemmas overflow double precision at any feasible parameters, so every
 "LHS <= C * RHS" comparison is carried out in log space with the log of
-the constant evaluated directly from its formula.
+the constant evaluated directly from its formula, or +inf if that overflows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -359,6 +360,18 @@ def _log(x):
     return math.log(x) if x > 0 else -math.inf
 
 
+def _inf_on_overflow(log_constant):
+    """``log_constant``, but +inf where its value leaves the double range."""
+    @functools.wraps(log_constant)
+    def wrapped(*args):
+        try:
+            return log_constant(*args)
+        except OverflowError:
+            return math.inf
+    return wrapped
+
+
+@_inf_on_overflow
 def log_bracket_constant(d, sigma, delta1, delta2):
     """log of (1/delta2) exp{3 (14400 d/delta1^2)^d exp{d (24 d/delta1)^(1/(sigma-1))}}."""
     return (-math.log(delta2)
@@ -366,11 +379,13 @@ def log_bracket_constant(d, sigma, delta1, delta2):
             * math.exp(d * (24.0 * d / delta1) ** (1.0 / (sigma - 1.0))))
 
 
+@_inf_on_overflow
 def log_vf_constant(d):
     """log of C1(d) = exp{10 d (8000 d)^d e^{20 d^2}}."""
     return 10.0 * d * (8000.0 * d) ** d * math.exp(20.0 * d * d)
 
 
+@_inf_on_overflow
 def log_second_derivative_constant(d, sigma, delta):
     """log of (12/(e delta))^2 exp{(3600 d/delta^2)^d exp{d (12 d/delta)^(1/(sigma-1))}}."""
     return (2.0 * math.log(12.0 / (math.e * delta))
@@ -378,6 +393,7 @@ def log_second_derivative_constant(d, sigma, delta):
             * math.exp(d * (12.0 * d / delta) ** (1.0 / (sigma - 1.0))))
 
 
+@_inf_on_overflow
 def log_transfer_up_constant(d, sigma, delta):
     """log of exp{10 d (10/delta)^(1/(sigma-1)) exp{(10/delta)^(1/sigma)}}."""
     return (10.0 * d * (10.0 / delta) ** (1.0 / (sigma - 1.0))
@@ -393,7 +409,7 @@ def _norm_case(name, params, samples, seed, check):
     for _ in range(samples):
         margin = check(rng, case.params)
         worst = min(worst, margin)
-        if margin < -1e-12:
+        if not margin >= -1e-12:        # a NaN margin is a violation
             bad += 1
     case.violations, case.worst_margin = bad, worst
     case.seconds = time.perf_counter() - t0
@@ -449,6 +465,23 @@ def _check_transfer_down(rng, p):
     return (rhs - lhs) / max(rhs, 1e-300)
 
 
+def bracket_bound(H1, H2, rho, delta1, delta2):
+    """The bracket B = {H1, H2} and both log sides of its sup-norm bound.
+
+    Returns (B, log ||B||_rho, log C(delta1, delta2) + log ||H1||_{rho-delta1}
+    + log ||H2||_{rho-delta2}), added in that order.  A zero or underflowed
+    operand norm makes the right side -inf whatever C is: no side is NaN.
+    """
+    p = H1.params
+    B = poisson_bracket(H1, H2)
+    n1 = norm(H1, "sup_rho", rho - delta1)
+    n2 = norm(H2, "sup_rho", rho - delta2)
+    log_rhs = (log_bracket_constant(p.d, p.sigma, delta1, delta2)
+               + math.log(n1) + math.log(n2) if n1 > 0 and n2 > 0
+               else -math.inf)
+    return B, _log(norm(B, "sup_rho", rho)), log_rhs
+
+
 def _check_bracket_bound(rng, p):
     hp = _default_params(p)
     H1 = random_hamiltonian(hp, rng, n_terms=4)
@@ -457,11 +490,9 @@ def _check_bracket_bound(rng, p):
     dmax = min(rho / 4.0, 3.0 - 2.0 * math.sqrt(2.0))
     d1 = rng.uniform(0.2 * dmax, 0.96 * dmax)
     d2 = rng.uniform(0.2 * dmax, 0.96 * dmax)
-    log_lhs = _log(norm(poisson_bracket(H1, H2), "sup_rho", rho))
-    log_rhs = (log_bracket_constant(hp.d, hp.sigma, d1, d2)
-               + _log(norm(H1, "sup_rho", rho - d1))
-               + _log(norm(H2, "sup_rho", rho - d2)))
-    return log_rhs - log_lhs
+    _, log_lhs, log_rhs = bracket_bound(H1, H2, rho, d1, d2)
+    # both sides -inf: 0 <= C * 0 holds with equality
+    return 0.0 if log_rhs == log_lhs else log_rhs - log_lhs
 
 
 def _check_vector_field(rng, p):
@@ -549,13 +580,18 @@ def verify_norm_lemma(name, params=None, samples=100, seed=0) -> LemmaCase:
     return _norm_case(name, params or {}, samples, seed, NORM_LEMMAS[name])
 
 
-def run_suite(samples_scalar=None, samples_norm=100, seed=0):
-    """Run every registered lemma; returns the list of LemmaCases."""
+def run_suite(samples_scalar=None, samples_norm=100, seed=0, names=None):
+    """LemmaCases of the named lemmas, in order; default all, scalar first."""
+    if names is None:
+        names = [*SCALAR_LEMMAS, *NORM_LEMMAS]
     cases = []
-    for name in SCALAR_LEMMAS:
-        cases.append(verify_scalar_lemma(name, samples=samples_scalar,
-                                         seed=seed))
-    for name in NORM_LEMMAS:
-        cases.append(verify_norm_lemma(name, samples=samples_norm,
-                                       seed=seed))
+    for name in names:
+        if name in SCALAR_LEMMAS:
+            cases.append(verify_scalar_lemma(name, samples=samples_scalar,
+                                             seed=seed))
+        elif name in NORM_LEMMAS:
+            cases.append(verify_norm_lemma(name, samples=samples_norm,
+                                           seed=seed))
+        else:
+            raise ValidationError(f"unknown lemma {name!r}")
     return cases

@@ -266,9 +266,10 @@ def test_bracket_matches_reference_at_large_exponents(seed, max_exp):
 
 
 def test_bracket_at_a_field_boundary():
-    big = HamParams(d=1, sigma=2.5, r=1.0, degree_cap=200, mode_radius=2)
+    # fields hold 0..2 * degree_cap; at cap 127 they are 8 bits wide
+    big = HamParams(d=1, sigma=2.5, r=1.0, degree_cap=127, mode_radius=2)
     m0, m1 = (0,), (1,)
-    # degrees 64 and 63 sum to 127: every field of the call is 7 bits wide
+    # degrees 64 and 63 give a pair of degree 125 <= 127
     F = Hamiltonian.monomial(big, k=[(m0, 60), (m1, 1)], k_bar=[(m0, 3)])
     G = Hamiltonian.monomial(big, k=[(m0, 2)], k_bar=[(m0, 60), (m1, 1)])
     B = poisson_bracket(F, G)
@@ -281,12 +282,37 @@ def test_bracket_at_a_field_boundary():
         ((), ((m0, 62),), ((m0, 63),), ()): 1j}
     assert _outcome(poisson_bracket, G, F) == _outcome(
         _reference_bracket, G, F)
-    # degrees 61 and 5 sum to 66, so fields are 7 bits wide; the merged
-    # exponent 64 at m0 needs the seventh bit
-    F = Hamiltonian.monomial(big, k=[(m0, 60)], k_bar=[(m1, 1)])
-    G = Hamiltonian.monomial(big, k=[(m0, 4), (m1, 1)])
-    assert poisson_bracket(F, G).terms == {((), ((m0, 64),), (), ()): -1j}
-    assert poisson_bracket(G, F).terms == {((), ((m0, 64),), (), ()): 1j}
+    # an operand of degree exactly the cap 127 against q0 qbar0: the
+    # merged exponent 128 = cap + 1 at m0, the largest a contributing pair
+    # forms, fills the top bit of its 8-bit field before the pair goes,
+    # and the output exponent 127 = cap fills the seven bits below it
+    F = Hamiltonian.monomial(big, k=[(m0, 127)])
+    G = Hamiltonian.monomial(big, k=[(m0, 1)], k_bar=[(m0, 1)])
+    assert poisson_bracket(F, G).terms == {((), ((m0, 127),), (), ()): 127j}
+    assert poisson_bracket(G, F).terms == {((), ((m0, 127),), (), ()): -127j}
+    # the same in the k_bar block, below the field of mode m1
+    F = Hamiltonian.monomial(big, k_bar=[(m0, 127)])
+    G = linear_combine(1.0, G, 1.0, Hamiltonian.monomial(
+        big, k=[(m1, 1)], k_bar=[(m1, 1)]))
+    assert _outcome(poisson_bracket, F, G) == _outcome(
+        _reference_bracket, F, G)
+    assert poisson_bracket(F, G).terms == {((), (), ((m0, 127),), ()): -127j}
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]))
+@settings(max_examples=20, deadline=None)
+def test_bracket_of_low_degrees_under_a_large_cap(seed, d):
+    # fields 11 bits wide (2 * 1000 < 2048) for operands of degree <= 4
+    rng = np.random.default_rng(seed)
+    big = HamParams(d=d, sigma=2.5, r=1.0, degree_cap=1000,
+                    mode_radius=2 if d == 1 else 1)
+    F = random_hamiltonian(big, rng, n_terms=6, max_factors=4,
+                           max_actions=0)
+    G = random_hamiltonian(big, rng, n_terms=6, max_factors=2,
+                           max_actions=1)
+    for H1, H2 in ((F, G), (G, F), (F.collected(), G)):
+        assert _outcome(poisson_bracket, H1, H2) == _outcome(
+            _reference_bracket, H1, H2)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))

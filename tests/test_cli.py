@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 
 import pytest
@@ -220,6 +221,66 @@ def test_norms_rejects_malformed_hamiltonian(tmp_path, capsys, edit, match):
     assert match in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("d,radius,zero,rho,sides", [
+    # the default d=1 file
+    (1, 2, False, "0.1", ("finite", "finite")),
+    # at d=2 the lemma constant exceeds the double range
+    (2, 1, False, "0.1", ("finite", "inf")),
+    # every norm at rho - delta underflows to 0, constant finite or not
+    (1, 2, False, "10", ("-inf", "-inf")),
+    (2, 1, False, "10", ("-inf", "-inf")),
+    # a zero operand
+    (1, 2, True, "0.1", ("-inf", "-inf")),
+    (2, 1, True, "0.1", ("-inf", "-inf")),
+])
+def test_bracket_bound_without_overflow_or_nan(tmp_path, capsys, d, radius,
+                                               zero, rho, sides):
+    h, b = tmp_path / "h.json", tmp_path / "b.json"
+    assert run_cli("build-nls", "--d", str(d), "--radius", str(radius),
+                   "--out", str(h)) == 0
+    first = h
+    if zero:
+        doc = json.loads(h.read_text())
+        doc["terms"] = []
+        first = tmp_path / "z.json"
+        first.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("bracket", str(first), str(h), "--rho", rho,
+                   "--out", str(b)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    names, values = zip(*(ln.split() for ln in captured.err.splitlines()))
+    assert names == ("log_lhs", "log_rhs", "bound_ok")
+    assert tuple("finite" if math.isfinite(float(v)) else v
+                 for v in values[:2]) == sides
+    assert values[2] == "1"
+    assert json.loads(b.read_text())["format"] == "nlskam-hamiltonian"
+
+
+@pytest.mark.parametrize("edit,code,line", [
+    (_set(["terms", 0, "j"], [[0], [0], [1]]), 1,
+     "error: at most two J-factors per term"),
+    (_set(["terms", 0, "k"], [[[0, 0], 1]]), 1,
+     "error: mode (0, 0) has wrong dimension"),
+    (_set(["terms", 0, "k_bar"], [[[2], 1]]), 1,
+     "error: mode (2,) outside radius 1"),
+    (_set(["terms", 0, "j"], [[-2]]), 1,
+     "error: J-mode (-2,) outside radius 1"),
+    (_set(["terms", 0, "k"], [[[0], 15]]), 3,
+     "capacity: term degree 17 exceeds cap 16"),
+])
+def test_norms_rejects_invalid_terms(tmp_path, capsys, edit, code, line):
+    doc = _nls_doc(tmp_path)
+    edit(doc)
+    h = tmp_path / "bad.json"
+    h.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("norms", str(h)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
 def test_norms_rejects_non_json(tmp_path, capsys):
     h = tmp_path / "bad.json"
     h.write_text("{not json")
@@ -255,7 +316,7 @@ def test_measure_csv_schema(tmp_path):
     assert len(lines) == 2
 
 
-def test_verify_lemmas_subset(tmp_path):
+def test_verify_lemmas_subset(tmp_path, capsys):
     out = tmp_path / "v.csv"
     assert run_cli("verify-lemmas", "--lemma", "g_max", "--lemma",
                    "monotonicity", "--samples", "10",
@@ -263,7 +324,9 @@ def test_verify_lemmas_subset(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("name,params,")
     assert len(lines) == 3
+    capsys.readouterr()
     assert run_cli("verify-lemmas", "--lemma", "nope") == 1
+    assert _one_error_line(capsys) == "error: unknown lemma 'nope'"
 
 
 def test_verify_lemmas_deterministic_lemmas_record_one_sample(tmp_path):

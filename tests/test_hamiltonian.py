@@ -24,7 +24,7 @@ from nlskam import (
     vf_sup_norm,
 )
 from nlskam import driver
-from nlskam.hamiltonian import term_degree
+from nlskam.hamiltonian import _Packer, term_degree
 from nlskam.lattice import _mode_sort_key, mi, mi_add, mi_get
 from nlskam.nls import NlsConfig, build_cubic_nls
 from nlskam.verification import random_hamiltonian, random_state
@@ -396,21 +396,90 @@ def test_packed_kernels_match_tuple_reference(seed, d, max_exp):
 
 
 def test_packed_collect_at_a_field_boundary(params):
-    # the largest term degree is 8, so every field is 4 bits wide; q^8 and
-    # the k-field 8 of the product both fill a field to its top bit
+    # fields hold 0..2 * degree_cap = 32, so they are 6 bits wide; every
+    # term has degree exactly the cap 16, and q^16 and the product's
+    # exponents 16 are the largest these kernels form
     p = HamParams(d=1, sigma=2.5, r=1.0, degree_cap=16, mode_radius=2)
     H = Hamiltonian.from_terms(p, [
-        ([], [((1,), 8)], [], (), 1.0),
-        ([], [((1,), 5), ((2,), 1)], [((1,), 2)], (), 2.0 - 1.0j),
-        ([((0,), 1)], [((1,), 3)], [((1,), 3)], (), 0.5j),
-        ([], [((1,), 1)], [((1,), 1)], [(1,), (2,)], 3.0),
+        ([], [((1,), 16)], [], (), 1.0),
+        ([], [((1,), 10), ((2,), 2)], [((1,), 4)], (), 2.0 - 1.0j),
+        ([((0,), 2)], [((1,), 6)], [((1,), 6)], (), 0.5j),
+        ([], [((1,), 6)], [((1,), 6)], [(1,), (2,)], 3.0),
     ])
+    assert {term_degree(key) for key in H.terms} == {16}
     assert _bits(H.expanded()) == _bits(_ref_expanded(H))
     assert _bits(H.collected()) == _bits(_ref_collected(H))
     assert [_bits(g) for g in class_split(H)] == [
         _bits(w) for w in _ref_class_split(H)]
-    Q = Hamiltonian.monomial(p, k=[((1,), 4)], k_bar=[((1,), 4)])
-    assert _bits(multiply(Q, Q)) == _bits(_ref_multiply(Q, Q))
+    # products of degree 16; J1^4 of Q2 * Q2 expands on the spot
+    Q = Hamiltonian.monomial(p, k=[((1,), 8)])
+    Q2 = Hamiltonian.monomial(p, k=[((1,), 4)], j=[(1,), (1,)])
+    for X, Y in ((Q, Q2), (Q2, Q), (Q2, Q2)):
+        assert _bits(multiply(X, Y)) == _bits(_ref_multiply(X, Y))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]))
+@settings(max_examples=20, deadline=None)
+def test_packed_kernels_of_low_degrees_under_a_large_cap(seed, d):
+    # fields 11 bits wide (2 * 1000 < 2048) for terms of degree <= 4
+    rng = np.random.default_rng(seed)
+    p = HamParams(d=d, sigma=2.5, r=1.0, degree_cap=1000,
+                  mode_radius=2 if d == 1 else 1)
+    H = _with_j_factors(p, rng, 8, 1)
+    H = Hamiltonian(p, {key: c for key, c in H.terms.items()
+                        if term_degree(key) <= 4})
+    R = random_hamiltonian(p, rng, n_terms=6, max_factors=4, max_actions=0)
+    assert H.degree() <= 4 and R.degree() <= 4
+    assert _bits(H.expanded()) == _bits(_ref_expanded(H))
+    for X in (H, R):
+        assert _bits(X.collected()) == _bits(_ref_collected(X))
+        assert [_bits(g) for g in class_split(X)] == [
+            _bits(w) for w in _ref_class_split(X)]
+    for X, Y in ((H, R), (R, H), (H, H)):
+        assert _bits(multiply(X, Y)) == _bits(_ref_multiply(X, Y))
+
+
+@pytest.mark.parametrize("cap,w", [(0, 1), (1, 2), (16, 6), (63, 7),
+                                   (64, 8), (1000, 11)])
+def test_packer_width_comes_from_the_degree_cap(cap, w):
+    p = HamParams(d=1, sigma=2.5, r=1.0, degree_cap=cap, mode_radius=2)
+    assert _Packer(p).w == w
+    assert _Packer(p, Hamiltonian.monomial(p, k=[((1,), cap)]).terms).w == w
+
+
+# -- validation paths ---------------------------------------------------------
+
+@pytest.mark.parametrize("a,k,kb,j,error,match", [
+    ([], [((0,), 1)], [((0,), 1)], [(0,), (1,), (2,)], ValidationError,
+     "at most two J-factors per term"),
+    ([((0, 0), 1)], [], [], [], ValidationError,
+     r"mode \(0, 0\) has wrong dimension"),
+    ([], [((3,), 1)], [], [], ValidationError,
+     r"mode \(3,\) outside radius 2"),
+    ([], [], [], [(-3,)], ValidationError,
+     r"J-mode \(-3,\) outside radius 2"),
+    ([], [((1,), 15)], [((1,), 1)], [(0,)], CapacityError,
+     "term degree 18 exceeds cap 16"),
+])
+def test_constructor_rejects_bad_terms(params, a, k, kb, j, error, match):
+    with pytest.raises(error, match=match):
+        Hamiltonian.from_terms(params, [(a, k, kb, j, 1.0)])
+    doc = Hamiltonian.monomial(params, k=[((0,), 1)]).to_dict()
+    doc["terms"][0].update(
+        a=[[list(m), e] for m, e in a], k=[[list(m), e] for m, e in k],
+        k_bar=[[list(m), e] for m, e in kb], j=[list(m) for m in j])
+    with pytest.raises(error, match=match):
+        Hamiltonian.loads(json.dumps(doc))
+
+
+def test_mismatched_parameters_and_unknown_norm_kind(params, params2d):
+    H = Hamiltonian.monomial(params, k=[((0,), 1)])
+    G = Hamiltonian.monomial(params2d, k=[((0, 0), 1)])
+    with pytest.raises(ValidationError,
+                       match="Hamiltonian parameter mismatch"):
+        H + G
+    with pytest.raises(ValidationError, match="unknown norm kind 'l2'"):
+        norm(H, "l2", 0.0)
 
 
 # -- direct JSON text and the one-pass vector field ---------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlskam import (DiophParams, HamParams, Hamiltonian, KamConfig,
-                    ValidationError, resonance_measure, run,
+                    ValidationError, norm, resonance_measure, run,
                     verify_norm_lemma, verify_scalar_lemma)
 from nlskam import verification
 from nlskam.lattice import conservation_check, mi, momentum_defect
@@ -12,8 +12,11 @@ from nlskam.verification import (
     NORM_LEMMAS,
     SCALAR_LEMMAS,
     _golden_max,
+    _norm_case,
     _shell_counts,
     _shell_sum,
+    bracket_bound,
+    log_bracket_constant,
     random_hamiltonian,
     random_state,
     run_suite,
@@ -213,3 +216,57 @@ def test_suite_csv_rows(rng):
         row = c.csv_row()
         assert row.count(",") == 5
         assert c.violations == 0
+
+
+def test_run_suite_runs_named_lemmas_in_order():
+    names = ["gap", "g_max", "monotonicity"]
+    cases = run_suite(samples_norm=3, seed=2, names=names)
+    assert [c.name for c in cases] == names
+    want = [verify_norm_lemma("gap", samples=3, seed=2),
+            verify_scalar_lemma("g_max", seed=2),
+            verify_norm_lemma("monotonicity", samples=3, seed=2)]
+    for c in cases + want:
+        c.seconds = 0.0
+    assert [c.csv_row() for c in cases] == [c.csv_row() for c in want]
+    assert run_suite(names=[]) == []
+    with pytest.raises(ValidationError, match="^unknown lemma 'nope'$"):
+        run_suite(names=["g_max", "nope"])
+
+
+@pytest.mark.parametrize("name,args", [
+    # d (24 d / delta1)^(1/(sigma-1)) = 1048 > 709 at d=2, delta1=0.004
+    ("log_bracket_constant", (2, 2.5, 0.004, 0.004)),
+    ("log_vf_constant", (40,)),
+    ("log_second_derivative_constant", (3, 2.5, 0.001)),
+    ("log_transfer_up_constant", (1, 2.5, 1e-8)),
+])
+def test_log_constants_are_inf_past_the_double_range(name, args):
+    assert getattr(verification, name)(*args) == math.inf
+
+
+def test_bracket_bound_sides(params):
+    rng = np.random.default_rng(4)
+    H1 = random_hamiltonian(params, rng, n_terms=4)
+    H2 = random_hamiltonian(params, rng, n_terms=4)
+    B, lhs, rhs = bracket_bound(H1, H2, 0.1, 0.01, 0.02)
+    assert lhs == math.log(norm(B, "sup_rho", 0.1))
+    assert rhs == (log_bracket_constant(1, 2.5, 0.01, 0.02)
+                   + math.log(norm(H1, "sup_rho", 0.1 - 0.01))
+                   + math.log(norm(H2, "sup_rho", 0.1 - 0.02)))
+    # a zero operand: -inf on the right, whatever the constant
+    Z = Hamiltonian.zero(params)
+    for X, Y in ((Z, H2), (H1, Z)):
+        B, lhs, rhs = bracket_bound(X, Y, 0.1, 0.004, 0.004)
+        assert B.is_zero() and lhs == rhs == -math.inf
+
+
+def test_bracket_bound_lemma_at_d2():
+    # the lemma constant exceeds the double range for the smaller deltas
+    case = verify_norm_lemma("bracket_bound",
+                             params={"d": 2, "mode_radius": 1}, samples=100)
+    assert case.violations == 0
+
+
+def test_nan_margin_is_a_violation():
+    case = _norm_case("nan", {}, 3, 0, lambda rng, p: math.nan)
+    assert case.violations == 3
