@@ -46,7 +46,6 @@ from .homological import (
     divisor,
     homological_residual,
     solve_homological,
-    truncation_budget,
 )
 from .nls import NlsConfig, build_cubic_nls, build_normal_form
 from .driver import (

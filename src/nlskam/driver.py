@@ -39,7 +39,6 @@ from .homological import (
     NormalForm,
     homological_residual,
     solve_homological,
-    truncation_budget,
 )
 from .lattice import _mode_sort_key, angle_norm, conservation_check
 from .diophantine import DiophParams, sample_strong_frequency
@@ -67,6 +66,12 @@ class ScheduleParams:
     @property
     def rho_next(self):
         return self.rho_s + 3.0 * self.delta_s
+
+    @property
+    def truncation_budget(self) -> float:
+        """B_s = 2 (s+4) ln^2(s+4) / rho_0 * ln(1 / eps_{s+1})."""
+        return (2.0 * (self.s + 4) * math.log(self.s + 4) ** 2 / RHO0
+                * math.log(1.0 / self.eps_next))
 
 
 def schedule(s: int, eps0: float) -> ScheduleParams:
@@ -173,13 +178,19 @@ def class_norms(R0, R1, R2, rho: float) -> tuple:
 
 
 def _conserving(H: Hamiltonian) -> bool:
+    # J_m = q_m qbar_m - I_m adds m to both k and k_bar, so a collected
+    # key conserves exactly when all of its expanded descendants do
     return all(conservation_check(k, kb) == (True, True)
-               for (_, k, kb, _) in H.expanded().terms)
+               for (_, k, kb, _) in H.terms)
 
 
 def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     """One full KAM step; returns (new state, report)."""
     t0 = time.perf_counter()
+    if sched.eps_next == 0:
+        raise ValidationError(
+            f"step {sched.s}: eps_{sched.s + 1} underflows to 0; "
+            "use fewer steps or a larger eps")
     before = state.norms
     flags = {
         "r0_bound": before[0] <= sched.eps_s * (1 + 1e-9),
@@ -190,9 +201,9 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     if not cfg.force and not all(flags.values()):
         raise ValidationError(f"state bounds violated: {flags}")
 
-    guard = cfg.gamma * sched.eps_s ** 0.01
-    B = truncation_budget(sched.s, _eps0_of(cfg))
-    sol = solve_homological(state.R0, state.R1, state.nf, guard, B)
+    sol = solve_homological(state.R0, state.R1, state.nf,
+                            cfg.gamma * sched.lambda_s,
+                            sched.truncation_budget)
     resid, base = homological_residual(sol, state.R0, state.R1, state.nf)
     residual_rel = resid / base if base else 0.0
 
@@ -239,8 +250,7 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     vf_proxy = vf_sup_norm(sol.F, x_unit, p.r)
 
     after_norms = class_norms(R0n, R1n, R2n, sched.rho_next)
-    reality = max(R0n.check_reality(), R1n.check_reality(),
-                  R2n.check_reality())
+    reality = R_plus.check_reality()
     flags.update({
         "r0_next": after_norms[0] <= sched.eps_next * (1 + 1e-9),
         "r1_next": after_norms[1] <= sched.eps_next ** 0.6 * (1 + 1e-9),
@@ -254,8 +264,7 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
         "lie_decay": series.decays,
         "lie_complete": not series.capped,
         "budget": sum(ledger) <= sched.eps_next,
-        "conserving": _conserving(R0n) and _conserving(R1n)
-        and _conserving(R2n),
+        "conserving": _conserving(R_plus),
         "reality": reality <= 1e-10 * max(1.0, base),
     })
     if cfg.strict and not all(flags.values()):
@@ -321,9 +330,7 @@ def run(cfg: KamConfig, omega=None):
             s=0, rho=sched0.rho_s, eps=sched0.eps_s, norms_before=state.norms,
             norms_after=state.norms, min_divisor=math.inf, deferred_mass=0.0,
             shift_magnitude=0.0, vf_proxy=0.0, residual_rel=0.0,
-            reality_defect=max(state.R0.check_reality(),
-                               state.R1.check_reality(),
-                               state.R2.check_reality()),
+            reality_defect=H.collected().check_reality(),
             flags={"initial_norm":
                    norm(H, "sup_rho", sched0.rho_s) <= _eps0_of(cfg)
                    * (1 + 1e-12)}))

@@ -66,8 +66,8 @@ class HamParams:
     mode_radius: int = 2
 
     def __post_init__(self):
-        if not self.r >= 1:
-            raise ValidationError(f"r must be >= 1, got {self.r}")
+        if not 1 <= self.r < math.inf:
+            raise ValidationError(f"r must be finite and >= 1, got {self.r}")
         for name in ("degree_cap", "mode_radius"):
             if getattr(self, name) < 0:
                 raise ValidationError(
@@ -688,9 +688,10 @@ def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
     lost = 0.0
     for key, c in H.terms.items():
         a, _, _, j = key
-        contrib = abs(c) * math.exp(
-            -2.0 * H.params.r
-            * sum(e * H.params.weight(m) for m, e in a)) * (2.0 ** len(j))
+        # r * wa first: once -2 r overflows, (-2 r) * 0 would be nan
+        wa = sum(e * H.params.weight(m) for m, e in a)
+        contrib = (abs(c) * math.exp(-2.0 * (H.params.r * wa))
+                   * (2.0 ** len(j)))
         if contrib < tol:
             lost += contrib
         else:
@@ -740,10 +741,11 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
         raise ValidationError(f"rho must be >= 0, got {rho}")
     if kind in ("star_rho", "plus_rho") and not rho < p.r:
         raise ValidationError(f"need rho < r for {kind}, got rho={rho}")
-    if kind == "sup_rho":
+    if kind in ("sup_rho", "plus_rho"):
+        form = H.expanded() if kind == "sup_rho" else H.collected()
         best = 0.0
-        for (a, k, kb, _), c in H.expanded().terms.items():
-            S, L1 = _term_S_L1(p, a, k, kb)
+        for (a, k, kb, j), c in form.terms.items():
+            S, L1 = _term_S_L1(p, a, k, kb, j)
             best = max(best, abs(c) * math.exp(-rho * (S - 2.0 * L1)))
         return best
     if kind == "star_rho":
@@ -752,14 +754,8 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
             wa = sum(e * p.weight(m) for m, e in a)
             wk = sum(e * p.weight(m) for m, e in k)
             wk += sum(e * p.weight(m) for m, e in kb)
-            total += abs(c) * math.exp(-2.0 * p.r * wa - rho * wk)
+            total += abs(c) * math.exp(-2.0 * (p.r * wa) - rho * wk)
         return total
-    if kind == "plus_rho":
-        best = 0.0
-        for (a, k, kb, j), c in H.collected().terms.items():
-            S, L1 = _term_S_L1(p, a, k, kb, j)
-            best = max(best, abs(c) * math.exp(-rho * (S - 2.0 * L1)))
-        return best
     raise ValidationError(f"unknown norm kind {kind!r}")
 
 
@@ -876,7 +872,8 @@ def vf_sup_norm(H: Hamiltonian, x: dict, rho: float) -> float:
     best = 0.0
     for n in modes:
         mag = max(abs(d_qbar.get(n, 0j)), abs(d_q.get(n, 0j)))
-        best = max(best, mag * math.exp(rho * H.params.weight(n)))
+        if mag:  # e^{rho w(n)} may overflow where the field is 0
+            best = max(best, mag * math.exp(rho * H.params.weight(n)))
     return best
 
 

@@ -92,17 +92,6 @@ def tail_weight(a, k, k_bar, jmodes, lattice) -> float:
 RHO0 = (3.0 - 2.0 * math.sqrt(2.0)) / 100.0
 
 
-def truncation_budget(s: int, eps0: float) -> float:
-    """B_s = 2 (s+4) ln^2(s+4) / rho_0 * ln(1 / eps_{s+1})."""
-    if s < 0:
-        raise ValidationError("step index must be >= 0")
-    if not 0 < eps0 < 1:
-        raise ValidationError("eps0 must lie in (0,1)")
-    eps_next = eps0 ** (1.5 ** (s + 1))
-    return (2.0 * (s + 4) * math.log(s + 4) ** 2 / RHO0
-            * math.log(1.0 / eps_next))
-
-
 def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
                       guard: float, B: float) -> HomologicalSolution:
     """Solve {N,F} + R0 + R1 = [R0] + [R1] termwise, in one pass.

@@ -44,11 +44,12 @@ class LatticeParams:
     def __post_init__(self):
         if self.d < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.d}")
-        if not self.sigma > 2:
-            raise ValidationError(f"sigma must be > 2, got {self.sigma}")
-        if not self.floor_const >= 21:
+        if not 2 < self.sigma < math.inf:
             raise ValidationError(
-                f"floor_const must be >= 21, got {self.floor_const}")
+                f"sigma must be finite and > 2, got {self.sigma}")
+        if not 21 <= self.floor_const < math.inf:
+            raise ValidationError("floor_const must be finite and >= 21, "
+                                  f"got {self.floor_const}")
 
 
 def _is_int(x):
@@ -199,18 +200,13 @@ def sorted_system(a: tuple, k: tuple, k_bar: tuple, jmodes=()) -> tuple:
 
 def conservation_check(k: tuple, k_bar: tuple):
     """Return (mass, momentum) conservation flags for the pair (k, k')."""
-    signed = mi_signed(k, k_bar)
-    mass = sum(signed.values()) == 0
-    if signed:
-        d = len(next(iter(signed)))
-        mom = [0] * d
-        for mode, e in signed.items():
+    mass, mom = 0, {}
+    for sign, src in ((1, k), (-1, k_bar)):
+        for mode, e in src:
+            mass += sign * e
             for i, c in enumerate(mode):
-                mom[i] += e * c
-        momentum = all(v == 0 for v in mom)
-    else:
-        momentum = True
-    return mass, momentum
+                mom[i] = mom.get(i, 0) + sign * e * c
+    return mass == 0, not any(mom.values())
 
 
 def momentum_defect(k: tuple, k_bar: tuple, d: int):

@@ -102,6 +102,22 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
      "error: degree_cap must be >= 0, got -1"),
     (["kam-run", "--d", "1", "--radius", "1", "--degree-cap", "-5",
       "--out-prefix", "{out}"], "error: degree_cap must be >= 0, got -5"),
+    (["kam-run", "--radius", "1", "--r", "inf", "--out-prefix", "{out}"],
+     "error: r must be finite and >= 1, got inf"),
+    (["kam-run", "--radius", "1", "--sigma", "inf", "--out-prefix",
+      "{out}"], "error: sigma must be finite and > 2, got inf"),
+    (["kam-run", "--radius", "1", "--floor", "inf", "--out-prefix",
+      "{out}"], "error: floor_const must be finite and >= 21, got inf"),
+    (["build-nls", "--r", "nan", "--out", "{out}"],
+     "error: r must be finite and >= 1, got nan"),
+    # eps_{s+1} = eps0^(1.5^(s+1)) underflows to 0: at step 9 for the
+    # default eps, at step 0 for eps 1e-300
+    (["kam-run", "--radius", "1", "--steps", "10", "--out-prefix", "{out}"],
+     "error: step 9: eps_10 underflows to 0; use fewer steps or a larger "
+     "eps"),
+    (["kam-run", "--radius", "1", "--eps", "1e-300", "--out-prefix",
+      "{out}"], "error: step 0: eps_1 underflows to 0; use fewer steps or "
+     "a larger eps"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     h = tmp_path / "h.json"
@@ -114,6 +130,29 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
     assert os.listdir(tmp_path) == ["h.json"]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--r", "6"), ("--r", "1e308"), ("--sigma", "3.5"), ("--floor", "3e6"),
+])
+def test_kam_run_at_extreme_lattice_parameters(tmp_path, capsys, flag,
+                                               value):
+    # r w(n) > 709.8: the unit state underflows to 0, e^{r w(n)} overflows
+    assert run_cli("kam-run", "--radius", "1", flag, value,
+                   "--out-prefix", str(tmp_path / "k")) == 0
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "k.steps.csv").read_text()
+    assert "nan" not in text and "inf" not in text.split("\n", 1)[1]
+
+
+def test_norms_of_a_huge_r_document(tmp_path, capsys):
+    h = tmp_path / "h.json"
+    assert run_cli("build-nls", "--r", "1e308", "--out", str(h)) == 0
+    assert run_cli("norms", str(h)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines] == [
+        "sup_rho", "star_rho", "plus_rho"]
+    assert all(math.isfinite(float(ln.split()[1])) for ln in lines)
 
 
 def test_kam_run_small_divisor_exit_code(tmp_path):

@@ -19,6 +19,7 @@ from nlskam import (
 )
 from nlskam.driver import STEP_CSV_SCHEMA, KamState, _eps0_of, class_norms
 from nlskam.homological import RHO0
+from nlskam.lattice import conservation_check
 from nlskam.nls import NlsConfig, build_cubic_nls
 
 CFG = KamConfig(d=1, mode_radius=2, epsilon=1e-6, seed=7, steps=1)
@@ -89,6 +90,92 @@ def test_schedule_rho_next_is_next_rho_s():
     # the carried norms of a state are valid only if these are bit-equal
     for s in range(31):
         assert schedule(s, 1e-7).rho_next == schedule(s + 1, 1e-7).rho_s
+
+
+def _ref_truncation_budget(s, eps0):
+    """B_s as the homological module computed it, apart from the schedule."""
+    eps_next = eps0 ** (1.5 ** (s + 1))
+    return (2.0 * (s + 4) * math.log(s + 4) ** 2 / RHO0
+            * math.log(1.0 / eps_next))
+
+
+def test_schedule_owns_the_truncation_budget_and_the_guard():
+    for eps0 in (1e-7, _eps0_of(CFG)):
+        for s in range(9):
+            sched = schedule(s, eps0)
+            assert (sched.truncation_budget.hex()
+                    == _ref_truncation_budget(s, eps0).hex())
+            assert sched.lambda_s == sched.eps_s ** 0.01
+
+
+def test_step_refuses_an_underflowed_eps_next():
+    eps0 = _eps0_of(CFG)
+    assert schedule(8, eps0).eps_next > 0.0
+    assert schedule(9, eps0).eps_next == 0.0
+    assert schedule(51, eps0).eps_s == 0.0    # the schedule itself returns
+    state, _ = initial_state(CFG)
+    with pytest.raises(ValidationError,
+                       match=r"^step 9: eps_10 underflows to 0;"):
+        kam_step(state, schedule(9, eps0), CFG)
+
+
+def _ref_conserving(H):
+    return all(conservation_check(k, kb) == (True, True)
+               for (_, k, kb, _) in H.expanded().terms)
+
+
+def _ref_flags(state):
+    """(conserving, reality defect) as read class by class, expanded."""
+    parts = (state.R0, state.R1, state.R2)
+    return (all(_ref_conserving(R) for R in parts),
+            max(R.check_reality() for R in parts))
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(CFG, steps=2, prune_tol=0.0),
+    KamConfig(d=2, mode_radius=1, epsilon=1e-6, gamma=0.01, seed=7,
+              steps=1),
+])
+def test_step_flags_match_the_per_class_expanded_reading(cfg):
+    reports, states, _ = run(cfg)
+    assert len(reports) == cfg.steps
+    for rep, st in zip(reports, states[1:]):
+        conserving, reality = _ref_flags(st)
+        assert rep.flags["conserving"] is conserving is True
+        assert rep.reality_defect.hex() == reality.hex()
+    reports, states, _ = run(replace(cfg, steps=0))
+    assert reports[0].reality_defect.hex() == _ref_flags(states[0])[1].hex()
+
+
+def test_step_flags_expand_no_class_part(monkeypatch):
+    expanded = []
+    real = Hamiltonian.expanded
+
+    def recording(H):
+        expanded.append(H)
+        return real(H)
+
+    monkeypatch.setattr(Hamiltonian, "expanded", recording)
+    state, _ = initial_state(CFG)
+    new_state, _ = kam_step(state, schedule(0, _eps0_of(CFG)), CFG)
+    parts = (new_state.R0, new_state.R1, new_state.R2)
+    assert not [H for H in expanded if any(H is P for P in parts)]
+
+
+def test_one_nonconserving_term_fails_the_conserving_flag():
+    state, _ = initial_state(CFG)
+    m = state.nf.modes[0]
+    # a class-2 term of momentum 1: the series carries it over in `start`
+    odd = Hamiltonian.monomial(
+        state.R2.params, k=[((1,), 1)], k_bar=[((0,), 1)], j=(m, m),
+        coeff=1e-12)
+    R2 = linear_combine(1.0, state.R2, 1.0, odd)
+    state = replace(state, R2=R2,
+                    norms=class_norms(state.R0, state.R1, R2, RHO0))
+    new_state, report = kam_step(state, schedule(0, _eps0_of(CFG)), CFG)
+    conserving, reality = _ref_flags(new_state)
+    assert report.flags["conserving"] is conserving is False
+    assert report.reality_defect.hex() == reality.hex()
 
 
 def test_norms_are_carried_between_steps():

