@@ -330,12 +330,11 @@ def _cmd_dioph_check(args):
 
 def _cmd_measure(args):
     gammas = args.gamma if args.gamma else [0.01, 0.05, 0.1]
+    params = [DiophParams(gamma=g, d=args.d, ell_budget=args.ell_budget,
+                          mode_radius=args.radius) for g in gammas]
     lines = [MEASURE_CSV_SCHEMA]
-    for g in gammas:
-        p = DiophParams(gamma=g, d=args.d, ell_budget=args.ell_budget,
-                        mode_radius=args.radius)
-        fraction, stderr, violations = resonance_measure(
-            p, args.trials, args.seed)
+    for g, (fraction, stderr, violations) in zip(
+            gammas, resonance_measure(params, args.trials, args.seed)):
         lines.append(",".join([
             _fmt(g), str(args.trials), str(violations), _fmt(fraction),
             _fmt(stderr), str(args.ell_budget), str(args.radius),

@@ -352,8 +352,9 @@ def frequency_loads(text: str, d: int | None = None) -> dict:
 
 
 # Entries of one trials x l float64 block of the measure's product
-# (16 MB); the block's row count follows from the table's width.
-_MEASURE_BLOCK = 1 << 21
+# (512 kB, about an L2 cache); the block's row count follows from the
+# table's width.
+_MEASURE_BLOCK = 1 << 16
 
 
 def _trial_blocks(draws, width):
@@ -367,37 +368,55 @@ def _trial_blocks(draws, width):
     return np.array_split(draws, max(1, len(draws) // rows))
 
 
-def _resonant_draws(draws, table: EllTable) -> np.ndarray:
-    """Which rows of ``draws`` violate a condition for some l of ``table``.
+def _resonant_draws(draws, tables) -> np.ndarray:
+    """Which rows of ``draws`` violate a condition, per table.
 
-    ``draws @ L.T`` is reduced block by block over the rows, so no
-    trials x l matrix is held whole.
+    The tables share one l-matrix and differ only in their right-hand
+    sides.  Row k of the result flags the draws that violate some l of
+    ``tables[k]``.  ``draws @ L.T`` and its distance to the integers are
+    formed once per block of rows, in place, and tested against every
+    table's bound, so no trials x l matrix is held whole.
     """
-    Lt = table.ells.matrix.astype(float).T
-    rhs = table.rhs()
+    Lt = tables[0].ells.matrix.astype(float).T
+    rhs = [t.rhs() for t in tables]
     bad = []
-    for block in _trial_blocks(draws, len(rhs)):
+    for block in _trial_blocks(draws, Lt.shape[1]):
         x = block @ Lt
-        bad.append((np.abs(x - np.rint(x)) < rhs).any(axis=1))
-    return np.concatenate(bad)
+        x -= np.rint(x)
+        np.abs(x, out=x)
+        bad.append([(x < r).any(axis=1) for r in rhs])
+    return np.concatenate(bad, axis=1)
 
 
-def resonance_measure(p: DiophParams, trials: int, seed):
-    """Monte Carlo estimate of the resonant-set measure.
+def resonance_measure(params: Sequence[DiophParams], trials: int, seed):
+    """Monte Carlo estimate of the resonant-set measure, per gamma.
 
-    Returns (fraction, stderr, violations) where fraction is the share of
-    sampled frequencies violating at least one condition.
+    ``params`` differ only in ``gamma``; every entry is estimated from the
+    same ``trials`` draws.  Returns one (fraction, stderr, violations) per
+    entry, in order, where fraction is the share of sampled frequencies
+    violating at least one condition.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    modes = p.box_modes()
+    if not params:
+        raise ValidationError("resonance_measure needs at least one gamma")
+    p0 = params[0]
+    for p in params:
+        if (p.d, p.ell_budget, p.mode_radius) != (
+                p0.d, p0.ell_budget, p0.mode_radius):
+            raise ValidationError(
+                f"params must differ only in gamma: {p} vs {p0}")
+    modes = p0.box_modes()
     draws = np.empty((trials, len(modes)))
     for i, m in enumerate(modes):
         draws[:, i] = _mode_rng(seed, m).uniform(
             0.0, 1.0 / angle_norm(m), size=trials)
-    violations = int(_resonant_draws(draws, _ell_table(modes, p)).sum())
-    fraction = violations / trials
-    stderr = math.sqrt(max(fraction * (1.0 - fraction), 1e-300) / trials)
-    return fraction, stderr, violations
+    bad = _resonant_draws(draws, [_ell_table(modes, p) for p in params])
+    out = []
+    for violations in bad.sum(axis=1).tolist():
+        fraction = violations / trials
+        stderr = math.sqrt(max(fraction * (1.0 - fraction), 1e-300) / trials)
+        out.append((fraction, stderr, violations))
+    return out

@@ -184,13 +184,17 @@ def _conserving(H: Hamiltonian) -> bool:
                for (_, k, kb, _) in H.terms)
 
 
-def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
-    """One full KAM step; returns (new state, report)."""
-    t0 = time.perf_counter()
+def _refuse_underflow(sched: ScheduleParams):
     if sched.eps_next == 0:
         raise ValidationError(
             f"step {sched.s}: eps_{sched.s + 1} underflows to 0; "
             "use fewer steps or a larger eps")
+
+
+def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
+    """One full KAM step; returns (new state, report)."""
+    t0 = time.perf_counter()
+    _refuse_underflow(sched)
     before = state.norms
     flags = {
         "r0_bound": before[0] <= sched.eps_s * (1 + 1e-9),
@@ -321,6 +325,10 @@ def run(cfg: KamConfig, omega=None):
     """
     if cfg.steps < 0:
         raise ValidationError(f"steps must be >= 0, got {cfg.steps}")
+    # every step's schedule is checked before any step runs
+    scheds = [schedule(s, _eps0_of(cfg)) for s in range(cfg.steps)]
+    for sched in scheds:
+        _refuse_underflow(sched)
     state, H = initial_state(cfg, omega)
     reports = []
     states = [state]
@@ -335,8 +343,7 @@ def run(cfg: KamConfig, omega=None):
                    norm(H, "sup_rho", sched0.rho_s) <= _eps0_of(cfg)
                    * (1 + 1e-12)}))
         return reports, states, H
-    for s in range(cfg.steps):
-        sched = schedule(s, _eps0_of(cfg))
+    for sched in scheds:
         state, report = kam_step(state, sched, cfg)
         reports.append(report)
         states.append(state)

@@ -252,11 +252,10 @@ def test_criterion_07_shift():
 
 def test_criterion_08_measure():
     gammas = (0.01, 0.05, 0.1)
-    pts = []
-    for g in gammas:
-        p = DiophParams(gamma=g, d=1, ell_budget=4, mode_radius=2)
-        frac, stderr, _ = resonance_measure(p, 10_000, seed=0)
-        pts.append((g, frac, stderr))
+    params = [DiophParams(gamma=g, d=1, ell_budget=4, mode_radius=2)
+              for g in gammas]
+    pts = [(g, frac, stderr) for g, (frac, stderr, _) in
+           zip(gammas, resonance_measure(params, 10_000, seed=0))]
     monotone = all(pts[i][1] <= pts[i + 1][1] for i in range(len(pts) - 1))
     # the fraction is concave in gamma, so the tightest linear upper bound
     # through the origin is the envelope constant max_i f_i / gamma_i

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from nlskam import driver
 from nlskam.cli import dispatch
 
 
@@ -118,6 +119,8 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
     (["kam-run", "--radius", "1", "--eps", "1e-300", "--out-prefix",
       "{out}"], "error: step 0: eps_1 underflows to 0; use fewer steps or "
      "a larger eps"),
+    (["measure", "--gamma", "0.05", "--gamma", "1.5", "--out",
+      "{out}.csv"], "error: gamma must lie in [0,1), got 1.5"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     h = tmp_path / "h.json"
@@ -130,6 +133,21 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
     assert os.listdir(tmp_path) == ["h.json"]
+
+
+def test_kam_run_refuses_a_late_underflow_before_step_0(tmp_path, capsys,
+                                                        monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step ran before the schedule was checked")
+    monkeypatch.setattr(driver, "kam_step", no_step)
+    assert run_cli("kam-run", "--radius", "1", "--eps", "1e-6", "--steps",
+                   "10", "--out-prefix", str(tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: step 9: eps_10 underflows to 0; use fewer steps or a larger "
+        "eps"]
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -24,6 +24,7 @@ from nlskam.diophantine import (
     ell_sorted_norms,
     enumerate_ells,
 )
+from nlskam.lattice import angle_norm
 
 P = DiophParams(gamma=0.1, d=1, ell_budget=3, mode_radius=2)
 
@@ -119,35 +120,111 @@ def test_sample_strong_frequency_passes_check():
 
 
 def test_resonance_measure_deterministic_and_monotone():
-    f1, s1, v1 = resonance_measure(P, 400, seed=3)
-    f1b, _, _ = resonance_measure(P, 400, seed=3)
+    [(f1, s1, v1)] = resonance_measure([P], 400, seed=3)
+    [(f1b, _, _)] = resonance_measure([P], 400, seed=3)
     assert f1 == f1b
     big = DiophParams(gamma=0.3, d=1, ell_budget=3, mode_radius=2)
-    f2, _, _ = resonance_measure(big, 400, seed=3)
+    [(f2, _, _)] = resonance_measure([big], 400, seed=3)
     assert f2 >= f1
     assert 0.0 <= f1 <= 1.0 and s1 >= 0.0
+
+
+def test_resonance_measure_shares_draws_across_gammas():
+    # unsorted and repeated gammas: each entry equals its own one-gamma
+    # call bit for bit, and the output follows the input order
+    gammas = (0.1, 0.01, 0.3, 0.01, 0.05)
+    params = [DiophParams(gamma=g, d=1, ell_budget=4, mode_radius=2)
+              for g in gammas]
+    got = resonance_measure(params, 3001, seed=5)
+    alone = [resonance_measure([p], 3001, seed=5)[0] for p in params]
+    assert len(got) == len(gammas)
+    assert [tuple(map(float.hex, map(float, r))) for r in got] == [
+        tuple(map(float.hex, map(float, r))) for r in alone]
+    assert [r[2] for r in got] == [r[2] for r in alone]
+    assert got[1] == got[3]
+    v = {g: r[2] for g, r in zip(gammas, got)}
+    assert 0 < v[0.01] < v[0.05] < v[0.1] < v[0.3] < 3001
+
+
+@pytest.mark.parametrize("params,message", [
+    ([], "^resonance_measure needs at least one gamma$"),
+    ([P, DiophParams(gamma=0.2, d=2, ell_budget=3, mode_radius=2)],
+     "^params must differ only in gamma: "),
+    ([P, DiophParams(gamma=0.2, d=1, ell_budget=4, mode_radius=2)],
+     "^params must differ only in gamma: "),
+    ([P, DiophParams(gamma=0.1, d=1, ell_budget=3, mode_radius=1)],
+     "^params must differ only in gamma: "),
+])
+def test_resonance_measure_rejects_mixed_params(monkeypatch, params,
+                                                message):
+    def no_draws(*args):
+        raise AssertionError("drew before checking its arguments")
+    monkeypatch.setattr(diophantine, "_mode_rng", no_draws)
+    with pytest.raises(ValidationError, match=message) as e:
+        resonance_measure(params, 10, seed=0)
+    assert "\n" not in str(e.value)
+
+
+def _dense_reference(draws, tables):
+    """Each table's flags from the whole trials x l product at once."""
+    Lt = tables[0].ells.matrix.astype(float).T
+    x = draws @ Lt
+    lhs = np.abs(x - np.rint(x))
+    return x, [(lhs < t.rhs()[None, :]).any(axis=1) for t in tables]
+
+
+def _gamma_tables(gammas, **kw):
+    params = [DiophParams(gamma=g, **kw) for g in gammas]
+    modes = params[0].box_modes()
+    return modes, [_ell_table(modes, p) for p in params]
 
 
 @pytest.mark.parametrize("block_rows", [7, 1])
 @pytest.mark.parametrize("trials", [1, 8, 15, 50])
 def test_resonant_draws_blocked_equals_full(monkeypatch, block_rows, trials):
     # trials = 1 mod 7: the short tail must not become a one-row product
-    p = DiophParams(gamma=0.1, d=1, ell_budget=4, mode_radius=2)
-    modes = p.box_modes()
-    table = _ell_table(modes, p)
-    width = len(table.rhs())
+    modes, tables = _gamma_tables((0.1, 0.02, 0.3), d=1, ell_budget=4,
+                                  mode_radius=2)
+    width = len(tables[0].rhs())
     monkeypatch.setattr(diophantine, "_MEASURE_BLOCK", block_rows * width)
     draws = np.random.default_rng(trials).uniform(
         0.0, 1.0, (trials, len(modes)))
-    Lt = table.ells.matrix.astype(float).T
-    x = draws @ Lt
+    Lt = tables[0].ells.matrix.astype(float).T
+    x, full = _dense_reference(draws, tables)
     blocks = _trial_blocks(draws, width)
     assert min(len(b) for b in blocks) >= min(2, trials)
     assert np.concatenate([b @ Lt for b in blocks]).tobytes() == x.tobytes()
-    full = (np.abs(x - np.rint(x)) < table.rhs()[None, :]).any(axis=1)
-    assert np.array_equal(_resonant_draws(draws, table), full)
+    got = _resonant_draws(draws, tables)
+    assert got.shape == (len(tables), trials)
+    for row, ref in zip(got, full):
+        assert np.array_equal(row, ref)
     if trials == 50:
-        assert 0 < full.sum() < trials
+        assert 0 < full[0].sum() < trials
+
+
+@pytest.mark.parametrize("kw,trials,block_rows", [
+    # the measure workload's table: 10,000 = 588 * 17 + 4 rows, so the
+    # 4-row remainder spreads as one extra row over four blocks
+    (dict(d=1, ell_budget=6, mode_radius=2), 10_000, 17),
+    # a table wider than a block: 2-row blocks, one of them with the odd
+    # row
+    (dict(d=2, ell_budget=5, mode_radius=1), 41, 2),
+])
+def test_resonant_draws_at_the_default_block(kw, trials, block_rows):
+    modes, tables = _gamma_tables((0.01, 0.05, 0.1), **kw)
+    width = len(tables[0].rhs())
+    draws = np.empty((trials, len(modes)))
+    for i, m in enumerate(modes):
+        draws[:, i] = diophantine._mode_rng(1, m).uniform(
+            0.0, 1.0 / angle_norm(m), size=trials)
+    blocks = _trial_blocks(draws, width)
+    assert {len(b) for b in blocks} == {block_rows, block_rows + 1}
+    Lt = tables[0].ells.matrix.astype(float).T
+    x, full = _dense_reference(draws, tables)
+    assert np.concatenate([b @ Lt for b in blocks]).tobytes() == x.tobytes()
+    got = _resonant_draws(draws, tables)
+    for row, ref in zip(got, full):
+        assert row.tobytes() == ref.tobytes()
 
 
 def test_frequency_file_roundtrip():

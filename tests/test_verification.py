@@ -154,7 +154,7 @@ def test_unknown_lemma_rejected():
     lambda: verify_norm_lemma("monotonicity", samples=2, seed=-1),
     lambda: verify_scalar_lemma("log_superadditivity", samples=2, seed=-1),
     lambda: resonance_measure(
-        DiophParams(d=1, mode_radius=1, gamma=0.05, ell_budget=4), 10, -1),
+        [DiophParams(d=1, mode_radius=1, gamma=0.05, ell_budget=4)], 10, -1),
 ])
 def test_negative_seed_rejected(call):
     with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
