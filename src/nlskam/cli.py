@@ -31,7 +31,7 @@ from .errors import (
     SmallDivisorError,
     ValidationError,
 )
-from .hamiltonian import Hamiltonian, norm
+from .hamiltonian import HamParams, Hamiltonian, norm
 from .nls import NlsConfig, build_cubic_nls
 from .verification import SUITE_CSV_SCHEMA, bracket_bound, run_suite
 
@@ -253,25 +253,22 @@ def _mode(text, d) -> tuple:
 
 
 def _nls_config(args) -> NlsConfig:
-    return NlsConfig(d=args.d, mode_radius=args.radius, epsilon=args.eps,
-                     sign=args.sign, sigma=args.sigma, r=args.r,
-                     floor_const=args.floor, degree_cap=args.degree_cap,
-                     physical_multiplicity=getattr(
-                         args, "physical_multiplicity", False))
+    params = HamParams(d=args.d, sigma=args.sigma, r=args.r,
+                       floor_const=args.floor, degree_cap=args.degree_cap,
+                       mode_radius=args.radius)
+    return NlsConfig(params, epsilon=args.eps, sign=args.sign)
 
 
 def _cmd_build_nls(args):
-    H = build_cubic_nls(_nls_config(args))
+    H = build_cubic_nls(_nls_config(args), args.physical_multiplicity)
     _write(args.out, H.dumps())
     return 0
 
 
 def _cmd_kam_run(args):
     cfg = KamConfig(
-        d=args.d, sigma=args.sigma, r=args.r, gamma=args.gamma,
-        epsilon=args.eps, mode_radius=args.radius,
-        degree_cap=args.degree_cap, steps=args.steps, seed=args.seed,
-        ell_budget=args.ell_budget, floor_const=args.floor, sign=args.sign,
+        _nls_config(args), gamma=args.gamma, steps=args.steps,
+        seed=args.seed, ell_budget=args.ell_budget,
         prune_tol=args.prune_tol, lie_order_cap=args.lie_order_cap,
         strict=args.strict, force=args.force)
     omega = (frequency_loads(_read(args.freq), args.d) if args.freq

@@ -170,40 +170,45 @@ _ROW_BLOCK = 8192
 
 
 class EllTable(NamedTuple):
-    """Every l with 0 < |l| <= ell_budget and both of its right-hand sides.
+    """Every l with 0 < |l| <= ell_budget and its gamma-free products.
 
-    Row i of ``ells.matrix`` is l; ``rhs1[i]`` and ``rhs2[i]`` equal
-    ``dioph_rhs(l, p, 1)`` and ``dioph_rhs(l, p, 2)`` bit for bit, and
-    ``cond2[i]`` equals ``condition2_applies(l)``.
+    Row i of ``ells.matrix`` is l.  Entry i of the two arrays of
+    ``bounds(p.gamma)`` equals ``dioph_rhs(l, p, 1)`` and
+    ``dioph_rhs(l, p, 2)`` bit for bit, and ``cond2[i]`` equals
+    ``condition2_applies(l)``.
     """
 
     ells: EllRows
-    rhs1: np.ndarray
-    rhs2: np.ndarray
+    prod1: np.ndarray
+    prod2: np.ndarray
     cond2: np.ndarray
 
-    def rhs(self):
+    def bounds(self, gamma):
+        """The right-hand sides of conditions 1 and 2 at ``gamma``, per l."""
+        return gamma * self.prod1, (gamma ** 5 / 100.0) * self.prod2
+
+    def rhs(self, gamma):
         """The bound a strongly nonresonant frequency must clear per l."""
-        return np.where(self.cond2, np.maximum(self.rhs1, self.rhs2),
-                        self.rhs1)
+        rhs1, rhs2 = self.bounds(gamma)
+        return np.where(self.cond2, np.maximum(rhs1, rhs2), rhs1)
 
 
-def _ell_table(modes, p: DiophParams) -> EllTable:
+def _ell_table(modes, d, ell_budget) -> EllTable:
     """The l-table over ``modes``, with columns in sorted-mode order.
 
-    The right-hand sides depend only on l, so they are computed once and
-    reused across candidate draws.  Each product runs column by column in
-    sorted-mode order, the order in which ``dioph_rhs`` walks the nonzero
-    entries of l; a zero entry multiplies by exactly 1.0.  Per-mode factors
-    are looked up by |l_n| in tables built with the scalar expressions of
-    ``dioph_rhs``.
+    The products depend only on l, so they are computed once and reused
+    across candidate draws and values of gamma.  Each product runs column
+    by column in sorted-mode order, the order in which ``dioph_rhs`` walks
+    the nonzero entries of l; a zero entry multiplies by exactly 1.0.
+    Per-mode factors are looked up by |l_n| in tables built with the
+    scalar expressions of ``dioph_rhs``.
     """
-    ells = enumerate_ells(modes, p.ell_budget)
+    ells = enumerate_ells(modes, ell_budget)
     L, modes = ells.matrix, ells.modes
-    powers = range(p.ell_budget + 1)
-    fac1 = [np.array([1.0 / (1.0 + a ** 3 * angle_norm(m) ** (p.d + 4))
+    powers = range(ell_budget + 1)
+    fac1 = [np.array([1.0 / (1.0 + a ** 3 * angle_norm(m) ** (d + 4))
                       for a in powers]) for m in modes]
-    fac2 = [np.array([(1.0 / (1.0 + a ** 3 * angle_norm(m) ** (p.d + 7)))
+    fac2 = [np.array([(1.0 / (1.0 + a ** 3 * angle_norm(m) ** (d + 7)))
                       ** 10 for a in powers]) for m in modes]
     norms = [math.sqrt(sum(c * c for c in m)) for m in modes]
     # Distinct mode norms, largest first: ell_sorted_norms(l)[k] is the
@@ -214,28 +219,27 @@ def _ell_table(modes, p: DiophParams) -> EllTable:
     level_norm = np.array([math.sqrt(q) for q in levels])
 
     n = len(L)
-    rhs1, rhs2 = np.empty(n), np.empty(n)
+    prod1, prod2 = np.empty(n), np.empty(n)
     cond2 = np.empty(n, dtype=bool)
     for i0 in range(0, n, _ROW_BLOCK):
         A = np.abs(L[i0:i0 + _ROW_BLOCK])
         counts = np.zeros((len(A), len(levels)), dtype=np.int64)
-        prod1 = np.ones(len(A))
+        p1 = np.ones(len(A))
         for j, f in enumerate(fac1):
-            prod1 *= f[A[:, j]]
+            p1 *= f[A[:, j]]
             counts[:, level_of[j]] += A[:, j]
         cum = np.cumsum(counts, axis=1)
         total = cum[:, -1]
         n2 = level_norm[np.argmax(cum >= 2, axis=1)]
         n3 = np.where(total >= 3, level_norm[np.argmax(cum >= 3, axis=1)],
                       -1.0)
-        prod2 = np.ones(len(A))
+        p2 = np.ones(len(A))
         for j, f in enumerate(fac2):
-            prod2 *= np.where(norms[j] <= n3, f[A[:, j]], 1.0)
+            p2 *= np.where(norms[j] <= n3, f[A[:, j]], 1.0)
         block = slice(i0, i0 + len(A))
-        rhs1[block] = p.gamma * prod1
-        rhs2[block] = (p.gamma ** 5 / 100.0) * prod2
+        prod1[block], prod2[block] = p1, p2
         cond2[block] = (total >= 2) & (np.maximum(n3, 0.0) < n2)
-    return EllTable(ells, rhs1, rhs2, cond2)
+    return EllTable(ells, prod1, prod2, cond2)
 
 
 def check_frequency(omega: dict, p: DiophParams):
@@ -252,7 +256,8 @@ def check_frequency(omega: dict, p: DiophParams):
         if any(abs(c) > p.mode_radius for c in m):
             raise ValidationError(
                 f"mode {m} lies outside the box of radius {p.mode_radius}")
-    table = _ell_table(modes, p)
+    table = _ell_table(modes, p.d, p.ell_budget)
+    rhs1, rhs2 = table.bounds(p.gamma)
     L = table.ells.matrix
     # <l, omega> accumulated in sorted-mode order, as a left-to-right sum
     # over the entries of l would be.
@@ -260,15 +265,15 @@ def check_frequency(omega: dict, p: DiophParams):
     for j, m in enumerate(modes):
         x += L[:, j] * float(omega[m])
     lhs = np.abs(x - np.rint(x))
-    bad1 = lhs < table.rhs1
-    bad2 = table.cond2 & (lhs < table.rhs2)
+    bad1 = lhs < rhs1
+    bad2 = table.cond2 & (lhs < rhs2)
     violations = []
     for i in np.flatnonzero(bad1 | bad2).tolist():
         ell = table.ells[i]
         if bad1[i]:
-            violations.append((ell, 1, float(lhs[i]), float(table.rhs1[i])))
+            violations.append((ell, 1, float(lhs[i]), float(rhs1[i])))
         if bad2[i]:
-            violations.append((ell, 2, float(lhs[i]), float(table.rhs2[i])))
+            violations.append((ell, 2, float(lhs[i]), float(rhs2[i])))
     return violations, len(L)
 
 
@@ -292,8 +297,8 @@ def sample_frequency(modes, seed) -> dict:
 def sample_strong_frequency(modes, p: DiophParams, seed):
     """First strongly nonresonant draw from the first 1000 sub-seeds."""
     modes = sorted(tuple(m) for m in modes)
-    table = _ell_table(modes, p)
-    rhs = table.rhs()
+    table = _ell_table(modes, p.d, p.ell_budget)
+    rhs = table.rhs(p.gamma)
     # One full matrix-vector product per draw: a row-chunked product can
     # round differently in the last bit and flip an accept/reject decision.
     L = table.ells.matrix.astype(float)
@@ -368,17 +373,16 @@ def _trial_blocks(draws, width):
     return np.array_split(draws, max(1, len(draws) // rows))
 
 
-def _resonant_draws(draws, tables) -> np.ndarray:
-    """Which rows of ``draws`` violate a condition, per table.
+def _resonant_draws(draws, table, gammas) -> np.ndarray:
+    """Which rows of ``draws`` violate a condition of ``table``, per gamma.
 
-    The tables share one l-matrix and differ only in their right-hand
-    sides.  Row k of the result flags the draws that violate some l of
-    ``tables[k]``.  ``draws @ L.T`` and its distance to the integers are
+    Row k of the result flags the draws that violate some l at
+    ``gammas[k]``.  ``draws @ L.T`` and its distance to the integers are
     formed once per block of rows, in place, and tested against every
-    table's bound, so no trials x l matrix is held whole.
+    gamma's bound, so no trials x l matrix is held whole.
     """
-    Lt = tables[0].ells.matrix.astype(float).T
-    rhs = [t.rhs() for t in tables]
+    Lt = table.ells.matrix.astype(float).T
+    rhs = [table.rhs(g) for g in gammas]
     bad = []
     for block in _trial_blocks(draws, Lt.shape[1]):
         x = block @ Lt
@@ -413,7 +417,8 @@ def resonance_measure(params: Sequence[DiophParams], trials: int, seed):
     for i, m in enumerate(modes):
         draws[:, i] = _mode_rng(seed, m).uniform(
             0.0, 1.0 / angle_norm(m), size=trials)
-    bad = _resonant_draws(draws, [_ell_table(modes, p) for p in params])
+    table = _ell_table(modes, p0.d, p0.ell_budget)
+    bad = _resonant_draws(draws, table, [p.gamma for p in params])
     out = []
     for violations in bad.sum(axis=1).tolist():
         fraction = violations / trials

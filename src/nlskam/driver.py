@@ -26,12 +26,14 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .hamiltonian import (
+    HamParams,
     Hamiltonian,
     class_split,
     lie_transform,
     linear_combine,
     norm,
     prune,
+    second_partial,
     vf_sup_norm,
 )
 from .homological import (
@@ -104,24 +106,21 @@ def schedule(s: int, eps0: float) -> ScheduleParams:
 
 @dataclass(frozen=True)
 class KamConfig:
-    d: int = 1
-    sigma: float = 2.5
-    r: float = 1.0
+    """A KAM run: the equation ``nls`` and the iteration's own settings."""
+
+    nls: NlsConfig = NlsConfig(HamParams(d=1), epsilon=1e-6)
     gamma: float = 0.1
-    epsilon: float = 1e-6
-    mode_radius: int = 2
-    degree_cap: int = 16
     steps: int = 1
     seed: int = 0
     ell_budget: int = 6
-    floor_const: float = 1024.0
-    sign: int = 1
     prune_tol: float = 1e-18
     lie_order_cap: int = 3
     strict: bool = False
     force: bool = False
 
     def __post_init__(self):
+        if not self.gamma > 0:
+            raise ValidationError(f"gamma must be > 0, got {self.gamma}")
         if not (math.isfinite(self.prune_tol) and self.prune_tol >= 0):
             raise ValidationError(
                 f"prune_tol must be finite and >= 0, got {self.prune_tol}")
@@ -290,28 +289,23 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     return new_state, report
 
 
-def _eps0_of(cfg) -> float:
-    return cfg.epsilon / (2.0 * math.pi) ** cfg.d
+def _eps0_of(cfg: KamConfig) -> float:
+    return cfg.nls.epsilon / (2.0 * math.pi) ** cfg.nls.params.d
 
 
 def initial_state(cfg: KamConfig, omega=None):
-    """Build the NLS Hamiltonian, sample omega, split into classes.
+    """Build H from ``cfg.nls``, sample omega, split into classes.
 
     A caller-supplied ``omega`` bypasses the strong-nonresonance sampler
     (useful for replaying a stored frequency); it is used as given.
     """
-    nls_cfg = NlsConfig(
-        d=cfg.d, mode_radius=cfg.mode_radius, epsilon=cfg.epsilon,
-        sign=cfg.sign, sigma=cfg.sigma, r=cfg.r,
-        floor_const=cfg.floor_const, degree_cap=cfg.degree_cap)
-    H = build_cubic_nls(nls_cfg)
+    H = build_cubic_nls(cfg.nls)
     if omega is None:
-        dp = DiophParams(gamma=cfg.gamma, d=cfg.d,
-                         ell_budget=cfg.ell_budget,
-                         mode_radius=cfg.mode_radius)
-        omega, _ = sample_strong_frequency(
-            nls_cfg.ham_params.box_modes(), dp, cfg.seed)
-    nf = build_normal_form(nls_cfg, omega)
+        p = cfg.nls.params
+        dp = DiophParams(gamma=cfg.gamma, d=p.d, ell_budget=cfg.ell_budget,
+                         mode_radius=p.mode_radius)
+        omega, _ = sample_strong_frequency(p.box_modes(), dp, cfg.seed)
+    nf = build_normal_form(cfg.nls, omega)
     R0, R1, R2 = class_split(H)
     return KamState(nf=nf, R0=R0, R1=R1, R2=R2, s=0,
                     norms=class_norms(R0, R1, R2, RHO0)), H
@@ -332,8 +326,8 @@ def run(cfg: KamConfig, omega=None):
     state, H = initial_state(cfg, omega)
     reports = []
     states = [state]
-    sched0 = schedule(0, _eps0_of(cfg))
     if cfg.steps == 0:
+        sched0 = schedule(0, _eps0_of(cfg))
         reports.append(StepReport(
             s=0, rho=sched0.rho_s, eps=sched0.eps_s, norms_before=state.norms,
             norms_after=state.norms, min_divisor=math.inf, deferred_mass=0.0,
@@ -370,8 +364,6 @@ def tl_defect(H: Hamiltonian, n, m, l, t_list, rho: float = 0.0):
     star norms of the difference, and a least-squares constant of the
     C/|t| model is fitted per family.
     """
-    from .hamiltonian import second_partial
-
     n, m, l = tuple(n), tuple(m), tuple(l)
     t_list = sorted(set(int(t) for t in t_list), key=lambda t: (abs(t), -t))
     if not t_list or 0 in t_list:

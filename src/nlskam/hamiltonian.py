@@ -59,8 +59,8 @@ class HamParams:
     """Global parameters shared by every term of a Hamiltonian."""
 
     d: int
-    sigma: float
-    r: float
+    sigma: float = 2.5
+    r: float = 1.0
     floor_const: float = 1024.0
     degree_cap: int = 16
     mode_radius: int = 2
@@ -74,10 +74,6 @@ class HamParams:
                     f"{name} must be >= 0, got {getattr(self, name)}")
         # delegate sigma / floor validation
         LatticeParams(self.d, self.sigma, self.floor_const)
-
-    @property
-    def lattice(self) -> LatticeParams:
-        return LatticeParams(self.d, self.sigma, self.floor_const)
 
     def weight(self, mode) -> float:
         return _weight_cached(tuple(mode), self.sigma, self.floor_const)

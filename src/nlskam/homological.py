@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import SmallDivisorError, ValidationError
 from .hamiltonian import Hamiltonian, linear_combine, norm, poisson_bracket
-from .lattice import MI_ZERO, mi_degree, mi_signed, sorted_system, weight
+from .lattice import MI_ZERO, mi_degree, mi_signed, sorted_system
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,10 @@ def divisor(k, k_bar, nf: NormalForm) -> float:
     return total + mass * nf.v_breve
 
 
-def tail_weight(a, k, k_bar, jmodes, lattice) -> float:
+def tail_weight(a, k, k_bar, jmodes, params) -> float:
     """sum_{i>=3} w(n_i*) over the multiplicity-expanded sorted system."""
     system = sorted_system(a, k, k_bar, jmodes)
-    return sum(weight(m, lattice) for m in system[2:])
+    return sum(params.weight(m) for m in system[2:])
 
 
 RHO0 = (3.0 - 2.0 * math.sqrt(2.0)) / 100.0
@@ -103,7 +103,6 @@ def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
     if guard <= 0:
         raise ValidationError("guard must be positive")
     params = R0.params
-    lattice = params.lattice
     min_div = math.inf
     quad_diag = []
     deferred_mass = 0.0
@@ -116,7 +115,7 @@ def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
                 continue
             if mi_degree(k) + mi_degree(kb) == 2 and k != kb:
                 quad_diag.append(key)
-            if tail_weight(a, k, kb, j, lattice) > B:
+            if tail_weight(a, k, kb, j, params) > B:
                 def_terms[key] = c
                 deferred_mass += abs(c)
                 continue

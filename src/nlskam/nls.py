@@ -2,8 +2,9 @@
 
 The quartic interaction keeps one monomial q^k qbar^k' per admissible
 pair |k| = |k'| = 2 with mass and momentum conservation, each with the
-flat coefficient +-eps / (2 pi)^d.  An optional flag multiplies in the
-multinomial counts of the physical |u|^4 expansion instead.
+flat coefficient +-eps / (2 pi)^d.  The ``physical_multiplicity`` keyword
+of :func:`build_cubic_nls` multiplies in the multinomial counts of the
+physical |u|^4 expansion instead.
 """
 
 from __future__ import annotations
@@ -19,15 +20,11 @@ from .homological import NormalForm
 
 @dataclass(frozen=True)
 class NlsConfig:
-    d: int
-    mode_radius: int
+    """The equation: its lattice and weight data, and the nonlinearity."""
+
+    params: HamParams
     epsilon: float
     sign: int = 1
-    sigma: float = 2.5
-    r: float = 1.0
-    floor_const: float = 1024.0
-    degree_cap: int = 16
-    physical_multiplicity: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -35,24 +32,18 @@ class NlsConfig:
         if self.sign not in (1, -1):
             raise ValidationError("sign must be +1 or -1")
 
-    @property
-    def ham_params(self) -> HamParams:
-        return HamParams(d=self.d, sigma=self.sigma, r=self.r,
-                         floor_const=self.floor_const,
-                         degree_cap=self.degree_cap,
-                         mode_radius=self.mode_radius)
-
 
 def _pair_multiplicity(pair) -> int:
     # multinomial 2!/prod(counts!) of a 2-multiset
     return 1 if pair[0] == pair[1] else 2
 
 
-def build_cubic_nls(cfg: NlsConfig) -> Hamiltonian:
+def build_cubic_nls(cfg: NlsConfig,
+                    physical_multiplicity: bool = False) -> Hamiltonian:
     """Quartic interaction of the cubic NLS on the truncated box."""
-    params = cfg.ham_params
+    params = cfg.params
     modes = params.box_modes()
-    base = cfg.sign * cfg.epsilon / (2.0 * math.pi) ** cfg.d
+    base = cfg.sign * cfg.epsilon / (2.0 * math.pi) ** params.d
     by_sum = {}
     for pair in combinations_with_replacement(modes, 2):
         key = tuple(x + y for x, y in zip(*pair))
@@ -62,7 +53,7 @@ def build_cubic_nls(cfg: NlsConfig) -> Hamiltonian:
         for kp in pairs:
             for kbp in pairs:
                 c = base
-                if cfg.physical_multiplicity:
+                if physical_multiplicity:
                     c *= _pair_multiplicity(kp) * _pair_multiplicity(kbp)
                 items.append(((), [(kp[0], 1), (kp[1], 1)],
                               [(kbp[0], 1), (kbp[1], 1)], (), c))
@@ -71,7 +62,7 @@ def build_cubic_nls(cfg: NlsConfig) -> Hamiltonian:
 
 def build_normal_form(cfg: NlsConfig, omega: dict) -> NormalForm:
     """Starting normal form: Vbreve = 0, Vhat = omega, V* = omega."""
-    modes = tuple(cfg.ham_params.box_modes())
+    modes = tuple(cfg.params.box_modes())
     for m in modes:
         if m not in omega:
             raise ValidationError(f"omega missing mode {m}")

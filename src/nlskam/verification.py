@@ -237,7 +237,13 @@ def _poly_product(case):
     """prod_n (1+a_n^p) e^{-2 delta a_n ln^sigma floor(n)} bound.
 
     Checked at the per-mode maximizers, which dominates every admissible
-    choice of the a_n over all of Z^d.
+    choice of the a_n over all of Z^d.  A per-mode maximum of
+    ln(1+a^p) - 2 delta a w is clamped to 0 once 2 delta w passes about
+    0.8 (p = 2).  At the default floor 1024 every shell has w >= 126, so
+    each maximum is 0: ``log_lhs`` is exactly 0, the margin is just
+    ``log_rhs``, and the oracle cannot fail.  A low floor with a small
+    delta gives positive maxima and a margin that can fail, e.g. floor 21
+    with delta = 0.01 (2 delta w = 0.21 at sigma 2.1, 0.32 at sigma 2.5).
     """
     sigma = case.params.get("sigma", 2.5)
     delta = case.params["delta"]

@@ -53,9 +53,9 @@ def _verdict(num, ok, detail):
 # ---------------------------------------------------------------------------
 
 def _residual(d, radius, gamma):
-    cfg = NlsConfig(d=d, mode_radius=radius, epsilon=1e-6)
+    cfg = NlsConfig(HamParams(d=d, mode_radius=radius), epsilon=1e-6)
     dp = DiophParams(gamma=gamma, d=d, ell_budget=6, mode_radius=radius)
-    omega, _ = sample_strong_frequency(cfg.ham_params.box_modes(), dp, seed=7)
+    omega, _ = sample_strong_frequency(cfg.params.box_modes(), dp, seed=7)
     nf = build_normal_form(cfg, omega)
     R0, R1, _ = class_split(build_cubic_nls(cfg).collected())
     sol = solve_homological(R0, R1, nf, guard=1e-8, B=1e9)
@@ -211,8 +211,8 @@ def test_criterion_05_operator_bounds():
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_contraction():
-    cfg = KamConfig(d=1, mode_radius=2, epsilon=1e-6, steps=2, seed=7,
-                    prune_tol=0.0)
+    cfg = KamConfig(NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6),
+                    steps=2, seed=7, prune_tol=0.0)
     reports, _, _ = run(cfg)
     eps0 = _eps0_of(cfg)
     n0 = [reports[0].norms_before[0]] + [r.norms_after[0] for r in reports]
@@ -231,7 +231,8 @@ def test_criterion_06_contraction():
 # ---------------------------------------------------------------------------
 
 def test_criterion_07_shift():
-    cfg = KamConfig(d=1, mode_radius=2, epsilon=1e-6, steps=1, seed=7)
+    cfg = KamConfig(NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6),
+                    steps=1, seed=7)
     state, _ = initial_state(cfg)
     sched = schedule(0, _eps0_of(cfg))
     new_state, report = kam_step(state, sched, cfg)
@@ -290,8 +291,8 @@ def test_criterion_09_scalar_suite():
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_translation_defect():
-    ncfg = NlsConfig(d=1, mode_radius=2, epsilon=1e-6)
-    params = ncfg.ham_params
+    ncfg = NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6)
+    params = ncfg.params
     flat = Hamiltonian.from_terms(
         params, [((), [(m, 1)], [(m, 1)], (), 0.5)
                  for m in params.box_modes()])

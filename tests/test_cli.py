@@ -121,6 +121,13 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
      "a larger eps"),
     (["measure", "--gamma", "0.05", "--gamma", "1.5", "--out",
       "{out}.csv"], "error: gamma must lie in [0,1), got 1.5"),
+    # gamma and eps are refused before H is built or omega sampled
+    (["kam-run", "--radius", "1", "--gamma", "0", "--out-prefix", "{out}"],
+     "error: gamma must be > 0, got 0.0"),
+    (["kam-run", "--radius", "1", "--gamma", "0", "--steps", "0",
+      "--out-prefix", "{out}"], "error: gamma must be > 0, got 0.0"),
+    (["kam-run", "--radius", "1", "--eps", "0", "--out-prefix", "{out}"],
+     "error: epsilon must be > 0"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     h = tmp_path / "h.json"
@@ -133,6 +140,27 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
     assert os.listdir(tmp_path) == ["h.json"]
+
+
+@pytest.mark.parametrize("argv,out,column", [
+    (["kam-run", "--radius", "1", "--out-prefix", "{out}"], "{out}.steps.csv",
+     "wall_time"),
+    (["verify-lemmas", "--lemma", "g_max", "--lemma", "monotonicity",
+      "--samples", "2", "--out", "{out}"], "{out}", "seconds"),
+])
+@pytest.mark.parametrize("timings", [False, True])
+def test_timings_flag_fills_the_time_column(tmp_path, argv, out, column,
+                                            timings):
+    prefix = tmp_path / "out"
+    args = [a.format(out=prefix) for a in argv]
+    assert run_cli(*args, *(["--timings"] if timings else [])) == 0
+    with open(out.format(out=prefix)) as fh:
+        times = [row[column] for row in csv.DictReader(fh)]
+    assert times
+    if timings:
+        assert all(float(t) > 0.0 for t in times)
+    else:
+        assert set(times) == {"0"}
 
 
 def test_kam_run_refuses_a_late_underflow_before_step_0(tmp_path, capsys,

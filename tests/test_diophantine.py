@@ -165,37 +165,37 @@ def test_resonance_measure_rejects_mixed_params(monkeypatch, params,
     assert "\n" not in str(e.value)
 
 
-def _dense_reference(draws, tables):
-    """Each table's flags from the whole trials x l product at once."""
-    Lt = tables[0].ells.matrix.astype(float).T
+def _dense_reference(draws, table, gammas):
+    """Each gamma's flags from the whole trials x l product at once."""
+    Lt = table.ells.matrix.astype(float).T
     x = draws @ Lt
     lhs = np.abs(x - np.rint(x))
-    return x, [(lhs < t.rhs()[None, :]).any(axis=1) for t in tables]
+    return x, [(lhs < table.rhs(g)[None, :]).any(axis=1) for g in gammas]
 
 
-def _gamma_tables(gammas, **kw):
-    params = [DiophParams(gamma=g, **kw) for g in gammas]
-    modes = params[0].box_modes()
-    return modes, [_ell_table(modes, p) for p in params]
+def _box_table(d, ell_budget, mode_radius):
+    modes = DiophParams(gamma=0.1, d=d, ell_budget=ell_budget,
+                        mode_radius=mode_radius).box_modes()
+    return modes, _ell_table(modes, d, ell_budget)
 
 
 @pytest.mark.parametrize("block_rows", [7, 1])
 @pytest.mark.parametrize("trials", [1, 8, 15, 50])
 def test_resonant_draws_blocked_equals_full(monkeypatch, block_rows, trials):
     # trials = 1 mod 7: the short tail must not become a one-row product
-    modes, tables = _gamma_tables((0.1, 0.02, 0.3), d=1, ell_budget=4,
-                                  mode_radius=2)
-    width = len(tables[0].rhs())
+    gammas = (0.1, 0.02, 0.3)
+    modes, table = _box_table(d=1, ell_budget=4, mode_radius=2)
+    width = len(table.ells)
     monkeypatch.setattr(diophantine, "_MEASURE_BLOCK", block_rows * width)
     draws = np.random.default_rng(trials).uniform(
         0.0, 1.0, (trials, len(modes)))
-    Lt = tables[0].ells.matrix.astype(float).T
-    x, full = _dense_reference(draws, tables)
+    Lt = table.ells.matrix.astype(float).T
+    x, full = _dense_reference(draws, table, gammas)
     blocks = _trial_blocks(draws, width)
     assert min(len(b) for b in blocks) >= min(2, trials)
     assert np.concatenate([b @ Lt for b in blocks]).tobytes() == x.tobytes()
-    got = _resonant_draws(draws, tables)
-    assert got.shape == (len(tables), trials)
+    got = _resonant_draws(draws, table, gammas)
+    assert got.shape == (len(gammas), trials)
     for row, ref in zip(got, full):
         assert np.array_equal(row, ref)
     if trials == 50:
@@ -211,18 +211,19 @@ def test_resonant_draws_blocked_equals_full(monkeypatch, block_rows, trials):
     (dict(d=2, ell_budget=5, mode_radius=1), 41, 2),
 ])
 def test_resonant_draws_at_the_default_block(kw, trials, block_rows):
-    modes, tables = _gamma_tables((0.01, 0.05, 0.1), **kw)
-    width = len(tables[0].rhs())
+    gammas = (0.01, 0.05, 0.1)
+    modes, table = _box_table(**kw)
+    width = len(table.ells)
     draws = np.empty((trials, len(modes)))
     for i, m in enumerate(modes):
         draws[:, i] = diophantine._mode_rng(1, m).uniform(
             0.0, 1.0 / angle_norm(m), size=trials)
     blocks = _trial_blocks(draws, width)
     assert {len(b) for b in blocks} == {block_rows, block_rows + 1}
-    Lt = tables[0].ells.matrix.astype(float).T
-    x, full = _dense_reference(draws, tables)
+    Lt = table.ells.matrix.astype(float).T
+    x, full = _dense_reference(draws, table, gammas)
     assert np.concatenate([b @ Lt for b in blocks]).tobytes() == x.tobytes()
-    got = _resonant_draws(draws, tables)
+    got = _resonant_draws(draws, table, gammas)
     for row, ref in zip(got, full):
         assert row.tobytes() == ref.tobytes()
 
@@ -327,21 +328,19 @@ def _bits(values):
     (3, 1, 3, (0.3,)),
 ])
 def test_ell_table_matches_reference_bit_for_bit(d, radius, budget, gammas):
-    modes = DiophParams(gamma=0.1, d=d, ell_budget=budget,
-                        mode_radius=radius).box_modes()
+    modes, table = _box_table(d=d, ell_budget=budget, mode_radius=radius)
     ells = _reference_ells(modes, budget)
+    assert list(table.ells) == ells
+    assert table.ells.matrix.dtype == np.int8
+    assert np.array_equal(table.ells.matrix, _reference_matrix(ells, modes))
+    assert table.cond2.tolist() == [condition2_applies(e) for e in ells]
     for gamma in gammas:
         p = DiophParams(gamma=gamma, d=d, ell_budget=budget,
                         mode_radius=radius)
-        table = _ell_table(modes, p)
-        assert list(table.ells) == ells
-        assert table.ells.matrix.dtype == np.int8
-        assert np.array_equal(table.ells.matrix,
-                              _reference_matrix(ells, modes))
-        assert _bits(table.rhs1) == _bits([dioph_rhs(e, p, 1) for e in ells])
-        assert _bits(table.rhs2) == _bits([dioph_rhs(e, p, 2) for e in ells])
-        assert table.cond2.tolist() == [condition2_applies(e) for e in ells]
-        assert _bits(table.rhs()) == _bits(_reference_rhs(ells, p))
+        rhs1, rhs2 = table.bounds(gamma)
+        assert _bits(rhs1) == _bits([dioph_rhs(e, p, 1) for e in ells])
+        assert _bits(rhs2) == _bits([dioph_rhs(e, p, 2) for e in ells])
+        assert _bits(table.rhs(gamma)) == _bits(_reference_rhs(ells, p))
 
 
 @pytest.fixture(scope="module")
@@ -354,24 +353,24 @@ def d2_reference():
 
 def test_ell_table_d2_sampler_config_bit_for_bit(d2_reference):
     p, ells, rhs = d2_reference
-    table = _ell_table(p.box_modes(), p)
+    table = _ell_table(p.box_modes(), p.d, p.ell_budget)
     assert len(table.ells) == len(ells) == 75516
     assert list(table.ells) == ells
-    assert _bits(table.rhs()) == _bits(rhs)
+    assert _bits(table.rhs(p.gamma)) == _bits(rhs)
 
 
 @pytest.mark.parametrize("budget,dtype", [
     (127, np.int8), (128, np.int16), (130, np.int16)])
 def test_ell_matrix_dtype_holds_budget(budget, dtype):
     p = DiophParams(gamma=0.1, d=1, ell_budget=budget, mode_radius=0)
-    table = _ell_table([(0,)], p)
+    table = _ell_table([(0,)], p.d, p.ell_budget)
     L = table.ells.matrix
     assert L.dtype == dtype
     assert L[:, 0].tolist() == [v for s in range(1, budget + 1)
                                 for v in (-s, s)]
     ells = _reference_ells([(0,)], budget)
     assert list(table.ells) == ells
-    assert _bits(table.rhs()) == _bits(_reference_rhs(ells, p))
+    assert _bits(table.rhs(p.gamma)) == _bits(_reference_rhs(ells, p))
 
 
 def test_ell_rows_view():

@@ -1,10 +1,11 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 import nlskam
 from nlskam import (
+    HamParams,
     Hamiltonian,
     KamConfig,
     ValidationError,
@@ -22,7 +23,8 @@ from nlskam.homological import RHO0
 from nlskam.lattice import conservation_check
 from nlskam.nls import NlsConfig, build_cubic_nls
 
-CFG = KamConfig(d=1, mode_radius=2, epsilon=1e-6, seed=7, steps=1)
+CFG = KamConfig(NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6),
+                seed=7, steps=1)
 
 
 def test_schedule_closed_forms():
@@ -133,8 +135,8 @@ def _ref_flags(state):
 
 @pytest.mark.parametrize("cfg", [
     replace(CFG, steps=2, prune_tol=0.0),
-    KamConfig(d=2, mode_radius=1, epsilon=1e-6, gamma=0.01, seed=7,
-              steps=1),
+    KamConfig(NlsConfig(HamParams(d=2, mode_radius=1), epsilon=1e-6),
+              gamma=0.01, seed=7, steps=1),
 ])
 def test_step_flags_match_the_per_class_expanded_reading(cfg):
     reports, states, _ = run(cfg)
@@ -251,9 +253,35 @@ def test_budget_flag_fails_when_the_ledger_exceeds_eps_next():
         kam_step(state, sched, replace(cfg, strict=True))
 
 
+def test_config_nests_the_equation_once():
+    assert [f.name for f in fields(NlsConfig)] == ["params", "epsilon",
+                                                   "sign"]
+    assert [f.name for f in fields(KamConfig)] == [
+        "nls", "gamma", "steps", "seed", "ell_budget", "prune_tol",
+        "lie_order_cap", "strict", "force"]
+    assert KamConfig().nls == NlsConfig(HamParams(d=1), epsilon=1e-6)
+    for bad in (0.0, -0.1, math.nan):
+        with pytest.raises(ValidationError,
+                           match=f"^gamma must be > 0, got {bad}$"):
+            KamConfig(gamma=bad)
+
+
+def test_initial_state_builds_the_configured_equation(monkeypatch):
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return build_cubic_nls(cfg)
+
+    monkeypatch.setattr(nlskam.driver, "build_cubic_nls", record)
+    initial_state(CFG)
+    assert len(seen) == 1 and seen[0] is CFG.nls
+
+
 def test_run_steps0_row():
-    reports, states, _ = run(KamConfig(d=1, mode_radius=1, epsilon=1e-6,
-                                       steps=0, seed=7))
+    cfg = KamConfig(NlsConfig(HamParams(d=1, mode_radius=1), epsilon=1e-6),
+                    steps=0, seed=7)
+    reports, states, _ = run(cfg)
     assert len(reports) == 1 and len(states) == 1
     assert reports[0].flags["initial_norm"]
     assert reports[0].norms_before == reports[0].norms_after
@@ -285,7 +313,7 @@ def test_final_remainder_check():
 
 
 def test_tl_defect_validation():
-    H = build_cubic_nls(NlsConfig(d=1, mode_radius=2, epsilon=1e-6))
+    H = build_cubic_nls(CFG.nls)
     with pytest.raises(ValidationError):
         tl_defect(H, (0,), (0,), (1,), [])
     with pytest.raises(ValidationError):
@@ -295,7 +323,7 @@ def test_tl_defect_validation():
 
 
 def test_tl_defect_quadratic_translation_invariant():
-    params = NlsConfig(d=1, mode_radius=2, epsilon=1e-6).ham_params
+    params = CFG.nls.params
     flat = Hamiltonian.from_terms(
         params, [((), [(m, 1)], [(m, 1)], (), 0.5)
                  for m in params.box_modes()])
@@ -306,7 +334,7 @@ def test_tl_defect_quadratic_translation_invariant():
 
 
 def test_tl_defect_quartic_decreasing():
-    H = build_cubic_nls(NlsConfig(d=1, mode_radius=2, epsilon=1e-6))
+    H = build_cubic_nls(CFG.nls)
     rows, fitted = tl_defect(H, (0,), (0,), (1,), [1, 2])
     by_t = {row[0]: row[1:] for row in rows}
     for fam in range(3):

@@ -502,12 +502,12 @@ def test_dumps_writes_the_bytes_of_json_indent_1(params):
         ((), (), (((2,), 3),), ((0,), (0,))): complex(3.0, -5e-324),
         ((), (((0,), 1),), (((0,), 1),), ()): complex(1e16, 0.1),
     })
-    _, states, _ = run(KamConfig(d=1, mode_radius=2, epsilon=1e-6, seed=7,
-                                 steps=1))
+    _, states, _ = run(KamConfig(seed=7, steps=1))
     step = states[1]
     for H in (Hamiltonian.zero(params),
-              build_cubic_nls(NlsConfig(d=1, mode_radius=2, epsilon=1e-6)),
-              build_cubic_nls(NlsConfig(d=2, mode_radius=1, epsilon=1e-6)),
+              build_cubic_nls(NlsConfig(HamParams(d=1), epsilon=1e-6)),
+              build_cubic_nls(NlsConfig(HamParams(d=2, mode_radius=1),
+                                        epsilon=1e-6)),
               special, step.R0 + step.R1 + step.R2):
         assert H.dumps() == json.dumps(H.to_dict(), indent=1)
     assert special.dumps().count("-0.0") == 2
@@ -541,9 +541,9 @@ def _ref_vector_field(H, x):
 
 
 @pytest.mark.parametrize("cfg", [
-    KamConfig(d=1, mode_radius=2, epsilon=1e-6, seed=7, steps=1),
-    KamConfig(d=2, mode_radius=1, epsilon=1e-6, gamma=0.01, seed=7,
-              steps=1),
+    KamConfig(seed=7, steps=1),
+    KamConfig(NlsConfig(HamParams(d=2, mode_radius=1), epsilon=1e-6),
+              gamma=0.01, seed=7, steps=1),
 ])
 def test_vf_sup_norm_bits_on_kam_steps(monkeypatch, cfg):
     calls = []
@@ -635,7 +635,7 @@ def test_huge_r_gives_no_nan():
 def test_vf_sup_norm_of_a_zero_field_under_a_huge_weight():
     # e^{rho w(n)} overflows past rho w(n) = 709.8; the field here is 0
     p = HamParams(d=1, sigma=2.5, r=1.0)
-    H = build_cubic_nls(NlsConfig(d=1, mode_radius=2, epsilon=1e-6))
+    H = build_cubic_nls(NlsConfig(p, epsilon=1e-6))
     x = {m: 0j for m in p.box_modes()}
     assert 6.0 * p.weight((0,)) > 709.8
     assert vf_sup_norm(H, x, 6.0) == 0.0

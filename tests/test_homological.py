@@ -4,6 +4,7 @@ import pytest
 
 from nlskam import (
     DiophParams,
+    HamParams,
     Hamiltonian,
     NormalForm,
     SmallDivisorError,
@@ -21,10 +22,10 @@ from nlskam.nls import NlsConfig, build_cubic_nls, build_normal_form
 
 
 def _setup(d=1, radius=2, seed=7, gamma=0.1):
-    cfg = NlsConfig(d=d, mode_radius=radius, epsilon=1e-6)
+    cfg = NlsConfig(HamParams(d=d, mode_radius=radius), epsilon=1e-6)
     H = build_cubic_nls(cfg)
     dp = DiophParams(gamma=gamma, d=d, ell_budget=6, mode_radius=radius)
-    omega, _ = sample_strong_frequency(cfg.ham_params.box_modes(), dp, seed)
+    omega, _ = sample_strong_frequency(cfg.params.box_modes(), dp, seed)
     nf = build_normal_form(cfg, omega)
     R0, R1, R2 = class_split(H.collected())
     return cfg, nf, R0, R1, R2
@@ -52,13 +53,12 @@ def test_divisor_mass_cancellation():
 
 
 def test_tail_weight_counts_third_largest_onward():
-    cfg = NlsConfig(d=1, mode_radius=2, epsilon=1e-6)
-    lat = cfg.ham_params.lattice
-    w = cfg.ham_params.weight((0,))
+    params = HamParams(d=1, mode_radius=2)
+    w = params.weight((0,))
     k = mi([((1,), 1), ((-1,), 1)])
     kb = mi([((0,), 2)])
     # system has 4 entries, tail = 2 entries at the floor weight
-    assert tail_weight((), k, kb, (), lat) == pytest.approx(2.0 * w)
+    assert tail_weight((), k, kb, (), params) == pytest.approx(2.0 * w)
 
 
 def test_truncation_budget_monotone():

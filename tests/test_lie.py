@@ -19,6 +19,7 @@ from nlskam import (
     DivergenceRiskError,
     HamParams,
     KamConfig,
+    NlsConfig,
     ValidationError,
     initial_state,
     kam_step,
@@ -35,7 +36,8 @@ from nlskam.hamiltonian import TAIL_TOL, Hamiltonian, class_split
 from nlskam.homological import RHO0
 from nlskam.verification import random_hamiltonian
 
-CFG = KamConfig(d=1, mode_radius=2, epsilon=1e-6, seed=7, steps=1)
+CFG = KamConfig(NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6),
+                seed=7, steps=1)
 
 
 def _bits(H):
@@ -171,7 +173,9 @@ def _step_inputs(cfg, tiny_r2=False):
 ])
 def test_step_series_and_charges(degree_cap, order_cap, orders, capped,
                                  tiny_r2):
-    cfg = replace(CFG, degree_cap=degree_cap, lie_order_cap=order_cap)
+    nls = replace(CFG.nls, params=replace(CFG.nls.params,
+                                          degree_cap=degree_cap))
+    cfg = replace(CFG, nls=nls, lie_order_cap=order_cap)
     state, sched, sol, G, start = _step_inputs(cfg, tiny_r2)
     series = lie_transform(start, G, sol.F, order_cap, E=sol.eliminated,
                            prune_tol=cfg.prune_tol)

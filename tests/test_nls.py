@@ -3,15 +3,25 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from nlskam import NlsConfig, ValidationError, build_cubic_nls, build_normal_form
+from nlskam import (
+    HamParams,
+    NlsConfig,
+    ValidationError,
+    build_cubic_nls,
+    build_normal_form,
+)
 from nlskam.lattice import conservation_check
+
+
+def _cfg(d, radius, **kw):
+    return NlsConfig(HamParams(d=d, mode_radius=radius), epsilon=1e-6, **kw)
 
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        NlsConfig(d=1, mode_radius=1, epsilon=0.0)
+        NlsConfig(HamParams(d=1, mode_radius=1), epsilon=0.0)
     with pytest.raises(ValidationError):
-        NlsConfig(d=1, mode_radius=1, epsilon=1e-6, sign=2)
+        _cfg(1, 1, sign=2)
 
 
 def _independent_count(d, radius):
@@ -31,21 +41,19 @@ def _independent_count(d, radius):
 
 
 def test_term_count_d1_radius1():
-    H = build_cubic_nls(NlsConfig(d=1, mode_radius=1, epsilon=1e-6))
+    H = build_cubic_nls(_cfg(1, 1))
     assert len(H.terms) == 8
     assert len(H.terms) == _independent_count(1, 1)
 
 
 def test_term_count_matches_oracle():
     for d, radius in ((1, 2), (2, 1)):
-        H = build_cubic_nls(NlsConfig(d=d, mode_radius=radius,
-                                      epsilon=1e-6))
+        H = build_cubic_nls(_cfg(d, radius))
         assert len(H.terms) == _independent_count(d, radius)
 
 
 def test_coefficients_flat_and_real():
-    cfg = NlsConfig(d=1, mode_radius=2, epsilon=1e-6)
-    H = build_cubic_nls(cfg)
+    H = build_cubic_nls(_cfg(1, 2))
     base = 1e-6 / (2.0 * math.pi)
     for (a, k, kb, j), c in H.terms.items():
         assert a == () and j == ()
@@ -55,18 +63,15 @@ def test_coefficients_flat_and_real():
 
 
 def test_sign_and_dimension_scaling():
-    neg = build_cubic_nls(NlsConfig(d=1, mode_radius=1, epsilon=1e-6,
-                                    sign=-1))
+    neg = build_cubic_nls(_cfg(1, 1, sign=-1))
     assert all(c.real < 0 for c in neg.terms.values())
-    h2 = build_cubic_nls(NlsConfig(d=2, mode_radius=1, epsilon=1e-6))
+    h2 = build_cubic_nls(_cfg(2, 1))
     base2 = 1e-6 / (2.0 * math.pi) ** 2
     assert next(iter(h2.terms.values())).real == pytest.approx(base2)
 
 
 def test_physical_multiplicity_counts():
-    cfg = NlsConfig(d=1, mode_radius=1, epsilon=1e-6,
-                    physical_multiplicity=True)
-    H = build_cubic_nls(cfg)
+    H = build_cubic_nls(_cfg(1, 1), physical_multiplicity=True)
     base = 1e-6 / (2.0 * math.pi)
     # q_1 q_-1 qbar_0^2: multiplicity 2 (distinct pair) * 1 (repeated pair)
     key = ((), (((-1,), 1), ((1,), 1)), (((0,), 2),), ())
@@ -77,7 +82,7 @@ def test_physical_multiplicity_counts():
 
 
 def test_normal_form_start():
-    cfg = NlsConfig(d=1, mode_radius=1, epsilon=1e-6)
+    cfg = _cfg(1, 1)
     omega = {(-1,): 0.1, (0,): 0.2, (1,): 0.3}
     nf = build_normal_form(cfg, omega)
     assert nf.v_breve == 0.0
@@ -90,10 +95,10 @@ def test_normal_form_start():
 
 
 def test_normal_form_as_hamiltonian():
-    cfg = NlsConfig(d=1, mode_radius=1, epsilon=1e-6)
+    cfg = _cfg(1, 1)
     omega = {(-1,): 0.1, (0,): 0.2, (1,): 0.3}
     nf = build_normal_form(cfg, omega)
-    N = nf.as_hamiltonian(cfg.ham_params)
+    N = nf.as_hamiltonian(cfg.params)
     assert len(N.terms) == 3
     key = ((), (((1,), 1),), (((1,), 1),), ())
     assert N.terms[key] == pytest.approx(1.3)

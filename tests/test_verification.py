@@ -150,7 +150,7 @@ def test_unknown_lemma_rejected():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: run(KamConfig(seed=-1, steps=0, mode_radius=1)),
+    lambda: run(KamConfig(seed=-1, steps=0)),
     lambda: verify_norm_lemma("monotonicity", samples=2, seed=-1),
     lambda: verify_scalar_lemma("log_superadditivity", samples=2, seed=-1),
     lambda: resonance_measure(
