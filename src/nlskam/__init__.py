@@ -13,7 +13,7 @@ from .errors import (
     SmallDivisorError,
     ValidationError,
 )
-from .lattice import LatticeParams, weighted_gap, mode_norms, weight
+from .lattice import weighted_gap
 from .hamiltonian import (
     HamParams,
     Hamiltonian,

@@ -121,6 +121,12 @@ class KamConfig:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValidationError(f"gamma must be > 0, got {self.gamma}")
+        if not self.gamma < 1:
+            raise ValidationError(f"gamma must be < 1, got {self.gamma}")
+        if self.steps < 0:
+            raise ValidationError(f"steps must be >= 0, got {self.steps}")
+        if self.lie_order_cap < 1:
+            raise ValidationError("order_cap must be >= 1")
         if not (math.isfinite(self.prune_tol) and self.prune_tol >= 0):
             raise ValidationError(
                 f"prune_tol must be finite and >= 0, got {self.prune_tol}")
@@ -317,8 +323,6 @@ def run(cfg: KamConfig, omega=None):
     Returns (reports, states, H) with H the NLS Hamiltonian the initial
     state was split from.
     """
-    if cfg.steps < 0:
-        raise ValidationError(f"steps must be >= 0, got {cfg.steps}")
     # every step's schedule is checked before any step runs
     scheds = [schedule(s, _eps0_of(cfg)) for s in range(cfg.steps)]
     for sched in scheds:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, ValidationError
 from .lattice import (
-    LatticeParams,
     _is_int,
     _mode_sort_key,
     _weight_cached,
@@ -56,7 +55,12 @@ TAIL_TOL = 1e-30
 
 @dataclass(frozen=True)
 class HamParams:
-    """Global parameters shared by every term of a Hamiltonian."""
+    """The lattice's one record, shared by every term of a Hamiltonian.
+
+    Checked in order: 1 <= r < inf, degree_cap >= 0, mode_radius >= 0,
+    d >= 1, 2 < sigma < inf and 21 <= floor_const < inf (above e^3, for
+    the log-superadditivity behind the gap inequality).
+    """
 
     d: int
     sigma: float = 2.5
@@ -72,10 +76,17 @@ class HamParams:
             if getattr(self, name) < 0:
                 raise ValidationError(
                     f"{name} must be >= 0, got {getattr(self, name)}")
-        # delegate sigma / floor validation
-        LatticeParams(self.d, self.sigma, self.floor_const)
+        if self.d < 1:
+            raise ValidationError(f"dimension must be >= 1, got {self.d}")
+        if not 2 < self.sigma < math.inf:
+            raise ValidationError(
+                f"sigma must be finite and > 2, got {self.sigma}")
+        if not 21 <= self.floor_const < math.inf:
+            raise ValidationError("floor_const must be finite and >= 21, "
+                                  f"got {self.floor_const}")
 
     def weight(self, mode) -> float:
+        """The log-power weight w(n) = ln^sigma max(floor_const, ||n||)."""
         return _weight_cached(tuple(mode), self.sigma, self.floor_const)
 
     def action0(self, mode) -> float:

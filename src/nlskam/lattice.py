@@ -10,46 +10,12 @@ serialization) relies on that canonical form being unique.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionMismatchError, ValidationError
 
-DEFAULT_FLOOR = 1024.0
-
 # Multi-index representing the empty exponent vector.
 MI_ZERO = ()
-
-
-@dataclass(frozen=True)
-class LatticeParams:
-    """Global lattice parameters: dimension, log power, weight floor.
-
-    Parameters
-    ----------
-    d : int
-        Lattice dimension.
-    sigma : float
-        Log power in the weight ln^sigma of the floored norm.  Must be > 2.
-    floor_const : float
-        Lower clamp applied to the Euclidean norm before taking logs.
-        Default 2**10.  Must be >= 21 so the log-superadditivity mechanism
-        behind the gap inequality can apply (the threshold has to exceed e^3).
-    """
-
-    d: int
-    sigma: float
-    floor_const: float = DEFAULT_FLOOR
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.d}")
-        if not 2 < self.sigma < math.inf:
-            raise ValidationError(
-                f"sigma must be finite and > 2, got {self.sigma}")
-        if not 21 <= self.floor_const < math.inf:
-            raise ValidationError("floor_const must be finite and >= 21, "
-                                  f"got {self.floor_const}")
 
 
 def _is_int(x):
@@ -69,25 +35,10 @@ def check_mode(n, d):
             f"mode {n!r} has dimension {len(n)}, expected {d}")
 
 
-def mode_norms(n, p: LatticeParams):
-    """Return (euclid, angle, floor) norms of a mode.
-
-    euclid = ||n||, angle = max(1, ||n||), floor = max(floor_const, ||n||).
-    """
-    check_mode(n, p.d)
-    euclid = math.sqrt(sum(c * c for c in n))
-    return euclid, max(1.0, euclid), max(p.floor_const, euclid)
-
-
 @lru_cache(maxsize=None)
 def _weight_cached(n, sigma, floor_const):
     euclid = math.sqrt(sum(c * c for c in n))
     return math.log(max(floor_const, euclid)) ** sigma
-
-
-def weight(n, p: LatticeParams) -> float:
-    """The log-power weight ln^sigma of the floored mode norm."""
-    return _weight_cached(tuple(n), p.sigma, p.floor_const)
 
 
 def angle_norm(n) -> float:
@@ -141,14 +92,6 @@ def mi_get(m: tuple, mode) -> int:
         if mm == mode:
             return e
     return 0
-
-
-def mi_add(*ms) -> tuple:
-    acc = {}
-    for m in ms:
-        for mode, e in m:
-            acc[mode] = acc.get(mode, 0) + e
-    return tuple(sorted((m, e) for m, e in acc.items() if e > 0))
 
 
 def mi_degree(m: tuple) -> int:
@@ -209,19 +152,11 @@ def conservation_check(k: tuple, k_bar: tuple):
     return mass == 0, not any(mom.values())
 
 
-def momentum_defect(k: tuple, k_bar: tuple, d: int):
-    """The vector sum of (k - k') weighted by the modes."""
-    mom = [0] * d
-    for mode, e in mi_signed(k, k_bar).items():
-        for i, c in enumerate(mode):
-            mom[i] += e * c
-    return tuple(mom)
-
-
-def weighted_gap(a: tuple, k: tuple, k_bar: tuple, p: LatticeParams) -> float:
+def weighted_gap(a: tuple, k: tuple, k_bar: tuple, p) -> float:
     """Weighted gap S - 2*L1 - tail/2 of a momentum-conserving monomial.
 
-    S is the multiplicity-weighted sum of weights, L1 the weight of the
+    S is the multiplicity-weighted sum of the weights ``p.weight`` of the
+    :class:`~nlskam.hamiltonian.HamParams` ``p``, L1 the weight of the
     largest mode, and the tail sums the weights of the third-largest mode
     onward.  Momentum conservation guarantees the value is >= 0.
     """
@@ -232,5 +167,5 @@ def weighted_gap(a: tuple, k: tuple, k_bar: tuple, p: LatticeParams) -> float:
     system = sorted_system(a, k, k_bar)
     if not system:
         return 0.0
-    ws = [weight(m, p) for m in system]
+    ws = [p.weight(m) for m in system]
     return sum(ws) - 2.0 * ws[0] - 0.5 * sum(ws[2:])

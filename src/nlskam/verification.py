@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .hamiltonian import (
     second_partial,
     vf_sup_norm,
 )
-from .lattice import LatticeParams, weighted_gap
+from .lattice import weighted_gap
 
 SUITE_CSV_SCHEMA = "name,params,samples,violations,worst_margin,seconds"
 
@@ -422,12 +422,15 @@ def _norm_case(name, params, samples, seed, check):
     return case
 
 
-def _default_params(p):
-    return HamParams(
-        d=p.get("d", 1), sigma=p.get("sigma", 2.5), r=p.get("r", 1.0),
-        floor_const=p.get("floor_const", 1024.0),
-        degree_cap=p.get("degree_cap", 12),
-        mode_radius=p.get("mode_radius", 2))
+_HAM_FIELDS = frozenset(f.name for f in fields(HamParams))
+
+
+def _default_params(p, **lemma):
+    """A norm lemma's HamParams: HamParams' defaults, overridden by the
+    lemma's values (d 1 and degree cap 12 unless ``lemma`` sets them),
+    overridden by the keys of ``p`` that name HamParams fields."""
+    ham = {k: v for k, v in p.items() if k in _HAM_FIELDS}
+    return HamParams(**{"d": 1, "degree_cap": 12, **lemma, **ham})
 
 
 def _check_monotonicity(rng, p):
@@ -528,7 +531,7 @@ def _check_second_derivative(rng, p):
 
 
 def _check_flow_bound(rng, p):
-    hp = _default_params({"degree_cap": 64, **p})
+    hp = _default_params(p, degree_cap=64)
     H = random_hamiltonian(hp, rng, n_terms=4)
     F = random_hamiltonian(hp, rng, n_terms=3).scale(p.get("f_scale", 1e-4))
     rho = rng.uniform(0.05, 0.15)
@@ -554,17 +557,12 @@ def _check_flow_bound(rng, p):
 
 
 def _check_gap(rng, p):
-    lat = LatticeParams(p.get("d", 1), p.get("sigma", 2.5),
-                        p.get("floor_const", 1024.0))
-    radius = p.get("mode_radius", 2048)
-    hp = HamParams(d=lat.d, sigma=lat.sigma, r=1.0,
-                   floor_const=lat.floor_const, degree_cap=20,
-                   mode_radius=radius)
+    hp = _default_params(p, degree_cap=20, mode_radius=2048)
     H = random_hamiltonian(hp, rng, n_terms=1, max_factors=6, max_actions=2)
     if H.is_zero():
         return 0.0
     (a, k, kb, _), = H.terms.keys()
-    return weighted_gap(a, k, kb, lat)
+    return weighted_gap(a, k, kb, hp)
 
 
 NORM_LEMMAS = {

@@ -32,7 +32,7 @@ from nlskam import (
 )
 from nlskam.cli import dispatch
 from nlskam.driver import _eps0_of
-from nlskam.lattice import LatticeParams, angle_norm, weighted_gap, mi
+from nlskam.lattice import angle_norm, weighted_gap, mi
 from nlskam.nls import NlsConfig, build_cubic_nls, build_normal_form
 from nlskam.verification import (
     SCALAR_LEMMAS,
@@ -108,7 +108,7 @@ def _gap_min(sigma, floor, radius, samples, seed, half=4):
     top2 = np.sort(w, axis=1)[:, -2:]
     gaps = 0.5 * w.sum(axis=1) - 1.5 * top2[:, 1] + 0.5 * top2[:, 0]
     # cross-check a handful of rows against the exact per-term computation
-    p = LatticeParams(d=1, sigma=sigma, floor_const=float(floor))
+    p = HamParams(d=1, sigma=sigma, floor_const=float(floor))
     for i in range(0, samples, samples // 25):
         k = mi(((int(v),), 1) for v in modes[i, :half])
         kb = mi(((int(v),), 1) for v in modes[i, half:2 * half])

@@ -16,8 +16,10 @@ from nlskam import (
     norm,
     poisson_bracket,
 )
-from nlskam.lattice import conservation_check, mi_add, mi_degree
+from nlskam.lattice import conservation_check, mi_degree
 from nlskam.verification import random_hamiltonian
+
+from mi_helpers import mi_add
 
 PARAMS = HamParams(d=1, sigma=2.5, r=1.0, floor_const=1024.0,
                    degree_cap=32, mode_radius=2)

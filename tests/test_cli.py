@@ -14,6 +14,19 @@ def run_cli(*argv):
     return dispatch(list(argv))
 
 
+@pytest.fixture(scope="module")
+def omega_file(tmp_path_factory):
+    """A strong-Diophantine frequency of the d=1 R=2 box, sampled at gamma
+    0.1 and seed 7."""
+    from nlskam.diophantine import (DiophParams, frequency_dumps,
+                                    sample_strong_frequency)
+    p = DiophParams(gamma=0.1, d=1, ell_budget=6, mode_radius=2)
+    omega, _ = sample_strong_frequency(p.box_modes(), p, seed=7)
+    f = tmp_path_factory.mktemp("freq") / "omega.json"
+    f.write_text(frequency_dumps(omega))
+    return f
+
+
 def test_unknown_command_exits_1(capsys):
     assert run_cli("frobnicate") == 1
     assert run_cli() == 1
@@ -128,13 +141,25 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
       "--out-prefix", "{out}"], "error: gamma must be > 0, got 0.0"),
     (["kam-run", "--radius", "1", "--eps", "0", "--out-prefix", "{out}"],
      "error: epsilon must be > 0"),
+    # gamma >= 1 is refused whether omega is sampled or read from --freq
+    (["kam-run", "--radius", "1", "--gamma", "1", "--out-prefix", "{out}"],
+     "error: gamma must be < 1, got 1.0"),
+    (["kam-run", "--radius", "2", "--freq", "{freq}", "--gamma", "1.5",
+      "--out-prefix", "{out}"], "error: gamma must be < 1, got 1.5"),
+    (["kam-run", "--radius", "2", "--freq", "{freq}", "--gamma", "1.5",
+      "--steps", "0", "--out-prefix", "{out}"],
+     "error: gamma must be < 1, got 1.5"),
+    (["kam-run", "--radius", "1", "--lie-order-cap", "0", "--steps", "0",
+      "--out-prefix", "{out}"], "error: order_cap must be >= 1"),
 ])
-def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, omega_file, argv,
+                                         message):
     h = tmp_path / "h.json"
     run_cli("build-nls", "--d", "1", "--radius", "1", "--eps", "1e-6",
             "--out", str(h))
     capsys.readouterr()
-    args = [a.format(h=h, out=tmp_path / "out") for a in argv]
+    args = [a.format(h=h, out=tmp_path / "out", freq=omega_file)
+            for a in argv]
     assert run_cli(*args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

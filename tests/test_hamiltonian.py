@@ -25,9 +25,11 @@ from nlskam import (
 )
 from nlskam import driver
 from nlskam.hamiltonian import _Packer, _term_S_L1, term_degree
-from nlskam.lattice import _mode_sort_key, mi, mi_add, mi_get
+from nlskam.lattice import _mode_sort_key, mi, mi_get
 from nlskam.nls import NlsConfig, build_cubic_nls
 from nlskam.verification import random_hamiltonian, random_state
+
+from mi_helpers import mi_add
 
 
 def J_mono(params, m, coeff=1.0):

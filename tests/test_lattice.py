@@ -4,59 +4,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlskam import (DiophParams, HamParams, LatticeParams, ValidationError,
-                    mode_norms, weight, weighted_gap)
+from nlskam import DiophParams, HamParams, ValidationError, weighted_gap
 from nlskam.errors import DimensionMismatchError
 from nlskam.lattice import (
     box_modes,
+    check_mode,
     conservation_check,
     mi,
-    mi_add,
     mi_degree,
     mi_get,
     mi_signed,
-    momentum_defect,
     sorted_system,
 )
 
-LAT = LatticeParams(d=1, sigma=2.5, floor_const=1024.0)
+from mi_helpers import mi_add, momentum_defect
+
+LAT = HamParams(d=1, sigma=2.5, floor_const=1024.0)
 
 
 def test_params_validation():
-    with pytest.raises(ValidationError):
-        LatticeParams(d=0, sigma=2.5)
-    with pytest.raises(ValidationError):
-        LatticeParams(d=1, sigma=2.0)
-    with pytest.raises(ValidationError):
-        LatticeParams(d=1, sigma=2.5, floor_const=20.0)
+    with pytest.raises(ValidationError, match="^dimension must be >= 1"):
+        HamParams(d=0, sigma=2.5)
+    with pytest.raises(ValidationError, match="^sigma must be finite and > 2"):
+        HamParams(d=1, sigma=2.0)
+    with pytest.raises(ValidationError,
+                       match="^floor_const must be finite and >= 21"):
+        HamParams(d=1, sigma=2.5, floor_const=20.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValidationError, match="sigma must be finite"):
-            LatticeParams(d=1, sigma=bad)
+            HamParams(d=1, sigma=bad)
         with pytest.raises(ValidationError,
                            match="floor_const must be finite"):
-            LatticeParams(d=1, sigma=2.5, floor_const=bad)
-
-
-def test_mode_norms_values():
-    # below the floor the clamp wins; above it the Euclidean norm wins
-    assert mode_norms((3,), LAT) == (3.0, 3.0, 1024.0)
-    assert mode_norms((0,), LAT) == (0.0, 1.0, 1024.0)
-    assert mode_norms((2000,), LAT) == (2000.0, 2000.0, 2000.0)
-    lat2 = LatticeParams(d=2, sigma=2.5)
-    e, a, f = mode_norms((3, 4), lat2)
-    assert (e, a, f) == (5.0, 5.0, 1024.0)
+            HamParams(d=1, sigma=2.5, floor_const=bad)
 
 
 def test_mode_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        mode_norms((1, 2), LAT)
+        check_mode((1, 2), LAT.d)
 
 
 def test_weight_closed_form():
-    assert weight((3,), LAT) == pytest.approx(math.log(1024.0) ** 2.5)
-    assert weight((2000,), LAT) == pytest.approx(math.log(2000.0) ** 2.5)
+    assert LAT.weight((3,)) == pytest.approx(math.log(1024.0) ** 2.5)
+    assert LAT.weight((2000,)) == pytest.approx(math.log(2000.0) ** 2.5)
     # weight is monotone in the norm above the floor
-    assert weight((2048,), LAT) < weight((4096,), LAT)
+    assert LAT.weight((2048,)) < LAT.weight((4096,))
 
 
 def test_mi_canonical_form():

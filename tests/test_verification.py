@@ -7,7 +7,7 @@ from nlskam import (DiophParams, HamParams, Hamiltonian, KamConfig,
                     ValidationError, norm, resonance_measure, run,
                     verify_norm_lemma, verify_scalar_lemma)
 from nlskam import verification
-from nlskam.lattice import conservation_check, mi, momentum_defect
+from nlskam.lattice import conservation_check, mi
 from nlskam.verification import (
     NORM_LEMMAS,
     SCALAR_LEMMAS,
@@ -21,6 +21,8 @@ from nlskam.verification import (
     random_state,
     run_suite,
 )
+
+from mi_helpers import momentum_defect
 
 
 # Frozen references: the array-draw random_hamiltonian and the
@@ -270,3 +272,35 @@ def test_bracket_bound_lemma_at_d2():
 def test_nan_margin_is_a_violation():
     case = _norm_case("nan", {}, 3, 0, lambda rng, p: math.nan)
     assert case.violations == 3
+
+
+# (lemma, case params, the HamParams fields that differ from d 1 and
+# degree cap 12): a case's params override exactly the HamParams keys they
+# set, and rho, f_scale or delta never reach HamParams
+@pytest.mark.parametrize("name,p,want", [
+    ("monotonicity", {}, {}),
+    ("monotonicity", {"sigma": 3.0, "delta": 0.2}, {"sigma": 3.0}),
+    ("submultiplicativity", {"d": 2, "mode_radius": 1},
+     {"d": 2, "mode_radius": 1}),
+    ("vector_field_bound", {"r": 1.5, "floor_const": 21.0, "rho": 0.2},
+     {"r": 1.5, "floor_const": 21.0}),
+    ("second_derivative_bound", {"degree_cap": 16}, {"degree_cap": 16}),
+    ("gap", {"floor_const": 21.0, "sigma": 2.1},
+     {"floor_const": 21.0, "sigma": 2.1, "degree_cap": 20,
+      "mode_radius": 2048}),
+    ("gap", {"mode_radius": 40, "degree_cap": 24},
+     {"mode_radius": 40, "degree_cap": 24}),
+    ("flow_bound", {"f_scale": 1e-5}, {"degree_cap": 64}),
+    ("flow_bound", {"degree_cap": 32}, {"degree_cap": 32}),
+])
+def test_default_params_layers(monkeypatch, name, p, want):
+    expected = HamParams(**{"d": 1, "degree_cap": 12, **want})
+    seen = []
+
+    def record(params, *args, **kwargs):
+        seen.append(params)
+        return random_hamiltonian(params, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "random_hamiltonian", record)
+    NORM_LEMMAS[name](np.random.default_rng(0), p)
+    assert seen and all(hp == expected for hp in seen)
