@@ -31,7 +31,6 @@ from .hamiltonian import (
     vf_sup_norm,
 )
 from .diophantine import (
-    DiophParams,
     check_frequency,
     frequency_dumps,
     frequency_loads,

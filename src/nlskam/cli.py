@@ -19,7 +19,6 @@ import sys
 
 from .diophantine import (
     MEASURE_CSV_SCHEMA,
-    DiophParams,
     check_frequency,
     frequency_loads,
     resonance_measure,
@@ -289,8 +288,11 @@ def _cmd_kam_run(args):
 
 def _cmd_norms(args):
     H = Hamiltonian.loads(_read(args.file))
-    for kind in ("sup_rho", "star_rho", "plus_rho"):
-        print(f"{kind} {_fmt(norm(H, kind, args.rho))}")
+    # all three first: a refused rho must leave stdout empty
+    values = [(kind, norm(H, kind, args.rho))
+              for kind in ("sup_rho", "star_rho", "plus_rho")]
+    for kind, value in values:
+        print(f"{kind} {_fmt(value)}")
     return 0
 
 
@@ -314,9 +316,9 @@ def _cmd_bracket(args):
 
 def _cmd_dioph_check(args):
     omega = frequency_loads(_read(args.file), args.d)
-    p = DiophParams(gamma=args.gamma, d=args.d, ell_budget=args.ell_budget,
-                    mode_radius=args.radius)
-    violations, checked = check_frequency(omega, p)
+    violations, checked = check_frequency(
+        omega, args.gamma, args.ell_budget,
+        HamParams(d=args.d, mode_radius=args.radius))
     print(f"checked {checked}")
     print(f"violations {len(violations)}")
     for ell, which, lhs, rhs in violations[:20]:
@@ -327,11 +329,12 @@ def _cmd_dioph_check(args):
 
 def _cmd_measure(args):
     gammas = args.gamma if args.gamma else [0.01, 0.05, 0.1]
-    params = [DiophParams(gamma=g, d=args.d, ell_budget=args.ell_budget,
-                          mode_radius=args.radius) for g in gammas]
+    rows = resonance_measure(
+        gammas, args.trials, args.seed,
+        lattice=HamParams(d=args.d, mode_radius=args.radius),
+        ell_budget=args.ell_budget)
     lines = [MEASURE_CSV_SCHEMA]
-    for g, (fraction, stderr, violations) in zip(
-            gammas, resonance_measure(params, args.trials, args.seed)):
+    for g, (fraction, stderr, violations) in zip(gammas, rows):
         lines.append(",".join([
             _fmt(g), str(args.trials), str(violations), _fmt(fraction),
             _fmt(stderr), str(args.ell_budget), str(args.radius),

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +23,6 @@ from .lattice import (
     _is_int,
     _mode_sort_key,
     angle_norm,
-    box_modes,
     check_mode,
     mode_from_json,
 )
@@ -33,26 +31,13 @@ MEASURE_CSV_SCHEMA = (
     "gamma,trials,violations,fraction,stderr,ell_budget,mode_radius,seed")
 
 
-@dataclass(frozen=True)
-class DiophParams:
-    gamma: float
-    d: int
-    ell_budget: int
-    mode_radius: int
-
-    def __post_init__(self):
-        if not 0 <= self.gamma < 1:
-            raise ValidationError(f"gamma must lie in [0,1), got {self.gamma}")
-        if self.ell_budget < 1:
-            raise ValidationError("ell_budget must be >= 1")
-        if self.d < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.d}")
-        if self.mode_radius < 0:
-            raise ValidationError(
-                f"mode_radius must be >= 0, got {self.mode_radius}")
-
-    def box_modes(self):
-        return box_modes(self.d, self.mode_radius)
+def _check_gammas(gammas, ell_budget):
+    """Refuse a gamma outside [0, 1) or an l-budget below 1."""
+    for gamma in gammas:
+        if not 0 <= gamma < 1:
+            raise ValidationError(f"gamma must lie in [0,1), got {gamma}")
+    if ell_budget < 1:
+        raise ValidationError("ell_budget must be >= 1")
 
 
 def dist_to_integers(x: float) -> float:
@@ -143,15 +128,15 @@ def condition2_applies(ell) -> bool:
     return n3 < n2
 
 
-def dioph_rhs(ell, p: DiophParams, which: int) -> float:
-    """Right-hand side of nonresonance condition 1 or 2 for the vector l."""
+def dioph_rhs(ell, gamma, d, which: int) -> float:
+    """Right-hand side of condition 1 or 2 for l at ``gamma`` in Z^d."""
     if not ell:
         raise ValidationError("l must be nonzero")
     if which == 1:
         prod = 1.0
         for mode, v in ell:
-            prod *= 1.0 / (1.0 + abs(v) ** 3 * angle_norm(mode) ** (p.d + 4))
-        return p.gamma * prod
+            prod *= 1.0 / (1.0 + abs(v) ** 3 * angle_norm(mode) ** (d + 4))
+        return gamma * prod
     if which == 2:
         norms = ell_sorted_norms(ell)
         n3 = norms[2] if len(norms) >= 3 else -1.0
@@ -159,8 +144,8 @@ def dioph_rhs(ell, p: DiophParams, which: int) -> float:
         for mode, v in ell:
             if math.sqrt(sum(c * c for c in mode)) <= n3:
                 prod *= (1.0 / (1.0 + abs(v) ** 3
-                                * angle_norm(mode) ** (p.d + 7))) ** 10
-        return (p.gamma ** 5 / 100.0) * prod
+                                * angle_norm(mode) ** (d + 7))) ** 10
+        return (gamma ** 5 / 100.0) * prod
     raise ValidationError(f"which must be 1 or 2, got {which}")
 
 
@@ -173,8 +158,8 @@ class EllTable(NamedTuple):
     """Every l with 0 < |l| <= ell_budget and its gamma-free products.
 
     Row i of ``ells.matrix`` is l.  Entry i of the two arrays of
-    ``bounds(p.gamma)`` equals ``dioph_rhs(l, p, 1)`` and
-    ``dioph_rhs(l, p, 2)`` bit for bit, and ``cond2[i]`` equals
+    ``bounds(gamma)`` equals ``dioph_rhs(l, gamma, d, 1)`` and
+    ``dioph_rhs(l, gamma, d, 2)`` bit for bit, and ``cond2[i]`` equals
     ``condition2_applies(l)``.
     """
 
@@ -242,22 +227,24 @@ def _ell_table(modes, d, ell_budget) -> EllTable:
     return EllTable(ells, prod1, prod2, cond2)
 
 
-def check_frequency(omega: dict, p: DiophParams):
-    """Test both conditions over all l with |l| <= ell_budget.
+def check_frequency(omega: dict, gamma, ell_budget, lattice):
+    """Test both conditions at ``gamma`` over all l with |l| <= ell_budget.
 
-    Every mode of ``omega`` must lie in the box of half-width
-    ``p.mode_radius``.  Returns (violations, checked) where violations is a
-    list of (ell, which, lhs, rhs) for every failed inequality, ordered by
-    l and, per l, condition 1 before condition 2.
+    Every mode of ``omega`` must lie in the box of the
+    :class:`~nlskam.hamiltonian.HamParams` ``lattice``.  Returns
+    (violations, checked) where violations is a list of (ell, which, lhs,
+    rhs) for every failed inequality, ordered by l and, per l, condition 1
+    before condition 2.
     """
+    _check_gammas([gamma], ell_budget)
     modes = sorted(omega)
     for m in modes:
-        check_mode(m, p.d)
-        if any(abs(c) > p.mode_radius for c in m):
-            raise ValidationError(
-                f"mode {m} lies outside the box of radius {p.mode_radius}")
-    table = _ell_table(modes, p.d, p.ell_budget)
-    rhs1, rhs2 = table.bounds(p.gamma)
+        check_mode(m, lattice.d)
+        if any(abs(c) > lattice.mode_radius for c in m):
+            raise ValidationError(f"mode {m} lies outside the box of "
+                                  f"radius {lattice.mode_radius}")
+    table = _ell_table(modes, lattice.d, ell_budget)
+    rhs1, rhs2 = table.bounds(gamma)
     L = table.ells.matrix
     # <l, omega> accumulated in sorted-mode order, as a left-to-right sum
     # over the entries of l would be.
@@ -294,11 +281,16 @@ def sample_frequency(modes, seed) -> dict:
     return out
 
 
-def sample_strong_frequency(modes, p: DiophParams, seed):
-    """First strongly nonresonant draw from the first 1000 sub-seeds."""
-    modes = sorted(tuple(m) for m in modes)
-    table = _ell_table(modes, p.d, p.ell_budget)
-    rhs = table.rhs(p.gamma)
+def sample_strong_frequency(lattice, gamma, ell_budget, seed):
+    """First strongly nonresonant draw from the first 1000 sub-seeds.
+
+    Draws over the box of the HamParams ``lattice``; returns (omega, t)
+    with t the index of the accepted sub-seed.
+    """
+    _check_gammas([gamma], ell_budget)
+    modes = lattice.box_modes()
+    table = _ell_table(modes, lattice.d, ell_budget)
+    rhs = table.rhs(gamma)
     # One full matrix-vector product per draw: a row-chunked product can
     # round differently in the last bit and flip an accept/reject decision.
     L = table.ells.matrix.astype(float)
@@ -392,33 +384,30 @@ def _resonant_draws(draws, table, gammas) -> np.ndarray:
     return np.concatenate(bad, axis=1)
 
 
-def resonance_measure(params: Sequence[DiophParams], trials: int, seed):
+def resonance_measure(gammas: Sequence[float], trials: int, seed, *,
+                      lattice, ell_budget):
     """Monte Carlo estimate of the resonant-set measure, per gamma.
 
-    ``params`` differ only in ``gamma``; every entry is estimated from the
-    same ``trials`` draws.  Returns one (fraction, stderr, violations) per
-    entry, in order, where fraction is the share of sampled frequencies
-    violating at least one condition.
+    Every gamma is estimated from the same ``trials`` draws over the box
+    of the :class:`~nlskam.hamiltonian.HamParams` ``lattice``, against
+    every l with |l| <= ell_budget.  Returns one (fraction, stderr,
+    violations) per gamma, in order, where fraction is the share of
+    sampled frequencies violating at least one condition.
     """
+    _check_gammas(gammas, ell_budget)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    if not params:
+    if not gammas:
         raise ValidationError("resonance_measure needs at least one gamma")
-    p0 = params[0]
-    for p in params:
-        if (p.d, p.ell_budget, p.mode_radius) != (
-                p0.d, p0.ell_budget, p0.mode_radius):
-            raise ValidationError(
-                f"params must differ only in gamma: {p} vs {p0}")
-    modes = p0.box_modes()
+    modes = lattice.box_modes()
     draws = np.empty((trials, len(modes)))
     for i, m in enumerate(modes):
         draws[:, i] = _mode_rng(seed, m).uniform(
             0.0, 1.0 / angle_norm(m), size=trials)
-    table = _ell_table(modes, p0.d, p0.ell_budget)
-    bad = _resonant_draws(draws, table, [p.gamma for p in params])
+    table = _ell_table(modes, lattice.d, ell_budget)
+    bad = _resonant_draws(draws, table, gammas)
     out = []
     for violations in bad.sum(axis=1).tolist():
         fraction = violations / trials

@@ -43,7 +43,7 @@ from .homological import (
     solve_homological,
 )
 from .lattice import _mode_sort_key, angle_norm, conservation_check
-from .diophantine import DiophParams, sample_strong_frequency
+from .diophantine import sample_strong_frequency
 from .nls import NlsConfig, build_cubic_nls, build_normal_form
 
 STEP_CSV_SCHEMA = (
@@ -307,10 +307,8 @@ def initial_state(cfg: KamConfig, omega=None):
     """
     H = build_cubic_nls(cfg.nls)
     if omega is None:
-        p = cfg.nls.params
-        dp = DiophParams(gamma=cfg.gamma, d=p.d, ell_budget=cfg.ell_budget,
-                         mode_radius=p.mode_radius)
-        omega, _ = sample_strong_frequency(p.box_modes(), dp, cfg.seed)
+        omega, _ = sample_strong_frequency(cfg.nls.params, cfg.gamma,
+                                           cfg.ell_budget, cfg.seed)
     nf = build_normal_form(cfg.nls, omega)
     R0, R1, R2 = class_split(H)
     return KamState(nf=nf, R0=R0, R1=R1, R2=R2, s=0,

@@ -90,8 +90,8 @@ def _case(name, params, samples, seed):
 
 def _log_superadditivity(case):
     """ln^sigma(x+y) <= ln^sigma x + 1/2 ln^sigma y for c <= y <= x."""
-    sigma = case.params.get("sigma", 2.5)
-    c = case.params.get("c", 1024.0)
+    sigma = case.params["sigma"]
+    c = case.params["c"]
     rng = np.random.default_rng(case.seed)
     worst = math.inf
     bad = 0
@@ -113,7 +113,7 @@ def _log_superadditivity(case):
 
 def _f_max(case):
     """max_x e^{-delta x^sigma + x} <= exp{(1/delta)^(1/(sigma-1))}."""
-    sigma = case.params.get("sigma", 2.5)
+    sigma = case.params["sigma"]
     delta = case.params["delta"]
     x_star = (1.0 / (delta * sigma)) ** (1.0 / (sigma - 1.0))
     log_max = _golden_max(lambda x: -delta * x ** sigma + x,
@@ -127,7 +127,7 @@ def _f_max(case):
 
 def _g_max(case):
     """max_x x^p e^{-delta x} = (p/(e delta))^p at x = p/delta."""
-    p = case.params.get("p", 2.0)
+    p = case.params["p"]
     delta = case.params["delta"]
     x_star = p / delta
     log_max = _golden_max(lambda x: p * math.log(max(x, 1e-300)) - delta * x,
@@ -146,7 +146,7 @@ def _log_sum(case):
     the source material ((1/delta) versus (2/delta) inside the
     (.)^(1/(sigma-1)) factor); both are evaluated and reported.
     """
-    sigma = case.params.get("sigma", 2.5)
+    sigma = case.params["sigma"]
     delta = case.params["delta"]
     total = 0.0
     j = 1
@@ -197,9 +197,9 @@ def _shell_sum(case, per_mode):
     ``per_mode`` runs once per distinct weight and its value is reused
     while the weight repeats.
     """
-    sigma = case.params.get("sigma", 2.5)
-    d = case.params.get("d", 1)
-    floor_const = case.params.get("floor_const", 1024.0)
+    sigma = case.params["sigma"]
+    d = case.params["d"]
+    floor_const = case.params.get("floor_const", HamParams.floor_const)
     total = 0.0
     last_w = value = None
     for kk, count in _shell_counts(d, 10_000_099):
@@ -219,9 +219,9 @@ def _geometric_product(case):
     Euclidean norms dominate sup norms and the factor decreases in the
     norm, so grouping by sup-norm shells overestimates the left side.
     """
-    sigma = case.params.get("sigma", 2.5)
+    sigma = case.params["sigma"]
     delta = case.params["delta"]
-    d = case.params.get("d", 1)
+    d = case.params["d"]
     log_lhs = _shell_sum(
         case, lambda w: -math.log(1.0 - math.exp(-delta * w)))
     log_rhs = ((100.0 * d / delta ** 2) ** d
@@ -245,10 +245,10 @@ def _poly_product(case):
     delta gives positive maxima and a margin that can fail, e.g. floor 21
     with delta = 0.01 (2 delta w = 0.21 at sigma 2.1, 0.32 at sigma 2.5).
     """
-    sigma = case.params.get("sigma", 2.5)
+    sigma = case.params["sigma"]
     delta = case.params["delta"]
-    d = case.params.get("d", 1)
-    p = case.params.get("p", 2)
+    d = case.params["d"]
+    p = case.params["p"]
 
     def per_mode(w):
         return max(_golden_max(

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from nlskam import (
-    DiophParams,
     HamParams,
     Hamiltonian,
     KamConfig,
@@ -54,8 +53,7 @@ def _verdict(num, ok, detail):
 
 def _residual(d, radius, gamma):
     cfg = NlsConfig(HamParams(d=d, mode_radius=radius), epsilon=1e-6)
-    dp = DiophParams(gamma=gamma, d=d, ell_budget=6, mode_radius=radius)
-    omega, _ = sample_strong_frequency(cfg.params.box_modes(), dp, seed=7)
+    omega, _ = sample_strong_frequency(cfg.params, gamma, 6, seed=7)
     nf = build_normal_form(cfg, omega)
     R0, R1, _ = class_split(build_cubic_nls(cfg).collected())
     sol = solve_homological(R0, R1, nf, guard=1e-8, B=1e9)
@@ -253,10 +251,10 @@ def test_criterion_07_shift():
 
 def test_criterion_08_measure():
     gammas = (0.01, 0.05, 0.1)
-    params = [DiophParams(gamma=g, d=1, ell_budget=4, mode_radius=2)
-              for g in gammas]
-    pts = [(g, frac, stderr) for g, (frac, stderr, _) in
-           zip(gammas, resonance_measure(params, 10_000, seed=0))]
+    rows = resonance_measure(gammas, 10_000, seed=0,
+                             lattice=HamParams(d=1, mode_radius=2),
+                             ell_budget=4)
+    pts = [(g, frac, stderr) for g, (frac, stderr, _) in zip(gammas, rows)]
     monotone = all(pts[i][1] <= pts[i + 1][1] for i in range(len(pts) - 1))
     # the fraction is concave in gamma, so the tightest linear upper bound
     # through the origin is the envelope constant max_i f_i / gamma_i

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from nlskam import driver
+from nlskam import HamParams, driver
 from nlskam.cli import dispatch
 
 
@@ -18,10 +18,9 @@ def run_cli(*argv):
 def omega_file(tmp_path_factory):
     """A strong-Diophantine frequency of the d=1 R=2 box, sampled at gamma
     0.1 and seed 7."""
-    from nlskam.diophantine import (DiophParams, frequency_dumps,
-                                    sample_strong_frequency)
-    p = DiophParams(gamma=0.1, d=1, ell_budget=6, mode_radius=2)
-    omega, _ = sample_strong_frequency(p.box_modes(), p, seed=7)
+    from nlskam.diophantine import frequency_dumps, sample_strong_frequency
+    omega, _ = sample_strong_frequency(HamParams(d=1, mode_radius=2), 0.1,
+                                       6, seed=7)
     f = tmp_path_factory.mktemp("freq") / "omega.json"
     f.write_text(frequency_dumps(omega))
     return f
@@ -151,6 +150,19 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
      "error: gamma must be < 1, got 1.5"),
     (["kam-run", "--radius", "1", "--lie-order-cap", "0", "--steps", "0",
       "--out-prefix", "{out}"], "error: order_cap must be >= 1"),
+    # all three norms are computed before any is printed
+    (["norms", "{h}", "--rho", "1"],
+     "error: need rho < r for star_rho, got rho=1.0"),
+    (["measure", "--ell-budget", "0", "--out", "{out}.csv"],
+     "error: ell_budget must be >= 1"),
+    (["measure", "--radius", "-1", "--out", "{out}.csv"],
+     "error: mode_radius must be >= 0, got -1"),
+    (["measure", "--d", "0", "--out", "{out}.csv"],
+     "error: dimension must be >= 1, got 0"),
+    (["dioph-check", "{freq}", "--gamma", "1.5"],
+     "error: gamma must lie in [0,1), got 1.5"),
+    (["dioph-check", "{freq}", "--ell-budget", "0"],
+     "error: ell_budget must be >= 1"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, omega_file, argv,
                                          message):
@@ -450,10 +462,9 @@ def test_verify_lemmas_deterministic_lemmas_record_one_sample(tmp_path):
 
 
 def test_dioph_check_roundtrip(tmp_path, capsys):
-    from nlskam.diophantine import (DiophParams, frequency_dumps,
-                                    sample_strong_frequency)
-    p = DiophParams(gamma=0.05, d=1, ell_budget=3, mode_radius=1)
-    omega, _ = sample_strong_frequency([(-1,), (0,), (1,)], p, seed=3)
+    from nlskam.diophantine import frequency_dumps, sample_strong_frequency
+    omega, _ = sample_strong_frequency(HamParams(d=1, mode_radius=1), 0.05,
+                                       3, seed=3)
     f = tmp_path / "freq.json"
     f.write_text(frequency_dumps(omega))
     assert run_cli("dioph-check", str(f), "--gamma", "0.05",
@@ -489,10 +500,9 @@ def test_dioph_check_rejects_malformed_frequency(tmp_path, capsys, doc,
 
 
 def test_dioph_check_radius_bounds_the_modes(tmp_path, capsys):
-    from nlskam.diophantine import (DiophParams, frequency_dumps,
-                                    sample_strong_frequency)
-    p = DiophParams(gamma=0.01, d=2, ell_budget=3, mode_radius=1)
-    omega, _ = sample_strong_frequency(p.box_modes(), p, seed=5)
+    from nlskam.diophantine import frequency_dumps, sample_strong_frequency
+    omega, _ = sample_strong_frequency(HamParams(d=2, mode_radius=1), 0.01,
+                                       3, seed=5)
     f = tmp_path / "freq.json"
     f.write_text(frequency_dumps(omega))
     args = ("dioph-check", str(f), "--d", "2", "--gamma", "0.01",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlskam import (
-    DiophParams,
+    HamParams,
     ValidationError,
     check_frequency,
     frequency_dumps,
@@ -26,14 +26,35 @@ from nlskam.diophantine import (
 )
 from nlskam.lattice import angle_norm
 
-P = DiophParams(gamma=0.1, d=1, ell_budget=3, mode_radius=2)
+LAT = HamParams(d=1, mode_radius=2)
+GAMMA, BUDGET = 0.1, 3
 
 
-def test_params_validation():
-    with pytest.raises(ValidationError):
-        DiophParams(gamma=1.0, d=1, ell_budget=3, mode_radius=2)
-    with pytest.raises(ValidationError):
-        DiophParams(gamma=0.1, d=1, ell_budget=0, mode_radius=2)
+def _no_work(*args):
+    raise AssertionError("built a table or drew before checking its "
+                         "arguments")
+
+
+@pytest.mark.parametrize("gamma,budget,message", [
+    (1.0, 3, r"^gamma must lie in \[0,1\), got 1.0$"),
+    (-0.1, 3, r"^gamma must lie in \[0,1\), got -0.1$"),
+    (math.nan, 3, r"^gamma must lie in \[0,1\), got nan$"),
+    (0.1, 0, "^ell_budget must be >= 1$"),
+])
+@pytest.mark.parametrize("entry", ["check", "sample", "measure"])
+def test_gamma_and_budget_checked_before_any_work(monkeypatch, entry, gamma,
+                                                  budget, message):
+    monkeypatch.setattr(diophantine, "_ell_table", _no_work)
+    monkeypatch.setattr(diophantine, "_mode_rng", _no_work)
+    call = {
+        "check": lambda: check_frequency({(0,): 0.1}, gamma, budget, LAT),
+        "sample": lambda: sample_strong_frequency(LAT, gamma, budget, 0),
+        "measure": lambda: resonance_measure(
+            [0.05, gamma], 10, 0, lattice=LAT, ell_budget=budget),
+    }[entry]
+    with pytest.raises(ValidationError, match=message) as e:
+        call()
+    assert "\n" not in str(e.value)
 
 
 def test_dist_to_integers():
@@ -69,14 +90,14 @@ def test_ell_sorted_norms_and_condition2():
 def test_dioph_rhs_values():
     ell = (((1,), 1),)
     # 1/(1 + |l|^3 <n>^(d+4)) with <1> = 1
-    assert dioph_rhs(ell, P, 1) == pytest.approx(0.1 / 2.0)
+    assert dioph_rhs(ell, GAMMA, 1, 1) == pytest.approx(0.1 / 2.0)
     ell2 = (((2,), 2),)
-    assert dioph_rhs(ell2, P, 1) == pytest.approx(
+    assert dioph_rhs(ell2, GAMMA, 1, 1) == pytest.approx(
         0.1 / (1.0 + 8.0 * 2.0 ** 5))
     with pytest.raises(ValidationError):
-        dioph_rhs((), P, 1)
+        dioph_rhs((), GAMMA, 1, 1)
     with pytest.raises(ValidationError):
-        dioph_rhs(ell, P, 3)
+        dioph_rhs(ell, GAMMA, 1, 3)
 
 
 def test_condition2_rhs_products_small_modes_only():
@@ -84,8 +105,8 @@ def test_condition2_rhs_products_small_modes_only():
     ell = (((2,), 1), ((-2,), 1), ((1,), 1), ((0,), 1))
     norms = ell_sorted_norms(ell)
     n3 = norms[2]
-    rhs = dioph_rhs(ell, P, 2)
-    expected = (P.gamma ** 5 / 100.0)
+    rhs = dioph_rhs(ell, GAMMA, 1, 2)
+    expected = (GAMMA ** 5 / 100.0)
     for mode, v in ell:
         if math.sqrt(mode[0] ** 2) <= n3:
             expected *= (1.0 / (1.0 + abs(v) ** 3
@@ -96,7 +117,7 @@ def test_condition2_rhs_products_small_modes_only():
 def test_check_frequency_flags_violation():
     modes = [(m,) for m in range(-2, 3)]
     omega = {m: 0.0 for m in modes}   # fully resonant
-    violations, checked = check_frequency(omega, P)
+    violations, checked = check_frequency(omega, GAMMA, BUDGET, LAT)
     assert checked == len(enumerate_ells(modes, 3))
     assert violations
     ell, which, lhs, rhs = violations[0]
@@ -113,18 +134,18 @@ def test_sampling_is_order_independent_and_in_box():
 
 
 def test_sample_strong_frequency_passes_check():
-    modes = [(m,) for m in range(-2, 3)]
-    omega, tries = sample_strong_frequency(modes, P, seed=7)
-    assert check_frequency(omega, P)[0] == []
+    omega, tries = sample_strong_frequency(LAT, GAMMA, BUDGET, seed=7)
+    assert list(omega) == [(m,) for m in range(-2, 3)]
+    assert check_frequency(omega, GAMMA, BUDGET, LAT)[0] == []
     assert tries >= 0
 
 
 def test_resonance_measure_deterministic_and_monotone():
-    [(f1, s1, v1)] = resonance_measure([P], 400, seed=3)
-    [(f1b, _, _)] = resonance_measure([P], 400, seed=3)
+    kw = dict(lattice=LAT, ell_budget=BUDGET)
+    [(f1, s1, v1)] = resonance_measure([GAMMA], 400, seed=3, **kw)
+    [(f1b, _, _)] = resonance_measure([GAMMA], 400, seed=3, **kw)
     assert f1 == f1b
-    big = DiophParams(gamma=0.3, d=1, ell_budget=3, mode_radius=2)
-    [(f2, _, _)] = resonance_measure([big], 400, seed=3)
+    [(f2, _, _)] = resonance_measure([0.3], 400, seed=3, **kw)
     assert f2 >= f1
     assert 0.0 <= f1 <= 1.0 and s1 >= 0.0
 
@@ -133,10 +154,9 @@ def test_resonance_measure_shares_draws_across_gammas():
     # unsorted and repeated gammas: each entry equals its own one-gamma
     # call bit for bit, and the output follows the input order
     gammas = (0.1, 0.01, 0.3, 0.01, 0.05)
-    params = [DiophParams(gamma=g, d=1, ell_budget=4, mode_radius=2)
-              for g in gammas]
-    got = resonance_measure(params, 3001, seed=5)
-    alone = [resonance_measure([p], 3001, seed=5)[0] for p in params]
+    kw = dict(lattice=LAT, ell_budget=4)
+    got = resonance_measure(gammas, 3001, seed=5, **kw)
+    alone = [resonance_measure([g], 3001, seed=5, **kw)[0] for g in gammas]
     assert len(got) == len(gammas)
     assert [tuple(map(float.hex, map(float, r))) for r in got] == [
         tuple(map(float.hex, map(float, r))) for r in alone]
@@ -146,22 +166,17 @@ def test_resonance_measure_shares_draws_across_gammas():
     assert 0 < v[0.01] < v[0.05] < v[0.1] < v[0.3] < 3001
 
 
-@pytest.mark.parametrize("params,message", [
-    ([], "^resonance_measure needs at least one gamma$"),
-    ([P, DiophParams(gamma=0.2, d=2, ell_budget=3, mode_radius=2)],
-     "^params must differ only in gamma: "),
-    ([P, DiophParams(gamma=0.2, d=1, ell_budget=4, mode_radius=2)],
-     "^params must differ only in gamma: "),
-    ([P, DiophParams(gamma=0.1, d=1, ell_budget=3, mode_radius=1)],
-     "^params must differ only in gamma: "),
+@pytest.mark.parametrize("gammas,trials,message", [
+    ([], 10, "^resonance_measure needs at least one gamma$"),
+    ([GAMMA], 0, "^trials must be >= 1$"),
 ])
-def test_resonance_measure_rejects_mixed_params(monkeypatch, params,
-                                                message):
-    def no_draws(*args):
-        raise AssertionError("drew before checking its arguments")
-    monkeypatch.setattr(diophantine, "_mode_rng", no_draws)
+def test_resonance_measure_rejects_bad_arguments(monkeypatch, gammas, trials,
+                                                 message):
+    monkeypatch.setattr(diophantine, "_ell_table", _no_work)
+    monkeypatch.setattr(diophantine, "_mode_rng", _no_work)
     with pytest.raises(ValidationError, match=message) as e:
-        resonance_measure(params, 10, seed=0)
+        resonance_measure(gammas, trials, seed=0, lattice=LAT,
+                          ell_budget=BUDGET)
     assert "\n" not in str(e.value)
 
 
@@ -174,8 +189,7 @@ def _dense_reference(draws, table, gammas):
 
 
 def _box_table(d, ell_budget, mode_radius):
-    modes = DiophParams(gamma=0.1, d=d, ell_budget=ell_budget,
-                        mode_radius=mode_radius).box_modes()
+    modes = HamParams(d=d, mode_radius=mode_radius).box_modes()
     return modes, _ell_table(modes, d, ell_budget)
 
 
@@ -238,10 +252,13 @@ def test_frequency_file_roundtrip():
 
 
 def test_params_reject_bad_dimension_and_radius():
-    with pytest.raises(ValidationError, match="dimension"):
-        DiophParams(gamma=0.1, d=0, ell_budget=3, mode_radius=2)
-    with pytest.raises(ValidationError, match="mode_radius"):
-        DiophParams(gamma=0.1, d=1, ell_budget=3, mode_radius=-1)
+    # the Diophantine layer's lattice is a HamParams, which refuses these
+    with pytest.raises(ValidationError,
+                       match="^dimension must be >= 1, got 0$"):
+        HamParams(d=0, mode_radius=2)
+    with pytest.raises(ValidationError,
+                       match="^mode_radius must be >= 0, got -1$"):
+        HamParams(d=1, mode_radius=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +297,13 @@ def _reference_matrix(ells, modes):
     return L
 
 
-def _reference_rhs(ells, p):
+def _reference_rhs(ells, gamma, d):
     """Per-l bound of the reference sampler: rhs1, or max(rhs1, rhs2)."""
     rhs = np.zeros(len(ells))
     for j, ell in enumerate(ells):
-        r = dioph_rhs(ell, p, 1)
+        r = dioph_rhs(ell, gamma, d, 1)
         if condition2_applies(ell):
-            r = max(r, dioph_rhs(ell, p, 2))
+            r = max(r, dioph_rhs(ell, gamma, d, 2))
         rhs[j] = r
     return rhs
 
@@ -302,16 +319,16 @@ def _reference_sample(modes, ells, rhs, seed, max_tries=1000):
     raise ValidationError("no draw")
 
 
-def _reference_check(omega, p):
-    ells = _reference_ells(omega.keys(), p.ell_budget)
+def _reference_check(omega, gamma, ell_budget, d):
+    ells = _reference_ells(omega.keys(), ell_budget)
     violations = []
     for ell in ells:
         lhs = dist_to_integers(sum(v * omega[mode] for mode, v in ell))
-        rhs1 = dioph_rhs(ell, p, 1)
+        rhs1 = dioph_rhs(ell, gamma, d, 1)
         if lhs < rhs1:
             violations.append((ell, 1, lhs, rhs1))
         if condition2_applies(ell):
-            rhs2 = dioph_rhs(ell, p, 2)
+            rhs2 = dioph_rhs(ell, gamma, d, 2)
             if lhs < rhs2:
                 violations.append((ell, 2, lhs, rhs2))
     return violations, len(ells)
@@ -335,42 +352,40 @@ def test_ell_table_matches_reference_bit_for_bit(d, radius, budget, gammas):
     assert np.array_equal(table.ells.matrix, _reference_matrix(ells, modes))
     assert table.cond2.tolist() == [condition2_applies(e) for e in ells]
     for gamma in gammas:
-        p = DiophParams(gamma=gamma, d=d, ell_budget=budget,
-                        mode_radius=radius)
         rhs1, rhs2 = table.bounds(gamma)
-        assert _bits(rhs1) == _bits([dioph_rhs(e, p, 1) for e in ells])
-        assert _bits(rhs2) == _bits([dioph_rhs(e, p, 2) for e in ells])
-        assert _bits(table.rhs(gamma)) == _bits(_reference_rhs(ells, p))
+        assert _bits(rhs1) == _bits([dioph_rhs(e, gamma, d, 1) for e in ells])
+        assert _bits(rhs2) == _bits([dioph_rhs(e, gamma, d, 2) for e in ells])
+        assert _bits(table.rhs(gamma)) == _bits(
+            _reference_rhs(ells, gamma, d))
 
 
 @pytest.fixture(scope="module")
 def d2_reference():
     # the 9-mode, |l| <= 6 table a d=2 R=1 kam-run samples against
-    p = DiophParams(gamma=0.01, d=2, ell_budget=6, mode_radius=1)
-    ells = _reference_ells(p.box_modes(), 6)
-    return p, ells, _reference_rhs(ells, p)
+    lattice = HamParams(d=2, mode_radius=1)
+    ells = _reference_ells(lattice.box_modes(), 6)
+    return lattice, ells, _reference_rhs(ells, 0.01, 2)
 
 
 def test_ell_table_d2_sampler_config_bit_for_bit(d2_reference):
-    p, ells, rhs = d2_reference
-    table = _ell_table(p.box_modes(), p.d, p.ell_budget)
+    lattice, ells, rhs = d2_reference
+    table = _ell_table(lattice.box_modes(), lattice.d, 6)
     assert len(table.ells) == len(ells) == 75516
     assert list(table.ells) == ells
-    assert _bits(table.rhs(p.gamma)) == _bits(rhs)
+    assert _bits(table.rhs(0.01)) == _bits(rhs)
 
 
 @pytest.mark.parametrize("budget,dtype", [
     (127, np.int8), (128, np.int16), (130, np.int16)])
 def test_ell_matrix_dtype_holds_budget(budget, dtype):
-    p = DiophParams(gamma=0.1, d=1, ell_budget=budget, mode_radius=0)
-    table = _ell_table([(0,)], p.d, p.ell_budget)
+    table = _ell_table([(0,)], 1, budget)
     L = table.ells.matrix
     assert L.dtype == dtype
     assert L[:, 0].tolist() == [v for s in range(1, budget + 1)
                                 for v in (-s, s)]
     ells = _reference_ells([(0,)], budget)
     assert list(table.ells) == ells
-    assert _bits(table.rhs(p.gamma)) == _bits(_reference_rhs(ells, p))
+    assert _bits(table.rhs(0.1)) == _bits(_reference_rhs(ells, 0.1, 1))
 
 
 def test_ell_rows_view():
@@ -390,44 +405,43 @@ def test_ell_rows_view():
 ])
 def test_sample_strong_frequency_matches_reference(d, radius, budget, gamma,
                                                    seeds):
-    p = DiophParams(gamma=gamma, d=d, ell_budget=budget, mode_radius=radius)
-    modes = p.box_modes()
+    lattice = HamParams(d=d, mode_radius=radius)
+    modes = lattice.box_modes()
     ells = _reference_ells(modes, budget)
-    rhs = _reference_rhs(ells, p)
+    rhs = _reference_rhs(ells, gamma, d)
     tries = []
     for seed in seeds:
-        got = sample_strong_frequency(modes, p, seed)
+        got = sample_strong_frequency(lattice, gamma, budget, seed)
         assert got == _reference_sample(modes, ells, rhs, seed)
         tries.append(got[1])
     assert max(tries) > 0           # some draws were rejected
 
 
 def test_sample_strong_frequency_d2_sampler_config(d2_reference):
-    p, ells, rhs = d2_reference
-    modes = p.box_modes()
+    lattice, ells, rhs = d2_reference
+    modes = lattice.box_modes()
     for seed in (0, 2, 5, 7):
-        assert (sample_strong_frequency(modes, p, seed)
+        assert (sample_strong_frequency(lattice, 0.01, 6, seed)
                 == _reference_sample(modes, ells, rhs, seed))
 
 
 def test_check_frequency_matches_reference():
-    p = DiophParams(gamma=0.1, d=1, ell_budget=4, mode_radius=2)
-    modes = p.box_modes()
+    modes = LAT.box_modes()
     resonant = {m: 0.25 * (i % 3) for i, m in enumerate(modes)}
     drawn = sample_frequency(modes, 5)
-    passing, _ = sample_strong_frequency(modes, p, seed=7)
+    passing, _ = sample_strong_frequency(LAT, GAMMA, 4, seed=7)
     for omega in (resonant, drawn, passing):
-        got = check_frequency(omega, p)
-        want = _reference_check(omega, p)
+        got = check_frequency(omega, GAMMA, 4, LAT)
+        want = _reference_check(omega, GAMMA, 4, LAT.d)
         assert got == want
         assert all(type(v) is int for ell, *_ in got[0] for _, v in ell)
-    assert check_frequency(resonant, p)[0]
-    assert check_frequency(passing, p)[0] == []
+    assert check_frequency(resonant, GAMMA, 4, LAT)[0]
+    assert check_frequency(passing, GAMMA, 4, LAT)[0] == []
 
 
 def test_check_frequency_rejects_foreign_dimension():
     with pytest.raises(ValidationError, match="dimension"):
-        check_frequency({(0, 0): 0.1, (1, 0): 0.2}, P)
+        check_frequency({(0, 0): 0.1, (1, 0): 0.2}, GAMMA, BUDGET, LAT)
 
 
 @pytest.mark.parametrize("text,match", [

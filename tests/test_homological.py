@@ -3,7 +3,6 @@ import math
 import pytest
 
 from nlskam import (
-    DiophParams,
     HamParams,
     Hamiltonian,
     NormalForm,
@@ -24,8 +23,7 @@ from nlskam.nls import NlsConfig, build_cubic_nls, build_normal_form
 def _setup(d=1, radius=2, seed=7, gamma=0.1):
     cfg = NlsConfig(HamParams(d=d, mode_radius=radius), epsilon=1e-6)
     H = build_cubic_nls(cfg)
-    dp = DiophParams(gamma=gamma, d=d, ell_budget=6, mode_radius=radius)
-    omega, _ = sample_strong_frequency(cfg.params.box_modes(), dp, seed)
+    omega, _ = sample_strong_frequency(cfg.params, gamma, 6, seed)
     nf = build_normal_form(cfg, omega)
     R0, R1, R2 = class_split(H.collected())
     return cfg, nf, R0, R1, R2

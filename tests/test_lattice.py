@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlskam import DiophParams, HamParams, ValidationError, weighted_gap
+from nlskam import (HamParams, ValidationError, sample_strong_frequency,
+                    weighted_gap)
 from nlskam.errors import DimensionMismatchError
 from nlskam.lattice import (
     box_modes,
@@ -165,13 +166,13 @@ def test_gap_nonnegative_property(kmodes, amodes):
     assert weighted_gap(a, k, kb, LAT) >= -1e-12
 
 
-def test_box_modes_shared_by_both_parameter_sets():
+def test_box_modes_shared_by_lattice_and_sampler():
     assert box_modes(2, 1) == sorted(
         (a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
     assert box_modes(1, 0) == [(0,)]
     hp = HamParams(d=2, sigma=2.5, r=1.0, mode_radius=1)
-    dp = DiophParams(gamma=0.1, d=2, ell_budget=3, mode_radius=1)
-    assert hp.box_modes() == dp.box_modes() == box_modes(2, 1)
+    omega, _ = sample_strong_frequency(hp, 0.1, 3, seed=0)
+    assert hp.box_modes() == list(omega) == box_modes(2, 1)
 
 
 def test_box_modes_returns_a_fresh_list():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlskam import (DiophParams, HamParams, Hamiltonian, KamConfig,
+from nlskam import (HamParams, Hamiltonian, KamConfig,
                     ValidationError, norm, resonance_measure, run,
                     verify_norm_lemma, verify_scalar_lemma)
 from nlskam import verification
@@ -155,8 +155,9 @@ def test_unknown_lemma_rejected():
     lambda: run(KamConfig(seed=-1, steps=0)),
     lambda: verify_norm_lemma("monotonicity", samples=2, seed=-1),
     lambda: verify_scalar_lemma("log_superadditivity", samples=2, seed=-1),
-    lambda: resonance_measure(
-        [DiophParams(d=1, mode_radius=1, gamma=0.05, ell_budget=4)], 10, -1),
+    lambda: resonance_measure([0.05], 10, -1,
+                              lattice=HamParams(d=1, mode_radius=1),
+                              ell_budget=4),
 ])
 def test_negative_seed_rejected(call):
     with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
