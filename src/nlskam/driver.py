@@ -132,6 +132,9 @@ class KamConfig:
                 f"prune_tol must be finite and >= 0, got {self.prune_tol}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        # the sampler checks it too, but a stored omega skips the sampler
+        if self.ell_budget < 1:
+            raise ValidationError("ell_budget must be >= 1")
 
 
 @dataclass(frozen=True)

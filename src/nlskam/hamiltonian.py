@@ -14,21 +14,26 @@ J-factors and keeps every |q_n|^2 pair inside (k, k_bar); ``collected``
 regroups pairs as I_n(0) + J_n up to total J-degree 2, leaving excess
 pairs in place.  Both carry the same coefficients after expansion.
 
-Inside the hot loops (``expanded``, ``collected``, ``multiply``,
-``poisson_bracket``) a triple (a, k, k_bar) is packed into
-one int by :class:`_Packer`: every mode of the operands gets a w-bit
-field, modes in lexicographic order, one block of fields each for a, k
-and k_bar.  Merging two monomials is then one int addition and removing
-a q_m qbar_m pair one subtraction.  w is fixed by ``degree_cap``, which
-bounds the degree of every term, so no field can carry and packed keys
-map one-to-one onto tuple keys: accumulation order, insertion order and
-every floating-point operation are those of the tuple form.  Each
-distinct output key is unpacked once into its canonical tuple.
+Inside the hot loops (``expanded``, ``collected``, ``multiply`` and the
+bracket kernel ``_bracket``) a triple (a, k, k_bar) is packed into one int
+by :class:`_Packer`: every mode of the operands gets a w-bit field, modes
+in lexicographic order, one block of fields each for a, k and k_bar.
+Merging two monomials is then one int addition and removing a q_m qbar_m
+pair one subtraction.  w is fixed by ``degree_cap``, which bounds the
+degree of every term, so no field can carry and packed keys map
+one-to-one onto tuple keys: accumulation order, insertion order and every
+floating-point operation are those of the tuple form.  Each distinct
+output key is unpacked once into its canonical tuple.
+
+The bracket kernel serves ``poisson_bracket`` with one coefficient column
+and ``lie_transform`` with two: the G and E chains of a Lie series share
+one key set, so one pass over the (outer, inner) pairs brackets both.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -617,11 +622,24 @@ def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
     exactly when a contributing pair is over the cap, names the degree
     of the first such pair, and builds no partial result.
     """
-    H1._assert_compatible(H2)
-    A = H1.expanded()
-    B = H2.expanded()
-    cap = H1.params.degree_cap
-    pk = _Packer(H1.params, A.terms, B.terms)
+    return _bracket(H1.expanded(), H2.expanded())[0]
+
+
+def _bracket(A: Hamiltonian, B: Hamiltonian, column=None) -> tuple:
+    """The bracket kernel: {A, B}, and {E, B} in the same pass.
+
+    A and B are expanded.  ``column``, if given, is a second coefficient
+    column on A's keys: E's coefficient for each term of A in order, or
+    None where E has no term.  Each pair is visited once; a row with an
+    E coefficient accumulates into both results, so E's result holds
+    exactly the keys, insertion order and sums of {E, B} computed alone
+    (E's rows are A's rows with the same exponents, met in the same
+    order).  The capacity probe runs over A's rows, so it also covers
+    every pair of E.  Returns ({A, B},) or ({A, B}, {E, B}).
+    """
+    A._assert_compatible(B)
+    cap = A.params.degree_cap
+    pk = _Packer(A.params, A.terms, B.terms)
     uq = pk.uq
     # Per-term data of both operands, computed once per call: packed
     # triple, exponents (k_m, k'_m) on the support, support, degree.  The
@@ -629,14 +647,15 @@ def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
     # purpose: the iteration order of their intersection depends on how
     # each set was built, and it fixes the insertion order of the result.
     outer = []
-    for (a1, k1, kb1, _), c1 in A.terms.items():
+    for ((a1, k1, kb1, _), c1), ce in zip(
+            A.terms.items(), column or itertools.repeat(None)):
         k1d, kb1d = dict(k1), dict(kb1)
         sup1 = set(k1d) | set(kb1d)
         outer.append((pk.pack(a1, k1, kb1),
                       {m: (k1d.get(m, 0), kb1d.get(m, 0)) for m in sup1},
                       sup1,
                       2 * mi_degree(a1) + mi_degree(k1) + mi_degree(kb1),
-                      c1))
+                      c1, ce))
     inner = []
     for (a2, k2, kb2, _), c2 in B.terms.items():
         k2d, kb2d = dict(k2), dict(kb2)
@@ -649,7 +668,7 @@ def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
     # A nonempty common support needs d1, d2 >= 1, so only pairs with
     # d1 + d2 >= 2 can contribute.
     max_d2 = max((row[3] for row in inner), default=0)
-    for _, e1, sup1, d1, _ in outer:
+    for _, e1, sup1, d1, _, _ in outer:
         if d1 + max_d2 - 2 <= cap:
             continue
         for _, e2, sup2, d2, _ in inner:
@@ -663,13 +682,14 @@ def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
                         f"bracket degree {d1 + d2 - 2} exceeds cap {cap}")
     # A contributing mode m has k_m >= 1 and k'_m >= 1 in the merged
     # exponents, so subtracting one q_m qbar_m pair never borrows.
-    acc = {}
-    for x1, e1, sup1, _, c1 in outer:
+    acc, acc_e = {}, {}
+    for x1, e1, sup1, _, c1, ce in outer:
         for x2, e2, sup2, _, c2 in inner:
             common = sup1 & sup2
             if not common:
                 continue
             base = c1 * c2 * 1j
+            base_e = None if ce is None else ce * c2 * 1j
             merged = x1 + x2
             for m in common:
                 k1m, kb1m = e1[m]
@@ -679,8 +699,18 @@ def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
                     continue
                 key = merged - uq[m]
                 acc[key] = acc.get(key, 0j) + base * f
-    return Hamiltonian(H1.params, {pk.unpack(x): c for x, c in acc.items()},
-                       validate=False)
+                if base_e is not None:
+                    acc_e[key] = acc_e.get(key, 0j) + base_e * f
+    keys = list(map(pk.unpack, acc))
+    out = (Hamiltonian(A.params, dict(zip(keys, acc.values())),
+                       validate=False),)
+    if column is None:
+        return out
+    # every pair that reaches acc_e also reaches acc: one unpack per key
+    unpacked = dict(zip(acc, keys))
+    return out + (Hamiltonian(
+        A.params, {unpacked[x]: c for x, c in acc_e.items()},
+        validate=False),)
 
 
 def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
@@ -897,8 +927,9 @@ class LieSeries:
     star norm charged for the part left out: the last order's norm at the
     order cap, 0 when an order fell below ``TAIL_TOL``, and ||T|| / (n-1)!
     when a bracket of order n raised CapacityError (``capped``), T being
-    the last ad_F^m G computed (m = n-1, or n if only the E bracket
-    raised).
+    the last ad_F^m G computed: m = n-1, or m = n if only the E bracket
+    raised.  The latter needs E's keys off G's, in separate passes; in a
+    shared pass every E pair is a G pair, so both raise together.
     """
 
     total: Hamiltonian
@@ -914,6 +945,24 @@ class LieSeries:
                        for prev, cur in zip(self.norms, self.norms[1:]))
 
 
+def _column_on(A: Hamiltonian, E: Hamiltonian):
+    """E's coefficients on A's keys, in A's order, None where E has no
+    term; None instead when E's keys are not a subsequence of A's or
+    its parameters differ."""
+    if E.params != A.params:
+        return None
+    rest = iter(E.terms.items())
+    key, c = next(rest, (None, None))
+    column = []
+    for x in A.terms:
+        if x == key:
+            column.append(c)
+            key, c = next(rest, (None, None))
+        else:
+            column.append(None)
+    return column if key is None else None
+
+
 def lie_transform(start: Hamiltonian, G: Hamiltonian, F: Hamiltonian,
                   order_cap: int, E: Hamiltonian | None = None,
                   prune_tol: float = 0.0, ledger=None) -> LieSeries:
@@ -924,20 +973,31 @@ def lie_transform(start: Hamiltonian, G: Hamiltonian, F: Hamiltonian,
     before it is added.  With start = G = H and no E this is H o Phi_F; a
     KAM step passes its remainder as G and the eliminated part {N,F} = -E.
 
+    Each order brackets both chains against F in one pass of the kernel
+    when ad_F^(n-1) E's expanded keys are a subsequence of
+    ad_F^(n-1) G's, in order (every KAM step order measured so far);
+    otherwise in two passes, G's first.  Either way each result is, bit
+    for bit, its own ``poisson_bracket``.
+
     The sum stops after the first order whose star norm (rho = 0) is
     below ``TAIL_TOL``, at ``order_cap``, or when a bracket raises
     CapacityError; see :class:`LieSeries` for what each stop charges.
     """
     if order_cap < 1:
         raise ValidationError("order_cap must be >= 1")
-    total, TG, TE = start, G, E
+    total, TG, TE = start, G.expanded(), E
+    F = F.expanded()
     fact = 1.0
     norms = []
     for n in range(1, order_cap + 1):
         try:
-            TG = poisson_bracket(TG, F)
-            if TE is not None:
-                TE = poisson_bracket(TE, F)
+            column = None if TE is None else _column_on(TG, TE.expanded())
+            if column is not None:
+                TG, TE = _bracket(TG, F, column)
+            else:
+                TG, = _bracket(TG, F)
+                if TE is not None:
+                    TE, = _bracket(TE.expanded(), F)
         except CapacityError:
             return LieSeries(total, norm(TG, "star_rho", 0.0) / fact,
                              tuple(norms), True)

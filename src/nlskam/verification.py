@@ -26,6 +26,7 @@ from .hamiltonian import (
     norm,
     poisson_bracket,
     second_partial,
+    term_degree,
     vf_sup_norm,
 )
 from .lattice import weighted_gap
@@ -317,16 +318,20 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
     Supports are drawn uniformly over the truncation box with mass split
     evenly between q and qbar factors; the momentum defect is repaired by
     moving the last q-factor, resampling when the repaired mode leaves
-    the box.
+    the box.  Raises CapacityError, as the Hamiltonian constructor would,
+    on the first kept term above ``degree_cap``.
     """
     # Scalar draws take the same values from the generator's stream as
-    # one array draw of the same bounded range, at a third of the cost.
+    # one array draw of the same bounded range, at a third of the cost;
+    # random() is uniform(0, 1) bit for bit, and 2 pi random() is
+    # uniform(0, 2 pi).
     modes = params.box_modes()
     n_modes = len(modes)
     draw = rng.integers
-    items = []
+    acc = {}
+    kept = 0
     guard = 0
-    while len(items) < n_terms and guard < 1000 * n_terms:
+    while kept < n_terms and guard < 1000 * n_terms:
         guard += 1
         half = draw(1, max_factors // 2 + 1)
         k = [modes[draw(0, n_modes)] for _ in range(half)]
@@ -340,12 +345,29 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
             if any(abs(c) > params.mode_radius for c in repaired):
                 continue
             k[-1] = repaired
-        radius = math.sqrt(rng.uniform(0.0, 1.0))
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        coeff = radius * complex(math.cos(phase), math.sin(phase))
-        items.append(([(m, 1) for m in a], [(m, 1) for m in k],
-                      [(m, 1) for m in kb], (), coeff))
-    return Hamiltonian.from_terms(params, items)
+        radius = math.sqrt(rng.random())
+        phase = 2.0 * math.pi * rng.random()
+        kept += 1
+        # every draw is an in-box mode of dimension d, so only the degree
+        # cap is left to check
+        key = (_unit_mi(a), _unit_mi(k), _unit_mi(kb), ())
+        acc[key] = (acc.get(key, 0j)
+                    + radius * complex(math.cos(phase), math.sin(phase)))
+    H = Hamiltonian(params, acc, validate=False)
+    for key in H.terms:
+        degree = term_degree(key)
+        if degree > params.degree_cap:
+            raise CapacityError(
+                f"term degree {degree} exceeds cap {params.degree_cap}")
+    return H
+
+
+def _unit_mi(modes) -> tuple:
+    """The canonical multi-index of a product of the given modes."""
+    counts = {}
+    for m in modes:
+        counts[m] = counts.get(m, 0) + 1
+    return tuple(sorted(counts.items()))
 
 
 def random_state(params: HamParams, rng, rho):

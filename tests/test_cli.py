@@ -150,6 +150,13 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
      "error: gamma must be < 1, got 1.5"),
     (["kam-run", "--radius", "1", "--lie-order-cap", "0", "--steps", "0",
       "--out-prefix", "{out}"], "error: order_cap must be >= 1"),
+    # the l-budget is refused up front even when omega is read from --freq
+    (["kam-run", "--radius", "2", "--freq", "{freq}", "--ell-budget", "0",
+      "--steps", "1", "--out-prefix", "{out}"],
+     "error: ell_budget must be >= 1"),
+    (["kam-run", "--radius", "2", "--freq", "{freq}", "--ell-budget", "-3",
+      "--steps", "0", "--out-prefix", "{out}"],
+     "error: ell_budget must be >= 1"),
     # all three norms are computed before any is printed
     (["norms", "{h}", "--rho", "1"],
      "error: need rho < r for star_rho, got rho=1.0"),

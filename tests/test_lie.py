@@ -32,7 +32,14 @@ from nlskam import (
     verify_norm_lemma,
 )
 from nlskam.driver import KamState, _eps0_of, class_norms
-from nlskam.hamiltonian import TAIL_TOL, Hamiltonian, class_split
+from nlskam import hamiltonian
+from nlskam.hamiltonian import (
+    TAIL_TOL,
+    Hamiltonian,
+    _bracket,
+    _column_on,
+    class_split,
+)
 from nlskam.homological import RHO0
 from nlskam.verification import random_hamiltonian
 
@@ -164,26 +171,46 @@ def _step_inputs(cfg, tiny_r2=False):
     return state, sched, sol, G, start
 
 
-@pytest.mark.parametrize("degree_cap,order_cap,orders,capped,tiny_r2", [
-    (4, 3, 0, True, False),     # the order-1 bracket is over the degree cap
-    (6, 3, 1, True, False),     # the order-2 bracket is over the degree cap
-    (16, 3, 2, False, False),   # order 2 falls below TAIL_TOL: no charge
-    (16, 1, 1, False, False),   # stops at the order cap: charges order 1
-    (16, 3, 2, False, True),    # the final prune drops a term of R2
-])
+@pytest.mark.parametrize(
+    "degree_cap,order_cap,orders,capped,tiny_r2,e_only", [
+        # the order-1 bracket is over the degree cap
+        (4, 3, 0, True, False, False),
+        # the order-2 bracket is over the degree cap
+        (6, 3, 1, True, False, False),
+        # order 2 falls below TAIL_TOL: no charge
+        (16, 3, 2, False, False, False),
+        # stops at the order cap: charges order 1
+        (16, 1, 1, False, False, False),
+        # the final prune drops a term of R2
+        (16, 3, 2, False, True, False),
+        # only the E chain's order-1 bracket is over the cap
+        (6, 3, 0, True, False, True),
+    ])
 def test_step_series_and_charges(degree_cap, order_cap, orders, capped,
-                                 tiny_r2):
+                                 tiny_r2, e_only):
     nls = replace(CFG.nls, params=replace(CFG.nls.params,
                                           degree_cap=degree_cap))
     cfg = replace(CFG, nls=nls, lie_order_cap=order_cap)
     state, sched, sol, G, start = _step_inputs(cfg, tiny_r2)
-    series = lie_transform(start, G, sol.F, order_cap, E=sol.eliminated,
+    E = sol.eliminated
+    if e_only:
+        # a degree-6 term off G's keys whose bracket with F has degree 8
+        E = linear_combine(1.0, E, 1.0, Hamiltonian.monomial(
+            E.params, k=[((-1,), 2), ((2,), 1)],
+            k_bar=[((-2,), 1), ((1,), 2)], coeff=1e-3))
+        assert _column_on(G, E.expanded()) is None
+    series = lie_transform(start, G, sol.F, order_cap, E=E,
                            prune_tol=cfg.prune_tol)
     ref, charge, masses = _frozen_kam_series(
-        start, G, sol.eliminated, sol.F, order_cap, cfg.prune_tol, TAIL_TOL)
+        start, G, E, sol.F, order_cap, cfg.prune_tol, TAIL_TOL)
     assert len(series.norms) == orders and series.capped == capped
     assert _bits(series.total) == _bits(ref)
     assert series.charge == charge
+    if e_only:
+        # the G chain was advanced before the E bracket raised
+        assert charge == norm(poisson_bracket(G, sol.F), "star_rho",
+                              0.0) > 0.0
+        return  # kam_step brackets the step's own E
     if degree_cap == 4:
         assert charge == norm(G, "star_rho", 0.0) > 0.0
     if order_cap == 1:
@@ -230,3 +257,73 @@ def test_flow_bound_oracle_raises_at_the_degree_cap():
         verify_norm_lemma("flow_bound", params={"degree_cap": 6},
                           samples=3, seed=0)
 
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
+       offset=st.integers(-3, 1), keep=st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_two_column_kernel_matches_two_brackets(seed, d, offset, keep):
+    # caps at and just below the largest pair degree, so some draws raise
+    rng = np.random.default_rng(seed)
+    wide = HamParams(d=d, degree_cap=64, mode_radius=2 if d == 1 else 1)
+    G = random_hamiltonian(wide, rng, n_terms=8, max_factors=6,
+                           max_actions=2).collected()
+    F = random_hamiltonian(wide, rng, n_terms=5, max_factors=6,
+                           max_actions=2)
+    top = G.degree() + F.degree() - 2
+    p = replace(wide, degree_cap=max(G.degree(), F.degree(), top + offset))
+    G, F = Hamiltonian(p, G.terms), Hamiltonian(p, F.terms)
+    GE = G.expanded()
+    # E: a subsequence of G's expanded keys, with coefficients of its own
+    E = Hamiltonian(p, {key: complex(*rng.uniform(-1.0, 1.0, 2))
+                        for key in GE.terms if rng.random() < keep})
+    column = _column_on(GE, E)
+    assert [c for c in column if c is not None] == list(E.terms.values())
+    try:
+        want = [_bits(poisson_bracket(G, F)), _bits(poisson_bracket(E, F))]
+    except CapacityError as e:
+        # an E pair is a G pair, so G's bracket raises first, if either
+        with pytest.raises(CapacityError) as info:
+            _bracket(GE, F.expanded(), column)
+        assert str(info.value) == str(e)
+        return
+    assert [_bits(X) for X in _bracket(GE, F.expanded(), column)] == want
+
+
+@pytest.mark.parametrize("change", ["reordered", "e_only_key"])
+def test_series_off_the_shared_pass_matches_frozen_loop(change):
+    # E's keys not a subsequence of G's: the kernel runs once per chain
+    _, _, sol, G, start = _step_inputs(CFG)
+    terms = list(sol.eliminated.expanded().terms.items())
+    if change == "reordered":
+        terms[0], terms[1] = terms[1], terms[0]
+    else:
+        # momentum 4 != 0: no key of the conserving G
+        terms.append((((), (((2,), 1),), (((-2,), 1),), ()), 1e-7))
+    E = Hamiltonian(G.params, dict(terms))
+    assert _column_on(G, E) is None
+    series = lie_transform(start, G, sol.F, 3, E=E, prune_tol=CFG.prune_tol)
+    ref, charge, _ = _frozen_kam_series(start, G, E, sol.F, 3,
+                                        CFG.prune_tol, TAIL_TOL)
+    assert len(series.norms) == 2
+    assert _bits(series.total) == _bits(ref)
+    assert series.charge == charge
+
+
+def test_one_kernel_pass_per_order_on_a_d2_step(monkeypatch):
+    # the kam_d2 benchmark config: both Lie chains share every pass
+    cfg = KamConfig(NlsConfig(HamParams(d=2, mode_radius=1), epsilon=1e-6),
+                    gamma=0.01, seed=7, steps=1)
+    _, _, sol, G, start = _step_inputs(cfg)
+    columns = []
+    kernel = hamiltonian._bracket
+
+    def counted(A, B, column=None):
+        columns.append(column is not None)
+        return kernel(A, B, column)
+
+    monkeypatch.setattr(hamiltonian, "_bracket", counted)
+    series = lie_transform(start, G, sol.F, cfg.lie_order_cap,
+                           E=sol.eliminated, prune_tol=cfg.prune_tol)
+    assert not series.capped and len(series.norms) == 2
+    assert columns == [True, True]
