@@ -404,6 +404,10 @@ def dispatch(argv=None) -> int:
     except (CapacityError, DivergenceRiskError) as e:
         print(f"capacity: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        # e.g. numpy refusing the l-table of a large box and budget
+        print(f"capacity: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -25,15 +25,14 @@ one-to-one onto tuple keys: accumulation order, insertion order and every
 floating-point operation are those of the tuple form.  Each distinct
 output key is unpacked once into its canonical tuple.
 
-The bracket kernel serves ``poisson_bracket`` with one coefficient column
-and ``lie_transform`` with two: the G and E chains of a Lie series share
-one key set, so one pass over the (outer, inner) pairs brackets both.
+The bracket kernel ``_bracket`` brackets two operands against a third in
+one pass: ``lie_transform`` calls it once per order on the G and E chains
+of a Lie series, and ``poisson_bracket`` with an empty second operand.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -612,50 +611,58 @@ def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
 
     On monomial pairs the coefficient rule is
     sqrt(-1) * sum_j (k_j K'_j - k'_j K_j) with exponents merged as
-    a+A, k+K-e_j, k'+K'-e_j.
-
-    A pair contributes when some common mode j has a nonzero factor; its
-    output degree is d1 + d2 - 2.  Before accumulating anything, a
-    capacity probe walks only the pairs whose degree sum exceeds the cap,
-    in the main loop's order (H1 terms outer, H2 terms inner), and raises
-    CapacityError on the first contributing one.  So the bracket raises
-    exactly when a contributing pair is over the cap, names the degree
-    of the first such pair, and builds no partial result.
+    a+A, k+K-e_j, k'+K'-e_j.  A pair contributes when some common mode j
+    has a nonzero factor; its output degree is d1 + d2 - 2.  Raises
+    CapacityError, before building anything, when a contributing pair is
+    over ``degree_cap``; see :func:`_bracket` for which pair it names.
     """
-    return _bracket(H1.expanded(), H2.expanded())[0]
+    H1 = H1.expanded()
+    return _bracket(H1, H2.expanded(), Hamiltonian.zero(H1.params))[0]
 
 
-def _bracket(A: Hamiltonian, B: Hamiltonian, column=None) -> tuple:
-    """The bracket kernel: {A, B}, and {E, B} in the same pass.
+def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
+    """The bracket kernel: ({A, B}, {E, B}) in one pass.
 
-    A and B are expanded.  ``column``, if given, is a second coefficient
-    column on A's keys: E's coefficient for each term of A in order, or
-    None where E has no term.  Each pair is visited once; a row with an
-    E coefficient accumulates into both results, so E's result holds
-    exactly the keys, insertion order and sums of {E, B} computed alone
-    (E's rows are A's rows with the same exponents, met in the same
-    order).  The capacity probe runs over A's rows, so it also covers
-    every pair of E.  Returns ({A, B},) or ({A, B}, {E, B}).
+    A, B and E are expanded.  The outer rows are A's terms in A's order;
+    E's terms join the rows of their keys while E's keys follow A's
+    order, and E's remaining terms follow as rows of their own, in E's
+    order.  Each result accumulates only from the rows that carry its
+    coefficient, so each visits its own terms in its own order and holds
+    exactly the keys, insertion order and sums of its bracket computed
+    alone.
+
+    Before accumulating anything, a capacity probe walks only the pairs
+    whose degree sum exceeds the cap, in the main loop's order (rows
+    outer, B's terms inner), and raises CapacityError on the first
+    contributing one.  So the kernel raises exactly when a contributing
+    pair is over the cap and builds no partial result.  A's rows come
+    first, so the error names the pair {A, B} alone would name if that
+    raises, and else the one {E, B} alone would name.
     """
     A._assert_compatible(B)
+    A._assert_compatible(E)
     cap = A.params.degree_cap
-    pk = _Packer(A.params, A.terms, B.terms)
+    pk = _Packer(A.params, A.terms, B.terms, E.terms)
     uq = pk.uq
-    # Per-term data of both operands, computed once per call: packed
+    acc, acc_e = {}, {}
+    # Rows (key, coefficient, result it accumulates into, E's coefficient
+    # or None): A's rows feed {A, B} and, when they carry E's coefficient,
+    # {E, B} too; E-only rows feed {E, B}.
+    e_items = list(E.terms.items())
+    i = 0
+    rows = []
+    for key, c in A.terms.items():
+        ce = None
+        if i < len(e_items) and e_items[i][0] == key:
+            ce = e_items[i][1]
+            i += 1
+        rows.append((key, c, acc, ce))
+    rows += [(key, c, acc_e, None) for key, c in e_items[i:]]
+    # Per-term data of B and of the rows, computed once per call: packed
     # triple, exponents (k_m, k'_m) on the support, support, degree.  The
     # outer and inner supports are built by different expressions on
     # purpose: the iteration order of their intersection depends on how
     # each set was built, and it fixes the insertion order of the result.
-    outer = []
-    for ((a1, k1, kb1, _), c1), ce in zip(
-            A.terms.items(), column or itertools.repeat(None)):
-        k1d, kb1d = dict(k1), dict(kb1)
-        sup1 = set(k1d) | set(kb1d)
-        outer.append((pk.pack(a1, k1, kb1),
-                      {m: (k1d.get(m, 0), kb1d.get(m, 0)) for m in sup1},
-                      sup1,
-                      2 * mi_degree(a1) + mi_degree(k1) + mi_degree(kb1),
-                      c1, ce))
     inner = []
     for (a2, k2, kb2, _), c2 in B.terms.items():
         k2d, kb2d = dict(k2), dict(kb2)
@@ -666,24 +673,29 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, column=None) -> tuple:
                       2 * mi_degree(a2) + mi_degree(k2) + mi_degree(kb2),
                       c2))
     # A nonempty common support needs d1, d2 >= 1, so only pairs with
-    # d1 + d2 >= 2 can contribute.
+    # d1 + d2 >= 2 can contribute.  Each row is probed as it is built, so
+    # a raise on one of A's rows builds no E-only row.
     max_d2 = max((row[3] for row in inner), default=0)
-    for _, e1, sup1, d1, _, _ in outer:
-        if d1 + max_d2 - 2 <= cap:
-            continue
-        for _, e2, sup2, d2, _ in inner:
-            if d1 + d2 - 2 <= cap:
-                continue
-            for m in sup1 & sup2:
-                k1m, kb1m = e1[m]
-                k2m, kb2m = e2[m]
-                if k1m * kb2m != kb1m * k2m:
-                    raise CapacityError(
-                        f"bracket degree {d1 + d2 - 2} exceeds cap {cap}")
+    outer = []
+    for (a1, k1, kb1, _), c1, sink, ce in rows:
+        k1d, kb1d = dict(k1), dict(kb1)
+        sup1 = set(k1d) | set(kb1d)
+        e1 = {m: (k1d.get(m, 0), kb1d.get(m, 0)) for m in sup1}
+        d1 = 2 * mi_degree(a1) + mi_degree(k1) + mi_degree(kb1)
+        if d1 + max_d2 - 2 > cap:
+            for _, e2, sup2, d2, _ in inner:
+                if d1 + d2 - 2 <= cap:
+                    continue
+                for m in sup1 & sup2:
+                    k1m, kb1m = e1[m]
+                    k2m, kb2m = e2[m]
+                    if k1m * kb2m != kb1m * k2m:
+                        raise CapacityError(
+                            f"bracket degree {d1 + d2 - 2} exceeds cap {cap}")
+        outer.append((pk.pack(a1, k1, kb1), e1, sup1, c1, sink, ce))
     # A contributing mode m has k_m >= 1 and k'_m >= 1 in the merged
     # exponents, so subtracting one q_m qbar_m pair never borrows.
-    acc, acc_e = {}, {}
-    for x1, e1, sup1, _, c1, ce in outer:
+    for x1, e1, sup1, c1, sink, ce in outer:
         for x2, e2, sup2, _, c2 in inner:
             common = sup1 & sup2
             if not common:
@@ -698,19 +710,14 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, column=None) -> tuple:
                 if f == 0:
                     continue
                 key = merged - uq[m]
-                acc[key] = acc.get(key, 0j) + base * f
+                sink[key] = sink.get(key, 0j) + base * f
                 if base_e is not None:
                     acc_e[key] = acc_e.get(key, 0j) + base_e * f
-    keys = list(map(pk.unpack, acc))
-    out = (Hamiltonian(A.params, dict(zip(keys, acc.values())),
-                       validate=False),)
-    if column is None:
-        return out
-    # every pair that reaches acc_e also reaches acc: one unpack per key
-    unpacked = dict(zip(acc, keys))
-    return out + (Hamiltonian(
-        A.params, {unpacked[x]: c for x, c in acc_e.items()},
-        validate=False),)
+    # one unpack per distinct output key
+    names = {x: pk.unpack(x) for x in acc}
+    names.update((x, pk.unpack(x)) for x in acc_e if x not in names)
+    return tuple(Hamiltonian(A.params, {names[x]: c for x, c in d.items()},
+                             validate=False) for d in (acc, acc_e))
 
 
 def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
@@ -925,11 +932,9 @@ class LieSeries:
     ``norms`` holds the star norm (rho = 0) of each order actually added,
     so ``len(norms)`` is the number of orders applied.  ``charge`` is the
     star norm charged for the part left out: the last order's norm at the
-    order cap, 0 when an order fell below ``TAIL_TOL``, and ||T|| / (n-1)!
-    when a bracket of order n raised CapacityError (``capped``), T being
-    the last ad_F^m G computed: m = n-1, or m = n if only the E bracket
-    raised.  The latter needs E's keys off G's, in separate passes; in a
-    shared pass every E pair is a G pair, so both raise together.
+    order cap, 0 when an order fell below ``TAIL_TOL``, and
+    ||ad_F^(n-1) G|| / (n-1)! when the bracket of order n raised
+    CapacityError (``capped``).
     """
 
     total: Hamiltonian
@@ -945,24 +950,6 @@ class LieSeries:
                        for prev, cur in zip(self.norms, self.norms[1:]))
 
 
-def _column_on(A: Hamiltonian, E: Hamiltonian):
-    """E's coefficients on A's keys, in A's order, None where E has no
-    term; None instead when E's keys are not a subsequence of A's or
-    its parameters differ."""
-    if E.params != A.params:
-        return None
-    rest = iter(E.terms.items())
-    key, c = next(rest, (None, None))
-    column = []
-    for x in A.terms:
-        if x == key:
-            column.append(c)
-            key, c = next(rest, (None, None))
-        else:
-            column.append(None)
-    return column if key is None else None
-
-
 def lie_transform(start: Hamiltonian, G: Hamiltonian, F: Hamiltonian,
                   order_cap: int, E: Hamiltonian | None = None,
                   prune_tol: float = 0.0, ledger=None) -> LieSeries:
@@ -970,43 +957,32 @@ def lie_transform(start: Hamiltonian, G: Hamiltonian, F: Hamiltonian,
 
     Returns start + sum_{n>=1} [ad_F^n G / n! - ad_F^n E / (n+1)!] with
     ad_F X = {X, F}, each order pruned at ``prune_tol`` into ``ledger``
-    before it is added.  With start = G = H and no E this is H o Phi_F; a
-    KAM step passes its remainder as G and the eliminated part {N,F} = -E.
+    before it is added.  E defaults to zero.  With start = G = H and no E
+    this is H o Phi_F; a KAM step passes its remainder as G and the
+    eliminated part {N,F} = -E.
 
     Each order brackets both chains against F in one pass of the kernel
-    when ad_F^(n-1) E's expanded keys are a subsequence of
-    ad_F^(n-1) G's, in order (every KAM step order measured so far);
-    otherwise in two passes, G's first.  Either way each result is, bit
-    for bit, its own ``poisson_bracket``.
-
-    The sum stops after the first order whose star norm (rho = 0) is
-    below ``TAIL_TOL``, at ``order_cap``, or when a bracket raises
-    CapacityError; see :class:`LieSeries` for what each stop charges.
+    :func:`_bracket`, and each result is, bit for bit, its own
+    ``poisson_bracket``.  The sum stops after the first order whose star
+    norm (rho = 0) is below ``TAIL_TOL``, at ``order_cap``, or when the
+    bracket raises CapacityError; see :class:`LieSeries` for what each
+    stop charges.
     """
     if order_cap < 1:
         raise ValidationError("order_cap must be >= 1")
-    total, TG, TE = start, G.expanded(), E
-    F = F.expanded()
+    TG, F = G.expanded(), F.expanded()
+    TE = (Hamiltonian.zero(G.params) if E is None else E).expanded()
+    total = start
     fact = 1.0
     norms = []
     for n in range(1, order_cap + 1):
         try:
-            column = None if TE is None else _column_on(TG, TE.expanded())
-            if column is not None:
-                TG, TE = _bracket(TG, F, column)
-            else:
-                TG, = _bracket(TG, F)
-                if TE is not None:
-                    TE, = _bracket(TE.expanded(), F)
+            TG, TE = _bracket(TG, F, TE)
         except CapacityError:
             return LieSeries(total, norm(TG, "star_rho", 0.0) / fact,
                              tuple(norms), True)
         fact *= n
-        if TE is None:
-            term = TG.scale(1.0 / fact)
-        else:
-            term = linear_combine(1.0 / fact, TG,
-                                  -1.0 / (fact * (n + 1)), TE)
+        term = linear_combine(1.0 / fact, TG, -1.0 / (fact * (n + 1)), TE)
         term = prune(term, prune_tol, ledger)
         norms.append(norm(term, "star_rho", 0.0))
         total = linear_combine(1.0, total, 1.0, term)

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np

@@ -266,6 +266,30 @@ def test_capacity_exit_code(tmp_path):
                    "--out", str(tmp_path / "b.json")) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["kam-run", "--d", "3", "--radius", "1", "--steps", "0",
+     "--out-prefix", "OUT"],
+    ["measure", "--d", "3", "--radius", "1", "--out", "OUT"],
+    ["dioph-check", "FREQ"],
+])
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                             omega_file, argv):
+    # an l-table too large for memory, without allocating it
+    from nlskam import diophantine
+
+    def too_large(modes, d, ell_budget):
+        raise MemoryError("Unable to allocate 7.87 GiB for an array with "
+                          "shape (39146184, 27) and data type int8")
+
+    monkeypatch.setattr(diophantine, "_ell_table", too_large)
+    where = {"OUT": str(tmp_path / "out"), "FREQ": str(omega_file)}
+    assert run_cli(*(where.get(a, a) for a in argv)) == 3
+    assert capsys.readouterr().err == (
+        "capacity: Unable to allocate 7.87 GiB for an array with shape "
+        "(39146184, 27) and data type int8\n")
+    assert not os.listdir(tmp_path)
+
+
 def test_validation_exit_code_on_missing_file(tmp_path):
     assert run_cli("norms", str(tmp_path / "missing.json")) == 1
 

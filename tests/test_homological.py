@@ -4,7 +4,6 @@ import pytest
 
 from nlskam import (
     HamParams,
-    Hamiltonian,
     NormalForm,
     SmallDivisorError,
     ValidationError,

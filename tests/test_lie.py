@@ -37,8 +37,8 @@ from nlskam.hamiltonian import (
     TAIL_TOL,
     Hamiltonian,
     _bracket,
-    _column_on,
     class_split,
+    term_degree,
 )
 from nlskam.homological import RHO0
 from nlskam.verification import random_hamiltonian
@@ -49,6 +49,25 @@ CFG = KamConfig(NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6),
 
 def _bits(H):
     return [(k, c.real.hex(), c.imag.hex()) for k, c in H.terms.items()]
+
+
+def _follows(E, A):
+    """Whether E's keys are a subsequence of A's, in A's order."""
+    keys = iter(A.terms)
+    return all(key in keys for key in E.terms)
+
+
+def _count_kernel_calls(monkeypatch):
+    """Record the operand sizes (A, E) of each call of the bracket kernel."""
+    calls = []
+    kernel = hamiltonian._bracket
+
+    def counted(A, B, E):
+        calls.append((len(A), len(E)))
+        return kernel(A, B, E)
+
+    monkeypatch.setattr(hamiltonian, "_bracket", counted)
+    return calls
 
 
 def _frozen_plain_series(H, F, order_cap, tail_tol):
@@ -149,8 +168,11 @@ def test_plain_series_matches_frozen_loop(seed, d, f_scale, order_cap,
     assert _bits(series.total) == _bits(ref)
 
 
-def _step_inputs(cfg, tiny_r2=False):
+def _step_inputs(cfg, tiny_r2=False, s=0):
+    """The Lie-series inputs of step ``s`` of a run of ``cfg``."""
     state, _ = initial_state(cfg)
+    for t in range(s):
+        state, _ = kam_step(state, schedule(t, _eps0_of(cfg)), cfg)
     if tiny_r2:
         # a class-2 term below prune_tol: the series carries it over in
         # `start`, and the final prune drops it
@@ -161,7 +183,7 @@ def _step_inputs(cfg, tiny_r2=False):
         R2 = linear_combine(1.0, state.R2, 1.0, tiny)
         state = replace(state, R2=R2,
                         norms=class_norms(state.R0, state.R1, R2, RHO0))
-    sched = schedule(0, _eps0_of(cfg))
+    sched = schedule(s, _eps0_of(cfg))
     sol = solve_homological(state.R0, state.R1, state.nf,
                             cfg.gamma * sched.eps_s ** 0.01,
                             sched.truncation_budget)
@@ -198,19 +220,19 @@ def test_step_series_and_charges(degree_cap, order_cap, orders, capped,
         E = linear_combine(1.0, E, 1.0, Hamiltonian.monomial(
             E.params, k=[((-1,), 2), ((2,), 1)],
             k_bar=[((-2,), 1), ((1,), 2)], coeff=1e-3))
-        assert _column_on(G, E.expanded()) is None
+        assert not _follows(E.expanded(), G)
     series = lie_transform(start, G, sol.F, order_cap, E=E,
                            prune_tol=cfg.prune_tol)
     ref, charge, masses = _frozen_kam_series(
         start, G, E, sol.F, order_cap, cfg.prune_tol, TAIL_TOL)
     assert len(series.norms) == orders and series.capped == capped
     assert _bits(series.total) == _bits(ref)
-    assert series.charge == charge
     if e_only:
-        # the G chain was advanced before the E bracket raised
-        assert charge == norm(poisson_bracket(G, sol.F), "star_rho",
-                              0.0) > 0.0
+        # one kernel call brackets both chains, so neither advanced: the
+        # charge is ||G||, where the frozen loop had advanced G to {G, F}
+        assert series.charge == norm(G, "star_rho", 0.0) > 0.0
         return  # kam_step brackets the step's own E
+    assert series.charge == charge
     if degree_cap == 4:
         assert charge == norm(G, "star_rho", 0.0) > 0.0
     if order_cap == 1:
@@ -258,11 +280,11 @@ def test_flow_bound_oracle_raises_at_the_degree_cap():
                           samples=3, seed=0)
 
 
-
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
-       offset=st.integers(-3, 1), keep=st.sampled_from([0.0, 0.5, 1.0]))
-@settings(max_examples=60, deadline=None)
-def test_two_column_kernel_matches_two_brackets(seed, d, offset, keep):
+       offset=st.integers(-3, 1), keep=st.sampled_from([0.0, 0.5, 1.0]),
+       form=st.sampled_from(["subsequence", "reordered", "foreign"]))
+@settings(max_examples=90, deadline=None)
+def test_two_column_kernel_matches_two_brackets(seed, d, offset, keep, form):
     # caps at and just below the largest pair degree, so some draws raise
     rng = np.random.default_rng(seed)
     wide = HamParams(d=d, degree_cap=64, mode_radius=2 if d == 1 else 1)
@@ -274,25 +296,40 @@ def test_two_column_kernel_matches_two_brackets(seed, d, offset, keep):
     p = replace(wide, degree_cap=max(G.degree(), F.degree(), top + offset))
     G, F = Hamiltonian(p, G.terms), Hamiltonian(p, F.terms)
     GE = G.expanded()
-    # E: a subsequence of G's expanded keys, with coefficients of its own
+    # E: G's expanded keys with coefficients of its own, as a subsequence,
+    # in a random order, or with keys G lacks put in at random places
+    keys = [key for key in GE.terms if rng.random() < keep]
+    if form == "reordered":
+        keys = [keys[i] for i in rng.permutation(len(keys))]
+    elif form == "foreign":
+        X = random_hamiltonian(wide, rng, n_terms=4, max_factors=6,
+                               max_actions=2).expanded()
+        for key in X.terms:
+            if key not in GE.terms and term_degree(key) <= p.degree_cap:
+                keys.insert(rng.integers(len(keys) + 1), key)
     E = Hamiltonian(p, {key: complex(*rng.uniform(-1.0, 1.0, 2))
-                        for key in GE.terms if rng.random() < keep})
-    column = _column_on(GE, E)
-    assert [c for c in column if c is not None] == list(E.terms.values())
-    try:
-        want = [_bits(poisson_bracket(G, F)), _bits(poisson_bracket(E, F))]
-    except CapacityError as e:
-        # an E pair is a G pair, so G's bracket raises first, if either
+                        for key in keys})
+    if form == "subsequence":
+        assert _follows(E, GE)
+    # the kernel raises as the first of the two brackets that raises
+    want, error = [], None
+    for X in (G, E):
+        try:
+            want.append(_bits(poisson_bracket(X, F)))
+        except CapacityError as e:
+            error = str(e)
+            break
+    if error is not None:
         with pytest.raises(CapacityError) as info:
-            _bracket(GE, F.expanded(), column)
-        assert str(info.value) == str(e)
+            _bracket(GE, F.expanded(), E)
+        assert str(info.value) == error
         return
-    assert [_bits(X) for X in _bracket(GE, F.expanded(), column)] == want
+    assert [_bits(X) for X in _bracket(GE, F.expanded(), E)] == want
 
 
 @pytest.mark.parametrize("change", ["reordered", "e_only_key"])
-def test_series_off_the_shared_pass_matches_frozen_loop(change):
-    # E's keys not a subsequence of G's: the kernel runs once per chain
+def test_series_off_the_shared_pass_matches_frozen_loop(change, monkeypatch):
+    # E's keys not a subsequence of G's: E-only rows follow G's rows
     _, _, sol, G, start = _step_inputs(CFG)
     terms = list(sol.eliminated.expanded().terms.items())
     if change == "reordered":
@@ -301,11 +338,12 @@ def test_series_off_the_shared_pass_matches_frozen_loop(change):
         # momentum 4 != 0: no key of the conserving G
         terms.append((((), (((2,), 1),), (((-2,), 1),), ()), 1e-7))
     E = Hamiltonian(G.params, dict(terms))
-    assert _column_on(G, E) is None
+    assert not _follows(E, G)
+    calls = _count_kernel_calls(monkeypatch)
     series = lie_transform(start, G, sol.F, 3, E=E, prune_tol=CFG.prune_tol)
+    assert len(series.norms) == 2 and len(calls) == 2
     ref, charge, _ = _frozen_kam_series(start, G, E, sol.F, 3,
                                         CFG.prune_tol, TAIL_TOL)
-    assert len(series.norms) == 2
     assert _bits(series.total) == _bits(ref)
     assert series.charge == charge
 
@@ -315,15 +353,24 @@ def test_one_kernel_pass_per_order_on_a_d2_step(monkeypatch):
     cfg = KamConfig(NlsConfig(HamParams(d=2, mode_radius=1), epsilon=1e-6),
                     gamma=0.01, seed=7, steps=1)
     _, _, sol, G, start = _step_inputs(cfg)
-    columns = []
-    kernel = hamiltonian._bracket
-
-    def counted(A, B, column=None):
-        columns.append(column is not None)
-        return kernel(A, B, column)
-
-    monkeypatch.setattr(hamiltonian, "_bracket", counted)
+    calls = _count_kernel_calls(monkeypatch)
     series = lie_transform(start, G, sol.F, cfg.lie_order_cap,
                            E=sol.eliminated, prune_tol=cfg.prune_tol)
     assert not series.capped and len(series.norms) == 2
-    assert columns == [True, True]
+    assert len(calls) == 2
+    assert calls[0] == (len(G), len(sol.eliminated.expanded()))
+
+
+def test_one_kernel_pass_per_order_on_kam_exact_step_1(monkeypatch):
+    # the kam_exact benchmark config at step 1, where E has more keys
+    # than G and does not follow G's order; the order-1 bracket is over
+    # the degree cap, and the one call that raises carried both chains
+    cfg = replace(CFG, steps=2, prune_tol=0.0)
+    _, _, sol, G, start = _step_inputs(cfg, s=1)
+    E = sol.eliminated.expanded()
+    assert len(E) > len(G) and not _follows(E, G)
+    calls = _count_kernel_calls(monkeypatch)
+    series = lie_transform(start, G, sol.F, cfg.lie_order_cap, E=E,
+                           prune_tol=cfg.prune_tol)
+    assert series.capped and not series.norms
+    assert calls == [(len(G), len(E))]
