@@ -51,11 +51,14 @@ class EllRows(Sequence):
 
     ``matrix[i, j]`` is the value of row i at ``modes[j]``.  Row i reads as
     the tuple of (mode, value) pairs with nonzero value, in mode order.
+    ``levels`` holds one row slice per |l| = 1, 2, ... when the rows are
+    a whole enumeration ordered by |l|; a slice of the rows has none.
     """
 
-    def __init__(self, modes, matrix):
+    def __init__(self, modes, matrix, levels=()):
         self.modes = modes
         self.matrix = matrix
+        self.levels = levels
 
     def __len__(self):
         return len(self.matrix)
@@ -106,7 +109,9 @@ def enumerate_ells(modes, budget):
                 blocks.append(block)
             nxt.append(np.concatenate(blocks))
         sphere = nxt
-    return EllRows(modes, np.concatenate(sphere[1:]))
+    ends = np.cumsum([0] + [len(s) for s in sphere[1:]]).tolist()
+    levels = tuple(map(slice, ends[:-1], ends[1:]))
+    return EllRows(modes, np.concatenate(sphere[1:]), levels)
 
 
 def ell_sorted_norms(ell):
@@ -227,6 +232,19 @@ def _ell_table(modes, d, ell_budget) -> EllTable:
     return EllTable(ells, prod1, prod2, cond2)
 
 
+def _ell_distances(L, w):
+    """|||<l, omega>||| for every row l of the integer l-matrix ``L``.
+
+    ``w`` holds omega's values in the column order of ``L``.  The sum runs
+    column by column, as a left-to-right sum over the entries of l would,
+    so a row's value does not depend on which other rows ``L`` holds.
+    """
+    x = np.zeros(len(L))
+    for j, wj in enumerate(w):
+        x += L[:, j] * wj
+    return np.abs(x - np.rint(x))
+
+
 def check_frequency(omega: dict, gamma, ell_budget, lattice):
     """Test both conditions at ``gamma`` over all l with |l| <= ell_budget.
 
@@ -245,13 +263,7 @@ def check_frequency(omega: dict, gamma, ell_budget, lattice):
                                   f"radius {lattice.mode_radius}")
     table = _ell_table(modes, lattice.d, ell_budget)
     rhs1, rhs2 = table.bounds(gamma)
-    L = table.ells.matrix
-    # <l, omega> accumulated in sorted-mode order, as a left-to-right sum
-    # over the entries of l would be.
-    x = np.zeros(len(L))
-    for j, m in enumerate(modes):
-        x += L[:, j] * float(omega[m])
-    lhs = np.abs(x - np.rint(x))
+    lhs = _ell_distances(table.ells.matrix, [float(omega[m]) for m in modes])
     bad1 = lhs < rhs1
     bad2 = table.cond2 & (lhs < rhs2)
     violations = []
@@ -261,7 +273,7 @@ def check_frequency(omega: dict, gamma, ell_budget, lattice):
             violations.append((ell, 1, float(lhs[i]), float(rhs1[i])))
         if bad2[i]:
             violations.append((ell, 2, float(lhs[i]), float(rhs2[i])))
-    return violations, len(L)
+    return violations, len(lhs)
 
 
 def _mode_rng(seed, mode):
@@ -285,19 +297,20 @@ def sample_strong_frequency(lattice, gamma, ell_budget, seed):
     """First strongly nonresonant draw from the first 1000 sub-seeds.
 
     Draws over the box of the HamParams ``lattice``; returns (omega, t)
-    with t the index of the accepted sub-seed.
+    with t the index of the accepted sub-seed.  A draw is tested one |l|
+    level at a time, with ``check_frequency``'s arithmetic, and rejected
+    at the first level holding a violation.
     """
     _check_gammas([gamma], ell_budget)
     modes = lattice.box_modes()
     table = _ell_table(modes, lattice.d, ell_budget)
     rhs = table.rhs(gamma)
-    # One full matrix-vector product per draw: a row-chunked product can
-    # round differently in the last bit and flip an accept/reject decision.
-    L = table.ells.matrix.astype(float)
+    L, levels = table.ells.matrix, table.ells.levels
     for t in range(1000):
         omega = sample_frequency(modes, (int(seed) << 20) + t)
-        x = L @ np.array([omega[m] for m in modes])
-        if (np.abs(x - np.rint(x)) >= rhs).all():
+        w = [omega[m] for m in table.ells.modes]
+        if all((_ell_distances(L[rows], w) >= rhs[rows]).all()
+               for rows in levels):
             return omega, t
     raise ValidationError(
         "no strongly nonresonant frequency found in 1000 tries")
@@ -325,6 +338,8 @@ def frequency_loads(text: str, d: int | None = None) -> dict:
     entries = doc.get("omega")
     if not isinstance(entries, list):
         raise ValidationError("frequency document needs an 'omega' list")
+    if not entries:
+        raise ValidationError("frequency document's 'omega' list is empty")
     omega = {}
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 2):

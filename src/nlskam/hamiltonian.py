@@ -57,6 +57,18 @@ _SELF = object()
 TAIL_TOL = 1e-30
 
 
+class _Memo(dict):
+    """``memo[x]`` is ``fn(x)``, computed on the first lookup of x."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, x):
+        value = self[x] = self.fn(x)
+        return value
+
+
 @dataclass(frozen=True)
 class HamParams:
     """The lattice's one record, shared by every term of a Hamiltonian.
@@ -93,6 +105,10 @@ class HamParams:
         """The log-power weight w(n) = ln^sigma max(floor_const, ||n||)."""
         return _weight_cached(tuple(mode), self.sigma, self.floor_const)
 
+    def weights(self) -> _Memo:
+        """A fresh mode -> weight map that calls ``weight`` once per mode."""
+        return _Memo(self.weight)
+
     def action0(self, mode) -> float:
         """Frozen initial action I_n(0) = exp(-2 r w(n))."""
         return math.exp(-2.0 * self.r * self.weight(mode))
@@ -100,6 +116,11 @@ class HamParams:
     def box_modes(self):
         """All modes of the truncation box, in lexicographic order."""
         return box_modes(self.d, self.mode_radius)
+
+
+def _mi_weight_sums(weights) -> _Memo:
+    """A map multi-index a -> sum of e * w(m) over a, computed once per a."""
+    return _Memo(lambda a: sum(e * weights[m] for m, e in a))
 
 
 def term_degree(key) -> int:
@@ -730,10 +751,11 @@ def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
         return H
     keep = {}
     lost = 0.0
+    wsum = _mi_weight_sums(H.params.weights())
     for key, c in H.terms.items():
         a, _, _, j = key
         # r * wa first: once -2 r overflows, (-2 r) * 0 would be nan
-        wa = sum(e * H.params.weight(m) for m, e in a)
+        wa = wsum[a]
         contrib = (abs(c) * math.exp(-2.0 * (H.params.r * wa))
                    * (2.0 ** len(j)))
         if contrib < tol:
@@ -751,21 +773,24 @@ def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
 # Norms
 # ---------------------------------------------------------------------------
 
-def _term_S_L1(params, a, k, kb, jmodes=()):
-    """(S, L1): weighted multiplicity sum and largest-mode weight."""
+def _term_S_L1(weights, a, k, kb, jmodes=()):
+    """(S, L1): weighted multiplicity sum and largest-mode weight.
+
+    ``weights`` maps a mode to its weight, as ``HamParams.weights()``.
+    """
     S = 0.0
     L1 = 0.0
     for m, e in a:
-        w = params.weight(m)
+        w = weights[m]
         S += 2 * e * w
         L1 = max(L1, w)
     for src in (k, kb):
         for m, e in src:
-            w = params.weight(m)
+            w = weights[m]
             S += e * w
             L1 = max(L1, w)
     for m in jmodes:
-        w = params.weight(m)
+        w = weights[m]
         S += 2 * w
         L1 = max(L1, w)
     return S, L1
@@ -787,17 +812,19 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
         raise ValidationError(f"need rho < r for {kind}, got rho={rho}")
     if kind in ("sup_rho", "plus_rho"):
         form = H.expanded() if kind == "sup_rho" else H.collected()
+        weights = p.weights()
         best = 0.0
         for (a, k, kb, j), c in form.terms.items():
-            S, L1 = _term_S_L1(p, a, k, kb, j)
+            S, L1 = _term_S_L1(weights, a, k, kb, j)
             best = max(best, abs(c) * math.exp(-rho * (S - 2.0 * L1)))
         return best
     if kind == "star_rho":
+        wsum = _mi_weight_sums(p.weights())
         total = 0.0
         for (a, k, kb, _), c in H.expanded().terms.items():
-            wa = sum(e * p.weight(m) for m, e in a)
-            wk = sum(e * p.weight(m) for m, e in k)
-            wk += sum(e * p.weight(m) for m, e in kb)
+            wa = wsum[a]
+            wk = wsum[k]
+            wk += wsum[kb]
             total += abs(c) * math.exp(-2.0 * (p.r * wa) - rho * wk)
         return total
     raise ValidationError(f"unknown norm kind {kind!r}")

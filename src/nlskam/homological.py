@@ -83,10 +83,13 @@ def divisor(k, k_bar, nf: NormalForm) -> float:
     return total + mass * nf.v_breve
 
 
-def tail_weight(a, k, k_bar, jmodes, params) -> float:
-    """sum_{i>=3} w(n_i*) over the multiplicity-expanded sorted system."""
+def tail_weight(a, k, k_bar, jmodes, weights) -> float:
+    """sum_{i>=3} w(n_i*) over the multiplicity-expanded sorted system.
+
+    ``weights`` maps a mode to its weight, as ``HamParams.weights()``.
+    """
     system = sorted_system(a, k, k_bar, jmodes)
-    return sum(params.weight(m) for m in system[2:])
+    return sum(weights[m] for m in system[2:])
 
 
 RHO0 = (3.0 - 2.0 * math.sqrt(2.0)) / 100.0
@@ -103,6 +106,7 @@ def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
     if guard <= 0:
         raise ValidationError("guard must be positive")
     params = R0.params
+    weights = params.weights()
     min_div = math.inf
     quad_diag = []
     deferred_mass = 0.0
@@ -115,7 +119,7 @@ def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
                 continue
             if mi_degree(k) + mi_degree(kb) == 2 and k != kb:
                 quad_diag.append(key)
-            if tail_weight(a, k, kb, j, params) > B:
+            if tail_weight(a, k, kb, j, weights) > B:
                 def_terms[key] = c
                 deferred_mass += abs(c)
                 continue

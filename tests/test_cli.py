@@ -509,6 +509,8 @@ def test_dioph_check_roundtrip(tmp_path, capsys):
 @pytest.mark.parametrize("doc,match", [
     ([[[0], 0.1]], "not a frequency document"),
     ({"format": "nlskam-frequency"}, "'omega' list"),
+    ({"format": "nlskam-frequency", "version": 1, "omega": []},
+     "'omega' list is empty"),
     ({"format": "nlskam-frequency", "omega": [[[0], "abc"]]},
      "not a finite number"),
     ({"format": "nlskam-frequency", "omega": [[["a"], 0.1]]},

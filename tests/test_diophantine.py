@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,6 +426,55 @@ def test_sample_strong_frequency_d2_sampler_config(d2_reference):
                 == _reference_sample(modes, ells, rhs, seed))
 
 
+def _first_violation_level(omega, gamma, budget, lattice):
+    """The smallest |l| among the violations check_frequency reports."""
+    violations, _ = check_frequency(omega, gamma, budget, lattice)
+    return min((sum(abs(v) for _, v in ell) for ell, *_ in violations),
+               default=None)
+
+
+def test_sampler_rejects_a_violation_at_the_last_level():
+    # draw 0 of seed 38 clears every l with |l| <= 5 and fails at |l| = 6
+    lattice = HamParams(d=1, mode_radius=2)
+    first = sample_frequency(lattice.box_modes(), 38 << 20)
+    assert _first_violation_level(first, 0.05, 6, lattice) == 6
+    assert sample_strong_frequency(lattice, 0.05, 5, 38) == (first, 0)
+    assert sample_strong_frequency(lattice, 0.05, 6, 38)[1] > 0
+
+
+@pytest.mark.parametrize("d,radius,budget,gamma,seeds", [
+    (1, 2, 6, 0.2, (0, 1, 3, 5)),
+    (2, 1, 4, 0.05, (0, 2, 4)),
+])
+def test_sampler_rejects_exactly_the_draws_check_frequency_flags(
+        d, radius, budget, gamma, seeds):
+    lattice = HamParams(d=d, mode_radius=radius)
+    modes = lattice.box_modes()
+    levels = set()
+    for seed in seeds:
+        omega, tries = sample_strong_frequency(lattice, gamma, budget, seed)
+        for t in range(tries + 1):
+            draw = sample_frequency(modes, (seed << 20) + t)
+            level = _first_violation_level(draw, gamma, budget, lattice)
+            assert (level is not None) == (t < tries)
+            levels.add(level)
+        assert draw == omega
+    assert len(levels - {None}) > 1     # rejected at more than one level
+
+
+def test_sampler_memory_peak_at_the_d2_config():
+    # Peaks in a fresh interpreter: the l-table alone 2.9 MB, the sampler
+    # 4.6 MB; with a float copy of the table and one whole-table product
+    # per draw it was 10.6 MB.
+    tracemalloc.start()
+    try:
+        sample_strong_frequency(HamParams(d=2, mode_radius=1), 0.01, 6, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 def test_check_frequency_matches_reference():
     modes = LAT.box_modes()
     resonant = {m: 0.25 * (i % 3) for i, m in enumerate(modes)}
@@ -447,6 +497,8 @@ def test_check_frequency_rejects_foreign_dimension():
 @pytest.mark.parametrize("text,match", [
     ('[1, 2]', "not a frequency document"),
     ('{"format": "nlskam-frequency"}', "'omega' list"),
+    ('{"format": "nlskam-frequency", "version": 1, "omega": []}',
+     "'omega' list is empty"),
     ('{"format": "nlskam-frequency", "omega": [[[0], "x"]]}',
      "finite number"),
     ('{"format": "nlskam-frequency", "omega": [[[0], true]]}',

@@ -596,11 +596,11 @@ def _ref_norm(H, kind, rho):
     best = 0.0
     if kind == "sup_rho":
         for (a, k, kb, _), c in H.expanded().terms.items():
-            S, L1 = _term_S_L1(p, a, k, kb)
+            S, L1 = _term_S_L1(p.weights(), a, k, kb)
             best = max(best, abs(c) * math.exp(-rho * (S - 2.0 * L1)))
     else:
         for (a, k, kb, j), c in H.collected().terms.items():
-            S, L1 = _term_S_L1(p, a, k, kb, j)
+            S, L1 = _term_S_L1(p.weights(), a, k, kb, j)
             best = max(best, abs(c) * math.exp(-rho * (S - 2.0 * L1)))
     return best
 

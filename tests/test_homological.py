@@ -55,7 +55,8 @@ def test_tail_weight_counts_third_largest_onward():
     k = mi([((1,), 1), ((-1,), 1)])
     kb = mi([((0,), 2)])
     # system has 4 entries, tail = 2 entries at the floor weight
-    assert tail_weight((), k, kb, (), params) == pytest.approx(2.0 * w)
+    assert (tail_weight((), k, kb, (), params.weights())
+            == pytest.approx(2.0 * w))
 
 
 def test_truncation_budget_monotone():
