@@ -30,7 +30,7 @@ from .errors import (
     SmallDivisorError,
     ValidationError,
 )
-from .hamiltonian import HamParams, Hamiltonian, norm
+from .hamiltonian import HamParams, Hamiltonian, linear_combine, norm
 from .nls import NlsConfig, build_cubic_nls
 from .verification import SUITE_CSV_SCHEMA, bracket_bound, run_suite
 
@@ -281,7 +281,8 @@ def _cmd_kam_run(args):
     _write(f"{args.out_prefix}.steps.csv", "\n".join(lines) + "\n")
     _write(f"{args.out_prefix}.step0.json", H0.dumps())
     for i, st in enumerate(states[1:], 1):
-        total = st.R0 + st.R1 + st.R2
+        total = linear_combine(1.0, linear_combine(1.0, st.R0, 1.0, st.R1),
+                               1.0, st.R2)
         _write(f"{args.out_prefix}.step{i}.json", total.dumps())
     return 0
 

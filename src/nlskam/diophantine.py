@@ -252,9 +252,12 @@ def check_frequency(omega: dict, gamma, ell_budget, lattice):
     :class:`~nlskam.hamiltonian.HamParams` ``lattice``.  Returns
     (violations, checked) where violations is a list of (ell, which, lhs,
     rhs) for every failed inequality, ordered by l and, per l, condition 1
-    before condition 2.
+    before condition 2.  An empty ``omega`` is refused: it would pass
+    having checked nothing.
     """
     _check_gammas([gamma], ell_budget)
+    if not omega:
+        raise ValidationError("frequency map is empty: nothing to check")
     modes = sorted(omega)
     for m in modes:
         check_mode(m, lattice.d)

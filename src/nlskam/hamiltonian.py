@@ -194,17 +194,10 @@ class Hamiltonian:
             acc[key] = acc.get(key, 0j) + c
         return cls(params, acc)
 
-    @classmethod
-    def monomial(cls, params, a=(), k=(), k_bar=(), j=(), coeff=1.0):
-        return cls.from_terms(params, [(a, k, k_bar, j, coeff)])
-
     # -- basics ------------------------------------------------------------
 
-    def __len__(self):
+    def __len__(self):     # perfbench's tracer counts terms with len()
         return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms.items())
 
     def is_zero(self):
         return not self.terms
@@ -216,26 +209,10 @@ class Hamiltonian:
         if self.params != other.params:
             raise ValidationError("Hamiltonian parameter mismatch")
 
-    def __add__(self, other):
-        return linear_combine(1.0, self, 1.0, other)
-
-    def __sub__(self, other):
-        return linear_combine(1.0, self, -1.0, other)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
     def scale(self, c):
         return Hamiltonian(
             self.params, {k: c * v for k, v in self.terms.items()},
             validate=False)
-
-    def __mul__(self, other):
-        if isinstance(other, Hamiltonian):
-            return multiply(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def check_reality(self) -> float:
         """Max deviation from coeff(a,k,k') = conj(coeff(a,k',k))."""
@@ -282,34 +259,15 @@ class Hamiltonian:
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self):
-        p = self.params
-        terms = []
-        for key in sorted(self.terms):
-            a, k, kb, j = key
-            c = self.terms[key]
-            terms.append({
-                "a": [[list(m), e] for m, e in a],
-                "k": [[list(m), e] for m, e in k],
-                "k_bar": [[list(m), e] for m, e in kb],
-                "j": [list(m) for m in j],
-                "re": c.real,
-                "im": c.imag,
-            })
-        return {
-            "format": "nlskam-hamiltonian",
-            "version": 1,
-            "d": p.d,
-            "sigma": p.sigma,
-            "r": p.r,
-            "floor_const": p.floor_const,
-            "degree_cap": p.degree_cap,
-            "mode_radius": p.mode_radius,
-            "terms": terms,
-        }
-
     def dumps(self) -> str:
-        """The text of ``json.dumps(self.to_dict(), indent=1)``.
+        """The v1 document, as ``json.dumps(doc, indent=1)`` writes it.
+
+        The document is an object of "format" ("nlskam-hamiltonian"),
+        "version" (1), the six ``HamParams`` fields and "terms": one
+        object per term in sorted key order, with "a", "k" and "k_bar" as
+        lists of [mode, exponent] pairs, "j" as a list of modes, and the
+        coefficient as "re" and "im".  ``tests/mi_helpers.to_dict`` builds
+        that document, and the tests check these bytes against it.
 
         Written directly: json's indenting encoder is pure Python.  Each
         distinct multi-index and J-list is formatted once per call, and
@@ -346,8 +304,13 @@ class Hamiltonian:
                 + f',\n "terms": {_json_list(terms, 2)}\n}}')
 
     @classmethod
-    def from_dict(cls, doc) -> "Hamiltonian":
+    def loads(cls, text) -> "Hamiltonian":
         """Parse a v1 document; ValidationError on any malformed one."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ValidationError(
+                f"Hamiltonian document is not JSON: {e}") from e
         if (not isinstance(doc, dict)
                 or doc.get("format") != "nlskam-hamiltonian"):
             raise ValidationError("not a Hamiltonian document")
@@ -377,15 +340,6 @@ class Hamiltonian:
                         _num(t["im"], f"{where}: 'im'")),
             ))
         return cls.from_terms(params, items)
-
-    @classmethod
-    def loads(cls, text) -> "Hamiltonian":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(
-                f"Hamiltonian document is not JSON: {e}") from e
-        return cls.from_dict(doc)
 
 
 def _collected_form(params, terms) -> Hamiltonian:

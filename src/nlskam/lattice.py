@@ -69,16 +69,12 @@ def box_modes(d: int, radius: int) -> list:
 # ---------------------------------------------------------------------------
 
 def mi(entries) -> tuple:
-    """Build a canonical multi-index from a dict or iterable of pairs.
+    """Build a canonical multi-index from (mode, exponent) pairs.
 
     Zero exponents are dropped; negative exponents are rejected.
     """
-    if isinstance(entries, dict):
-        items = entries.items()
-    else:
-        items = entries
     acc = {}
-    for mode, e in items:
+    for mode, e in entries:
         mode = tuple(mode)
         acc[mode] = acc.get(mode, 0) + e
     for mode, e in acc.items():

@@ -312,7 +312,7 @@ def verify_scalar_lemma(name, params=None, samples=None, seed=0) -> LemmaCase:
 # ---------------------------------------------------------------------------
 
 def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
-                       max_actions=1, conserving=True):
+                       max_actions=1):
     """Random momentum-conserving Hamiltonian with unit-disk coefficients.
 
     Supports are drawn uniformly over the truncation box with mass split
@@ -337,14 +337,13 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
         k = [modes[draw(0, n_modes)] for _ in range(half)]
         kb = [modes[draw(0, n_modes)] for _ in range(half)]
         a = [modes[draw(0, n_modes)] for _ in range(draw(0, max_actions + 1))]
-        if conserving:
-            # the momentum defect sum(k) - sum(kb) is linear in the modes
-            repaired = tuple(
-                c - sum(m[i] for m in k) + sum(m[i] for m in kb)
-                for i, c in enumerate(k[-1]))
-            if any(abs(c) > params.mode_radius for c in repaired):
-                continue
-            k[-1] = repaired
+        # the momentum defect sum(k) - sum(kb) is linear in the modes
+        repaired = tuple(
+            c - sum(m[i] for m in k) + sum(m[i] for m in kb)
+            for i, c in enumerate(k[-1]))
+        if any(abs(c) > params.mode_radius for c in repaired):
+            continue
+        k[-1] = repaired
         radius = math.sqrt(rng.random())
         phase = 2.0 * math.pi * rng.random()
         kept += 1

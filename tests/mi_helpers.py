@@ -1,5 +1,7 @@
-"""Multi-index helpers that only the tests use, as oracles and builders."""
+"""Multi-index and Hamiltonian helpers that only the tests use, as
+oracles and builders."""
 
+from nlskam.hamiltonian import Hamiltonian
 from nlskam.lattice import mi_signed
 
 
@@ -18,3 +20,37 @@ def momentum_defect(k: tuple, k_bar: tuple, d: int):
         for i, c in enumerate(mode):
             mom[i] += e * c
     return tuple(mom)
+
+
+def monomial(params, a=(), k=(), k_bar=(), j=(), coeff=1.0) -> Hamiltonian:
+    """One term c * I(0)^a q^k qbar^k_bar J^j, from (mode, exponent)
+    pairs and a list of J-modes."""
+    return Hamiltonian.from_terms(params, [(a, k, k_bar, j, coeff)])
+
+
+def to_dict(H: Hamiltonian) -> dict:
+    """The v1 document of H, the reference for ``Hamiltonian.dumps``."""
+    p = H.params
+    terms = []
+    for key in sorted(H.terms):
+        a, k, kb, j = key
+        c = H.terms[key]
+        terms.append({
+            "a": [[list(m), e] for m, e in a],
+            "k": [[list(m), e] for m, e in k],
+            "k_bar": [[list(m), e] for m, e in kb],
+            "j": [list(m) for m in j],
+            "re": c.real,
+            "im": c.imag,
+        })
+    return {
+        "format": "nlskam-hamiltonian",
+        "version": 1,
+        "d": p.d,
+        "sigma": p.sigma,
+        "r": p.r,
+        "floor_const": p.floor_const,
+        "degree_cap": p.degree_cap,
+        "mode_radius": p.mode_radius,
+        "terms": terms,
+    }

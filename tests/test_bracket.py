@@ -18,7 +18,7 @@ from nlskam import (
 from nlskam.lattice import conservation_check, mi_degree
 from nlskam.verification import random_hamiltonian
 
-from mi_helpers import mi_add
+from mi_helpers import mi_add, monomial
 
 PARAMS = HamParams(d=1, sigma=2.5, r=1.0, floor_const=1024.0,
                    degree_cap=32, mode_radius=2)
@@ -30,16 +30,16 @@ def _rel(diff, ref):
 
 
 def test_bracket_of_actions_vanishes():
-    I1 = Hamiltonian.monomial(PARAMS, k=[((1,), 1)], k_bar=[((1,), 1)])
-    I2 = Hamiltonian.monomial(PARAMS, k=[((2,), 1)], k_bar=[((2,), 1)])
+    I1 = monomial(PARAMS, k=[((1,), 1)], k_bar=[((1,), 1)])
+    I2 = monomial(PARAMS, k=[((2,), 1)], k_bar=[((2,), 1)])
     assert poisson_bracket(I1, I2).is_zero()
 
 
 def test_bracket_canonical_pair():
     # under {F,G} = i sum (dF/dq dG/dqbar - dF/dqbar dG/dq):
     # {q_n qbar_n, q_n} = -i q_n
-    I1 = Hamiltonian.monomial(PARAMS, k=[((1,), 1)], k_bar=[((1,), 1)])
-    q = Hamiltonian.monomial(PARAMS, k=[((1,), 1)])
+    I1 = monomial(PARAMS, k=[((1,), 1)], k_bar=[((1,), 1)])
+    q = monomial(PARAMS, k=[((1,), 1)])
     B = poisson_bracket(I1, q)
     ((key, c),) = B.terms.items()
     assert key == ((), (((1,), 1),), (), ())
@@ -188,7 +188,7 @@ SMALL = replace(PARAMS, degree_cap=4)
 
 
 def _mono(k, kb, a=()):
-    return Hamiltonian.monomial(SMALL, a=a, k=k, k_bar=kb)
+    return monomial(SMALL, a=a, k=k, k_bar=kb)
 
 
 def test_bracket_over_cap_raises():
@@ -271,8 +271,8 @@ def test_bracket_at_a_field_boundary():
     big = HamParams(d=1, sigma=2.5, r=1.0, degree_cap=127, mode_radius=2)
     m0, m1 = (0,), (1,)
     # degrees 64 and 63 give a pair of degree 125 <= 127
-    F = Hamiltonian.monomial(big, k=[(m0, 60), (m1, 1)], k_bar=[(m0, 3)])
-    G = Hamiltonian.monomial(big, k=[(m0, 2)], k_bar=[(m0, 60), (m1, 1)])
+    F = monomial(big, k=[(m0, 60), (m1, 1)], k_bar=[(m0, 3)])
+    G = monomial(big, k=[(m0, 2)], k_bar=[(m0, 60), (m1, 1)])
     B = poisson_bracket(F, G)
     assert _outcome(poisson_bracket, F, G) == _outcome(
         _reference_bracket, F, G)
@@ -287,13 +287,13 @@ def test_bracket_at_a_field_boundary():
     # merged exponent 128 = cap + 1 at m0, the largest a contributing pair
     # forms, fills the top bit of its 8-bit field before the pair goes,
     # and the output exponent 127 = cap fills the seven bits below it
-    F = Hamiltonian.monomial(big, k=[(m0, 127)])
-    G = Hamiltonian.monomial(big, k=[(m0, 1)], k_bar=[(m0, 1)])
+    F = monomial(big, k=[(m0, 127)])
+    G = monomial(big, k=[(m0, 1)], k_bar=[(m0, 1)])
     assert poisson_bracket(F, G).terms == {((), ((m0, 127),), (), ()): 127j}
     assert poisson_bracket(G, F).terms == {((), ((m0, 127),), (), ()): -127j}
     # the same in the k_bar block, below the field of mode m1
-    F = Hamiltonian.monomial(big, k_bar=[(m0, 127)])
-    G = linear_combine(1.0, G, 1.0, Hamiltonian.monomial(
+    F = monomial(big, k_bar=[(m0, 127)])
+    G = linear_combine(1.0, G, 1.0, monomial(
         big, k=[(m1, 1)], k_bar=[(m1, 1)]))
     assert _outcome(poisson_bracket, F, G) == _outcome(
         _reference_bracket, F, G)

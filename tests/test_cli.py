@@ -6,8 +6,10 @@ import os
 
 import pytest
 
-from nlskam import HamParams, driver
+from nlskam import HamParams, KamConfig, driver, linear_combine, run
 from nlskam.cli import dispatch
+
+from mi_helpers import to_dict
 
 
 def run_cli(*argv):
@@ -64,6 +66,17 @@ def test_kam_run_steps0_roundtrip(tmp_path):
     csv = (tmp_path / "k.steps.csv").read_text().splitlines()
     assert len(csv) == 2
     assert csv[0].startswith("s,rho,eps,")
+
+
+def test_kam_run_step_json_is_the_sum_of_the_classes(tmp_path):
+    assert run_cli("kam-run", "--seed", "7", "--steps", "1",
+                   "--out-prefix", str(tmp_path / "kam")) == 0
+    _, states, _ = run(KamConfig(seed=7, steps=1))
+    st = states[1]
+    total = linear_combine(1.0, linear_combine(1.0, st.R0, 1.0, st.R1),
+                           1.0, st.R2)
+    assert (tmp_path / "kam.step1.json").read_text() == json.dumps(
+        to_dict(total), indent=1)
 
 
 def test_kam_run_negative_steps_exit_code(tmp_path, capsys):

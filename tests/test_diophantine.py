@@ -125,6 +125,13 @@ def test_check_frequency_flags_violation():
     assert lhs == 0.0 and rhs > 0.0 and which in (1, 2)
 
 
+def test_check_frequency_refuses_an_empty_map_before_any_work(monkeypatch):
+    monkeypatch.setattr(diophantine, "_ell_table", _no_work)
+    with pytest.raises(ValidationError,
+                       match="^frequency map is empty: nothing to check$"):
+        check_frequency({}, GAMMA, BUDGET, LAT)
+
+
 def test_sampling_is_order_independent_and_in_box():
     modes = [(m,) for m in range(-2, 3)]
     w1 = sample_frequency(modes, 42)

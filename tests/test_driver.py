@@ -23,6 +23,8 @@ from nlskam.homological import RHO0
 from nlskam.lattice import conservation_check
 from nlskam.nls import NlsConfig, build_cubic_nls
 
+from mi_helpers import monomial
+
 CFG = KamConfig(NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6),
                 seed=7, steps=1)
 
@@ -168,7 +170,7 @@ def test_one_nonconserving_term_fails_the_conserving_flag():
     state, _ = initial_state(CFG)
     m = state.nf.modes[0]
     # a class-2 term of momentum 1: the series carries it over in `start`
-    odd = Hamiltonian.monomial(
+    odd = monomial(
         state.R2.params, k=[((1,), 1)], k_bar=[((0,), 1)], j=(m, m),
         coeff=1e-12)
     R2 = linear_combine(1.0, state.R2, 1.0, odd)
@@ -239,7 +241,7 @@ def test_budget_flag_fails_when_the_ledger_exceeds_eps_next():
     # a class-2 term of mass 4e-10, above eps_next (6.3e-11) and below
     # prune_tol: the final prune drops it into the ledger
     m = state.nf.modes[0]
-    heavy = Hamiltonian.monomial(
+    heavy = monomial(
         state.R2.params, k=[((-1,), 1), ((2,), 1)],
         k_bar=[((0,), 1), ((1,), 1)], j=(m, m), coeff=1e-10)
     R2 = linear_combine(1.0, state.R2, 1.0, heavy)

@@ -29,11 +29,11 @@ from nlskam.lattice import _mode_sort_key, mi, mi_get
 from nlskam.nls import NlsConfig, build_cubic_nls
 from nlskam.verification import random_hamiltonian, random_state
 
-from mi_helpers import mi_add
+from mi_helpers import mi_add, monomial, to_dict
 
 
 def J_mono(params, m, coeff=1.0):
-    return Hamiltonian.monomial(params, j=(m,), coeff=coeff)
+    return monomial(params, j=(m,), coeff=coeff)
 
 
 def test_params_validation():
@@ -70,13 +70,13 @@ def test_add_scale_roundtrip(params, rng):
     H = random_hamiltonian(params, rng)
     Z = linear_combine(1.0, H, -1.0, H)
     assert Z.is_zero()
-    assert (2.0 * H).terms[next(iter(H.terms))] == 2.0 * next(
+    assert H.scale(2.0).terms[next(iter(H.terms))] == 2.0 * next(
         iter(H.terms.values()))
 
 
 def test_multiply_merges_exponents(params):
-    q1 = Hamiltonian.monomial(params, k=[((1,), 1)], coeff=2.0)
-    q1b = Hamiltonian.monomial(params, k_bar=[((1,), 1)], coeff=3.0)
+    q1 = monomial(params, k=[((1,), 1)], coeff=2.0)
+    q1b = monomial(params, k_bar=[((1,), 1)], coeff=3.0)
     prod = multiply(q1, q1b)
     ((key, c),) = prod.terms.items()
     assert key == ((), (((1,), 1),), (((1,), 1),), ())
@@ -86,10 +86,10 @@ def test_multiply_merges_exponents(params):
 def test_multiply_capacity(params):
     small = HamParams(d=1, sigma=2.5, r=1.0, floor_const=1024.0,
                       degree_cap=3, mode_radius=2)
-    q = Hamiltonian.monomial(small, k=[((1,), 2)])
+    q = monomial(small, k=[((1,), 2)])
     with pytest.raises(CapacityError, match="product degree exceeds cap 3"):
         multiply(q, q)
-    assert multiply(q, Hamiltonian.monomial(small, k=[((1,), 1)])).terms == {
+    assert multiply(q, monomial(small, k=[((1,), 1)])).terms == {
         ((), (((1,), 3),), (), ()): 1.0}
 
 
@@ -103,7 +103,7 @@ def test_expand_collect_exact_roundtrip(params, rng):
 
 def test_collect_pairs_become_actions(params):
     # |q_1|^2 = I_1(0) + J_1 exactly
-    H = Hamiltonian.monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)])
+    H = monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)])
     C = H.collected()
     keys = set(C.terms)
     assert ((((1,), 1),), (), (), ()) in keys          # I branch
@@ -154,8 +154,7 @@ def test_reality_check(params):
 
 def test_norm_values_single_term(params):
     w1, w0 = params.weight((1,)), params.weight((0,))
-    H = Hamiltonian.monomial(params, k=[((1,), 1)], k_bar=[((0,), 1)],
-                             coeff=3.0)
+    H = monomial(params, k=[((1,), 1)], k_bar=[((0,), 1)], coeff=3.0)
     rho = 0.2
     S, L1 = w1 + w0, max(w1, w0)
     assert norm(H, "sup_rho", rho) == pytest.approx(
@@ -180,18 +179,16 @@ def test_plus_norm_j_correction(params):
     # J-class term: the J mode adds 2w to S and competes for L1
     m = (1,)
     w = params.weight(m)
-    H = Hamiltonian.monomial(params, j=(m,), coeff=5.0)
+    H = monomial(params, j=(m,), coeff=5.0)
     rho = 0.3
     # S = 2w, L1 = w -> exponent 0
     assert norm(H, "plus_rho", rho) == pytest.approx(5.0)
 
 
 def test_prune_tracks_budget(params):
-    big = Hamiltonian.monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)],
-                               coeff=1.0)
-    tiny = Hamiltonian.monomial(params, k=[((0,), 1)], k_bar=[((0,), 1)],
-                                coeff=1e-20)
-    H = big + tiny
+    big = monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)], coeff=1.0)
+    tiny = monomial(params, k=[((0,), 1)], k_bar=[((0,), 1)], coeff=1e-20)
+    H = linear_combine(1.0, big, 1.0, tiny)
     ledger = [0.5]
     P = prune(H, 1e-10, ledger)
     assert len(P.terms) == 1
@@ -205,9 +202,9 @@ def test_prune_tracks_budget(params):
 
 
 def test_prune_of_a_collected_form_stays_collected(params):
-    H = (Hamiltonian.monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)])
-         + Hamiltonian.monomial(params, k=[((0,), 1)], k_bar=[((0,), 1)],
-                                coeff=1e-20))
+    H = linear_combine(
+        1.0, monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)]),
+        1.0, monomial(params, k=[((0,), 1)], k_bar=[((0,), 1)], coeff=1e-20))
     C = H.collected()
     P = prune(C, 1e-10)
     assert 0 < len(P) < len(C)
@@ -219,8 +216,7 @@ def test_prune_of_a_collected_form_stays_collected(params):
 
 def test_evaluate_and_vector_field(params):
     # H = 2 q_1 qbar_0: dq_0/dt = i 2 q_1, dq_1/dt = -conj(...)-free check
-    H = Hamiltonian.monomial(params, k=[((1,), 1)], k_bar=[((0,), 1)],
-                             coeff=2.0)
+    H = monomial(params, k=[((1,), 1)], k_bar=[((0,), 1)], coeff=2.0)
     x = {(0,): 0.5 + 0.25j, (1,): -0.125j}
     assert evaluate(H, x) == pytest.approx(2.0 * x[(1,)]
                                            * x[(0,)].conjugate())
@@ -229,7 +225,7 @@ def test_evaluate_and_vector_field(params):
 
 
 def test_partial_derivative(params):
-    H = Hamiltonian.monomial(params, k=[((1,), 2)], coeff=3.0)
+    H = monomial(params, k=[((1,), 2)], coeff=3.0)
     D = partial(H, (1,), conjugate=False)
     ((key, c),) = D.terms.items()
     assert c == 6.0
@@ -248,8 +244,7 @@ def test_serialization_roundtrip(params, rng):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
 def test_non_finite_coefficient_rejected(params, bad):
     with pytest.raises(ValidationError, match="non-finite coefficient"):
-        Hamiltonian.monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)],
-                             coeff=bad)
+        monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)], coeff=bad)
 
 
 def test_loads_rejects_foreign_document(params):
@@ -422,8 +417,8 @@ def test_packed_collect_at_a_field_boundary(params):
     assert [_bits(g) for g in class_split(H)] == [
         _bits(w) for w in _ref_class_split(H)]
     # products of degree 16; J1^4 of Q2 * Q2 expands on the spot
-    Q = Hamiltonian.monomial(p, k=[((1,), 8)])
-    Q2 = Hamiltonian.monomial(p, k=[((1,), 4)], j=[(1,), (1,)])
+    Q = monomial(p, k=[((1,), 8)])
+    Q2 = monomial(p, k=[((1,), 4)], j=[(1,), (1,)])
     for X, Y in ((Q, Q2), (Q2, Q), (Q2, Q2)):
         assert _bits(multiply(X, Y)) == _bits(_ref_multiply(X, Y))
 
@@ -454,7 +449,7 @@ def test_packed_kernels_of_low_degrees_under_a_large_cap(seed, d):
 def test_packer_width_comes_from_the_degree_cap(cap, w):
     p = HamParams(d=1, sigma=2.5, r=1.0, degree_cap=cap, mode_radius=2)
     assert _Packer(p).w == w
-    assert _Packer(p, Hamiltonian.monomial(p, k=[((1,), cap)]).terms).w == w
+    assert _Packer(p, monomial(p, k=[((1,), cap)]).terms).w == w
 
 
 # -- validation paths ---------------------------------------------------------
@@ -474,7 +469,7 @@ def test_packer_width_comes_from_the_degree_cap(cap, w):
 def test_constructor_rejects_bad_terms(params, a, k, kb, j, error, match):
     with pytest.raises(error, match=match):
         Hamiltonian.from_terms(params, [(a, k, kb, j, 1.0)])
-    doc = Hamiltonian.monomial(params, k=[((0,), 1)]).to_dict()
+    doc = to_dict(monomial(params, k=[((0,), 1)]))
     doc["terms"][0].update(
         a=[[list(m), e] for m, e in a], k=[[list(m), e] for m, e in k],
         k_bar=[[list(m), e] for m, e in kb], j=[list(m) for m in j])
@@ -483,11 +478,11 @@ def test_constructor_rejects_bad_terms(params, a, k, kb, j, error, match):
 
 
 def test_mismatched_parameters_and_unknown_norm_kind(params, params2d):
-    H = Hamiltonian.monomial(params, k=[((0,), 1)])
-    G = Hamiltonian.monomial(params2d, k=[((0, 0), 1)])
+    H = monomial(params, k=[((0,), 1)])
+    G = monomial(params2d, k=[((0, 0), 1)])
     with pytest.raises(ValidationError,
                        match="Hamiltonian parameter mismatch"):
-        H + G
+        linear_combine(1.0, H, 1.0, G)
     with pytest.raises(ValidationError, match="unknown norm kind 'l2'"):
         norm(H, "l2", 0.0)
 
@@ -510,13 +505,14 @@ def test_dumps_writes_the_bytes_of_json_indent_1(params):
               build_cubic_nls(NlsConfig(HamParams(d=1), epsilon=1e-6)),
               build_cubic_nls(NlsConfig(HamParams(d=2, mode_radius=1),
                                         epsilon=1e-6)),
-              special, step.R0 + step.R1 + step.R2):
-        assert H.dumps() == json.dumps(H.to_dict(), indent=1)
+              special, linear_combine(1.0, linear_combine(
+                  1.0, step.R0, 1.0, step.R1), 1.0, step.R2)):
+        assert H.dumps() == json.dumps(to_dict(H), indent=1)
     assert special.dumps().count("-0.0") == 2
     odd = Hamiltonian(params, {((), (((1,), 1),), (), ()): complex(
         math.nan, -math.inf), ((), (), (), ()): complex(math.inf, 1.0)},
         validate=False)
-    assert odd.dumps() == json.dumps(odd.to_dict(), indent=1)
+    assert odd.dumps() == json.dumps(to_dict(odd), indent=1)
 
 
 def _ref_field_modes(H):
@@ -612,9 +608,10 @@ def test_norms_keep_the_bits_of_their_old_loops(d):
         p = HamParams(d=d, sigma=2.5, r=r, degree_cap=64,
                       mode_radius=2 if d == 1 else 1)
         for _ in range(20):
-            H = (random_hamiltonian(p, rng, n_terms=8, max_factors=6,
-                                    max_actions=2)
-                 + _with_j_factors(p, rng, 6, 3))
+            H = linear_combine(
+                1.0, random_hamiltonian(p, rng, n_terms=8, max_factors=6,
+                                        max_actions=2),
+                1.0, _with_j_factors(p, rng, 6, 3))
             for kind in ("sup_rho", "star_rho", "plus_rho"):
                 for rho in (0.0, 0.3, 0.9):
                     assert (norm(H, kind, rho).hex()
@@ -624,9 +621,9 @@ def test_norms_keep_the_bits_of_their_old_loops(d):
 def test_huge_r_gives_no_nan():
     # an action-free term once computed (-2 r) * 0 = (-inf) * 0 = nan
     p = HamParams(d=1, sigma=2.5, r=1e308)
-    H = (Hamiltonian.monomial(p, k=[((1,), 1)], k_bar=[((1,), 1)])
-         + Hamiltonian.monomial(p, a=[((0,), 1)], k=[((1,), 1)],
-                                k_bar=[((1,), 1)]))
+    H = linear_combine(
+        1.0, monomial(p, k=[((1,), 1)], k_bar=[((1,), 1)]),
+        1.0, monomial(p, a=[((0,), 1)], k=[((1,), 1)], k_bar=[((1,), 1)]))
     assert norm(H, "star_rho", 0.1) == math.exp(-0.1 * 2 * p.weight((1,)))
     ledger = []
     assert prune(H, 1e-300, ledger).terms == {

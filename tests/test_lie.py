@@ -43,6 +43,8 @@ from nlskam.hamiltonian import (
 from nlskam.homological import RHO0
 from nlskam.verification import random_hamiltonian
 
+from mi_helpers import monomial
+
 CFG = KamConfig(NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6),
                 seed=7, steps=1)
 
@@ -81,7 +83,7 @@ def _frozen_plain_series(H, F, order_cap, tail_tol):
         current = poisson_bracket(current, F)
         fact *= n
         scaled = current.scale(1.0 / fact)
-        total = total + scaled
+        total = linear_combine(1.0, total, 1.0, scaled)
         t_norm = norm(scaled, "star_rho", 0.0)
         if t_norm < tail_tol or t_norm == 0.0:
             break
@@ -177,7 +179,7 @@ def _step_inputs(cfg, tiny_r2=False, s=0):
         # a class-2 term below prune_tol: the series carries it over in
         # `start`, and the final prune drops it
         m = state.nf.modes[0]
-        tiny = Hamiltonian.monomial(
+        tiny = monomial(
             state.R2.params, k=[((-1,), 1), ((2,), 1)],
             k_bar=[((0,), 1), ((1,), 1)], j=(m, m), coeff=1e-19)
         R2 = linear_combine(1.0, state.R2, 1.0, tiny)
@@ -217,7 +219,7 @@ def test_step_series_and_charges(degree_cap, order_cap, orders, capped,
     E = sol.eliminated
     if e_only:
         # a degree-6 term off G's keys whose bracket with F has degree 8
-        E = linear_combine(1.0, E, 1.0, Hamiltonian.monomial(
+        E = linear_combine(1.0, E, 1.0, monomial(
             E.params, k=[((-1,), 2), ((2,), 1)],
             k_bar=[((-2,), 1), ((1,), 2)], coeff=1e-3))
         assert not _follows(E.expanded(), G)
