@@ -23,6 +23,7 @@ from .lattice import (
     _is_int,
     _mode_sort_key,
     angle_norm,
+    check_doc_version,
     check_mode,
     mode_from_json,
 )
@@ -338,6 +339,7 @@ def frequency_loads(text: str, d: int | None = None) -> dict:
         raise ValidationError(f"frequency document is not JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("format") != "nlskam-frequency":
         raise ValidationError("not a frequency document")
+    check_doc_version(doc, "frequency document")
     entries = doc.get("omega")
     if not isinstance(entries, list):
         raise ValidationError("frequency document needs an 'omega' list")

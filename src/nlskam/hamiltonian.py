@@ -6,24 +6,30 @@ A Hamiltonian is a finite sum of monomials
 
 where I_n(0) = e^{-2 r w(n)} are the frozen initial actions (w the
 log-power weight), and J_m = |q_m|^2 - I_m(0) is the action deviation.
-Terms are stored in a dict keyed by the canonical tuple (a, k, k_bar, j)
-with complex coefficients; at most two J-factors per term are permitted.
+A term's canonical tuple key is (a, k, k_bar, j); at most two J-factors
+per term are permitted.
 
 Two canonical representations are used, each cached.  ``expanded`` has no
 J-factors and keeps every |q_n|^2 pair inside (k, k_bar); ``collected``
 regroups pairs as I_n(0) + J_n up to total J-degree 2, leaving excess
 pairs in place.  Both carry the same coefficients after expansion.
 
-Inside the hot loops (``expanded``, ``collected``, ``multiply`` and the
-bracket kernel ``_bracket``) a triple (a, k, k_bar) is packed into one int
-by :class:`_Packer`: every mode of the operands gets a w-bit field, modes
-in lexicographic order, one block of fields each for a, k and k_bar.
-Merging two monomials is then one int addition and removing a q_m qbar_m
-pair one subtraction.  w is fixed by ``degree_cap``, which bounds the
-degree of every term, so no field can carry and packed keys map
-one-to-one onto tuple keys: accumulation order, insertion order and every
-floating-point operation are those of the tuple form.  Each distinct
-output key is unpacked once into its canonical tuple.
+Terms are stored in a dict from one packed int per term to its complex
+coefficient.  The int holds the term's a, k, k_bar and J exponents in
+per-mode interleaved fields: the i-th mode of the params' :class:`_Layout`
+owns fields 4i .. 4i+3, each w = max(bit_length(2 * degree_cap), 1) bits
+wide (a J-factor costs two degrees, so its count fits too).  There is one
+layout per ``HamParams`` value, and it gives a mode its fields the first
+time it sees the mode, so no field ever moves and a sparse document gets
+fields only for the modes it holds.  Merging two monomials is one int
+addition and removing a q_m qbar_m pair one subtraction.  w holds the sum
+of two in-cap exponents, so no field carries and packed keys map
+one-to-one onto tuple keys.  Key values never order anything: insertion
+order, accumulation order and every floating-point operation are those of
+the tuple form.  An op decodes a key to its canonical tuple (memoized in
+the layout) only where it reads weights, supports or the sorted-mode
+order, and ``terms`` is the tuple-keyed view the rest of the package and
+the JSON format read.
 
 The bracket kernel ``_bracket`` brackets two operands against a third in
 one pass: ``lie_transform`` calls it once per order on the G and E chains
@@ -35,7 +41,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import weakref
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import CapacityError, ValidationError
 from .lattice import (
@@ -43,9 +51,9 @@ from .lattice import (
     _mode_sort_key,
     _weight_cached,
     box_modes,
+    check_doc_version,
     mi,
     mi_degree,
-    mi_get,
     mode_from_json,
 )
 
@@ -118,11 +126,6 @@ class HamParams:
         return box_modes(self.d, self.mode_radius)
 
 
-def _mi_weight_sums(weights) -> _Memo:
-    """A map multi-index a -> sum of e * w(m) over a, computed once per a."""
-    return _Memo(lambda a: sum(e * weights[m] for m, e in a))
-
-
 def term_degree(key) -> int:
     a, k, kb, j = key
     return 2 * mi_degree(a) + mi_degree(k) + mi_degree(kb) + 2 * len(j)
@@ -147,6 +150,114 @@ def _check_key(key, params):
             f"term degree {term_degree(key)} exceeds cap {params.degree_cap}")
 
 
+class _Layout:
+    """Where each mode's exponents sit in a packed key, for one HamParams.
+
+    The i-th mode registered owns fields 4i (a), 4i+1 (k), 4i+2 (k_bar)
+    and 4i+3 (J count), each ``w`` bits wide; ``ua`` and ``uq`` map a
+    mode to the packed unit of one action and of one q_m qbar_m pair.  A
+    block is one of a key's four field sets shifted onto the a fields
+    (``block``); ``blocks`` decodes a block to its canonical multi-index
+    and ``jlists`` to its sorted J-mode list, each once per block, and
+    ``decode`` assembles a packed key's canonical (a, k, k_bar, j) tuple
+    from them.  A layout holds no coefficient and no result, and nothing
+    of it refers back to it, so a layout nothing else holds is freed with
+    the last Hamiltonian that uses it.
+    """
+
+    __slots__ = ("w", "modes", "ua", "uq", "amask", "blocks", "jlists",
+                 "__weakref__")
+
+    def __init__(self, degree_cap):
+        self.w = w = max((2 * degree_cap).bit_length(), 1)
+        self.modes = modes = []
+        self.ua, self.uq = {}, {}
+        self.amask = 0          # every registered mode's a field, all ones
+        span, fmask = 4 * w, (1 << w) - 1
+        pairs = {}                  # one (mode, exponent) tuple each
+
+        def decode_block(b):
+            items = []
+            for m in modes:
+                if not b:
+                    break
+                if b & fmask:
+                    pair = (m, b & fmask)
+                    items.append(pairs.setdefault(pair, pair))
+                b >>= span
+            items.sort()            # by mode: modes are distinct
+            return tuple(items)
+
+        self.blocks = blocks = _Memo(decode_block)
+        self.jlists = _Memo(lambda b: tuple(
+            m for m, e in blocks[b] for _ in range(e)))
+
+    def unit(self, mode) -> int:
+        """``ua[mode]``, registering the mode on first sight."""
+        u = self.ua.get(mode)
+        if u is None:
+            w = self.w
+            u = self.ua[mode] = 1 << (4 * w * len(self.modes))
+            self.modes.append(mode)
+            self.uq[mode] = (u << w) + (u << (2 * w))
+            self.amask += ((1 << w) - 1) * u
+        return u
+
+    def pack(self, key) -> int:
+        """The packed int of canonical in-cap key ``key``."""
+        a, k, kb, j = key
+        ua, unit, w = self.ua, self.unit, self.w
+        x = 0
+        for m in j:
+            x += ua.get(m) or unit(m)
+        # Horner's scheme over the blocks: j, k_bar, k, then a
+        for entries in (kb, k, a):
+            x <<= w
+            for m, e in entries:
+                x += e * (ua.get(m) or unit(m))
+        return x
+
+    def block(self, x, i) -> int:
+        """Block i of packed key x: 0 a, 1 k, 2 k_bar, 3 J."""
+        return (x >> (i * self.w)) & self.amask
+
+    def decode(self, x) -> tuple:
+        """The canonical (a, k, k_bar, j) key of packed key ``x``."""
+        w, amask, blocks = self.w, self.amask, self.blocks
+        return (blocks[x & amask], blocks[(x >> w) & amask],
+                blocks[(x >> (2 * w)) & amask],
+                self.jlists[(x >> (3 * w)) & amask])
+
+    def weight_sums(self, weights) -> _Memo:
+        """A map block -> sum of e * w(m) over its multi-index, computed
+        once per block; ``weights`` as ``HamParams.weights()``."""
+        blocks = self.blocks
+        return _Memo(lambda b: sum(e * weights[m] for m, e in blocks[b]))
+
+
+# One layout per HamParams value, shared by all its live Hamiltonians.
+# Held weakly: once the last of them is gone, the next Hamiltonian of
+# those params starts a fresh layout, so modes met only in dead
+# Hamiltonians do not widen later keys.  A box of at most _SMALL_BOX
+# modes bounds the width of its layout, which is therefore also held
+# for the process, so that its decode memos serve every later
+# Hamiltonian of those params.
+_LAYOUTS = weakref.WeakValueDictionary()
+_SMALL_BOX = 64
+_SMALL_BOX_LAYOUTS = {}
+
+
+def _layout(params) -> _Layout:
+    lay = _LAYOUTS.get(params)
+    if lay is None:
+        lay = _LAYOUTS[params] = _Layout(params.degree_cap)
+        # (2R + 1)^d <= _SMALL_BOX, without forming the power of a large d
+        if (params.d * math.log(2 * params.mode_radius + 1)
+                <= math.log(_SMALL_BOX)):
+            _SMALL_BOX_LAYOUTS[params] = lay
+    return lay
+
+
 class Hamiltonian:
     """Immutable sparse Hamiltonian over the truncated mode set.
 
@@ -156,15 +267,18 @@ class Hamiltonian:
         Lattice and truncation parameters shared by all terms.
     terms : dict, optional
         Map from (a, k, k_bar, j) keys to complex coefficients.  Keys must
-        be canonical (see :func:`nlskam.lattice.mi`); coefficients with
-        magnitude below 1e-300 are dropped.
+        be canonical (see :func:`nlskam.lattice.mi`) and within
+        ``degree_cap``, which ``validate`` checks with the modes, the J
+        count and the coefficients; coefficients with magnitude below
+        1e-300 are dropped.
     """
 
-    __slots__ = ("params", "terms", "_expanded", "_collected")
+    __slots__ = ("params", "_layout", "_store", "_terms", "_expanded",
+                 "_collected")
 
     def __init__(self, params: HamParams, terms=None, validate=True):
-        self.params = params
-        clean = {}
+        lay = _layout(params)
+        store = {}
         if terms:
             for key, c in terms.items():
                 if validate and not cmath.isfinite(c):
@@ -174,10 +288,15 @@ class Hamiltonian:
                     continue
                 if validate:
                     _check_key(key, params)
-                clean[key] = complex(c)
-        self.terms = clean
-        self._expanded = None
-        self._collected = None
+                store[lay.pack(key)] = complex(c)
+        self._set(params, lay, store, None)
+
+    def _set(self, params, layout, store, collected):
+        self.params = params
+        self._layout = layout
+        self._store = store
+        self._terms = self._expanded = None
+        self._collected = collected
 
     # -- constructors ------------------------------------------------------
 
@@ -196,29 +315,43 @@ class Hamiltonian:
 
     # -- basics ------------------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only map of canonical (a, k, k_bar, j) keys to
+        coefficients, in store order; built on first read."""
+        if self._terms is None:
+            decode = self._layout.decode
+            self._terms = MappingProxyType(
+                {decode(x): c for x, c in self._store.items()})
+        return self._terms
+
     def __len__(self):     # perfbench's tracer counts terms with len()
-        return len(self.terms)
+        return len(self._store)
 
     def is_zero(self):
-        return not self.terms
+        return not self._store
 
     def degree(self) -> int:
-        return max((term_degree(key) for key in self.terms), default=0)
+        decode = self._layout.decode
+        return max((term_degree(decode(x)) for x in self._store), default=0)
 
     def _assert_compatible(self, other):
         if self.params != other.params:
             raise ValidationError("Hamiltonian parameter mismatch")
 
     def scale(self, c):
-        return Hamiltonian(
-            self.params, {k: c * v for k, v in self.terms.items()},
-            validate=False)
+        return _packed(self, {x: c * v for x, v in self._store.items()})
 
     def check_reality(self) -> float:
         """Max deviation from coeff(a,k,k') = conj(coeff(a,k',k))."""
+        w = self._layout.w
+        kmask = self._layout.amask << w
+        kbmask = kmask << w
+        store = self._store
         worst = 0.0
-        for (a, k, kb, j), c in self.terms.items():
-            mirror = self.terms.get((a, kb, k, j), 0j)
+        for x, c in store.items():
+            xk, xkb = x & kmask, x & kbmask
+            mirror = store.get(x - xk - xkb + (xk << w) + (xkb >> w), 0j)
             worst = max(worst, abs(c - mirror.conjugate()))
         return worst
 
@@ -227,17 +360,22 @@ class Hamiltonian:
     def expanded(self) -> "Hamiltonian":
         """Replace every J_m by q_m qbar_m - I_m(0); cached."""
         if self._expanded is None:
-            if all(not key[3] for key in self.terms):
+            lay = self._layout
+            jshift = 3 * lay.w
+            jmask = lay.amask << jshift
+            if not any(x & jmask for x in self._store):
                 self._expanded = _SELF
             else:
-                pk = _Packer(self.params, self.terms)
+                jlists, amask, nojmask = lay.jlists, lay.amask, ~jmask
                 acc = {}
-                for (a, k, kb, j), c in self.terms.items():
-                    for x, ec in _expand_term(pk, pk.pack(a, k, kb), j, c):
-                        acc[x] = acc.get(x, 0j) + ec
-                self._expanded = Hamiltonian(
-                    self.params, {pk.unpack(x): c for x, c in acc.items()},
-                    validate=False)
+                for x, c in self._store.items():
+                    if not x & jmask:
+                        acc[x] = acc.get(x, 0j) + c
+                        continue
+                    for y, ec in _expand_term(lay, x & nojmask,
+                                              jlists[x >> jshift & amask], c):
+                        acc[y] = acc.get(y, 0j) + ec
+                self._expanded = _packed(self, acc)
         return self if self._expanded is _SELF else self._expanded
 
     def collected(self) -> "Hamiltonian":
@@ -248,13 +386,14 @@ class Hamiltonian:
         """
         if self._collected is None:
             E = self.expanded()
-            pk = _Packer(self.params, E.terms)
+            lay = self._layout
+            blocks, w, amask = lay.blocks, lay.w, lay.amask
             acc = {}
-            for (a, k, kb, _), c in E.terms.items():
-                for ckey, cc in _collect_term(pk, pk.pack(a, k, kb), k, kb, c):
-                    acc[ckey] = acc.get(ckey, 0j) + cc
-            self._collected = _collected_form(
-                self.params, {pk.unpack(x, j): c for (x, j), c in acc.items()})
+            for x, c in E._store.items():
+                k, kb = blocks[x >> w & amask], blocks[x >> (2 * w) & amask]
+                for y, cc in _collect_term(lay, x, k, kb, c):
+                    acc[y] = acc.get(y, 0j) + cc
+            self._collected = _packed(self, acc, collected=True)
         return self if self._collected is _SELF else self._collected
 
     # -- serialization -----------------------------------------------------
@@ -280,9 +419,7 @@ class Hamiltonian:
             ("degree_cap", p.degree_cap), ("mode_radius", p.mode_radius))]
         mis, jls = {}, {}
         terms = []
-        for key in sorted(self.terms):
-            a, k, kb, j = key
-            c = self.terms[key]
+        for (a, k, kb, j), c in sorted(self.terms.items()):
             texts = []
             for entries in (a, k, kb):
                 t = mis.get(entries)
@@ -314,6 +451,7 @@ class Hamiltonian:
         if (not isinstance(doc, dict)
                 or doc.get("format") != "nlskam-hamiltonian"):
             raise ValidationError("not a Hamiltonian document")
+        check_doc_version(doc, "Hamiltonian document")
         _require(doc, _DOC_FIELDS, "Hamiltonian document")
         params = HamParams(
             d=_int(doc["d"], "d"), sigma=_num(doc["sigma"], "sigma"),
@@ -342,10 +480,14 @@ class Hamiltonian:
         return cls.from_terms(params, items)
 
 
-def _collected_form(params, terms) -> Hamiltonian:
-    """A Hamiltonian of collected terms, marked as its own collected form."""
-    H = Hamiltonian(params, terms, validate=False)
-    H._collected = _SELF
+def _packed(like, acc, collected=False) -> Hamiltonian:
+    """A Hamiltonian with ``like``'s params holding the packed-key sums
+    ``acc``, less those below COEFF_FLOOR as the constructor drops them;
+    marked as its own collected form when ``collected``."""
+    H = Hamiltonian.__new__(Hamiltonian)
+    H._set(like.params, like._layout,
+           {x: c for x, c in acc.items() if not abs(c) < COEFF_FLOOR},
+           _SELF if collected else None)
     return H
 
 
@@ -408,76 +550,12 @@ def _mi_entries(entries, what) -> list:
     return out
 
 
-class _Packer:
-    """Packed exponent keys for the operands of one call.
-
-    Built from the operands' parameters and term keys.  Every mode of the
-    operands gets a ``w``-bit field, modes in lexicographic order; a triple
-    (a, k, k_bar) is one int made of three blocks of those fields.  ``w``
-    holds 2 * ``degree_cap``, the sum of two in-cap exponents, which bounds
-    every exponent a call forms, so no field carries and equal packed ints
-    mean equal tuple keys.
-    """
-
-    __slots__ = ("modes", "w", "span", "ua", "uk", "ukb", "uq", "_parts")
-
-    def __init__(self, params, *key_sets):
-        pairs = set()
-        jmodes = set()
-        for keys in key_sets:
-            for a, k, kb, j in keys:
-                pairs.update(a, k, kb)
-                jmodes.update(j)
-        self.modes = sorted(jmodes.union(m for m, _ in pairs))
-        self.w = w = max((2 * params.degree_cap).bit_length(), 1)
-        self.span = span = w * len(self.modes)
-        self.ua = {m: 1 << (w * i) for i, m in enumerate(self.modes)}
-        self.uk = {m: u << span for m, u in self.ua.items()}
-        self.ukb = {m: u << (2 * span) for m, u in self.ua.items()}
-        # one q_m qbar_m pair
-        self.uq = {m: self.uk[m] + self.ukb[m] for m in self.modes}
-        self._parts = {}
-
-    def pack(self, a, k, kb) -> int:
-        ua, uk, ukb = self.ua, self.uk, self.ukb
-        x = 0
-        for m, e in a:
-            x += e * ua[m]
-        for m, e in k:
-            x += e * uk[m]
-        for m, e in kb:
-            x += e * ukb[m]
-        return x
-
-    def _part(self, x) -> tuple:
-        """Canonical multi-index of one block, memoized per call."""
-        out = self._parts.get(x)
-        if out is None:
-            w, fmask, y = self.w, (1 << self.w) - 1, x
-            items = []
-            for m in self.modes:
-                if not y:
-                    break
-                e = y & fmask
-                if e:
-                    items.append((m, e))
-                y >>= w
-            out = self._parts[x] = tuple(items)
-        return out
-
-    def unpack(self, x, j=()) -> tuple:
-        """The canonical (a, k, k_bar, j) key of packed triple ``x``."""
-        span = self.span
-        mask = (1 << span) - 1
-        return (self._part(x & mask), self._part((x >> span) & mask),
-                self._part(x >> (2 * span)), j)
-
-
-def _expand_term(pk, x, j, coeff):
-    """Expand the J-factors ``j`` of packed term ``x`` into pure terms."""
+def _expand_term(lay, x, j, coeff):
+    """Expand the J-factors ``j`` of packed J-free term ``x`` into pure
+    terms, J-modes in ``j``'s order."""
     out = [(x, coeff)]
     for m in j:
-        uq, ua = pk.uq[m], pk.ua[m]
+        uq, ua = lay.uq[m], lay.ua[m]
         nxt = []
         for y, c in out:
             nxt.append((y + uq, c))
@@ -486,11 +564,11 @@ def _expand_term(pk, x, j, coeff):
     return out
 
 
-def _collect_term(pk, x, k, kb, coeff):
+def _collect_term(lay, x, k, kb, coeff):
     """Regroup |q_n|^2 pairs of an expanded term, total J-degree <= 2.
 
-    ``x`` is the term's packed (a, k, k_bar); ``k`` and ``kb`` are its
-    tuple multi-indices.  Returns ((packed, j), coeff) pairs.
+    ``x`` is the term's packed key; ``k`` and ``kb`` are its tuple
+    multi-indices.  Returns (packed key, coeff) pairs.
 
     Processes overlap modes in descending-norm order.  Per mode with b
     pairs, L being the J-degree still free, the exact identities used are
@@ -505,37 +583,39 @@ def _collect_term(pk, x, k, kb, coeff):
     """
     kbd = dict(kb)
     overlap = sorted((m for m, _ in k if m in kbd), key=_mode_sort_key)
+    if not overlap:
+        return ((x, coeff),)
     kd = dict(k)
-    # Partial expansions (packed, J-modes, coeff, J-degree left), expanded
-    # mode by mode, each into its branches in order: the final list is in
+    # Partial expansions (packed, coeff, J-degree left), expanded mode by
+    # mode, each into its branches in order: the final list is in
     # depth-first order of the branch tree.
-    states = [(x, (), coeff, 2)]
+    states = [(x, coeff, 2)]
     for m in overlap:
         b = min(kd[m], kbd[m])
-        ua, uq = pk.ua[m], pk.uq[m]
+        ua, uq = lay.ua[m], lay.uq[m]
+        uj = ua << (3 * lay.w)
         nxt = []
         for st in states:
-            y, j_acc, c, left = st
+            y, c, left = st
             if left == 0:
                 nxt.append(st)
                 continue
             # I^b branch
-            nxt.append((y + b * ua - b * uq, j_acc, c, left))
+            nxt.append((y + b * ua - b * uq, c, left))
             if left >= 2:
                 # b * J * I^(b-1)
-                nxt.append((y + (b - 1) * ua - b * uq, j_acc + (m,), b * c,
-                            left - 1))
+                nxt.append((y + (b - 1) * ua - b * uq + uj, b * c, left - 1))
                 # (s+1) * I^s * J^2 * X^(b-2-s)
                 for s in range(b - 1):
-                    nxt.append((y + s * ua - (s + 2) * uq, j_acc + (m, m),
+                    nxt.append((y + s * ua - (s + 2) * uq + 2 * uj,
                                 (s + 1) * c, left - 2))
             else:
                 # J * I^jp * X^(b-1-jp)
                 for jp in range(b):
-                    nxt.append((y + jp * ua - (jp + 1) * uq, j_acc + (m,),
-                                c, left - 1))
+                    nxt.append((y + jp * ua - (jp + 1) * uq + uj, c,
+                                left - 1))
         states = nxt
-    return [((y, tuple(sorted(j_acc))), c) for y, j_acc, c, _ in states]
+    return [(y, c) for y, c, _ in states]
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +625,10 @@ def _collect_term(pk, x, k, kb, coeff):
 def linear_combine(c1, H1: Hamiltonian, c2, H2: Hamiltonian) -> Hamiltonian:
     """Termwise c1*H1 + c2*H2."""
     H1._assert_compatible(H2)
-    acc = {k: c1 * v for k, v in H1.terms.items()}
-    for k, v in H2.terms.items():
-        acc[k] = acc.get(k, 0j) + c2 * v
-    return Hamiltonian(H1.params, acc, validate=False)
+    acc = {x: c1 * v for x, v in H1._store.items()}
+    for x, v in H2._store.items():
+        acc[x] = acc.get(x, 0j) + c2 * v
+    return _packed(H1, acc)
 
 
 def multiply(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
@@ -559,26 +639,25 @@ def multiply(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
     """
     H1._assert_compatible(H2)
     cap = H1.params.degree_cap
-    if H1.terms and H2.terms and H1.degree() + H2.degree() > cap:
+    if H1._store and H2._store and H1.degree() + H2.degree() > cap:
         raise CapacityError(f"product degree exceeds cap {cap}")
-    pk = _Packer(H1.params, H1.terms, H2.terms)
-    inner = [(pk.pack(a2, k2, kb2), j2, c2)
-             for (a2, k2, kb2, j2), c2 in H2.terms.items()]
+    lay = H1._layout
+    jlists, nojmask = lay.jlists, ~(lay.amask << (3 * lay.w))
+    inner = [(x2, jlists[lay.block(x2, 3)], c2)
+             for x2, c2 in H2._store.items()]
     acc = {}
-    for (a1, k1, kb1, j1), c1 in H1.terms.items():
-        x1 = pk.pack(a1, k1, kb1)
+    for x1, c1 in H1._store.items():
+        j1 = jlists[lay.block(x1, 3)]
         for x2, j2, c2 in inner:
-            j = tuple(sorted(j1 + j2))
             c = c1 * c2
-            if len(j) > 2:
-                for ex, ec in _expand_term(pk, x1 + x2, j, c):
-                    acc[ex, ()] = acc.get((ex, ()), 0j) + ec
+            if len(j1) + len(j2) > 2:
+                j = tuple(sorted(j1 + j2))
+                for ex, ec in _expand_term(lay, (x1 + x2) & nojmask, j, c):
+                    acc[ex] = acc.get(ex, 0j) + ec
             else:
-                key = (x1 + x2, j)
+                key = x1 + x2
                 acc[key] = acc.get(key, 0j) + c
-    return Hamiltonian(
-        H1.params, {pk.unpack(x, j): c for (x, j), c in acc.items()},
-        validate=False)
+    return _packed(H1, acc)
 
 
 def poisson_bracket(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
@@ -617,32 +696,33 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
     A._assert_compatible(B)
     A._assert_compatible(E)
     cap = A.params.degree_cap
-    pk = _Packer(A.params, A.terms, B.terms, E.terms)
-    uq = pk.uq
+    lay = A._layout
+    decode, uq = lay.decode, lay.uq
     acc, acc_e = {}, {}
     # Rows (key, coefficient, result it accumulates into, E's coefficient
     # or None): A's rows feed {A, B} and, when they carry E's coefficient,
     # {E, B} too; E-only rows feed {E, B}.
-    e_items = list(E.terms.items())
+    e_items = list(E._store.items())
     i = 0
     rows = []
-    for key, c in A.terms.items():
+    for x, c in A._store.items():
         ce = None
-        if i < len(e_items) and e_items[i][0] == key:
+        if i < len(e_items) and e_items[i][0] == x:
             ce = e_items[i][1]
             i += 1
-        rows.append((key, c, acc, ce))
-    rows += [(key, c, acc_e, None) for key, c in e_items[i:]]
-    # Per-term data of B and of the rows, computed once per call: packed
-    # triple, exponents (k_m, k'_m) on the support, support, degree.  The
-    # outer and inner supports are built by different expressions on
+        rows.append((x, c, acc, ce))
+    rows += [(x, c, acc_e, None) for x, c in e_items[i:]]
+    # Per-term data of B and of the rows, computed once per call from the
+    # decoded keys: exponents (k_m, k'_m) on the support, support, degree.
+    # The outer and inner supports are built by different expressions on
     # purpose: the iteration order of their intersection depends on how
     # each set was built, and it fixes the insertion order of the result.
     inner = []
-    for (a2, k2, kb2, _), c2 in B.terms.items():
+    for x2, c2 in B._store.items():
+        a2, k2, kb2, _ = decode(x2)
         k2d, kb2d = dict(k2), dict(kb2)
         sup2 = {m for m, _ in k2} | {m for m, _ in kb2}
-        inner.append((pk.pack(a2, k2, kb2),
+        inner.append((x2,
                       {m: (k2d.get(m, 0), kb2d.get(m, 0)) for m in sup2},
                       sup2,
                       2 * mi_degree(a2) + mi_degree(k2) + mi_degree(kb2),
@@ -652,7 +732,8 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
     # a raise on one of A's rows builds no E-only row.
     max_d2 = max((row[3] for row in inner), default=0)
     outer = []
-    for (a1, k1, kb1, _), c1, sink, ce in rows:
+    for x1, c1, sink, ce in rows:
+        a1, k1, kb1, _ = decode(x1)
         k1d, kb1d = dict(k1), dict(kb1)
         sup1 = set(k1d) | set(kb1d)
         e1 = {m: (k1d.get(m, 0), kb1d.get(m, 0)) for m in sup1}
@@ -667,7 +748,7 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
                     if k1m * kb2m != kb1m * k2m:
                         raise CapacityError(
                             f"bracket degree {d1 + d2 - 2} exceeds cap {cap}")
-        outer.append((pk.pack(a1, k1, kb1), e1, sup1, c1, sink, ce))
+        outer.append((x1, e1, sup1, c1, sink, ce))
     # A contributing mode m has k_m >= 1 and k'_m >= 1 in the merged
     # exponents, so subtracting one q_m qbar_m pair never borrows.
     for x1, e1, sup1, c1, sink, ce in outer:
@@ -688,11 +769,7 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
                 sink[key] = sink.get(key, 0j) + base * f
                 if base_e is not None:
                     acc_e[key] = acc_e.get(key, 0j) + base_e * f
-    # one unpack per distinct output key
-    names = {x: pk.unpack(x) for x in acc}
-    names.update((x, pk.unpack(x)) for x in acc_e if x not in names)
-    return tuple(Hamiltonian(A.params, {names[x]: c for x, c in d.items()},
-                             validate=False) for d in (acc, acc_e))
+    return _packed(A, acc), _packed(A, acc_e)
 
 
 def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
@@ -705,22 +782,20 @@ def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
         return H
     keep = {}
     lost = 0.0
-    wsum = _mi_weight_sums(H.params.weights())
-    for key, c in H.terms.items():
-        a, _, _, j = key
+    lay = H._layout
+    wsum = lay.weight_sums(H.params.weights())
+    for x, c in H._store.items():
         # r * wa first: once -2 r overflows, (-2 r) * 0 would be nan
-        wa = wsum[a]
+        wa = wsum[lay.block(x, 0)]
         contrib = (abs(c) * math.exp(-2.0 * (H.params.r * wa))
-                   * (2.0 ** len(j)))
+                   * (2.0 ** len(lay.jlists[lay.block(x, 3)])))
         if contrib < tol:
             lost += contrib
         else:
-            keep[key] = c
+            keep[x] = c
     if ledger is not None:
         ledger.append(lost)
-    if H._collected is _SELF:
-        return _collected_form(H.params, keep)
-    return Hamiltonian(H.params, keep, validate=False)
+    return _packed(H, keep, collected=H._collected is _SELF)
 
 
 # ---------------------------------------------------------------------------
@@ -764,21 +839,23 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
         raise ValidationError(f"rho must be >= 0, got {rho}")
     if kind in ("star_rho", "plus_rho") and not rho < p.r:
         raise ValidationError(f"need rho < r for {kind}, got rho={rho}")
+    lay = H._layout
     if kind in ("sup_rho", "plus_rho"):
         form = H.expanded() if kind == "sup_rho" else H.collected()
         weights = p.weights()
         best = 0.0
-        for (a, k, kb, j), c in form.terms.items():
-            S, L1 = _term_S_L1(weights, a, k, kb, j)
+        for x, c in form._store.items():
+            S, L1 = _term_S_L1(weights, *lay.decode(x))
             best = max(best, abs(c) * math.exp(-rho * (S - 2.0 * L1)))
         return best
     if kind == "star_rho":
-        wsum = _mi_weight_sums(p.weights())
+        wsum = lay.weight_sums(p.weights())
+        w, amask = lay.w, lay.amask
         total = 0.0
-        for (a, k, kb, _), c in H.expanded().terms.items():
-            wa = wsum[a]
-            wk = wsum[k]
-            wk += wsum[kb]
+        for x, c in H.expanded()._store.items():
+            wa = wsum[x & amask]
+            wk = wsum[(x >> w) & amask]
+            wk += wsum[(x >> (2 * w)) & amask]
             total += abs(c) * math.exp(-2.0 * (p.r * wa) - rho * wk)
         return total
     raise ValidationError(f"unknown norm kind {kind!r}")
@@ -791,10 +868,11 @@ def class_split(H: Hamiltonian):
     class norm reads exactly its terms.  Collected terms with fewer than
     two J-factors have disjoint (k, k_bar) supports, so parts 0 and 1 do.
     """
+    lay = H._layout
     parts = ({}, {}, {})
-    for key, c in H.collected().terms.items():
-        parts[len(key[3])][key] = c
-    return tuple(_collected_form(H.params, part) for part in parts)
+    for x, c in H.collected()._store.items():
+        parts[len(lay.jlists[lay.block(x, 3)])][x] = c
+    return tuple(_packed(H, part, collected=True) for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -803,17 +881,19 @@ def class_split(H: Hamiltonian):
 
 def partial(H: Hamiltonian, n, conjugate: bool) -> Hamiltonian:
     """Formal derivative with respect to q_n (or qbar_n)."""
-    n = tuple(n)
+    lay = H._layout
     acc = {}
-    for (a, k, kb, _), c in H.expanded().terms.items():
-        src = kb if conjugate else k
-        e = mi_get(src, n)
-        if not e:
-            continue
-        reduced = mi(tuple((m, v - (1 if m == n else 0)) for m, v in src))
-        key = (a, k, reduced, ()) if conjugate else (a, reduced, kb, ())
-        acc[key] = acc.get(key, 0j) + e * c
-    return Hamiltonian(H.params, acc, validate=False)
+    u = lay.ua.get(tuple(n))        # an unregistered mode is in no term
+    if u is not None:
+        one = u << (2 * lay.w if conjugate else lay.w)
+        shift = one.bit_length() - 1
+        fmask = (1 << lay.w) - 1
+        for x, c in H.expanded()._store.items():
+            e = (x >> shift) & fmask
+            if e:
+                key = x - one
+                acc[key] = acc.get(key, 0j) + e * c
+    return _packed(H, acc)
 
 
 def second_partial(H, n, m, conj_n: bool, conj_m: bool) -> Hamiltonian:

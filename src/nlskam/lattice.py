@@ -29,6 +29,15 @@ def mode_from_json(m, where="") -> tuple:
     return tuple(m)
 
 
+def check_doc_version(doc, what):
+    """Refuse a document whose "version" is not the integer 1; a document
+    without one is read as version 1."""
+    if "version" in doc and not (_is_int(doc["version"])
+                                 and doc["version"] == 1):
+        raise ValidationError(
+            f"{what} has unsupported version {doc['version']!r}")
+
+
 def check_mode(n, d):
     if len(n) != d:
         raise DimensionMismatchError(

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, DivergenceRiskError, ValidationError
 from .hamiltonian import (
+    COEFF_FLOOR,
     HamParams,
     Hamiltonian,
     lie_transform,
@@ -352,13 +353,13 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
         key = (_unit_mi(a), _unit_mi(k), _unit_mi(kb), ())
         acc[key] = (acc.get(key, 0j)
                     + radius * complex(math.cos(phase), math.sin(phase)))
-    H = Hamiltonian(params, acc, validate=False)
-    for key in H.terms:
+    # the terms the constructor keeps are those at or above its floor
+    for key, c in acc.items():
         degree = term_degree(key)
-        if degree > params.degree_cap:
+        if degree > params.degree_cap and not abs(c) < COEFF_FLOOR:
             raise CapacityError(
                 f"term degree {degree} exceeds cap {params.degree_cap}")
-    return H
+    return Hamiltonian(params, acc, validate=False)
 
 
 def _unit_mi(modes) -> tuple:

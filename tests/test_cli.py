@@ -376,6 +376,7 @@ def _set(path, value):
      "is not a [mode, exponent] pair"),
     (_set(["terms", 0, "a"], 3), "term 0: 'a' is not a list"),
     (_set(["terms", 0, "j"], 3), "term 0: 'j' is not a list"),
+    (_set(["version"], 2), "Hamiltonian document has unsupported version 2"),
 ])
 def test_norms_rejects_malformed_hamiltonian(tmp_path, capsys, edit, match):
     doc = _nls_doc(tmp_path)
@@ -532,6 +533,8 @@ def test_dioph_check_roundtrip(tmp_path, capsys):
      "not a finite number"),
     ({"format": "nlskam-frequency", "omega": [[[0, 0], 0.1]]},
      "has dimension 2, expected 1"),
+    ({"format": "nlskam-frequency", "version": 2, "omega": [[[0], 0.1]]},
+     "frequency document has unsupported version 2"),
 ])
 def test_dioph_check_rejects_malformed_frequency(tmp_path, capsys, doc,
                                                  match):

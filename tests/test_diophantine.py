@@ -527,6 +527,8 @@ def test_check_frequency_rejects_foreign_dimension():
     ('{"format": "nlskam-frequency", "omega": [[[0], 0.1], [[0], 0.2]]}',
      "twice"),
     ('{"format": "nlskam-frequency"', "not JSON"),
+    ('{"format": "nlskam-frequency", "version": 2, "omega": [[[0], 0.1]]}',
+     "unsupported version 2"),
 ])
 def test_frequency_loads_rejects_malformed(text, match):
     with pytest.raises(ValidationError, match=match):

@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,18 +21,21 @@ from nlskam import (
     multiply,
     norm,
     partial,
+    poisson_bracket,
     prune,
     run,
     vector_field,
     vf_sup_norm,
 )
 from nlskam import driver
-from nlskam.hamiltonian import _Packer, _term_S_L1, term_degree
+from nlskam.cli import dispatch
+from nlskam.hamiltonian import _layout, _term_S_L1, term_degree
 from nlskam.lattice import _mode_sort_key, mi, mi_get
 from nlskam.nls import NlsConfig, build_cubic_nls
 from nlskam.verification import random_hamiltonian, random_state
 
 from mi_helpers import mi_add, monomial, to_dict
+from test_bracket import _reference_bracket
 
 
 def J_mono(params, m, coeff=1.0):
@@ -252,6 +258,19 @@ def test_loads_rejects_foreign_document(params):
         Hamiltonian.loads('{"format": "something-else"}')
 
 
+@pytest.mark.parametrize("version", [2, 0, True, 1.0, "1", None])
+def test_loads_refuses_a_version_other_than_1(params, version):
+    doc = to_dict(monomial(params, k=[((0,), 1)]))
+    doc["version"] = version
+    with pytest.raises(ValidationError, match=(
+            "^Hamiltonian document has unsupported version "
+            f"{re.escape(repr(version))}$")):
+        Hamiltonian.loads(json.dumps(doc))
+    del doc["version"]      # a document without one is read as version 1
+    assert Hamiltonian.loads(json.dumps(doc)).terms == {
+        ((), (((0,), 1),), (), ()): 1.0}
+
+
 def test_term_degree():
     key = ((((1,), 2),), (((0,), 1),), (), ((2,),))
     assert term_degree(key) == 2 * 2 + 1 + 2
@@ -448,8 +467,106 @@ def test_packed_kernels_of_low_degrees_under_a_large_cap(seed, d):
                                    (64, 8), (1000, 11)])
 def test_packer_width_comes_from_the_degree_cap(cap, w):
     p = HamParams(d=1, sigma=2.5, r=1.0, degree_cap=cap, mode_radius=2)
-    assert _Packer(p).w == w
-    assert _Packer(p, monomial(p, k=[((1,), cap)]).terms).w == w
+    assert _layout(p).w == w
+    assert monomial(p, k=[((1,), cap)])._layout.w == w
+
+
+# -- the packed-key store -----------------------------------------------------
+
+def _ref_linear_combine(c1, H1, c2, H2):
+    """The tuple-keyed termwise c1*H1 + c2*H2, kept frozen as the
+    reference."""
+    acc = {k: c1 * v for k, v in H1.terms.items()}
+    for k, v in H2.terms.items():
+        acc[k] = acc.get(k, 0j) + c2 * v
+    return Hamiltonian(H1.params, acc, validate=False)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
+       max_exp=st.sampled_from([1, 3, 6]))
+@settings(max_examples=40, deadline=None)
+def test_a_hamiltonian_rebuilt_from_its_terms_has_the_same_items(
+        seed, d, max_exp):
+    rng = np.random.default_rng(seed)
+    p = HamParams(d=d, sigma=2.5, r=1.0, degree_cap=200,
+                  mode_radius=2 if d == 1 else 1)
+    H = _with_j_factors(p, rng, 8, max_exp)
+    for X in (H, H.expanded(), H.collected(), multiply(H, H)):
+        assert _bits(Hamiltonian(p, X.terms)) == _bits(X)
+
+
+def test_terms_is_a_read_only_view_built_once(params):
+    H = monomial(params, k=[((0,), 1)], coeff=2.0)
+    assert H.terms is H.terms
+    with pytest.raises(TypeError):
+        H.terms[((), (), (), ())] = 1.0
+    assert dict(H.terms) == {((), (((0,), 1),), (), ()): 2.0}
+
+
+def _registering(p, modes):
+    """A Hamiltonian that registers ``modes``, in this order, in the
+    layout of p."""
+    H = Hamiltonian(p, {((), ((m, 1),), (), ()): 1.0 for m in modes})
+    assert H._layout.modes == list(modes)
+    return H
+
+
+def test_results_do_not_depend_on_the_mode_registration_order():
+    # sigma apart, so two layouts live side by side (params no other test
+    # uses: a small box's layout lasts for the process); these ops read
+    # no weight, so both must give the tuple kernels' keys, order and bits
+    p1 = HamParams(d=2, sigma=2.625, r=1.0, degree_cap=200, mode_radius=1)
+    p2 = replace(p1, sigma=2.875)
+    modes = p1.box_modes()
+    keep = [_registering(p1, modes), _registering(p2, modes[::-1])]
+    assert keep[0]._layout is not keep[1]._layout
+    for seed in range(4):
+        got = []
+        for p in (p1, p2):
+            rng = np.random.default_rng(seed)
+            H = _with_j_factors(p, rng, 8, 3)
+            G = _with_j_factors(p, rng, 4, 2)
+            R = random_hamiltonian(p, rng, n_terms=6, max_factors=4,
+                                   max_actions=1)
+            assert H._layout is keep[p is p2]._layout
+            want = [_bits(_ref_linear_combine(0.5, H, -2.0, R)),
+                    _bits(_reference_bracket(R, H)),
+                    _bits(_reference_bracket(H, G)),
+                    _bits(_ref_multiply(H, G)),
+                    _bits(_ref_collected(H))]
+            got.append([_bits(linear_combine(0.5, H, -2.0, R)),
+                        _bits(poisson_bracket(R, H)),
+                        _bits(poisson_bracket(H, G)),
+                        _bits(multiply(H, G)),
+                        _bits(H.collected())])
+            assert got[-1] == want
+        assert got[0] == got[1]
+
+
+def test_a_sparse_document_gets_fields_only_for_its_modes(tmp_path):
+    far, near = [10 ** 6, -3], [-999_999, 10 ** 6]
+    doc = {"format": "nlskam-hamiltonian", "version": 1, "d": 2,
+           "sigma": 2.5, "r": 1.0, "floor_const": 1024.0,
+           "degree_cap": 16, "mode_radius": 10 ** 6, "terms": [
+               {"a": [], "k": [[far, 1]], "k_bar": [[near, 1]], "j": [],
+                "re": 1.0, "im": 2.0},
+               {"a": [[[0, 0], 1]], "k": [[[5, 5], 2]],
+                "k_bar": [[[5, 5], 2]], "j": [far], "re": -0.5, "im": 0.0}]}
+    H = Hamiltonian.loads(json.dumps(doc))
+    present = {m for a, k, kb, j in H.terms
+               for m in [n for n, _ in a + k + kb] + list(j)}
+    assert len(present) == 4
+    lay = H._layout
+    assert sorted(lay.modes) == sorted(present)
+    assert all(x.bit_length() <= 4 * lay.w * len(present)
+               for x in H._store)
+    # the layout lives as long as a Hamiltonian uses it
+    gone = weakref.ref(lay)
+    del H, lay
+    assert gone() is None
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch(["norms", str(path)]) == 0
 
 
 # -- validation paths ---------------------------------------------------------
