@@ -41,12 +41,6 @@ def _check_gammas(gammas, ell_budget):
         raise ValidationError("ell_budget must be >= 1")
 
 
-def dist_to_integers(x: float) -> float:
-    """|||x||| = distance from x to the nearest integer, in [0, 1/2]."""
-    f = abs(x - round(x))
-    return min(f, 0.5)
-
-
 class EllRows(Sequence):
     """The rows of an l-matrix, each read as an l tuple.
 

@@ -29,7 +29,10 @@ order, accumulation order and every floating-point operation are those of
 the tuple form.  An op decodes a key to its canonical tuple (memoized in
 the layout) only where it reads weights, supports or the sorted-mode
 order, and ``terms`` is the tuple-keyed view the rest of the package and
-the JSON format read.
+the JSON format read.  Tuple keys come in one way, the constructor, which
+checks every key and coefficient.  Packed keys never leave this module:
+the ops build results from them, and ``split_terms`` routes existing
+terms into parts by their decoded keys, each under its own packed key.
 
 The bracket kernel ``_bracket`` brackets two operands against a third in
 one pass: ``lie_transform`` calls it once per order on the G and E chains
@@ -267,27 +270,27 @@ class Hamiltonian:
         Lattice and truncation parameters shared by all terms.
     terms : dict, optional
         Map from (a, k, k_bar, j) keys to complex coefficients.  Keys must
-        be canonical (see :func:`nlskam.lattice.mi`) and within
-        ``degree_cap``, which ``validate`` checks with the modes, the J
-        count and the coefficients; coefficients with magnitude below
-        1e-300 are dropped.
+        be canonical (see :func:`nlskam.lattice.mi`).  Every kept key is
+        checked for its modes, its J count and ``degree_cap``, and every
+        coefficient for finiteness; coefficients with magnitude below
+        1e-300 are dropped.  Results of the ops and of ``split_terms``
+        are built from packed keys and are not checked again.
     """
 
     __slots__ = ("params", "_layout", "_store", "_terms", "_expanded",
                  "_collected")
 
-    def __init__(self, params: HamParams, terms=None, validate=True):
+    def __init__(self, params: HamParams, terms=None):
         lay = _layout(params)
         store = {}
         if terms:
             for key, c in terms.items():
-                if validate and not cmath.isfinite(c):
+                if not cmath.isfinite(c):
                     raise ValidationError(
                         f"non-finite coefficient {c} at term {key}")
                 if abs(c) < COEFF_FLOOR:
                     continue
-                if validate:
-                    _check_key(key, params)
+                _check_key(key, params)
                 store[lay.pack(key)] = complex(c)
         self._set(params, lay, store, None)
 
@@ -837,6 +840,8 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
     p = H.params
     if not rho >= 0:
         raise ValidationError(f"rho must be >= 0, got {rho}")
+    if rho == math.inf:
+        raise ValidationError("rho must be finite, got inf")
     if kind in ("star_rho", "plus_rho") and not rho < p.r:
         raise ValidationError(f"need rho < r for {kind}, got rho={rho}")
     lay = H._layout
@@ -846,7 +851,10 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
         best = 0.0
         for x, c in form._store.items():
             S, L1 = _term_S_L1(weights, *lay.decode(x))
-            best = max(best, abs(c) * math.exp(-rho * (S - 2.0 * L1)))
+            v = abs(c) * math.exp(-rho * (S - 2.0 * L1))
+            if v != v:              # max would drop a NaN term
+                return v
+            best = max(best, v)
         return best
     if kind == "star_rho":
         wsum = lay.weight_sums(p.weights())
@@ -861,18 +869,35 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
     raise ValidationError(f"unknown norm kind {kind!r}")
 
 
+def split_terms(sources, route, parts: int) -> tuple:
+    """Route the terms of the disjoint ``sources``, in order, into parts.
+
+    ``route(key, c)`` gets each term's (a, k, k_bar, j) key and coefficient
+    and returns (part, coefficient) pairs, each filed in that part under
+    the term's own key.  A part is its own collected form when every
+    source is.
+    """
+    first = sources[0]
+    decode = first._layout.decode
+    accs = [{} for _ in range(parts)]
+    for S in sources:
+        first._assert_compatible(S)
+        for x, c in S._store.items():
+            for i, v in route(decode(x), c):
+                accs[i][x] = v
+    collected = all(S._collected is _SELF for S in sources)
+    return tuple(_packed(first, acc, collected) for acc in accs)
+
+
 def class_split(H: Hamiltonian):
     """Partition ``H.collected()`` into classes 0 / 1 / 2 by J-degree.
 
-    Each part keeps its terms' order and is its own collected form, so a
-    class norm reads exactly its terms.  Collected terms with fewer than
-    two J-factors have disjoint (k, k_bar) supports, so parts 0 and 1 do.
+    Each part is its own collected form, so a class norm reads exactly its
+    terms.  Collected terms with fewer than two J-factors have disjoint
+    (k, k_bar) supports, so parts 0 and 1 do.
     """
-    lay = H._layout
-    parts = ({}, {}, {})
-    for x, c in H.collected()._store.items():
-        parts[len(lay.jlists[lay.block(x, 3)])][x] = c
-    return tuple(_packed(H, part, collected=True) for part in parts)
+    return split_terms((H.collected(),),
+                       lambda key, c: ((len(key[3]), c),), 3)
 
 
 # ---------------------------------------------------------------------------

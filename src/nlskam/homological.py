@@ -14,7 +14,13 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SmallDivisorError, ValidationError
-from .hamiltonian import Hamiltonian, linear_combine, norm, poisson_bracket
+from .hamiltonian import (
+    Hamiltonian,
+    linear_combine,
+    norm,
+    poisson_bracket,
+    split_terms,
+)
 from .lattice import MI_ZERO, mi_degree, mi_signed, sorted_system
 
 
@@ -97,7 +103,7 @@ RHO0 = (3.0 - 2.0 * math.sqrt(2.0)) / 100.0
 
 def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
                       guard: float, B: float) -> HomologicalSolution:
-    """Solve {N,F} + R0 + R1 = [R0] + [R1] termwise, in one pass.
+    """Solve {N,F} + R0 + R1 = [R0] + [R1] termwise, in one routing pass.
 
     R0 and R1 must be in their J-collected class forms, so their keys
     are disjoint.  Raises SmallDivisorError when a required divisor
@@ -105,41 +111,31 @@ def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
     """
     if guard <= 0:
         raise ValidationError("guard must be positive")
-    params = R0.params
-    weights = params.weights()
-    min_div = math.inf
-    quad_diag = []
-    deferred_mass = 0.0
-    f_terms, res_terms, def_terms, elim_terms = {}, {}, {}, {}
-    for R in (R0, R1):
-        for key, c in R.terms.items():
-            a, k, kb, j = key
-            if k == MI_ZERO and kb == MI_ZERO:
-                res_terms[key] = c
-                continue
-            if mi_degree(k) + mi_degree(kb) == 2 and k != kb:
-                quad_diag.append(key)
-            if tail_weight(a, k, kb, j, weights) > B:
-                def_terms[key] = c
-                deferred_mass += abs(c)
-                continue
-            D = divisor(k, kb, nf)
-            if abs(D) < guard:
-                raise SmallDivisorError(
-                    f"divisor {D:.3e} below guard {guard:.3e} "
-                    f"for k={k}, k_bar={kb}", key=key, divisor=D)
-            min_div = min(min_div, abs(D))
-            f_terms[key] = c / (1j * D)
-            elim_terms[key] = c
-    stats = {
-        "min_divisor": min_div,
-        "solved_terms": len(f_terms),
-        "deferred_terms": len(def_terms),
-        "deferred_mass": deferred_mass,
-        "quad_nonresonant": quad_diag,
-    }
-    F, res, dfr, elim = (Hamiltonian(params, t, validate=False) for t in (
-        f_terms, res_terms, def_terms, elim_terms))
+    weights = R0.params.weights()
+    stats = {"min_divisor": math.inf, "solved_terms": 0, "deferred_terms": 0,
+             "deferred_mass": 0.0, "quad_nonresonant": []}
+
+    # parts: 0 F, 1 resonant, 2 deferred, 3 eliminated
+    def route(key, c):
+        a, k, kb, j = key
+        if k == MI_ZERO and kb == MI_ZERO:
+            return ((1, c),)
+        if mi_degree(k) + mi_degree(kb) == 2 and k != kb:
+            stats["quad_nonresonant"].append(key)
+        if tail_weight(a, k, kb, j, weights) > B:
+            stats["deferred_terms"] += 1
+            stats["deferred_mass"] += abs(c)
+            return ((2, c),)
+        D = divisor(k, kb, nf)
+        if abs(D) < guard:
+            raise SmallDivisorError(
+                f"divisor {D:.3e} below guard {guard:.3e} "
+                f"for k={k}, k_bar={kb}", key=key, divisor=D)
+        stats["solved_terms"] += 1
+        stats["min_divisor"] = min(stats["min_divisor"], abs(D))
+        return ((0, c / (1j * D)), (3, c))
+
+    F, res, dfr, elim = split_terms((R0, R1), route, 4)
     return HomologicalSolution(F.expanded(), res, dfr, elim.expanded(), stats)
 
 

@@ -92,13 +92,6 @@ def mi(entries) -> tuple:
     return tuple(sorted((m, e) for m, e in acc.items() if e > 0))
 
 
-def mi_get(m: tuple, mode) -> int:
-    for mm, e in m:
-        if mm == mode:
-            return e
-    return 0
-
-
 def mi_degree(m: tuple) -> int:
     return sum(e for _, e in m)
 

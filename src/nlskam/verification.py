@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import CapacityError, DivergenceRiskError, ValidationError
 from .hamiltonian import (
-    COEFF_FLOOR,
     HamParams,
     Hamiltonian,
     lie_transform,
@@ -27,7 +26,6 @@ from .hamiltonian import (
     norm,
     poisson_bracket,
     second_partial,
-    term_degree,
     vf_sup_norm,
 )
 from .lattice import weighted_gap
@@ -319,8 +317,8 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
     Supports are drawn uniformly over the truncation box with mass split
     evenly between q and qbar factors; the momentum defect is repaired by
     moving the last q-factor, resampling when the repaired mode leaves
-    the box.  Raises CapacityError, as the Hamiltonian constructor would,
-    on the first kept term above ``degree_cap``.
+    the box.  The Hamiltonian constructor raises CapacityError on the
+    first kept term above ``degree_cap``.
     """
     # Scalar draws take the same values from the generator's stream as
     # one array draw of the same bounded range, at a third of the cost;
@@ -348,18 +346,10 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
         radius = math.sqrt(rng.random())
         phase = 2.0 * math.pi * rng.random()
         kept += 1
-        # every draw is an in-box mode of dimension d, so only the degree
-        # cap is left to check
         key = (_unit_mi(a), _unit_mi(k), _unit_mi(kb), ())
         acc[key] = (acc.get(key, 0j)
                     + radius * complex(math.cos(phase), math.sin(phase)))
-    # the terms the constructor keeps are those at or above its floor
-    for key, c in acc.items():
-        degree = term_degree(key)
-        if degree > params.degree_cap and not abs(c) < COEFF_FLOOR:
-            raise CapacityError(
-                f"term degree {degree} exceeds cap {params.degree_cap}")
-    return Hamiltonian(params, acc, validate=False)
+    return Hamiltonian(params, acc)
 
 
 def _unit_mi(modes) -> tuple:

@@ -173,7 +173,7 @@ def _reference_bracket(H1, H2):
                        tuple(sorted((mm, e) for mm, e in nkb.items() if e)),
                        ())
                 acc[key] = acc.get(key, 0j) + base * f
-    return Hamiltonian(H1.params, acc, validate=False)
+    return Hamiltonian(H1.params, acc)
 
 
 def _outcome(kernel, H1, H2):

@@ -107,6 +107,10 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
      "error: need 0 < delta1, delta2 <= rho, got delta1=0.004, "
      "delta2=0.004, rho=0.001"),
     (["norms", "{h}", "--rho", "nan"], "error: rho must be >= 0, got nan"),
+    (["norms", "{h}", "--rho", "inf"], "error: rho must be finite, got inf"),
+    # refused at the operands' norms, before B is written
+    (["bracket", "{h}", "{h}", "--rho", "inf", "--out", "{out}"],
+     "error: rho must be finite, got inf"),
     (["kam-run", "--d", "1", "--radius", "1", "--prune-tol", "nan",
       "--out-prefix", "{out}"],
      "error: prune_tol must be finite and >= 0, got nan"),

@@ -21,7 +21,6 @@ from nlskam.diophantine import (
     _trial_blocks,
     condition2_applies,
     dioph_rhs,
-    dist_to_integers,
     ell_sorted_norms,
     enumerate_ells,
 )
@@ -56,13 +55,6 @@ def test_gamma_and_budget_checked_before_any_work(monkeypatch, entry, gamma,
     with pytest.raises(ValidationError, match=message) as e:
         call()
     assert "\n" not in str(e.value)
-
-
-def test_dist_to_integers():
-    assert dist_to_integers(0.0) == 0.0
-    assert dist_to_integers(2.25) == 0.25
-    assert dist_to_integers(-1.75) == 0.25
-    assert dist_to_integers(3.5) == 0.5
 
 
 def test_enumerate_ells_count_and_order():
@@ -331,7 +323,8 @@ def _reference_check(omega, gamma, ell_budget, d):
     ells = _reference_ells(omega.keys(), ell_budget)
     violations = []
     for ell in ells:
-        lhs = dist_to_integers(sum(v * omega[mode] for mode, v in ell))
+        x = sum(v * omega[mode] for mode, v in ell)
+        lhs = abs(x - round(x))     # distance to the nearest integer
         rhs1 = dioph_rhs(ell, gamma, d, 1)
         if lhs < rhs1:
             violations.append((ell, 1, lhs, rhs1))

@@ -30,7 +30,7 @@ from nlskam import (
 from nlskam import driver
 from nlskam.cli import dispatch
 from nlskam.hamiltonian import _layout, _term_S_L1, term_degree
-from nlskam.lattice import _mode_sort_key, mi, mi_get
+from nlskam.lattice import _mode_sort_key, mi
 from nlskam.nls import NlsConfig, build_cubic_nls
 from nlskam.verification import random_hamiltonian, random_state
 
@@ -181,6 +181,29 @@ def test_star_norm_needs_rho_below_r(params):
         norm(H, "sup_rho", math.nan)
 
 
+@pytest.mark.parametrize("kind", ["sup_rho", "star_rho", "plus_rho"])
+def test_a_nan_term_makes_the_norm_nan(params, kind):
+    H = linear_combine(
+        3.0, monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)]),
+        1.0, monomial(params, k=[((1,), 2)], k_bar=[((1,), 1)]))
+    nan = monomial(params, k=[((0,), 1)], k_bar=[((0,), 1)]).scale(
+        math.nan)
+    for G in (H.scale(math.nan), linear_combine(1.0, nan, 1.0, H),
+              linear_combine(1.0, H, 1.0, nan)):
+        assert math.isnan(norm(G, kind, 0.0))
+    # the sup norms take the largest term, the star norm the sum
+    assert norm(H, kind, 0.0) == (4.0 if kind == "star_rho" else 3.0)
+
+
+@pytest.mark.parametrize("kind", ["sup_rho", "star_rho", "plus_rho"])
+def test_norm_refuses_an_infinite_rho(params, kind):
+    # at rho = inf the sup norm of 3 |q_1|^2 would read e^{-inf * 0}
+    H = monomial(params, k=[((1,), 1)], k_bar=[((1,), 1)], coeff=3.0)
+    with pytest.raises(ValidationError,
+                       match=r"^rho must be finite, got inf$"):
+        norm(H, kind, math.inf)
+
+
 def test_plus_norm_j_correction(params):
     # J-class term: the J mode adds 2w to S and competes for L1
     m = (1,)
@@ -301,12 +324,13 @@ def _ref_expanded(H):
     for key, c in H.terms.items():
         for ekey, ec in _ref_expand_term(key, c):
             acc[ekey] = acc.get(ekey, 0j) + ec
-    return Hamiltonian(H.params, acc, validate=False)
+    return Hamiltonian(H.params, acc)
 
 
 def _ref_collect_term(a, k, kb, coeff):
     overlap = sorted(
-        (m for m, _ in k if mi_get(kb, m) >= 1 and mi_get(k, m) >= 1),
+        (m for m, _ in k
+         if dict(kb).get(m, 0) >= 1 and dict(k).get(m, 0) >= 1),
         key=_mode_sort_key)
     kd = dict(k)
     kbd = dict(kb)
@@ -349,7 +373,7 @@ def _ref_collected(H):
     for (a, k, kb, _), c in _ref_expanded(H).terms.items():
         for ckey, cc in _ref_collect_term(a, k, kb, c):
             acc[ckey] = acc.get(ckey, 0j) + cc
-    return Hamiltonian(H.params, acc, validate=False)
+    return Hamiltonian(H.params, acc)
 
 
 def _ref_class_split(H):
@@ -357,7 +381,7 @@ def _ref_class_split(H):
     for key, c in _ref_collected(H).terms.items():
         parts[len(key[3])][key] = c
     return tuple(
-        Hamiltonian(H.params, part, validate=False) for part in parts)
+        Hamiltonian(H.params, part) for part in parts)
 
 
 def _ref_multiply(H1, H2):
@@ -372,7 +396,7 @@ def _ref_multiply(H1, H2):
                     acc[ekey] = acc.get(ekey, 0j) + ec
             else:
                 acc[key] = acc.get(key, 0j) + c
-    return Hamiltonian(H1.params, acc, validate=False)
+    return Hamiltonian(H1.params, acc)
 
 
 def _bits(H):
@@ -479,7 +503,7 @@ def _ref_linear_combine(c1, H1, c2, H2):
     acc = {k: c1 * v for k, v in H1.terms.items()}
     for k, v in H2.terms.items():
         acc[k] = acc.get(k, 0j) + c2 * v
-    return Hamiltonian(H1.params, acc, validate=False)
+    return Hamiltonian(H1.params, acc)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
@@ -626,10 +650,14 @@ def test_dumps_writes_the_bytes_of_json_indent_1(params):
                   1.0, step.R0, 1.0, step.R1), 1.0, step.R2)):
         assert H.dumps() == json.dumps(to_dict(H), indent=1)
     assert special.dumps().count("-0.0") == 2
-    odd = Hamiltonian(params, {((), (((1,), 1),), (), ()): complex(
-        math.nan, -math.inf), ((), (), (), ()): complex(math.inf, 1.0)},
-        validate=False)
-    assert odd.dumps() == json.dumps(to_dict(odd), indent=1)
+    # the constructor refuses non-finite coefficients, and a run reaches
+    # them only through the ops: (nan, nan), (inf, nan), (inf, -inf) and
+    # (-inf, inf) come from scaling 1 and 1 - i by nan, inf and -inf
+    unit = Hamiltonian(params, {((), (((1,), 1),), (), ()): 1.0,
+                                ((), (), (), ()): complex(1.0, -1.0)})
+    for c in (math.nan, math.inf, -math.inf):
+        odd = unit.scale(c)
+        assert odd.dumps() == json.dumps(to_dict(odd), indent=1)
 
 
 def _ref_field_modes(H):

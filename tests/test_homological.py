@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -14,8 +15,10 @@ from nlskam import (
     schedule,
     solve_homological,
 )
-from nlskam.homological import RHO0, tail_weight
-from nlskam.lattice import mi
+from nlskam.driver import KamConfig, _eps0_of, run
+from nlskam.hamiltonian import Hamiltonian, _Layout, split_terms
+from nlskam.homological import RHO0, HomologicalSolution, tail_weight
+from nlskam.lattice import MI_ZERO, mi, mi_degree
 from nlskam.nls import NlsConfig, build_cubic_nls, build_normal_form
 
 
@@ -114,3 +117,144 @@ def test_residual_2d():
     sol = solve_homological(R0, R1, nf, guard=1e-8, B=1e9)
     res, base = homological_residual(sol, R0, R1, nf)
     assert res / base <= 1e-10
+
+
+# -- the routed solver against the tuple-keyed one ----------------------------
+
+def _ref_solve_homological(R0, R1, nf, guard, B):
+    """The tuple-keyed solver the routed one replaced, kept frozen as the
+    reference: one loop over R0's and R1's tuple views into four dicts."""
+    if guard <= 0:
+        raise ValidationError("guard must be positive")
+    params = R0.params
+    weights = params.weights()
+    min_div = math.inf
+    quad_diag = []
+    deferred_mass = 0.0
+    f_terms, res_terms, def_terms, elim_terms = {}, {}, {}, {}
+    for R in (R0, R1):
+        for key, c in R.terms.items():
+            a, k, kb, j = key
+            if k == MI_ZERO and kb == MI_ZERO:
+                res_terms[key] = c
+                continue
+            if mi_degree(k) + mi_degree(kb) == 2 and k != kb:
+                quad_diag.append(key)
+            if tail_weight(a, k, kb, j, weights) > B:
+                def_terms[key] = c
+                deferred_mass += abs(c)
+                continue
+            D = divisor(k, kb, nf)
+            if abs(D) < guard:
+                raise SmallDivisorError(
+                    f"divisor {D:.3e} below guard {guard:.3e} "
+                    f"for k={k}, k_bar={kb}", key=key, divisor=D)
+            min_div = min(min_div, abs(D))
+            f_terms[key] = c / (1j * D)
+            elim_terms[key] = c
+    stats = {
+        "min_divisor": min_div,
+        "solved_terms": len(f_terms),
+        "deferred_terms": len(def_terms),
+        "deferred_mass": deferred_mass,
+        "quad_nonresonant": quad_diag,
+    }
+    F, res, dfr, elim = (Hamiltonian(params, t) for t in (
+        f_terms, res_terms, def_terms, elim_terms))
+    return HomologicalSolution(F.expanded(), res, dfr, elim.expanded(), stats)
+
+
+# the perfbench configs kam_exact and kam_d2, and the sigma = 6 run whose
+# step 0 defers all of R0 + R1
+KAM_EXACT = KamConfig(NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6),
+                      steps=2, prune_tol=0.0, seed=7)
+KAM_D2 = KamConfig(NlsConfig(HamParams(d=2, mode_radius=1), epsilon=1e-6),
+                   gamma=0.01, steps=1, seed=7)
+SIGMA_6 = KamConfig(NlsConfig(HamParams(d=1, sigma=6.0), epsilon=1e-6),
+                    steps=2, seed=7)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_inputs(cfg):
+    """Per step of ``cfg``, the solver's arguments as ``kam_step`` passes
+    them."""
+    _, states, _ = run(cfg)
+    return [(st.R0, st.R1, st.nf,
+             cfg.gamma * schedule(s, _eps0_of(cfg)).lambda_s,
+             schedule(s, _eps0_of(cfg)).truncation_budget)
+            for s, st in enumerate(states[:cfg.steps])]
+
+
+def _bits(H):
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in H.terms.items()]
+
+
+def _assert_same_solution(args):
+    sol, ref = solve_homological(*args), _ref_solve_homological(*args)
+    for part in ("F", "resonant", "deferred", "eliminated"):
+        assert _bits(getattr(sol, part)) == _bits(getattr(ref, part)), part
+    assert sol.stats == ref.stats
+    return sol
+
+
+@pytest.mark.parametrize("cfg,s", [(KAM_EXACT, 0), (KAM_EXACT, 1),
+                                   (KAM_D2, 0), (SIGMA_6, 0), (SIGMA_6, 1)])
+def test_solver_matches_the_tuple_keyed_solver(cfg, s):
+    _assert_same_solution(_step_inputs(cfg)[s])
+
+
+def test_sigma_6_step_0_defers_all_of_r0_and_r1():
+    R0, R1, *rest = args = _step_inputs(SIGMA_6)[0]
+    sol = _assert_same_solution(args)
+    assert sol.stats["solved_terms"] == 0
+    assert sol.stats["min_divisor"] == math.inf
+    assert sol.stats["deferred_terms"] == len(R0) + len(R1) - len(
+        sol.resonant)
+    assert sol.stats["deferred_mass"] > 0.0
+
+
+def test_small_divisor_raises_as_the_tuple_keyed_solver_does():
+    # program seed 13 stops kam_exact at step 1 on a small divisor
+    cfg = KamConfig(NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6),
+                    steps=1, prune_tol=0.0, seed=13)
+    _, states, _ = run(cfg)
+    sched = schedule(1, _eps0_of(cfg))
+    st = states[1]
+    args = (st.R0, st.R1, st.nf, cfg.gamma * sched.lambda_s,
+            sched.truncation_budget)
+    with pytest.raises(SmallDivisorError) as got:
+        solve_homological(*args)
+    with pytest.raises(SmallDivisorError) as want:
+        _ref_solve_homological(*args)
+    assert str(got.value) == str(want.value)
+    assert got.value.key == want.value.key
+    assert got.value.divisor == want.value.divisor
+
+
+def test_solver_packs_no_key(monkeypatch):
+    calls = []
+    pack = _Layout.pack
+
+    def counting(self, key):
+        calls.append(key)
+        return pack(self, key)
+
+    inputs = _step_inputs(KAM_EXACT)
+    monkeypatch.setattr(_Layout, "pack", counting)
+    for args in inputs:
+        solve_homological(*args)
+    assert calls == []
+
+
+def test_split_parts_are_collected_exactly_when_every_source_is():
+    cfg, nf, R0, R1, R2 = _setup()
+    H = build_cubic_nls(cfg)
+
+    def by_j(key, c):
+        return ((len(key[3]), c),)
+
+    # scale drops the collected mark
+    for sources, marked in (((R0, R1), True), ((H.collected(),), True),
+                            ((H,), False), ((R0, R1.scale(1.0)), False)):
+        parts = split_terms(sources, by_j, 3)
+        assert [P.collected() is P for P in parts] == [marked] * 3

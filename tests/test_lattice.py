@@ -13,7 +13,6 @@ from nlskam.lattice import (
     conservation_check,
     mi,
     mi_degree,
-    mi_get,
     mi_signed,
     sorted_system,
 )
@@ -54,8 +53,6 @@ def test_weight_closed_form():
 def test_mi_canonical_form():
     m = mi([((2,), 1), ((-1,), 2), ((2,), 1)])
     assert m == (((-1,), 2), ((2,), 2))
-    assert mi_get(m, (2,)) == 2
-    assert mi_get(m, (5,)) == 0
     assert mi_degree(m) == 4
     assert mi([((0,), 0)]) == ()
     with pytest.raises(ValidationError):

@@ -110,7 +110,7 @@ def _frozen_prune(H, tol):
             lost += mass
         else:
             keep[a, k, kb, j] = c
-    return Hamiltonian(H.params, keep, validate=False), [lost]
+    return Hamiltonian(H.params, keep), [lost]
 
 
 def _frozen_kam_series(start, G, E, F, order_cap, prune_tol, tail_tol):

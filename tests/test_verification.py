@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlskam import (HamParams, Hamiltonian, KamConfig,
+from nlskam import (CapacityError, HamParams, Hamiltonian, KamConfig,
                     ValidationError, norm, resonance_measure, run,
                     verify_norm_lemma, verify_scalar_lemma)
 from nlskam import verification
@@ -97,6 +97,21 @@ def test_random_hamiltonian_matches_reference(d, radius):
                 assert (new_rng.bit_generator.state
                         == ref_rng.bit_generator.state)
     assert rejected > 0  # the resampling branch was exercised
+
+
+def test_random_hamiltonian_refuses_an_over_cap_draw_as_the_reference():
+    # degrees 2 to 6 are drawn, so each seed keeps some term above cap 3
+    params = HamParams(d=1, degree_cap=3)
+    messages = set()
+    for seed in range(6):
+        with pytest.raises(CapacityError) as got:
+            random_hamiltonian(params, np.random.default_rng(seed))
+        with pytest.raises(CapacityError) as want:
+            _reference_random_hamiltonian(params, np.random.default_rng(seed))
+        assert str(got.value) == str(want.value)
+        messages.add(str(got.value))
+    assert messages == {"term degree 4 exceeds cap 3",
+                        "term degree 6 exceeds cap 3"}
 
 
 @pytest.mark.parametrize("name,params", [
