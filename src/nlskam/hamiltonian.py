@@ -27,12 +27,17 @@ of two in-cap exponents, so no field carries and packed keys map
 one-to-one onto tuple keys.  Key values never order anything: insertion
 order, accumulation order and every floating-point operation are those of
 the tuple form.  An op decodes a key to its canonical tuple (memoized in
-the layout) only where it reads weights, supports or the sorted-mode
-order, and ``terms`` is the tuple-keyed view the rest of the package and
-the JSON format read.  Tuple keys come in one way, the constructor, which
-checks every key and coefficient.  Packed keys never leave this module:
-the ops build results from them, and ``split_terms`` routes existing
-terms into parts by their decoded keys, each under its own packed key.
+the layout) only where it reads supports or the sorted-mode order, and
+``terms`` is the tuple-keyed view the rest of the package and the JSON
+format read.  The layout is also the one holder of what depends only on
+the params: the mode -> weight memo (``HamParams.weights()``) and the
+per-block weight memos through which the norms and ``prune`` read a
+key's weights, so these are built once per params value, not per call.
+Tuple keys come in one way, the constructor, which checks every key and
+coefficient, and each mode once per layout.  Packed keys never leave
+this module: the ops build results from them, and ``split_terms`` routes
+existing terms into parts by their decoded keys, each under its own
+packed key.
 
 The bracket kernel ``_bracket`` brackets two operands against a third in
 one pass: ``lie_transform`` calls it once per order on the G and E chains
@@ -117,8 +122,10 @@ class HamParams:
         return _weight_cached(tuple(mode), self.sigma, self.floor_const)
 
     def weights(self) -> _Memo:
-        """A fresh mode -> weight map that calls ``weight`` once per mode."""
-        return _Memo(self.weight)
+        """The mode -> weight memo of these params' layout: ``weight`` runs
+        once per mode for every equal HamParams value while the layout
+        lives."""
+        return _layout(self).weights
 
     def action0(self, mode) -> float:
         """Frozen initial action I_n(0) = exp(-2 r w(n))."""
@@ -134,45 +141,74 @@ def term_degree(key) -> int:
     return 2 * mi_degree(a) + mi_degree(k) + mi_degree(kb) + 2 * len(j)
 
 
-def _check_key(key, params):
+def _check_key(key, params, known):
+    """Raise unless ``key`` is an in-cap key of ``params``' lattice: at
+    most two J-factors, positive int exponents, and modes of dimension d
+    with int coordinates inside the radius.  A mode in ``known`` (the
+    layout's registered modes, each of which passed this check) is not
+    checked again."""
     a, k, kb, j = key
     if len(j) > 2:
         raise ValidationError("at most two J-factors per term")
     rad = params.mode_radius
-    for src in (a, k, kb):
-        for mode, _ in src:
+    degree = 2 * len(j)
+    for src, mult in ((a, 2), (k, 1), (kb, 1)):
+        for mode, e in src:
+            if type(e) is not int or e < 1:
+                raise ValidationError(
+                    f"exponent {e!r} at mode {mode} is not a positive int")
+            degree += mult * e
+            if mode in known:
+                continue
             if len(mode) != params.d:
                 raise ValidationError(f"mode {mode} has wrong dimension")
+            _check_coordinates(mode)
             if any(abs(c) > rad for c in mode):
                 raise ValidationError(f"mode {mode} outside radius {rad}")
     for mode in j:
+        if mode in known:
+            continue
+        if len(mode) == params.d:
+            _check_coordinates(mode)
         if len(mode) != params.d or any(abs(c) > rad for c in mode):
             raise ValidationError(f"J-mode {mode} outside radius {rad}")
-    if term_degree(key) > params.degree_cap:
+    if degree > params.degree_cap:
         raise CapacityError(
-            f"term degree {term_degree(key)} exceeds cap {params.degree_cap}")
+            f"term degree {degree} exceeds cap {params.degree_cap}")
+
+
+def _check_coordinates(mode):
+    if any(type(c) is not int for c in mode):
+        raise ValidationError(f"mode {mode!r} has a non-int coordinate")
 
 
 class _Layout:
-    """Where each mode's exponents sit in a packed key, for one HamParams.
+    """Where each mode's exponents sit in a packed key, for one HamParams,
+    and every lookup that depends only on those params.
 
     The i-th mode registered owns fields 4i (a), 4i+1 (k), 4i+2 (k_bar)
     and 4i+3 (J count), each ``w`` bits wide; ``ua`` and ``uq`` map a
     mode to the packed unit of one action and of one q_m qbar_m pair.  A
-    block is one of a key's four field sets shifted onto the a fields
-    (``block``); ``blocks`` decodes a block to its canonical multi-index
-    and ``jlists`` to its sorted J-mode list, each once per block, and
-    ``decode`` assembles a packed key's canonical (a, k, k_bar, j) tuple
-    from them.  A layout holds no coefficient and no result, and nothing
-    of it refers back to it, so a layout nothing else holds is freed with
-    the last Hamiltonian that uses it.
+    mode is registered only by ``pack``, which the constructor calls
+    only on keys ``_check_key`` passed, so every mode in ``ua`` is a
+    checked one.  A block is one of a key's four field sets shifted onto
+    the a fields (``block``).  Memos, each filled once per block or mode:
+    ``blocks`` decodes a block to its canonical multi-index and
+    ``jlists`` to its sorted J-mode list, and ``decode`` assembles a
+    packed key's canonical (a, k, k_bar, j) tuple from them; ``weights``
+    maps a mode to its weight (``HamParams.weights()``), ``wsums`` a
+    block to the sum of e * w(m) over its multi-index, and ``ews`` a
+    block to its e * w(m) values in mode order with their largest w(m)
+    (0.0 for the empty block).  A layout holds no coefficient and no
+    result, and nothing of it refers back to it, so a layout nothing
+    else holds is freed with the last Hamiltonian that uses it.
     """
 
     __slots__ = ("w", "modes", "ua", "uq", "amask", "blocks", "jlists",
-                 "__weakref__")
+                 "weights", "wsums", "ews", "__weakref__")
 
-    def __init__(self, degree_cap):
-        self.w = w = max((2 * degree_cap).bit_length(), 1)
+    def __init__(self, params):
+        self.w = w = max((2 * params.degree_cap).bit_length(), 1)
         self.modes = modes = []
         self.ua, self.uq = {}, {}
         self.amask = 0          # every registered mode's a field, all ones
@@ -194,6 +230,12 @@ class _Layout:
         self.blocks = blocks = _Memo(decode_block)
         self.jlists = _Memo(lambda b: tuple(
             m for m, e in blocks[b] for _ in range(e)))
+        self.weights = weights = _Memo(params.weight)
+        self.wsums = _Memo(
+            lambda b: sum(e * weights[m] for m, e in blocks[b]))
+        self.ews = _Memo(lambda b: (
+            tuple(e * weights[m] for m, e in blocks[b]),
+            max((weights[m] for m, _ in blocks[b]), default=0.0)))
 
     def unit(self, mode) -> int:
         """``ua[mode]``, registering the mode on first sight."""
@@ -231,20 +273,14 @@ class _Layout:
                 blocks[(x >> (2 * w)) & amask],
                 self.jlists[(x >> (3 * w)) & amask])
 
-    def weight_sums(self, weights) -> _Memo:
-        """A map block -> sum of e * w(m) over its multi-index, computed
-        once per block; ``weights`` as ``HamParams.weights()``."""
-        blocks = self.blocks
-        return _Memo(lambda b: sum(e * weights[m] for m, e in blocks[b]))
-
 
 # One layout per HamParams value, shared by all its live Hamiltonians.
 # Held weakly: once the last of them is gone, the next Hamiltonian of
 # those params starts a fresh layout, so modes met only in dead
 # Hamiltonians do not widen later keys.  A box of at most _SMALL_BOX
 # modes bounds the width of its layout, which is therefore also held
-# for the process, so that its decode memos serve every later
-# Hamiltonian of those params.
+# for the process, so that its decode and weight memos and its
+# registered modes serve every later Hamiltonian of those params.
 _LAYOUTS = weakref.WeakValueDictionary()
 _SMALL_BOX = 64
 _SMALL_BOX_LAYOUTS = {}
@@ -253,7 +289,7 @@ _SMALL_BOX_LAYOUTS = {}
 def _layout(params) -> _Layout:
     lay = _LAYOUTS.get(params)
     if lay is None:
-        lay = _LAYOUTS[params] = _Layout(params.degree_cap)
+        lay = _LAYOUTS[params] = _Layout(params)
         # (2R + 1)^d <= _SMALL_BOX, without forming the power of a large d
         if (params.d * math.log(2 * params.mode_radius + 1)
                 <= math.log(_SMALL_BOX)):
@@ -271,9 +307,10 @@ class Hamiltonian:
     terms : dict, optional
         Map from (a, k, k_bar, j) keys to complex coefficients.  Keys must
         be canonical (see :func:`nlskam.lattice.mi`).  Every kept key is
-        checked for its modes, its J count and ``degree_cap``, and every
-        coefficient for finiteness; coefficients with magnitude below
-        1e-300 are dropped.  Results of the ops and of ``split_terms``
+        checked for its J count, its exponents, its modes (once per mode
+        and params value) and ``degree_cap``, and every coefficient for
+        finiteness; coefficients with magnitude below 1e-300 are
+        dropped.  Results of the ops and of ``split_terms``
         are built from packed keys and are not checked again.
     """
 
@@ -290,7 +327,7 @@ class Hamiltonian:
                         f"non-finite coefficient {c} at term {key}")
                 if abs(c) < COEFF_FLOOR:
                     continue
-                _check_key(key, params)
+                _check_key(key, params, lay.ua)
                 store[lay.pack(key)] = complex(c)
         self._set(params, lay, store, None)
 
@@ -786,7 +823,7 @@ def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
     keep = {}
     lost = 0.0
     lay = H._layout
-    wsum = lay.weight_sums(H.params.weights())
+    wsum = lay.wsums
     for x, c in H._store.items():
         # r * wa first: once -2 r overflows, (-2 r) * 0 would be nan
         wa = wsum[lay.block(x, 0)]
@@ -805,29 +842,6 @@ def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
 # Norms
 # ---------------------------------------------------------------------------
 
-def _term_S_L1(weights, a, k, kb, jmodes=()):
-    """(S, L1): weighted multiplicity sum and largest-mode weight.
-
-    ``weights`` maps a mode to its weight, as ``HamParams.weights()``.
-    """
-    S = 0.0
-    L1 = 0.0
-    for m, e in a:
-        w = weights[m]
-        S += 2 * e * w
-        L1 = max(L1, w)
-    for src in (k, kb):
-        for m, e in src:
-            w = weights[m]
-            S += e * w
-            L1 = max(L1, w)
-    for m in jmodes:
-        w = weights[m]
-        S += 2 * w
-        L1 = max(L1, w)
-    return S, L1
-
-
 def norm(H: Hamiltonian, kind: str, rho: float) -> float:
     """Weighted norm of a Hamiltonian.
 
@@ -836,6 +850,10 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
         |c| e^{-2 r sum a w} e^{-rho sum (k + k') w};  requires rho < r.
     kind ``plus_rho``: max over J-collected classes of the class-wise sup
         with the J-mode corrected exponent; requires rho < r.
+
+    S is the weighted multiplicity sum 2 sum a w + sum (k + k') w plus 2w
+    per J-factor, added in that order (each multi-index in mode order),
+    and L1 the largest weight of the term's modes.
     """
     p = H.params
     if not rho >= 0:
@@ -845,20 +863,34 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
     if kind in ("star_rho", "plus_rho") and not rho < p.r:
         raise ValidationError(f"need rho < r for {kind}, got rho={rho}")
     lay = H._layout
+    w, amask = lay.w, lay.amask
     if kind in ("sup_rho", "plus_rho"):
         form = H.expanded() if kind == "sup_rho" else H.collected()
-        weights = p.weights()
+        ews, weights, jlists, jshift = lay.ews, lay.weights, lay.jlists, 3 * w
         best = 0.0
         for x, c in form._store.items():
-            S, L1 = _term_S_L1(weights, *lay.decode(x))
+            ea, la = ews[x & amask]
+            ek, lk = ews[(x >> w) & amask]
+            eb, lb = ews[(x >> (2 * w)) & amask]
+            S = 0.0
+            for v in ea:
+                S += 2 * v          # 2 (e w) is (2 e) w, bit for bit
+            for v in ek:
+                S += v
+            for v in eb:
+                S += v
+            L1 = max(la, lk, lb)
+            for m in jlists[(x >> jshift) & amask]:
+                wm = weights[m]
+                S += 2 * wm
+                L1 = max(L1, wm)
             v = abs(c) * math.exp(-rho * (S - 2.0 * L1))
             if v != v:              # max would drop a NaN term
                 return v
             best = max(best, v)
         return best
     if kind == "star_rho":
-        wsum = lay.weight_sums(p.weights())
-        w, amask = lay.w, lay.amask
+        wsum = lay.wsums
         total = 0.0
         for x, c in H.expanded()._store.items():
             wa = wsum[x & amask]

@@ -28,7 +28,7 @@ from .hamiltonian import (
     second_partial,
     vf_sup_norm,
 )
-from .lattice import weighted_gap
+from .lattice import _box_enumeration, weighted_gap
 
 SUITE_CSV_SCHEMA = "name,params,samples,violations,worst_margin,seconds"
 
@@ -324,7 +324,8 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
     # one array draw of the same bounded range, at a third of the cost;
     # random() is uniform(0, 1) bit for bit, and 2 pi random() is
     # uniform(0, 2 pi).
-    modes = params.box_modes()
+    d, rad = params.d, params.mode_radius
+    modes = _box_enumeration(d, rad)        # cached and read-only
     n_modes = len(modes)
     draw = rng.integers
     acc = {}
@@ -337,11 +338,21 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
         kb = [modes[draw(0, n_modes)] for _ in range(half)]
         a = [modes[draw(0, n_modes)] for _ in range(draw(0, max_actions + 1))]
         # the momentum defect sum(k) - sum(kb) is linear in the modes
-        repaired = tuple(
-            c - sum(m[i] for m in k) + sum(m[i] for m in kb)
-            for i, c in enumerate(k[-1]))
-        if any(abs(c) > params.mode_radius for c in repaired):
-            continue
+        if d == 1:
+            c = k[-1][0]
+            for m in k:
+                c -= m[0]
+            for m in kb:
+                c += m[0]
+            if not -rad <= c <= rad:
+                continue
+            repaired = (c,)
+        else:
+            repaired = tuple(
+                c - sum(m[i] for m in k) + sum(m[i] for m in kb)
+                for i, c in enumerate(k[-1]))
+            if any(abs(c) > rad for c in repaired):
+                continue
         k[-1] = repaired
         radius = math.sqrt(rng.random())
         phase = 2.0 * math.pi * rng.random()
@@ -354,6 +365,13 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
 
 def _unit_mi(modes) -> tuple:
     """The canonical multi-index of a product of the given modes."""
+    if len(modes) < 2:
+        return ((modes[0], 1),) if modes else ()
+    if len(modes) == 2:
+        m, n = modes
+        if m == n:
+            return ((m, 2),)
+        return ((m, 1), (n, 1)) if m < n else ((n, 1), (m, 1))
     counts = {}
     for m in modes:
         counts[m] = counts.get(m, 0) + 1

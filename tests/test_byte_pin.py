@@ -1,10 +1,15 @@
-"""`kam-run` output bytes, pinned.
+"""`kam-run` and `verify-lemmas` output bytes, pinned.
 
 The step CSV text and the sha256 of every step JSON of two fixed runs,
 recorded before the Hamiltonian store moved to packed int keys.  Any
 change to the algebra that reorders a sum or an insertion moves these
 bytes (criterion 6's step-1 r0_after is rounding residue), so a refactor
 that claims bit identity must keep them.
+
+The default lemma suite's CSV (seconds written as 0), recorded before
+the per-params lookups moved into the key layout.  Its margins are
+fixed by the random draws and by every norm's floating-point order, so
+a change to either moves them.
 """
 
 import hashlib
@@ -74,3 +79,30 @@ def test_kam_run_bytes_are_pinned(tmp_path, capsys, name):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["run.steps.csv"] + [f"run.step{i}.json"
                              for i in range(len(json_sha256))])
+
+
+LEMMA_CSV = """\
+name,params,samples,violations,worst_margin,seconds
+log_superadditivity,c=1024.0;sigma=2.5,10000,0,29.212266027534923,0
+f_max,delta=0.3;sigma=2.5,1,0,1.504594929807709,0
+g_max,delta=0.5;p=2.0,1,0,1.1102230246251565e-16,0
+log_sum,delta=0.3;sigma=2.5,1,0,181.622931559411,0
+geometric_product,d=1;delta=0.3;sigma=2.5,1,0,38380.739040381472,0
+poly_product,d=1;delta=0.3;p=2;sigma=2.5,1,0,107.24872917845487,0
+monotonicity,,100,0,0.029969685554682657,0
+submultiplicativity,,100,0,-3.3996586920220404e-14,0
+transfer_up,,100,0,6076.546599389505,0
+transfer_down,,100,0,0.98966380758172334,0
+bracket_bound,,100,0,6.2971579886405447e+41,0
+vector_field_bound,,100,0,38813215632783.219,0
+second_derivative_bound,,100,0,5316947842.7912102,0
+flow_bound,,100,0,3.6184268735057854e+20,0
+gap,,100,0,0,0
+"""
+
+
+def test_verify_lemmas_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "suite.csv"
+    assert dispatch(["verify-lemmas", "--seed", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == LEMMA_CSV

@@ -29,7 +29,7 @@ from nlskam import (
 )
 from nlskam import driver
 from nlskam.cli import dispatch
-from nlskam.hamiltonian import _layout, _term_S_L1, term_degree
+from nlskam.hamiltonian import _layout, term_degree
 from nlskam.lattice import _mode_sort_key, mi
 from nlskam.nls import NlsConfig, build_cubic_nls
 from nlskam.verification import random_hamiltonian, random_state
@@ -608,6 +608,11 @@ def test_a_sparse_document_gets_fields_only_for_its_modes(tmp_path):
      "term degree 18 exceeds cap 16"),
 ])
 def test_constructor_rejects_bad_terms(params, a, k, kb, j, error, match):
+    # with every in-radius mode registered, which skips only the known
+    # modes' own checks
+    keep = Hamiltonian(params, {((((m,), 1),), (), (), ()): 1.0
+                                for m in range(-2, 3)})
+    assert sorted(keep._layout.modes) == params.box_modes()
     with pytest.raises(error, match=match):
         Hamiltonian.from_terms(params, [(a, k, kb, j, 1.0)])
     doc = to_dict(monomial(params, k=[((0,), 1)]))
@@ -616,6 +621,59 @@ def test_constructor_rejects_bad_terms(params, a, k, kb, j, error, match):
         k_bar=[[list(m), e] for m, e in kb], j=[list(m) for m in j])
     with pytest.raises(error, match=match):
         Hamiltonian.loads(json.dumps(doc))
+    assert sorted(keep._layout.modes) == params.box_modes()
+
+
+@pytest.mark.parametrize("key,match", [
+    # a negative exponent borrowed from the next fields: this key was
+    # stored as exponent 63 with 63 J-factors
+    (((((0,), -1),), (((1,), 1),), (((1,), 1),), ()),
+     r"^exponent -1 at mode \(0,\) is not a positive int$"),
+    # a zero exponent aliased the empty multi-index
+    (((((0,), 0),), (), (), ()),
+     r"^exponent 0 at mode \(0,\) is not a positive int$"),
+    # a float exponent escaped as a TypeError from the packing
+    (((), (((1,), 1.0),), (), ()),
+     r"^exponent 1.0 at mode \(1,\) is not a positive int$"),
+    (((), (), (((1,), True),), ()),
+     r"^exponent True at mode \(1,\) is not a positive int$"),
+    # a float coordinate was accepted and registered as a mode
+    (((), (((1.5,), 1),), (), ()),
+     r"^mode \(1.5,\) has a non-int coordinate$"),
+    (((), (), (), ((-0.5,),)), r"^mode \(-0.5,\) has a non-int coordinate$"),
+])
+def test_constructor_rejects_non_canonical_exponents_and_coordinates(
+        params, key, match):
+    keep = monomial(params, k=[((1,), 1)], k_bar=[((0,), 1)])
+    modes = list(keep._layout.modes)
+    with pytest.raises(ValidationError, match=match):
+        Hamiltonian(params, {key: 1.0})
+    assert keep._layout.modes == modes      # nothing registered
+
+
+def test_equal_params_share_one_weight_memo(monkeypatch):
+    # sigma no other test uses, so the layout is made under the count
+    calls = []
+    weight = HamParams.weight
+
+    def counting(self, mode):
+        calls.append(mode)
+        return weight(self, mode)
+
+    monkeypatch.setattr(HamParams, "weight", counting)
+    p1 = HamParams(d=1, sigma=2.0625, r=2.0, degree_cap=16, mode_radius=2)
+    p2 = replace(p1)
+    assert p2 == p1 and p2 is not p1
+    H1, H2 = (Hamiltonian(p, {
+        ((((1,), 1),), (((2,), 2),), (((0,), 1), ((2,), 1)), ((-1,),)): 0.5,
+        ((), (((-2,), 1),), (((-2,), 1),), ()): 2.0}) for p in (p1, p2))
+    kinds = ("sup_rho", "star_rho", "plus_rho")
+    first = [norm(H1, kind, 0.25) for kind in kinds]
+    assert calls                # the count sees the memo's misses
+    calls.clear()
+    assert [norm(H2, kind, 0.25) for kind in kinds] == first
+    assert p2.weights() is p1.weights()
+    assert calls == []
 
 
 def test_mismatched_parameters_and_unknown_norm_kind(params, params2d):
@@ -721,6 +779,29 @@ def test_vf_sup_norm_and_vector_field_bits_on_random_input(d):
             assert list(got) == list(want)
             assert [(v.real.hex(), v.imag.hex()) for v in got.values()] == [
                 (v.real.hex(), v.imag.hex()) for v in want.values()]
+
+
+def _term_S_L1(weights, a, k, kb, jmodes=()):
+    """(S, L1): weighted multiplicity sum and largest-mode weight.
+
+    ``weights`` maps a mode to its weight, as ``HamParams.weights()``.
+    """
+    S = 0.0
+    L1 = 0.0
+    for m, e in a:
+        w = weights[m]
+        S += 2 * e * w
+        L1 = max(L1, w)
+    for src in (k, kb):
+        for m, e in src:
+            w = weights[m]
+            S += e * w
+            L1 = max(L1, w)
+    for m in jmodes:
+        w = weights[m]
+        S += 2 * w
+        L1 = max(L1, w)
+    return S, L1
 
 
 def _ref_norm(H, kind, rho):
