@@ -28,12 +28,15 @@ from .errors import ValidationError
 from .hamiltonian import (
     HamParams,
     Hamiltonian,
+    _Memo,
     class_split,
+    key_layout,
     lie_transform,
     linear_combine,
     norm,
     prune,
     second_partial,
+    term_blocks,
     vf_sup_norm,
 )
 from .homological import (
@@ -42,7 +45,7 @@ from .homological import (
     homological_residual,
     solve_homological,
 )
-from .lattice import _mode_sort_key, angle_norm, conservation_check
+from .lattice import _mode_sort_key, angle_norm
 from .diophantine import sample_strong_frequency
 from .nls import NlsConfig, build_cubic_nls, build_normal_form
 
@@ -187,9 +190,23 @@ def class_norms(R0, R1, R2, rho: float) -> tuple:
 
 def _conserving(H: Hamiltonian) -> bool:
     # J_m = q_m qbar_m - I_m adds m to both k and k_bar, so a collected
-    # key conserves exactly when all of its expanded descendants do
-    return all(conservation_check(k, kb) == (True, True)
-               for (_, k, kb, _) in H.terms)
+    # key conserves exactly when all of its expanded descendants do.  It
+    # conserves mass and momentum when its k and k_bar blocks carry the
+    # same (mass, momentum), read once per block.
+    blocks, d = key_layout(H).blocks, H.params.d
+    charge = _Memo(lambda b: _charge(blocks[b], d))
+    return all(charge[k] == charge[kb]
+               for _, _, k, kb, _, _ in term_blocks(H))
+
+
+def _charge(entries, d) -> tuple:
+    """(mass, momentum) of multi-index ``entries`` over Z^d."""
+    mass, mom = 0, [0] * d
+    for mode, e in entries:
+        mass += e
+        for i, c in enumerate(mode):
+            mom[i] += e * c
+    return mass, mom
 
 
 def _refuse_underflow(sched: ScheduleParams):
@@ -235,13 +252,14 @@ def kam_step(state: KamState, sched: ScheduleParams, cfg: KamConfig):
     # frequency shift from the resonant terms with one J-factor
     shift = {m: 0.0 for m in state.nf.modes}
     p = state.R0.params
-    for (a, _, _, j), c in sol.resonant.terms.items():
-        if len(j) != 1:
+    lay = key_layout(sol.resonant)
+    for _, a, _, _, j, c in term_blocks(sol.resonant):
+        if lay.degrees[j] != 1:
             continue
         val = c
-        for mode, e in a:
+        for mode, e in lay.blocks[a]:
             val *= p.action0(mode) ** e
-        shift[j[0]] += val.real
+        shift[lay.jlists[j][0]] += val.real
     far_mode = sorted(state.nf.modes, key=_mode_sort_key)[0]
     limit = shift[far_mode]
     decay = {m: shift[m] - limit for m in state.nf.modes}

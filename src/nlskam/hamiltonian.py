@@ -26,18 +26,21 @@ addition and removing a q_m qbar_m pair one subtraction.  w holds the sum
 of two in-cap exponents, so no field carries and packed keys map
 one-to-one onto tuple keys.  Key values never order anything: insertion
 order, accumulation order and every floating-point operation are those of
-the tuple form.  An op decodes a key to its canonical tuple (memoized in
-the layout) only where it reads supports or the sorted-mode order, and
-``terms`` is the tuple-keyed view the rest of the package and the JSON
-format read.  The layout is also the one holder of what depends only on
-the params: the mode -> weight memo (``HamParams.weights()``) and the
-per-block weight memos through which the norms and ``prune`` read a
-key's weights, so these are built once per params value, not per call.
-Tuple keys come in one way, the constructor, which checks every key and
-coefficient, and each mode once per layout.  Packed keys never leave
-this module: the ops build results from them, and ``split_terms`` routes
-existing terms into parts by their decoded keys, each under its own
-packed key.
+the tuple form.  An op reads what it needs from a key's four blocks (its
+a, k, k_bar and J fields, see :class:`_Layout`) through memos of the
+layout, which decode each block once per params value.  A whole key is
+decoded to its canonical tuple only by the bracket kernel, which reads
+supports, by ``degree``, and for ``terms``, the tuple-keyed view the
+rest of the package reads; the KAM step's solver, class split,
+conservation flag and JSON writer decode only a key they report.  The
+layout is also the one holder of what depends only on the params: the
+mode -> weight memo (``HamParams.weights()``) and the per-block weight
+memos through which the norms and ``prune`` read a key's weights, so
+these are built once per params value, not per call.  Tuple keys come
+in one way, the constructor, which checks every key and coefficient, and
+each mode tuple once per layout.  Outside this module, packed keys and blocks
+are only read: ``split_terms`` routes existing terms into parts by their
+blocks, each under its own packed key, and ``term_blocks`` yields them.
 
 The bracket kernel ``_bracket`` brackets two operands against a third in
 one pass: ``lie_transform`` calls it once per order on the G and E chains
@@ -142,39 +145,58 @@ def term_degree(key) -> int:
 
 
 def _check_key(key, params, known):
-    """Raise unless ``key`` is an in-cap key of ``params``' lattice: at
-    most two J-factors, positive int exponents, and modes of dimension d
-    with int coordinates inside the radius.  A mode in ``known`` (the
-    layout's registered modes, each of which passed this check) is not
-    checked again."""
+    """Raise unless ``key`` is a canonical in-cap key of ``params``'
+    lattice: at most two J-factors, positive int exponents, multi-indices
+    strictly increasing by mode, a sorted J-list, and modes that
+    ``_check_mode`` passes.  ``known`` maps each mode the layout has
+    registered to the tuple it registered, which passed this check, so
+    that very tuple is not checked again."""
     a, k, kb, j = key
     if len(j) > 2:
         raise ValidationError("at most two J-factors per term")
-    rad = params.mode_radius
     degree = 2 * len(j)
     for src, mult in ((a, 2), (k, 1), (kb, 1)):
+        prev = ()                   # below every mode of dimension >= 1
         for mode, e in src:
             if type(e) is not int or e < 1:
                 raise ValidationError(
                     f"exponent {e!r} at mode {mode} is not a positive int")
             degree += mult * e
-            if mode in known:
-                continue
-            if len(mode) != params.d:
-                raise ValidationError(f"mode {mode} has wrong dimension")
-            _check_coordinates(mode)
-            if any(abs(c) > rad for c in mode):
-                raise ValidationError(f"mode {mode} outside radius {rad}")
+            if known.get(mode) is not mode:
+                _check_mode(mode, params, known, "mode")
+            if not prev < mode:
+                raise ValidationError(
+                    f"multi-index {src} is not canonical: "
+                    + (f"mode {mode} repeats" if prev == mode
+                       else "modes are not sorted"))
+            prev = mode
+    prev = ()
     for mode in j:
-        if mode in known:
-            continue
-        if len(mode) == params.d:
-            _check_coordinates(mode)
-        if len(mode) != params.d or any(abs(c) > rad for c in mode):
-            raise ValidationError(f"J-mode {mode} outside radius {rad}")
+        if known.get(mode) is not mode:
+            _check_mode(mode, params, known, "J-mode")
+        if mode < prev:
+            raise ValidationError(f"J-list {j} is not sorted")
+        prev = mode
     if degree > params.degree_cap:
         raise CapacityError(
             f"term degree {degree} exceeds cap {params.degree_cap}")
+
+
+def _check_mode(mode, params, known, what):
+    """Raise unless ``mode`` is a d-tuple of ints inside the radius.  A
+    tuple equal to a registered one differs from it at most in its
+    coordinate types, so only those are checked: whether a key is
+    accepted does not depend on what was built before."""
+    if mode in known:
+        _check_coordinates(mode)
+        return
+    rad = params.mode_radius
+    if what == "mode" and len(mode) != params.d:
+        raise ValidationError(f"mode {mode} has wrong dimension")
+    if len(mode) == params.d:
+        _check_coordinates(mode)
+    if len(mode) != params.d or any(abs(c) > rad for c in mode):
+        raise ValidationError(f"{what} {mode} outside radius {rad}")
 
 
 def _check_coordinates(mode):
@@ -188,29 +210,33 @@ class _Layout:
 
     The i-th mode registered owns fields 4i (a), 4i+1 (k), 4i+2 (k_bar)
     and 4i+3 (J count), each ``w`` bits wide; ``ua`` and ``uq`` map a
-    mode to the packed unit of one action and of one q_m qbar_m pair.  A
-    mode is registered only by ``pack``, which the constructor calls
-    only on keys ``_check_key`` passed, so every mode in ``ua`` is a
-    checked one.  A block is one of a key's four field sets shifted onto
-    the a fields (``block``).  Memos, each filled once per block or mode:
-    ``blocks`` decodes a block to its canonical multi-index and
-    ``jlists`` to its sorted J-mode list, and ``decode`` assembles a
-    packed key's canonical (a, k, k_bar, j) tuple from them; ``weights``
-    maps a mode to its weight (``HamParams.weights()``), ``wsums`` a
-    block to the sum of e * w(m) over its multi-index, and ``ews`` a
-    block to its e * w(m) values in mode order with their largest w(m)
-    (0.0 for the empty block).  A layout holds no coefficient and no
-    result, and nothing of it refers back to it, so a layout nothing
-    else holds is freed with the last Hamiltonian that uses it.
+    mode to the packed unit of one action and of one q_m qbar_m pair, and
+    ``canon`` to the tuple it was registered as.  A mode is registered
+    only by ``pack``, which the constructor calls only on keys
+    ``_check_key`` passed, so every mode in ``ua`` is a checked one.  A
+    block is one of a key's four field sets shifted onto the a fields
+    (``block``); any int whose only set bits lie in a fields, such as
+    2a + k + k_bar + 2J of an in-cap key, is one.  Memos, each filled
+    once per block or mode: ``blocks`` decodes a block to its canonical
+    multi-index, ``jlists`` to its sorted J-mode list and ``degrees`` to
+    the sum of its exponents, and ``decode`` assembles a packed key's
+    canonical (a, k, k_bar, j) tuple from them; ``weights`` maps a mode
+    to its weight (``HamParams.weights()``), ``wsums`` a block to the sum
+    of e * w(m) over its multi-index, and ``ews`` a block to its e * w(m)
+    values in mode order with their largest w(m) (0.0 for the empty
+    block).  A layout holds no coefficient and no result, and nothing of
+    it refers back to it, so a layout nothing else holds is freed with
+    the last Hamiltonian that uses it.
     """
 
-    __slots__ = ("w", "modes", "ua", "uq", "amask", "blocks", "jlists",
-                 "weights", "wsums", "ews", "__weakref__")
+    __slots__ = ("w", "modes", "ua", "uq", "canon", "amask", "blocks",
+                 "jlists", "degrees", "weights", "wsums", "ews",
+                 "__weakref__")
 
     def __init__(self, params):
         self.w = w = max((2 * params.degree_cap).bit_length(), 1)
         self.modes = modes = []
-        self.ua, self.uq = {}, {}
+        self.ua, self.uq, self.canon = {}, {}, {}
         self.amask = 0          # every registered mode's a field, all ones
         span, fmask = 4 * w, (1 << w) - 1
         pairs = {}                  # one (mode, exponent) tuple each
@@ -230,6 +256,7 @@ class _Layout:
         self.blocks = blocks = _Memo(decode_block)
         self.jlists = _Memo(lambda b: tuple(
             m for m, e in blocks[b] for _ in range(e)))
+        self.degrees = _Memo(lambda b: mi_degree(blocks[b]))
         self.weights = weights = _Memo(params.weight)
         self.wsums = _Memo(
             lambda b: sum(e * weights[m] for m, e in blocks[b]))
@@ -244,6 +271,7 @@ class _Layout:
             w = self.w
             u = self.ua[mode] = 1 << (4 * w * len(self.modes))
             self.modes.append(mode)
+            self.canon[mode] = mode
             self.uq[mode] = (u << w) + (u << (2 * w))
             self.amask += ((1 << w) - 1) * u
         return u
@@ -307,11 +335,12 @@ class Hamiltonian:
     terms : dict, optional
         Map from (a, k, k_bar, j) keys to complex coefficients.  Keys must
         be canonical (see :func:`nlskam.lattice.mi`).  Every kept key is
-        checked for its J count, its exponents, its modes (once per mode
-        and params value) and ``degree_cap``, and every coefficient for
-        finiteness; coefficients with magnitude below 1e-300 are
-        dropped.  Results of the ops and of ``split_terms``
-        are built from packed keys and are not checked again.
+        checked for its J count, its exponents, its mode order, its modes
+        (once per registered mode tuple and params value) and
+        ``degree_cap``, and every coefficient for finiteness; coefficients
+        with magnitude below 1e-300 are dropped.  Results of the ops and
+        of ``split_terms`` are built from packed keys and are not checked
+        again.
     """
 
     __slots__ = ("params", "_layout", "_store", "_terms", "_expanded",
@@ -327,7 +356,7 @@ class Hamiltonian:
                         f"non-finite coefficient {c} at term {key}")
                 if abs(c) < COEFF_FLOOR:
                     continue
-                _check_key(key, params, lay.ua)
+                _check_key(key, params, lay.canon)
                 store[lay.pack(key)] = complex(c)
         self._set(params, lay, store, None)
 
@@ -448,35 +477,40 @@ class Hamiltonian:
         coefficient as "re" and "im".  ``tests/mi_helpers.to_dict`` builds
         that document, and the tests check these bytes against it.
 
-        Written directly: json's indenting encoder is pure Python.  Each
-        distinct multi-index and J-list is formatted once per call, and
-        floats are written as json writes them.
+        Written directly: json's indenting encoder is pure Python.  No key
+        is decoded: the terms are sorted by the ranks of their blocks among
+        the distinct multi-index blocks and J blocks, each ranked by its
+        decoded tuple, so the ranks order as the tuples do.  Each distinct
+        block is formatted once per call, and floats are written as json
+        writes them.
         """
         p = self.params
         head = [f' "{name}": {json.dumps(v)}' for name, v in (
             ("format", "nlskam-hamiltonian"), ("version", 1), ("d", p.d),
             ("sigma", p.sigma), ("r", p.r), ("floor_const", p.floor_const),
             ("degree_cap", p.degree_cap), ("mode_radius", p.mode_radius))]
-        mis, jls = {}, {}
-        terms = []
-        for (a, k, kb, j), c in sorted(self.terms.items()):
-            texts = []
-            for entries in (a, k, kb):
-                t = mis.get(entries)
-                if t is None:
-                    t = mis[entries] = _json_list([_json_list(
-                        [_json_list(map(str, m), 6), str(e)], 5)
-                        for m, e in entries], 4)
-                texts.append(t)
-            t = jls.get(j)
-            if t is None:
-                t = jls[j] = _json_list(
-                    [_json_list(map(str, m), 5) for m in j], 4)
-            terms.append(
-                f'{{\n   "a": {texts[0]},\n   "k": {texts[1]},\n'
-                f'   "k_bar": {texts[2]},\n   "j": {t},\n'
-                f'   "re": {_json_float(c.real)},\n'
-                f'   "im": {_json_float(c.imag)}\n  }}')
+        blocks, jlists = self._layout.blocks, self._layout.jlists
+        items = list(term_blocks(self))
+        # the texts of the distinct blocks, in rank order
+        mis = {b: _json_list([_json_list(
+            [_json_list(map(str, m), 6), str(e)], 5) for m, e in blocks[b]], 4)
+            for b in sorted({b for t in items for b in t[1:4]},
+                            key=blocks.__getitem__)}
+        jls = {b: _json_list([_json_list(map(str, m), 5)
+                              for m in jlists[b]], 4)
+               for b in sorted({t[4] for t in items},
+                               key=jlists.__getitem__)}
+        mrank = {b: i for i, b in enumerate(mis)}
+        jrank = {b: i for i, b in enumerate(jls)}
+        n, nj = len(mrank), len(jrank)
+        items.sort(key=lambda t: (((mrank[t[1]] * n + mrank[t[2]]) * n
+                                   + mrank[t[3]]) * nj + jrank[t[4]]))
+        terms = [
+            f'{{\n   "a": {mis[a]},\n   "k": {mis[k]},\n'
+            f'   "k_bar": {mis[kb]},\n   "j": {jls[j]},\n'
+            f'   "re": {_json_float(c.real)},\n'
+            f'   "im": {_json_float(c.imag)}\n  }}'
+            for _, a, k, kb, j, c in items]
         return ("{\n" + ",\n".join(head)
                 + f',\n "terms": {_json_list(terms, 2)}\n}}')
 
@@ -901,22 +935,40 @@ def norm(H: Hamiltonian, kind: str, rho: float) -> float:
     raise ValidationError(f"unknown norm kind {kind!r}")
 
 
+def key_layout(H: Hamiltonian) -> _Layout:
+    """The :class:`_Layout` of H's packed keys, whose memos read the
+    blocks that :func:`term_blocks` yields."""
+    return H._layout
+
+
+def term_blocks(H: Hamiltonian):
+    """Yield H's terms in store order as (x, a, k, k_bar, j, c): the
+    packed key, its four blocks and the coefficient."""
+    lay = H._layout
+    w, amask = lay.w, lay.amask
+    w2, w3 = 2 * w, 3 * w
+    for x, c in H._store.items():
+        yield (x, x & amask, (x >> w) & amask, (x >> w2) & amask,
+               (x >> w3) & amask, c)
+
+
 def split_terms(sources, route, parts: int) -> tuple:
     """Route the terms of the disjoint ``sources``, in order, into parts.
 
-    ``route(key, c)`` gets each term's (a, k, k_bar, j) key and coefficient
-    and returns (part, coefficient) pairs, each filed in that part under
-    the term's own key.  A part is its own collected form when every
-    source is.
+    ``route(x, a, k, k_bar, j, c)`` gets each term as :func:`term_blocks`
+    yields it and returns (part, coefficient) pairs, each filed in that
+    part under the term's own packed key x.  A route reads what it needs
+    from the block ints through the layout's memos (:func:`key_layout`),
+    and decodes x only for a key it reports.  A part is its own collected
+    form when every source is.
     """
     first = sources[0]
-    decode = first._layout.decode
     accs = [{} for _ in range(parts)]
     for S in sources:
         first._assert_compatible(S)
-        for x, c in S._store.items():
-            for i, v in route(decode(x), c):
-                accs[i][x] = v
+        for t in term_blocks(S):
+            for i, v in route(*t):
+                accs[i][t[0]] = v
     collected = all(S._collected is _SELF for S in sources)
     return tuple(_packed(first, acc, collected) for acc in accs)
 
@@ -926,10 +978,12 @@ def class_split(H: Hamiltonian):
 
     Each part is its own collected form, so a class norm reads exactly its
     terms.  Collected terms with fewer than two J-factors have disjoint
-    (k, k_bar) supports, so parts 0 and 1 do.
+    (k, k_bar) supports, so parts 0 and 1 do.  The J-degree is read from
+    the J block.
     """
+    jcount = H._layout.degrees
     return split_terms((H.collected(),),
-                       lambda key, c: ((len(key[3]), c),), 3)
+                       lambda x, a, k, kb, j, c: ((jcount[j], c),), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 from .errors import SmallDivisorError, ValidationError
 from .hamiltonian import (
     Hamiltonian,
+    _Memo,
+    key_layout,
     linear_combine,
     norm,
     poisson_bracket,
     split_terms,
 )
-from .lattice import MI_ZERO, mi_degree, mi_signed, sorted_system
+from .lattice import mi_signed, sorted_system
 
 
 @dataclass(frozen=True)
@@ -108,29 +110,43 @@ def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
     R0 and R1 must be in their J-collected class forms, so their keys
     are disjoint.  Raises SmallDivisorError when a required divisor
     falls below ``guard``.
+
+    Terms are routed by their packed keys' blocks.  The divisor depends
+    only on the (k, k_bar) block pair and the tail weight only on the
+    mode multiset, the block 2a + k + k_bar + 2J (every count is at most
+    ``degree_cap``, so no field carries).  So each call computes each
+    divisor and tail weight once per distinct block pair or multiset, by
+    :func:`divisor` and :func:`tail_weight`.  Only the keys the solver
+    reports are decoded.
     """
     if guard <= 0:
         raise ValidationError("guard must be positive")
     weights = R0.params.weights()
+    lay = key_layout(R0)
+    blocks, degree, decode = lay.blocks, lay.degrees, lay.decode
+    divisors = _Memo(lambda kk: divisor(blocks[kk[0]], blocks[kk[1]], nf))
+    # a multiset's counts passed as k, which sorted_system counts once;
+    # decoded without filling the layout's block memo
+    tails = _Memo(lambda m: tail_weight((), blocks.fn(m), (), (), weights))
     stats = {"min_divisor": math.inf, "solved_terms": 0, "deferred_terms": 0,
              "deferred_mass": 0.0, "quad_nonresonant": []}
 
     # parts: 0 F, 1 resonant, 2 deferred, 3 eliminated
-    def route(key, c):
-        a, k, kb, j = key
-        if k == MI_ZERO and kb == MI_ZERO:
+    def route(x, a, k, kb, j, c):
+        if not (k or kb):
             return ((1, c),)
-        if mi_degree(k) + mi_degree(kb) == 2 and k != kb:
-            stats["quad_nonresonant"].append(key)
-        if tail_weight(a, k, kb, j, weights) > B:
+        if degree[k] + degree[kb] == 2 and k != kb:
+            stats["quad_nonresonant"].append(decode(x))
+        if tails[2 * a + k + kb + 2 * j] > B:
             stats["deferred_terms"] += 1
             stats["deferred_mass"] += abs(c)
             return ((2, c),)
-        D = divisor(k, kb, nf)
+        D = divisors[k, kb]
         if abs(D) < guard:
+            key = decode(x)
             raise SmallDivisorError(
                 f"divisor {D:.3e} below guard {guard:.3e} "
-                f"for k={k}, k_bar={kb}", key=key, divisor=D)
+                f"for k={key[1]}, k_bar={key[2]}", key=key, divisor=D)
         stats["solved_terms"] += 1
         stats["min_divisor"] = min(stats["min_divisor"], abs(D))
         return ((0, c / (1j * D)), (3, c))

@@ -346,7 +346,8 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
                 c += m[0]
             if not -rad <= c <= rad:
                 continue
-            repaired = (c,)
+            # the box's own (c,), which skips the check of a registered mode
+            repaired = modes[c + rad]
         else:
             repaired = tuple(
                 c - sum(m[i] for m in k) + sum(m[i] for m in kb)

@@ -651,6 +651,58 @@ def test_constructor_rejects_non_canonical_exponents_and_coordinates(
     assert keep._layout.modes == modes      # nothing registered
 
 
+@pytest.mark.parametrize("keys,match", [
+    # each pair packs to one int: the constructor kept only the last term
+    ([((), (((0,), 1), ((1,), 1)), (), ()),
+      ((), (((1,), 1), ((0,), 1)), (), ())],
+     r"^multi-index \(\(\(1,\), 1\), \(\(0,\), 1\)\) is not canonical: "
+     r"modes are not sorted$"),
+    ([((), (), (((1,), 2),), ()), ((), (), (((1,), 1), ((1,), 1)), ())],
+     r"^multi-index \(\(\(1,\), 1\), \(\(1,\), 1\)\) is not canonical: "
+     r"mode \(1,\) repeats$"),
+    ([((), (), (), ((-1,), (2,))), ((), (), (), ((2,), (-1,)))],
+     r"^J-list \(\(2,\), \(-1,\)\) is not sorted$"),
+])
+def test_constructor_refuses_a_non_canonical_key(params, keys, match):
+    canonical, other = keys
+    H = Hamiltonian(params, {canonical: 1.0})
+    with pytest.raises(ValidationError, match=match):
+        Hamiltonian(params, {canonical: 1.0, other: 2.0})
+    with pytest.raises(ValidationError, match=match):
+        Hamiltonian(params, {other: 2.0})
+    # from_terms canonicalizes both spellings, and sums them
+    (key,) = H.terms
+    items = [(*(tuple(part) for part in k), c)
+             for k, c in ((canonical, 1.0), (other, 2.0))]
+    assert dict(Hamiltonian.from_terms(params, items).terms) == {key: 3.0}
+
+
+@pytest.mark.parametrize("case,bad,match", [
+    (0, ((), (((1.0,), 1),), (), ()),
+     r"^mode \(1.0,\) has a non-int coordinate$"),
+    (1, ((), (), (((True,), 1),), ()),
+     r"^mode \(True,\) has a non-int coordinate$"),
+    (2, ((), (), (), ((1.0,),)), r"^mode \(1.0,\) has a non-int coordinate$"),
+])
+@pytest.mark.parametrize("registered_first", [False, True])
+def test_a_key_is_refused_whatever_was_built_before(case, bad, match,
+                                                     registered_first):
+    # a sigma no other test uses, per case: a fresh layout, which a small
+    # box's params then keep for the process
+    p = HamParams(d=1, sigma=2.0390625 + (2 * case + registered_first) / 64)
+    assert not _layout(p).modes
+    good = ((), (((1,), 1),), (), ((1,),))
+    if registered_first:
+        keep = Hamiltonian(p, {good: 1.0})
+        assert keep._layout.modes == [(1,)]
+    with pytest.raises(ValidationError, match=match):
+        Hamiltonian(p, {bad: 1.0})
+    keep = Hamiltonian(p, {good: 1.0})
+    with pytest.raises(ValidationError, match=match):
+        Hamiltonian(p, {bad: 1.0})
+    assert keep._layout.modes == [(1,)]
+
+
 def test_equal_params_share_one_weight_memo(monkeypatch):
     # sigma no other test uses, so the layout is made under the count
     calls = []
@@ -716,6 +768,32 @@ def test_dumps_writes_the_bytes_of_json_indent_1(params):
     for c in (math.nan, math.inf, -math.inf):
         odd = unit.scale(c)
         assert odd.dumps() == json.dumps(to_dict(odd), indent=1)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_dumps_sorts_blocks_shared_by_a_k_and_k_bar_as_json_does(seed, d):
+    # a few multi-indices shared by every position, so one block is often
+    # a, k and k_bar at once and the block ranks decide the order
+    rng = np.random.default_rng(seed)
+    p = HamParams(d=d, degree_cap=40, mode_radius=2 if d == 1 else 1)
+    modes = p.box_modes()
+
+    def pick(n):
+        return [modes[i] for i in rng.integers(0, len(modes), n)]
+
+    pool = [mi([(m, int(rng.integers(1, 3))) for m in pick(n)])
+            for n in (0, 1, 1, 2, 3)]
+    jpool = [tuple(sorted(pick(n))) for n in (0, 1, 2, 2)]
+    terms = {}
+    for _ in range(int(rng.integers(1, 30))):
+        a, k, kb = (pool[i] for i in rng.integers(0, len(pool), 3))
+        j = jpool[int(rng.integers(0, len(jpool)))]
+        terms[a, k, kb, j] = complex(*rng.uniform(-1, 1, 2))
+    for b in pool:
+        terms[b, b, b, jpool[-1]] = 1.0
+    H = Hamiltonian(p, terms)
+    assert H.dumps() == json.dumps(to_dict(H), indent=1)
 
 
 def _ref_field_modes(H):

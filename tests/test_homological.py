@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,12 +12,18 @@ from nlskam import (
     class_split,
     divisor,
     homological_residual,
+    linear_combine,
     sample_strong_frequency,
     schedule,
     solve_homological,
 )
-from nlskam.driver import KamConfig, _eps0_of, run
-from nlskam.hamiltonian import Hamiltonian, _Layout, split_terms
+from nlskam.driver import KamConfig, _conserving, _eps0_of, run
+from nlskam.hamiltonian import (
+    Hamiltonian,
+    _Layout,
+    key_layout,
+    split_terms,
+)
 from nlskam.homological import RHO0, HomologicalSolution, tail_weight
 from nlskam.lattice import MI_ZERO, mi, mi_degree
 from nlskam.nls import NlsConfig, build_cubic_nls, build_normal_form
@@ -185,6 +192,16 @@ def _step_inputs(cfg):
             for s, st in enumerate(states[:cfg.steps])]
 
 
+def _quad_nonresonant_args():
+    """Solver arguments with two quadratic nonresonant keys, which no
+    momentum-conserving input has."""
+    _, nf, R0, R1, _ = _setup()
+    quad = Hamiltonian(R0.params, {
+        ((), (((0,), 1),), (((1,), 1),), ()): 1e-9,
+        ((), (((1,), 1),), (((0,), 1),), ()): 1e-9})
+    return linear_combine(1.0, R0, 1.0, quad), R1, nf, 1e-8, 1e9
+
+
 def _bits(H):
     return [(key, c.real.hex(), c.imag.hex()) for key, c in H.terms.items()]
 
@@ -201,6 +218,11 @@ def _assert_same_solution(args):
                                    (KAM_D2, 0), (SIGMA_6, 0), (SIGMA_6, 1)])
 def test_solver_matches_the_tuple_keyed_solver(cfg, s):
     _assert_same_solution(_step_inputs(cfg)[s])
+
+
+def test_solver_reports_quadratic_nonresonant_keys_as_the_tuple_keyed_one():
+    sol = _assert_same_solution(_quad_nonresonant_args())
+    assert len(sol.stats["quad_nonresonant"]) == 2
 
 
 def test_sigma_6_step_0_defers_all_of_r0_and_r1():
@@ -246,12 +268,52 @@ def test_solver_packs_no_key(monkeypatch):
     assert calls == []
 
 
+def test_the_step_decodes_only_the_keys_it_reports(monkeypatch):
+    decoded = []
+    decode = _Layout.decode
+
+    def counting(self, x):
+        decoded.append(decode(self, x))
+        return decoded[-1]
+
+    inputs = _step_inputs(KAM_EXACT)
+    # the summed classes of each later state, as kam-run writes them
+    _, states, _ = run(KAM_EXACT)
+    sums = [linear_combine(1.0, linear_combine(1.0, st.R0, 1.0, st.R1),
+                           1.0, st.R2) for st in states[1:]]
+    # program seed 13 stops kam_exact at step 1 on a small divisor
+    cfg = replace(KAM_EXACT, steps=1, seed=13)
+    _, states, _ = run(cfg)
+    sched = schedule(1, _eps0_of(cfg))
+    small = (states[1].R0, states[1].R1, states[1].nf,
+             cfg.gamma * sched.lambda_s, sched.truncation_budget)
+    quad_args = _quad_nonresonant_args()
+    monkeypatch.setattr(_Layout, "decode", counting)
+    for args in inputs:         # conserving: nothing to report
+        solve_homological(*args)
+    for R in sums:
+        class_split(R)
+        assert _conserving(R)
+        R.dumps()
+    assert decoded == []
+    sol = solve_homological(*quad_args)
+    assert len(decoded) == 2
+    assert decoded == sol.stats["quad_nonresonant"]
+    decoded.clear()
+    # a small divisor reports the key it names
+    with pytest.raises(SmallDivisorError) as got:
+        solve_homological(*small)
+    assert decoded == [got.value.key]
+
+
 def test_split_parts_are_collected_exactly_when_every_source_is():
     cfg, nf, R0, R1, R2 = _setup()
     H = build_cubic_nls(cfg)
 
-    def by_j(key, c):
-        return ((len(key[3]), c),)
+    jcount = key_layout(R0).degrees
+
+    def by_j(x, a, k, kb, j, c):
+        return ((jcount[j], c),)
 
     # scale drops the collected mark
     for sources, marked in (((R0, R1), True), ((H.collected(),), True),
