@@ -28,18 +28,19 @@ one-to-one onto tuple keys.  Key values never order anything: insertion
 order, accumulation order and every floating-point operation are those of
 the tuple form.  An op reads what it needs from a key's four blocks (its
 a, k, k_bar and J fields, see :class:`_Layout`) through memos of the
-layout, which decode each block once per params value.  A whole key is
-decoded to its canonical tuple only by the bracket kernel, which reads
-supports, by ``degree``, and for ``terms``, the tuple-keyed view the
-rest of the package reads; the KAM step's solver, class split,
-conservation flag and JSON writer decode only a key they report.  The
-layout is also the one holder of what depends only on the params: the
-mode -> weight memo (``HamParams.weights()``) and the per-block weight
-memos through which the norms and ``prune`` read a key's weights, so
-these are built once per params value, not per call.  Tuple keys come
-in one way, the constructor, which checks every key and coefficient, and
-each mode tuple once per layout.  Outside this module, packed keys and blocks
-are only read: ``split_terms`` routes existing terms into parts by their
+layout, which decode each block once per params value and plan each
+term's work once per block: J-expansion per J block, and J-collection
+and the bracket's row data per (k, k_bar) pair.  No op decodes a whole
+key.  Its canonical tuple is assembled only for ``terms``, the
+tuple-keyed view that the gap oracle and the tests read, and for a key
+the homological solver reports.  The layout is also the one holder of
+what depends only on the params: the mode -> weight memo
+(``HamParams.weights()``) and the per-block weight memos through which
+the norms and ``prune`` read a key's weights, so these are built once
+per params value, not per call.  Tuple keys come in one way, the
+constructor, which checks every key and coefficient, and each mode
+tuple once per layout.  Outside this module, packed keys and blocks are
+only read: ``split_terms`` routes existing terms into parts by their
 blocks, each under its own packed key, and ``term_blocks`` yields them.
 
 The bracket kernel ``_bracket`` brackets two operands against a third in
@@ -74,6 +75,8 @@ COEFF_FLOOR = 1e-300
 _SELF = object()
 # A Lie-series order whose star norm is below this ends the sum.
 TAIL_TOL = 1e-30
+# The collect plan of every (k, k_bar) without a common mode.
+_NO_OVERLAP = ((0, None),)
 
 
 class _Memo(dict):
@@ -216,30 +219,45 @@ class _Layout:
     ``_check_key`` passed, so every mode in ``ua`` is a checked one.  A
     block is one of a key's four field sets shifted onto the a fields
     (``block``); any int whose only set bits lie in a fields, such as
-    2a + k + k_bar + 2J of an in-cap key, is one.  Memos, each filled
-    once per block or mode: ``blocks`` decodes a block to its canonical
-    multi-index, ``jlists`` to its sorted J-mode list and ``degrees`` to
-    the sum of its exponents, and ``decode`` assembles a packed key's
-    canonical (a, k, k_bar, j) tuple from them; ``weights`` maps a mode
-    to its weight (``HamParams.weights()``), ``wsums`` a block to the sum
-    of e * w(m) over its multi-index, and ``ews`` a block to its e * w(m)
-    values in mode order with their largest w(m) (0.0 for the empty
-    block).  A layout holds no coefficient and no result, and nothing of
-    it refers back to it, so a layout nothing else holds is freed with
-    the last Hamiltonian that uses it.
+    2a + k + k_bar + 2J of an in-cap key, is one.  A kk int holds a
+    key's k and k_bar blocks together, the k block in the a fields and
+    the k_bar block in the k fields: ``(x >> w) & (amask | amask << w)``.
+
+    Memos, each filled once per mode, block or kk int: ``blocks`` decodes
+    a block to its canonical multi-index, ``jlists`` to its sorted J-mode
+    list and ``degrees`` to the sum of its exponents, and ``decode``
+    assembles a packed key's canonical (a, k, k_bar, j) tuple from them;
+    ``weights`` maps a mode to its weight (``HamParams.weights()``),
+    ``wsums`` a block to the sum of e * w(m) over its multi-index, and
+    ``ews`` a block to its e * w(m) values in mode order with their
+    largest w(m) (0.0 for the empty block).  Three plan the step's
+    algebra per term: ``expands`` maps a J block to the (key offset,
+    negate) pairs of its J-expansion, ``collects`` a kk int to the (key
+    offset, integer factor or None) pairs of its J-collection (every
+    (k, k_bar) without a common mode shares one plan), and
+    ``bracket_rows`` a kk int to a bracket row's data: its (k_m, k_bar_m)
+    by support mode, its support as an outer and as an inner row builds
+    it (one set when the two iterate alike), and deg k + deg k_bar.
+
+    A layout holds no coefficient and no result, and nothing of it refers
+    back to it, so a layout nothing else holds is freed with the last
+    Hamiltonian that uses it.
     """
 
     __slots__ = ("w", "modes", "ua", "uq", "canon", "amask", "blocks",
-                 "jlists", "degrees", "weights", "wsums", "ews",
-                 "__weakref__")
+                 "jlists", "degrees", "weights", "wsums", "ews", "expands",
+                 "collects", "bracket_rows", "__weakref__")
 
     def __init__(self, params):
         self.w = w = max((2 * params.degree_cap).bit_length(), 1)
         self.modes = modes = []
-        self.ua, self.uq, self.canon = {}, {}, {}
+        self.ua = ua = {}
+        self.uq = uq = {}
+        self.canon = {}
         self.amask = 0          # every registered mode's a field, all ones
         span, fmask = 4 * w, (1 << w) - 1
         pairs = {}                  # one (mode, exponent) tuple each
+        shared = {}                 # one of each small plan or row tuple
 
         def decode_block(b):
             items = []
@@ -253,8 +271,93 @@ class _Layout:
             items.sort()            # by mode: modes are distinct
             return tuple(items)
 
+        def split(kk):
+            # decode_block reads only a fields, which hold k in kk and
+            # k_bar in kk >> w; the block memo gets no kk int
+            return decode_block(kk), decode_block(kk >> w)
+
+        def expand_plan(jb):
+            # each J_m = q_m qbar_m - I_m(0), J-modes in the J-list's order
+            plan = ((0, False),)
+            for m in jlists[jb]:
+                uq_m, ua_m = uq[m], ua[m]
+                plan = tuple(step for d, neg in plan for step in (
+                    (d + uq_m, neg), (d + ua_m, not neg)))
+            return plan
+
+        def collect_plan(kk):
+            """Regroup the |q_n|^2 pairs of (k, k_bar), J-degree <= 2.
+
+            Processes overlap modes in descending-norm order.  Per mode
+            with b pairs, L being the J-degree still free, the exact
+            identities used are (X = I(0) + J):
+
+                L = 2:  X^b = I^b + b J I^(b-1)
+                              + sum_s (s+1) I^s J^2 X^(b-2-s)
+                L = 1:  X^b = I^b + J sum_j I^j X^(b-1-j)
+                L = 0:  X^b left in place.
+
+            X-powers remain as |q|^2 pairs inside (k, k_bar), so every
+            output term with J-degree < 2 has disjoint (k, k_bar)
+            supports.  Only an L = 2 branch takes a factor, and it leaves
+            L < 2, so an output takes at most one.
+            """
+            k, kb = split(kk)
+            kbd = dict(kb)
+            overlap = sorted((m for m, _ in k if m in kbd),
+                             key=_mode_sort_key)
+            if not overlap:
+                return _NO_OVERLAP
+            kd = dict(k)
+            # Partial plans (offset, factor, J-degree left), expanded mode
+            # by mode, each into its branches in order: the final list is
+            # in depth-first order of the branch tree.
+            states = [(0, None, 2)]
+            for m in overlap:
+                b = min(kd[m], kbd[m])
+                ua_m, uq_m = ua[m], uq[m]
+                uj = ua_m << (3 * w)
+                nxt = []
+                for st in states:
+                    y, f, left = st
+                    if left == 0:
+                        nxt.append(st)
+                        continue
+                    # I^b branch
+                    nxt.append((y + b * ua_m - b * uq_m, f, left))
+                    if left == 2:
+                        # b * J * I^(b-1)
+                        nxt.append((y + (b - 1) * ua_m - b * uq_m + uj, b, 1))
+                        # (s+1) * I^s * J^2 * X^(b-2-s)
+                        for s in range(b - 1):
+                            nxt.append((y + s * ua_m - (s + 2) * uq_m
+                                        + 2 * uj, s + 1, 0))
+                    else:
+                        # J * I^jp * X^(b-1-jp)
+                        for jp in range(b):
+                            nxt.append((y + jp * ua_m - (jp + 1) * uq_m + uj,
+                                        f, 0))
+                states = nxt
+            return tuple(shared.setdefault((y, f), (y, f))
+                         for y, f, _ in states)
+
+        def bracket_row(kk):
+            k, kb = split(kk)
+            kd, kbd = dict(k), dict(kb)
+            sup = set(kd) | set(kbd)                    # an outer row's
+            inner = {m for m, _ in k} | {m for m, _ in kb}  # B's rows'
+            # an intersection's order follows only its operands' iteration
+            # orders, so one set serves both when they iterate alike
+            if list(inner) == list(sup):
+                inner = sup
+            e = {}
+            for m in sup:
+                ekb = kd.get(m, 0), kbd.get(m, 0)
+                e[m] = shared.setdefault(ekb, ekb)
+            return e, sup, inner, mi_degree(k) + mi_degree(kb)
+
         self.blocks = blocks = _Memo(decode_block)
-        self.jlists = _Memo(lambda b: tuple(
+        self.jlists = jlists = _Memo(lambda b: tuple(
             m for m, e in blocks[b] for _ in range(e)))
         self.degrees = _Memo(lambda b: mi_degree(blocks[b]))
         self.weights = weights = _Memo(params.weight)
@@ -263,6 +366,9 @@ class _Layout:
         self.ews = _Memo(lambda b: (
             tuple(e * weights[m] for m, e in blocks[b]),
             max((weights[m] for m, _ in blocks[b]), default=0.0)))
+        self.expands = _Memo(expand_plan)
+        self.collects = _Memo(collect_plan)
+        self.bracket_rows = _Memo(bracket_row)
 
     def unit(self, mode) -> int:
         """``ua[mode]``, registering the mode on first sight."""
@@ -401,8 +507,9 @@ class Hamiltonian:
         return not self._store
 
     def degree(self) -> int:
-        decode = self._layout.decode
-        return max((term_degree(decode(x)) for x in self._store), default=0)
+        degrees = self._layout.degrees
+        return max((degrees[2 * a + k + kb + 2 * j]
+                    for _, a, k, kb, j, _ in term_blocks(self)), default=0)
 
     def _assert_compatible(self, other):
         if self.params != other.params:
@@ -435,15 +542,13 @@ class Hamiltonian:
             if not any(x & jmask for x in self._store):
                 self._expanded = _SELF
             else:
-                jlists, amask, nojmask = lay.jlists, lay.amask, ~jmask
+                plans, amask, nojmask = lay.expands, lay.amask, ~jmask
                 acc = {}
                 for x, c in self._store.items():
-                    if not x & jmask:
-                        acc[x] = acc.get(x, 0j) + c
-                        continue
-                    for y, ec in _expand_term(lay, x & nojmask,
-                                              jlists[x >> jshift & amask], c):
-                        acc[y] = acc.get(y, 0j) + ec
+                    x0 = x & nojmask
+                    for dx, neg in plans[x >> jshift & amask]:
+                        y = x0 + dx
+                        acc[y] = acc.get(y, 0j) + (-c if neg else c)
                 self._expanded = _packed(self, acc)
         return self if self._expanded is _SELF else self._expanded
 
@@ -456,12 +561,14 @@ class Hamiltonian:
         if self._collected is None:
             E = self.expanded()
             lay = self._layout
-            blocks, w, amask = lay.blocks, lay.w, lay.amask
+            plans, w, amask = lay.collects, lay.w, lay.amask
+            kkmask = amask | amask << w
             acc = {}
+            # f * c even for f == 1: the tuple form multiplies there
             for x, c in E._store.items():
-                k, kb = blocks[x >> w & amask], blocks[x >> (2 * w) & amask]
-                for y, cc in _collect_term(lay, x, k, kb, c):
-                    acc[y] = acc.get(y, 0j) + cc
+                for dx, f in plans[x >> w & kkmask]:
+                    y = x + dx
+                    acc[y] = acc.get(y, 0j) + (c if f is None else f * c)
             self._collected = _packed(self, acc, collected=True)
         return self if self._collected is _SELF else self._collected
 
@@ -624,74 +731,6 @@ def _mi_entries(entries, what) -> list:
     return out
 
 
-def _expand_term(lay, x, j, coeff):
-    """Expand the J-factors ``j`` of packed J-free term ``x`` into pure
-    terms, J-modes in ``j``'s order."""
-    out = [(x, coeff)]
-    for m in j:
-        uq, ua = lay.uq[m], lay.ua[m]
-        nxt = []
-        for y, c in out:
-            nxt.append((y + uq, c))
-            nxt.append((y + ua, -c))
-        out = nxt
-    return out
-
-
-def _collect_term(lay, x, k, kb, coeff):
-    """Regroup |q_n|^2 pairs of an expanded term, total J-degree <= 2.
-
-    ``x`` is the term's packed key; ``k`` and ``kb`` are its tuple
-    multi-indices.  Returns (packed key, coeff) pairs.
-
-    Processes overlap modes in descending-norm order.  Per mode with b
-    pairs, L being the J-degree still free, the exact identities used are
-    (X = I(0) + J):
-
-        L = 2:  X^b = I^b + b J I^(b-1) + sum_s (s+1) I^s J^2 X^(b-2-s)
-        L = 1:  X^b = I^b + J sum_j I^j X^(b-1-j)
-        L = 0:  X^b left in place.
-
-    X-powers remain as |q|^2 pairs inside (k, k_bar), so every output term
-    with J-degree < 2 has disjoint (k, k_bar) supports.
-    """
-    kbd = dict(kb)
-    overlap = sorted((m for m, _ in k if m in kbd), key=_mode_sort_key)
-    if not overlap:
-        return ((x, coeff),)
-    kd = dict(k)
-    # Partial expansions (packed, coeff, J-degree left), expanded mode by
-    # mode, each into its branches in order: the final list is in
-    # depth-first order of the branch tree.
-    states = [(x, coeff, 2)]
-    for m in overlap:
-        b = min(kd[m], kbd[m])
-        ua, uq = lay.ua[m], lay.uq[m]
-        uj = ua << (3 * lay.w)
-        nxt = []
-        for st in states:
-            y, c, left = st
-            if left == 0:
-                nxt.append(st)
-                continue
-            # I^b branch
-            nxt.append((y + b * ua - b * uq, c, left))
-            if left >= 2:
-                # b * J * I^(b-1)
-                nxt.append((y + (b - 1) * ua - b * uq + uj, b * c, left - 1))
-                # (s+1) * I^s * J^2 * X^(b-2-s)
-                for s in range(b - 1):
-                    nxt.append((y + s * ua - (s + 2) * uq + 2 * uj,
-                                (s + 1) * c, left - 2))
-            else:
-                # J * I^jp * X^(b-1-jp)
-                for jp in range(b):
-                    nxt.append((y + jp * ua - (jp + 1) * uq + uj, c,
-                                left - 1))
-        states = nxt
-    return [(y, c) for y, c, _ in states]
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra, products, brackets
 # ---------------------------------------------------------------------------
@@ -716,20 +755,24 @@ def multiply(H1: Hamiltonian, H2: Hamiltonian) -> Hamiltonian:
     if H1._store and H2._store and H1.degree() + H2.degree() > cap:
         raise CapacityError(f"product degree exceeds cap {cap}")
     lay = H1._layout
-    jlists, nojmask = lay.jlists, ~(lay.amask << (3 * lay.w))
-    inner = [(x2, jlists[lay.block(x2, 3)], c2)
+    jcount, plans, amask = lay.degrees, lay.expands, lay.amask
+    jshift = 3 * lay.w
+    nojmask = ~(amask << jshift)
+    inner = [(x2, jcount[x2 >> jshift & amask], c2)
              for x2, c2 in H2._store.items()]
     acc = {}
     for x1, c1 in H1._store.items():
-        j1 = jlists[lay.block(x1, 3)]
-        for x2, j2, c2 in inner:
+        n1 = jcount[x1 >> jshift & amask]
+        for x2, n2, c2 in inner:
             c = c1 * c2
-            if len(j1) + len(j2) > 2:
-                j = tuple(sorted(j1 + j2))
-                for ex, ec in _expand_term(lay, (x1 + x2) & nojmask, j, c):
-                    acc[ex] = acc.get(ex, 0j) + ec
+            key = x1 + x2
+            if n1 + n2 > 2:
+                # the J block of the sum lists sorted(j1 + j2)
+                x0 = key & nojmask
+                for dx, neg in plans[key >> jshift & amask]:
+                    y = x0 + dx
+                    acc[y] = acc.get(y, 0j) + (-c if neg else c)
             else:
-                key = x1 + x2
                 acc[key] = acc.get(key, 0j) + c
     return _packed(H1, acc)
 
@@ -766,12 +809,19 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
     pair is over the cap and builds no partial result.  A's rows come
     first, so the error names the pair {A, B} alone would name if that
     raises, and else the one {E, B} alone would name.
+
+    No key is decoded: a term's exponents on its support, its support and
+    its degree come from the layout's ``bracket_rows`` memo of its
+    (k, k_bar) and the ``degrees`` memo of its a block, so B (F in every
+    order of a Lie series) costs two lookups per term per call.
     """
     A._assert_compatible(B)
     A._assert_compatible(E)
     cap = A.params.degree_cap
     lay = A._layout
-    decode, uq = lay.decode, lay.uq
+    w, amask, degrees, uq = lay.w, lay.amask, lay.degrees, lay.uq
+    data = lay.bracket_rows
+    kkmask = amask | amask << w
     acc, acc_e = {}, {}
     # Rows (key, coefficient, result it accumulates into, E's coefficient
     # or None): A's rows feed {A, B} and, when they carry E's coefficient,
@@ -786,32 +836,26 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
             i += 1
         rows.append((x, c, acc, ce))
     rows += [(x, c, acc_e, None) for x, c in e_items[i:]]
-    # Per-term data of B and of the rows, computed once per call from the
-    # decoded keys: exponents (k_m, k'_m) on the support, support, degree.
-    # The outer and inner supports are built by different expressions on
-    # purpose: the iteration order of their intersection depends on how
-    # each set was built, and it fixes the insertion order of the result.
+    # Per-term data of B and of the rows, two lookups per term: the row
+    # memo of the key's (k, k_bar) gives exponents (k_m, k'_m) on the
+    # support, the support and deg k + deg k', and the a block's degree
+    # completes the term's.  The outer and inner supports are built by
+    # different expressions on purpose: the iteration order of their
+    # intersection depends on how each set was built, and it fixes the
+    # insertion order of the result (a support of five modes or more can
+    # differ; test_bracket_matches_reference_on_wide_supports).
     inner = []
     for x2, c2 in B._store.items():
-        a2, k2, kb2, _ = decode(x2)
-        k2d, kb2d = dict(k2), dict(kb2)
-        sup2 = {m for m, _ in k2} | {m for m, _ in kb2}
-        inner.append((x2,
-                      {m: (k2d.get(m, 0), kb2d.get(m, 0)) for m in sup2},
-                      sup2,
-                      2 * mi_degree(a2) + mi_degree(k2) + mi_degree(kb2),
-                      c2))
+        e2, _, sup2, dk2 = data[x2 >> w & kkmask]
+        inner.append((x2, e2, sup2, 2 * degrees[x2 & amask] + dk2, c2))
     # A nonempty common support needs d1, d2 >= 1, so only pairs with
     # d1 + d2 >= 2 can contribute.  Each row is probed as it is built, so
     # a raise on one of A's rows builds no E-only row.
     max_d2 = max((row[3] for row in inner), default=0)
     outer = []
     for x1, c1, sink, ce in rows:
-        a1, k1, kb1, _ = decode(x1)
-        k1d, kb1d = dict(k1), dict(kb1)
-        sup1 = set(k1d) | set(kb1d)
-        e1 = {m: (k1d.get(m, 0), kb1d.get(m, 0)) for m in sup1}
-        d1 = 2 * mi_degree(a1) + mi_degree(k1) + mi_degree(kb1)
+        e1, sup1, _, dk1 = data[x1 >> w & kkmask]
+        d1 = 2 * degrees[x1 & amask] + dk1
         if d1 + max_d2 - 2 > cap:
             for _, e2, sup2, d2, _ in inner:
                 if d1 + d2 - 2 <= cap:
@@ -1013,18 +1057,42 @@ def second_partial(H, n, m, conj_n: bool, conj_m: bool) -> Hamiltonian:
 
 def evaluate(H: Hamiltonian, x: dict) -> complex:
     """Evaluate an expanded Hamiltonian at a state q = x."""
-    p = H.params
+    _, fa, fk, fkb = _state_factors(H, x)
     total = 0j
-    for (a, k, kb, _), c in H.expanded().terms.items():
+    for _, a, k, kb, _, c in term_blocks(H.expanded()):
         val = c
-        for mode, e in a:
-            val *= p.action0(mode) ** e
-        for mode, e in k:
-            val *= x.get(mode, 0j) ** e
-        for mode, e in kb:
-            val *= x.get(mode, 0j).conjugate() ** e
+        for f in fa[a] + fk[k] + fkb[kb]:
+            val *= f
         total += val
     return total
+
+
+def _state_factors(H: Hamiltonian, x: dict) -> tuple:
+    """Per-call memos of the factors of H's terms at state x.
+
+    Returns (power, fa, fk, fkb): ``power(m, e, conj)`` is I_m(0)**e for
+    conj None, else x[m]**e or conj(x[m])**e, and ``fa``, ``fk`` and
+    ``fkb`` map an a, k or k_bar block to the list of its factors
+    I_m(0)**e, x[m]**e or conj(x[m])**e in mode order.
+    """
+    p, blocks = H.params, H._layout.blocks
+    powers = {}
+
+    def power(m, e, conj):
+        v = powers.get((m, e, conj))
+        if v is None:
+            if conj is None:
+                v = p.action0(m) ** e
+            else:
+                z = x.get(m, 0j)
+                v = (z.conjugate() if conj else z) ** e
+            powers[m, e, conj] = v
+        return v
+
+    def factors(conj):
+        return _Memo(lambda b: [power(m, e, conj) for m, e in blocks[b]])
+
+    return power, factors(None), factors(False), factors(True)
 
 
 def _field_values(H: Hamiltonian, x: dict):
@@ -1039,28 +1107,15 @@ def _field_values(H: Hamiltonian, x: dict):
     in that order, the differentiated factor at its reduced exponent and
     left out when that is 0.
     """
-    p = H.params
-    powers = {}
-
-    def power(m, e, conj):
-        # action0(m)**e for conj None, else x[m]**e or conj(x[m])**e
-        v = powers.get((m, e, conj))
-        if v is None:
-            if conj is None:
-                v = p.action0(m) ** e
-            else:
-                z = x.get(m, 0j)
-                v = (z.conjugate() if conj else z) ** e
-            powers[m, e, conj] = v
-        return v
-
+    power, fa, fk, fkb = _state_factors(H, x)
+    blocks = H._layout.blocks
     modes, d_q, d_qbar = set(), {}, {}
-    for (a, k, kb, _), c in H.expanded().terms.items():
-        facs = ([power(m, e, None) for m, e in a]
-                + [power(m, e, False) for m, e in k]
-                + [power(m, e, True) for m, e in kb])
-        for conj, src, start, acc in ((False, k, len(a), d_q),
-                                      (True, kb, len(a) + len(k), d_qbar)):
+    for _, a, k, kb, _, c in term_blocks(H.expanded()):
+        facs = fa[a] + fk[k] + fkb[kb]
+        ks, kbs = blocks[k], blocks[kb]
+        na = len(facs) - len(ks) - len(kbs)
+        for conj, src, start, acc in ((False, ks, na, d_q),
+                                      (True, kbs, na + len(ks), d_qbar)):
             for i, (n, e) in enumerate(src, start):
                 modes.add(n)
                 val = 0j + e * c

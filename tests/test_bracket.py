@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlskam import (
@@ -232,6 +232,23 @@ def test_bracket_matches_reference_kernel(seed, d, offset, collect):
     top = F.degree() + G.degree() - 2
     p = replace(wide, degree_cap=max(F.degree(), G.degree(), top + offset))
     F, G = Hamiltonian(p, F.terms), Hamiltonian(p, G.terms)
+    for H1, H2 in ((F, G), (G, F), (F, F)):
+        assert _outcome(poisson_bracket, H1, H2) == _outcome(
+            _reference_bracket, H1, H2)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=3)
+@settings(max_examples=20, deadline=None)
+def test_bracket_matches_reference_on_wide_supports(seed):
+    # terms of up to 14 factors over 7 modes have supports of five modes
+    # and more, where the outer rows' and B's support sets, built by
+    # different expressions, can iterate their intersection in different
+    # orders; seed 3 reorders the result if either one serves both
+    rng = np.random.default_rng(seed)
+    p = HamParams(d=1, sigma=2.5, r=1.0, degree_cap=64, mode_radius=3)
+    F = random_hamiltonian(p, rng, n_terms=6, max_factors=14, max_actions=2)
+    G = random_hamiltonian(p, rng, n_terms=6, max_factors=14, max_actions=2)
     for H1, H2 in ((F, G), (G, F), (F, F)):
         assert _outcome(poisson_bracket, H1, H2) == _outcome(
             _reference_bracket, H1, H2)

@@ -19,6 +19,7 @@ from nlskam import (
     tl_defect,
 )
 from nlskam.driver import STEP_CSV_SCHEMA, KamState, _eps0_of, class_norms
+from nlskam.hamiltonian import key_layout
 from nlskam.homological import RHO0
 from nlskam.lattice import conservation_check
 from nlskam.nls import NlsConfig, build_cubic_nls
@@ -226,7 +227,7 @@ def test_class_norms_read_the_parts_as_a_recollection_would(
         fresh = [norm(Hamiltonian(R.params, R.terms), "plus_rho", rho)
                  for R in parts]
         with monkeypatch.context() as m:
-            m.setattr(nlskam.hamiltonian, "_collect_term", None)
+            m.setattr(key_layout(st.R0), "collects", None)
             own = [norm(R, "plus_rho", rho) for R in parts]
         assert [x.hex() for x in own] == [x.hex() for x in fresh]
         assert st.norms == tuple(own)

@@ -443,6 +443,38 @@ def test_packed_kernels_match_tuple_reference(seed, d, max_exp):
         assert _bits(multiply(X, Y)) == _bits(_ref_multiply(X, Y))
 
 
+def _with_signed_zeros(H, rng):
+    """H with each coefficient left alone or with its real or imaginary
+    part set to -0.0 or +0.0, as a solved F's c / (i D) can hold."""
+    def zeroed(c):
+        pick = int(rng.integers(0, 5))
+        return (c, complex(-0.0, c.imag), complex(c.real, -0.0),
+                complex(0.0, c.imag), complex(c.real, 0.0))[pick]
+
+    return Hamiltonian(H.params,
+                       {key: zeroed(c) for key, c in H.terms.items()})
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
+       max_exp=st.sampled_from([1, 3, 60]))
+@settings(max_examples=40, deadline=None)
+def test_plans_match_tuple_reference_at_large_exponents_and_signed_zeros(
+        seed, d, max_exp):
+    # the per-block expand and collect plans, and the product's expansion
+    # of past-two J-lists, against the tuple kernels: exponents up to 60,
+    # two J-factors, and coefficients with a signed zero part
+    rng = np.random.default_rng(seed)
+    p = HamParams(d=d, sigma=2.5, r=1.0, degree_cap=2000,
+                  mode_radius=2 if d == 1 else 1)
+    H = _with_signed_zeros(_with_j_factors(p, rng, 6, max_exp), rng)
+    G = _with_signed_zeros(_with_j_factors(p, rng, 3, max_exp), rng)
+    for X in (H, G):
+        assert _bits(X.expanded()) == _bits(_ref_expanded(X))
+        assert _bits(X.collected()) == _bits(_ref_collected(X))
+    for X, Y in ((H, G), (G, H)):
+        assert _bits(multiply(X, Y)) == _bits(_ref_multiply(X, Y))
+
+
 def test_packed_collect_at_a_field_boundary(params):
     # fields hold 0..2 * degree_cap = 32, so they are 6 bits wide; every
     # term has degree exactly the cap 16, and q^16 and the product's

@@ -17,7 +17,14 @@ from nlskam import (
     schedule,
     solve_homological,
 )
-from nlskam.driver import KamConfig, _conserving, _eps0_of, run
+from nlskam.driver import (
+    KamConfig,
+    _conserving,
+    _eps0_of,
+    initial_state,
+    kam_step,
+    run,
+)
 from nlskam.hamiltonian import (
     Hamiltonian,
     _Layout,
@@ -303,6 +310,31 @@ def test_the_step_decodes_only_the_keys_it_reports(monkeypatch):
     # a small divisor reports the key it names
     with pytest.raises(SmallDivisorError) as got:
         solve_homological(*small)
+    assert decoded == [got.value.key]
+
+
+def test_kam_steps_decode_only_the_small_divisor_key(monkeypatch):
+    # expand, collect, the bracket's rows, the field values and every
+    # other op of a step read blocks, so a step decodes no key at all
+    decoded = []
+    decode = _Layout.decode
+
+    def counting(self, x):
+        decoded.append(decode(self, x))
+        return decoded[-1]
+
+    eps0 = _eps0_of(KAM_EXACT)
+    state, _ = initial_state(KAM_EXACT)
+    # program seed 13 stops kam_exact at step 1 on a small divisor
+    small_cfg = replace(KAM_EXACT, seed=13)
+    small, _ = initial_state(small_cfg)
+    monkeypatch.setattr(_Layout, "decode", counting)
+    for s in range(KAM_EXACT.steps):
+        state, _ = kam_step(state, schedule(s, eps0), KAM_EXACT)
+    small, _ = kam_step(small, schedule(0, eps0), small_cfg)
+    assert decoded == []
+    with pytest.raises(SmallDivisorError) as got:
+        kam_step(small, schedule(1, eps0), small_cfg)
     assert decoded == [got.value.key]
 
 
