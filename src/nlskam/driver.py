@@ -45,7 +45,7 @@ from .homological import (
     homological_residual,
     solve_homological,
 )
-from .lattice import _mode_sort_key, angle_norm
+from .lattice import _mode_sort_key, angle_norm, mi_charge
 from .diophantine import sample_strong_frequency
 from .nls import NlsConfig, build_cubic_nls, build_normal_form
 
@@ -194,19 +194,9 @@ def _conserving(H: Hamiltonian) -> bool:
     # conserves mass and momentum when its k and k_bar blocks carry the
     # same (mass, momentum), read once per block.
     blocks, d = key_layout(H).blocks, H.params.d
-    charge = _Memo(lambda b: _charge(blocks[b], d))
+    charge = _Memo(lambda b: mi_charge(blocks[b], d))
     return all(charge[k] == charge[kb]
                for _, _, k, kb, _, _ in term_blocks(H))
-
-
-def _charge(entries, d) -> tuple:
-    """(mass, momentum) of multi-index ``entries`` over Z^d."""
-    mass, mom = 0, [0] * d
-    for mode, e in entries:
-        mass += e
-        for i, c in enumerate(mode):
-            mom[i] += e * c
-    return mass, mom
 
 
 def _refuse_underflow(sched: ScheduleParams):

@@ -31,17 +31,17 @@ a, k, k_bar and J fields, see :class:`_Layout`) through memos of the
 layout, which decode each block once per params value and plan each
 term's work once per block: J-expansion per J block, and J-collection
 and the bracket's row data per (k, k_bar) pair.  No op decodes a whole
-key.  Its canonical tuple is assembled only for ``terms``, the
-tuple-keyed view that the gap oracle and the tests read, and for a key
-the homological solver reports.  The layout is also the one holder of
-what depends only on the params: the mode -> weight memo
-(``HamParams.weights()``) and the per-block weight memos through which
-the norms and ``prune`` read a key's weights, so these are built once
-per params value, not per call.  Tuple keys come in one way, the
-constructor, which checks every key and coefficient, and each mode
-tuple once per layout.  Outside this module, packed keys and blocks are
-only read: ``split_terms`` routes existing terms into parts by their
-blocks, each under its own packed key, and ``term_blocks`` yields them.
+key.  Tuple keys come in only through the constructor, which checks
+every key and coefficient, and each mode tuple once per layout; it is
+what ``from_terms`` and ``loads`` build with.  They go out only as the
+text of ``dumps`` and as a key the homological solver reports
+(``_Layout.decode``).  The layout is also the one holder of what
+depends only on the params: the mode -> weight memo ``weights`` and the
+per-block weight memos through which the norms and ``prune`` read a
+key's weights, so each weight is computed once per params value, not
+per call.  Outside this module, packed keys and blocks are only read:
+``split_terms`` routes existing terms into parts by their blocks, each
+under its own packed key, and ``term_blocks`` yields them.
 
 The bracket kernel ``_bracket`` brackets two operands against a third in
 one pass: ``lie_transform`` calls it once per order on the G and E chains
@@ -55,13 +55,11 @@ import json
 import math
 import weakref
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .errors import CapacityError, ValidationError
 from .lattice import (
     _is_int,
     _mode_sort_key,
-    _weight_cached,
     box_modes,
     check_doc_version,
     mi,
@@ -124,14 +122,13 @@ class HamParams:
                                   f"got {self.floor_const}")
 
     def weight(self, mode) -> float:
-        """The log-power weight w(n) = ln^sigma max(floor_const, ||n||)."""
-        return _weight_cached(tuple(mode), self.sigma, self.floor_const)
+        """The log-power weight w(n) = ln^sigma max(floor_const, ||n||).
 
-    def weights(self) -> _Memo:
-        """The mode -> weight memo of these params' layout: ``weight`` runs
-        once per mode for every equal HamParams value while the layout
-        lives."""
-        return _layout(self).weights
+        Not cached: the layout's ``weights`` memo holds each registered
+        mode's weight for the ops.
+        """
+        euclid = math.sqrt(sum(c * c for c in mode))
+        return math.log(max(self.floor_const, euclid)) ** self.sigma
 
     def action0(self, mode) -> float:
         """Frozen initial action I_n(0) = exp(-2 r w(n))."""
@@ -140,11 +137,6 @@ class HamParams:
     def box_modes(self):
         """All modes of the truncation box, in lexicographic order."""
         return box_modes(self.d, self.mode_radius)
-
-
-def term_degree(key) -> int:
-    a, k, kb, j = key
-    return 2 * mi_degree(a) + mi_degree(k) + mi_degree(kb) + 2 * len(j)
 
 
 def _check_key(key, params, known):
@@ -217,17 +209,19 @@ class _Layout:
     ``canon`` to the tuple it was registered as.  A mode is registered
     only by ``pack``, which the constructor calls only on keys
     ``_check_key`` passed, so every mode in ``ua`` is a checked one.  A
-    block is one of a key's four field sets shifted onto the a fields
-    (``block``); any int whose only set bits lie in a fields, such as
-    2a + k + k_bar + 2J of an in-cap key, is one.  A kk int holds a
-    key's k and k_bar blocks together, the k block in the a fields and
-    the k_bar block in the k fields: ``(x >> w) & (amask | amask << w)``.
+    block is one of a key's four field sets shifted onto the a fields,
+    ``(x >> i * w) & amask`` for block i (0 a, 1 k, 2 k_bar, 3 J), as
+    ``term_blocks`` yields them; any int whose only set bits lie in a
+    fields, such as 2a + k + k_bar + 2J of an in-cap key, is one.  A kk
+    int holds a key's k and k_bar blocks together, the k block in the a
+    fields and the k_bar block in the k fields:
+    ``(x >> w) & (amask | amask << w)``.
 
     Memos, each filled once per mode, block or kk int: ``blocks`` decodes
     a block to its canonical multi-index, ``jlists`` to its sorted J-mode
     list and ``degrees`` to the sum of its exponents, and ``decode``
     assembles a packed key's canonical (a, k, k_bar, j) tuple from them;
-    ``weights`` maps a mode to its weight (``HamParams.weights()``),
+    ``weights`` maps a mode to its weight (``HamParams.weight``),
     ``wsums`` a block to the sum of e * w(m) over its multi-index, and
     ``ews`` a block to its e * w(m) values in mode order with their
     largest w(m) (0.0 for the empty block).  Three plan the step's
@@ -396,10 +390,6 @@ class _Layout:
                 x += e * (ua.get(m) or unit(m))
         return x
 
-    def block(self, x, i) -> int:
-        """Block i of packed key x: 0 a, 1 k, 2 k_bar, 3 J."""
-        return (x >> (i * self.w)) & self.amask
-
     def decode(self, x) -> tuple:
         """The canonical (a, k, k_bar, j) key of packed key ``x``."""
         w, amask, blocks = self.w, self.amask, self.blocks
@@ -449,8 +439,7 @@ class Hamiltonian:
         again.
     """
 
-    __slots__ = ("params", "_layout", "_store", "_terms", "_expanded",
-                 "_collected")
+    __slots__ = ("params", "_layout", "_store", "_expanded", "_collected")
 
     def __init__(self, params: HamParams, terms=None):
         lay = _layout(params)
@@ -470,7 +459,7 @@ class Hamiltonian:
         self.params = params
         self._layout = layout
         self._store = store
-        self._terms = self._expanded = None
+        self._expanded = None
         self._collected = collected
 
     # -- constructors ------------------------------------------------------
@@ -489,16 +478,6 @@ class Hamiltonian:
         return cls(params, acc)
 
     # -- basics ------------------------------------------------------------
-
-    @property
-    def terms(self):
-        """Read-only map of canonical (a, k, k_bar, j) keys to
-        coefficients, in store order; built on first read."""
-        if self._terms is None:
-            decode = self._layout.decode
-            self._terms = MappingProxyType(
-                {decode(x): c for x, c in self._store.items()})
-        return self._terms
 
     def __len__(self):     # perfbench's tracer counts terms with len()
         return len(self._store)
@@ -901,12 +880,12 @@ def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:
     keep = {}
     lost = 0.0
     lay = H._layout
-    wsum = lay.wsums
+    wsum, jcount, amask, jshift = lay.wsums, lay.degrees, lay.amask, 3 * lay.w
     for x, c in H._store.items():
         # r * wa first: once -2 r overflows, (-2 r) * 0 would be nan
-        wa = wsum[lay.block(x, 0)]
+        wa = wsum[x & amask]
         contrib = (abs(c) * math.exp(-2.0 * (H.params.r * wa))
-                   * (2.0 ** len(lay.jlists[lay.block(x, 3)])))
+                   * (2.0 ** jcount[(x >> jshift) & amask]))
         if contrib < tol:
             lost += contrib
         else:

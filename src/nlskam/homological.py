@@ -94,7 +94,8 @@ def divisor(k, k_bar, nf: NormalForm) -> float:
 def tail_weight(a, k, k_bar, jmodes, weights) -> float:
     """sum_{i>=3} w(n_i*) over the multiplicity-expanded sorted system.
 
-    ``weights`` maps a mode to its weight, as ``HamParams.weights()``.
+    ``weights`` maps a mode to its weight, as the ``weights`` memo of a
+    Hamiltonian's :func:`~nlskam.hamiltonian.key_layout` does.
     """
     system = sorted_system(a, k, k_bar, jmodes)
     return sum(weights[m] for m in system[2:])
@@ -121,9 +122,9 @@ def solve_homological(R0: Hamiltonian, R1: Hamiltonian, nf: NormalForm,
     """
     if guard <= 0:
         raise ValidationError("guard must be positive")
-    weights = R0.params.weights()
     lay = key_layout(R0)
     blocks, degree, decode = lay.blocks, lay.degrees, lay.decode
+    weights = lay.weights
     divisors = _Memo(lambda kk: divisor(blocks[kk[0]], blocks[kk[1]], nf))
     # a multiset's counts passed as k, which sorted_system counts once;
     # decoded without filling the layout's block memo

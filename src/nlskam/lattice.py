@@ -14,9 +14,6 @@ from functools import lru_cache
 
 from .errors import DimensionMismatchError, ValidationError
 
-# Multi-index representing the empty exponent vector.
-MI_ZERO = ()
-
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
@@ -44,33 +41,22 @@ def check_mode(n, d):
             f"mode {n!r} has dimension {len(n)}, expected {d}")
 
 
-@lru_cache(maxsize=None)
-def _weight_cached(n, sigma, floor_const):
-    euclid = math.sqrt(sum(c * c for c in n))
-    return math.log(max(floor_const, euclid)) ** sigma
-
-
 def angle_norm(n) -> float:
     """max(1, ||n||)."""
     return max(1.0, math.sqrt(sum(c * c for c in n)))
 
 
 @lru_cache(maxsize=8)
-def _box_enumeration(d: int, radius: int) -> tuple:
+def box_modes(d: int, radius: int) -> tuple:
+    """All modes of Z^d with every coordinate in [-radius, radius], sorted.
+
+    Cached: equal arguments return the same tuple.
+    """
     rng = range(-radius, radius + 1)
     modes = [()]
     for _ in range(d):
         modes = [m + (c,) for m in modes for c in rng]
     return tuple(sorted(modes))
-
-
-def box_modes(d: int, radius: int) -> list:
-    """All modes of Z^d with every coordinate in [-radius, radius], sorted.
-
-    Each call returns a fresh list copied from a cached enumeration, so a
-    caller may mutate or keep the list without affecting later calls.
-    """
-    return list(_box_enumeration(d, radius))
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +125,22 @@ def sorted_system(a: tuple, k: tuple, k_bar: tuple, jmodes=()) -> tuple:
     return tuple(out)
 
 
+def mi_charge(m: tuple, d: int) -> tuple:
+    """(mass, momentum) of multi-index m over Z^d: the sums of e and of
+    e * mode over its entries, the momentum as a list of d ints."""
+    mass, mom = 0, [0] * d
+    for mode, e in m:
+        mass += e
+        for i, c in enumerate(mode):
+            mom[i] += e * c
+    return mass, mom
+
+
 def conservation_check(k: tuple, k_bar: tuple):
     """Return (mass, momentum) conservation flags for the pair (k, k')."""
-    mass, mom = 0, {}
-    for sign, src in ((1, k), (-1, k_bar)):
-        for mode, e in src:
-            mass += sign * e
-            for i, c in enumerate(mode):
-                mom[i] = mom.get(i, 0) + sign * e * c
-    return mass == 0, not any(mom.values())
+    d = max((len(mode) for mode, _ in k + k_bar), default=0)
+    (mass, mom), (mass_bar, mom_bar) = mi_charge(k, d), mi_charge(k_bar, d)
+    return mass == mass_bar, mom == mom_bar
 
 
 def weighted_gap(a: tuple, k: tuple, k_bar: tuple, p) -> float:

@@ -21,14 +21,16 @@ from .errors import CapacityError, DivergenceRiskError, ValidationError
 from .hamiltonian import (
     HamParams,
     Hamiltonian,
+    key_layout,
     lie_transform,
     multiply,
     norm,
     poisson_bracket,
     second_partial,
+    term_blocks,
     vf_sup_norm,
 )
-from .lattice import _box_enumeration, weighted_gap
+from .lattice import weighted_gap
 
 SUITE_CSV_SCHEMA = "name,params,samples,violations,worst_margin,seconds"
 
@@ -325,7 +327,7 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
     # random() is uniform(0, 1) bit for bit, and 2 pi random() is
     # uniform(0, 2 pi).
     d, rad = params.d, params.mode_radius
-    modes = _box_enumeration(d, rad)        # cached and read-only
+    modes = params.box_modes()
     n_modes = len(modes)
     draw = rng.integers
     acc = {}
@@ -592,8 +594,9 @@ def _check_gap(rng, p):
     H = random_hamiltonian(hp, rng, n_terms=1, max_factors=6, max_actions=2)
     if H.is_zero():
         return 0.0
-    (a, k, kb, _), = H.terms.keys()
-    return weighted_gap(a, k, kb, hp)
+    (_, a, k, kb, _, _), = term_blocks(H)
+    blocks = key_layout(H).blocks
+    return weighted_gap(blocks[a], blocks[k], blocks[kb], hp)
 
 
 NORM_LEMMAS = {

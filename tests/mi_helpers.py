@@ -1,8 +1,8 @@
 """Multi-index and Hamiltonian helpers that only the tests use, as
 oracles and builders."""
 
-from nlskam.hamiltonian import Hamiltonian
-from nlskam.lattice import mi_signed
+from nlskam.hamiltonian import Hamiltonian, key_layout, term_blocks
+from nlskam.lattice import mi_degree, mi_signed
 
 
 def mi_add(*ms) -> tuple:
@@ -22,6 +22,20 @@ def momentum_defect(k: tuple, k_bar: tuple, d: int):
     return tuple(mom)
 
 
+def term_degree(key) -> int:
+    """The degree of canonical key (a, k, k_bar, j): 2|a| + |k| + |k_bar|
+    + 2 per J-factor."""
+    a, k, kb, j = key
+    return 2 * mi_degree(a) + mi_degree(k) + mi_degree(kb) + 2 * len(j)
+
+
+def tuple_terms(H: Hamiltonian) -> dict:
+    """H's terms as a dict from canonical (a, k, k_bar, j) keys to
+    coefficients, in store order."""
+    decode = key_layout(H).decode
+    return {decode(x): c for x, *_, c in term_blocks(H)}
+
+
 def monomial(params, a=(), k=(), k_bar=(), j=(), coeff=1.0) -> Hamiltonian:
     """One term c * I(0)^a q^k qbar^k_bar J^j, from (mode, exponent)
     pairs and a list of J-modes."""
@@ -32,9 +46,7 @@ def to_dict(H: Hamiltonian) -> dict:
     """The v1 document of H, the reference for ``Hamiltonian.dumps``."""
     p = H.params
     terms = []
-    for key in sorted(H.terms):
-        a, k, kb, j = key
-        c = H.terms[key]
+    for (a, k, kb, j), c in sorted(tuple_terms(H).items()):
         terms.append({
             "a": [[list(m), e] for m, e in a],
             "k": [[list(m), e] for m, e in k],

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -485,6 +487,29 @@ def test_measure_csv_schema(tmp_path):
     assert lines[0] == ("gamma,trials,violations,fraction,stderr,"
                        "ell_budget,mode_radius,seed")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("box", [
+    ("--d", "1", "--radius", "2", "--ell-budget", "6"),
+    ("--d", "2", "--radius", "1", "--ell-budget", "4"),
+])
+def test_measure_csv_does_not_depend_on_blas_threads(tmp_path, box):
+    # measure is the one command whose products go through BLAS; each run
+    # is a fresh process, since BLAS reads its thread count at load time
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"m{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run(
+            [sys.executable, "-m", "nlskam.cli", "measure", "--gamma", "0.01",
+             "--gamma", "0.05", "--gamma", "0.1", "--trials", "10000", *box,
+             "--seed", "0", "--out", str(out)], env=env, check=True)
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_verify_lemmas_subset(tmp_path, capsys):

@@ -24,7 +24,7 @@ from nlskam.homological import RHO0
 from nlskam.lattice import conservation_check
 from nlskam.nls import NlsConfig, build_cubic_nls
 
-from mi_helpers import monomial
+from mi_helpers import monomial, tuple_terms
 
 CFG = KamConfig(NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6),
                 seed=7, steps=1)
@@ -55,9 +55,9 @@ def test_initial_state_classes():
     state, H = initial_state(CFG)
     assert state.s == 0
     # class-2 terms carry exactly two J factors, classes 0/1 fewer
-    assert all(len(key[3]) == 2 for key in state.R2.terms)
-    assert all(len(key[3]) == 0 for key in state.R0.terms)
-    assert all(len(key[3]) == 1 for key in state.R1.terms)
+    assert all(len(key[3]) == 2 for key in tuple_terms(state.R2))
+    assert all(len(key[3]) == 0 for key in tuple_terms(state.R0))
+    assert all(len(key[3]) == 1 for key in tuple_terms(state.R1))
     eps0 = _eps0_of(CFG)
     n0, n1, n2 = state.norms
     assert state.norms == class_norms(state.R0, state.R1, state.R2,
@@ -126,7 +126,7 @@ def test_step_refuses_an_underflowed_eps_next():
 
 def _ref_conserving(H):
     return all(conservation_check(k, kb) == (True, True)
-               for (_, k, kb, _) in H.expanded().terms)
+               for (_, k, kb, _) in tuple_terms(H.expanded()))
 
 
 def _ref_flags(state):
@@ -224,8 +224,8 @@ def test_class_norms_read_the_parts_as_a_recollection_would(
     for st in exact_states:
         rho = schedule(st.s, _eps0_of(CFG)).rho_s
         parts = (st.R0, st.R1, st.R2)
-        fresh = [norm(Hamiltonian(R.params, R.terms), "plus_rho", rho)
-                 for R in parts]
+        fresh = [norm(Hamiltonian(R.params, tuple_terms(R)), "plus_rho",
+                      rho) for R in parts]
         with monkeypatch.context() as m:
             m.setattr(key_layout(st.R0), "collects", None)
             own = [norm(R, "plus_rho", rho) for R in parts]

@@ -13,6 +13,7 @@ from nlskam import (
     divisor,
     homological_residual,
     linear_combine,
+    run_suite,
     sample_strong_frequency,
     schedule,
     solve_homological,
@@ -32,8 +33,10 @@ from nlskam.hamiltonian import (
     split_terms,
 )
 from nlskam.homological import RHO0, HomologicalSolution, tail_weight
-from nlskam.lattice import MI_ZERO, mi, mi_degree
+from nlskam.lattice import mi, mi_degree
 from nlskam.nls import NlsConfig, build_cubic_nls, build_normal_form
+
+from mi_helpers import tuple_terms
 
 
 def _setup(d=1, radius=2, seed=7, gamma=0.1):
@@ -72,8 +75,8 @@ def test_tail_weight_counts_third_largest_onward():
     k = mi([((1,), 1), ((-1,), 1)])
     kb = mi([((0,), 2)])
     # system has 4 entries, tail = 2 entries at the floor weight
-    assert (tail_weight((), k, kb, (), params.weights())
-            == pytest.approx(2.0 * w))
+    weights = {m: params.weight(m) for m in params.box_modes()}
+    assert tail_weight((), k, kb, (), weights) == pytest.approx(2.0 * w)
 
 
 def test_truncation_budget_monotone():
@@ -86,14 +89,15 @@ def test_solver_splits_resonant_and_inverts_divisors():
     cfg, nf, R0, R1, R2 = _setup()
     sol = solve_homological(R0, R1, nf, guard=1e-8, B=1e9)
     # resonant terms have empty (k, k') and were not inverted
-    for (_, k, kb, _) in sol.resonant.terms:
+    for (_, k, kb, _) in tuple_terms(sol.resonant):
         assert k == () and kb == ()
     # every solved class-0 coefficient equals c / (i * divisor)
-    solved0 = [key for key in sol.F.terms if key in R0.terms]
+    F, R = tuple_terms(sol.F), tuple_terms(R0)
+    solved0 = [key for key in F if key in R]
     assert solved0
     for key in solved0:
         _, k, kb, _ = key
-        assert sol.F.terms[key] == R0.terms[key] / (1j * divisor(k, kb, nf))
+        assert F[key] == R[key] / (1j * divisor(k, kb, nf))
     assert sol.stats["solved_terms"] > 0
     assert sol.stats["min_divisor"] >= 1e-8
 
@@ -141,15 +145,15 @@ def _ref_solve_homological(R0, R1, nf, guard, B):
     if guard <= 0:
         raise ValidationError("guard must be positive")
     params = R0.params
-    weights = params.weights()
+    weights = {m: params.weight(m) for m in params.box_modes()}
     min_div = math.inf
     quad_diag = []
     deferred_mass = 0.0
     f_terms, res_terms, def_terms, elim_terms = {}, {}, {}, {}
     for R in (R0, R1):
-        for key, c in R.terms.items():
+        for key, c in tuple_terms(R).items():
             a, k, kb, j = key
-            if k == MI_ZERO and kb == MI_ZERO:
+            if k == () and kb == ():
                 res_terms[key] = c
                 continue
             if mi_degree(k) + mi_degree(kb) == 2 and k != kb:
@@ -210,7 +214,8 @@ def _quad_nonresonant_args():
 
 
 def _bits(H):
-    return [(key, c.real.hex(), c.imag.hex()) for key, c in H.terms.items()]
+    return [(key, c.real.hex(), c.imag.hex())
+            for key, c in tuple_terms(H).items()]
 
 
 def _assert_same_solution(args):
@@ -336,6 +341,20 @@ def test_kam_steps_decode_only_the_small_divisor_key(monkeypatch):
     with pytest.raises(SmallDivisorError) as got:
         kam_step(small, schedule(1, eps0), small_cfg)
     assert decoded == [got.value.key]
+
+
+def test_lemma_suite_decodes_no_key(monkeypatch):
+    # the gap oracle reads its term's a, k and k_bar blocks
+    decoded = []
+    decode = _Layout.decode
+
+    def counting(self, x):
+        decoded.append(x)
+        return decode(self, x)
+
+    monkeypatch.setattr(_Layout, "decode", counting)
+    assert "gap" in {c.name for c in run_suite(samples_norm=20)}
+    assert decoded == []
 
 
 def test_split_parts_are_collected_exactly_when_every_source_is():

@@ -164,16 +164,16 @@ def test_gap_nonnegative_property(kmodes, amodes):
 
 
 def test_box_modes_shared_by_lattice_and_sampler():
-    assert box_modes(2, 1) == sorted(
-        (a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
-    assert box_modes(1, 0) == [(0,)]
+    assert box_modes(2, 1) == tuple(sorted(
+        (a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)))
+    assert box_modes(1, 0) == ((0,),)
     hp = HamParams(d=2, sigma=2.5, r=1.0, mode_radius=1)
     omega, _ = sample_strong_frequency(hp, 0.1, 3, seed=0)
-    assert hp.box_modes() == list(omega) == box_modes(2, 1)
+    assert hp.box_modes() == tuple(omega) == box_modes(2, 1)
 
 
-def test_box_modes_returns_a_fresh_list():
+def test_box_modes_returns_one_cached_tuple_per_arguments():
     modes = box_modes(1, 2)
-    modes[0] = (9,)
-    modes.append((7,))
-    assert box_modes(1, 2) == [(-2,), (-1,), (0,), (1,), (2,)]
+    assert modes == ((-2,), (-1,), (0,), (1,), (2,))
+    assert box_modes(1, 2) is modes
+    assert HamParams(d=1, mode_radius=2).box_modes() is modes

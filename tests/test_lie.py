@@ -38,25 +38,25 @@ from nlskam.hamiltonian import (
     Hamiltonian,
     _bracket,
     class_split,
-    term_degree,
 )
 from nlskam.homological import RHO0
 from nlskam.verification import random_hamiltonian
 
-from mi_helpers import monomial
+from mi_helpers import monomial, term_degree, tuple_terms
 
 CFG = KamConfig(NlsConfig(HamParams(d=1, mode_radius=2), epsilon=1e-6),
                 seed=7, steps=1)
 
 
 def _bits(H):
-    return [(k, c.real.hex(), c.imag.hex()) for k, c in H.terms.items()]
+    return [(k, c.real.hex(), c.imag.hex())
+            for k, c in tuple_terms(H).items()]
 
 
 def _follows(E, A):
     """Whether E's keys are a subsequence of A's, in A's order."""
-    keys = iter(A.terms)
-    return all(key in keys for key in E.terms)
+    keys = iter(tuple_terms(A))
+    return all(key in keys for key in tuple_terms(E))
 
 
 def _count_kernel_calls(monkeypatch):
@@ -103,7 +103,7 @@ def _frozen_prune(H, tol):
     if tol <= 0:
         return H, []
     keep, lost = {}, 0.0
-    for (a, k, kb, j), c in H.terms.items():
+    for (a, k, kb, j), c in tuple_terms(H).items():
         mass = abs(c) * math.exp(-2.0 * H.params.r * sum(
             e * H.params.weight(m) for m, e in a)) * 2.0 ** len(j)
         if mass < tol:
@@ -296,18 +296,19 @@ def test_two_column_kernel_matches_two_brackets(seed, d, offset, keep, form):
                            max_actions=2)
     top = G.degree() + F.degree() - 2
     p = replace(wide, degree_cap=max(G.degree(), F.degree(), top + offset))
-    G, F = Hamiltonian(p, G.terms), Hamiltonian(p, F.terms)
+    G, F = Hamiltonian(p, tuple_terms(G)), Hamiltonian(p, tuple_terms(F))
     GE = G.expanded()
     # E: G's expanded keys with coefficients of its own, as a subsequence,
     # in a random order, or with keys G lacks put in at random places
-    keys = [key for key in GE.terms if rng.random() < keep]
+    ge_keys = tuple_terms(GE)
+    keys = [key for key in ge_keys if rng.random() < keep]
     if form == "reordered":
         keys = [keys[i] for i in rng.permutation(len(keys))]
     elif form == "foreign":
         X = random_hamiltonian(wide, rng, n_terms=4, max_factors=6,
                                max_actions=2).expanded()
-        for key in X.terms:
-            if key not in GE.terms and term_degree(key) <= p.degree_cap:
+        for key in tuple_terms(X):
+            if key not in ge_keys and term_degree(key) <= p.degree_cap:
                 keys.insert(rng.integers(len(keys) + 1), key)
     E = Hamiltonian(p, {key: complex(*rng.uniform(-1.0, 1.0, 2))
                         for key in keys})
@@ -333,7 +334,7 @@ def test_two_column_kernel_matches_two_brackets(seed, d, offset, keep, form):
 def test_series_off_the_shared_pass_matches_frozen_loop(change, monkeypatch):
     # E's keys not a subsequence of G's: E-only rows follow G's rows
     _, _, sol, G, start = _step_inputs(CFG)
-    terms = list(sol.eliminated.expanded().terms.items())
+    terms = list(tuple_terms(sol.eliminated.expanded()).items())
     if change == "reordered":
         terms[0], terms[1] = terms[1], terms[0]
     else:

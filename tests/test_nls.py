@@ -12,6 +12,8 @@ from nlskam import (
 )
 from nlskam.lattice import conservation_check
 
+from mi_helpers import tuple_terms
+
 
 def _cfg(d, radius, **kw):
     return NlsConfig(HamParams(d=d, mode_radius=radius), epsilon=1e-6, **kw)
@@ -42,20 +44,20 @@ def _independent_count(d, radius):
 
 def test_term_count_d1_radius1():
     H = build_cubic_nls(_cfg(1, 1))
-    assert len(H.terms) == 8
-    assert len(H.terms) == _independent_count(1, 1)
+    assert len(H) == 8
+    assert len(H) == _independent_count(1, 1)
 
 
 def test_term_count_matches_oracle():
     for d, radius in ((1, 2), (2, 1)):
         H = build_cubic_nls(_cfg(d, radius))
-        assert len(H.terms) == _independent_count(d, radius)
+        assert len(H) == _independent_count(d, radius)
 
 
 def test_coefficients_flat_and_real():
     H = build_cubic_nls(_cfg(1, 2))
     base = 1e-6 / (2.0 * math.pi)
-    for (a, k, kb, j), c in H.terms.items():
+    for (a, k, kb, j), c in tuple_terms(H).items():
         assert a == () and j == ()
         assert c == pytest.approx(base)
         assert conservation_check(k, kb) == (True, True)
@@ -64,10 +66,10 @@ def test_coefficients_flat_and_real():
 
 def test_sign_and_dimension_scaling():
     neg = build_cubic_nls(_cfg(1, 1, sign=-1))
-    assert all(c.real < 0 for c in neg.terms.values())
+    assert all(c.real < 0 for c in tuple_terms(neg).values())
     h2 = build_cubic_nls(_cfg(2, 1))
     base2 = 1e-6 / (2.0 * math.pi) ** 2
-    assert next(iter(h2.terms.values())).real == pytest.approx(base2)
+    assert next(iter(tuple_terms(h2).values())).real == pytest.approx(base2)
 
 
 def test_physical_multiplicity_counts():
@@ -75,10 +77,10 @@ def test_physical_multiplicity_counts():
     base = 1e-6 / (2.0 * math.pi)
     # q_1 q_-1 qbar_0^2: multiplicity 2 (distinct pair) * 1 (repeated pair)
     key = ((), (((-1,), 1), ((1,), 1)), (((0,), 2),), ())
-    assert H.terms[key] == pytest.approx(2.0 * base)
+    assert tuple_terms(H)[key] == pytest.approx(2.0 * base)
     # q_0^2 qbar_0^2
     key2 = ((), (((0,), 2),), (((0,), 2),), ())
-    assert H.terms[key2] == pytest.approx(base)
+    assert tuple_terms(H)[key2] == pytest.approx(base)
 
 
 def test_normal_form_start():
@@ -99,6 +101,6 @@ def test_normal_form_as_hamiltonian():
     omega = {(-1,): 0.1, (0,): 0.2, (1,): 0.3}
     nf = build_normal_form(cfg, omega)
     N = nf.as_hamiltonian(cfg.params)
-    assert len(N.terms) == 3
+    assert len(N) == 3
     key = ((), (((1,), 1),), (((1,), 1),), ())
-    assert N.terms[key] == pytest.approx(1.3)
+    assert tuple_terms(N)[key] == pytest.approx(1.3)
