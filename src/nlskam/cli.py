@@ -119,8 +119,6 @@ def _apply_config(parser, argv, args):
 
 def _add_common(p):
     p.add_argument("--config", help="key = value file overriding flags")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
 
 
 def _add_lattice_flags(p):

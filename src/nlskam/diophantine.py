@@ -46,11 +46,11 @@ class EllRows(Sequence):
 
     ``matrix[i, j]`` is the value of row i at ``modes[j]``.  Row i reads as
     the tuple of (mode, value) pairs with nonzero value, in mode order.
-    ``levels`` holds one row slice per |l| = 1, 2, ... when the rows are
-    a whole enumeration ordered by |l|; a slice of the rows has none.
+    The rows are ordered by |l|, and ``levels`` holds one row slice per
+    |l| = 1, 2, ...
     """
 
-    def __init__(self, modes, matrix, levels=()):
+    def __init__(self, modes, matrix, levels):
         self.modes = modes
         self.matrix = matrix
         self.levels = levels
@@ -59,8 +59,6 @@ class EllRows(Sequence):
         return len(self.matrix)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return EllRows(self.modes, self.matrix[i])
         return self._ell(self.matrix[i].tolist())
 
     def __iter__(self):

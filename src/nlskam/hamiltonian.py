@@ -19,29 +19,29 @@ coefficient.  The int holds the term's a, k, k_bar and J exponents in
 per-mode interleaved fields: the i-th mode of the params' :class:`_Layout`
 owns fields 4i .. 4i+3, each w = max(bit_length(2 * degree_cap), 1) bits
 wide (a J-factor costs two degrees, so its count fits too).  There is one
-layout per ``HamParams`` value, and it gives a mode its fields the first
-time it sees the mode, so no field ever moves and a sparse document gets
-fields only for the modes it holds.  Merging two monomials is one int
-addition and removing a q_m qbar_m pair one subtraction.  w holds the sum
-of two in-cap exponents, so no field carries and packed keys map
-one-to-one onto tuple keys.  Key values never order anything: insertion
-order, accumulation order and every floating-point operation are those of
-the tuple form.  An op reads what it needs from a key's four blocks (its
-a, k, k_bar and J fields, see :class:`_Layout`) through memos of the
-layout, which decode each block once per params value and plan each
-term's work once per block: J-expansion per J block, and J-collection
-and the bracket's row data per (k, k_bar) pair.  No op decodes a whole
-key.  Tuple keys come in only through the constructor, which checks
-every key and coefficient, and each mode tuple once per layout; it is
-what ``from_terms`` and ``loads`` build with.  They go out only as the
-text of ``dumps`` and as a key the homological solver reports
-(``_Layout.decode``).  The layout is also the one holder of what
-depends only on the params: the mode -> weight memo ``weights`` and the
-per-block weight memos through which the norms and ``prune`` read a
-key's weights, so each weight is computed once per params value, not
-per call.  Outside this module, packed keys and blocks are only read:
-``split_terms`` routes existing terms into parts by their blocks, each
-under its own packed key, and ``term_blocks`` yields them.
+layout per ``HamParams`` value for the life of the process, and it gives a
+mode its fields the first time it sees the mode, so no field ever moves
+and a sparse document gets fields only for the modes it holds.  Merging
+two monomials is one int addition and removing a q_m qbar_m pair one
+subtraction.  w holds the sum of two in-cap exponents, so no field carries
+and packed keys map one-to-one onto tuple keys.  Key values never order
+anything: insertion order, accumulation order and every floating-point
+operation are those of the tuple form.  An op reads what it needs from a
+key's four blocks (its a, k, k_bar and J fields, see :class:`_Layout`)
+through memos of the layout, which decode each block once per params value
+and plan each term's work once per block: J-expansion per J block, and
+J-collection and the bracket's row data per (k, k_bar) pair.  No op
+decodes a whole key.  Tuple keys come in only through the constructor,
+which checks every key and coefficient, and each mode tuple once per
+layout; it is what ``from_terms`` and ``loads`` build with.  They go out
+only as the text of ``dumps`` and as a key the homological solver reports
+(``_Layout.decode``).  The layout is also the one holder of what depends
+only on the params: the mode -> weight memo ``weights`` and the per-block
+weight memos through which the norms and ``prune`` read a key's weights,
+so each weight is computed once per params value, not per call.  Outside
+this module, packed keys and blocks are only read: ``split_terms`` routes
+existing terms into parts by their blocks, each under its own packed key,
+and ``term_blocks`` yields them.
 
 The bracket kernel ``_bracket`` brackets two operands against a third in
 one pass: ``lie_transform`` calls it once per order on the G and E chains
@@ -53,7 +53,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import weakref
 from dataclasses import dataclass
 
 from .errors import CapacityError, ValidationError
@@ -233,14 +232,14 @@ class _Layout:
     by support mode, its support as an outer and as an inner row builds
     it (one set when the two iterate alike), and deg k + deg k_bar.
 
-    A layout holds no coefficient and no result, and nothing of it refers
-    back to it, so a layout nothing else holds is freed with the last
-    Hamiltonian that uses it.
+    A layout holds no coefficient and no result.  It lives for the
+    process, so it holds every mode any Hamiltonian of its params has
+    held, and its memos every block met.
     """
 
     __slots__ = ("w", "modes", "ua", "uq", "canon", "amask", "blocks",
                  "jlists", "degrees", "weights", "wsums", "ews", "expands",
-                 "collects", "bracket_rows", "__weakref__")
+                 "collects", "bracket_rows")
 
     def __init__(self, params):
         self.w = w = max((2 * params.degree_cap).bit_length(), 1)
@@ -398,27 +397,10 @@ class _Layout:
                 self.jlists[(x >> (3 * w)) & amask])
 
 
-# One layout per HamParams value, shared by all its live Hamiltonians.
-# Held weakly: once the last of them is gone, the next Hamiltonian of
-# those params starts a fresh layout, so modes met only in dead
-# Hamiltonians do not widen later keys.  A box of at most _SMALL_BOX
-# modes bounds the width of its layout, which is therefore also held
-# for the process, so that its decode and weight memos and its
-# registered modes serve every later Hamiltonian of those params.
-_LAYOUTS = weakref.WeakValueDictionary()
-_SMALL_BOX = 64
-_SMALL_BOX_LAYOUTS = {}
-
-
-def _layout(params) -> _Layout:
-    lay = _LAYOUTS.get(params)
-    if lay is None:
-        lay = _LAYOUTS[params] = _Layout(params)
-        # (2R + 1)^d <= _SMALL_BOX, without forming the power of a large d
-        if (params.d * math.log(2 * params.mode_radius + 1)
-                <= math.log(_SMALL_BOX)):
-            _SMALL_BOX_LAYOUTS[params] = lay
-    return lay
+# One layout per HamParams value, shared by all its Hamiltonians and
+# kept for the process, so its registered modes and memos serve every
+# later Hamiltonian of those params.
+_LAYOUTS = _Memo(_Layout)
 
 
 class Hamiltonian:
@@ -434,15 +416,16 @@ class Hamiltonian:
         checked for its J count, its exponents, its mode order, its modes
         (once per registered mode tuple and params value) and
         ``degree_cap``, and every coefficient for finiteness; coefficients
-        with magnitude below 1e-300 are dropped.  Results of the ops and
-        of ``split_terms`` are built from packed keys and are not checked
-        again.
+        with magnitude below 1e-300 are dropped.  Each kept key's modes
+        are registered in the layout of ``params``, which lives for the
+        process.  Results of the ops and of ``split_terms`` are built
+        from packed keys and are not checked again.
     """
 
     __slots__ = ("params", "_layout", "_store", "_expanded", "_collected")
 
     def __init__(self, params: HamParams, terms=None):
-        lay = _layout(params)
+        lay = _LAYOUTS[params]
         store = {}
         if terms:
             for key, c in terms.items():
@@ -481,9 +464,6 @@ class Hamiltonian:
 
     def __len__(self):     # perfbench's tracer counts terms with len()
         return len(self._store)
-
-    def is_zero(self):
-        return not self._store
 
     def degree(self) -> int:
         degrees = self._layout.degrees

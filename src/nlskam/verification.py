@@ -19,15 +19,14 @@ import numpy as np
 
 from .errors import CapacityError, DivergenceRiskError, ValidationError
 from .hamiltonian import (
+    COEFF_FLOOR,
     HamParams,
     Hamiltonian,
-    key_layout,
     lie_transform,
     multiply,
     norm,
     poisson_bracket,
     second_partial,
-    term_blocks,
     vf_sup_norm,
 )
 from .lattice import weighted_gap
@@ -314,13 +313,24 @@ def verify_scalar_lemma(name, params=None, samples=None, seed=0) -> LemmaCase:
 
 def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
                        max_actions=1):
-    """Random momentum-conserving Hamiltonian with unit-disk coefficients.
+    """Random momentum-conserving Hamiltonian with unit-disk coefficients,
+    the terms ``random_terms`` draws.  The Hamiltonian constructor raises
+    CapacityError on the first kept term above ``degree_cap``.
+    """
+    return Hamiltonian(params, random_terms(params, rng, n_terms,
+                                            max_factors, max_actions))
+
+
+def random_terms(params: HamParams, rng, n_terms=6, max_factors=4,
+                 max_actions=1) -> dict:
+    """Random momentum-conserving terms: a map from n_terms drawn tuple
+    keys to the sums of their unit-disk coefficients.
 
     Supports are drawn uniformly over the truncation box with mass split
     evenly between q and qbar factors; the momentum defect is repaired by
     moving the last q-factor, resampling when the repaired mode leaves
-    the box.  The Hamiltonian constructor raises CapacityError on the
-    first kept term above ``degree_cap``.
+    the box.  Fewer keys come back when a key is drawn twice or after
+    1000 * n_terms draws.
     """
     # Scalar draws take the same values from the generator's stream as
     # one array draw of the same bounded range, at a third of the cost;
@@ -363,7 +373,7 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
         key = (_unit_mi(a), _unit_mi(k), _unit_mi(kb), ())
         acc[key] = (acc.get(key, 0j)
                     + radius * complex(math.cos(phase), math.sin(phase)))
-    return Hamiltonian(params, acc)
+    return acc
 
 
 def _unit_mi(modes) -> tuple:
@@ -591,12 +601,12 @@ def _check_flow_bound(rng, p):
 
 def _check_gap(rng, p):
     hp = _default_params(p, degree_cap=20, mode_radius=2048)
-    H = random_hamiltonian(hp, rng, n_terms=1, max_factors=6, max_actions=2)
-    if H.is_zero():
-        return 0.0
-    (_, a, k, kb, _, _), = term_blocks(H)
-    blocks = key_layout(H).blocks
-    return weighted_gap(blocks[a], blocks[k], blocks[kb], hp)
+    terms = random_terms(hp, rng, n_terms=1, max_factors=6, max_actions=2)
+    # 0.0 when nothing is kept, as for the zero Hamiltonian
+    for (a, k, kb, _), c in terms.items():
+        if abs(c) >= COEFF_FLOOR:
+            return weighted_gap(a, k, kb, hp)
+    return 0.0
 
 
 NORM_LEMMAS = {

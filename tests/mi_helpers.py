@@ -1,5 +1,9 @@
-"""Multi-index and Hamiltonian helpers that only the tests use, as
-oracles and builders."""
+"""Helpers that only the tests use: multi-index and Hamiltonian oracles
+and builders, and a CLI run in a fresh process."""
+
+import os
+import subprocess
+import sys
 
 from nlskam.hamiltonian import Hamiltonian, key_layout, term_blocks
 from nlskam.lattice import mi_degree, mi_signed
@@ -66,3 +70,16 @@ def to_dict(H: Hamiltonian) -> dict:
         "mode_radius": p.mode_radius,
         "terms": terms,
     }
+
+
+def run_cli_in_fresh_process(argv, threads):
+    """Run the CLI on ``argv`` in a new interpreter whose BLAS and OpenMP
+    thread counts are ``threads`` (they are read when the library loads),
+    raising on a nonzero exit."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-m", "nlskam.cli", *argv], env=env,
+                   check=True)

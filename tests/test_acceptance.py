@@ -40,6 +40,8 @@ from nlskam.verification import (
     verify_scalar_lemma,
 )
 
+from mi_helpers import run_cli_in_fresh_process
+
 
 def _verdict(num, ok, detail):
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}"
@@ -313,17 +315,21 @@ def test_criterion_10_translation_defect():
 # ---------------------------------------------------------------------------
 
 def test_criterion_11_determinism(tmp_path):
+    # repeated runs in this process, then fresh processes with 1 and 4
+    # BLAS threads
+    argv = ["kam-run", "--d", "1", "--radius", "2", "--eps", "1e-6",
+            "--steps", "1", "--seed", "7"]
     outs = []
-    for i, threads in enumerate(("1", "1", "4")):
-        prefix = tmp_path / f"k{i}"
-        code = dispatch(["kam-run", "--d", "1", "--radius", "2",
-                         "--eps", "1e-6", "--steps", "1", "--seed", "7",
-                         "--threads", threads, "--out-prefix", str(prefix)])
-        assert code == 0
+    for i, threads in enumerate((None, None, "1", "4")):
+        prefix = ["--out-prefix", str(tmp_path / f"k{i}")]
+        if threads is None:
+            assert dispatch([*argv, *prefix]) == 0
+        else:
+            run_cli_in_fresh_process([*argv, *prefix], threads)
         outs.append(((tmp_path / f"k{i}.steps.csv").read_bytes(),
                      (tmp_path / f"k{i}.step1.json").read_bytes()))
-    same_runs = outs[0] == outs[1]
-    same_threads = outs[0] == outs[2]
+    same_runs = outs[0] == outs[1] == outs[2]
+    same_threads = outs[2] == outs[3]
     _verdict(11, same_runs and same_threads,
              f"identical bytes across repeated runs: {same_runs}, "
-             f"across thread counts 1 vs 4: {same_threads}")
+             f"across BLAS thread counts 1 vs 4: {same_threads}")

@@ -3,15 +3,13 @@ import io
 import json
 import math
 import os
-import subprocess
-import sys
 
 import pytest
 
 from nlskam import HamParams, KamConfig, driver, linear_combine, run
 from nlskam.cli import dispatch
 
-from mi_helpers import to_dict
+from mi_helpers import run_cli_in_fresh_process, to_dict
 
 
 def run_cli(*argv):
@@ -494,20 +492,14 @@ def test_measure_csv_schema(tmp_path):
     ("--d", "2", "--radius", "1", "--ell-budget", "4"),
 ])
 def test_measure_csv_does_not_depend_on_blas_threads(tmp_path, box):
-    # measure is the one command whose products go through BLAS; each run
-    # is a fresh process, since BLAS reads its thread count at load time
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    # measure is the one command whose products go through BLAS
     texts = []
     for threads in ("1", "2"):
         out = tmp_path / f"m{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, (src, os.environ.get("PYTHONPATH")))))
-        subprocess.run(
-            [sys.executable, "-m", "nlskam.cli", "measure", "--gamma", "0.01",
-             "--gamma", "0.05", "--gamma", "0.1", "--trials", "10000", *box,
-             "--seed", "0", "--out", str(out)], env=env, check=True)
+        run_cli_in_fresh_process(
+            ["measure", "--gamma", "0.01", "--gamma", "0.05", "--gamma",
+             "0.1", "--trials", "10000", *box, "--seed", "0",
+             "--out", str(out)], threads)
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]
 
@@ -762,13 +754,18 @@ def test_config_switch_values(tmp_path):
 
 
 def test_byte_determinism_across_runs_and_threads(tmp_path):
+    # twice in this process, whose layouts outlive a run, then in fresh
+    # processes with 1 and 4 BLAS threads
+    argv = ["kam-run", "--d", "1", "--radius", "2", "--eps", "1e-6",
+            "--steps", "1", "--seed", "7"]
     outs = []
-    for i, threads in enumerate(("1", "1", "4")):
+    for i, threads in enumerate((None, None, "1", "4")):
         prefix = tmp_path / f"k{i}"
-        assert run_cli("kam-run", "--d", "1", "--radius", "2",
-                       "--eps", "1e-6", "--steps", "1", "--seed", "7",
-                       "--threads", threads,
-                       "--out-prefix", str(prefix)) == 0
+        if threads is None:
+            assert run_cli(*argv, "--out-prefix", str(prefix)) == 0
+        else:
+            run_cli_in_fresh_process(
+                [*argv, "--out-prefix", str(prefix)], threads)
         outs.append((prefix.with_suffix(".steps.csv").read_bytes(),
                      (tmp_path / f"k{i}.step1.json").read_bytes()))
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]

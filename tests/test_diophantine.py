@@ -395,7 +395,7 @@ def test_ell_rows_view():
     assert len(ells) == len(ref)
     assert [ells[i] for i in range(len(ells))] == ref
     assert ells[-1] == ref[-1]
-    assert list(ells[2:5]) == ref[2:5]
+    assert list(ells)[2:5] == ref[2:5]
     assert ((((0,), 1), ((1,), 1)) in ells)
 
 

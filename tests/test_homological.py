@@ -115,7 +115,7 @@ def test_solver_defers_heavy_tails():
     cfg, nf, R0, R1, R2 = _setup()
     sol = solve_homological(R0, R1, nf, guard=1e-8, B=0.0)
     # with a zero budget every nonresonant term is deferred
-    assert sol.F.is_zero() and sol.eliminated.is_zero()
+    assert len(sol.F) == 0 and len(sol.eliminated) == 0
     assert sol.stats["deferred_terms"] > 0
     assert sol.stats["deferred_mass"] > 0.0
 
@@ -344,7 +344,6 @@ def test_kam_steps_decode_only_the_small_divisor_key(monkeypatch):
 
 
 def test_lemma_suite_decodes_no_key(monkeypatch):
-    # the gap oracle reads its term's a, k and k_bar blocks
     decoded = []
     decode = _Layout.decode
 

@@ -7,6 +7,7 @@ from nlskam import (CapacityError, HamParams, Hamiltonian, KamConfig,
                     ValidationError, norm, resonance_measure, run,
                     verify_norm_lemma, verify_scalar_lemma)
 from nlskam import verification
+from nlskam.hamiltonian import _Layout
 from nlskam.lattice import conservation_check, mi
 from nlskam.verification import (
     NORM_LEMMAS,
@@ -19,6 +20,7 @@ from nlskam.verification import (
     log_bracket_constant,
     random_hamiltonian,
     random_state,
+    random_terms,
     run_suite,
 )
 
@@ -275,7 +277,7 @@ def test_bracket_bound_sides(params):
     Z = Hamiltonian.zero(params)
     for X, Y in ((Z, H2), (H1, Z)):
         B, lhs, rhs = bracket_bound(X, Y, 0.1, 0.004, 0.004)
-        assert B.is_zero() and lhs == rhs == -math.inf
+        assert len(B) == 0 and lhs == rhs == -math.inf
 
 
 def test_bracket_bound_lemma_at_d2():
@@ -310,13 +312,29 @@ def test_nan_margin_is_a_violation():
     ("flow_bound", {"degree_cap": 32}, {"degree_cap": 32}),
 ])
 def test_default_params_layers(monkeypatch, name, p, want):
+    # every oracle draws through random_terms, the gap oracle directly
     expected = HamParams(**{"d": 1, "degree_cap": 12, **want})
     seen = []
 
     def record(params, *args, **kwargs):
         seen.append(params)
-        return random_hamiltonian(params, *args, **kwargs)
+        return random_terms(params, *args, **kwargs)
 
-    monkeypatch.setattr(verification, "random_hamiltonian", record)
+    monkeypatch.setattr(verification, "random_terms", record)
     NORM_LEMMAS[name](np.random.default_rng(0), p)
     assert seen and all(hp == expected for hp in seen)
+
+
+def test_gap_oracle_makes_no_layout(monkeypatch):
+    # its radius-2048 draws would otherwise widen a layout that lives for
+    # the process
+    made = []
+    init = _Layout.__init__
+
+    def counting(self, params):
+        made.append(params)
+        init(self, params)
+
+    monkeypatch.setattr(_Layout, "__init__", counting)
+    case = verify_norm_lemma("gap", samples=50)
+    assert case.violations == 0 and made == []
