@@ -121,15 +121,23 @@ def _add_common(p):
     p.add_argument("--config", help="key = value file overriding flags")
 
 
-def _add_lattice_flags(p):
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--radius", type=int, default=2,
+# build-nls and kam-run take their defaults from here
+_DEFAULTS = KamConfig()
+
+
+def _add_nls_flags(p):
+    nls = _DEFAULTS.nls
+    lat = nls.params
+    p.add_argument("--d", type=int, default=lat.d)
+    p.add_argument("--radius", type=int, default=lat.mode_radius,
                    help="truncation box half-width")
-    p.add_argument("--sigma", type=float, default=2.5)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--floor", type=float, default=1024.0,
+    p.add_argument("--sigma", type=float, default=lat.sigma)
+    p.add_argument("--r", type=float, default=lat.r)
+    p.add_argument("--floor", type=float, default=lat.floor_const,
                    help="weight floor constant")
-    p.add_argument("--degree-cap", type=int, default=16)
+    p.add_argument("--degree-cap", type=int, default=lat.degree_cap)
+    p.add_argument("--eps", type=float, default=nls.epsilon)
+    p.add_argument("--sign", type=int, default=nls.sign, choices=(1, -1))
 
 
 _SEED_HELP = "default: the NLSKAM_SEED environment variable, else 0"
@@ -142,24 +150,21 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("build-nls", parents=[], help="emit the truncated "
                        "cubic NLS Hamiltonian as a JSON file")
-    _add_lattice_flags(p)
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--sign", type=int, default=1, choices=(1, -1))
+    _add_nls_flags(p)
     p.add_argument("--physical-multiplicity", action="store_true")
     p.add_argument("--out", default="-")
     _add_common(p)
 
     p = sub.add_parser("kam-run", help="run KAM steps; emit step CSV and "
                        "per-step Hamiltonian dumps")
-    _add_lattice_flags(p)
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--sign", type=int, default=1, choices=(1, -1))
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--steps", type=int, default=1)
+    _add_nls_flags(p)
+    p.add_argument("--gamma", type=float, default=_DEFAULTS.gamma)
+    p.add_argument("--steps", type=int, default=_DEFAULTS.steps)
     p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
-    p.add_argument("--ell-budget", type=int, default=6)
-    p.add_argument("--prune-tol", type=float, default=1e-18)
-    p.add_argument("--lie-order-cap", type=int, default=3)
+    p.add_argument("--ell-budget", type=int, default=_DEFAULTS.ell_budget)
+    p.add_argument("--prune-tol", type=float, default=_DEFAULTS.prune_tol)
+    p.add_argument("--lie-order-cap", type=int,
+                   default=_DEFAULTS.lie_order_cap)
     p.add_argument("--strict", action="store_true",
                    help="raise on any failed per-step bound")
     p.add_argument("--force", action="store_true",

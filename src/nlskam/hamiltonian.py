@@ -25,8 +25,10 @@ and a sparse document gets fields only for the modes it holds.  Merging
 two monomials is one int addition and removing a q_m qbar_m pair one
 subtraction.  w holds the sum of two in-cap exponents, so no field carries
 and packed keys map one-to-one onto tuple keys.  Key values never order
-anything: insertion order, accumulation order and every floating-point
-operation are those of the tuple form.  An op reads what it needs from a
+anything: an op visits its operands' terms in store order, and the
+bracket a pair's common modes in mode order, so neither set layout nor
+the order in which modes were registered changes a result's keys,
+insertion order or bits.  An op reads what it needs from a
 key's four blocks (its a, k, k_bar and J fields, see :class:`_Layout`)
 through memos of the layout, which decode each block once per params value
 and plan each term's work once per block: J-expansion per J block, and
@@ -229,8 +231,8 @@ class _Layout:
     offset, integer factor or None) pairs of its J-collection (every
     (k, k_bar) without a common mode shares one plan), and
     ``bracket_rows`` a kk int to a bracket row's data: its (k_m, k_bar_m)
-    by support mode, its support as an outer and as an inner row builds
-    it (one set when the two iterate alike), and deg k + deg k_bar.
+    by support mode, its support as a block with exponent 1 per mode (the
+    sum of ``ua`` over it), and deg k + deg k_bar.
 
     A layout holds no coefficient and no result.  It lives for the
     process, so it holds every mode any Hamiltonian of its params has
@@ -337,17 +339,12 @@ class _Layout:
         def bracket_row(kk):
             k, kb = split(kk)
             kd, kbd = dict(k), dict(kb)
-            sup = set(kd) | set(kbd)                    # an outer row's
-            inner = {m for m, _ in k} | {m for m, _ in kb}  # B's rows'
-            # an intersection's order follows only its operands' iteration
-            # orders, so one set serves both when they iterate alike
-            if list(inner) == list(sup):
-                inner = sup
-            e = {}
-            for m in sup:
+            e, support = {}, 0
+            for m in kd.keys() | kbd.keys():
                 ekb = kd.get(m, 0), kbd.get(m, 0)
                 e[m] = shared.setdefault(ekb, ekb)
-            return e, sup, inner, mi_degree(k) + mi_degree(kb)
+                support += ua[m]
+            return e, support, mi_degree(k) + mi_degree(kb)
 
         self.blocks = blocks = _Memo(decode_block)
         self.jlists = jlists = _Memo(lambda b: tuple(
@@ -756,10 +753,12 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
     A, B and E are expanded.  The outer rows are A's terms in A's order;
     E's terms join the rows of their keys while E's keys follow A's
     order, and E's remaining terms follow as rows of their own, in E's
-    order.  Each result accumulates only from the rows that carry its
-    coefficient, so each visits its own terms in its own order and holds
-    exactly the keys, insertion order and sums of its bracket computed
-    alone.
+    order.  A pair visits its common modes in mode order, so the visiting
+    order depends on the operands' store orders alone, not on set layout
+    or the order in which the layout registered the modes.  Each result
+    accumulates only from the rows that carry its coefficient, so each
+    visits its own terms in its own order and holds exactly the keys,
+    insertion order and sums of its bracket computed alone.
 
     Before accumulating anything, a capacity probe walks only the pairs
     whose degree sum exceeds the cap, in the main loop's order (rows
@@ -779,7 +778,7 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
     cap = A.params.degree_cap
     lay = A._layout
     w, amask, degrees, uq = lay.w, lay.amask, lay.degrees, lay.uq
-    data = lay.bracket_rows
+    data, jlists = lay.bracket_rows, lay.jlists
     kkmask = amask | amask << w
     acc, acc_e = {}, {}
     # Rows (key, coefficient, result it accumulates into, E's coefficient
@@ -797,15 +796,12 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
     rows += [(x, c, acc_e, None) for x, c in e_items[i:]]
     # Per-term data of B and of the rows, two lookups per term: the row
     # memo of the key's (k, k_bar) gives exponents (k_m, k'_m) on the
-    # support, the support and deg k + deg k', and the a block's degree
-    # completes the term's.  The outer and inner supports are built by
-    # different expressions on purpose: the iteration order of their
-    # intersection depends on how each set was built, and it fixes the
-    # insertion order of the result (a support of five modes or more can
-    # differ; test_bracket_matches_reference_on_wide_supports).
+    # support, the support block and deg k + deg k', and the a block's
+    # degree completes the term's.  Order: rows, then B's terms, then
+    # common modes by mode.
     inner = []
     for x2, c2 in B._store.items():
-        e2, _, sup2, dk2 = data[x2 >> w & kkmask]
+        e2, sup2, dk2 = data[x2 >> w & kkmask]
         inner.append((x2, e2, sup2, 2 * degrees[x2 & amask] + dk2, c2))
     # A nonempty common support needs d1, d2 >= 1, so only pairs with
     # d1 + d2 >= 2 can contribute.  Each row is probed as it is built, so
@@ -813,13 +809,13 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
     max_d2 = max((row[3] for row in inner), default=0)
     outer = []
     for x1, c1, sink, ce in rows:
-        e1, sup1, _, dk1 = data[x1 >> w & kkmask]
+        e1, sup1, dk1 = data[x1 >> w & kkmask]
         d1 = 2 * degrees[x1 & amask] + dk1
         if d1 + max_d2 - 2 > cap:
             for _, e2, sup2, d2, _ in inner:
-                if d1 + d2 - 2 <= cap:
+                if d1 + d2 - 2 <= cap or not sup1 & sup2:
                     continue
-                for m in sup1 & sup2:
+                for m in jlists[sup1 & sup2]:
                     k1m, kb1m = e1[m]
                     k2m, kb2m = e2[m]
                     if k1m * kb2m != kb1m * k2m:
@@ -836,7 +832,7 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
             base = c1 * c2 * 1j
             base_e = None if ce is None else ce * c2 * 1j
             merged = x1 + x2
-            for m in common:
+            for m in jlists[common]:
                 k1m, kb1m = e1[m]
                 k2m, kb2m = e2[m]
                 f = k1m * kb2m - kb1m * k2m

@@ -336,7 +336,7 @@ def random_terms(params: HamParams, rng, n_terms=6, max_factors=4,
     # one array draw of the same bounded range, at a third of the cost;
     # random() is uniform(0, 1) bit for bit, and 2 pi random() is
     # uniform(0, 2 pi).
-    d, rad = params.d, params.mode_radius
+    rad, side = params.mode_radius, 2 * params.mode_radius + 1
     modes = params.box_modes()
     n_modes = len(modes)
     draw = rng.integers
@@ -349,24 +349,22 @@ def random_terms(params: HamParams, rng, n_terms=6, max_factors=4,
         k = [modes[draw(0, n_modes)] for _ in range(half)]
         kb = [modes[draw(0, n_modes)] for _ in range(half)]
         a = [modes[draw(0, n_modes)] for _ in range(draw(0, max_actions + 1))]
-        # the momentum defect sum(k) - sum(kb) is linear in the modes
-        if d == 1:
-            c = k[-1][0]
+        # the momentum defect sum(k) - sum(kb) is linear in the modes; the
+        # repaired mode is the box's own tuple, at its mixed-radix index in
+        # the sorted box, which skips the check of a registered mode
+        idx = 0
+        for i, c in enumerate(k[-1]):
             for m in k:
-                c -= m[0]
+                c -= m[i]
             for m in kb:
-                c += m[0]
+                c += m[i]
             if not -rad <= c <= rad:
-                continue
-            # the box's own (c,), which skips the check of a registered mode
-            repaired = modes[c + rad]
-        else:
-            repaired = tuple(
-                c - sum(m[i] for m in k) + sum(m[i] for m in kb)
-                for i, c in enumerate(k[-1]))
-            if any(abs(c) > rad for c in repaired):
-                continue
-        k[-1] = repaired
+                idx = -1
+                break
+            idx = idx * side + c + rad
+        if idx < 0:
+            continue
+        k[-1] = modes[idx]
         radius = math.sqrt(rng.random())
         phase = 2.0 * math.pi * rng.random()
         kept += 1

@@ -4,7 +4,11 @@ The step CSV text and the sha256 of every step JSON of two fixed runs,
 recorded before the Hamiltonian store moved to packed int keys.  Any
 change to the algebra that reorders a sum or an insertion moves these
 bytes (criterion 6's step-1 r0_after is rounding residue), so a refactor
-that claims bit identity must keep them.
+that claims bit identity must keep them.  The kam_exact run was
+re-recorded when the bracket began to visit a pair's common modes in
+mode order instead of a set's iteration order: that moved step 0's
+error_budget and step 1's residual_rel in their last digits, and the
+step-1 and step-2 documents; the kam_d2 run did not move.
 
 The default lemma suite's CSV (seconds written as 0), recorded before
 the per-params lookups moved into the key layout.  Its margins are
@@ -34,17 +38,17 @@ RUNS = {
          "2.9979684385649846e-14,8.7045746433320353e-08,"
          "0.92758635657799093,0,1.2890391081330278e-116,"
          "4.163958638012689e-117,9.5036874444379338e-17,"
-         "9.4663308626521417e-30,1,1.4689605026795569e-24,0",
+         "9.4663308626521417e-30,1,1.4689605026795554e-24,0",
          "1,0.0023853033660416424,6.3493635934240961e-11,"
          "2.9979684385649846e-14,2.9979684385649846e-14,"
          "8.7045746433320353e-08,1.5438890441658605e-30,"
          "3.6412375171057133e-37,7.8719615476740278e-08,"
          "0.43625310756712032,0,1.9441217645614639e-233,"
-         "5.8671171961812359e-234,1.316163361383038e-16,"
+         "5.8671171961812359e-234,1.3161633545165908e-16,"
          "1.2037062152420224e-35,0,2.3873258475488907e-06,0"],
         ["13a28e9347878344ba33e1c5f01c4b7713f1edf180d081df61917f8818967ffa",
-         "ed3ca87e4ee92ac1264562383958debfce3516f3a76be3d72e4d07aed2ed04c8",
-         "43d16b29e214df34b450eeed3250b255302ca8951ec304fa03cb504affc05eb3"],
+         "9a4522ed2a902cafc45297e00024187aa0ef21cf454b4810f87d1e861c4897c4",
+         "f7ad50ff00eb0156d07c8f9ca9a3bfaad524be8c7cc5560ffea862c690e8ad1f"],
     ),
     # perfbench's kam_d2 config at program seed 7
     "kam_d2": (

@@ -3,11 +3,13 @@ import io
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
-from nlskam import HamParams, KamConfig, driver, linear_combine, run
+from nlskam import HamParams, KamConfig, cli, driver, linear_combine, run
 from nlskam.cli import dispatch
+from nlskam.nls import build_cubic_nls
 
 from mi_helpers import run_cli_in_fresh_process, to_dict
 
@@ -26,6 +28,30 @@ def omega_file(tmp_path_factory):
     f = tmp_path_factory.mktemp("freq") / "omega.json"
     f.write_text(frequency_dumps(omega))
     return f
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_kam_run_defaults_are_kam_configs(tmp_path, monkeypatch):
+    seen = []
+
+    def capture(cfg, omega):
+        seen.append((cfg, omega))
+        raise _Stop
+
+    monkeypatch.setattr(cli, "run", capture)
+    with pytest.raises(_Stop):
+        run_cli("kam-run", "--seed", "5", "--out-prefix", str(tmp_path / "k"))
+    assert seen == [(replace(KamConfig(), seed=5), None)]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_build_nls_defaults_build_kam_configs_equation(tmp_path):
+    out = tmp_path / "h.json"
+    assert run_cli("build-nls", "--out", str(out)) == 0
+    assert out.read_text() == build_cubic_nls(KamConfig().nls).dumps()
 
 
 def test_unknown_command_exits_1(capsys):

@@ -593,6 +593,28 @@ def test_results_do_not_depend_on_the_mode_registration_order():
         assert got[0] == got[1]
 
 
+def test_the_bracket_visits_common_modes_in_mode_order():
+    # one pair whose common support is all seven modes, each contributing
+    # its own output key, so the result's insertion order is the order the
+    # kernel visits them in; a set of these modes iterates in another order
+    p1 = HamParams(d=1, sigma=2.75, r=1.0, degree_cap=16, mode_radius=3)
+    p2 = replace(p1, sigma=2.8125)
+    modes = p1.box_modes()
+    keep = [_registering(p1, modes), _registering(p2, modes[::-1])]
+    assert keep[0]._layout is not keep[1]._layout
+    c1, c2 = 0.3 + 0.7j, -1.1 + 0.2j
+    c = c1 * c2 * 1j * 1
+    want = []
+    for m in modes:
+        rest = tuple((n, 1) for n in modes if n != m)
+        want.append((((), rest, rest, ()), c.real.hex(), c.imag.hex()))
+    every = tuple((m, 1) for m in modes)
+    for p in (p1, p2):
+        A = Hamiltonian(p, {((), every, (), ()): c1})
+        B = Hamiltonian(p, {((), (), every, ()): c2})
+        assert _bits(poisson_bracket(A, B)) == want
+
+
 def test_a_sparse_document_gets_fields_only_for_its_modes(tmp_path):
     far, near = [10 ** 6, -3], [-999_999, 10 ** 6]
     doc = {"format": "nlskam-hamiltonian", "version": 1, "d": 2,
