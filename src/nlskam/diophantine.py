@@ -153,12 +153,16 @@ _ROW_BLOCK = 8192
 
 
 class EllTable(NamedTuple):
-    """Every l with 0 < |l| <= ell_budget and its gamma-free products.
+    """One l of each +-l pair with 0 < |l| <= ell_budget, and its products.
 
-    Row i of ``ells.matrix`` is l.  Entry i of the two arrays of
-    ``bounds(gamma)`` equals ``dioph_rhs(l, gamma, d, 1)`` and
-    ``dioph_rhs(l, gamma, d, 2)`` bit for bit, and ``cond2[i]`` equals
-    ``condition2_applies(l)``.
+    ``ells`` holds the rows of ``enumerate_ells`` whose first nonzero
+    entry is positive, in that order, with ``levels`` recounted: half of
+    all l.  Both conditions read l only through |l_n| and
+    |||<l, omega>|||, which negation leaves unchanged bit for bit, so a
+    row stands for -l too.  Row i of ``ells.matrix`` is l.  Entry i of
+    the two arrays of ``bounds(gamma)`` equals ``dioph_rhs(l, gamma, d,
+    1)`` and ``dioph_rhs(l, gamma, d, 2)`` bit for bit, and ``cond2[i]``
+    equals ``condition2_applies(l)``.
     """
 
     ells: EllRows
@@ -176,17 +180,32 @@ class EllTable(NamedTuple):
         return np.where(self.cond2, np.maximum(rhs1, rhs2), rhs1)
 
 
+def _one_per_pair(ells) -> EllRows:
+    """The rows of ``ells`` whose first nonzero entry is positive."""
+    lead = np.zeros(len(ells), ells.matrix.dtype)
+    for col in ells.matrix.T[::-1]:     # last write: the first nonzero
+        np.copyto(lead, col, where=col != 0)
+    keep = lead > 0
+    ends = np.cumsum(
+        [0] + [np.count_nonzero(keep[s]) for s in ells.levels]).tolist()
+    return EllRows(ells.modes, ells.matrix[keep],
+                   tuple(map(slice, ends[:-1], ends[1:])))
+
+
 def _ell_table(modes, d, ell_budget) -> EllTable:
     """The l-table over ``modes``, with columns in sorted-mode order.
 
-    The products depend only on l, so they are computed once and reused
-    across candidate draws and values of gamma.  Each product runs column
-    by column in sorted-mode order, the order in which ``dioph_rhs`` walks
-    the nonzero entries of l; a zero entry multiplies by exactly 1.0.
-    Per-mode factors are looked up by |l_n| in tables built with the
-    scalar expressions of ``dioph_rhs``.
+    This is the only place that drops -l: it keeps the rows of
+    ``enumerate_ells`` whose first nonzero entry is positive (see
+    :class:`EllTable`), and lets the full enumeration go before it forms
+    the products.  The products depend only on l, so they are
+    computed once and reused across candidate draws and values of gamma.
+    Each product runs column by column in sorted-mode order, the order in
+    which ``dioph_rhs`` walks the nonzero entries of l; a zero entry
+    multiplies by exactly 1.0.  Per-mode factors are looked up by |l_n|
+    in tables built with the scalar expressions of ``dioph_rhs``.
     """
-    ells = enumerate_ells(modes, ell_budget)
+    ells = _one_per_pair(enumerate_ells(modes, ell_budget))
     L, modes = ells.matrix, ells.modes
     powers = range(ell_budget + 1)
     fac1 = [np.array([1.0 / (1.0 + a ** 3 * angle_norm(m) ** (d + 4))
@@ -244,9 +263,11 @@ def check_frequency(omega: dict, gamma, ell_budget, lattice):
     Every mode of ``omega`` must lie in the box of the
     :class:`~nlskam.hamiltonian.HamParams` ``lattice``.  Returns
     (violations, checked) where violations is a list of (ell, which, lhs,
-    rhs) for every failed inequality, ordered by l and, per l, condition 1
-    before condition 2.  An empty ``omega`` is refused: it would pass
-    having checked nothing.
+    rhs) for every failed inequality, in ``enumerate_ells``' order of l
+    and, per l, condition 1 before condition 2; checked counts every l.
+    The table stores one l of each +-l pair, so each violating row is
+    reported as l and as -l, with the same lhs and rhs.  An empty
+    ``omega`` is refused: it would pass having checked nothing.
     """
     _check_gammas([gamma], ell_budget)
     if not omega:
@@ -262,14 +283,19 @@ def check_frequency(omega: dict, gamma, ell_budget, lattice):
     lhs = _ell_distances(table.ells.matrix, [float(omega[m]) for m in modes])
     bad1 = lhs < rhs1
     bad2 = table.cond2 & (lhs < rhs2)
+    rows = np.flatnonzero(bad1 | bad2)
+    stored = table.ells.matrix[rows]
+    signed = np.concatenate([stored, -stored])
+    # by |l|, then by the values in mode order, as enumerate_ells orders l
+    order = np.lexsort((*signed.T[::-1], np.abs(signed).sum(axis=1)))
+    ells = EllRows(table.ells.modes, signed[order], ())
     violations = []
-    for i in np.flatnonzero(bad1 | bad2).tolist():
-        ell = table.ells[i]
+    for ell, i in zip(ells, np.concatenate([rows, rows])[order].tolist()):
         if bad1[i]:
             violations.append((ell, 1, float(lhs[i]), float(rhs1[i])))
         if bad2[i]:
             violations.append((ell, 2, float(lhs[i]), float(rhs2[i])))
-    return violations, len(lhs)
+    return violations, 2 * len(lhs)
 
 
 def _mode_rng(seed, mode):
@@ -295,7 +321,9 @@ def sample_strong_frequency(lattice, gamma, ell_budget, seed):
     Draws over the box of the HamParams ``lattice``; returns (omega, t)
     with t the index of the accepted sub-seed.  A draw is tested one |l|
     level at a time, with ``check_frequency``'s arithmetic, and rejected
-    at the first level holding a violation.
+    at the first level holding a violation.  The table's one row per +-l
+    pair has the distance and bound of both signs, so each level accepts
+    exactly the draws it would accept tested against every l.
     """
     _check_gammas([gamma], ell_budget)
     modes = lattice.box_modes()
@@ -383,7 +411,10 @@ def _resonant_draws(draws, table, gammas) -> np.ndarray:
     Row k of the result flags the draws that violate some l at
     ``gammas[k]``.  ``draws @ L.T`` and its distance to the integers are
     formed once per block of rows, in place, and tested against every
-    gamma's bound, so no trials x l matrix is held whole.
+    gamma's bound, so no trials x l matrix is held whole.  The table holds
+    one l of each +-l pair: the product's column for -l is the bitwise
+    negative of l's, so its distance to the integers, and the flags, are
+    the same.
     """
     Lt = table.ells.matrix.astype(float).T
     rhs = [table.rhs(g) for g in gammas]
@@ -423,6 +454,6 @@ def resonance_measure(gammas: Sequence[float], trials: int, seed, *,
     out = []
     for violations in bad.sum(axis=1).tolist():
         fraction = violations / trials
-        stderr = math.sqrt(max(fraction * (1.0 - fraction), 1e-300) / trials)
+        stderr = math.sqrt(fraction * (1.0 - fraction) / trials)
         out.append((fraction, stderr, violations))
     return out

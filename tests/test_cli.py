@@ -513,21 +513,35 @@ def test_measure_csv_schema(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("argv,fraction", [
+    (("--gamma", "0", "--trials", "5", "--radius", "0"), "0"),
+    (("--gamma", "0.5", "--trials", "1"), "1"),
+])
+def test_measure_stderr_is_zero_at_fraction_0_and_1(tmp_path, argv,
+                                                   fraction):
+    out = tmp_path / "m.csv"
+    assert run_cli("measure", *argv, "--seed", "0", "--out", str(out)) == 0
+    (row,) = csv.DictReader(io.StringIO(out.read_text()))
+    assert (row["fraction"], row["stderr"]) == (fraction, "0")
+
+
 @pytest.mark.parametrize("box", [
     ("--d", "1", "--radius", "2", "--ell-budget", "6"),
     ("--d", "2", "--radius", "1", "--ell-budget", "4"),
 ])
 def test_measure_csv_does_not_depend_on_blas_threads(tmp_path, box):
-    # measure is the one command whose products go through BLAS
+    # measure is the one command whose products go through BLAS; its
+    # table keeps one l per +-l pair, which relies on the product's
+    # columns for l and -l being negatives at every thread count
     texts = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         out = tmp_path / f"m{threads}.csv"
         run_cli_in_fresh_process(
             ["measure", "--gamma", "0.01", "--gamma", "0.05", "--gamma",
              "0.1", "--trials", "10000", *box, "--seed", "0",
              "--out", str(out)], threads)
         texts.append(out.read_bytes())
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_verify_lemmas_subset(tmp_path, capsys):

@@ -16,6 +16,7 @@ from nlskam import (
 )
 from nlskam import diophantine
 from nlskam.diophantine import (
+    _ell_distances,
     _ell_table,
     _resonant_draws,
     _trial_blocks,
@@ -180,17 +181,25 @@ def test_resonance_measure_rejects_bad_arguments(monkeypatch, gammas, trials,
     assert "\n" not in str(e.value)
 
 
-def _dense_reference(draws, table, gammas):
-    """Each gamma's flags from the whole trials x l product at once."""
-    Lt = table.ells.matrix.astype(float).T
-    x = draws @ Lt
+def _dense_reference(draws, L, rhs):
+    """Flags per bound in ``rhs`` from the whole trials x l product."""
+    x = draws @ L.astype(float).T
     lhs = np.abs(x - np.rint(x))
-    return x, [(lhs < table.rhs(g)[None, :]).any(axis=1) for g in gammas]
+    return x, [(lhs < r[None, :]).any(axis=1) for r in rhs]
 
 
 def _box_table(d, ell_budget, mode_radius):
     modes = HamParams(d=d, mode_radius=mode_radius).box_modes()
     return modes, _ell_table(modes, d, ell_budget)
+
+
+def _measure_draws(modes, trials, seed):
+    """The draws resonance_measure makes at ``seed``."""
+    draws = np.empty((trials, len(modes)))
+    for i, m in enumerate(modes):
+        draws[:, i] = diophantine._mode_rng(seed, m).uniform(
+            0.0, 1.0 / angle_norm(m), size=trials)
+    return draws
 
 
 @pytest.mark.parametrize("block_rows", [7, 1])
@@ -204,7 +213,8 @@ def test_resonant_draws_blocked_equals_full(monkeypatch, block_rows, trials):
     draws = np.random.default_rng(trials).uniform(
         0.0, 1.0, (trials, len(modes)))
     Lt = table.ells.matrix.astype(float).T
-    x, full = _dense_reference(draws, table, gammas)
+    x, full = _dense_reference(draws, table.ells.matrix,
+                               [table.rhs(g) for g in gammas])
     blocks = _trial_blocks(draws, width)
     assert min(len(b) for b in blocks) >= min(2, trials)
     assert np.concatenate([b @ Lt for b in blocks]).tobytes() == x.tobytes()
@@ -217,29 +227,51 @@ def test_resonant_draws_blocked_equals_full(monkeypatch, block_rows, trials):
 
 
 @pytest.mark.parametrize("kw,trials,block_rows", [
-    # the measure workload's table: 10,000 = 588 * 17 + 4 rows, so the
-    # 4-row remainder spreads as one extra row over four blocks
-    (dict(d=1, ell_budget=6, mode_radius=2), 10_000, 17),
-    # a table wider than a block: 2-row blocks, one of them with the odd
-    # row
-    (dict(d=2, ell_budget=5, mode_radius=1), 41, 2),
+    # the measure workload's table, 1,826 l wide: 10,000 = 285 * 35 + 25
+    # rows, so the 25-row remainder spreads as one extra row over 25 blocks
+    (dict(d=1, ell_budget=6, mode_radius=2), 10_000, 35),
+    # a table wider than half a block (37,758 l): 2-row blocks, one of
+    # them with the odd row
+    (dict(d=2, ell_budget=6, mode_radius=1), 41, 2),
 ])
 def test_resonant_draws_at_the_default_block(kw, trials, block_rows):
     gammas = (0.01, 0.05, 0.1)
     modes, table = _box_table(**kw)
     width = len(table.ells)
-    draws = np.empty((trials, len(modes)))
-    for i, m in enumerate(modes):
-        draws[:, i] = diophantine._mode_rng(1, m).uniform(
-            0.0, 1.0 / angle_norm(m), size=trials)
+    draws = _measure_draws(modes, trials, 1)
     blocks = _trial_blocks(draws, width)
     assert {len(b) for b in blocks} == {block_rows, block_rows + 1}
     Lt = table.ells.matrix.astype(float).T
-    x, full = _dense_reference(draws, table, gammas)
+    x, full = _dense_reference(draws, table.ells.matrix,
+                               [table.rhs(g) for g in gammas])
     assert np.concatenate([b @ Lt for b in blocks]).tobytes() == x.tobytes()
     got = _resonant_draws(draws, table, gammas)
     for row, ref in zip(got, full):
         assert row.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d,radius,budget,seed", [
+    (1, 2, 6, 0), (1, 2, 6, 3), (1, 2, 6, 13),   # the measure workload
+    (2, 1, 4, 0),
+])
+def test_resonance_measure_equals_the_full_reference(d, radius, budget,
+                                                     seed):
+    # the table holds one l per +-l pair; the reference tests every l
+    gammas, trials = (0.01, 0.05, 0.1), 10_000
+    lattice = HamParams(d=d, mode_radius=radius)
+    modes = lattice.box_modes()
+    ells = _reference_ells(modes, budget)
+    L = _reference_matrix(ells, modes)
+    rhs = [_reference_rhs(ells, g, d) for g in gammas]
+    draws = _measure_draws(modes, trials, seed)
+    # 500-row slices bound the float temporaries at a few tens of MB
+    flags = [_dense_reference(draws[i:i + 500], L, rhs)[1]
+             for i in range(0, trials, 500)]
+    want = np.concatenate(flags, axis=1).sum(axis=1).tolist()
+    got = resonance_measure(gammas, trials, seed, lattice=lattice,
+                            ell_budget=budget)
+    assert [v for *_, v in got] == want
+    assert [f for f, *_ in got] == [v / trials for v in want]
 
 
 def test_frequency_file_roundtrip():
@@ -339,6 +371,18 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _half(ells):
+    """One l of each +-l pair: the one whose first nonzero value is > 0."""
+    return [ell for ell in ells if ell[0][1] > 0]
+
+
+def _reference_levels(ells, budget):
+    """One slice of ``ells`` per |l| = 1 .. budget."""
+    sizes = [sum(abs(v) for _, v in ell) for ell in ells]
+    ends = np.cumsum([0] + [sizes.count(t) for t in range(1, budget + 1)])
+    return tuple(map(slice, ends[:-1].tolist(), ends[1:].tolist()))
+
+
 @pytest.mark.parametrize("d,radius,budget,gammas", [
     (1, 2, 6, (0.01, 0.1, 0.3)),
     (1, 0, 4, (0.2,)),
@@ -347,8 +391,9 @@ def _bits(values):
 ])
 def test_ell_table_matches_reference_bit_for_bit(d, radius, budget, gammas):
     modes, table = _box_table(d=d, ell_budget=budget, mode_radius=radius)
-    ells = _reference_ells(modes, budget)
+    ells = _half(_reference_ells(modes, budget))
     assert list(table.ells) == ells
+    assert table.ells.levels == _reference_levels(ells, budget)
     assert table.ells.matrix.dtype == np.int8
     assert np.array_equal(table.ells.matrix, _reference_matrix(ells, modes))
     assert table.cond2.tolist() == [condition2_applies(e) for e in ells]
@@ -371,9 +416,11 @@ def d2_reference():
 def test_ell_table_d2_sampler_config_bit_for_bit(d2_reference):
     lattice, ells, rhs = d2_reference
     table = _ell_table(lattice.box_modes(), lattice.d, 6)
-    assert len(table.ells) == len(ells) == 75516
-    assert list(table.ells) == ells
-    assert _bits(table.rhs(0.01)) == _bits(rhs)
+    half = _half(ells)
+    assert len(ells) == 75516 and len(table.ells) == len(half) == 37758
+    assert list(table.ells) == half
+    assert table.ells.levels == _reference_levels(half, 6)
+    assert _bits(table.rhs(0.01)) == _bits(rhs[[e[0][1] > 0 for e in ells]])
 
 
 @pytest.mark.parametrize("budget,dtype", [
@@ -382,11 +429,33 @@ def test_ell_matrix_dtype_holds_budget(budget, dtype):
     table = _ell_table([(0,)], 1, budget)
     L = table.ells.matrix
     assert L.dtype == dtype
-    assert L[:, 0].tolist() == [v for s in range(1, budget + 1)
-                                for v in (-s, s)]
-    ells = _reference_ells([(0,)], budget)
+    assert L[:, 0].tolist() == list(range(1, budget + 1))
+    ells = _half(_reference_ells([(0,)], budget))
     assert list(table.ells) == ells
+    assert table.ells.levels == _reference_levels(ells, budget)
+    assert table.cond2.tolist() == [False] * budget
     assert _bits(table.rhs(0.1)) == _bits(_reference_rhs(ells, 0.1, 1))
+
+
+@pytest.mark.parametrize("d,radius,budget", [(1, 2, 6), (2, 1, 4)])
+def test_negation_leaves_bounds_and_distances_unchanged(d, radius, budget):
+    # why one row per +-l pair stands for both signs
+    modes = HamParams(d=d, mode_radius=radius).box_modes()
+    ells = _reference_ells(modes, budget)
+    negs = [tuple((m, -v) for m, v in ell) for ell in ells]
+    for gamma in (0.01, 0.3):
+        for which in (1, 2):
+            assert _bits([dioph_rhs(e, gamma, d, which) for e in ells]) == (
+                _bits([dioph_rhs(e, gamma, d, which) for e in negs]))
+    assert ([condition2_applies(e) for e in ells]
+            == [condition2_applies(e) for e in negs])
+    L = enumerate_ells(modes, budget).matrix
+    # drawn values, and values whose sums tie at k + 1/2 for np.rint
+    ws = [list(sample_frequency(modes, seed).values()) for seed in range(4)]
+    ws += [[0.5] * len(modes), [0.25 * (i % 3) for i in range(len(modes))]]
+    for w in ws:
+        assert _ell_distances(L, w).tobytes() == (
+            _ell_distances(-L, w).tobytes())
 
 
 def test_ell_rows_view():
@@ -487,6 +556,20 @@ def test_check_frequency_matches_reference():
         assert all(type(v) is int for ell, *_ in got[0] for _, v in ell)
     assert check_frequency(resonant, GAMMA, 4, LAT)[0]
     assert check_frequency(passing, GAMMA, 4, LAT)[0] == []
+
+
+@pytest.mark.parametrize("d,radius,budget", [(1, 2, 6), (2, 1, 4)])
+def test_check_frequency_matches_reference_at_many_levels(d, radius, budget):
+    # a draw rounded to twelfths lies on many resonances, so both signs
+    # of l are reported, merged back into the order of every l
+    lattice = HamParams(d=d, mode_radius=radius)
+    omega = {m: round(v * 12) / 12
+             for m, v in sample_frequency(lattice.box_modes(), 0).items()}
+    got = check_frequency(omega, GAMMA, budget, lattice)
+    assert got == _reference_check(omega, GAMMA, budget, d)
+    levels = {sum(abs(v) for _, v in ell) for ell, which, *_ in got[0]
+              if which == 2}
+    assert len(levels) > 1
 
 
 def test_check_frequency_rejects_foreign_dimension():
