@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .lattice import (
     _is_int,
     _mode_sort_key,
@@ -68,43 +69,51 @@ class EllRows(Sequence):
         return tuple((m, v) for m, v in zip(self.modes, row) if v)
 
 
-def _ell_dtype(budget):
-    """The smallest signed integer dtype that holds +-budget."""
-    for dt in (np.int8, np.int16, np.int32):
-        if budget <= np.iinfo(dt).max:
-            return dt
-    return np.int64
-
-
 def enumerate_ells(modes, budget):
-    """All signed integer vectors l != 0 with |l| <= budget, as EllRows.
+    """One l of each +-l pair with 0 < |l| <= budget, as EllRows.
 
-    Ordered by |l| first, then lexicographically in the per-mode values
-    over the sorted mode list.  Each l reads as a tuple of (mode, value)
-    pairs with nonzero values only.
+    This is the one place that drops -l: it yields the l whose first
+    nonzero value is positive, ordered by |l|, then lexicographically in
+    the values over the sorted mode list.  Raises CapacityError, before
+    allocating anything, when the rows and their products would not fit
+    in physical memory.
     """
     modes = sorted(tuple(m) for m in modes)
-    dtype = _ell_dtype(budget)
-    # sphere[t]: every vector over the last k modes with |v| == t, in
-    # lexicographic order; grown one mode at a time by prepending each
-    # value v in [-t, t] to the (t - |v|)-sphere of the modes after it.
-    sphere = [np.zeros((1 if t == 0 else 0, 0), dtype)
-              for t in range(budget + 1)]
+    dtype = np.min_scalar_type(-budget - 1)     # the least that holds +-budget
+    # sum_j C(n, j) C(t - 1, j - 1) 2^j vectors have |l| = t (j nonzero
+    # entries); summed over t <= budget, C(t - 1, j - 1) gives C(budget, j)
+    n = len(modes)
+    rows = sum(math.comb(n, j) * math.comb(budget, j) * 2 ** (j - 1)
+               for j in range(1, n + 1))
+    need = rows * (n * dtype.itemsize + 17)     # + prod1, prod2 and cond2
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise CapacityError(f"l-table of {rows:,} rows needs {need:,} B, "
+                            f"more than the {memory:,} B of physical memory")
+    # half[t]: the rows over the last k modes with |v| == t.  Level t over
+    # one more mode is 0 before half[t], then each v in 1..t before every
+    # vector of norm t - v: -half[t - v] reversed (negation reverses the
+    # order), then half[t - v]; at v == t, the zero vector.
+    L, levels = np.zeros((0, 0), dtype), (slice(0, 0),) * budget
+    half = [L] * (budget + 1)
     for k in range(1, len(modes) + 1):
-        nxt = []
-        for t in range(budget + 1):
-            blocks = []
-            for v in range(-t, t + 1):
-                tail = sphere[t - abs(v)]
-                block = np.empty((len(tail), k), dtype)
-                block[:, 0] = v
-                block[:, 1:] = tail
-                blocks.append(block)
-            nxt.append(np.concatenate(blocks))
-        sphere = nxt
-    ends = np.cumsum([0] + [len(s) for s in sphere[1:]]).tolist()
-    levels = tuple(map(slice, ends[:-1], ends[1:]))
-    return EllRows(modes, np.concatenate(sphere[1:]), levels)
+        sizes = [len(half[t]) + 1 + sum(2 * len(half[u]) for u in range(1, t))
+                 for t in range(1, budget + 1)]
+        ends = np.cumsum([0] + sizes).tolist()
+        levels = tuple(map(slice, ends[:-1], ends[1:]))
+        L = np.zeros((ends[-1], k), dtype)
+        for t, level in enumerate(levels, 1):
+            block, i = L[level], len(half[t])
+            block[:i, 1:] = half[t]
+            for v in range(1, t):
+                tail = half[t - v]
+                block[i:i + 2 * len(tail), 0] = v
+                np.negative(tail[::-1], out=block[i:i + len(tail), 1:])
+                block[i + len(tail):i + 2 * len(tail), 1:] = tail
+                i += 2 * len(tail)
+            block[i, 0] = t
+        half = [L[:0]] + [L[s] for s in levels]
+    return EllRows(modes, L, levels)
 
 
 def ell_sorted_norms(ell):
@@ -155,14 +164,14 @@ _ROW_BLOCK = 8192
 class EllTable(NamedTuple):
     """One l of each +-l pair with 0 < |l| <= ell_budget, and its products.
 
-    ``ells`` holds the rows of ``enumerate_ells`` whose first nonzero
-    entry is positive, in that order, with ``levels`` recounted: half of
-    all l.  Both conditions read l only through |l_n| and
-    |||<l, omega>|||, which negation leaves unchanged bit for bit, so a
-    row stands for -l too.  Row i of ``ells.matrix`` is l.  Entry i of
-    the two arrays of ``bounds(gamma)`` equals ``dioph_rhs(l, gamma, d,
-    1)`` and ``dioph_rhs(l, gamma, d, 2)`` bit for bit, and ``cond2[i]``
-    equals ``condition2_applies(l)``.
+    ``ells`` is ``enumerate_ells``' table, which drops -l: of each +-l
+    pair it keeps the l whose first nonzero entry is positive.  Both
+    conditions read l only through |l_n| and |||<l, omega>|||, which
+    negation leaves unchanged bit for bit, so a row stands for -l too.
+    Row i of ``ells.matrix`` is l.  Entry i of the two arrays of
+    ``bounds(gamma)`` equals ``dioph_rhs(l, gamma, d, 1)`` and
+    ``dioph_rhs(l, gamma, d, 2)`` bit for bit, and ``cond2[i]`` equals
+    ``condition2_applies(l)``.
     """
 
     ells: EllRows
@@ -180,32 +189,18 @@ class EllTable(NamedTuple):
         return np.where(self.cond2, np.maximum(rhs1, rhs2), rhs1)
 
 
-def _one_per_pair(ells) -> EllRows:
-    """The rows of ``ells`` whose first nonzero entry is positive."""
-    lead = np.zeros(len(ells), ells.matrix.dtype)
-    for col in ells.matrix.T[::-1]:     # last write: the first nonzero
-        np.copyto(lead, col, where=col != 0)
-    keep = lead > 0
-    ends = np.cumsum(
-        [0] + [np.count_nonzero(keep[s]) for s in ells.levels]).tolist()
-    return EllRows(ells.modes, ells.matrix[keep],
-                   tuple(map(slice, ends[:-1], ends[1:])))
-
-
 def _ell_table(modes, d, ell_budget) -> EllTable:
     """The l-table over ``modes``, with columns in sorted-mode order.
 
-    This is the only place that drops -l: it keeps the rows of
-    ``enumerate_ells`` whose first nonzero entry is positive (see
-    :class:`EllTable`), and lets the full enumeration go before it forms
-    the products.  The products depend only on l, so they are
+    Its rows are ``enumerate_ells``', one l of each +-l pair (see
+    :class:`EllTable`).  The products depend only on l, so they are
     computed once and reused across candidate draws and values of gamma.
     Each product runs column by column in sorted-mode order, the order in
     which ``dioph_rhs`` walks the nonzero entries of l; a zero entry
     multiplies by exactly 1.0.  Per-mode factors are looked up by |l_n|
     in tables built with the scalar expressions of ``dioph_rhs``.
     """
-    ells = _one_per_pair(enumerate_ells(modes, ell_budget))
+    ells = enumerate_ells(modes, ell_budget)
     L, modes = ells.matrix, ells.modes
     powers = range(ell_budget + 1)
     fac1 = [np.array([1.0 / (1.0 + a ** 3 * angle_norm(m) ** (d + 4))
@@ -263,10 +258,10 @@ def check_frequency(omega: dict, gamma, ell_budget, lattice):
     Every mode of ``omega`` must lie in the box of the
     :class:`~nlskam.hamiltonian.HamParams` ``lattice``.  Returns
     (violations, checked) where violations is a list of (ell, which, lhs,
-    rhs) for every failed inequality, in ``enumerate_ells``' order of l
-    and, per l, condition 1 before condition 2; checked counts every l.
-    The table stores one l of each +-l pair, so each violating row is
-    reported as l and as -l, with the same lhs and rhs.  An empty
+    rhs) for every failed inequality, ordered by |l|, then by l's values
+    in mode order and, per l, condition 1 before condition 2; checked
+    counts every l.  ``enumerate_ells`` drops -l, so each violating row
+    is reported as l and as -l, with the same lhs and rhs.  An empty
     ``omega`` is refused: it would pass having checked nothing.
     """
     _check_gammas([gamma], ell_budget)

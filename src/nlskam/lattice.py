@@ -149,7 +149,8 @@ def weighted_gap(a: tuple, k: tuple, k_bar: tuple, p) -> float:
     S is the multiplicity-weighted sum of the weights ``p.weight`` of the
     :class:`~nlskam.hamiltonian.HamParams` ``p``, L1 the weight of the
     largest mode, and the tail sums the weights of the third-largest mode
-    onward.  Momentum conservation guarantees the value is >= 0.
+    onward.  Below floor_const = c*(sigma) (see HamParams) it can be < 0:
+    q_42 qbar_21^2 at (sigma 2.5, floor 21) reads -2.7487.
     """
     _, mom = conservation_check(k, k_bar)
     if not mom:

@@ -2,6 +2,7 @@
 and builders, and a CLI run in a fresh process."""
 
 import os
+import resource
 import subprocess
 import sys
 
@@ -72,14 +73,32 @@ def to_dict(H: Hamiltonian) -> dict:
     }
 
 
-def run_cli_in_fresh_process(argv, threads):
-    """Run the CLI on ``argv`` in a new interpreter whose BLAS and OpenMP
-    thread counts are ``threads`` (they are read when the library loads),
-    raising on a nonzero exit."""
+def _cli_in_child(argv, threads, **kwargs):
+    """``nlskam.cli.dispatch`` on ``argv`` in a new interpreter whose BLAS
+    and OpenMP thread counts are ``threads`` (they are read when the
+    library loads)."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(
                    filter(None, (src, os.environ.get("PYTHONPATH")))))
-    subprocess.run([sys.executable, "-m", "nlskam.cli", *argv], env=env,
-                   check=True)
+    return subprocess.run([sys.executable, "-m", "nlskam.cli", *argv],
+                          env=env, **kwargs)
+
+
+def run_cli_in_fresh_process(argv, threads):
+    """Run the CLI on ``argv`` in a new interpreter with ``threads`` BLAS
+    and OpenMP threads, raising on a nonzero exit."""
+    _cli_in_child(argv, threads, check=True)
+
+
+def run_cli_with_memory_cap(argv, cap=2 << 30):
+    """Run the CLI on ``argv`` in one child process whose address space
+    is capped at ``cap`` bytes (2 GiB by default), so a command that
+    allocates without bound fails there, not in the test run.  Returns
+    the finished process, its stdout and stderr as text."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return _cli_in_child(argv, "1", preexec_fn=limit, capture_output=True,
+                         text=True)

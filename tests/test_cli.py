@@ -11,7 +11,8 @@ from nlskam import HamParams, KamConfig, cli, driver, linear_combine, run
 from nlskam.cli import dispatch
 from nlskam.nls import build_cubic_nls
 
-from mi_helpers import run_cli_in_fresh_process, to_dict
+from mi_helpers import (run_cli_in_fresh_process, run_cli_with_memory_cap,
+                        to_dict)
 
 
 def run_cli(*argv):
@@ -317,7 +318,7 @@ def test_capacity_exit_code(tmp_path):
 ])
 def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
                                              omega_file, argv):
-    # an l-table too large for memory, without allocating it
+    # an l-table that fits physical memory but fails its allocation
     from nlskam import diophantine
 
     def too_large(modes, d, ell_budget):
@@ -330,6 +331,23 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == (
         "capacity: Unable to allocate 7.87 GiB for an array with shape "
         "(39146184, 27) and data type int8\n")
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--trials", "10", "--ell-budget", "200", "--out", "OUT"],
+    ["dioph-check", "FREQ", "--ell-budget", "200"],
+])
+def test_an_ell_table_beyond_memory_is_refused_before_allocating(
+        tmp_path, omega_file, argv):
+    # 5 modes at |l| <= 200: 43,210,733,640 rows of 5 int16 values
+    where = {"OUT": str(tmp_path / "out"), "FREQ": str(omega_file)}
+    done = run_cli_with_memory_cap([where.get(a, a) for a in argv])
+    assert done.returncode == 3
+    assert done.stdout == ""
+    [line] = done.stderr.splitlines()
+    assert line.startswith("capacity: l-table of 43,210,733,640 rows needs "
+                           "1,166,689,808,280 B, more than the ")
     assert not os.listdir(tmp_path)
 
 

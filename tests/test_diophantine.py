@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from nlskam import (
+    CapacityError,
     HamParams,
     ValidationError,
     check_frequency,
@@ -61,11 +63,33 @@ def test_gamma_and_budget_checked_before_any_work(monkeypatch, entry, gamma,
 def test_enumerate_ells_count_and_order():
     modes = [(0,), (1,)]
     ells = enumerate_ells(modes, 2)
-    # |l| <= 2 over 2 modes: l1-ball of radius 2 in Z^2 minus origin
-    assert len(ells) == 13 - 1
+    # one l of each +-l pair of the l1-ball of radius 2 in Z^2 minus origin
+    assert len(ells) == 6
+    assert all(ell[0][1] > 0 for ell in ells)
     sizes = [sum(abs(v) for _, v in ell) for ell in ells]
     assert sizes == sorted(sizes)
     assert len(set(ells)) == len(ells)
+    ball = {tuple((m, v) for m, v in zip(modes, vs) if v)
+            for vs in itertools.product(range(-2, 3), repeat=2)
+            if 0 < abs(vs[0]) + abs(vs[1]) <= 2}
+    assert len(ball) == 12
+    negs = {tuple((m, -v) for m, v in ell) for ell in ells}
+    assert set(ells) | negs == ball
+
+
+@pytest.mark.parametrize("d,radius,budget", [
+    (1, 2, 6), (1, 0, 130), (2, 1, 4), (3, 1, 3), (2, 2, 2)])
+def test_enumerate_ells_refusal_counts_the_rows_it_would_build(
+        monkeypatch, d, radius, budget):
+    modes = HamParams(d=d, mode_radius=radius).box_modes()
+    L = enumerate_ells(modes, budget).matrix
+    # no memory at all: every table is refused, naming its size
+    monkeypatch.setattr(diophantine.os, "sysconf", lambda name: 0)
+    with pytest.raises(CapacityError) as e:
+        enumerate_ells(modes, budget)
+    need = len(L) * (L.shape[1] * L.dtype.itemsize + 17)
+    assert str(e.value) == (f"l-table of {len(L):,} rows needs {need:,} B, "
+                            "more than the 0 B of physical memory")
 
 
 def test_ell_sorted_norms_and_condition2():
@@ -112,7 +136,7 @@ def test_check_frequency_flags_violation():
     modes = [(m,) for m in range(-2, 3)]
     omega = {m: 0.0 for m in modes}   # fully resonant
     violations, checked = check_frequency(omega, GAMMA, BUDGET, LAT)
-    assert checked == len(enumerate_ells(modes, 3))
+    assert checked == 2 * len(enumerate_ells(modes, 3))
     assert violations
     ell, which, lhs, rhs = violations[0]
     assert lhs == 0.0 and rhs > 0.0 and which in (1, 2)
@@ -460,7 +484,7 @@ def test_negation_leaves_bounds_and_distances_unchanged(d, radius, budget):
 
 def test_ell_rows_view():
     ells = enumerate_ells([(1,), (0,)], 2)
-    ref = _reference_ells([(0,), (1,)], 2)
+    ref = _half(_reference_ells([(0,), (1,)], 2))
     assert len(ells) == len(ref)
     assert [ells[i] for i in range(len(ells))] == ref
     assert ells[-1] == ref[-1]

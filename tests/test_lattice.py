@@ -16,6 +16,7 @@ from nlskam.lattice import (
     mi_signed,
     sorted_system,
 )
+from nlskam.verification import verify_scalar_lemma
 
 from mi_helpers import mi_add, momentum_defect
 
@@ -148,6 +149,30 @@ def test_gap_simple_values():
     kb = mi([((0,), 2)])
     assert weighted_gap((), k, kb, LAT) >= 0.0
     assert weighted_gap((), (), (), LAT) == 0.0
+
+
+def _c_star(sigma):
+    """The least floor at which ln^sigma is log-superadditive at the corner
+    x = y = c: ln^sigma(2c) = 1.5 ln^sigma c."""
+    return math.exp(math.log(2) / (1.5 ** (1 / sigma) - 1))
+
+
+def test_gap_is_negative_below_the_premise():
+    # floor 21 < c*(2.5) = 51.2: q_42 qbar_21^2 conserves momentum
+    p = HamParams(d=1, sigma=2.5, floor_const=21.0)
+    gap = weighted_gap((), mi([((42,), 1)]), mi([((21,), 2)]), p)
+    assert gap == pytest.approx(-2.7487, abs=5e-5)
+
+
+@pytest.mark.parametrize("sigma", [2.1, 2.5, 3.0, 4.0])
+def test_log_superadditivity_holds_from_c_star_on(sigma):
+    c = _c_star(sigma)
+    above = verify_scalar_lemma("log_superadditivity",
+                                {"sigma": sigma, "c": 1.01 * c})
+    below = verify_scalar_lemma("log_superadditivity",
+                                {"sigma": sigma, "c": 0.99 * c})
+    assert above.violations == 0
+    assert below.violations >= 1
 
 
 @given(st.lists(st.integers(-2048, 2048), min_size=1, max_size=3),
