@@ -121,16 +121,21 @@ def _add_common(p):
     p.add_argument("--config", help="key = value file overriding flags")
 
 
-# build-nls and kam-run take their defaults from here
+# every command takes its KAM and lattice defaults from here
 _DEFAULTS = KamConfig()
+
+
+def _add_box_flags(p):
+    lat = _DEFAULTS.nls.params
+    p.add_argument("--d", type=int, default=lat.d)
+    p.add_argument("--radius", type=int, default=lat.mode_radius,
+                   help="truncation box half-width")
 
 
 def _add_nls_flags(p):
     nls = _DEFAULTS.nls
     lat = nls.params
-    p.add_argument("--d", type=int, default=lat.d)
-    p.add_argument("--radius", type=int, default=lat.mode_radius,
-                   help="truncation box half-width")
+    _add_box_flags(p)
     p.add_argument("--sigma", type=float, default=lat.sigma)
     p.add_argument("--r", type=float, default=lat.r)
     p.add_argument("--floor", type=float, default=lat.floor_const,
@@ -171,7 +176,8 @@ def build_parser() -> _Parser:
                    help="continue past violated entry bounds")
     p.add_argument("--out-prefix", default="kam")
     p.add_argument("--freq", default=None,
-                   help="frequency file to use instead of sampling")
+                   help="frequency file to use instead of sampling; a mode "
+                   "outside the box is an error (exit 1)")
     p.add_argument("--timings", action="store_true",
                    help="write real wall times (breaks byte-for-byte "
                    "reproducibility of the CSV)")
@@ -195,13 +201,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dioph-check", help="check a frequency file against "
                        "both strong nonresonance conditions")
-    p.add_argument("file")
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--ell-budget", type=int, default=6)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--radius", type=int, default=2,
-                   help="mode box half-width; a mode of the file outside "
-                   "the box is an error (exit 1)")
+    p.add_argument("file", help="a mode outside the box is an error (exit 1)")
+    p.add_argument("--gamma", type=float, default=_DEFAULTS.gamma)
+    p.add_argument("--ell-budget", type=int, default=_DEFAULTS.ell_budget)
+    _add_box_flags(p)
     _add_common(p)
 
     p = sub.add_parser("measure", help="Monte Carlo resonant-measure "
@@ -211,8 +214,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p.add_argument("--ell-budget", type=int, default=4)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--radius", type=int, default=2)
+    _add_box_flags(p)
     p.add_argument("--out", default="-")
     _add_common(p)
 
@@ -348,10 +350,8 @@ def _cmd_measure(args):
 
 
 def _cmd_verify_lemmas(args):
-    cases = run_suite(
-        samples_scalar=args.samples,
-        samples_norm=100 if args.samples is None else args.samples,
-        seed=args.seed, names=args.lemma)
+    cases = run_suite(samples_scalar=args.samples, samples_norm=args.samples,
+                      seed=args.seed, names=args.lemma)
     if not args.timings:
         for c in cases:
             c.seconds = 0.0

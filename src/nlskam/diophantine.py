@@ -15,7 +15,8 @@ import json
 import math
 import os
 from collections.abc import Sequence
-from typing import NamedTuple
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .lattice import (
     _is_int,
     _mode_sort_key,
     angle_norm,
+    check_box_modes,
     check_doc_version,
     check_mode,
     mode_from_json,
@@ -85,7 +87,7 @@ def enumerate_ells(modes, budget):
     n = len(modes)
     rows = sum(math.comb(n, j) * math.comb(budget, j) * 2 ** (j - 1)
                for j in range(1, n + 1))
-    need = rows * (n * dtype.itemsize + 17)     # + prod1, prod2 and cond2
+    need = rows * (n * dtype.itemsize + 17)     # + two bound arrays
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
         raise CapacityError(f"l-table of {rows:,} rows needs {need:,} B, "
@@ -97,15 +99,17 @@ def enumerate_ells(modes, budget):
     L, levels = np.zeros((0, 0), dtype), (slice(0, 0),) * budget
     half = [L] * (budget + 1)
     for k in range(1, len(modes) + 1):
-        sizes = [len(half[t]) + 1 + sum(2 * len(half[u]) for u in range(1, t))
-                 for t in range(1, budget + 1)]
+        lens = [len(h) for h in half[1:]]
+        sizes = [n_t + 1 + 2 * below            # below: rows of half[1:t]
+                 for n_t, below in zip(lens, accumulate(lens, initial=0))]
         ends = np.cumsum([0] + sizes).tolist()
         levels = tuple(map(slice, ends[:-1], ends[1:]))
         L = np.zeros((ends[-1], k), dtype)
         for t, level in enumerate(levels, 1):
             block, i = L[level], len(half[t])
             block[:i, 1:] = half[t]
-            for v in range(1, t):
+            # over the first mode every tail is empty: no row comes from it
+            for v in range(1, t) if k > 1 else ():
                 tail = half[t - v]
                 block[i:i + 2 * len(tail), 0] = v
                 np.negative(tail[::-1], out=block[i:i + len(tail), 1:])
@@ -156,87 +160,74 @@ def dioph_rhs(ell, gamma, d, which: int) -> float:
     raise ValidationError(f"which must be 1 or 2, got {which}")
 
 
-# Rows per block of the l-table's right-hand-side pass; bounds its float
-# temporaries at a few hundred kB whatever the table size.
+# Rows per block of the l-table's bound pass; bounds its temporaries at
+# about a MB whatever the table size (1.4 MB over the 25 modes of d=2 R=2).
 _ROW_BLOCK = 8192
 
 
-class EllTable(NamedTuple):
-    """One l of each +-l pair with 0 < |l| <= ell_budget, and its products.
-
-    ``ells`` is ``enumerate_ells``' table, which drops -l: of each +-l
-    pair it keeps the l whose first nonzero entry is positive.  Both
-    conditions read l only through |l_n| and |||<l, omega>|||, which
-    negation leaves unchanged bit for bit, so a row stands for -l too.
-    Row i of ``ells.matrix`` is l.  Entry i of the two arrays of
-    ``bounds(gamma)`` equals ``dioph_rhs(l, gamma, d, 1)`` and
-    ``dioph_rhs(l, gamma, d, 2)`` bit for bit, and ``cond2[i]`` equals
-    ``condition2_applies(l)``.
-    """
-
-    ells: EllRows
-    prod1: np.ndarray
-    prod2: np.ndarray
-    cond2: np.ndarray
-
-    def bounds(self, gamma):
-        """The right-hand sides of conditions 1 and 2 at ``gamma``, per l."""
-        return gamma * self.prod1, (gamma ** 5 / 100.0) * self.prod2
-
-    def rhs(self, gamma):
-        """The bound a strongly nonresonant frequency must clear per l."""
-        rhs1, rhs2 = self.bounds(gamma)
-        return np.where(self.cond2, np.maximum(rhs1, rhs2), rhs1)
-
-
-def _ell_table(modes, d, ell_budget) -> EllTable:
-    """The l-table over ``modes``, with columns in sorted-mode order.
-
-    Its rows are ``enumerate_ells``', one l of each +-l pair (see
-    :class:`EllTable`).  The products depend only on l, so they are
-    computed once and reused across candidate draws and values of gamma.
-    Each product runs column by column in sorted-mode order, the order in
-    which ``dioph_rhs`` walks the nonzero entries of l; a zero entry
-    multiplies by exactly 1.0.  Per-mode factors are looked up by |l_n|
-    in tables built with the scalar expressions of ``dioph_rhs``.
-    """
-    ells = enumerate_ells(modes, ell_budget)
-    L, modes = ells.matrix, ells.modes
-    powers = range(ell_budget + 1)
+@lru_cache(maxsize=8)
+def _factors(modes, d, budget):
+    """``_products``' per-mode tables, built once per sorted mode tuple."""
+    powers = range(budget + 1)
     fac1 = [np.array([1.0 / (1.0 + a ** 3 * angle_norm(m) ** (d + 4))
                       for a in powers]) for m in modes]
     fac2 = [np.array([(1.0 / (1.0 + a ** 3 * angle_norm(m) ** (d + 7)))
                       ** 10 for a in powers]) for m in modes]
-    norms = [math.sqrt(sum(c * c for c in m)) for m in modes]
-    # Distinct mode norms, largest first: ell_sorted_norms(l)[k] is the
-    # norm of the first level whose cumulative |l| count exceeds k.
     sq = [sum(c * c for c in m) for m in modes]
     levels = sorted(set(sq), reverse=True)
-    level_of = [levels.index(q) for q in sq]
-    level_norm = np.array([math.sqrt(q) for q in levels])
+    return (fac1, fac2, [math.sqrt(q) for q in sq],
+            [levels.index(q) for q in sq], np.sqrt(levels))
 
-    n = len(L)
-    prod1, prod2 = np.empty(n), np.empty(n)
-    cond2 = np.empty(n, dtype=bool)
-    for i0 in range(0, n, _ROW_BLOCK):
-        A = np.abs(L[i0:i0 + _ROW_BLOCK])
-        counts = np.zeros((len(A), len(levels)), dtype=np.int64)
-        p1 = np.ones(len(A))
-        for j, f in enumerate(fac1):
-            p1 *= f[A[:, j]]
-            counts[:, level_of[j]] += A[:, j]
-        cum = np.cumsum(counts, axis=1)
-        total = cum[:, -1]
-        n2 = level_norm[np.argmax(cum >= 2, axis=1)]
-        n3 = np.where(total >= 3, level_norm[np.argmax(cum >= 3, axis=1)],
-                      -1.0)
-        p2 = np.ones(len(A))
-        for j, f in enumerate(fac2):
-            p2 *= np.where(norms[j] <= n3, f[A[:, j]], 1.0)
-        block = slice(i0, i0 + len(A))
-        prod1[block], prod2[block] = p1, p2
-        cond2[block] = (total >= 2) & (np.maximum(n3, 0.0) < n2)
-    return EllTable(ells, prod1, prod2, cond2)
+
+def _products(L, modes, d, budget):
+    """(prod1, prod2, cond2) per row l of ``L``, over the sorted ``modes``.
+
+    gamma * prod1[i] and (gamma^5 / 100) * prod2[i] equal ``dioph_rhs(l,
+    gamma, d, 1)`` and ``dioph_rhs(l, gamma, d, 2)`` bit for bit, and
+    cond2[i] equals ``condition2_applies(l)``: each product walks l's
+    entries in mode order, as ``dioph_rhs`` does, with factors looked up
+    by |l_n| <= budget (a zero entry multiplies by exactly 1.0).
+    """
+    fac1, fac2, norms, level_of, level_norm = _factors(tuple(modes), d,
+                                                       budget)
+    # ell_sorted_norms(l)[k] is the norm of the first level (distinct
+    # mode norm, largest first) whose cumulative |l| count exceeds k
+    A = np.abs(L)
+    counts = np.zeros((len(A), len(level_norm)), dtype=np.int64)
+    prod1 = np.ones(len(A))
+    for j, f in enumerate(fac1):
+        prod1 *= f[A[:, j]]
+        counts[:, level_of[j]] += A[:, j]
+    cum = np.cumsum(counts, axis=1)
+    total = cum[:, -1]
+    n2 = level_norm[np.argmax(cum >= 2, axis=1)]
+    n3 = np.where(total >= 3, level_norm[np.argmax(cum >= 3, axis=1)], -1.0)
+    prod2 = np.ones(len(A))
+    for j, f in enumerate(fac2):
+        prod2 *= np.where(norms[j] <= n3, f[A[:, j]], 1.0)
+    return prod1, prod2, (total >= 2) & (np.maximum(n3, 0.0) < n2)
+
+
+def _ell_table(modes, d, ell_budget, gammas):
+    """(ells, rhs): ``enumerate_ells``' table and one bound per l per gamma.
+
+    ``rhs[k][i]`` is what |||<l, omega>||| must clear at l = row i and
+    gamma = ``gammas[k]``: condition 1's side, or the larger side where
+    condition 2 applies.  It is formed per ``_ROW_BLOCK`` rows, in place.
+    The table drops -l; both conditions read l only through |l_n| and
+    |||<l, omega>|||, which negation leaves unchanged bit for bit, so a
+    row stands for -l too.
+    """
+    ells = enumerate_ells(modes, ell_budget)
+    L = ells.matrix
+    rhs = [np.empty(len(L)) for _ in gammas]
+    for i0 in range(0, len(L), _ROW_BLOCK):
+        block = slice(i0, i0 + _ROW_BLOCK)
+        prod1, prod2, cond2 = _products(L[block], ells.modes, d, ell_budget)
+        for gamma, r in zip(gammas, rhs):
+            r1 = np.multiply(gamma, prod1, out=r[block])
+            np.maximum(r1, (gamma ** 5 / 100.0) * prod2, out=r1, where=cond2)
+    return ells, rhs
 
 
 def _ell_distances(L, w):
@@ -249,7 +240,8 @@ def _ell_distances(L, w):
     x = np.zeros(len(L))
     for j, wj in enumerate(w):
         x += L[:, j] * wj
-    return np.abs(x - np.rint(x))
+    x -= np.rint(x)
+    return np.abs(x, out=x)
 
 
 def check_frequency(omega: dict, gamma, ell_budget, lattice):
@@ -260,37 +252,34 @@ def check_frequency(omega: dict, gamma, ell_budget, lattice):
     (violations, checked) where violations is a list of (ell, which, lhs,
     rhs) for every failed inequality, ordered by |l|, then by l's values
     in mode order and, per l, condition 1 before condition 2; checked
-    counts every l.  ``enumerate_ells`` drops -l, so each violating row
-    is reported as l and as -l, with the same lhs and rhs.  An empty
+    counts every l.  A row below ``_ell_table``'s bound fails some
+    condition; ``_products`` of those rows says which.  The table drops
+    -l, so a violating row is reported as l and as -l.  An empty
     ``omega`` is refused: it would pass having checked nothing.
     """
     _check_gammas([gamma], ell_budget)
     if not omega:
         raise ValidationError("frequency map is empty: nothing to check")
-    modes = sorted(omega)
-    for m in modes:
-        check_mode(m, lattice.d)
-        if any(abs(c) > lattice.mode_radius for c in m):
-            raise ValidationError(f"mode {m} lies outside the box of "
-                                  f"radius {lattice.mode_radius}")
-    table = _ell_table(modes, lattice.d, ell_budget)
-    rhs1, rhs2 = table.bounds(gamma)
-    lhs = _ell_distances(table.ells.matrix, [float(omega[m]) for m in modes])
-    bad1 = lhs < rhs1
-    bad2 = table.cond2 & (lhs < rhs2)
-    rows = np.flatnonzero(bad1 | bad2)
-    stored = table.ells.matrix[rows]
+    check_box_modes(omega, lattice.d, lattice.mode_radius)
+    ells, (rhs,) = _ell_table(sorted(omega), lattice.d, ell_budget, [gamma])
+    lhs = _ell_distances(ells.matrix, [float(omega[m]) for m in ells.modes])
+    rows = np.flatnonzero(lhs < rhs)
+    stored, lhs = ells.matrix[rows], lhs[rows]
+    prod1, prod2, cond2 = _products(stored, ells.modes, lattice.d, ell_budget)
+    rhs1, rhs2 = gamma * prod1, (gamma ** 5 / 100.0) * prod2
+    bad1, bad2 = lhs < rhs1, cond2 & (lhs < rhs2)
     signed = np.concatenate([stored, -stored])
     # by |l|, then by the values in mode order, as enumerate_ells orders l
     order = np.lexsort((*signed.T[::-1], np.abs(signed).sum(axis=1)))
-    ells = EllRows(table.ells.modes, signed[order], ())
-    violations = []
-    for ell, i in zip(ells, np.concatenate([rows, rows])[order].tolist()):
-        if bad1[i]:
-            violations.append((ell, 1, float(lhs[i]), float(rhs1[i])))
-        if bad2[i]:
-            violations.append((ell, 2, float(lhs[i]), float(rhs2[i])))
-    return violations, 2 * len(lhs)
+    i, violations = order % len(rows), []
+    for ell, b1, b2, x, r1, r2 in zip(
+            EllRows(ells.modes, signed[order], ()),
+            *(a[i].tolist() for a in (bad1, bad2, lhs, rhs1, rhs2))):
+        if b1:
+            violations.append((ell, 1, x, r1))
+        if b2:
+            violations.append((ell, 2, x, r2))
+    return violations, 2 * len(ells)
 
 
 def _mode_rng(seed, mode):
@@ -315,21 +304,20 @@ def sample_strong_frequency(lattice, gamma, ell_budget, seed):
 
     Draws over the box of the HamParams ``lattice``; returns (omega, t)
     with t the index of the accepted sub-seed.  A draw is tested one |l|
-    level at a time, with ``check_frequency``'s arithmetic, and rejected
-    at the first level holding a violation.  The table's one row per +-l
-    pair has the distance and bound of both signs, so each level accepts
-    exactly the draws it would accept tested against every l.
+    level at a time against ``_ell_table``'s bound at ``gamma``, with
+    ``check_frequency``'s arithmetic, and rejected at the first level
+    holding a violation.  The table's one row per +-l pair has the
+    distance and bound of both signs, so each level accepts exactly the
+    draws it would accept tested against every l.
     """
     _check_gammas([gamma], ell_budget)
     modes = lattice.box_modes()
-    table = _ell_table(modes, lattice.d, ell_budget)
-    rhs = table.rhs(gamma)
-    L, levels = table.ells.matrix, table.ells.levels
+    ells, (rhs,) = _ell_table(modes, lattice.d, ell_budget, [gamma])
     for t in range(1000):
         omega = sample_frequency(modes, (int(seed) << 20) + t)
-        w = [omega[m] for m in table.ells.modes]
-        if all((_ell_distances(L[rows], w) >= rhs[rows]).all()
-               for rows in levels):
+        w = [omega[m] for m in ells.modes]
+        if all((_ell_distances(ells.matrix[rows], w) >= rhs[rows]).all()
+               for rows in ells.levels):
             return omega, t
     raise ValidationError(
         "no strongly nonresonant frequency found in 1000 tries")
@@ -400,19 +388,18 @@ def _trial_blocks(draws, width):
     return np.array_split(draws, max(1, len(draws) // rows))
 
 
-def _resonant_draws(draws, table, gammas) -> np.ndarray:
-    """Which rows of ``draws`` violate a condition of ``table``, per gamma.
+def _resonant_draws(draws, L, rhs) -> np.ndarray:
+    """Which rows of ``draws`` violate a bound of the l-matrix ``L``.
 
-    Row k of the result flags the draws that violate some l at
-    ``gammas[k]``.  ``draws @ L.T`` and its distance to the integers are
-    formed once per block of rows, in place, and tested against every
-    gamma's bound, so no trials x l matrix is held whole.  The table holds
-    one l of each +-l pair: the product's column for -l is the bitwise
-    negative of l's, so its distance to the integers, and the flags, are
-    the same.
+    Row k of the result flags the draws whose distance lies below
+    ``rhs[k]``, one of ``_ell_table``'s bounds, at some l.  ``draws @ L.T``
+    and its distance to the integers are formed once per block of rows,
+    in place, and tested against every bound, so no trials x l matrix is
+    held whole.  ``L`` holds one l of each +-l pair: the product's column
+    for -l is the bitwise negative of l's, so its distance to the
+    integers, and the flags, are the same.
     """
-    Lt = table.ells.matrix.astype(float).T
-    rhs = [table.rhs(g) for g in gammas]
+    Lt = L.astype(float).T
     bad = []
     for block in _trial_blocks(draws, Lt.shape[1]):
         x = block @ Lt
@@ -444,8 +431,8 @@ def resonance_measure(gammas: Sequence[float], trials: int, seed, *,
     for i, m in enumerate(modes):
         draws[:, i] = _mode_rng(seed, m).uniform(
             0.0, 1.0 / angle_norm(m), size=trials)
-    table = _ell_table(modes, lattice.d, ell_budget)
-    bad = _resonant_draws(draws, table, gammas)
+    ells, rhs = _ell_table(modes, lattice.d, ell_budget, gammas)
+    bad = _resonant_draws(draws, ells.matrix, rhs)
     out = []
     for violations in bad.sum(axis=1).tolist():
         fraction = violations / trials

@@ -41,6 +41,15 @@ def check_mode(n, d):
             f"mode {n!r} has dimension {len(n)}, expected {d}")
 
 
+def check_box_modes(modes, d, radius):
+    """Refuse, in mode order, a mode of another dimension or off the box."""
+    for m in sorted(modes):
+        check_mode(m, d)
+        if any(abs(c) > radius for c in m):
+            raise ValidationError(
+                f"mode {m} lies outside the box of radius {radius}")
+
+
 def angle_norm(n) -> float:
     """max(1, ||n||)."""
     return max(1.0, math.sqrt(sum(c * c for c in n)))

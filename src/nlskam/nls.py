@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement
 from .errors import ValidationError
 from .hamiltonian import HamParams, Hamiltonian
 from .homological import NormalForm
+from .lattice import check_box_modes
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,7 @@ def build_normal_form(cfg: NlsConfig, omega: dict) -> NormalForm:
     for m in modes:
         if m not in omega:
             raise ValidationError(f"omega missing mode {m}")
+    check_box_modes(omega, cfg.params.d, cfg.params.mode_radius)
     v_hat = {m: float(omega[m]) for m in modes}
     return NormalForm(v_breve=0.0, v_hat=v_hat, modes=modes,
                       cum_shift={m: 0.0 for m in modes})

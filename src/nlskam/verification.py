@@ -620,13 +620,14 @@ NORM_LEMMAS = {
 }
 
 
-def verify_norm_lemma(name, params=None, samples=100, seed=0) -> LemmaCase:
+def verify_norm_lemma(name, params=None, samples=None, seed=0) -> LemmaCase:
     if name not in NORM_LEMMAS:
         raise ValidationError(f"unknown norm lemma {name!r}")
-    return _norm_case(name, params or {}, samples, seed, NORM_LEMMAS[name])
+    return _norm_case(name, params or {}, 100 if samples is None else samples,
+                      seed, NORM_LEMMAS[name])
 
 
-def run_suite(samples_scalar=None, samples_norm=100, seed=0, names=None):
+def run_suite(samples_scalar=None, samples_norm=None, seed=0, names=None):
     """LemmaCases of the named lemmas, in order; default all, scalar first."""
     if names is None:
         names = [*SCALAR_LEMMAS, *NORM_LEMMAS]

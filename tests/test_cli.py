@@ -321,7 +321,7 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
     # an l-table that fits physical memory but fails its allocation
     from nlskam import diophantine
 
-    def too_large(modes, d, ell_budget):
+    def too_large(modes, d, ell_budget, gammas):
         raise MemoryError("Unable to allocate 7.87 GiB for an array with "
                           "shape (39146184, 27) and data type int8")
 
@@ -653,6 +653,45 @@ def test_kam_run_rejects_frequency_of_other_dimension(tmp_path, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert line == "error: mode (-1,) has dimension 1, expected 2"
     assert not (tmp_path / "k.steps.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kam-run", "--freq", "FREQ", "--out-prefix", "OUT"],
+    ["dioph-check", "FREQ"],
+])
+def test_a_frequency_mode_outside_the_box_is_refused(tmp_path, capsys,
+                                                     argv):
+    from nlskam.diophantine import frequency_dumps, sample_frequency
+    omega = sample_frequency(HamParams(d=1, mode_radius=2).box_modes(), 3)
+    omega.update({(9,): 0.1, (-7,): 0.2})
+    f = tmp_path / "freq.json"
+    f.write_text(frequency_dumps(omega))
+    capsys.readouterr()
+    where = {"FREQ": str(f), "OUT": str(tmp_path / "k")}
+    assert run_cli(*(where.get(a, a) for a in argv)) == 1
+    assert _one_error_line(capsys) == (
+        "error: mode (-7,) lies outside the box of radius 2")
+    assert os.listdir(tmp_path) == ["freq.json"]
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["dioph-check", "FREQ"],
+     ["--gamma", "0.1", "--ell-budget", "6", "--d", "1", "--radius", "2"]),
+    (["measure", "--trials", "50"], ["--d", "1", "--radius", "2"]),
+])
+def test_diophantine_defaults_are_kam_configs(tmp_path, capsys, argv, flags):
+    from nlskam.diophantine import frequency_dumps
+    lattice = KamConfig().nls.params
+    f = tmp_path / "freq.json"
+    f.write_text(frequency_dumps(
+        {m: 0.25 * (i % 3) for i, m in enumerate(lattice.box_modes())}))
+    argv = [str(f) if a == "FREQ" else a for a in argv]
+    capsys.readouterr()
+    code = run_cli(*argv)
+    bare = capsys.readouterr()
+    assert run_cli(*argv, *flags) == code
+    assert capsys.readouterr() == bare
+    assert bare.out.count("\n") > 3 and bare.err == ""
 
 
 @pytest.mark.parametrize("flag,value,message", [

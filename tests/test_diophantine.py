@@ -20,6 +20,7 @@ from nlskam import diophantine
 from nlskam.diophantine import (
     _ell_distances,
     _ell_table,
+    _products,
     _resonant_draws,
     _trial_blocks,
     condition2_applies,
@@ -212,9 +213,10 @@ def _dense_reference(draws, L, rhs):
     return x, [(lhs < r[None, :]).any(axis=1) for r in rhs]
 
 
-def _box_table(d, ell_budget, mode_radius):
+def _box_table(d, ell_budget, mode_radius, gammas):
+    """The box's modes, its l-table and one bound array per gamma."""
     modes = HamParams(d=d, mode_radius=mode_radius).box_modes()
-    return modes, _ell_table(modes, d, ell_budget)
+    return (modes, *_ell_table(modes, d, ell_budget, gammas))
 
 
 def _measure_draws(modes, trials, seed):
@@ -231,18 +233,18 @@ def _measure_draws(modes, trials, seed):
 def test_resonant_draws_blocked_equals_full(monkeypatch, block_rows, trials):
     # trials = 1 mod 7: the short tail must not become a one-row product
     gammas = (0.1, 0.02, 0.3)
-    modes, table = _box_table(d=1, ell_budget=4, mode_radius=2)
-    width = len(table.ells)
+    modes, ells, rhs = _box_table(d=1, ell_budget=4, mode_radius=2,
+                                  gammas=gammas)
+    width = len(ells)
     monkeypatch.setattr(diophantine, "_MEASURE_BLOCK", block_rows * width)
     draws = np.random.default_rng(trials).uniform(
         0.0, 1.0, (trials, len(modes)))
-    Lt = table.ells.matrix.astype(float).T
-    x, full = _dense_reference(draws, table.ells.matrix,
-                               [table.rhs(g) for g in gammas])
+    Lt = ells.matrix.astype(float).T
+    x, full = _dense_reference(draws, ells.matrix, rhs)
     blocks = _trial_blocks(draws, width)
     assert min(len(b) for b in blocks) >= min(2, trials)
     assert np.concatenate([b @ Lt for b in blocks]).tobytes() == x.tobytes()
-    got = _resonant_draws(draws, table, gammas)
+    got = _resonant_draws(draws, ells.matrix, rhs)
     assert got.shape == (len(gammas), trials)
     for row, ref in zip(got, full):
         assert np.array_equal(row, ref)
@@ -260,16 +262,15 @@ def test_resonant_draws_blocked_equals_full(monkeypatch, block_rows, trials):
 ])
 def test_resonant_draws_at_the_default_block(kw, trials, block_rows):
     gammas = (0.01, 0.05, 0.1)
-    modes, table = _box_table(**kw)
-    width = len(table.ells)
+    modes, ells, rhs = _box_table(**kw, gammas=gammas)
+    width = len(ells)
     draws = _measure_draws(modes, trials, 1)
     blocks = _trial_blocks(draws, width)
     assert {len(b) for b in blocks} == {block_rows, block_rows + 1}
-    Lt = table.ells.matrix.astype(float).T
-    x, full = _dense_reference(draws, table.ells.matrix,
-                               [table.rhs(g) for g in gammas])
+    Lt = ells.matrix.astype(float).T
+    x, full = _dense_reference(draws, ells.matrix, rhs)
     assert np.concatenate([b @ Lt for b in blocks]).tobytes() == x.tobytes()
-    got = _resonant_draws(draws, table, gammas)
+    got = _resonant_draws(draws, ells.matrix, rhs)
     for row, ref in zip(got, full):
         assert row.tobytes() == ref.tobytes()
 
@@ -408,25 +409,61 @@ def _reference_levels(ells, budget):
 
 
 @pytest.mark.parametrize("d,radius,budget,gammas", [
-    (1, 2, 6, (0.01, 0.1, 0.3)),
+    (1, 2, 6, (0.01, 0.1, 0.3, 0.9)),
     (1, 0, 4, (0.2,)),
-    (2, 1, 4, (0.01, 0.1, 0.3)),
+    (2, 1, 4, (0.01, 0.1, 0.3, 0.9)),
     (3, 1, 3, (0.3,)),
+    (1, 3, 4, (0.05, 0.9)),
 ])
 def test_ell_table_matches_reference_bit_for_bit(d, radius, budget, gammas):
-    modes, table = _box_table(d=d, ell_budget=budget, mode_radius=radius)
-    ells = _half(_reference_ells(modes, budget))
-    assert list(table.ells) == ells
-    assert table.ells.levels == _reference_levels(ells, budget)
-    assert table.ells.matrix.dtype == np.int8
-    assert np.array_equal(table.ells.matrix, _reference_matrix(ells, modes))
-    assert table.cond2.tolist() == [condition2_applies(e) for e in ells]
-    for gamma in gammas:
-        rhs1, rhs2 = table.bounds(gamma)
-        assert _bits(rhs1) == _bits([dioph_rhs(e, gamma, d, 1) for e in ells])
-        assert _bits(rhs2) == _bits([dioph_rhs(e, gamma, d, 2) for e in ells])
-        assert _bits(table.rhs(gamma)) == _bits(
-            _reference_rhs(ells, gamma, d))
+    modes, ells, rhs = _box_table(d=d, ell_budget=budget, mode_radius=radius,
+                                  gammas=gammas)
+    ref = _half(_reference_ells(modes, budget))
+    assert list(ells) == ref
+    assert ells.levels == _reference_levels(ref, budget)
+    assert ells.matrix.dtype == np.int8
+    assert np.array_equal(ells.matrix, _reference_matrix(ref, modes))
+    assert len(rhs) == len(gammas)
+    for gamma, r in zip(gammas, rhs):
+        assert _bits(r) == _bits(_reference_rhs(ref, gamma, d))
+
+
+@pytest.mark.parametrize("d,radius,budget", [(1, 2, 6), (2, 1, 4), (3, 1, 3)])
+def test_products_match_the_scalar_references(d, radius, budget):
+    modes = HamParams(d=d, mode_radius=radius).box_modes()
+    ells = enumerate_ells(modes, budget)
+    ref = _half(_reference_ells(modes, budget))
+    prod1, prod2, cond2 = _products(ells.matrix, ells.modes, d, budget)
+    assert cond2.tolist() == [condition2_applies(e) for e in ref]
+    for gamma in (0.01, 0.3, 0.9):
+        assert _bits(gamma * prod1) == _bits(
+            [dioph_rhs(e, gamma, d, 1) for e in ref])
+        assert _bits((gamma ** 5 / 100.0) * prod2) == _bits(
+            [dioph_rhs(e, gamma, d, 2) for e in ref])
+    # a row's products do not depend on the other rows passed with it
+    pick = np.random.default_rng(budget).permutation(len(ells))[:97]
+    for got, full in zip(_products(ells.matrix[pick], ells.modes, d, budget),
+                         (prod1, prod2, cond2)):
+        assert got.tobytes() == full[pick].tobytes()
+
+
+@pytest.mark.parametrize("radius,budget,binding,larger", [
+    (2, 6, 4, 0),
+    # the |l| = 1 rows at modes +-3, and l = (0) +- (3), whose n2* = n3*
+    # = 0: their condition-2 side is the larger, but no bound
+    (3, 4, 24, 6),
+])
+def test_condition2_binds_some_rows_at_a_large_gamma(radius, budget, binding,
+                                                     larger):
+    modes = HamParams(d=1, mode_radius=radius).box_modes()
+    ells = enumerate_ells(modes, budget)
+    prod1, prod2, cond2 = _products(ells.matrix, ells.modes, 1, budget)
+    rhs1, rhs2 = 0.9 * prod1, (0.9 ** 5 / 100.0) * prod2
+    _, [rhs] = _ell_table(modes, 1, budget, [0.9])
+    assert (cond2 & (rhs2 > rhs1)).sum() == binding
+    assert (~cond2 & (rhs2 > rhs1)).sum() == larger
+    assert rhs.tobytes() == np.where(cond2 & (rhs2 > rhs1), rhs2,
+                                     rhs1).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -438,27 +475,34 @@ def d2_reference():
 
 
 def test_ell_table_d2_sampler_config_bit_for_bit(d2_reference):
-    lattice, ells, rhs = d2_reference
-    table = _ell_table(lattice.box_modes(), lattice.d, 6)
-    half = _half(ells)
-    assert len(ells) == 75516 and len(table.ells) == len(half) == 37758
-    assert list(table.ells) == half
-    assert table.ells.levels == _reference_levels(half, 6)
-    assert _bits(table.rhs(0.01)) == _bits(rhs[[e[0][1] > 0 for e in ells]])
+    lattice, ref, rhs = d2_reference
+    ells, [got] = _ell_table(lattice.box_modes(), lattice.d, 6, [0.01])
+    half = _half(ref)
+    assert len(ref) == 75516 and len(ells) == len(half) == 37758
+    assert list(ells) == half
+    assert ells.levels == _reference_levels(half, 6)
+    assert _bits(got) == _bits(rhs[[e[0][1] > 0 for e in ref]])
 
 
 @pytest.mark.parametrize("budget,dtype", [
     (127, np.int8), (128, np.int16), (130, np.int16)])
 def test_ell_matrix_dtype_holds_budget(budget, dtype):
-    table = _ell_table([(0,)], 1, budget)
-    L = table.ells.matrix
+    ells, [rhs] = _ell_table([(0,)], 1, budget, [0.1])
+    L = ells.matrix
     assert L.dtype == dtype
     assert L[:, 0].tolist() == list(range(1, budget + 1))
-    ells = _half(_reference_ells([(0,)], budget))
-    assert list(table.ells) == ells
-    assert table.ells.levels == _reference_levels(ells, budget)
-    assert table.cond2.tolist() == [False] * budget
-    assert _bits(table.rhs(0.1)) == _bits(_reference_rhs(ells, 0.1, 1))
+    ref = _half(_reference_ells([(0,)], budget))
+    assert list(ells) == ref
+    assert ells.levels == _reference_levels(ref, budget)
+    assert not _products(L, ells.modes, 1, budget)[2].any()
+    assert _bits(rhs) == _bits(_reference_rhs(ref, 0.1, 1))
+
+
+def test_enumerate_ells_over_one_mode_at_a_large_budget():
+    ells = enumerate_ells([(0,)], 3000)
+    assert ells.matrix.dtype == np.int16
+    assert ells.matrix.tolist() == [[t] for t in range(1, 3001)]
+    assert ells.levels == tuple(slice(t, t + 1) for t in range(3000))
 
 
 @pytest.mark.parametrize("d,radius,budget", [(1, 2, 6), (2, 1, 4)])
@@ -566,6 +610,30 @@ def test_sampler_memory_peak_at_the_d2_config():
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def test_sampler_memory_peak_is_the_enumeration_peak():
+    # d=2 R=2, |l| <= 4: 141,700 rows of 25 modes.  The table, its bound,
+    # one block's products and one level's distances all fit below
+    # enumerate_ells' own peak, which the sampler may pass by at most one
+    # bound array.  Holding both conditions' bounds, their maximum and the
+    # stored products, it peaked at 11.0 MB against the table's 8.8 MB.
+    lattice = HamParams(d=2, mode_radius=2)
+    modes = lattice.box_modes()
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rows = len(enumerate_ells(modes, 4))
+    assert rows == 141_700
+    table = peak(lambda: enumerate_ells(modes, 4))
+    sampler = peak(lambda: sample_strong_frequency(lattice, 0.01, 4, 7))
+    assert sampler <= table + 8 * rows
 
 
 def test_check_frequency_matches_reference():

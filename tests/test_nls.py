@@ -94,6 +94,9 @@ def test_normal_form_start():
     assert nf.omega_tangential((1,)) == pytest.approx(1.0 + 0.3)
     with pytest.raises(ValidationError):
         build_normal_form(cfg, {(0,): 0.2})
+    outside = r"^mode \(2,\) lies outside the box of radius 1$"
+    with pytest.raises(ValidationError, match=outside):
+        build_normal_form(cfg, {**omega, (5,): 0.1, (2,): 0.4})
 
 
 def test_normal_form_as_hamiltonian():
