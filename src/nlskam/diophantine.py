@@ -44,69 +44,36 @@ def _check_gammas(gammas, ell_budget):
         raise ValidationError("ell_budget must be >= 1")
 
 
-class EllRows(Sequence):
-    """The rows of an l-matrix, each read as an l tuple.
-
-    ``matrix[i, j]`` is the value of row i at ``modes[j]``.  Row i reads as
-    the tuple of (mode, value) pairs with nonzero value, in mode order.
-    The rows are ordered by |l|, and ``levels`` holds one row slice per
-    |l| = 1, 2, ...
-    """
-
-    def __init__(self, modes, matrix, levels):
-        self.modes = modes
-        self.matrix = matrix
-        self.levels = levels
-
-    def __len__(self):
-        return len(self.matrix)
-
-    def __getitem__(self, i):
-        return self._ell(self.matrix[i].tolist())
-
-    def __iter__(self):
-        return map(self._ell, self.matrix.tolist())
-
-    def _ell(self, row):
-        return tuple((m, v) for m, v in zip(self.modes, row) if v)
+def _ell_dtype(budget):
+    """The least signed int type that holds +-budget."""
+    return np.min_scalar_type(-budget - 1)
 
 
 def enumerate_ells(modes, budget):
-    """One l of each +-l pair with 0 < |l| <= budget, as EllRows.
+    """One l of each +-l pair with 0 < |l| <= budget, as an int matrix.
 
-    This is the one place that drops -l: it yields the l whose first
-    nonzero value is positive, ordered by |l|, then lexicographically in
-    the values over the sorted mode list.  Raises CapacityError, before
-    allocating anything, when the rows and their products would not fit
-    in physical memory.
+    Row i holds one l, its value at ``sorted(modes)[j]`` in column j, in
+    the least signed int type that holds +-budget; ``len()`` is the
+    stored row count.  This is the one place that drops -l: it keeps the
+    l whose first nonzero value is positive, ordered by |l|, then
+    lexicographically in the values over the sorted mode list.
     """
     modes = sorted(tuple(m) for m in modes)
-    dtype = np.min_scalar_type(-budget - 1)     # the least that holds +-budget
-    # sum_j C(n, j) C(t - 1, j - 1) 2^j vectors have |l| = t (j nonzero
-    # entries); summed over t <= budget, C(t - 1, j - 1) gives C(budget, j)
-    n = len(modes)
-    rows = sum(math.comb(n, j) * math.comb(budget, j) * 2 ** (j - 1)
-               for j in range(1, n + 1))
-    need = rows * (n * dtype.itemsize + 17)     # + two bound arrays
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise CapacityError(f"l-table of {rows:,} rows needs {need:,} B, "
-                            f"more than the {memory:,} B of physical memory")
+    dtype = _ell_dtype(budget)
     # half[t]: the rows over the last k modes with |v| == t.  Level t over
     # one more mode is 0 before half[t], then each v in 1..t before every
     # vector of norm t - v: -half[t - v] reversed (negation reverses the
     # order), then half[t - v]; at v == t, the zero vector.
-    L, levels = np.zeros((0, 0), dtype), (slice(0, 0),) * budget
+    L = np.zeros((0, 0), dtype)
     half = [L] * (budget + 1)
     for k in range(1, len(modes) + 1):
         lens = [len(h) for h in half[1:]]
         sizes = [n_t + 1 + 2 * below            # below: rows of half[1:t]
                  for n_t, below in zip(lens, accumulate(lens, initial=0))]
         ends = np.cumsum([0] + sizes).tolist()
-        levels = tuple(map(slice, ends[:-1], ends[1:]))
         L = np.zeros((ends[-1], k), dtype)
-        for t, level in enumerate(levels, 1):
-            block, i = L[level], len(half[t])
+        for t in range(1, budget + 1):
+            block, i = L[ends[t - 1]:ends[t]], len(half[t])
             block[:i, 1:] = half[t]
             # over the first mode every tail is empty: no row comes from it
             for v in range(1, t) if k > 1 else ():
@@ -116,8 +83,8 @@ def enumerate_ells(modes, budget):
                 block[i + len(tail):i + 2 * len(tail), 1:] = tail
                 i += 2 * len(tail)
             block[i, 0] = t
-        half = [L[:0]] + [L[s] for s in levels]
-    return EllRows(modes, L, levels)
+        half = [L[:0]] + [L[a:b] for a, b in zip(ends, ends[1:])]
+    return L
 
 
 def ell_sorted_norms(ell):
@@ -160,8 +127,9 @@ def dioph_rhs(ell, gamma, d, which: int) -> float:
     raise ValidationError(f"which must be 1 or 2, got {which}")
 
 
-# Rows per block of the l-table's bound pass; bounds its temporaries at
-# about a MB whatever the table size (1.4 MB over the 25 modes of d=2 R=2).
+# Rows per block of every pass over the l-table, its bounds and its
+# distances; bounds their temporaries at about a MB whatever the table
+# size (1.4 MB over the 25 modes of d=2 R=2).
 _ROW_BLOCK = 8192
 
 
@@ -209,25 +177,36 @@ def _products(L, modes, d, budget):
 
 
 def _ell_table(modes, d, ell_budget, gammas):
-    """(ells, rhs): ``enumerate_ells``' table and one bound per l per gamma.
+    """(L, rhs): ``enumerate_ells``' matrix and one bound per l per gamma.
 
-    ``rhs[k][i]`` is what |||<l, omega>||| must clear at l = row i and
-    gamma = ``gammas[k]``: condition 1's side, or the larger side where
-    condition 2 applies.  It is formed per ``_ROW_BLOCK`` rows, in place.
-    The table drops -l; both conditions read l only through |l_n| and
-    |||<l, omega>|||, which negation leaves unchanged bit for bit, so a
-    row stands for -l too.
+    ``modes`` must be sorted, as ``L``'s columns are.  ``rhs[k][i]`` is
+    what |||<l, omega>||| must clear at l = row i and gamma =
+    ``gammas[k]``: condition 1's side, or the larger side where condition
+    2 applies.  It is formed per ``_ROW_BLOCK`` rows, in place.  The table
+    drops -l; both conditions read l only through |l_n| and |||<l,
+    omega>|||, which negation leaves unchanged bit for bit, so a row
+    stands for -l too.  Raises CapacityError, before allocating anything,
+    when the rows and their bounds would not fit in physical memory.
     """
-    ells = enumerate_ells(modes, ell_budget)
-    L = ells.matrix
+    # sum_j C(n, j) C(t - 1, j - 1) 2^j vectors have |l| = t (j nonzero
+    # entries); summed over t <= budget, C(t - 1, j - 1) gives C(budget, j)
+    n = len(modes)
+    rows = sum(math.comb(n, j) * math.comb(ell_budget, j) * 2 ** (j - 1)
+               for j in range(1, n + 1))
+    need = rows * (n * _ell_dtype(ell_budget).itemsize + 8 * len(gammas))
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise CapacityError(f"l-table of {rows:,} rows needs {need:,} B, "
+                            f"more than the {memory:,} B of physical memory")
+    L = enumerate_ells(modes, ell_budget)
     rhs = [np.empty(len(L)) for _ in gammas]
     for i0 in range(0, len(L), _ROW_BLOCK):
         block = slice(i0, i0 + _ROW_BLOCK)
-        prod1, prod2, cond2 = _products(L[block], ells.modes, d, ell_budget)
+        prod1, prod2, cond2 = _products(L[block], modes, d, ell_budget)
         for gamma, r in zip(gammas, rhs):
             r1 = np.multiply(gamma, prod1, out=r[block])
             np.maximum(r1, (gamma ** 5 / 100.0) * prod2, out=r1, where=cond2)
-    return ells, rhs
+    return L, rhs
 
 
 def _ell_distances(L, w):
@@ -244,6 +223,20 @@ def _ell_distances(L, w):
     return np.abs(x, out=x)
 
 
+def _violations(L, w, rhs):
+    """(rows, lhs) per ``_ROW_BLOCK`` rows of ``L``, in row order.
+
+    rows holds the indices of the block's rows whose distance
+    ``_ell_distances(L, w)`` lies below their bound in ``rhs``, and lhs
+    those distances.  Only one block's distances are held at a time.
+    """
+    for i0 in range(0, len(L), _ROW_BLOCK):
+        block = slice(i0, i0 + _ROW_BLOCK)
+        lhs = _ell_distances(L[block], w)
+        bad = np.flatnonzero(lhs < rhs[block])
+        yield i0 + bad, lhs[bad]
+
+
 def check_frequency(omega: dict, gamma, ell_budget, lattice):
     """Test both conditions at ``gamma`` over all l with |l| <= ell_budget.
 
@@ -252,34 +245,36 @@ def check_frequency(omega: dict, gamma, ell_budget, lattice):
     (violations, checked) where violations is a list of (ell, which, lhs,
     rhs) for every failed inequality, ordered by |l|, then by l's values
     in mode order and, per l, condition 1 before condition 2; checked
-    counts every l.  A row below ``_ell_table``'s bound fails some
-    condition; ``_products`` of those rows says which.  The table drops
-    -l, so a violating row is reported as l and as -l.  An empty
-    ``omega`` is refused: it would pass having checked nothing.
+    counts every l.  The rows ``_violations`` finds below ``_ell_table``'s
+    bound fail some condition; ``_products`` of those rows says which.
+    The table drops -l, so a violating row is reported as l and as -l.  An
+    empty ``omega`` is refused: it would pass having checked nothing.
     """
     _check_gammas([gamma], ell_budget)
     if not omega:
         raise ValidationError("frequency map is empty: nothing to check")
     check_box_modes(omega, lattice.d, lattice.mode_radius)
-    ells, (rhs,) = _ell_table(sorted(omega), lattice.d, ell_budget, [gamma])
-    lhs = _ell_distances(ells.matrix, [float(omega[m]) for m in ells.modes])
-    rows = np.flatnonzero(lhs < rhs)
-    stored, lhs = ells.matrix[rows], lhs[rows]
-    prod1, prod2, cond2 = _products(stored, ells.modes, lattice.d, ell_budget)
+    modes = sorted(omega)
+    L, (rhs,) = _ell_table(modes, lattice.d, ell_budget, [gamma])
+    w = [float(omega[m]) for m in modes]
+    rows, lhs = map(np.concatenate, zip(*_violations(L, w, rhs)))
+    stored = L[rows]
+    prod1, prod2, cond2 = _products(stored, modes, lattice.d, ell_budget)
     rhs1, rhs2 = gamma * prod1, (gamma ** 5 / 100.0) * prod2
     bad1, bad2 = lhs < rhs1, cond2 & (lhs < rhs2)
     signed = np.concatenate([stored, -stored])
     # by |l|, then by the values in mode order, as enumerate_ells orders l
     order = np.lexsort((*signed.T[::-1], np.abs(signed).sum(axis=1)))
     i, violations = order % len(rows), []
+    ells = [tuple((m, v) for m, v in zip(modes, row) if v)
+            for row in signed[order].tolist()]
     for ell, b1, b2, x, r1, r2 in zip(
-            EllRows(ells.modes, signed[order], ()),
-            *(a[i].tolist() for a in (bad1, bad2, lhs, rhs1, rhs2))):
+            ells, *(a[i].tolist() for a in (bad1, bad2, lhs, rhs1, rhs2))):
         if b1:
             violations.append((ell, 1, x, r1))
         if b2:
             violations.append((ell, 2, x, r2))
-    return violations, 2 * len(ells)
+    return violations, 2 * len(L)
 
 
 def _mode_rng(seed, mode):
@@ -303,21 +298,20 @@ def sample_strong_frequency(lattice, gamma, ell_budget, seed):
     """First strongly nonresonant draw from the first 1000 sub-seeds.
 
     Draws over the box of the HamParams ``lattice``; returns (omega, t)
-    with t the index of the accepted sub-seed.  A draw is tested one |l|
-    level at a time against ``_ell_table``'s bound at ``gamma``, with
-    ``check_frequency``'s arithmetic, and rejected at the first level
-    holding a violation.  The table's one row per +-l pair has the
-    distance and bound of both signs, so each level accepts exactly the
-    draws it would accept tested against every l.
+    with t the index of the accepted sub-seed.  A draw is tested against
+    ``_ell_table``'s bound at ``gamma`` by ``check_frequency``'s block
+    walk, ``_violations``, and rejected at the first block holding a
+    violation.  The table's one row per +-l pair has the distance and
+    bound of both signs, so a draw is accepted exactly when it clears
+    every l.
     """
     _check_gammas([gamma], ell_budget)
     modes = lattice.box_modes()
-    ells, (rhs,) = _ell_table(modes, lattice.d, ell_budget, [gamma])
+    L, (rhs,) = _ell_table(modes, lattice.d, ell_budget, [gamma])
     for t in range(1000):
         omega = sample_frequency(modes, (int(seed) << 20) + t)
-        w = [omega[m] for m in ells.modes]
-        if all((_ell_distances(ells.matrix[rows], w) >= rhs[rows]).all()
-               for rows in ells.levels):
+        w = [omega[m] for m in modes]
+        if not any(len(rows) for rows, _ in _violations(L, w, rhs)):
             return omega, t
     raise ValidationError(
         "no strongly nonresonant frequency found in 1000 tries")
@@ -431,8 +425,8 @@ def resonance_measure(gammas: Sequence[float], trials: int, seed, *,
     for i, m in enumerate(modes):
         draws[:, i] = _mode_rng(seed, m).uniform(
             0.0, 1.0 / angle_norm(m), size=trials)
-    ells, rhs = _ell_table(modes, lattice.d, ell_budget, gammas)
-    bad = _resonant_draws(draws, ells.matrix, rhs)
+    L, rhs = _ell_table(modes, lattice.d, ell_budget, gammas)
+    bad = _resonant_draws(draws, L, rhs)
     out = []
     for violations in bad.sum(axis=1).tolist():
         fraction = violations / trials

@@ -129,7 +129,8 @@ class KamConfig:
         if self.steps < 0:
             raise ValidationError(f"steps must be >= 0, got {self.steps}")
         if self.lie_order_cap < 1:
-            raise ValidationError("order_cap must be >= 1")
+            raise ValidationError(
+                f"lie_order_cap must be >= 1, got {self.lie_order_cap}")
         if not (math.isfinite(self.prune_tol) and self.prune_tol >= 0):
             raise ValidationError(
                 f"prune_tol must be finite and >= 0, got {self.prune_tol}")

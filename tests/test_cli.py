@@ -119,7 +119,7 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
                    "--lie-order-cap", "0",
                    "--out-prefix", str(tmp_path / "k")) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: order_cap must be >= 1"]
+        "error: lie_order_cap must be >= 1, got 0"]
     assert not (tmp_path / "k.steps.csv").exists()
 
 
@@ -193,7 +193,7 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
       "--steps", "0", "--out-prefix", "{out}"],
      "error: gamma must be < 1, got 1.5"),
     (["kam-run", "--radius", "1", "--lie-order-cap", "0", "--steps", "0",
-      "--out-prefix", "{out}"], "error: order_cap must be >= 1"),
+      "--out-prefix", "{out}"], "error: lie_order_cap must be >= 1, got 0"),
     # the l-budget is refused up front even when omega is read from --freq
     (["kam-run", "--radius", "2", "--freq", "{freq}", "--ell-budget", "0",
       "--steps", "1", "--out-prefix", "{out}"],
@@ -340,14 +340,16 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
 ])
 def test_an_ell_table_beyond_memory_is_refused_before_allocating(
         tmp_path, omega_file, argv):
-    # 5 modes at |l| <= 200: 43,210,733,640 rows of 5 int16 values
+    # 5 modes at |l| <= 200: 43,210,733,640 rows of 5 int16 values and
+    # one float64 bound per gamma, 3 for measure's defaults and 1 here
+    need = {"measure": "1,469,164,943,760", "dioph-check": "777,793,205,520"}
     where = {"OUT": str(tmp_path / "out"), "FREQ": str(omega_file)}
     done = run_cli_with_memory_cap([where.get(a, a) for a in argv])
     assert done.returncode == 3
     assert done.stdout == ""
     [line] = done.stderr.splitlines()
     assert line.startswith("capacity: l-table of 43,210,733,640 rows needs "
-                           "1,166,689,808,280 B, more than the ")
+                           f"{need[argv[0]]} B, more than the ")
     assert not os.listdir(tmp_path)
 
 

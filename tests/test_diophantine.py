@@ -61,9 +61,16 @@ def test_gamma_and_budget_checked_before_any_work(monkeypatch, entry, gamma,
     assert "\n" not in str(e.value)
 
 
+def _ell_tuples(L, modes):
+    """The rows of the l-matrix ``L`` as l tuples over the sorted modes."""
+    modes = sorted(modes)
+    return [tuple((m, v) for m, v in zip(modes, row) if v)
+            for row in L.tolist()]
+
+
 def test_enumerate_ells_count_and_order():
     modes = [(0,), (1,)]
-    ells = enumerate_ells(modes, 2)
+    ells = _ell_tuples(enumerate_ells(modes, 2), modes)
     # one l of each +-l pair of the l1-ball of radius 2 in Z^2 minus origin
     assert len(ells) == 6
     assert all(ell[0][1] > 0 for ell in ells)
@@ -83,14 +90,35 @@ def test_enumerate_ells_count_and_order():
 def test_enumerate_ells_refusal_counts_the_rows_it_would_build(
         monkeypatch, d, radius, budget):
     modes = HamParams(d=d, mode_radius=radius).box_modes()
-    L = enumerate_ells(modes, budget).matrix
-    # no memory at all: every table is refused, naming its size
+    L = enumerate_ells(modes, budget)
+    # no memory at all: every table is refused before it is built, naming
+    # its size: the values of l and one float64 bound per gamma
     monkeypatch.setattr(diophantine.os, "sysconf", lambda name: 0)
-    with pytest.raises(CapacityError) as e:
-        enumerate_ells(modes, budget)
-    need = len(L) * (L.shape[1] * L.dtype.itemsize + 17)
-    assert str(e.value) == (f"l-table of {len(L):,} rows needs {need:,} B, "
-                            "more than the 0 B of physical memory")
+    monkeypatch.setattr(diophantine, "enumerate_ells", _no_work)
+    for gammas in ([0.1], [0.01, 0.05, 0.1]):
+        with pytest.raises(CapacityError) as e:
+            _ell_table(modes, d, budget, gammas)
+        need = len(L) * (L.shape[1] * L.dtype.itemsize + 8 * len(gammas))
+        assert str(e.value) == (
+            f"l-table of {len(L):,} rows needs {need:,} B, "
+            "more than the 0 B of physical memory")
+
+
+def test_enumerate_ells_len_is_the_stored_row_count():
+    # perfbench's enumerate_ells.ells and resonance_measure.bytes_computed
+    # counters read len() of the result
+    for d, radius, budget in [(1, 2, 6), (2, 1, 4), (2, 2, 2)]:
+        modes = HamParams(d=d, mode_radius=radius).box_modes()
+        L = enumerate_ells(modes, budget)
+        assert len(L) == L.shape[0] == len(_half(_reference_ells(modes,
+                                                                 budget)))
+        assert L.shape[1] == len(modes)
+    # the columns follow the sorted modes whatever order they come in
+    L = enumerate_ells([(1,), (0,)], 2)
+    assert len(L) == 6
+    assert np.array_equal(L, enumerate_ells([(0,), (1,)], 2))
+    assert _ell_tuples(L, [(1,), (0,)]) == _half(
+        _reference_ells([(0,), (1,)], 2))
 
 
 def test_ell_sorted_norms_and_condition2():
@@ -233,18 +261,18 @@ def _measure_draws(modes, trials, seed):
 def test_resonant_draws_blocked_equals_full(monkeypatch, block_rows, trials):
     # trials = 1 mod 7: the short tail must not become a one-row product
     gammas = (0.1, 0.02, 0.3)
-    modes, ells, rhs = _box_table(d=1, ell_budget=4, mode_radius=2,
-                                  gammas=gammas)
-    width = len(ells)
+    modes, L, rhs = _box_table(d=1, ell_budget=4, mode_radius=2,
+                               gammas=gammas)
+    width = len(L)
     monkeypatch.setattr(diophantine, "_MEASURE_BLOCK", block_rows * width)
     draws = np.random.default_rng(trials).uniform(
         0.0, 1.0, (trials, len(modes)))
-    Lt = ells.matrix.astype(float).T
-    x, full = _dense_reference(draws, ells.matrix, rhs)
+    Lt = L.astype(float).T
+    x, full = _dense_reference(draws, L, rhs)
     blocks = _trial_blocks(draws, width)
     assert min(len(b) for b in blocks) >= min(2, trials)
     assert np.concatenate([b @ Lt for b in blocks]).tobytes() == x.tobytes()
-    got = _resonant_draws(draws, ells.matrix, rhs)
+    got = _resonant_draws(draws, L, rhs)
     assert got.shape == (len(gammas), trials)
     for row, ref in zip(got, full):
         assert np.array_equal(row, ref)
@@ -262,15 +290,15 @@ def test_resonant_draws_blocked_equals_full(monkeypatch, block_rows, trials):
 ])
 def test_resonant_draws_at_the_default_block(kw, trials, block_rows):
     gammas = (0.01, 0.05, 0.1)
-    modes, ells, rhs = _box_table(**kw, gammas=gammas)
-    width = len(ells)
+    modes, L, rhs = _box_table(**kw, gammas=gammas)
+    width = len(L)
     draws = _measure_draws(modes, trials, 1)
     blocks = _trial_blocks(draws, width)
     assert {len(b) for b in blocks} == {block_rows, block_rows + 1}
-    Lt = ells.matrix.astype(float).T
-    x, full = _dense_reference(draws, ells.matrix, rhs)
+    Lt = L.astype(float).T
+    x, full = _dense_reference(draws, L, rhs)
     assert np.concatenate([b @ Lt for b in blocks]).tobytes() == x.tobytes()
-    got = _resonant_draws(draws, ells.matrix, rhs)
+    got = _resonant_draws(draws, L, rhs)
     for row, ref in zip(got, full):
         assert row.tobytes() == ref.tobytes()
 
@@ -401,13 +429,6 @@ def _half(ells):
     return [ell for ell in ells if ell[0][1] > 0]
 
 
-def _reference_levels(ells, budget):
-    """One slice of ``ells`` per |l| = 1 .. budget."""
-    sizes = [sum(abs(v) for _, v in ell) for ell in ells]
-    ends = np.cumsum([0] + [sizes.count(t) for t in range(1, budget + 1)])
-    return tuple(map(slice, ends[:-1].tolist(), ends[1:].tolist()))
-
-
 @pytest.mark.parametrize("d,radius,budget,gammas", [
     (1, 2, 6, (0.01, 0.1, 0.3, 0.9)),
     (1, 0, 4, (0.2,)),
@@ -416,13 +437,12 @@ def _reference_levels(ells, budget):
     (1, 3, 4, (0.05, 0.9)),
 ])
 def test_ell_table_matches_reference_bit_for_bit(d, radius, budget, gammas):
-    modes, ells, rhs = _box_table(d=d, ell_budget=budget, mode_radius=radius,
-                                  gammas=gammas)
+    modes, L, rhs = _box_table(d=d, ell_budget=budget, mode_radius=radius,
+                               gammas=gammas)
     ref = _half(_reference_ells(modes, budget))
-    assert list(ells) == ref
-    assert ells.levels == _reference_levels(ref, budget)
-    assert ells.matrix.dtype == np.int8
-    assert np.array_equal(ells.matrix, _reference_matrix(ref, modes))
+    assert _ell_tuples(L, modes) == ref
+    assert L.dtype == np.int8
+    assert np.array_equal(L, _reference_matrix(ref, modes))
     assert len(rhs) == len(gammas)
     for gamma, r in zip(gammas, rhs):
         assert _bits(r) == _bits(_reference_rhs(ref, gamma, d))
@@ -431,9 +451,9 @@ def test_ell_table_matches_reference_bit_for_bit(d, radius, budget, gammas):
 @pytest.mark.parametrize("d,radius,budget", [(1, 2, 6), (2, 1, 4), (3, 1, 3)])
 def test_products_match_the_scalar_references(d, radius, budget):
     modes = HamParams(d=d, mode_radius=radius).box_modes()
-    ells = enumerate_ells(modes, budget)
+    L = enumerate_ells(modes, budget)
     ref = _half(_reference_ells(modes, budget))
-    prod1, prod2, cond2 = _products(ells.matrix, ells.modes, d, budget)
+    prod1, prod2, cond2 = _products(L, modes, d, budget)
     assert cond2.tolist() == [condition2_applies(e) for e in ref]
     for gamma in (0.01, 0.3, 0.9):
         assert _bits(gamma * prod1) == _bits(
@@ -441,8 +461,8 @@ def test_products_match_the_scalar_references(d, radius, budget):
         assert _bits((gamma ** 5 / 100.0) * prod2) == _bits(
             [dioph_rhs(e, gamma, d, 2) for e in ref])
     # a row's products do not depend on the other rows passed with it
-    pick = np.random.default_rng(budget).permutation(len(ells))[:97]
-    for got, full in zip(_products(ells.matrix[pick], ells.modes, d, budget),
+    pick = np.random.default_rng(budget).permutation(len(L))[:97]
+    for got, full in zip(_products(L[pick], modes, d, budget),
                          (prod1, prod2, cond2)):
         assert got.tobytes() == full[pick].tobytes()
 
@@ -456,8 +476,8 @@ def test_products_match_the_scalar_references(d, radius, budget):
 def test_condition2_binds_some_rows_at_a_large_gamma(radius, budget, binding,
                                                      larger):
     modes = HamParams(d=1, mode_radius=radius).box_modes()
-    ells = enumerate_ells(modes, budget)
-    prod1, prod2, cond2 = _products(ells.matrix, ells.modes, 1, budget)
+    prod1, prod2, cond2 = _products(enumerate_ells(modes, budget), modes, 1,
+                                    budget)
     rhs1, rhs2 = 0.9 * prod1, (0.9 ** 5 / 100.0) * prod2
     _, [rhs] = _ell_table(modes, 1, budget, [0.9])
     assert (cond2 & (rhs2 > rhs1)).sum() == binding
@@ -476,33 +496,30 @@ def d2_reference():
 
 def test_ell_table_d2_sampler_config_bit_for_bit(d2_reference):
     lattice, ref, rhs = d2_reference
-    ells, [got] = _ell_table(lattice.box_modes(), lattice.d, 6, [0.01])
+    modes = lattice.box_modes()
+    L, [got] = _ell_table(modes, lattice.d, 6, [0.01])
     half = _half(ref)
-    assert len(ref) == 75516 and len(ells) == len(half) == 37758
-    assert list(ells) == half
-    assert ells.levels == _reference_levels(half, 6)
+    assert len(ref) == 75516 and len(L) == len(half) == 37758
+    assert _ell_tuples(L, modes) == half
     assert _bits(got) == _bits(rhs[[e[0][1] > 0 for e in ref]])
 
 
 @pytest.mark.parametrize("budget,dtype", [
     (127, np.int8), (128, np.int16), (130, np.int16)])
 def test_ell_matrix_dtype_holds_budget(budget, dtype):
-    ells, [rhs] = _ell_table([(0,)], 1, budget, [0.1])
-    L = ells.matrix
+    L, [rhs] = _ell_table([(0,)], 1, budget, [0.1])
     assert L.dtype == dtype
     assert L[:, 0].tolist() == list(range(1, budget + 1))
     ref = _half(_reference_ells([(0,)], budget))
-    assert list(ells) == ref
-    assert ells.levels == _reference_levels(ref, budget)
-    assert not _products(L, ells.modes, 1, budget)[2].any()
+    assert _ell_tuples(L, [(0,)]) == ref
+    assert not _products(L, [(0,)], 1, budget)[2].any()
     assert _bits(rhs) == _bits(_reference_rhs(ref, 0.1, 1))
 
 
 def test_enumerate_ells_over_one_mode_at_a_large_budget():
-    ells = enumerate_ells([(0,)], 3000)
-    assert ells.matrix.dtype == np.int16
-    assert ells.matrix.tolist() == [[t] for t in range(1, 3001)]
-    assert ells.levels == tuple(slice(t, t + 1) for t in range(3000))
+    L = enumerate_ells([(0,)], 3000)
+    assert L.dtype == np.int16
+    assert L.tolist() == [[t] for t in range(1, 3001)]
 
 
 @pytest.mark.parametrize("d,radius,budget", [(1, 2, 6), (2, 1, 4)])
@@ -517,23 +534,13 @@ def test_negation_leaves_bounds_and_distances_unchanged(d, radius, budget):
                 _bits([dioph_rhs(e, gamma, d, which) for e in negs]))
     assert ([condition2_applies(e) for e in ells]
             == [condition2_applies(e) for e in negs])
-    L = enumerate_ells(modes, budget).matrix
+    L = enumerate_ells(modes, budget)
     # drawn values, and values whose sums tie at k + 1/2 for np.rint
     ws = [list(sample_frequency(modes, seed).values()) for seed in range(4)]
     ws += [[0.5] * len(modes), [0.25 * (i % 3) for i in range(len(modes))]]
     for w in ws:
         assert _ell_distances(L, w).tobytes() == (
             _ell_distances(-L, w).tobytes())
-
-
-def test_ell_rows_view():
-    ells = enumerate_ells([(1,), (0,)], 2)
-    ref = _half(_reference_ells([(0,), (1,)], 2))
-    assert len(ells) == len(ref)
-    assert [ells[i] for i in range(len(ells))] == ref
-    assert ells[-1] == ref[-1]
-    assert list(ells)[2:5] == ref[2:5]
-    assert ((((0,), 1), ((1,), 1)) in ells)
 
 
 @pytest.mark.parametrize("d,radius,budget,gamma,seeds", [
@@ -614,7 +621,7 @@ def test_sampler_memory_peak_at_the_d2_config():
 
 def test_sampler_memory_peak_is_the_enumeration_peak():
     # d=2 R=2, |l| <= 4: 141,700 rows of 25 modes.  The table, its bound,
-    # one block's products and one level's distances all fit below
+    # one block's products and one block's distances all fit below
     # enumerate_ells' own peak, which the sampler may pass by at most one
     # bound array.  Holding both conditions' bounds, their maximum and the
     # stored products, it peaked at 11.0 MB against the table's 8.8 MB.
@@ -636,18 +643,45 @@ def test_sampler_memory_peak_is_the_enumeration_peak():
     assert sampler <= table + 8 * rows
 
 
+def test_sampler_draw_loop_holds_a_few_blocks(monkeypatch):
+    # d=2 R=2, |l| <= 4: 141,700 rows, 18 blocks.  Testing one |l| level
+    # at a time held that level's distances and their temporaries, 2.2 MB
+    # at |l| = 4; one block's take about 4 blocks of float64, 0.27 MB.
+    lattice = HamParams(d=2, mode_radius=2)
+    modes = lattice.box_modes()
+    table = _ell_table(modes, lattice.d, 4, [0.01])
+    monkeypatch.setattr(diophantine, "_ell_table", lambda *args: table)
+    sample_frequency(modes, 0)      # numpy's first draw allocates ~1 MB
+    tracemalloc.start()
+    try:
+        got = sample_strong_frequency(lattice, 0.01, 4, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (sample_frequency(modes, 7 << 20), 0)
+    assert peak < 6 * 8 * diophantine._ROW_BLOCK
+
+
 def test_check_frequency_matches_reference():
     modes = LAT.box_modes()
     resonant = {m: 0.25 * (i % 3) for i, m in enumerate(modes)}
     drawn = sample_frequency(modes, 5)
     passing, _ = sample_strong_frequency(LAT, GAMMA, 4, seed=7)
-    for omega in (resonant, drawn, passing):
-        got = check_frequency(omega, GAMMA, 4, LAT)
-        want = _reference_check(omega, GAMMA, 4, LAT.d)
+    # d=2 R=1, |l| <= 6: 37,758 rows, 5 blocks, with violations in each
+    d2 = HamParams(d=2, mode_radius=1)
+    d2_resonant = {m: 0.25 * (i % 3) for i, m in enumerate(d2.box_modes())}
+    cases = [(omega, 4, LAT) for omega in (resonant, drawn, passing)]
+    for omega, budget, lattice in cases + [(d2_resonant, 6, d2)]:
+        got = check_frequency(omega, GAMMA, budget, lattice)
+        want = _reference_check(omega, GAMMA, budget, lattice.d)
         assert got == want
         assert all(type(v) is int for ell, *_ in got[0] for _, v in ell)
     assert check_frequency(resonant, GAMMA, 4, LAT)[0]
     assert check_frequency(passing, GAMMA, 4, LAT)[0] == []
+    modes = d2.box_modes()
+    L, [rhs] = _ell_table(modes, d2.d, 6, [GAMMA])
+    found = diophantine._violations(L, [d2_resonant[m] for m in modes], rhs)
+    assert [len(rows) > 0 for rows, _ in found] == [True] * 5
 
 
 @pytest.mark.parametrize("d,radius,budget", [(1, 2, 6), (2, 1, 4)])
