@@ -49,6 +49,13 @@ def _ell_dtype(budget):
     return np.min_scalar_type(-budget - 1)
 
 
+def _level_rows(k, t):
+    """Rows of level |l| = t over k modes: of the sum_j C(k, j) C(t - 1,
+    j - 1) 2^j vectors with j nonzero entries, the half led by a + value."""
+    return sum(math.comb(k, j) * math.comb(t - 1, j - 1) * 2 ** (j - 1)
+               for j in range(1, min(k, t) + 1))
+
+
 def enumerate_ells(modes, budget):
     """One l of each +-l pair with 0 < |l| <= budget, as an int matrix.
 
@@ -56,34 +63,29 @@ def enumerate_ells(modes, budget):
     the least signed int type that holds +-budget; ``len()`` is the
     stored row count.  This is the one place that drops -l: it keeps the
     l whose first nonzero value is positive, ordered by |l|, then
-    lexicographically in the values over the sorted mode list.
+    lexicographically in the values over the sorted mode list.  The
+    matrix is allocated once, and each level is written where it is kept.
     """
-    modes = sorted(tuple(m) for m in modes)
-    dtype = _ell_dtype(budget)
-    # half[t]: the rows over the last k modes with |v| == t.  Level t over
-    # one more mode is 0 before half[t], then each v in 1..t before every
-    # vector of norm t - v: -half[t - v] reversed (negation reverses the
-    # order), then half[t - v]; at v == t, the zero vector.
-    L = np.zeros((0, 0), dtype)
-    half = [L] * (budget + 1)
-    for k in range(1, len(modes) + 1):
-        lens = [len(h) for h in half[1:]]
-        sizes = [n_t + 1 + 2 * below            # below: rows of half[1:t]
-                 for n_t, below in zip(lens, accumulate(lens, initial=0))]
-        ends = np.cumsum([0] + sizes).tolist()
-        L = np.zeros((ends[-1], k), dtype)
+    n = len(modes)
+    starts = [0, *accumulate(_level_rows(n, t) for t in range(1, budget + 1))]
+    L = np.zeros((starts[-1], n), _ell_dtype(budget))
+    # Level t over the modes from column c on fills the first rows of its
+    # span: 0 before level t from c + 1 on (already there), then each v in
+    # 1..t-1 before -(level t - v) reversed and level t - v, read back from
+    # that level's first rows (negation reverses the order); then t.
+    for c in reversed(range(n)):
+        below = [_level_rows(n - 1 - c, t) for t in range(budget + 1)]
         for t in range(1, budget + 1):
-            block, i = L[ends[t - 1]:ends[t]], len(half[t])
-            block[:i, 1:] = half[t]
-            # over the first mode every tail is empty: no row comes from it
-            for v in range(1, t) if k > 1 else ():
-                tail = half[t - v]
-                block[i:i + 2 * len(tail), 0] = v
-                np.negative(tail[::-1], out=block[i:i + len(tail), 1:])
-                block[i + len(tail):i + 2 * len(tail), 1:] = tail
-                i += 2 * len(tail)
-            block[i, 0] = t
-        half = [L[:0]] + [L[a:b] for a, b in zip(ends, ends[1:])]
+            i = starts[t - 1] + below[t]
+            # over the last mode every tail is empty: no row comes from it
+            for v in range(1, t) if c < n - 1 else ():
+                s, m = starts[t - v - 1], below[t - v]
+                tail = L[s:s + m, c + 1:]
+                L[i:i + 2 * m, c] = v
+                np.negative(tail[::-1], out=L[i:i + m, c + 1:])
+                L[i + m:i + 2 * m, c + 1:] = tail
+                i += 2 * m
+            L[i, c] = t
     return L
 
 
@@ -186,13 +188,11 @@ def _ell_table(modes, d, ell_budget, gammas):
     drops -l; both conditions read l only through |l_n| and |||<l,
     omega>|||, which negation leaves unchanged bit for bit, so a row
     stands for -l too.  Raises CapacityError, before allocating anything,
-    when the rows and their bounds would not fit in physical memory.
+    when the rows, counted per level as ``enumerate_ells`` lays them out,
+    and their bounds would not fit in physical memory.
     """
-    # sum_j C(n, j) C(t - 1, j - 1) 2^j vectors have |l| = t (j nonzero
-    # entries); summed over t <= budget, C(t - 1, j - 1) gives C(budget, j)
     n = len(modes)
-    rows = sum(math.comb(n, j) * math.comb(ell_budget, j) * 2 ** (j - 1)
-               for j in range(1, n + 1))
+    rows = sum(_level_rows(n, t) for t in range(1, ell_budget + 1))
     need = rows * (n * _ell_dtype(ell_budget).itemsize + 8 * len(gammas))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
@@ -214,12 +214,15 @@ def _ell_distances(L, w):
 
     ``w`` holds omega's values in the column order of ``L``.  The sum runs
     column by column, as a left-to-right sum over the entries of l would,
-    so a row's value does not depend on which other rows ``L`` holds.
+    so a row's value does not depend on which other rows ``L`` holds.  A
+    sum that overflows gives NaN, quietly: the callers count it as a
+    violation.
     """
     x = np.zeros(len(L))
-    for j, wj in enumerate(w):
-        x += L[:, j] * wj
-    x -= np.rint(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, wj in enumerate(w):
+            x += L[:, j] * wj
+        x -= np.rint(x)
     return np.abs(x, out=x)
 
 
@@ -227,13 +230,14 @@ def _violations(L, w, rhs):
     """(rows, lhs) per ``_ROW_BLOCK`` rows of ``L``, in row order.
 
     rows holds the indices of the block's rows whose distance
-    ``_ell_distances(L, w)`` lies below their bound in ``rhs``, and lhs
-    those distances.  Only one block's distances are held at a time.
+    ``_ell_distances(L, w)`` does not clear their bound in ``rhs`` (lies
+    below it, or is NaN), and lhs those distances.  Only one block's
+    distances are held at a time.
     """
     for i0 in range(0, len(L), _ROW_BLOCK):
         block = slice(i0, i0 + _ROW_BLOCK)
         lhs = _ell_distances(L[block], w)
-        bad = np.flatnonzero(lhs < rhs[block])
+        bad = np.flatnonzero(~(lhs >= rhs[block]))
         yield i0 + bad, lhs[bad]
 
 
@@ -261,7 +265,8 @@ def check_frequency(omega: dict, gamma, ell_budget, lattice):
     stored = L[rows]
     prod1, prod2, cond2 = _products(stored, modes, lattice.d, ell_budget)
     rhs1, rhs2 = gamma * prod1, (gamma ** 5 / 100.0) * prod2
-    bad1, bad2 = lhs < rhs1, cond2 & (lhs < rhs2)
+    # a NaN distance clears nothing: it is reported under condition 1
+    bad1, bad2 = ~(lhs >= rhs1), cond2 & (lhs < rhs2)
     signed = np.concatenate([stored, -stored])
     # by |l|, then by the values in mode order, as enumerate_ells orders l
     order = np.lexsort((*signed.T[::-1], np.abs(signed).sum(axis=1)))
@@ -421,11 +426,12 @@ def resonance_measure(gammas: Sequence[float], trials: int, seed, *,
     if not gammas:
         raise ValidationError("resonance_measure needs at least one gamma")
     modes = lattice.box_modes()
+    # the table, or its refusal, before the trials x modes draws
+    L, rhs = _ell_table(modes, lattice.d, ell_budget, gammas)
     draws = np.empty((trials, len(modes)))
     for i, m in enumerate(modes):
         draws[:, i] = _mode_rng(seed, m).uniform(
             0.0, 1.0 / angle_norm(m), size=trials)
-    L, rhs = _ell_table(modes, lattice.d, ell_budget, gammas)
     bad = _resonant_draws(draws, L, rhs)
     out = []
     for violations in bad.sum(axis=1).tolist():

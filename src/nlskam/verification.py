@@ -89,13 +89,25 @@ def _case(name, params, samples, seed):
                      seed=seed)
 
 
+def _tally(case, margins):
+    """Record the list ``margins``' violations and worst value on ``case``.
+
+    The one violation rule of every lemma but ``log_sum``: a margin is
+    violated unless it is >= -1e-12, so a NaN margin is a violation, and
+    it is the worst margin too.
+    """
+    case.violations = sum(not m >= -1e-12 for m in margins)
+    case.worst_margin = (math.nan if any(map(math.isnan, margins))
+                         else min(margins, default=math.inf))
+    return case
+
+
 def _log_superadditivity(case):
     """ln^sigma(x+y) <= ln^sigma x + 1/2 ln^sigma y for c <= y <= x."""
     sigma = case.params["sigma"]
     c = case.params["c"]
     rng = np.random.default_rng(case.seed)
-    worst = math.inf
-    bad = 0
+    margins = []
     for i in range(case.samples):
         if i == 0:
             y, t = c, 1.0  # the corner is the tight spot
@@ -103,13 +115,9 @@ def _log_superadditivity(case):
             y = c * math.exp(rng.uniform(0.0, math.log(1e6)))
             t = math.exp(rng.uniform(0.0, math.log(1e6)))
         x = t * y
-        margin = (math.log(x) ** sigma + 0.5 * math.log(y) ** sigma
-                  - math.log(x + y) ** sigma)
-        worst = min(worst, margin)
-        if margin < -1e-12:
-            bad += 1
-    case.violations, case.worst_margin = bad, worst
-    return case
+        margins.append(math.log(x) ** sigma + 0.5 * math.log(y) ** sigma
+                       - math.log(x + y) ** sigma)
+    return _tally(case, margins)
 
 
 def _f_max(case):
@@ -120,10 +128,8 @@ def _f_max(case):
     log_max = _golden_max(lambda x: -delta * x ** sigma + x,
                           0.0, 10.0 * x_star + 10.0)
     log_rhs = (1.0 / delta) ** (1.0 / (sigma - 1.0))
-    case.worst_margin = log_rhs - log_max
-    case.violations = int(case.worst_margin < -1e-12)
     case.notes["maximizer"] = x_star
-    return case
+    return _tally(case, [log_rhs - log_max])
 
 
 def _g_max(case):
@@ -134,10 +140,8 @@ def _g_max(case):
     log_max = _golden_max(lambda x: p * math.log(max(x, 1e-300)) - delta * x,
                           0.0, 10.0 * x_star)
     log_rhs = p * math.log(p / (math.e * delta))
-    case.worst_margin = log_rhs - log_max
-    case.violations = int(case.worst_margin < -1e-12)
     case.notes["maximizer"] = x_star
-    return case
+    return _tally(case, [log_rhs - log_max])
 
 
 def _log_sum(case):
@@ -227,11 +231,9 @@ def _geometric_product(case):
         case, lambda w: -math.log(1.0 - math.exp(-delta * w)))
     log_rhs = ((100.0 * d / delta ** 2) ** d
                * math.exp(d * (2.0 * d / delta) ** (1.0 / (sigma - 1.0))))
-    case.worst_margin = log_rhs - log_lhs
-    case.violations = int(case.worst_margin < -1e-12)
     case.notes["log_lhs"] = log_lhs
     case.notes["log_rhs"] = log_rhs
-    return case
+    return _tally(case, [log_rhs - log_lhs])
 
 
 def _poly_product(case):
@@ -259,11 +261,9 @@ def _poly_product(case):
     log_lhs = _shell_sum(case, per_mode)
     log_rhs = (3.0 * d * p * (p / delta) ** (1.0 / (sigma - 1.0))
                * math.exp((1.0 / delta) ** (1.0 / sigma)))
-    case.worst_margin = log_rhs - log_lhs
-    case.violations = int(case.worst_margin < -1e-12)
     case.notes["log_lhs"] = log_lhs
     case.notes["log_rhs"] = log_rhs
-    return case
+    return _tally(case, [log_rhs - log_lhs])
 
 
 SCALAR_LEMMAS = {
@@ -451,14 +451,7 @@ def _norm_case(name, params, samples, seed, check):
     case = _case(name, params, samples, seed)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    worst = math.inf
-    bad = 0
-    for _ in range(samples):
-        margin = check(rng, case.params)
-        worst = min(worst, margin)
-        if not margin >= -1e-12:        # a NaN margin is a violation
-            bad += 1
-    case.violations, case.worst_margin = bad, worst
+    _tally(case, [check(rng, case.params) for _ in range(samples)])
     case.seconds = time.perf_counter() - t0
     return case
 

@@ -601,6 +601,20 @@ def test_dioph_check_roundtrip(tmp_path, capsys):
                    "--ell-budget", "3", "--radius", "1") == 1
 
 
+def test_dioph_check_reports_an_overflowing_frequency(tmp_path, capsys):
+    # omega = 1e308 at each mode: 46 of the 62 sums <l, omega> overflow,
+    # and their NaN distances are violations, reported without a warning
+    from nlskam.diophantine import frequency_dumps
+    f = tmp_path / "freq.json"
+    f.write_text(frequency_dumps({(m,): 1e308 for m in (-1, 0, 1)}))
+    capsys.readouterr()
+    assert run_cli("dioph-check", str(f), "--gamma", "0.1",
+                   "--ell-budget", "3", "--radius", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:2] == ["checked 62", "violations 68"]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("doc,match", [
     ([[[0], 0.1]], "not a frequency document"),
     ({"format": "nlskam-frequency"}, "'omega' list"),

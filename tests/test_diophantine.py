@@ -104,6 +104,44 @@ def test_enumerate_ells_refusal_counts_the_rows_it_would_build(
             "more than the 0 B of physical memory")
 
 
+def test_refusal_counts_20001_modes_from_a_few_terms(monkeypatch):
+    # d=1 R=10000, |l| <= 6: the rows are summed per level, 2 min(n, t)
+    # binomials at level t, 42 in all; a sum over j <= n took 40,002
+    modes = HamParams(d=1, mode_radius=10_000).box_modes()
+    assert len(modes) == 20_001
+    calls, comb = [], math.comb
+    monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
+    monkeypatch.setattr(diophantine.os, "sysconf", lambda name: 0)
+    monkeypatch.setattr(diophantine, "enumerate_ells", _no_work)
+    with pytest.raises(CapacityError) as e:
+        _ell_table(modes, 1, 6, [0.1])
+    rows = 2_845_724_782_275_560_693_612_006
+    assert str(e.value) == (
+        f"l-table of {rows:,} rows needs {rows * (20_001 + 8):,} B, "
+        "more than the 0 B of physical memory")
+    assert len(calls) <= 42
+
+
+def test_resonance_measure_refuses_the_table_before_drawing(monkeypatch):
+    draws = []
+
+    def counting_rng(seed, mode):
+        draws.append(mode)
+        return np.random.default_rng(0)
+
+    monkeypatch.setattr(diophantine, "_mode_rng", counting_rng)
+    monkeypatch.setattr(diophantine.os, "sysconf", lambda name: 0)
+    with pytest.raises(CapacityError):
+        resonance_measure([0.1], 10_000, 0,
+                          lattice=HamParams(d=1, mode_radius=10_000),
+                          ell_budget=6)
+    assert draws == []
+    monkeypatch.undo()
+    monkeypatch.setattr(diophantine, "_mode_rng", counting_rng)
+    resonance_measure([0.1], 10, 0, lattice=LAT, ell_budget=3)
+    assert len(draws) == len(LAT.box_modes())
+
+
 def test_enumerate_ells_len_is_the_stored_row_count():
     # perfbench's enumerate_ells.ells and resonance_measure.bytes_computed
     # counters read len() of the result
@@ -619,28 +657,42 @@ def test_sampler_memory_peak_at_the_d2_config():
     assert peak < 6e6
 
 
-def test_sampler_memory_peak_is_the_enumeration_peak():
-    # d=2 R=2, |l| <= 4: 141,700 rows of 25 modes.  The table, its bound,
-    # one block's products and one block's distances all fit below
-    # enumerate_ells' own peak, which the sampler may pass by at most one
-    # bound array.  Holding both conditions' bounds, their maximum and the
-    # stored products, it peaked at 11.0 MB against the table's 8.8 MB.
+def _traced_peak(call):
+    """The traced peak of ``call()`` in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        got = call()
+        return tracemalloc.get_traced_memory()[1], got
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumerate_ells_peak_is_its_result():
+    # d=2 R=2, |l| <= 4: 141,700 rows of 25 modes, 3,542,500 B.  Writing
+    # each level where it is stored allocates the matrix once; a new
+    # matrix per added mode, with views of the last one alive, peaked at
+    # 8,798,607 B (2.48x).
+    modes = HamParams(d=2, mode_radius=2).box_modes()
+    peak, L = _traced_peak(lambda: enumerate_ells(modes, 4))
+    assert L.shape == (141_700, 25)
+    assert peak <= 1.05 * L.nbytes
+
+
+def test_sampler_memory_peak_is_the_table_its_bound_and_a_few_blocks():
+    # d=2 R=2, |l| <= 4: the 3,542,500 B table, one 1,133,600 B bound
+    # array, and one block's _products temporaries (about 21 blocks of
+    # float64 over 25 modes of 6 distinct norms: |l| per mode and two
+    # int64 columns per norm).  Bounded at 32 blocks, 6.77 MB; it peaks at
+    # 6.22 MB.  Building a new matrix per added mode peaked at 8.8 MB
+    # before the bound array was made.
     lattice = HamParams(d=2, mode_radius=2)
     modes = lattice.box_modes()
-
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    rows = len(enumerate_ells(modes, 4))
-    assert rows == 141_700
-    table = peak(lambda: enumerate_ells(modes, 4))
-    sampler = peak(lambda: sample_strong_frequency(lattice, 0.01, 4, 7))
-    assert sampler <= table + 8 * rows
+    L = enumerate_ells(modes, 4)
+    sample_frequency(modes, 0)      # numpy's first draw allocates ~1 MB
+    peak, got = _traced_peak(
+        lambda: sample_strong_frequency(lattice, 0.01, 4, 7))
+    assert got == (sample_frequency(modes, 7 << 20), 0)
+    assert peak <= L.nbytes + 8 * len(L) + 32 * 8 * diophantine._ROW_BLOCK
 
 
 def test_sampler_draw_loop_holds_a_few_blocks(monkeypatch):
@@ -652,12 +704,8 @@ def test_sampler_draw_loop_holds_a_few_blocks(monkeypatch):
     table = _ell_table(modes, lattice.d, 4, [0.01])
     monkeypatch.setattr(diophantine, "_ell_table", lambda *args: table)
     sample_frequency(modes, 0)      # numpy's first draw allocates ~1 MB
-    tracemalloc.start()
-    try:
-        got = sample_strong_frequency(lattice, 0.01, 4, 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, got = _traced_peak(
+        lambda: sample_strong_frequency(lattice, 0.01, 4, 7))
     assert got == (sample_frequency(modes, 7 << 20), 0)
     assert peak < 6 * 8 * diophantine._ROW_BLOCK
 
@@ -682,6 +730,24 @@ def test_check_frequency_matches_reference():
     L, [rhs] = _ell_table(modes, d2.d, 6, [GAMMA])
     found = diophantine._violations(L, [d2_resonant[m] for m in modes], rhs)
     assert [len(rows) > 0 for rows, _ in found] == [True] * 5
+
+
+def test_an_overflowing_distance_is_a_violation():
+    # every <l, omega> is a multiple of 1e308: 46 sums overflow and their
+    # distance is NaN, which clears no bound; the other 16 are integers.
+    # All 62 l fail condition 1, and 6 of the 16 condition 2 as well.
+    lattice = HamParams(d=1, mode_radius=1)
+    omega = {m: 1e308 for m in lattice.box_modes()}
+    violations, checked = check_frequency(omega, 0.1, 3, lattice)
+    assert checked == 62
+    which = [w for _, w, *_ in violations]
+    assert (len(violations), which.count(1), which.count(2)) == (68, 62, 6)
+    lhs = [x for _, w, x, _ in violations if w == 1]
+    assert sum(map(math.isnan, lhs)) == 46
+    L, [rhs] = _ell_table(lattice.box_modes(), 1, 3, [0.1])
+    rows = np.concatenate([r for r, _ in diophantine._violations(
+        L, [1e308] * 3, rhs)])
+    assert rows.tolist() == list(range(len(L)))
 
 
 @pytest.mark.parametrize("d,radius,budget", [(1, 2, 6), (2, 1, 4)])

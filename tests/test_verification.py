@@ -289,7 +289,25 @@ def test_bracket_bound_lemma_at_d2():
 
 def test_nan_margin_is_a_violation():
     case = _norm_case("nan", {}, 3, 0, lambda rng, p: math.nan)
-    assert case.violations == 3
+    assert (case.violations, math.isnan(case.worst_margin)) == (3, True)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("log_superadditivity", {"c": math.nan}),
+    ("f_max", {"delta": 0.5, "sigma": math.nan}),
+    ("g_max", {"delta": 0.5, "p": math.nan}),
+    ("geometric_product", {}),
+    ("poly_product", {}),
+])
+def test_scalar_nan_margin_is_a_violation(monkeypatch, name, params):
+    # math-only NaNs; a NaN shell sum stands in for a NaN floor_const,
+    # whose sum walks every one of the 1e7 shells
+    monkeypatch.setattr(verification, "_shell_sum",
+                        lambda case, per_mode: math.nan)
+    case = verification.SCALAR_LEMMAS[name](verification._case(
+        name, {**verification.SCALAR_DEFAULTS[name][0], **params}, 3, 0))
+    assert case.violations == (3 if name == "log_superadditivity" else 1)
+    assert math.isnan(case.worst_margin)
 
 
 # (lemma, case params, the HamParams fields that differ from d 1 and
