@@ -94,9 +94,10 @@ class _Memo(dict):
 class HamParams:
     """The lattice's one record, shared by every term of a Hamiltonian.
 
-    Checked in order: 1 <= r < inf, degree_cap >= 0, mode_radius >= 0,
-    d >= 1, 2 < sigma < inf and 21 <= floor_const < inf (above e^3).  The
-    gap inequality's log-superadditivity needs floor_const >= c*(sigma) =
+    Checked in order: 1 <= r < inf, degree_cap and mode_radius ints >= 0,
+    d an int >= 1, 2 < sigma < inf and 21 <= floor_const < inf (above
+    e^3), where an int is an ``int`` and not a ``bool``.  The gap
+    inequality's log-superadditivity needs floor_const >= c*(sigma) =
     exp(ln 2 / (1.5^(1/sigma) - 1)): 25.9 at sigma 2.1, 51.2 at 2.5, 663 at 4.
     """
 
@@ -111,10 +112,10 @@ class HamParams:
         if not 1 <= self.r < math.inf:
             raise ValidationError(f"r must be finite and >= 1, got {self.r}")
         for name in ("degree_cap", "mode_radius"):
-            if getattr(self, name) < 0:
+            if _int(getattr(self, name), name) < 0:
                 raise ValidationError(
                     f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.d < 1:
+        if _int(self.d, "d") < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.d}")
         if not 2 < self.sigma < math.inf:
             raise ValidationError(
@@ -592,11 +593,10 @@ class Hamiltonian:
         check_doc_version(doc, "Hamiltonian document")
         _require(doc, _DOC_FIELDS, "Hamiltonian document")
         params = HamParams(
-            d=_int(doc["d"], "d"), sigma=_num(doc["sigma"], "sigma"),
+            d=doc["d"], sigma=_num(doc["sigma"], "sigma"),
             r=_num(doc["r"], "r"),
             floor_const=_num(doc["floor_const"], "floor_const"),
-            degree_cap=_int(doc["degree_cap"], "degree_cap"),
-            mode_radius=_int(doc["mode_radius"], "mode_radius"))
+            degree_cap=doc["degree_cap"], mode_radius=doc["mode_radius"])
         if not isinstance(doc["terms"], list):
             raise ValidationError("'terms' is not a list")
         items = []

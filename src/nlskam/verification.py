@@ -89,6 +89,36 @@ def _case(name, params, samples, seed):
                      seed=seed)
 
 
+_HAM_FIELDS = frozenset(f.name for f in fields(HamParams))
+
+# The HamParams values a lemma states over d 1 and degree cap 12.
+_HAM_OWN = {"flow_bound": {"degree_cap": 64},
+            "gap": {"degree_cap": 20, "mode_radius": 2048}}
+
+
+def _default_params(p, **lemma):
+    """A lemma's HamParams: HamParams' defaults, overridden by the
+    lemma's values (d 1 and degree cap 12 unless ``lemma`` sets them),
+    overridden by the keys of ``p`` that name HamParams fields."""
+    ham = {k: v for k, v in p.items() if k in _HAM_FIELDS}
+    return HamParams(**{"d": 1, "degree_cap": 12, **lemma, **ham})
+
+
+def _run_case(name, params, samples, seed, oracle):
+    """The case ``_case`` makes, run by ``oracle(case, hp)`` and timed.
+
+    ``hp`` is the case's one HamParams, built once from its params over
+    the lemma's own values in ``_HAM_OWN``; the oracle reads d, sigma and
+    the floor from it and records its result on the case.
+    """
+    case = _case(name, params, samples, seed)
+    hp = _default_params(case.params, **_HAM_OWN.get(name, {}))
+    t0 = time.perf_counter()
+    oracle(case, hp)
+    case.seconds = time.perf_counter() - t0
+    return case
+
+
 def _tally(case, margins):
     """Record the list ``margins``' violations and worst value on ``case``.
 
@@ -99,12 +129,11 @@ def _tally(case, margins):
     case.violations = sum(not m >= -1e-12 for m in margins)
     case.worst_margin = (math.nan if any(map(math.isnan, margins))
                          else min(margins, default=math.inf))
-    return case
 
 
-def _log_superadditivity(case):
+def _log_superadditivity(case, hp):
     """ln^sigma(x+y) <= ln^sigma x + 1/2 ln^sigma y for c <= y <= x."""
-    sigma = case.params["sigma"]
+    sigma = hp.sigma
     c = case.params["c"]
     rng = np.random.default_rng(case.seed)
     margins = []
@@ -117,22 +146,22 @@ def _log_superadditivity(case):
         x = t * y
         margins.append(math.log(x) ** sigma + 0.5 * math.log(y) ** sigma
                        - math.log(x + y) ** sigma)
-    return _tally(case, margins)
+    _tally(case, margins)
 
 
-def _f_max(case):
+def _f_max(case, hp):
     """max_x e^{-delta x^sigma + x} <= exp{(1/delta)^(1/(sigma-1))}."""
-    sigma = case.params["sigma"]
+    sigma = hp.sigma
     delta = case.params["delta"]
     x_star = (1.0 / (delta * sigma)) ** (1.0 / (sigma - 1.0))
     log_max = _golden_max(lambda x: -delta * x ** sigma + x,
                           0.0, 10.0 * x_star + 10.0)
     log_rhs = (1.0 / delta) ** (1.0 / (sigma - 1.0))
     case.notes["maximizer"] = x_star
-    return _tally(case, [log_rhs - log_max])
+    _tally(case, [log_rhs - log_max])
 
 
-def _g_max(case):
+def _g_max(case, hp):
     """max_x x^p e^{-delta x} = (p/(e delta))^p at x = p/delta."""
     p = case.params["p"]
     delta = case.params["delta"]
@@ -141,17 +170,17 @@ def _g_max(case):
                           0.0, 10.0 * x_star)
     log_rhs = p * math.log(p / (math.e * delta))
     case.notes["maximizer"] = x_star
-    return _tally(case, [log_rhs - log_max])
+    _tally(case, [log_rhs - log_max])
 
 
-def _log_sum(case):
+def _log_sum(case, hp):
     """sum_{j>=1} e^{-delta ln^sigma j} against both candidate bounds.
 
     The closed-form bound appears with two different inner exponents in
     the source material ((1/delta) versus (2/delta) inside the
     (.)^(1/(sigma-1)) factor); both are evaluated and reported.
     """
-    sigma = case.params["sigma"]
+    sigma = hp.sigma
     delta = case.params["delta"]
     total = 0.0
     j = 1
@@ -180,7 +209,6 @@ def _log_sum(case):
     case.worst_margin = min(rhs_statement - lhs, rhs_proof - lhs)
     case.violations = int(not (case.notes["statement_holds"]
                                or case.notes["proof_holds"]))
-    return case
 
 
 def _shell_counts(d, k_max):
@@ -192,7 +220,7 @@ def _shell_counts(d, k_max):
             yield k, (2 * k + 1) ** d - (2 * k - 1) ** d
 
 
-def _shell_sum(case, per_mode):
+def _shell_sum(hp, per_mode):
     """sum over sup-norm shells k of count_k * per_mode(ln^sigma floor(k)).
 
     Shells are added in order k = 0, 1, ...; the walk stops after the
@@ -202,12 +230,10 @@ def _shell_sum(case, per_mode):
     ``per_mode`` runs once per distinct weight and its value is reused
     while the weight repeats.
     """
-    sigma = case.params["sigma"]
-    d = case.params["d"]
-    floor_const = case.params.get("floor_const", HamParams.floor_const)
+    sigma, floor_const = hp.sigma, hp.floor_const
     total = 0.0
     last_w = value = None
-    for kk, count in _shell_counts(d, 10_000_099):
+    for kk, count in _shell_counts(hp.d, 10_000_099):
         w = math.log(max(floor_const, float(max(kk, 1)))) ** sigma
         if w != last_w:
             last_w, value = w, per_mode(w)
@@ -218,25 +244,24 @@ def _shell_sum(case, per_mode):
     return total
 
 
-def _geometric_product(case):
+def _geometric_product(case, hp):
     """prod_n 1/(1 - e^{-delta ln^sigma floor(n)}) over Z^d, in log space.
 
     Euclidean norms dominate sup norms and the factor decreases in the
     norm, so grouping by sup-norm shells overestimates the left side.
     """
-    sigma = case.params["sigma"]
+    sigma, d = hp.sigma, hp.d
     delta = case.params["delta"]
-    d = case.params["d"]
     log_lhs = _shell_sum(
-        case, lambda w: -math.log(1.0 - math.exp(-delta * w)))
+        hp, lambda w: -math.log(1.0 - math.exp(-delta * w)))
     log_rhs = ((100.0 * d / delta ** 2) ** d
                * math.exp(d * (2.0 * d / delta) ** (1.0 / (sigma - 1.0))))
     case.notes["log_lhs"] = log_lhs
     case.notes["log_rhs"] = log_rhs
-    return _tally(case, [log_rhs - log_lhs])
+    _tally(case, [log_rhs - log_lhs])
 
 
-def _poly_product(case):
+def _poly_product(case, hp):
     """prod_n (1+a_n^p) e^{-2 delta a_n ln^sigma floor(n)} bound.
 
     Checked at the per-mode maximizers, which dominates every admissible
@@ -248,9 +273,8 @@ def _poly_product(case):
     delta gives positive maxima and a margin that can fail, e.g. floor 21
     with delta = 0.01 (2 delta w = 0.21 at sigma 2.1, 0.32 at sigma 2.5).
     """
-    sigma = case.params["sigma"]
+    sigma, d = hp.sigma, hp.d
     delta = case.params["delta"]
-    d = case.params["d"]
     p = case.params["p"]
 
     def per_mode(w):
@@ -258,12 +282,12 @@ def _poly_product(case):
             lambda a: math.log1p(a ** p) - 2.0 * delta * a * w,
             0.0, 10.0 * p / (2.0 * delta * w) + 10.0, grid=400), 0.0)
 
-    log_lhs = _shell_sum(case, per_mode)
+    log_lhs = _shell_sum(hp, per_mode)
     log_rhs = (3.0 * d * p * (p / delta) ** (1.0 / (sigma - 1.0))
                * math.exp((1.0 / delta) ** (1.0 / sigma)))
     case.notes["log_lhs"] = log_lhs
     case.notes["log_rhs"] = log_rhs
-    return _tally(case, [log_rhs - log_lhs])
+    _tally(case, [log_rhs - log_lhs])
 
 
 SCALAR_LEMMAS = {
@@ -293,17 +317,17 @@ def verify_scalar_lemma(name, params=None, samples=None, seed=0) -> LemmaCase:
         raise ValidationError(f"unknown scalar lemma {name!r}")
     defaults, default_samples = SCALAR_DEFAULTS[name]
     merged = {**defaults, **(params or {})}
-    if not merged.get("sigma", 2.5) > 2:
-        raise ValidationError("sigma must be > 2")
     if not 0 < merged.get("delta", 0.5) < 1:
         raise ValidationError("delta must lie in (0,1)")
-    case = _case(name, merged,
-                 default_samples if samples is None else samples, seed)
+    if not 1 <= merged.get("c", 1) < math.inf:
+        raise ValidationError(f"c must be finite and >= 1, got {merged['c']}")
+    if not 0 < merged.get("p", 1) < math.inf:
+        raise ValidationError(f"p must be finite and > 0, got {merged['p']}")
+    case = _run_case(name, merged,
+                     default_samples if samples is None else samples, seed,
+                     SCALAR_LEMMAS[name])
     if default_samples == 1:
         case.samples = 1
-    t0 = time.perf_counter()
-    case = SCALAR_LEMMAS[name](case)
-    case.seconds = time.perf_counter() - t0
     return case
 
 
@@ -447,28 +471,7 @@ def log_transfer_up_constant(d, sigma, delta):
             * math.exp((10.0 / delta) ** (1.0 / sigma)))
 
 
-def _norm_case(name, params, samples, seed, check):
-    case = _case(name, params, samples, seed)
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    _tally(case, [check(rng, case.params) for _ in range(samples)])
-    case.seconds = time.perf_counter() - t0
-    return case
-
-
-_HAM_FIELDS = frozenset(f.name for f in fields(HamParams))
-
-
-def _default_params(p, **lemma):
-    """A norm lemma's HamParams: HamParams' defaults, overridden by the
-    lemma's values (d 1 and degree cap 12 unless ``lemma`` sets them),
-    overridden by the keys of ``p`` that name HamParams fields."""
-    ham = {k: v for k, v in p.items() if k in _HAM_FIELDS}
-    return HamParams(**{"d": 1, "degree_cap": 12, **lemma, **ham})
-
-
-def _check_monotonicity(rng, p):
-    hp = _default_params(p)
+def _check_monotonicity(rng, hp, p):
     H = random_hamiltonian(hp, rng)
     rho = rng.uniform(0.0, 0.4)
     delta = rng.uniform(0.0, 0.4)
@@ -477,8 +480,7 @@ def _check_monotonicity(rng, p):
     return (rhs - lhs) / max(rhs, 1e-300)
 
 
-def _check_submultiplicativity(rng, p):
-    hp = _default_params(p)
+def _check_submultiplicativity(rng, hp, p):
     H1 = random_hamiltonian(hp, rng, n_terms=4)
     H2 = random_hamiltonian(hp, rng, n_terms=4)
     rho = rng.uniform(0.0, 0.5)
@@ -487,8 +489,7 @@ def _check_submultiplicativity(rng, p):
     return (rhs - lhs) / max(rhs, 1e-300)
 
 
-def _check_transfer_up(rng, p):
-    hp = _default_params(p)
+def _check_transfer_up(rng, hp, p):
     H = random_hamiltonian(hp, rng)
     rho = rng.uniform(0.0, 0.3)
     delta = rng.uniform(0.05, 0.3)
@@ -498,8 +499,7 @@ def _check_transfer_up(rng, p):
     return log_rhs - log_lhs
 
 
-def _check_transfer_down(rng, p):
-    hp = _default_params(p)
+def _check_transfer_down(rng, hp, p):
     H = random_hamiltonian(hp, rng)
     rho = rng.uniform(0.0, 0.3)
     delta = rng.uniform(0.05, 0.3)
@@ -525,8 +525,7 @@ def bracket_bound(H1, H2, rho, delta1, delta2):
     return B, _log(norm(B, "sup_rho", rho)), log_rhs
 
 
-def _check_bracket_bound(rng, p):
-    hp = _default_params(p)
+def _check_bracket_bound(rng, hp, p):
     H1 = random_hamiltonian(hp, rng, n_terms=4)
     H2 = random_hamiltonian(hp, rng, n_terms=4)
     rho = rng.uniform(0.05, 0.15)
@@ -538,8 +537,7 @@ def _check_bracket_bound(rng, p):
     return 0.0 if log_rhs == log_lhs else log_rhs - log_lhs
 
 
-def _check_vector_field(rng, p):
-    hp = _default_params(p)
+def _check_vector_field(rng, hp, p):
     H = random_hamiltonian(hp, rng)
     x = random_state(hp, rng, hp.r)
     rho = p.get("rho", 0.1)
@@ -548,8 +546,7 @@ def _check_vector_field(rng, p):
     return log_rhs - log_lhs
 
 
-def _check_second_derivative(rng, p):
-    hp = _default_params(p)
+def _check_second_derivative(rng, hp, p):
     H = random_hamiltonian(hp, rng)
     modes = hp.box_modes()
     m = tuple(modes[rng.integers(0, len(modes))])
@@ -564,8 +561,7 @@ def _check_second_derivative(rng, p):
     return log_rhs - log_lhs
 
 
-def _check_flow_bound(rng, p):
-    hp = _default_params(p, degree_cap=64)
+def _check_flow_bound(rng, hp, p):
     H = random_hamiltonian(hp, rng, n_terms=4)
     F = random_hamiltonian(hp, rng, n_terms=3).scale(p.get("f_scale", 1e-4))
     rho = rng.uniform(0.05, 0.15)
@@ -590,8 +586,7 @@ def _check_flow_bound(rng, p):
     return (log_factor + log_h) - log_lhs
 
 
-def _check_gap(rng, p):
-    hp = _default_params(p, degree_cap=20, mode_radius=2048)
+def _check_gap(rng, hp, p):
     terms = random_terms(hp, rng, n_terms=1, max_factors=6, max_actions=2)
     # 0.0 when nothing is kept, as for the zero Hamiltonian
     for (a, k, kb, _), c in terms.items():
@@ -616,8 +611,15 @@ NORM_LEMMAS = {
 def verify_norm_lemma(name, params=None, samples=None, seed=0) -> LemmaCase:
     if name not in NORM_LEMMAS:
         raise ValidationError(f"unknown norm lemma {name!r}")
-    return _norm_case(name, params or {}, 100 if samples is None else samples,
-                      seed, NORM_LEMMAS[name])
+    check = NORM_LEMMAS[name]
+
+    def oracle(case, hp):
+        rng = np.random.default_rng(case.seed)
+        _tally(case, [check(rng, hp, case.params)
+                      for _ in range(case.samples)])
+
+    return _run_case(name, params or {}, 100 if samples is None else samples,
+                     seed, oracle)
 
 
 def run_suite(samples_scalar=None, samples_norm=None, seed=0, names=None):

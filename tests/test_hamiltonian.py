@@ -51,6 +51,11 @@ def test_params_validation():
     with pytest.raises(ValidationError,
                        match="degree_cap must be >= 0, got -1"):
         HamParams(d=1, sigma=2.5, r=1.0, degree_cap=-1)
+    for field, bad in (("d", 1.5), ("d", True), ("degree_cap", 12.0),
+                       ("mode_radius", 2.0), ("mode_radius", False)):
+        with pytest.raises(ValidationError,
+                           match=f"^{field} is not an integer: {bad}$"):
+            HamParams(**{"d": 1, field: bad})
     for bad in (math.inf, math.nan):
         with pytest.raises(ValidationError, match="r must be finite"):
             HamParams(d=1, sigma=2.5, r=bad)

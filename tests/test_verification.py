@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from nlskam.verification import (
     NORM_LEMMAS,
     SCALAR_LEMMAS,
     _golden_max,
-    _norm_case,
     _shell_counts,
     _shell_sum,
     bracket_bound,
@@ -61,12 +61,10 @@ def _reference_random_hamiltonian(params, rng, n_terms=6, max_factors=4,
     return Hamiltonian.from_terms(params, items), rejected
 
 
-def _reference_shell_sum(case, per_mode):
-    sigma = case.params.get("sigma", 2.5)
-    d = case.params.get("d", 1)
-    floor_const = case.params.get("floor_const", 1024.0)
+def _reference_shell_sum(hp, per_mode):
+    sigma, floor_const = hp.sigma, hp.floor_const
     total = 0.0
-    for kk, count in _shell_counts(d, 10_000_099):
+    for kk, count in _shell_counts(hp.d, 10_000_099):
         w = math.log(max(floor_const, float(max(kk, 1)))) ** sigma
         term = count * per_mode(w)
         total += term
@@ -136,27 +134,72 @@ def test_shell_sum_lemmas_match_reference(monkeypatch, name, params):
 
 
 def test_shell_sum_runs_per_mode_once_per_distinct_weight():
-    case = verification._case("count", {"sigma": 2.5, "d": 2,
-                                        "floor_const": 1024.0}, 1, 0)
+    hp = HamParams(d=2, sigma=2.5, floor_const=1024.0)
     calls = []
 
     def per_mode(w):
         calls.append(w)
         return math.exp(-0.3 * w)
 
-    total = _shell_sum(case, per_mode)
+    total = _shell_sum(hp, per_mode)
     assert len(calls) == len(set(calls))
     # shells 0..1024 share the floor weight; the walk goes past them
     assert calls[0] == math.log(1024.0) ** 2.5
     assert calls[1] > calls[0]
     assert total.hex() == _reference_shell_sum(
-        case, lambda w: math.exp(-0.3 * w)).hex()
+        hp, lambda w: math.exp(-0.3 * w)).hex()
 
 
 def test_golden_max_finds_known_maximum():
     # x e^{-x} has max 1/e at x = 1
     got = _golden_max(lambda x: x * math.exp(-x), 0.0, 10.0)
     assert got == pytest.approx(1.0 / math.e, rel=1e-10)
+
+
+# (oracle, lemma, params, message) of inputs refused up front
+_REFUSED = [
+    # a NaN floor walked all 1e7 shells; an infinite one, or sigma,
+    # passed vacuously; d -1 ended in a TypeError
+    (verify_scalar_lemma, "geometric_product", {"floor_const": math.nan},
+     "^floor_const must be finite"),
+    (verify_scalar_lemma, "poly_product", {"floor_const": math.nan},
+     "^floor_const must be finite"),
+    (verify_scalar_lemma, "geometric_product", {"floor_const": math.inf},
+     "^floor_const must be finite"),
+    (verify_scalar_lemma, "log_sum", {"sigma": math.inf},
+     "^sigma must be finite and > 2, got inf$"),
+    (verify_scalar_lemma, "f_max", {"sigma": math.nan},
+     "^sigma must be finite and > 2, got nan$"),
+    (verify_scalar_lemma, "geometric_product", {"d": 0},
+     "^dimension must be >= 1, got 0$"),
+    (verify_scalar_lemma, "geometric_product", {"d": -1},
+     "^dimension must be >= 1, got -1$"),
+    (verify_scalar_lemma, "geometric_product", {"d": 1.5},
+     "^d is not an integer: 1.5$"),
+    # a lemma's own values: ln^sigma needs ln c >= 0; p <= 0 ran a
+    # golden-section search per shell without end
+    (verify_scalar_lemma, "log_superadditivity", {"c": 0.5},
+     "^c must be finite and >= 1, got 0.5$"),
+    (verify_scalar_lemma, "log_superadditivity", {"c": -5.0},
+     "^c must be finite and >= 1, got -5.0$"),
+    (verify_scalar_lemma, "log_superadditivity", {"c": math.inf},
+     "^c must be finite and >= 1, got inf$"),
+    (verify_scalar_lemma, "g_max", {"p": 0},
+     "^p must be finite and > 0, got 0$"),
+    (verify_scalar_lemma, "poly_product", {"p": -1},
+     "^p must be finite and > 0, got -1$"),
+    (verify_scalar_lemma, "poly_product", {"p": math.nan},
+     "^p must be finite and > 0, got nan$"),
+    # float or bool lattice ints ended in an AttributeError or TypeError,
+    # or passed vacuously
+    (verify_norm_lemma, "monotonicity", {"degree_cap": 12.0},
+     "^degree_cap is not an integer: 12.0$"),
+    (verify_norm_lemma, "monotonicity", {"d": 1.5},
+     "^d is not an integer: 1.5$"),
+    (verify_norm_lemma, "monotonicity", {"mode_radius": 2.0},
+     "^mode_radius is not an integer: 2.0$"),
+    (verify_norm_lemma, "gap", {"d": True}, "^d is not an integer: True$"),
+]
 
 
 def test_unknown_lemma_rejected():
@@ -166,6 +209,24 @@ def test_unknown_lemma_rejected():
         verify_norm_lemma("nope")
     with pytest.raises(ValidationError):
         verify_scalar_lemma("f_max", params={"delta": 2.0})
+    for verify, name, params, match in _REFUSED:
+        t0 = time.perf_counter()
+        with pytest.raises(ValidationError, match=match):
+            verify(name, params=params)
+        assert time.perf_counter() - t0 < 1.0, (name, params)
+
+
+def test_one_hamparams_per_case(monkeypatch):
+    made = []
+    post_init = HamParams.__post_init__
+
+    def counting(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(HamParams, "__post_init__", counting)
+    cases = run_suite(samples_norm=400, seed=0)
+    assert len(made) == len(cases) == 15
 
 
 @pytest.mark.parametrize("call", [
@@ -287,25 +348,28 @@ def test_bracket_bound_lemma_at_d2():
     assert case.violations == 0
 
 
-def test_nan_margin_is_a_violation():
-    case = _norm_case("nan", {}, 3, 0, lambda rng, p: math.nan)
+def test_nan_margin_is_a_violation(monkeypatch):
+    monkeypatch.setitem(NORM_LEMMAS, "monotonicity",
+                        lambda rng, hp, p: math.nan)
+    case = verify_norm_lemma("monotonicity", samples=3)
     assert (case.violations, math.isnan(case.worst_margin)) == (3, True)
 
 
 @pytest.mark.parametrize("name,params", [
     ("log_superadditivity", {"c": math.nan}),
-    ("f_max", {"delta": 0.5, "sigma": math.nan}),
+    ("f_max", {"delta": math.nan}),
     ("g_max", {"delta": 0.5, "p": math.nan}),
     ("geometric_product", {}),
     ("poly_product", {}),
 ])
 def test_scalar_nan_margin_is_a_violation(monkeypatch, name, params):
-    # math-only NaNs; a NaN shell sum stands in for a NaN floor_const,
-    # whose sum walks every one of the 1e7 shells
+    # math-only NaNs, past the lemma's own checks but through the case
+    # runner; a NaN shell sum stands in for any NaN inside the sum
     monkeypatch.setattr(verification, "_shell_sum",
-                        lambda case, per_mode: math.nan)
-    case = verification.SCALAR_LEMMAS[name](verification._case(
-        name, {**verification.SCALAR_DEFAULTS[name][0], **params}, 3, 0))
+                        lambda hp, per_mode: math.nan)
+    case = verification._run_case(
+        name, {**verification.SCALAR_DEFAULTS[name][0], **params}, 3, 0,
+        SCALAR_LEMMAS[name])
     assert case.violations == (3 if name == "log_superadditivity" else 1)
     assert math.isnan(case.worst_margin)
 
@@ -339,7 +403,7 @@ def test_default_params_layers(monkeypatch, name, p, want):
         return random_terms(params, *args, **kwargs)
 
     monkeypatch.setattr(verification, "random_terms", record)
-    NORM_LEMMAS[name](np.random.default_rng(0), p)
+    verify_norm_lemma(name, params=p, samples=1)
     assert seen and all(hp == expected for hp in seen)
 
 
