@@ -178,6 +178,14 @@ def _products(L, modes, d, budget):
     return prod1, prod2, (total >= 2) & (np.maximum(n3, 0.0) < n2)
 
 
+def _refuse_beyond_memory(what, need):
+    """Raise CapacityError when ``need`` bytes exceed physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise CapacityError(f"{what} needs {need:,} B, more than the "
+                            f"{memory:,} B of physical memory")
+
+
 def _ell_table(modes, d, ell_budget, gammas):
     """(L, rhs): ``enumerate_ells``' matrix and one bound per l per gamma.
 
@@ -193,11 +201,9 @@ def _ell_table(modes, d, ell_budget, gammas):
     """
     n = len(modes)
     rows = sum(_level_rows(n, t) for t in range(1, ell_budget + 1))
-    need = rows * (n * _ell_dtype(ell_budget).itemsize + 8 * len(gammas))
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise CapacityError(f"l-table of {rows:,} rows needs {need:,} B, "
-                            f"more than the {memory:,} B of physical memory")
+    _refuse_beyond_memory(
+        f"l-table of {rows:,} rows",
+        rows * (n * _ell_dtype(ell_budget).itemsize + 8 * len(gammas)))
     L = enumerate_ells(modes, ell_budget)
     rhs = [np.empty(len(L)) for _ in gammas]
     for i0 in range(0, len(L), _ROW_BLOCK):
@@ -428,6 +434,12 @@ def resonance_measure(gammas: Sequence[float], trials: int, seed, *,
     modes = lattice.box_modes()
     # the table, or its refusal, before the trials x modes draws
     L, rhs = _ell_table(modes, lattice.d, ell_budget, gammas)
+    # beside the table: the draws, one mode's uniform draws, the table's
+    # float copy, and the per-gamma flags, per block and joined
+    _refuse_beyond_memory(
+        f"measure of {trials:,} draws of {len(modes):,}-mode frequencies",
+        trials * (8 * len(modes) + 8 + 2 * len(gammas)) + L.nbytes
+        + 8 * L.size + sum(r.nbytes for r in rhs))
     draws = np.empty((trials, len(modes)))
     for i, m in enumerate(modes):
         draws[:, i] = _mode_rng(seed, m).uniform(

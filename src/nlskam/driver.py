@@ -333,10 +333,12 @@ def run(cfg: KamConfig, omega=None):
     Returns (reports, states, H) with H the NLS Hamiltonian the initial
     state was split from.
     """
-    # every step's schedule is checked before any step runs
-    scheds = [schedule(s, _eps0_of(cfg)) for s in range(cfg.steps)]
-    for sched in scheds:
-        _refuse_underflow(sched)
+    # every step's schedule is checked before any step runs, in order, so
+    # the first underflowing eps_{s+1} is refused before 1.5^s overflows
+    scheds = []
+    for s in range(cfg.steps):
+        scheds.append(schedule(s, _eps0_of(cfg)))
+        _refuse_underflow(scheds[-1])
     state, H = initial_state(cfg, omega)
     reports = []
     states = [state]

@@ -48,6 +48,10 @@ and ``term_blocks`` yields them.
 The bracket kernel ``_bracket`` brackets two operands against a third in
 one pass: ``lie_transform`` calls it once per order on the G and E chains
 of a Lie series, and ``poisson_bracket`` with an empty second operand.
+It pairs a term of the two only with the terms of the third that share
+one of its modes, read from a per-call index of the third by mode, and
+visits them in the third's store order, then mode order, as a loop over
+all pairs would.
 """
 
 from __future__ import annotations
@@ -55,7 +59,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .errors import CapacityError, ValidationError
 from .lattice import (
@@ -69,6 +76,9 @@ from .lattice import (
 )
 
 COEFF_FLOOR = 1e-300
+# ln of the largest finite double, less a margin for the rounding of
+# ln ln x and of the power, so a weight below it never overflows
+_LOG_MAX = math.log(sys.float_info.max) - 1e-9
 # The cached form of a Hamiltonian that is its own expanded or collected
 # form: a marker, since a self-reference would make a reference cycle.
 _SELF = object()
@@ -95,8 +105,10 @@ class HamParams:
     """The lattice's one record, shared by every term of a Hamiltonian.
 
     Checked in order: 1 <= r < inf, degree_cap and mode_radius ints >= 0,
-    d an int >= 1, 2 < sigma < inf and 21 <= floor_const < inf (above
-    e^3), where an int is an ``int`` and not a ``bool``.  The gap
+    d an int >= 1, 2 < sigma < inf, 21 <= floor_const < inf (above
+    e^3), and a sigma for which the box's largest weight, ln^sigma
+    max(floor_const, sqrt(d) mode_radius), is a finite double; an int is
+    an ``int`` and not a ``bool``.  The gap
     inequality's log-superadditivity needs floor_const >= c*(sigma) =
     exp(ln 2 / (1.5^(1/sigma) - 1)): 25.9 at sigma 2.1, 51.2 at 2.5, 663 at 4.
     """
@@ -123,6 +135,17 @@ class HamParams:
         if not 21 <= self.floor_const < math.inf:
             raise ValidationError("floor_const must be finite and >= 21, "
                                   f"got {self.floor_const}")
+        # ln x of the largest weight's x = max(floor_const, sqrt(d) R),
+        # whose ln^sigma is compared with the largest double in log space
+        top = math.log(self.floor_const)
+        if self.mode_radius:
+            top = max(top, 0.5 * math.log(self.d)
+                      + math.log(self.mode_radius))
+        if self.sigma * math.log(top) > _LOG_MAX:
+            x = f"{math.exp(top):g}" if top < _LOG_MAX else f"e^{top:g}"
+            raise ValidationError(
+                f"sigma {self.sigma} overflows the weight ln^sigma({x}) of "
+                "the box's largest mode")
 
     def weight(self, mode) -> float:
         """The log-power weight w(n) = ln^sigma max(floor_const, ||n||).
@@ -754,20 +777,31 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
     A, B and E are expanded.  The outer rows are A's terms in A's order;
     E's terms join the rows of their keys while E's keys follow A's
     order, and E's remaining terms follow as rows of their own, in E's
-    order.  A pair visits its common modes in mode order, so the visiting
-    order depends on the operands' store orders alone, not on set layout
-    or the order in which the layout registered the modes.  Each result
-    accumulates only from the rows that carry its coefficient, so each
-    visits its own terms in its own order and holds exactly the keys,
-    insertion order and sums of its bracket computed alone.
+    order.  Each row visits B's terms in B's order and, per term, the
+    common modes in mode order, so the visiting order depends on the
+    operands' store orders alone, not on set layout or the order in which
+    the layout registered the modes.  Each result accumulates only from
+    the rows that carry its coefficient, so each visits its own terms in
+    its own order and holds exactly the keys, insertion order and sums of
+    its bracket computed alone.
+
+    A row meets only the terms of B that share one of its modes, through
+    a mode index of B built once per call: per mode m, B's terms whose
+    support holds m, in B's order.  A per-call memo keyed by (m,
+    (k_m, k_bar_m)) of the row holds that mode's plan: the indexed terms
+    whose factor f at m is nonzero, with their positions in B.  A row takes
+    the plans of its support modes, in mode order, and when more than one
+    is nonempty sorts their join stably by position, which restores the
+    visiting order above.  Each contribution is c1 * c2 * 1j * f, as a
+    pair loop over all of B forms it, so the results keep their bits.
 
     Before accumulating anything, a capacity probe walks only the pairs
-    whose degree sum exceeds the cap, in the main loop's order (rows
-    outer, B's terms inner), and raises CapacityError on the first
-    contributing one.  So the kernel raises exactly when a contributing
-    pair is over the cap and builds no partial result.  A's rows come
-    first, so the error names the pair {A, B} alone would name if that
-    raises, and else the one {E, B} alone would name.
+    whose degree sum exceeds the cap, in the visiting order (rows outer,
+    B's terms inner), and raises CapacityError on the first contributing
+    one, before the index is built.  So the kernel raises exactly when a
+    contributing pair is over the cap and builds no partial result.  A's
+    rows come first, so the error names the pair {A, B} alone would name
+    if that raises, and else the one {E, B} alone would name.
 
     No key is decoded: a term's exponents on its support, its support and
     its degree come from the layout's ``bracket_rows`` memo of its
@@ -823,26 +857,54 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
                         raise CapacityError(
                             f"bracket degree {d1 + d2 - 2} exceeds cap {cap}")
         outer.append((x1, e1, sup1, c1, sink, ce))
+    # The mode index of B: per mode, the positions of B's terms whose
+    # support holds the mode, in B's order.
+    index = {}
+    for pos, term in enumerate(inner):
+        for m in term[1]:
+            index.setdefault(m, []).append(pos)
+    # A row's plan at mode m depends only on (m, (k_m, k'_m)): B's terms
+    # with a nonzero factor f there, as columns of position, key offset,
+    # coeff and f.  Columns, not a tuple per term: plans live for the
+    # call, and a tuple each would add to the cyclic collector's work.
     # A contributing mode m has k_m >= 1 and k'_m >= 1 in the merged
     # exponents, so subtracting one q_m qbar_m pair never borrows.
+    plans = {}
     for x1, e1, sup1, c1, sink, ce in outer:
-        for x2, e2, sup2, _, c2 in inner:
-            common = sup1 & sup2
-            if not common:
-                continue
-            base = c1 * c2 * 1j
-            base_e = None if ce is None else ce * c2 * 1j
-            merged = x1 + x2
-            for m in jlists[common]:
-                k1m, kb1m = e1[m]
-                k2m, kb2m = e2[m]
-                f = k1m * kb2m - kb1m * k2m
-                if f == 0:
-                    continue
-                key = merged - uq[m]
-                sink[key] = sink.get(key, 0j) + base * f
-                if base_e is not None:
-                    acc_e[key] = acc_e.get(key, 0j) + base_e * f
+        found = []
+        for m in jlists[sup1]:
+            e1m = e1[m]
+            plan = plans.get((m, e1m))
+            if plan is None:
+                k1m, kb1m = e1m
+                uqm = uq[m]
+                plan = plans[m, e1m] = ([], [], [], [])
+                poss, ys, cs, fs = plan
+                for pos in index.get(m, ()):
+                    x2, e2, _, _, c2 = inner[pos]
+                    k2m, kb2m = e2[m]
+                    f = k1m * kb2m - kb1m * k2m
+                    if f:
+                        poss.append(pos)
+                        ys.append(x2 - uqm)
+                        cs.append(c2)
+                        fs.append(f)
+            if plan[0]:
+                found.append(plan)
+        if not found:
+            continue
+        if len(found) == 1:
+            seq = zip(*found[0])
+        else:
+            # B's order, then mode order: a stable sort by position of the
+            # plans joined in mode order
+            seq = sorted(chain.from_iterable(zip(*p) for p in found),
+                         key=itemgetter(0))
+        for _, y, c2, f in seq:
+            key = x1 + y
+            sink[key] = sink.get(key, 0j) + c1 * c2 * 1j * f
+            if ce is not None:
+                acc_e[key] = acc_e.get(key, 0j) + ce * c2 * 1j * f
     return _packed(A, acc), _packed(A, acc_e)
 
 

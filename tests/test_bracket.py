@@ -15,6 +15,7 @@ from nlskam import (
     norm,
     poisson_bracket,
 )
+from nlskam.hamiltonian import _bracket
 from nlskam.lattice import conservation_check, mi_degree
 from nlskam.verification import random_hamiltonian
 
@@ -370,3 +371,53 @@ def test_bracket_on_disjoint_and_partly_shared_modes(rng):
         out = _outcome(poisson_bracket, H1, H2)
         assert out == _outcome(_reference_bracket, H1, H2)
         assert out[0] == "ok" and out[1]
+
+
+def _bits(H):
+    """H's terms in store order, each coefficient as the hex of its parts,
+    so a zero's sign counts too."""
+    return [(key, c.real.hex(), c.imag.hex())
+            for key, c in tuple_terms(H).items()]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bracket_on_multi_mode_common_supports_in_two_dimensions(seed):
+    # d=2 terms over four modes with exponents up to 3: about one pair in
+    # nine shares two modes or more, and many factors are not powers of
+    # two, so a kernel that visits a pair's modes out of order, reuses one
+    # mode's plan at another exponent or groups the product differently
+    # moves a key, its place or its bits
+    rng = np.random.default_rng(seed)
+    p = HamParams(d=2, sigma=2.5, r=1.0, degree_cap=64, mode_radius=1)
+    modes = [(-1, 0), (0, 0), (0, 1), (1, 1)]
+    F = _monomials(p, rng, 8, 3, modes=modes)
+    G = _monomials(p, rng, 8, 3, modes=modes)
+    for H1, H2 in ((F, G), (G, F), (F, F)):
+        assert _bits(poisson_bracket(H1, H2)) == _bits(
+            _reference_bracket(H1, H2))
+    # the E chain of a Lie series beside the G chain, in one pass: E holds
+    # F's keys first, then rows of its own
+    E = linear_combine(0.5, F, 1.0, _monomials(p, rng, 8, 3, modes=modes))
+    BF, BE = _bracket(F.expanded(), G.expanded(), E.expanded())
+    assert _bits(BF) == _bits(_reference_bracket(F, G))
+    assert _bits(BE) == _bits(_reference_bracket(E, G))
+
+
+def test_bracket_skips_a_zero_factor_before_the_key_is_made():
+    # at a = (0, 0), {q_a qbar_a, q_a qbar_a q_b} has factor 1*1 - 1*1 = 0
+    # and would make the key q_a qbar_a q_b first; the pair that makes it
+    # with a nonzero factor, {q_a q_b, q_a qbar_a^2}, comes last, so a
+    # kernel that keeps the zero contribution moves the key to the front
+    p = HamParams(d=2, sigma=2.5, r=1.0, degree_cap=64, mode_radius=1)
+    a, b = (0, 0), (0, 1)
+    F = linear_combine(1.0, monomial(p, k=[(a, 1)], k_bar=[(a, 1)]),
+                       1.0, monomial(p, k=[(a, 1), (b, 1)]))
+    G = linear_combine(
+        1.0, monomial(p, k=[(a, 1), (b, 1)], k_bar=[(a, 1)]),
+        1.0, monomial(p, k=[(a, 1)], k_bar=[(a, 2)]))
+    B = poisson_bracket(F, G)
+    assert _bits(B) == _bits(_reference_bracket(F, G))
+    assert list(tuple_terms(B)) == [
+        ((), ((a, 1),), ((a, 2),), ()),
+        ((), ((a, 1), (b, 2)), (), ()),
+        ((), ((a, 1), (b, 1)), ((a, 1),), ())]

@@ -214,6 +214,14 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
      "error: gamma must lie in [0,1), got 1.5"),
     (["dioph-check", "{freq}", "--ell-budget", "0"],
      "error: ell_budget must be >= 1"),
+    # refused at the first underflow, long before 1.5^s overflows
+    (["kam-run", "--radius", "1", "--steps", "1000000", "--out-prefix",
+      "{out}"], "error: step 9: eps_10 underflows to 0; use fewer steps or "
+     "a larger eps"),
+    # ln(1024)^1e6 is not a finite double
+    (["kam-run", "--radius", "1", "--sigma", "1e6", "--out-prefix",
+      "{out}"], "error: sigma 1000000.0 overflows the weight "
+     "ln^sigma(1024) of the box's largest mode"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, omega_file, argv,
                                          message):
@@ -350,6 +358,23 @@ def test_an_ell_table_beyond_memory_is_refused_before_allocating(
     [line] = done.stderr.splitlines()
     assert line.startswith("capacity: l-table of 43,210,733,640 rows needs "
                            f"{need[argv[0]]} B, more than the ")
+    assert not os.listdir(tmp_path)
+
+
+def test_measure_draws_beyond_memory_are_refused_before_drawing(tmp_path):
+    # one mode at |l| <= 1: a 1-row table, but 1e12 trials of 8 B draws,
+    # an 8 B uniform temporary and 2 B of flags per gamma, 3 gammas; the
+    # table adds its int8 row, its float copy and 3 float64 bounds
+    out = tmp_path / "m.csv"
+    done = run_cli_with_memory_cap(
+        ["measure", "--trials", "1000000000000", "--radius", "0",
+         "--ell-budget", "1", "--out", str(out)])
+    assert done.returncode == 3
+    assert done.stdout == ""
+    [line] = done.stderr.splitlines()
+    assert line.startswith(
+        "capacity: measure of 1,000,000,000,000 draws of 1-mode frequencies "
+        "needs 22,000,000,000,033 B, more than the ")
     assert not os.listdir(tmp_path)
 
 

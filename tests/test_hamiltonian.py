@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,11 @@ from nlskam.cli import dispatch
 from nlskam.hamiltonian import _LAYOUTS
 from nlskam.lattice import _mode_sort_key, mi
 from nlskam.nls import NlsConfig, build_cubic_nls
-from nlskam.verification import random_hamiltonian, random_state
+from nlskam.verification import (
+    random_hamiltonian,
+    random_state,
+    verify_scalar_lemma,
+)
 
 from mi_helpers import mi_add, monomial, term_degree, to_dict, tuple_terms
 from test_bracket import _reference_bracket
@@ -64,6 +69,46 @@ def test_params_validation():
         with pytest.raises(ValidationError,
                            match="floor_const must be finite"):
             HamParams(d=1, sigma=2.5, r=1.0, floor_const=bad)
+
+
+@pytest.mark.parametrize("kw,x", [
+    ({"sigma": 1e6}, "1024"),
+    ({"sigma": 400.0}, "1024"),
+    ({"sigma": 300.0, "d": 10 ** 400, "mode_radius": 3}, "3e+200"),
+    ({"sigma": 1e6, "mode_radius": 10 ** 400}, "e^921.034"),
+])
+def test_params_refuse_a_sigma_whose_weight_overflows(kw, x):
+    # ln^sigma max(floor_const, sqrt(d) R) must be a finite double
+    with pytest.raises(ValidationError) as e:
+        HamParams(**{"d": 1, **kw})
+    assert str(e.value) == (f"sigma {kw['sigma']} overflows the weight "
+                            f"ln^sigma({x}) of the box's largest mode")
+
+
+@pytest.mark.parametrize("name", ["log_sum", "geometric_product"])
+def test_scalar_oracles_refuse_a_sigma_whose_weight_overflows(name):
+    # they read sigma from HamParams: refused, not an OverflowError
+    with pytest.raises(ValidationError, match="overflows the weight"):
+        verify_scalar_lemma(name, {"sigma": 1e6})
+
+
+def test_params_accept_every_sigma_whose_weights_are_finite():
+    # around the largest accepted sigma of each lattice, every accepted
+    # params value computes its box's largest weight without overflow
+    log_max = math.log(sys.float_info.max)
+    for floor, d, radius in ((1024.0, 1, 2), (21.0, 2, 1000), (3e300, 1, 0)):
+        norm = max(floor, math.sqrt(d) * radius)
+        edge = log_max / math.log(math.log(norm))
+        accepted = 0
+        for i in range(-200, 201):
+            try:
+                p = HamParams(d=d, sigma=edge * (1 + i * 1e-14),
+                              floor_const=floor, mode_radius=radius)
+            except ValidationError:
+                continue
+            accepted += 1
+            assert math.isfinite(p.weight((radius,) * d))
+        assert 0 < accepted < 401
 
 
 def test_action0_value(params):
