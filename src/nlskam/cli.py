@@ -58,15 +58,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _write(path, text):
+def _write(path, doc):
+    """Write ``doc``, a str or a Hamiltonian, to the file ``path`` or, for
+    None or "-", to stdout, where it ends in a newline.  A Hamiltonian's
+    document is written term by term, by ``Hamiltonian.dump``."""
+    ham = isinstance(doc, Hamiltonian)
+    emit = doc.dump if ham else (lambda fh: fh.write(doc))
     if path in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        emit(sys.stdout)
+        if ham or not doc.endswith("\n"):
             sys.stdout.write("\n")
     else:
         try:
             with open(path, "w") as fh:
-                fh.write(text)
+                emit(fh)
         except OSError as e:
             raise ValidationError(f"cannot write {path}: {e}") from e
 
@@ -265,7 +270,7 @@ def _nls_config(args) -> NlsConfig:
 
 def _cmd_build_nls(args):
     H = build_cubic_nls(_nls_config(args), args.physical_multiplicity)
-    _write(args.out, H.dumps())
+    _write(args.out, H)
     return 0
 
 
@@ -312,7 +317,7 @@ def _cmd_bracket(args):
     H2 = Hamiltonian.loads(_read(args.file2))
     B, log_lhs, log_rhs = bracket_bound(H1, H2, args.rho, args.delta1,
                                         args.delta2)
-    _write(args.out, B.dumps())
+    _write(args.out, B)
     ok = log_lhs <= log_rhs
     print(f"log_lhs {_fmt(log_lhs)}", file=sys.stderr)
     print(f"log_rhs {_fmt(log_rhs)}", file=sys.stderr)

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 import numpy as np
@@ -399,19 +399,37 @@ def _resonant_draws(draws, L, rhs) -> np.ndarray:
     Row k of the result flags the draws whose distance lies below
     ``rhs[k]``, one of ``_ell_table``'s bounds, at some l.  ``draws @ L.T``
     and its distance to the integers are formed once per block of rows,
-    in place, and tested against every bound, so no trials x l matrix is
-    held whole.  ``L`` holds one l of each +-l pair: the product's column
-    for -l is the bitwise negative of l's, so its distance to the
-    integers, and the flags, are the same.
+    in place, so no trials x l matrix is held whole.  ``L`` holds one l
+    of each +-l pair: the product's column for -l is the bitwise negative
+    of l's, so its distance to the integers, and the flags, are the same.
+
+    Each block is compared once, with ``top``, the pointwise largest
+    bound.  A bound equal to ``top`` takes its flags from that comparison;
+    any other bound is tested only at the entries that lie below ``top``.
+    That is exact: rhs[k] <= top, so x < rhs[k] implies x < top, and a
+    NaN distance lies below neither; so every flag is the one a test of
+    the whole block against rhs[k] gives.
     """
     Lt = L.astype(float).T
-    bad = []
+    top = reduce(np.maximum, rhs)
+    at_top = [k for k, r in enumerate(rhs) if np.array_equal(r, top)]
+    under = [(k, r) for k, r in enumerate(rhs) if k not in at_top]
+    bad = np.zeros((len(rhs), len(draws)), dtype=bool)
+    i0 = 0
     for block in _trial_blocks(draws, Lt.shape[1]):
         x = block @ Lt
         x -= np.rint(x)
         np.abs(x, out=x)
-        bad.append([(x < r).any(axis=1) for r in rhs])
-    return np.concatenate(bad, axis=1)
+        near = x < top
+        bad[at_top, i0:i0 + len(block)] = near.any(axis=1)
+        if under:
+            flat = np.flatnonzero(near)
+            rows, cols = np.divmod(flat, x.shape[1])
+            xs = x.ravel()[flat]
+            for k, r in under:
+                bad[k, i0 + rows[xs < r[cols]]] = True
+        i0 += len(block)
+    return bad
 
 
 def resonance_measure(gammas: Sequence[float], trials: int, seed, *,
@@ -435,10 +453,10 @@ def resonance_measure(gammas: Sequence[float], trials: int, seed, *,
     # the table, or its refusal, before the trials x modes draws
     L, rhs = _ell_table(modes, lattice.d, ell_budget, gammas)
     # beside the table: the draws, one mode's uniform draws, the table's
-    # float copy, and the per-gamma flags, per block and joined
+    # float copy, and one bool flag per draw per gamma, written in place
     _refuse_beyond_memory(
         f"measure of {trials:,} draws of {len(modes):,}-mode frequencies",
-        trials * (8 * len(modes) + 8 + 2 * len(gammas)) + L.nbytes
+        trials * (8 * len(modes) + 8 + len(gammas)) + L.nbytes
         + 8 * L.size + sum(r.nbytes for r in rhs))
     draws = np.empty((trials, len(modes)))
     for i, m in enumerate(modes):

@@ -57,6 +57,7 @@ all pairs would.
 from __future__ import annotations
 
 import cmath
+import io
 import json
 import math
 import sys
@@ -555,8 +556,9 @@ class Hamiltonian:
 
     # -- serialization -----------------------------------------------------
 
-    def dumps(self) -> str:
-        """The v1 document, as ``json.dumps(doc, indent=1)`` writes it.
+    def dump(self, fh) -> None:
+        """Write the v1 document to the open text file ``fh``, one term at
+        a time, as ``json.dump(doc, fh, indent=1)`` writes it.
 
         The document is an object of "format" ("nlskam-hamiltonian"),
         "version" (1), the six ``HamParams`` fields and "terms": one
@@ -570,37 +572,54 @@ class Hamiltonian:
         the distinct multi-index blocks and J blocks, each ranked by its
         decoded tuple, so the ranks order as the tuples do.  Each distinct
         block is formatted once per call, and floats are written as json
-        writes them.
+        writes them.  Only one term's text is held at a time.
         """
         p = self.params
         head = [f' "{name}": {json.dumps(v)}' for name, v in (
             ("format", "nlskam-hamiltonian"), ("version", 1), ("d", p.d),
             ("sigma", p.sigma), ("r", p.r), ("floor_const", p.floor_const),
             ("degree_cap", p.degree_cap), ("mode_radius", p.mode_radius))]
-        blocks, jlists = self._layout.blocks, self._layout.jlists
-        items = list(term_blocks(self))
+        lay, store = self._layout, self._store
+        blocks, jlists, w, amask = lay.blocks, lay.jlists, lay.w, lay.amask
+        w2, w3 = 2 * w, 3 * w
         # the texts of the distinct blocks, in rank order
         mis = {b: _json_list([_json_list(
             [_json_list(map(str, m), 6), str(e)], 5) for m, e in blocks[b]], 4)
-            for b in sorted({b for t in items for b in t[1:4]},
-                            key=blocks.__getitem__)}
+            for b in sorted({(x >> s) & amask for x in store
+                             for s in (0, w, w2)}, key=blocks.__getitem__)}
         jls = {b: _json_list([_json_list(map(str, m), 5)
                               for m in jlists[b]], 4)
-               for b in sorted({t[4] for t in items},
+               for b in sorted({(x >> w3) & amask for x in store},
                                key=jlists.__getitem__)}
         mrank = {b: i for i, b in enumerate(mis)}
         jrank = {b: i for i, b in enumerate(jls)}
         n, nj = len(mrank), len(jrank)
-        items.sort(key=lambda t: (((mrank[t[1]] * n + mrank[t[2]]) * n
-                                   + mrank[t[3]]) * nj + jrank[t[4]]))
-        terms = [
-            f'{{\n   "a": {mis[a]},\n   "k": {mis[k]},\n'
-            f'   "k_bar": {mis[kb]},\n   "j": {jls[j]},\n'
-            f'   "re": {_json_float(c.real)},\n'
-            f'   "im": {_json_float(c.imag)}\n  }}'
-            for _, a, k, kb, j, c in items]
-        return ("{\n" + ",\n".join(head)
-                + f',\n "terms": {_json_list(terms, 2)}\n}}')
+
+        def rank(x):
+            return (((mrank[x & amask] * n + mrank[(x >> w) & amask]) * n
+                     + mrank[(x >> w2) & amask]) * nj
+                    + jrank[(x >> w3) & amask])
+
+        fh.write("{\n" + ",\n".join(head) + ',\n "terms": ')
+        # _json_list(terms, 2), one term at a time; only the sorted keys
+        # are held
+        sep = "[\n  "
+        for x in sorted(store, key=rank):
+            c = store[x]
+            fh.write(f'{sep}{{\n   "a": {mis[x & amask]},\n'
+                     f'   "k": {mis[(x >> w) & amask]},\n'
+                     f'   "k_bar": {mis[(x >> w2) & amask]},\n'
+                     f'   "j": {jls[(x >> w3) & amask]},\n'
+                     f'   "re": {_json_float(c.real)},\n'
+                     f'   "im": {_json_float(c.imag)}\n  }}')
+            sep = ",\n  "
+        fh.write("\n ]\n}" if store else "[]\n}")
+
+    def dumps(self) -> str:
+        """The v1 document that ``dump`` writes, as a string."""
+        buf = io.StringIO()
+        self.dump(buf)
+        return buf.getvalue()
 
     @classmethod
     def loads(cls, text) -> "Hamiltonian":

@@ -7,7 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from nlskam import HamParams, KamConfig, cli, driver, linear_combine, run
+from nlskam import (HamParams, Hamiltonian, KamConfig, cli, driver,
+                    linear_combine, poisson_bracket, run)
 from nlskam.cli import dispatch
 from nlskam.nls import build_cubic_nls
 
@@ -53,6 +54,28 @@ def test_build_nls_defaults_build_kam_configs_equation(tmp_path):
     out = tmp_path / "h.json"
     assert run_cli("build-nls", "--out", str(out)) == 0
     assert out.read_text() == build_cubic_nls(KamConfig().nls).dumps()
+
+
+def test_documents_are_the_dumps_bytes_in_a_file_and_on_stdout(tmp_path,
+                                                              capsys):
+    # build-nls and bracket write term by term; stdout adds one newline
+    H = build_cubic_nls(KamConfig().nls)
+    h = tmp_path / "h.json"
+    assert run_cli("build-nls", "--out", str(h)) == 0
+    assert h.read_text() == H.dumps()
+    capsys.readouterr()
+    assert run_cli("build-nls") == 0
+    assert capsys.readouterr().out == H.dumps() + "\n"
+    h2 = tmp_path / "h2.json"
+    assert run_cli("build-nls", "--eps", "1e-3", "--out", str(h2)) == 0
+    B = poisson_bracket(*(Hamiltonian.loads(f.read_text()) for f in (h, h2)))
+    assert len(B) > 0
+    b = tmp_path / "b.json"
+    assert run_cli("bracket", str(h), str(h2), "--out", str(b)) == 0
+    assert b.read_text() == B.dumps()
+    capsys.readouterr()
+    assert run_cli("bracket", str(h), str(h2)) == 0
+    assert capsys.readouterr().out == B.dumps() + "\n"
 
 
 def test_unknown_command_exits_1(capsys):
@@ -363,7 +386,7 @@ def test_an_ell_table_beyond_memory_is_refused_before_allocating(
 
 def test_measure_draws_beyond_memory_are_refused_before_drawing(tmp_path):
     # one mode at |l| <= 1: a 1-row table, but 1e12 trials of 8 B draws,
-    # an 8 B uniform temporary and 2 B of flags per gamma, 3 gammas; the
+    # an 8 B uniform temporary and 1 B of flags per gamma, 3 gammas; the
     # table adds its int8 row, its float copy and 3 float64 bounds
     out = tmp_path / "m.csv"
     done = run_cli_with_memory_cap(
@@ -374,7 +397,7 @@ def test_measure_draws_beyond_memory_are_refused_before_drawing(tmp_path):
     [line] = done.stderr.splitlines()
     assert line.startswith(
         "capacity: measure of 1,000,000,000,000 draws of 1-mode frequencies "
-        "needs 22,000,000,000,033 B, more than the ")
+        "needs 19,000,000,000,033 B, more than the ")
     assert not os.listdir(tmp_path)
 
 

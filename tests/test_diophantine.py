@@ -341,6 +341,54 @@ def test_resonant_draws_at_the_default_block(kw, trials, block_rows):
         assert row.tobytes() == ref.tobytes()
 
 
+def _synthetic_bounds(case, r, lhs0):
+    """Bound lists for ``_resonant_draws`` built from one table bound ``r``
+    and ``lhs0``, the distances of the first draw."""
+    odd = np.arange(len(r)) % 2 == 1
+    zero = np.zeros_like(r)
+    return {
+        # neither crossing bound is the pointwise max, nor is r
+        "crossing": [r * np.where(odd, 4.0, 0.5), r * np.where(odd, 0.5, 4.0),
+                     r],
+        "duplicate": [r, 0.2 * r, r, 0.2 * r],
+        "zero_below": [zero, r],
+        "zero_alone": [zero],
+        "one": [r],
+        # the first draw's distances lie at this bound, not below it
+        "at_distance": [lhs0, 0.5 * lhs0],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["crossing", "duplicate", "zero_below",
+                                  "zero_alone", "one", "at_distance"])
+@pytest.mark.parametrize("trials", [1, 40])
+@pytest.mark.parametrize("nan_draw", [False, True])
+def test_resonant_draws_on_synthetic_bounds(monkeypatch, case, trials,
+                                            nan_draw):
+    # 40 draws in 7-row blocks: bound-below-the-top hits in later blocks
+    modes, L, (r,) = _box_table(d=1, ell_budget=4, mode_radius=2,
+                                gammas=(0.1,))
+    monkeypatch.setattr(diophantine, "_MEASURE_BLOCK", 7 * len(L))
+    draws = np.random.default_rng(5).uniform(0.0, 0.5, (trials, len(modes)))
+    if case.startswith("zero"):
+        # every distance of a 0 draw is 0, which a bound 0 does not flag
+        draws[0] = 0.0
+    if nan_draw:
+        draws[-1, 0] = np.nan
+    x, _ = _dense_reference(draws[:1], L, [])
+    rhs = _synthetic_bounds(case, r, np.abs(x[0] - np.rint(x[0])))
+    _, full = _dense_reference(draws, L, rhs)
+    got = _resonant_draws(draws, L, rhs)
+    assert got.dtype == bool and got.shape == (len(rhs), trials)
+    assert got.tobytes() == np.array(full).tobytes()
+    if nan_draw:
+        assert not got[:, -1].any()
+    if trials == 40 and case in ("crossing", "duplicate"):
+        # every bound flags some draws and each differs from the next
+        assert all(0 < f.sum() < trials for f in full)
+        assert all((a != b).any() for a, b in zip(full, full[1:]))
+
+
 @pytest.mark.parametrize("d,radius,budget,seed", [
     (1, 2, 6, 0), (1, 2, 6, 3), (1, 2, 6, 13),   # the measure workload
     (2, 1, 4, 0),
