@@ -483,6 +483,49 @@ class Hamiltonian:
             acc[key] = acc.get(key, 0j) + c
         return cls(params, acc)
 
+    @classmethod
+    def _from_box_products(cls, params, products):
+        """``cls(params, acc)``, where ``acc`` maps the canonical key of
+        each (a, k, k_bar, c) that ``products`` yields to the sum of its
+        c in yield order; a, k and k_bar are lists of ``params.box_modes()``
+        tuples, one entry per factor, and c is finite.
+
+        No tuple key is built: each product in the cap is packed as it
+        comes, the sum of its modes' units at the shifts of
+        ``_Layout.pack``, and its new modes are registered in the order
+        ``pack`` registers them, except that a term whose coefficients sum
+        below COEFF_FLOOR (two unit-disk draws cancelling to 1e-300) has
+        its new modes registered all the same.  The modes are not checked:
+        the box's are valid.  From the first product above the cap on, the
+        terms go through the constructor's checks, so it raises
+        CapacityError on the first kept term above the cap.
+        """
+        lay = _LAYOUTS[params]
+        ua, w, cap = lay.ua, lay.w, params.degree_cap
+        acc = {}
+        products = iter(products)
+        for a, k, kb, c in products:
+            if 2 * len(a) + len(k) + len(kb) > cap:
+                break
+            try:
+                x = _box_product_key(ua, w, a, k, kb)
+            except KeyError:
+                for m in chain(sorted(kb), sorted(k), sorted(a)):
+                    lay.unit(m)
+                x = _box_product_key(ua, w, a, k, kb)
+            acc[x] = acc.get(x, 0j) + c
+        else:
+            H = cls.__new__(cls)
+            H._set(params, lay, {x: c for x, c in acc.items()
+                                 if not abs(c) < COEFF_FLOOR}, None)
+            return H
+        terms = {lay.decode(x): v for x, v in acc.items()}
+        for a, k, kb, c in chain([(a, k, kb, c)], products):
+            key = (mi((m, 1) for m in a), mi((m, 1) for m in k),
+                   mi((m, 1) for m in kb), ())
+            terms[key] = terms.get(key, 0j) + c
+        return cls(params, terms)
+
     # -- basics ------------------------------------------------------------
 
     def __len__(self):     # perfbench's tracer counts terms with len()
@@ -658,6 +701,22 @@ class Hamiltonian:
                         _num(t["im"], f"{where}: 'im'")),
             ))
         return cls.from_terms(params, items)
+
+
+def _box_product_key(ua, w, a, k, kb) -> int:
+    """The packed key of the product of modes a, k and k_bar, each a list
+    with one entry per factor; KeyError if a mode is not registered."""
+    x = 0
+    # Horner's scheme over the blocks, as in ``_Layout.pack``
+    for m in kb:
+        x += ua[m]
+    x <<= w
+    for m in k:
+        x += ua[m]
+    x <<= w
+    for m in a:
+        x += ua[m]
+    return x
 
 
 def _packed(like, acc, collected=False) -> Hamiltonian:

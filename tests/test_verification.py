@@ -115,6 +115,92 @@ def test_random_hamiltonian_refuses_an_over_cap_draw_as_the_reference():
                         "term degree 6 exceeds cap 3"}
 
 
+# 3 * 2**30 rejects a quarter of the uint32s: (2**32 - n) % n is 2**30
+@pytest.mark.parametrize("n", [1, 2, 5, 4097, 3 * 2**30, 2**32])
+def test_bounded_draw_matches_generator_integers(n):
+    got, want = np.random.default_rng(11), np.random.default_rng(11)
+    bits = got.bit_generator
+    used = []
+
+    def next_uint32(state):
+        used.append(1)
+        return bits.ctypes.next_uint32(state)
+
+    for i in range(300):
+        if i % 3 == 1:          # random() shares the stream and its buffer
+            assert got.random() == want.random()
+        with bits.lock:
+            value = verification._bounded(next_uint32, bits.ctypes.state, n)
+        assert value == want.integers(0, n)
+        assert bits.state == want.bit_generator.state
+    if n == 1:
+        assert used == []       # a range of 1 draws nothing
+    elif n == 3 * 2**30:
+        assert len(used) > 300  # the rejection loop ran
+
+
+def test_random_terms_refuse_bad_factor_counts():
+    # numpy raised ValueError at the first draw, _bounded would divide by 0
+    for kw in ({"max_factors": 1}, {"max_actions": -1}):
+        for draw in (random_terms, random_hamiltonian):
+            with pytest.raises(ValidationError, match="^random terms need"):
+                draw(HamParams(d=1), np.random.default_rng(0), **kw)
+
+
+def test_random_hamiltonian_registers_modes_as_the_constructor():
+    # distinct r values give each side a fresh layout and change no draw;
+    # cap 5 raises on a term above it after some terms were registered
+    for cap in (12, 5):
+        got = HamParams(d=2, r=1.0 + 1e-9 * cap, degree_cap=cap)
+        want = HamParams(d=2, r=1.0 + 2e-9 * cap, degree_cap=cap)
+        for seed in range(4):
+            try:
+                random_hamiltonian(got, np.random.default_rng(seed))
+            except CapacityError:
+                assert cap == 5
+            try:
+                Hamiltonian(want, random_terms(want,
+                                               np.random.default_rng(seed)))
+            except CapacityError:
+                assert cap == 5
+            assert (Hamiltonian.zero(got)._layout.modes
+                    == Hamiltonian.zero(want)._layout.modes)
+        assert Hamiltonian.zero(got)._layout.modes
+
+
+@pytest.mark.parametrize("cancel", [True, False])
+def test_box_products_keep_the_constructors_kept_term_rule(cancel):
+    # an over-cap key whose draws cancel to 0 is dropped, not raised on,
+    # as the constructor drops it; without the cancelling draw both raise
+    got = HamParams(d=1, r=1.0 + 3e-9 * (1 + cancel), degree_cap=4)
+    want = HamParams(d=1, r=1.0 + 5e-9 * (1 + cancel), degree_cap=4)
+    m = got.box_modes()
+    products = [([m[0]], [m[1]], [m[1]], 0.5 + 0j),
+                ([], [m[3], m[2], m[2]], [m[4], m[0], m[2]], 0.25 + 0j),
+                ([], [m[3]], [m[3]], 1j)]
+    if cancel:
+        products.insert(2, products[1][:3] + (-0.25 + 0j,))
+    terms = {}
+    for a, k, kb, c in products:
+        key = tuple(mi((x, 1) for x in f) for f in (a, k, kb)) + ((),)
+        terms[key] = terms.get(key, 0j) + c
+    try:
+        H = Hamiltonian._from_box_products(got, products)
+    except CapacityError as e:
+        H = str(e)
+    try:
+        ref = Hamiltonian(want, terms)
+    except CapacityError as e:
+        ref = str(e)
+    if cancel:
+        assert list(H._store.items()) == list(ref._store.items())
+        assert len(H) == 2
+    else:
+        assert H == ref == "term degree 6 exceeds cap 4"
+    assert (Hamiltonian.zero(got)._layout.modes
+            == Hamiltonian.zero(want)._layout.modes)
+
+
 @pytest.mark.parametrize("name,params", [
     ("poly_product", {}),
     # at floor_const 1024 every per-mode maximum is 0; a low floor and a
@@ -190,6 +276,11 @@ _REFUSED = [
      "^p must be finite and > 0, got -1$"),
     (verify_scalar_lemma, "poly_product", {"p": math.nan},
      "^p must be finite and > 0, got nan$"),
+    # p 1000 searched over 4e5 shells and p 0.5 walked all 1e7
+    (verify_scalar_lemma, "poly_product", {"p": 1000},
+     r"^poly_product needs p in \[1, 200\], got 1000$"),
+    (verify_scalar_lemma, "poly_product", {"p": 0.5},
+     r"^poly_product needs p in \[1, 200\], got 0.5$"),
     # float or bool lattice ints ended in an AttributeError or TypeError,
     # or passed vacuously
     (verify_norm_lemma, "monotonicity", {"degree_cap": 12.0},
@@ -214,6 +305,15 @@ def test_unknown_lemma_rejected():
         with pytest.raises(ValidationError, match=match):
             verify(name, params=params)
         assert time.perf_counter() - t0 < 1.0, (name, params)
+
+
+def test_poly_product_is_finite_where_a_to_the_p_overflows():
+    # a ** 200 overflows on the scan's grid (up to a = 36.4 at the floor
+    # weight), which read log_lhs inf; ln(1 + a^p) is then p ln a + ...
+    case = verify_scalar_lemma("poly_product", params={"p": 200})
+    assert case.notes["log_lhs"] == 0.0
+    assert case.worst_margin == case.notes["log_rhs"] > 0.0
+    assert case.violations == 0
 
 
 def test_one_hamparams_per_case(monkeypatch):
@@ -394,15 +494,17 @@ def test_scalar_nan_margin_is_a_violation(monkeypatch, name, params):
     ("flow_bound", {"degree_cap": 32}, {"degree_cap": 32}),
 ])
 def test_default_params_layers(monkeypatch, name, p, want):
-    # every oracle draws through random_terms, the gap oracle directly
+    # every oracle draws through the one draw loop, the gap oracle through
+    # random_terms and the others through random_hamiltonian
     expected = HamParams(**{"d": 1, "degree_cap": 12, **want})
     seen = []
+    draws = verification._draws
 
     def record(params, *args, **kwargs):
         seen.append(params)
-        return random_terms(params, *args, **kwargs)
+        return draws(params, *args, **kwargs)
 
-    monkeypatch.setattr(verification, "random_terms", record)
+    monkeypatch.setattr(verification, "_draws", record)
     verify_norm_lemma(name, params=p, samples=1)
     assert seen and all(hp == expected for hp in seen)
 
