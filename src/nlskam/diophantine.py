@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections.abc import Sequence
 from functools import lru_cache, reduce
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .lattice import (
     _is_int,
     _mode_sort_key,
+    _refuse_beyond_memory,
     angle_norm,
     check_box_modes,
     check_doc_version,
@@ -176,14 +176,6 @@ def _products(L, modes, d, budget):
     for j, f in enumerate(fac2):
         prod2 *= np.where(norms[j] <= n3, f[A[:, j]], 1.0)
     return prod1, prod2, (total >= 2) & (np.maximum(n3, 0.0) < n2)
-
-
-def _refuse_beyond_memory(what, need):
-    """Raise CapacityError when ``need`` bytes exceed physical memory."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise CapacityError(f"{what} needs {need:,} B, more than the "
-                            f"{memory:,} B of physical memory")
 
 
 def _ell_table(modes, d, ell_budget, gammas):

@@ -34,9 +34,9 @@ through memos of the layout, which decode each block once per params value
 and plan each term's work once per block: J-expansion per J block, and
 J-collection and the bracket's row data per (k, k_bar) pair.  No op
 decodes a whole key.  Tuple keys come in only through the constructor,
-which checks every key and coefficient, and each mode tuple once per
-layout; it is what ``from_terms`` and ``loads`` build with.  They go out
-only as the text of ``dumps`` and as a key the homological solver reports
+which checks every key, each of its modes and every coefficient; it is
+what ``from_terms`` and ``loads`` build with.  They go out only as the
+text of ``dumps`` and as a key the homological solver reports
 (``_Layout.decode``).  The layout is also the one holder of what depends
 only on the params: the mode -> weight memo ``weights`` and the per-block
 weight memos through which the norms and ``prune`` read a key's weights,
@@ -166,13 +166,11 @@ class HamParams:
         return box_modes(self.d, self.mode_radius)
 
 
-def _check_key(key, params, known):
+def _check_key(key, params):
     """Raise unless ``key`` is a canonical in-cap key of ``params``'
     lattice: at most two J-factors, positive int exponents, multi-indices
     strictly increasing by mode, a sorted J-list, and modes that
-    ``_check_mode`` passes.  ``known`` maps each mode the layout has
-    registered to the tuple it registered, which passed this check, so
-    that very tuple is not checked again."""
+    ``_check_mode`` passes."""
     a, k, kb, j = key
     if len(j) > 2:
         raise ValidationError("at most two J-factors per term")
@@ -184,8 +182,7 @@ def _check_key(key, params, known):
                 raise ValidationError(
                     f"exponent {e!r} at mode {mode} is not a positive int")
             degree += mult * e
-            if known.get(mode) is not mode:
-                _check_mode(mode, params, known, "mode")
+            _check_mode(mode, params, "mode")
             if not prev < mode:
                 raise ValidationError(
                     f"multi-index {src} is not canonical: "
@@ -194,8 +191,7 @@ def _check_key(key, params, known):
             prev = mode
     prev = ()
     for mode in j:
-        if known.get(mode) is not mode:
-            _check_mode(mode, params, known, "J-mode")
+        _check_mode(mode, params, "J-mode")
         if mode < prev:
             raise ValidationError(f"J-list {j} is not sorted")
         prev = mode
@@ -204,26 +200,15 @@ def _check_key(key, params, known):
             f"term degree {degree} exceeds cap {params.degree_cap}")
 
 
-def _check_mode(mode, params, known, what):
-    """Raise unless ``mode`` is a d-tuple of ints inside the radius.  A
-    tuple equal to a registered one differs from it at most in its
-    coordinate types, so only those are checked: whether a key is
-    accepted does not depend on what was built before."""
-    if mode in known:
-        _check_coordinates(mode)
-        return
+def _check_mode(mode, params, what):
+    """Raise unless ``mode`` is a d-tuple of ints inside the radius."""
     rad = params.mode_radius
     if what == "mode" and len(mode) != params.d:
         raise ValidationError(f"mode {mode} has wrong dimension")
-    if len(mode) == params.d:
-        _check_coordinates(mode)
+    if len(mode) == params.d and any(type(c) is not int for c in mode):
+        raise ValidationError(f"mode {mode!r} has a non-int coordinate")
     if len(mode) != params.d or any(abs(c) > rad for c in mode):
         raise ValidationError(f"{what} {mode} outside radius {rad}")
-
-
-def _check_coordinates(mode):
-    if any(type(c) is not int for c in mode):
-        raise ValidationError(f"mode {mode!r} has a non-int coordinate")
 
 
 class _Layout:
@@ -232,10 +217,8 @@ class _Layout:
 
     The i-th mode registered owns fields 4i (a), 4i+1 (k), 4i+2 (k_bar)
     and 4i+3 (J count), each ``w`` bits wide; ``ua`` and ``uq`` map a
-    mode to the packed unit of one action and of one q_m qbar_m pair, and
-    ``canon`` to the tuple it was registered as.  A mode is registered
-    only by ``pack``, which the constructor calls only on keys
-    ``_check_key`` passed, so every mode in ``ua`` is a checked one.  A
+    mode to the packed unit of one action and of one q_m qbar_m pair.
+    Only the modes of checked keys and of the box are registered.  A
     block is one of a key's four field sets shifted onto the a fields,
     ``(x >> i * w) & amask`` for block i (0 a, 1 k, 2 k_bar, 3 J), as
     ``term_blocks`` yields them; any int whose only set bits lie in a
@@ -265,16 +248,15 @@ class _Layout:
     held, and its memos every block met.
     """
 
-    __slots__ = ("w", "modes", "ua", "uq", "canon", "amask", "blocks",
-                 "jlists", "degrees", "weights", "wsums", "ews", "expands",
-                 "collects", "bracket_rows")
+    __slots__ = ("w", "modes", "ua", "uq", "amask", "blocks", "jlists",
+                 "degrees", "weights", "wsums", "ews", "expands", "collects",
+                 "bracket_rows")
 
     def __init__(self, params):
         self.w = w = max((2 * params.degree_cap).bit_length(), 1)
         self.modes = modes = []
         self.ua = ua = {}
         self.uq = uq = {}
-        self.canon = {}
         self.amask = 0          # every registered mode's a field, all ones
         span, fmask = 4 * w, (1 << w) - 1
         pairs = {}                  # one (mode, exponent) tuple each
@@ -393,7 +375,6 @@ class _Layout:
             w = self.w
             u = self.ua[mode] = 1 << (4 * w * len(self.modes))
             self.modes.append(mode)
-            self.canon[mode] = mode
             self.uq[mode] = (u << w) + (u << (2 * w))
             self.amask += ((1 << w) - 1) * u
         return u
@@ -436,8 +417,7 @@ class Hamiltonian:
     terms : dict, optional
         Map from (a, k, k_bar, j) keys to complex coefficients.  Keys must
         be canonical (see :func:`nlskam.lattice.mi`).  Every kept key is
-        checked for its J count, its exponents, its mode order, its modes
-        (once per registered mode tuple and params value) and
+        checked for its J count, exponents, mode order, modes and
         ``degree_cap``, and every coefficient for finiteness; coefficients
         with magnitude below 1e-300 are dropped.  Each kept key's modes
         are registered in the layout of ``params``, which lives for the
@@ -457,7 +437,7 @@ class Hamiltonian:
                         f"non-finite coefficient {c} at term {key}")
                 if abs(c) < COEFF_FLOOR:
                     continue
-                _check_key(key, params, lay.canon)
+                _check_key(key, params)
                 store[lay.pack(key)] = complex(c)
         self._set(params, lay, store, None)
 

@@ -10,9 +10,10 @@ serialization) relies on that canonical form being unique.
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import CapacityError, DimensionMismatchError, ValidationError
 
 
 def _is_int(x):
@@ -55,12 +56,24 @@ def angle_norm(n) -> float:
     return max(1.0, math.sqrt(sum(c * c for c in n)))
 
 
+def _refuse_beyond_memory(what, need):
+    """Raise CapacityError when ``need`` bytes exceed physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise CapacityError(f"{what} needs {need:,} B, more than the "
+                            f"{memory:,} B of physical memory")
+
+
 @lru_cache(maxsize=8)
 def box_modes(d: int, radius: int) -> tuple:
     """All modes of Z^d with every coordinate in [-radius, radius], sorted.
 
-    Cached: equal arguments return the same tuple.
+    Cached: equal arguments return the same tuple.  Raises CapacityError,
+    before building anything, when the (2 radius + 1)^d modes exceed
+    physical memory at 48 + 8 d B each: a d-tuple and its slot in the box.
     """
+    n = (2 * radius + 1) ** d
+    _refuse_beyond_memory(f"box of {n:,} modes", n * (48 + 8 * d))
     rng = range(-radius, radius + 1)
     modes = [()]
     for _ in range(d):

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 from .errors import ValidationError
 from .hamiltonian import HamParams, Hamiltonian
 from .homological import NormalForm
-from .lattice import check_box_modes
+from .lattice import _refuse_beyond_memory, check_box_modes
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,27 @@ def _pair_multiplicity(pair) -> int:
     return 1 if pair[0] == pair[1] else 2
 
 
+def _term_count(d, radius) -> int:
+    """The number of terms of ``build_cubic_nls``, sum_s U(s)^2 with U(s)
+    the unordered mode pairs summing to s: U(s) = (P(s) + D(s)) / 2, with
+    P(s) = prod_i n(s_i) ordered pairs, n(t) = 2 radius + 1 - |t|, and
+    D(s) = 1 when every s_i is even (s/2 paired with itself), else 0."""
+    n = [2 * radius + 1 - abs(t) for t in range(-2 * radius, 2 * radius + 1)]
+    return (sum(x * x for x in n) ** d + 2 * sum(n[::2]) ** d
+            + (2 * radius + 1) ** d) // 4
+
+
 def build_cubic_nls(cfg: NlsConfig,
                     physical_multiplicity: bool = False) -> Hamiltonian:
-    """Quartic interaction of the cubic NLS on the truncated box."""
+    """Quartic interaction of the cubic NLS on the truncated box.
+
+    Raises CapacityError, before building anything, when its terms exceed
+    physical memory at 456 B each: on 64-bit CPython, what a term's item
+    alone holds (a 5-tuple, two 2-lists and four (mode, 1) pairs)."""
     params = cfg.params
+    terms = _term_count(params.d, params.mode_radius)
+    _refuse_beyond_memory(f"cubic NLS Hamiltonian of {terms:,} terms",
+                          456 * terms)
     modes = params.box_modes()
     base = cfg.sign * cfg.epsilon / (2.0 * math.pi) ** params.d
     by_sum = {}

@@ -29,7 +29,7 @@ from .hamiltonian import (
     second_partial,
     vf_sup_norm,
 )
-from .lattice import weighted_gap
+from .lattice import mi, weighted_gap
 
 SUITE_CSV_SCHEMA = "name,params,samples,violations,worst_margin,seconds"
 
@@ -352,7 +352,7 @@ def verify_scalar_lemma(name, params=None, samples=None, seed=0) -> LemmaCase:
 def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
                        max_actions=1):
     """Random momentum-conserving Hamiltonian with unit-disk coefficients,
-    the terms ``random_terms`` draws, packed as they are drawn.  Raises
+    the terms ``_draws`` yields, packed as they are drawn.  Raises
     CapacityError on the first kept term above ``degree_cap``, as the
     Hamiltonian constructor does.
     """
@@ -360,29 +360,15 @@ def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
         params, _draws(params, rng, n_terms, max_factors, max_actions))
 
 
-def random_terms(params: HamParams, rng, n_terms=6, max_factors=4,
-                 max_actions=1) -> dict:
-    """Random momentum-conserving terms: a map from n_terms drawn tuple
-    keys to the sums of their unit-disk coefficients.
+def _draws(params, rng, n_terms, max_factors, max_actions):
+    """Yield up to n_terms random momentum-conserving draws (a, k, k_bar,
+    c): the action, q and qbar factors as lists of the box's own mode
+    tuples, one entry per factor, and a unit-disk coefficient.
 
-    Supports are drawn uniformly over the truncation box with mass split
+    Factors are drawn uniformly over the truncation box with mass split
     evenly between q and qbar factors; the momentum defect is repaired by
     moving the last q-factor, resampling when the repaired mode leaves
-    the box.  Fewer keys come back when a key is drawn twice or after
-    1000 * n_terms draws.
-    """
-    acc = {}
-    for a, k, kb, c in _draws(params, rng, n_terms, max_factors,
-                              max_actions):
-        key = (_unit_mi(a), _unit_mi(k), _unit_mi(kb), ())
-        acc[key] = acc.get(key, 0j) + c
-    return acc
-
-
-def _draws(params, rng, n_terms, max_factors, max_actions):
-    """Yield each kept draw of ``random_terms`` as (a, k, k_bar, c): the
-    action, q and qbar factors as lists of the box's own mode tuples, one
-    entry per factor, and the coefficient.
+    the box.  Fewer draws come after 1000 * n_terms tries.
 
     Each bounded int is the one a scalar ``rng.integers`` call would give
     (``_bounded``), at less than half its cost: 0.52 against 1.15 us a
@@ -450,21 +436,6 @@ def _bounded(next_uint32, state, n) -> int:
     return m >> 32
 
 
-def _unit_mi(modes) -> tuple:
-    """The canonical multi-index of a product of the given modes."""
-    if len(modes) < 2:
-        return ((modes[0], 1),) if modes else ()
-    if len(modes) == 2:
-        m, n = modes
-        if m == n:
-            return ((m, 2),)
-        return ((m, 1), (n, 1)) if m < n else ((n, 1), (m, 1))
-    counts = {}
-    for m in modes:
-        counts[m] = counts.get(m, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def random_state(params: HamParams, rng, rho):
     """Random state with sup_n |q_n| e^{rho w(n)} <= 1."""
     out = {}
@@ -484,12 +455,13 @@ def _log(x):
 
 
 def _inf_on_overflow(log_constant):
-    """``log_constant``, but +inf where its value leaves the double range."""
+    """``log_constant``, but +inf where its value leaves the double range:
+    on an overflow, or on a division by a delta ** 2 that underflowed."""
     @functools.wraps(log_constant)
     def wrapped(*args):
         try:
             return log_constant(*args)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             return math.inf
     return wrapped
 
@@ -639,11 +611,11 @@ def _check_flow_bound(rng, hp, p):
 
 
 def _check_gap(rng, hp, p):
-    terms = random_terms(hp, rng, n_terms=1, max_factors=6, max_actions=2)
     # 0.0 when nothing is kept, as for the zero Hamiltonian
-    for (a, k, kb, _), c in terms.items():
+    for a, k, kb, c in _draws(hp, rng, 1, 6, 2):
         if abs(c) >= COEFF_FLOOR:
-            return weighted_gap(a, k, kb, hp)
+            return weighted_gap(*(mi((m, 1) for m in f) for f in (a, k, kb)),
+                                hp)
     return 0.0
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import time
 from dataclasses import replace
 
 import pytest
@@ -401,6 +402,31 @@ def test_measure_draws_beyond_memory_are_refused_before_drawing(tmp_path):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["measure", "--d", "20", "--radius", "1", "--out", "OUT/m.csv"],
+     "capacity: box of 3,486,784,401 modes needs 725,251,155,408 B, "),
+    (["kam-run", "--d", "5", "--radius", "2", "--out-prefix", "OUT/k"],
+     "capacity: cubic NLS Hamiltonian of 1,109,449,709 terms needs "
+     "505,909,067,304 B, "),
+    # radius 300 (36,270,801 terms, 16,539,485,256 B) is refused too on
+    # a machine with less memory; radius 3000 is refused on any
+    (["build-nls", "--d", "1", "--radius", "3000", "--out", "OUT/h.json"],
+     "capacity: cubic NLS Hamiltonian of 36,027,008,001 terms needs "
+     "16,428,315,648,456 B, "),
+], ids=["measure", "kam-run", "build-nls"])
+def test_a_box_or_hamiltonian_beyond_memory_is_refused_before_building(
+        tmp_path, argv, line):
+    t0 = time.perf_counter()
+    done = run_cli_with_memory_cap([a.replace("OUT", str(tmp_path))
+                                    for a in argv])
+    assert time.perf_counter() - t0 < 1.0
+    assert done.returncode == 3
+    assert done.stdout == ""
+    [got] = done.stderr.splitlines()
+    assert got.startswith(line + "more than the ")
+    assert not os.listdir(tmp_path)
+
+
 def test_validation_exit_code_on_missing_file(tmp_path):
     assert run_cli("norms", str(tmp_path / "missing.json")) == 1
 
@@ -520,6 +546,21 @@ def test_bracket_bound_without_overflow_or_nan(tmp_path, capsys, d, radius,
                  for v in values[:2]) == sides
     assert values[2] == "1"
     assert json.loads(b.read_text())["format"] == "nlskam-hamiltonian"
+
+
+def test_bracket_bound_at_a_delta_whose_square_underflows(tmp_path, capsys):
+    # delta1 ** 2 is 0.0 at 1e-163: the lemma constant reads +inf, not a
+    # ZeroDivisionError traceback
+    h, b = tmp_path / "h.json", tmp_path / "b.json"
+    assert run_cli("build-nls", "--out", str(h)) == 0
+    capsys.readouterr()
+    assert run_cli("bracket", str(h), str(h), "--rho", "0.1",
+                   "--delta1", "1e-163", "--out", str(b)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lhs, *rest = captured.err.splitlines()
+    assert lhs.startswith("log_lhs ") and math.isfinite(float(lhs.split()[1]))
+    assert rest == ["log_rhs inf", "bound_ok 1"]
 
 
 @pytest.mark.parametrize("edit,code,line", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -93,7 +94,7 @@ def test_enumerate_ells_refusal_counts_the_rows_it_would_build(
     L = enumerate_ells(modes, budget)
     # no memory at all: every table is refused before it is built, naming
     # its size: the values of l and one float64 bound per gamma
-    monkeypatch.setattr(diophantine.os, "sysconf", lambda name: 0)
+    monkeypatch.setattr(os, "sysconf", lambda name: 0)
     monkeypatch.setattr(diophantine, "enumerate_ells", _no_work)
     for gammas in ([0.1], [0.01, 0.05, 0.1]):
         with pytest.raises(CapacityError) as e:
@@ -111,7 +112,7 @@ def test_refusal_counts_20001_modes_from_a_few_terms(monkeypatch):
     assert len(modes) == 20_001
     calls, comb = [], math.comb
     monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
-    monkeypatch.setattr(diophantine.os, "sysconf", lambda name: 0)
+    monkeypatch.setattr(os, "sysconf", lambda name: 0)
     monkeypatch.setattr(diophantine, "enumerate_ells", _no_work)
     with pytest.raises(CapacityError) as e:
         _ell_table(modes, 1, 6, [0.1])
@@ -130,8 +131,11 @@ def test_resonance_measure_refuses_the_table_before_drawing(monkeypatch):
         return np.random.default_rng(0)
 
     monkeypatch.setattr(diophantine, "_mode_rng", counting_rng)
-    monkeypatch.setattr(diophantine.os, "sysconf", lambda name: 0)
-    with pytest.raises(CapacityError):
+    # the box is built, and cached, while there is memory: the table is
+    # what is refused
+    HamParams(d=1, mode_radius=10_000).box_modes()
+    monkeypatch.setattr(os, "sysconf", lambda name: 0)
+    with pytest.raises(CapacityError, match="^l-table "):
         resonance_measure([0.1], 10_000, 0,
                           lattice=HamParams(d=1, mode_radius=10_000),
                           ell_budget=6)

@@ -718,8 +718,8 @@ def test_a_layout_outlives_its_hamiltonians():
      "term degree 18 exceeds cap 16"),
 ])
 def test_constructor_rejects_bad_terms(params, a, k, kb, j, error, match):
-    # with every in-radius mode registered, which skips only the known
-    # modes' own checks
+    # with every in-radius mode registered: a registered mode is checked
+    # in full all the same
     keep = Hamiltonian(params, {((((m,), 1),), (), (), ()): 1.0
                                 for m in range(-2, 3)})
     assert tuple(sorted(keep._layout.modes)) == params.box_modes()

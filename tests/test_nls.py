@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -10,7 +11,8 @@ from nlskam import (
     build_cubic_nls,
     build_normal_form,
 )
-from nlskam.lattice import conservation_check
+from nlskam.lattice import box_modes, conservation_check
+from nlskam.nls import _term_count
 
 from mi_helpers import tuple_terms
 
@@ -52,6 +54,19 @@ def test_term_count_matches_oracle():
     for d, radius in ((1, 2), (2, 1)):
         H = build_cubic_nls(_cfg(d, radius))
         assert len(H) == _independent_count(d, radius)
+
+
+@pytest.mark.parametrize("d,radius", [(1, 0), (1, 1), (1, 3), (1, 10),
+                                      (2, 1), (2, 2), (2, 3), (3, 1), (3, 3)])
+def test_closed_form_term_count(d, radius):
+    # the count the memory refusal reads, against the mode pairs grouped
+    # by their sum, and against build_cubic_nls on the smaller boxes
+    by_sum = Counter(tuple(x + y for x, y in zip(*pair)) for pair in
+                     combinations_with_replacement(box_modes(d, radius), 2))
+    count = _term_count(d, radius)
+    assert count == sum(u * u for u in by_sum.values())
+    if count < 20_000:
+        assert count == len(build_cubic_nls(_cfg(d, radius)))
 
 
 def test_coefficients_flat_and_real():
