@@ -33,9 +33,9 @@ key's four blocks (its a, k, k_bar and J fields, see :class:`_Layout`)
 through memos of the layout, which decode each block once per params value
 and plan each term's work once per block: J-expansion per J block, and
 J-collection and the bracket's row data per (k, k_bar) pair.  No op
-decodes a whole key.  Tuple keys come in only through the constructor,
-which checks every key, each of its modes and every coefficient; it is
-what ``from_terms`` and ``loads`` build with.  They go out only as the
+decodes a whole key.  Tuple keys come in only from documents and callers,
+through the constructor, which checks every key, mode and coefficient;
+the program packs its own Hamiltonians.  They go out only as the
 text of ``dumps`` and as a key the homological solver reports
 (``_Layout.decode``).  The layout is also the one holder of what depends
 only on the params: the mode -> weight memo ``weights`` and the per-block
@@ -415,14 +415,15 @@ class Hamiltonian:
     params : HamParams
         Lattice and truncation parameters shared by all terms.
     terms : dict, optional
-        Map from (a, k, k_bar, j) keys to complex coefficients.  Keys must
-        be canonical (see :func:`nlskam.lattice.mi`).  Every kept key is
-        checked for its J count, exponents, mode order, modes and
+        Map from canonical (a, k, k_bar, j) keys (see
+        :func:`nlskam.lattice.mi`) to complex coefficients.  Every kept key
+        is checked for its J count, exponents, mode order, modes and
         ``degree_cap``, and every coefficient for finiteness; coefficients
         with magnitude below 1e-300 are dropped.  Each kept key's modes
         are registered in the layout of ``params``, which lives for the
-        process.  Results of the ops and of ``split_terms`` are built
-        from packed keys and are not checked again.
+        process.  Tuple keys come from documents and callers; the program's
+        own Hamiltonians (``_from_box_products``), the ops' results and
+        ``split_terms``' parts are built from packed keys, unchecked.
     """
 
     __slots__ = ("params", "_layout", "_store", "_expanded", "_collected")
@@ -468,14 +469,16 @@ class Hamiltonian:
         """``cls(params, acc)``, where ``acc`` maps the canonical key of
         each (a, k, k_bar, c) that ``products`` yields to the sum of its
         c in yield order; a, k and k_bar are lists of ``params.box_modes()``
-        tuples, one entry per factor, and c is finite.
+        tuples, one entry per factor, and c is finite.  The callers:
+        ``build_cubic_nls``, ``as_hamiltonian`` and ``random_hamiltonian``.
 
         No tuple key is built: each product in the cap is packed as it
         comes, the sum of its modes' units at the shifts of
         ``_Layout.pack``, and its new modes are registered in the order
         ``pack`` registers them, except that a term whose coefficients sum
-        below COEFF_FLOOR (two unit-disk draws cancelling to 1e-300) has
-        its new modes registered all the same.  The modes are not checked:
+        below COEFF_FLOOR (two unit-disk draws cancelling to 1e-300, or
+        every NLS term at ``--eps 1e-320``) has its new modes registered
+        all the same, which changes no output.  The modes are not checked:
         the box's are valid.  From the first product above the cap on, the
         terms go through the constructor's checks, so it raises
         CapacityError on the first kept term above the cap.

@@ -53,12 +53,11 @@ class NormalForm:
                 for m, om in self.v_hat.items()}
 
     def as_hamiltonian(self, params) -> Hamiltonian:
-        """N = sum_n Omega_n q_n qbar_n over the truncated mode set."""
-        items = []
-        for m in self.modes:
-            items.append(((), ((m, 1),), ((m, 1),), (),
-                          complex(self.omega_tangential(m))))
-        return Hamiltonian.from_terms(params, items)
+        """N = sum_n Omega_n q_n qbar_n over the truncated mode set, whose
+        modes must be ``params``' box modes and each Omega_n finite."""
+        return Hamiltonian._from_box_products(params, (
+            ((), (m,), (m,), complex(self.omega_tangential(m)))
+            for m in self.modes))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import ValidationError
-from .hamiltonian import HamParams, Hamiltonian
+from .hamiltonian import _LAYOUTS, HamParams, Hamiltonian
 from .homological import NormalForm
 from .lattice import _refuse_beyond_memory, check_box_modes
 
@@ -30,6 +30,8 @@ class NlsConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be > 0")
+        if self.epsilon == math.inf:
+            raise ValidationError("epsilon must be finite, got inf")
         if self.sign not in (1, -1):
             raise ValidationError("sign must be +1 or -1")
 
@@ -54,28 +56,23 @@ def build_cubic_nls(cfg: NlsConfig,
     """Quartic interaction of the cubic NLS on the truncated box.
 
     Raises CapacityError, before building anything, when its terms exceed
-    physical memory at 456 B each: on 64-bit CPython, what a term's item
-    alone holds (a 5-tuple, two 2-lists and four (mode, 1) pairs)."""
+    physical memory at 200 B each plus the largest packed key's int,
+    24 + 4 ceil(4 w n / 30) B for n box modes and field width w."""
     params = cfg.params
     terms = _term_count(params.d, params.mode_radius)
+    bits = 4 * _LAYOUTS[params].w * (2 * params.mode_radius + 1) ** params.d
     _refuse_beyond_memory(f"cubic NLS Hamiltonian of {terms:,} terms",
-                          456 * terms)
+                          (200 + 24 + 4 * -(-bits // 30)) * terms)
     modes = params.box_modes()
     base = cfg.sign * cfg.epsilon / (2.0 * math.pi) ** params.d
     by_sum = {}
     for pair in combinations_with_replacement(modes, 2):
         key = tuple(x + y for x, y in zip(*pair))
         by_sum.setdefault(key, []).append(pair)
-    items = []
-    for pairs in by_sum.values():
-        for kp in pairs:
-            for kbp in pairs:
-                c = base
-                if physical_multiplicity:
-                    c *= _pair_multiplicity(kp) * _pair_multiplicity(kbp)
-                items.append(((), [(kp[0], 1), (kp[1], 1)],
-                              [(kbp[0], 1), (kbp[1], 1)], (), c))
-    return Hamiltonian.from_terms(params, items)
+    mult = _pair_multiplicity if physical_multiplicity else None
+    return Hamiltonian._from_box_products(params, (
+        ((), kp, kbp, base * (mult(kp) * mult(kbp)) if mult else base)
+        for pairs in by_sum.values() for kp in pairs for kbp in pairs))
 
 
 def build_normal_form(cfg: NlsConfig, omega: dict) -> NormalForm:

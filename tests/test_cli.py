@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from nlskam import (HamParams, Hamiltonian, KamConfig, cli, driver,
-                    linear_combine, poisson_bracket, run)
+                    hamiltonian, linear_combine, poisson_bracket, run)
 from nlskam.cli import dispatch
 from nlskam.nls import build_cubic_nls
 
@@ -246,6 +246,9 @@ def test_kam_run_zero_lie_order_cap_exit_code(tmp_path, capsys):
     (["kam-run", "--radius", "1", "--sigma", "1e6", "--out-prefix",
       "{out}"], "error: sigma 1000000.0 overflows the weight "
      "ln^sigma(1024) of the box's largest mode"),
+    # the NLS builder packs its coefficients unchecked
+    (["build-nls", "--eps", "inf", "--out", "{out}"],
+     "error: epsilon must be finite, got inf"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, omega_file, argv,
                                          message):
@@ -407,12 +410,12 @@ def test_measure_draws_beyond_memory_are_refused_before_drawing(tmp_path):
      "capacity: box of 3,486,784,401 modes needs 725,251,155,408 B, "),
     (["kam-run", "--d", "5", "--radius", "2", "--out-prefix", "OUT/k"],
      "capacity: cubic NLS Hamiltonian of 1,109,449,709 terms needs "
-     "505,909,067,304 B, "),
-    # radius 300 (36,270,801 terms, 16,539,485,256 B) is refused too on
+     "11,343,013,824,816 B, "),
+    # radius 180 (7,873,681 terms, 10,865,679,780 B) is refused too on
     # a machine with less memory; radius 3000 is refused on any
     (["build-nls", "--d", "1", "--radius", "3000", "--out", "OUT/h.json"],
      "capacity: cubic NLS Hamiltonian of 36,027,008,001 terms needs "
-     "16,428,315,648,456 B, "),
+     "699,932,711,443,428 B, "),
 ], ids=["measure", "kam-run", "build-nls"])
 def test_a_box_or_hamiltonian_beyond_memory_is_refused_before_building(
         tmp_path, argv, line):
@@ -593,6 +596,52 @@ def test_norms_rejects_non_json(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("norms", str(h)) == 1
     assert "is not JSON" in _one_error_line(capsys)
+
+
+def test_build_nls_above_the_degree_cap_exits_3(tmp_path, capsys):
+    # the packed build hands its first over-cap term to the constructor
+    out = tmp_path / "h.json"
+    assert run_cli("build-nls", "--d", "1", "--radius", "1",
+                   "--degree-cap", "3", "--out", str(out)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "capacity: term degree 4 exceeds cap 3"]
+    assert not os.listdir(tmp_path)
+
+
+def test_build_nls_below_the_coefficient_floor_has_no_terms(tmp_path):
+    # eps / 2 pi is below COEFF_FLOOR: every term is dropped
+    out = tmp_path / "h.json"
+    assert run_cli("build-nls", "--d", "1", "--radius", "1", "--eps",
+                   "1e-320", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["terms"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["kam-run", "--d", "1", "--radius", "2", "--eps", "1e-6", "--steps",
+     "2", "--prune-tol", "0", "--seed", "7", "--out-prefix", "{out}/k"],
+    ["kam-run", "--d", "2", "--radius", "1", "--eps", "1e-6", "--gamma",
+     "0.01", "--steps", "1", "--seed", "7", "--out-prefix", "{out}/k"],
+    ["measure", "--gamma", "0.05", "--trials", "200", "--out",
+     "{out}/m.csv"],
+], ids=["kam_exact", "kam_d2", "measure"])
+def test_the_program_checks_no_tuple_key(tmp_path, monkeypatch, argv):
+    # the program packs the Hamiltonians it builds: only a document read
+    # back goes through the constructor's key check, in full
+    calls = []
+    check_key = hamiltonian._check_key
+
+    def counting(key, params):
+        calls.append(key)
+        return check_key(key, params)
+
+    monkeypatch.setattr(hamiltonian, "_check_key", counting)
+    assert run_cli(*[a.format(out=tmp_path) for a in argv]) == 0
+    assert calls == []
+    if argv[0] == "kam-run":
+        H = Hamiltonian.loads((tmp_path / "k.step0.json").read_text())
+        assert len(calls) == len(H) > 0
 
 
 def test_build_nls_into_missing_directory(tmp_path, capsys):

@@ -11,6 +11,7 @@ from nlskam import (
     ValidationError,
     class_split,
     divisor,
+    hamiltonian,
     homological_residual,
     linear_combine,
     run_suite,
@@ -344,16 +345,22 @@ def test_kam_steps_decode_only_the_small_divisor_key(monkeypatch):
 
 
 def test_lemma_suite_decodes_no_key(monkeypatch):
-    decoded = []
-    decode = _Layout.decode
+    # nor checks one: its draws are packed as they come
+    decoded, checked = [], []
+    decode, check_key = _Layout.decode, hamiltonian._check_key
 
     def counting(self, x):
         decoded.append(x)
         return decode(self, x)
 
+    def counting_checks(key, params):
+        checked.append(key)
+        return check_key(key, params)
+
     monkeypatch.setattr(_Layout, "decode", counting)
+    monkeypatch.setattr(hamiltonian, "_check_key", counting_checks)
     assert "gap" in {c.name for c in run_suite(samples_norm=20)}
-    assert decoded == []
+    assert decoded == checked == []
 
 
 def test_split_parts_are_collected_exactly_when_every_source_is():
