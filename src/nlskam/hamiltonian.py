@@ -49,9 +49,18 @@ The bracket kernel ``_bracket`` brackets two operands against a third in
 one pass: ``lie_transform`` calls it once per order on the G and E chains
 of a Lie series, and ``poisson_bracket`` with an empty second operand.
 It pairs a term of the two only with the terms of the third that share
-one of its modes, read from a per-call index of the third by mode, and
-visits them in the third's store order, then mode order, as a loop over
-all pairs would.
+one of its modes, and visits them in the third's store order, then mode
+order, as a loop over all pairs would.  It has two paths, chosen by size:
+operands of fewer than ``_NUMPY_MIN_PAIRS`` (1,300, the measured
+crossover) rows times terms of the third take ``_bracket_loop``, the
+reference, which reads the pairs from a per-call index of the third by
+mode; larger ones take ``_bracket_numpy``, which forms the same pairs as
+int arrays in blocks of ``_PAIR_BLOCK`` and sums them with numpy.  Both
+give the same keys, insertion order and bits: the numpy path forms each
+contribution with the interpreter's complex arithmetic, one separate,
+unfused ufunc call per real operation, and ``np.add.at`` adds each key's
+contributions in index order, the visiting order, from +0.0, as
+``acc.get(key, 0j) + v`` does.
 """
 
 from __future__ import annotations
@@ -62,8 +71,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import add, itemgetter, sub
+
+import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .lattice import (
@@ -87,6 +98,20 @@ _SELF = object()
 TAIL_TOL = 1e-30
 # The collect plan of every (k, k_bar) without a common mode.
 _NO_OVERLAP = ((0, None),)
+# ``_bracket`` takes its numpy path from this many rows times terms of B:
+# the measured crossover.  On the leading rows of the kam_d2 and
+# kam_exact brackets (2-vCPU x86_64 VM, best of 7, interleaved), loop
+# time over numpy time had its median at 0.78 for 700-850 pairs, 0.83 for
+# 850-1,000, 0.91 for 1,000-1,150, 0.96 for 1,150-1,300, 1.05 for
+# 1,300-1,600 and 1.15 for 1,600-2,000.  Whole calls of those workloads
+# read 0.42 below 700 and 1.84 at 1,300-1,600, and none falls between;
+# the lemma suite's brackets have at most 240 pairs.
+_NUMPY_MIN_PAIRS = 1300
+# Candidate pairs per block of the numpy path.  kam_d2's order-2 bracket
+# (784 rows, 60 terms of B) took 18.0 ms at 4,096, 16.0 at 8,192, 14.6
+# at 16,384 and 14.8 unblocked, with tracemalloc peaks of 2.3, 2.7, 3.6
+# and 10.6 MB; the loop's peak is 1.1 MB.
+_PAIR_BLOCK = 8192
 
 
 class _Memo(dict):
@@ -498,9 +523,9 @@ class Hamiltonian:
                 x = _box_product_key(ua, w, a, k, kb)
             acc[x] = acc.get(x, 0j) + c
         else:
+            _drop_below_floor(acc)
             H = cls.__new__(cls)
-            H._set(params, lay, {x: c for x, c in acc.items()
-                                 if not abs(c) < COEFF_FLOOR}, None)
+            H._set(params, lay, acc, None)
             return H
         terms = {lay.decode(x): v for x, v in acc.items()}
         for a, k, kb, c in chain([(a, k, kb, c)], products):
@@ -705,12 +730,22 @@ def _box_product_key(ua, w, a, k, kb) -> int:
 def _packed(like, acc, collected=False) -> Hamiltonian:
     """A Hamiltonian with ``like``'s params holding the packed-key sums
     ``acc``, less those below COEFF_FLOOR as the constructor drops them;
-    marked as its own collected form when ``collected``."""
+    marked as its own collected form when ``collected``.
+
+    ``acc`` becomes the store: it must be a dict no one else holds, as
+    every caller's fresh accumulator is.  Its below-floor keys are deleted
+    in place, which keeps the others' order, so no second dict of the
+    terms is built."""
+    _drop_below_floor(acc)
     H = Hamiltonian.__new__(Hamiltonian)
-    H._set(like.params, like._layout,
-           {x: c for x, c in acc.items() if not abs(c) < COEFF_FLOOR},
-           _SELF if collected else None)
+    H._set(like.params, like._layout, acc, _SELF if collected else None)
     return H
+
+
+def _drop_below_floor(acc) -> None:
+    """Delete the keys of dict ``acc`` whose sum is below COEFF_FLOOR."""
+    for x in [x for x, c in acc.items() if abs(c) < COEFF_FLOOR]:
+        del acc[x]
 
 
 def _json_list(items, depth) -> str:
@@ -844,25 +879,49 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
     the layout registered the modes.  Each result accumulates only from
     the rows that carry its coefficient, so each visits its own terms in
     its own order and holds exactly the keys, insertion order and sums of
-    its bracket computed alone.
+    its bracket computed alone.  Each contribution is c1 * c2 * 1j * f,
+    as a pair loop over all of B forms it, added to its key's sum, which
+    starts at 0j, in the visiting order.
 
-    A row meets only the terms of B that share one of its modes, through
-    a mode index of B built once per call: per mode m, B's terms whose
-    support holds m, in B's order.  A per-call memo keyed by (m,
-    (k_m, k_bar_m)) of the row holds that mode's plan: the indexed terms
-    whose factor f at m is nonzero, with their positions in B.  A row takes
-    the plans of its support modes, in mode order, and when more than one
-    is nonempty sorts their join stably by position, which restores the
-    visiting order above.  Each contribution is c1 * c2 * 1j * f, as a
-    pair loop over all of B forms it, so the results keep their bits.
+    ``_bracket_terms`` joins E's rows and probes the capacity for both
+    paths; then one of two paths forms the sums, chosen by size alone.
+    ``_bracket_loop``, the reference, takes operands of fewer than
+    ``_NUMPY_MIN_PAIRS`` (1,300, the measured crossover) rows times terms
+    of B, where numpy's fixed cost per call (about 0.25 ms) outweighs its
+    per-pair saving: every bracket of the lemma suite (at most 240) and
+    kam_d2's {N, F} (540).  ``_bracket_numpy`` takes the larger ones, such
+    as a Lie series' orders on kam_d2 (6,300 and 47,040).  It is exact:
+    each real operation of a contribution is a separate, unfused ufunc
+    call, as the interpreter does it, and ``np.add.at`` adds in index
+    order from +0.0, as ``acc.get(key, 0j) + v`` does.  Both return each
+    result as a dict in first-appearance order, and ``_packed`` drops its
+    keys below COEFF_FLOOR, so the results' keys, insertion order and bits
+    do not depend on the path; only a NaN's sign and payload may, which no
+    output shows.
+    """
+    outer, inner = _bracket_terms(A, B, E)
+    kernel = (_bracket_loop if len(outer) * len(inner) < _NUMPY_MIN_PAIRS
+              else _bracket_numpy)
+    acc, acc_e = kernel(A._layout, outer, inner)
+    return _packed(A, acc), _packed(A, acc_e)
 
-    Before accumulating anything, a capacity probe walks only the pairs
-    whose degree sum exceeds the cap, in the visiting order (rows outer,
-    B's terms inner), and raises CapacityError on the first contributing
-    one, before the index is built.  So the kernel raises exactly when a
-    contributing pair is over the cap and builds no partial result.  A's
-    rows come first, so the error names the pair {A, B} alone would name
-    if that raises, and else the one {E, B} alone would name.
+
+def _bracket_terms(A, B, E) -> tuple:
+    """The rows and B's terms of ``_bracket``, after the capacity probe.
+
+    Returns (outer, inner): per row (x1, e1, sup1, c1, ce, to_e), its key,
+    its (k_m, k_bar_m) by support mode, its support block, its
+    coefficient, E's coefficient of a joined row or None, and whether it
+    is an E-only row, whose c1 feeds {E, B}; per term of B, in B's order,
+    (x2, e2, sup2, d2, c2), d2 its degree.
+
+    Before anything is accumulated, the probe walks only the pairs whose
+    degree sum exceeds the cap, in the visiting order (rows outer, B's
+    terms inner), and raises CapacityError on the first contributing one.
+    So the kernel raises exactly when a contributing pair is over the cap
+    and builds no partial result.  A's rows come first, so the error names
+    the pair {A, B} alone would name if that raises, and else the one
+    {E, B} alone would name.
 
     No key is decoded: a term's exponents on its support, its support and
     its degree come from the layout's ``bracket_rows`` memo of its
@@ -873,13 +932,9 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
     A._assert_compatible(E)
     cap = A.params.degree_cap
     lay = A._layout
-    w, amask, degrees, uq = lay.w, lay.amask, lay.degrees, lay.uq
+    w, amask, degrees = lay.w, lay.amask, lay.degrees
     data, jlists = lay.bracket_rows, lay.jlists
     kkmask = amask | amask << w
-    acc, acc_e = {}, {}
-    # Rows (key, coefficient, result it accumulates into, E's coefficient
-    # or None): A's rows feed {A, B} and, when they carry E's coefficient,
-    # {E, B} too; E-only rows feed {E, B}.
     e_items = list(E._store.items())
     i = 0
     rows = []
@@ -888,8 +943,8 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
         if i < len(e_items) and e_items[i][0] == x:
             ce = e_items[i][1]
             i += 1
-        rows.append((x, c, acc, ce))
-    rows += [(x, c, acc_e, None) for x, c in e_items[i:]]
+        rows.append((x, c, ce, False))
+    rows += [(x, c, None, True) for x, c in e_items[i:]]
     # Per-term data of B and of the rows, two lookups per term: the row
     # memo of the key's (k, k_bar) gives exponents (k_m, k'_m) on the
     # support, the support block and deg k + deg k', and the a block's
@@ -900,11 +955,10 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
         e2, sup2, dk2 = data[x2 >> w & kkmask]
         inner.append((x2, e2, sup2, 2 * degrees[x2 & amask] + dk2, c2))
     # A nonempty common support needs d1, d2 >= 1, so only pairs with
-    # d1 + d2 >= 2 can contribute.  Each row is probed as it is built, so
-    # a raise on one of A's rows builds no E-only row.
+    # d1 + d2 >= 2 can contribute.
     max_d2 = max((row[3] for row in inner), default=0)
     outer = []
-    for x1, c1, sink, ce in rows:
+    for x1, c1, ce, to_e in rows:
         e1, sup1, dk1 = data[x1 >> w & kkmask]
         d1 = 2 * degrees[x1 & amask] + dk1
         if d1 + max_d2 - 2 > cap:
@@ -917,7 +971,24 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
                     if k1m * kb2m != kb1m * k2m:
                         raise CapacityError(
                             f"bracket degree {d1 + d2 - 2} exceeds cap {cap}")
-        outer.append((x1, e1, sup1, c1, sink, ce))
+        outer.append((x1, e1, sup1, c1, ce, to_e))
+    return outer, inner
+
+
+def _bracket_loop(lay, outer, inner) -> tuple:
+    """The sums ({A, B}, {E, B}) of ``_bracket``'s rows, pair by pair.
+
+    A row meets only the terms of B that share one of its modes, through
+    a mode index of B built once per call: per mode m, B's terms whose
+    support holds m, in B's order.  A per-call memo keyed by (m,
+    (k_m, k_bar_m)) of the row holds that mode's plan: the indexed terms
+    whose factor f at m is nonzero, with their positions in B.  A row takes
+    the plans of its support modes, in mode order, and when more than one
+    is nonempty sorts their join stably by position, which restores the
+    visiting order.
+    """
+    uq, jlists = lay.uq, lay.jlists
+    acc, acc_e = {}, {}
     # The mode index of B: per mode, the positions of B's terms whose
     # support holds the mode, in B's order.
     index = {}
@@ -931,7 +1002,8 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
     # A contributing mode m has k_m >= 1 and k'_m >= 1 in the merged
     # exponents, so subtracting one q_m qbar_m pair never borrows.
     plans = {}
-    for x1, e1, sup1, c1, sink, ce in outer:
+    for x1, e1, sup1, c1, ce, to_e in outer:
+        sink = acc_e if to_e else acc
         found = []
         for m in jlists[sup1]:
             e1m = e1[m]
@@ -966,7 +1038,256 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
             sink[key] = sink.get(key, 0j) + c1 * c2 * 1j * f
             if ce is not None:
                 acc_e[key] = acc_e.get(key, 0j) + ce * c2 * 1j * f
-    return _packed(A, acc), _packed(A, acc_e)
+    return acc, acc_e
+
+
+def _bracket_numpy(lay, outer, inner) -> tuple:
+    """``_bracket_loop``'s two sums, bit for bit, formed by numpy over
+    blocks of at most ``_PAIR_BLOCK`` candidate pairs.
+
+    The a, k and k_bar fields of the rows' and B's keys are read into
+    int arrays (``_key_fields``), over the modes they hold, in mode order.
+    Per mode, every row holding it in its support meets every term of B
+    holding it there, and the pairs with f != 0 are kept and ordered by
+    (row, B's position, mode): the visiting order.  A block holds whole
+    rows, so the blocks follow one another in that order.  A merged key is
+    coded exactly as an int: its fields in mixed radix, each field's radix
+    one more than the largest exponent a row plus a term of B can put
+    there, over as many int64 words as the radices need.  The code is
+    linear in the fields, so a pair's code is its row's code plus its
+    term's less the removed q_m qbar_m pair's, with no carry and no borrow.
+    A table shared by both results gives each code an id and makes its
+    packed key once, from a pair that forms it; each result numbers its
+    ids by first appearance and adds the contributions with ``np.add.at``.
+
+    Why this is exact.  CPython forms c1 * c2 * 1j * f as three complex
+    products, (c1 c2) 1j and then times f as the complex (f, 0), each
+    (a + bi)(c + di) as ac - bd and ad + bc; ``_contributions`` forms the
+    same real products and sums, each in its own ufunc call, so nothing is
+    fused or regrouped and every result rounds as the interpreter's does,
+    inf * 0 to the same nan included.  ``np.add.at`` adds in the order of
+    its indices, which is the visiting order, into sums that start at
+    +0.0, as ``acc.get(key, 0j) + v`` does.  Codes and fields are ints,
+    and no float matmul is used, so no BLAS is touched.
+    """
+    if not (outer and inner):
+        return {}, {}
+    row_keys, col_keys = [t[0] for t in outer], [t[0] for t in inner]
+    rows, cols = _key_fields(lay, row_keys), _key_fields(lay, col_keys)
+    held = np.flatnonzero(rows.any(axis=(0, 1)) | cols.any(axis=(0, 1)))
+    modes = sorted(held.tolist(), key=lay.modes.__getitem__)
+    nm = len(modes)
+    rows, cols = rows[:, :, modes], cols[:, :, modes]
+    # Each field's radix, then its place in its word: a word holds fields
+    # while the product of their radices is at most 2^63.
+    radix = (rows.max(axis=0) + cols.max(axis=0) + 1).ravel()
+    place, word = np.zeros(3 * nm, np.int64), np.zeros(3 * nm, np.intp)
+    nwords, span = 1, 1
+    for i, rdx in enumerate(radix.tolist()):
+        if rdx > 1:
+            if span * rdx > 1 << 63:
+                nwords, span = nwords + 1, 1
+            place[i], word[i] = span, nwords - 1
+            span *= rdx
+
+    def codes(fields):
+        # int64 products and sums below 2^63, so exact; an int matmul
+        # does not call BLAS
+        fields = fields.reshape(len(fields), -1)
+        return np.stack([fields[:, word == i] @ place[word == i]
+                         for i in range(nwords)], axis=1)
+
+    row_code, col_code = codes(rows), codes(cols)
+    # per mode, the q_m qbar_m pair a contributing pair removes
+    pair = np.eye(nm, dtype=np.int64)
+    q_code = codes(np.stack([0 * pair, pair, pair], axis=1))
+    # B's support incidences by mode, then position: per mode, a run.
+    run_mode, col_term = np.nonzero(((cols[:, 1] | cols[:, 2]) > 0).T)
+    col_k, col_kb = cols[col_term, 1, run_mode], cols[col_term, 2, run_mode]
+    run = np.bincount(run_mode, minlength=nm)
+    run_start = np.cumsum(run) - run
+    # The rows' incidences, by row, then mode; each meets its mode's run.
+    row_term, row_mode = np.nonzero((rows[:, 1] | rows[:, 2]) > 0)
+    row_k, row_kb = rows[row_term, 1, row_mode], rows[row_term, 2, row_mode]
+    meets = run[row_mode]
+    upto = np.concatenate(([0], np.cumsum(meets)))
+    row_end = np.searchsorted(row_term, np.arange(len(outer)), "right")
+    row_upto = upto[row_end]
+    # Coefficients: {A, B} takes A's rows, {E, B} the rows carrying E's
+    # coefficient, which is c1 on an E-only row.
+    c1 = np.array([t[3] for t in outer], complex)
+    ce = np.array([0j if t[4] is None else t[4] for t in outer], complex)
+    to_e = np.array([t[5] for t in outer], bool)
+    into_e = to_e | np.array([t[4] is not None for t in outer], bool)
+    c_e = np.where(to_e, c1, ce)
+    c2 = np.array([t[4] for t in inner], complex)
+    table = _CodeTable(row_keys, col_keys,
+                       [lay.uq[lay.modes[m]] for m in modes])
+    sums = _KeySums(), _KeySums()
+    with np.errstate(all="ignore"):
+        r0 = 0
+        while r0 < len(outer):
+            i0 = row_end[r0 - 1] if r0 else 0
+            # whole rows, as many as fit in a block, and at least one
+            r1 = max(int(np.searchsorted(row_upto, upto[i0] + _PAIR_BLOCK,
+                                         "right")), r0 + 1)
+            i1 = row_end[r1 - 1]
+            r0 = r1
+            inc = np.repeat(np.arange(i0, i1), meets[i0:i1])
+            col = np.arange(len(inc)) + np.repeat(
+                run_start[row_mode[i0:i1]] - (upto[i0:i1] - upto[i0]),
+                meets[i0:i1])
+            f = row_k[inc] * col_kb[col] - row_kb[inc] * col_k[col]
+            keep = np.flatnonzero(f)
+            n = len(keep)
+            if not n:
+                continue
+            inc, col, f = inc[keep], col[keep], f[keep]
+            row, pos, mode = row_term[inc], col_term[col], row_mode[inc]
+            # the visiting order: a row's pairs come in mode order, each
+            # mode's in B's order, so a stable sort by (row, position) keeps
+            # mode order among a pair's modes, and merges the runs fast
+            order = np.argsort((row - row[0]) * len(inner) + pos,
+                               kind="stable")
+            row, pos, mode = row[order], pos[order], mode[order]
+            f = f[order].astype(float)
+            code = row_code[row] + col_code[pos] - q_code[mode]
+            # the block's distinct codes, and each pair's among them
+            order = (np.argsort(code[:, 0]) if nwords == 1
+                     else np.lexsort(code.T[::-1]))
+            code = code[order]
+            head = np.empty(n, bool)
+            head[0] = True
+            np.any(code[1:] != code[:-1], axis=1, out=head[1:])
+            starts = np.flatnonzero(head)
+            group = np.empty(n, np.intp)
+            group[order] = np.cumsum(head) - 1
+            code = code[starts]
+            ids = table.number(code, order[starts], row, pos, mode)
+            for into, c, result in ((~to_e, c1, sums[0]),
+                                    (into_e, c_e, sums[1])):
+                feeds = into[row]
+                sel = np.flatnonzero(feeds)
+                if not len(sel):
+                    continue
+                # each code's first pair feeding this result, n if none
+                first = np.minimum.reduceat(
+                    np.where(feeds, np.arange(n), n)[order], starts)
+                result.add(ids, first < n, first, ids[group[sel]],
+                           _contributions(c[row[sel]], c2[pos[sel]], f[sel]))
+    table.ids = None                # the codes are done with; free them
+    return sums[0].result(table.keys), sums[1].result(table.keys)
+
+
+def _key_fields(lay, keys) -> np.ndarray:
+    """The a, k and k_bar fields of packed keys ``keys`` as an int64 array
+    of shape (len(keys), 3, len(lay.modes)), modes in registration order.
+
+    Each key is written as little-endian 64-bit words, with one spare word
+    for the fields that cross a word boundary; a field at bit s is
+    (word[s // 64] >> s % 64) | (word[s // 64 + 1] << 64 - s % 64), the
+    second shift done as two, since a shift by 64 is undefined in C.
+    """
+    w, nm = lay.w, len(lay.modes)
+    nwords = 4 * w * nm // 64 + 2
+    raw = b"".join(map(int.to_bytes, keys, repeat(8 * nwords),
+                       repeat("little")))
+    words = np.frombuffer(raw, "<u8").reshape(len(keys), nwords)
+    start = (4 * np.arange(nm) + np.arange(3)[:, None]) * w
+    low, shift = start // 64, (start % 64).astype(np.uint64)
+    fields = (words[:, low] >> shift) | (
+        (words[:, low + 1] << np.uint64(1)) << (np.uint64(63) - shift))
+    return (fields & np.uint64((1 << w) - 1)).astype(np.int64)
+
+
+def _contributions(c1, c2, f):
+    """c1 * c2 * 1j * f for complex arrays c1, c2 and float array f, as
+    CPython forms it: each complex product (a + bi)(c + di) as ac - bd and
+    ad + bc, left to right, f as the complex (f, 0), one ufunc call per
+    real operation."""
+    a, b, c, d = c1.real, c1.imag, c2.real, c2.imag
+    re, im = a * c - b * d, a * d + b * c
+    re, im = re * 0.0 - im * 1.0, re * 1.0 + im * 0.0
+    v = np.empty(len(f), complex)
+    v.real = re * f - im * 0.0
+    v.imag = re * 0.0 + im * f
+    return v
+
+
+class _CodeTable:
+    """The merged keys ``_bracket_numpy`` has met, one id each, numbered in
+    the order their codes are first seen, with their packed keys.
+
+    ``row_keys``, ``col_keys`` and ``pair_units`` are the packed keys of
+    the rows, of B's terms and ``uq`` by mode rank, from which a merged key
+    is made once, from a pair that forms it; both results share it.
+    """
+
+    def __init__(self, row_keys, col_keys, pair_units):
+        self.parts = row_keys, col_keys, pair_units
+        self.ids = {}               # a code, as an int or bytes -> its id
+        self.keys = []              # the packed key of each id
+
+    def number(self, codes, pairs, row, pos, mode) -> np.ndarray:
+        """The ids of a block's distinct codes (one row of int64 words
+        each), the new ones made from the pairs at ``pairs`` of the block's
+        (row, pos, mode) arrays."""
+        names = (codes[:, 0] if codes.shape[1] == 1 else codes.view(
+            np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel()
+        ).tolist()
+        ids = np.fromiter(map(self.ids.get, names, repeat(-1)), np.intp,
+                          len(names))
+        new = np.flatnonzero(ids < 0)
+        if len(new):
+            start, keys = len(self.keys), self.keys
+            ids[new] = np.arange(start, start + len(new))
+            self.ids.update(zip(map(names.__getitem__, new.tolist()),
+                                range(start, start + len(new))))
+            row_keys, col_keys, pair_units = self.parts
+            made = pairs[new]
+            keys += map(sub, map(add, map(row_keys.__getitem__,
+                                          row[made].tolist()),
+                                 map(col_keys.__getitem__, pos[made].tolist())),
+                        map(pair_units.__getitem__, mode[made].tolist()))
+        return ids
+
+
+class _KeySums:
+    """One result of ``_bracket_numpy``: the ids of its keys in order of
+    first appearance and their sums, which start at +0.0."""
+
+    def __init__(self):
+        self.slots = np.zeros(0, np.intp)   # by id: its slot, or -1
+        self.order = []                     # the ids, a block at a time
+        self.sums = np.zeros(0, complex)
+        self.n = 0
+
+    def add(self, ids, present, first, pair_ids, v):
+        """Add the contributions v, in order, to the sums of the keys
+        ``pair_ids``; ``ids`` are the block's codes' ids, ``present``
+        whether each feeds this result and ``first`` where it first does."""
+        top = ids.max() + 1
+        if top > len(self.slots):
+            self.slots = np.concatenate((self.slots, np.full(
+                max(top, 2 * len(self.slots)) - len(self.slots), -1)))
+        new = np.flatnonzero(present & (self.slots[ids] < 0))
+        if len(new):
+            new = ids[new[np.argsort(first[new])]]  # by first appearance
+            self.slots[new] = np.arange(self.n, self.n + len(new))
+            self.order.append(new)
+            self.n += len(new)
+            if self.n > len(self.sums):
+                grown = np.zeros(max(self.n, 2 * len(self.sums)), complex)
+                grown[:len(self.sums)] = self.sums
+                self.sums = grown
+        np.add.at(self.sums, self.slots[pair_ids], v)
+
+    def result(self, keys) -> dict:
+        """The sums by packed key (``keys`` by id), in order of first
+        appearance."""
+        ids = np.concatenate(self.order).tolist() if self.order else []
+        return dict(zip(map(keys.__getitem__, ids),
+                        self.sums[:self.n].tolist()))
 
 
 def prune(H: Hamiltonian, tol, ledger=None) -> Hamiltonian:

@@ -1,8 +1,11 @@
+import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import seed as hypothesis_seed
 from hypothesis import strategies as st
 
 from nlskam import (
@@ -15,9 +18,17 @@ from nlskam import (
     norm,
     poisson_bracket,
 )
-from nlskam.hamiltonian import _bracket
+from nlskam import hamiltonian
+from nlskam.cli import dispatch
+from nlskam.hamiltonian import (
+    _bracket,
+    _bracket_loop,
+    _bracket_numpy,
+    _bracket_terms,
+    key_layout,
+)
 from nlskam.lattice import conservation_check, mi_degree
-from nlskam.verification import random_hamiltonian
+from nlskam.verification import random_hamiltonian, run_suite
 
 from mi_helpers import mi_add, monomial, tuple_terms
 
@@ -421,3 +432,129 @@ def test_bracket_skips_a_zero_factor_before_the_key_is_made():
         ((), ((a, 1),), ((a, 2),), ()),
         ((), ((a, 1), (b, 2)), (), ()),
         ((), ((a, 1), (b, 1)), ((a, 1),), ())]
+
+
+# -- the kernel's two paths --------------------------------------------------
+
+def _raw(acc):
+    """A kernel path's sums in insertion order: packed key, and the hex of
+    each part, which tells a zero's sign; a NaN reads as nan whatever its
+    sign and payload, which x86 takes from whichever operand the compiled
+    code puts first, and which no output shows."""
+    return [(x, c.real.hex(), c.imag.hex()) for x, c in acc.items()]
+
+
+def _through_path(A, B, E, threshold):
+    """``_bracket(A, B, E)`` with the size rule's crossover at
+    ``threshold``: inf takes the loop, 0 the numpy path."""
+    with patch.object(hamiltonian, "_NUMPY_MIN_PAIRS", threshold):
+        try:
+            return [_bits(H) for H in _bracket(A, B, E)]
+        except CapacityError as e:
+            return str(e)
+
+
+@hypothesis_seed(41)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       box=st.sampled_from([(2, 2), (2, 1), (1, 2)]),
+       n_a=st.sampled_from([12, 4, 0]), n_b=st.sampled_from([12, 4, 0]),
+       e_rows=st.sampled_from(["none", "joined", "own"]),
+       offset=st.integers(-2, 1),
+       bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+       where=st.sampled_from(["A", "B", "E"]),
+       block=st.sampled_from([8192, 7, 1]))
+@settings(max_examples=200, deadline=None)
+def test_numpy_path_is_the_loop_bit_for_bit(seed, box, n_a, n_b, e_rows,
+                                           offset, bad, where, block):
+    # E's rows joined to A's, E's own rows after them, or no E; empty
+    # operands; caps at and just below the largest pair degree, so some
+    # draws raise; one operand scaled by nan or +-inf; at d=2 R=2 codes
+    # that mostly take two int64 words; and pair blocks of one row each,
+    # of a few rows, or of the whole call
+    d, radius = box
+    rng = np.random.default_rng(seed)
+    wide = HamParams(d=d, sigma=2.5, r=1.0, degree_cap=64, mode_radius=radius)
+
+    def draw(n):
+        if not n:
+            return Hamiltonian.zero(wide)
+        return random_hamiltonian(wide, rng, n_terms=n, max_actions=2,
+                                  max_factors=8 if radius == 2 else 6)
+
+    A, B = draw(n_a), draw(n_b)
+    E = {"none": Hamiltonian.zero(wide), "own": draw(5),
+         "joined": linear_combine(0.5, A, 1.0, draw(5))}[e_rows]
+    top = max(A.degree(), E.degree()) + B.degree() - 2
+    p = replace(wide, degree_cap=max(A.degree(), B.degree(), E.degree(),
+                                     top + offset))
+    ops = {name: Hamiltonian(p, tuple_terms(X)).expanded()
+           for name, X in (("A", A), ("B", B), ("E", E))}
+    if bad is not None:
+        ops[where] = ops[where].scale(bad)
+    A, B, E = ops["A"], ops["B"], ops["E"]
+    want = _through_path(A, B, E, math.inf)
+    with patch.object(hamiltonian, "_PAIR_BLOCK", block):
+        assert _through_path(A, B, E, 0) == want
+        if isinstance(want, str):
+            return
+        outer, inner = _bracket_terms(A, B, E)
+        lay = key_layout(A)
+        got = [_raw(acc) for acc in _bracket_numpy(lay, outer, inner)]
+    assert got == [_raw(acc) for acc in _bracket_loop(lay, outer, inner)]
+
+
+def test_numpy_path_codes_keys_over_two_words():
+    # d=2 R=2 operands whose merged fields need more than 63 bits
+    p = HamParams(d=2, sigma=2.5, r=1.0, degree_cap=64, mode_radius=2)
+    rng = np.random.default_rng(5)
+    F = random_hamiltonian(p, rng, n_terms=12, max_factors=8, max_actions=2)
+    G = random_hamiltonian(p, rng, n_terms=12, max_factors=8, max_actions=2)
+    E = linear_combine(0.5, F, 1.0, random_hamiltonian(p, rng, n_terms=6))
+    F, G, E = F.expanded(), G.expanded(), E.expanded()
+    want = _through_path(F, G, E, math.inf)
+    assert want[0] and want[1]
+    words = []
+    number = hamiltonian._CodeTable.number
+
+    def spy(table, codes, *pairs):
+        words.append(codes.shape[1])
+        return number(table, codes, *pairs)
+
+    with patch.object(hamiltonian._CodeTable, "number", spy):
+        assert _through_path(F, G, E, 0) == want
+    assert set(words) == {2}
+
+
+def _count_paths(monkeypatch):
+    """Record (path, rows, terms of B) for each call of a kernel path."""
+    calls = []
+    for name in ("_bracket_loop", "_bracket_numpy"):
+        def counted(lay, outer, inner, kernel=getattr(hamiltonian, name),
+                    path=name[len("_bracket_"):]):
+            calls.append((path, len(outer), len(inner)))
+            return kernel(lay, outer, inner)
+
+        monkeypatch.setattr(hamiltonian, name, counted)
+    return calls
+
+
+def _size_rule(rows, terms):
+    return "loop" if rows * terms < hamiltonian._NUMPY_MIN_PAIRS else "numpy"
+
+
+def test_kam_d2_takes_the_numpy_path_at_order_two(tmp_path, monkeypatch):
+    calls = _count_paths(monkeypatch)
+    assert dispatch(["kam-run", "--d", "2", "--radius", "1", "--eps", "1e-6",
+                     "--gamma", "0.01", "--steps", "1", "--seed", "7",
+                     "--out-prefix", str(tmp_path / "kam")]) == 0
+    # {N, F} for the residual, then the Lie series' orders 1 and 2
+    assert len(calls) == 3
+    assert calls[-1] == ("numpy", 784, 60)
+    assert all(path == _size_rule(rows, terms) for path, rows, terms in calls)
+
+
+def test_lemma_suite_brackets_take_the_loop(monkeypatch):
+    calls = _count_paths(monkeypatch)
+    run_suite(samples_norm=400)
+    assert len(calls) > 1000
+    assert {path for path, _, _ in calls} == {"loop"}

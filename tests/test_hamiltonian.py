@@ -31,7 +31,7 @@ from nlskam import (
 )
 from nlskam import driver
 from nlskam.cli import dispatch
-from nlskam.hamiltonian import _LAYOUTS
+from nlskam.hamiltonian import _LAYOUTS, _packed
 from nlskam.lattice import _mode_sort_key, mi
 from nlskam.nls import NlsConfig, build_cubic_nls
 from nlskam.verification import (
@@ -1078,3 +1078,15 @@ def test_vf_sup_norm_of_a_zero_field_under_a_huge_weight():
     x = {m: 0j for m in p.box_modes()}
     assert 6.0 * p.weight((0,)) > 709.8
     assert vf_sup_norm(H, x, 6.0) == 0.0
+
+
+def test_an_ops_store_is_its_accumulator_less_the_floor(params):
+    # below-floor keys are deleted in place, so the kept keys keep their
+    # order and no second dict of the terms is made
+    like = Hamiltonian.zero(params)
+    acc = {5: 1j, 3: 1e-301 + 0j, 9: complex(math.nan, 0.0), 1: -1e-300 + 0j,
+           7: 0j, 2: 2.0 + 0j}
+    H = _packed(like, acc)
+    assert H._store is acc
+    assert list(acc) == [5, 9, 1, 2]
+    assert acc[1] == -1e-300 and acc[2] == 2.0
