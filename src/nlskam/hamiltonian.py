@@ -48,13 +48,12 @@ and ``term_blocks`` yields them.
 The bracket kernel ``_bracket`` brackets two operands against a third in
 one pass: ``lie_transform`` calls it once per order on the G and E chains
 of a Lie series, and ``poisson_bracket`` with an empty second operand.
-It pairs a term of the two only with the terms of the third that share
-one of its modes, and visits them in the third's store order, then mode
-order, as a loop over all pairs would.  It has two paths, chosen by size:
-operands of fewer than ``_NUMPY_MIN_PAIRS`` (1,300, the measured
-crossover) rows times terms of the third take ``_bracket_loop``, the
-reference, which reads the pairs from a per-call index of the third by
-mode; larger ones take ``_bracket_numpy``, which forms the same pairs as
+A term of the two meets the terms of the third in the third's store
+order, and each pair its common modes in mode order.  It has two paths,
+chosen by size: operands of fewer than ``_NUMPY_MIN_PAIRS`` (1,000, the
+measured crossover) rows times terms of the third take
+``_bracket_loop``, the reference, a plain loop over the pairs; larger
+ones take ``_bracket_numpy``, which forms the pairs that share a mode as
 int arrays in blocks of ``_PAIR_BLOCK`` and sums them with numpy.  Both
 give the same keys, insertion order and bits: the numpy path forms each
 contribution with the interpreter's complex arithmetic, one separate,
@@ -72,7 +71,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 import numpy as np
 
@@ -99,14 +98,16 @@ TAIL_TOL = 1e-30
 # The collect plan of every (k, k_bar) without a common mode.
 _NO_OVERLAP = ((0, None),)
 # ``_bracket`` takes its numpy path from this many rows times terms of B:
-# the measured crossover.  On the leading rows of the kam_d2 and
-# kam_exact brackets (2-vCPU x86_64 VM, best of 7, interleaved), loop
-# time over numpy time had its median at 0.78 for 700-850 pairs, 0.83 for
-# 850-1,000, 0.91 for 1,000-1,150, 0.96 for 1,150-1,300, 1.05 for
-# 1,300-1,600 and 1.15 for 1,600-2,000.  Whole calls of those workloads
-# read 0.42 below 700 and 1.84 at 1,300-1,600, and none falls between;
-# the lemma suite's brackets have at most 240 pairs.
-_NUMPY_MIN_PAIRS = 1300
+# the measured crossover.  On the leading rows of every bracket of
+# kam_d2 (seeds 0-3) and kam_exact (pool seeds 0, 1), on a 2-vCPU x86_64
+# VM, best of 7, interleaved, the plain pair loop's time over numpy's had
+# its median at 0.77 for 500-700 pairs, 0.89 for 700-850, 1.01 for
+# 850-1,000, 1.10 for 1,000-1,150 and 1.32 for 1,300-1,600 on kam_d2's
+# rows, and at 1.00 for 300-500 pairs up to 2.08 for 1,300-1,600 on
+# kam_exact's denser d=1 rows.  Over all 20 pool seeds of each workload
+# no call has between 540 and 1,428 pairs; the lemma suite's brackets
+# have at most 240.
+_NUMPY_MIN_PAIRS = 1000
 # Candidate pairs per block of the numpy path.  kam_d2's order-2 bracket
 # (784 rows, 60 terms of B) took 18.0 ms at 4,096, 16.0 at 8,192, 14.6
 # at 16,384 and 14.8 unblocked, with tracemalloc peaks of 2.3, 2.7, 3.6
@@ -263,7 +264,8 @@ class _Layout:
     algebra per term: ``expands`` maps a J block to the (key offset,
     negate) pairs of its J-expansion, ``collects`` a kk int to the (key
     offset, integer factor or None) pairs of its J-collection (every
-    (k, k_bar) without a common mode shares one plan), and
+    (k, k_bar) without a common mode shares one plan, which ``overlap``
+    finds from the bits, before any decode), and
     ``bracket_rows`` a kk int to a bracket row's data: its (k_m, k_bar_m)
     by support mode, its support as a block with exponent 1 per mode (the
     sum of ``ua`` over it), and deg k + deg k_bar.
@@ -330,12 +332,12 @@ class _Layout:
             supports.  Only an L = 2 branch takes a factor, and it leaves
             L < 2, so an output takes at most one.
             """
+            if not self.overlap(kk):
+                return _NO_OVERLAP
             k, kb = split(kk)
             kbd = dict(kb)
             overlap = sorted((m for m, _ in k if m in kbd),
                              key=_mode_sort_key)
-            if not overlap:
-                return _NO_OVERLAP
             kd = dict(k)
             # Partial plans (offset, factor, J-degree left), expanded mode
             # by mode, each into its branches in order: the final list is
@@ -403,6 +405,19 @@ class _Layout:
             self.uq[mode] = (u << w) + (u << (2 * w))
             self.amask += ((1 << w) - 1) * u
         return u
+
+    def overlap(self, kk) -> int:
+        """The modes that both blocks of kk int ``kk`` hold, as a block
+        with exponent 1 per mode (the sum of their ``ua``), read from the
+        bits without a decode: each w-bit field is folded onto its low bit
+        (w - 1 shifts and ORs), and the k fields' low bits are ANDed with
+        the k_bar fields'."""
+        w = self.w
+        fold = kk
+        for s in range(1, w):
+            fold |= kk >> s
+        # amask is the all-ones field times the sum of ua
+        return fold & fold >> w & self.amask // ((1 << w) - 1)
 
     def pack(self, key) -> int:
         """The packed int of canonical in-cap key ``key``."""
@@ -885,19 +900,20 @@ def _bracket(A: Hamiltonian, B: Hamiltonian, E: Hamiltonian) -> tuple:
 
     ``_bracket_terms`` joins E's rows and probes the capacity for both
     paths; then one of two paths forms the sums, chosen by size alone.
-    ``_bracket_loop``, the reference, takes operands of fewer than
-    ``_NUMPY_MIN_PAIRS`` (1,300, the measured crossover) rows times terms
-    of B, where numpy's fixed cost per call (about 0.25 ms) outweighs its
-    per-pair saving: every bracket of the lemma suite (at most 240) and
-    kam_d2's {N, F} (540).  ``_bracket_numpy`` takes the larger ones, such
-    as a Lie series' orders on kam_d2 (6,300 and 47,040).  It is exact:
-    each real operation of a contribution is a separate, unfused ufunc
-    call, as the interpreter does it, and ``np.add.at`` adds in index
-    order from +0.0, as ``acc.get(key, 0j) + v`` does.  Both return each
-    result as a dict in first-appearance order, and ``_packed`` drops its
-    keys below COEFF_FLOOR, so the results' keys, insertion order and bits
-    do not depend on the path; only a NaN's sign and payload may, which no
-    output shows.
+    ``_bracket_loop``, the reference, a plain loop over the pairs, takes
+    operands of fewer than ``_NUMPY_MIN_PAIRS`` (1,000, the measured
+    crossover) rows times terms of B, where numpy's fixed cost per call
+    (about 0.25 ms) outweighs its per-pair saving: every bracket of the
+    lemma suite (at most 240), and the smallest of kam_exact (70 and 406
+    pairs) and of kam_d2 (540).  ``_bracket_numpy`` takes the larger
+    ones, such as a Lie series' orders on kam_d2 (6,300 and 47,040).  It
+    is exact: each real operation of a contribution is a separate,
+    unfused ufunc call, as the interpreter does it, and ``np.add.at`` adds
+    in index order from +0.0, as ``acc.get(key, 0j) + v`` does.  Both
+    return each result as a dict in first-appearance order, and
+    ``_packed`` drops its keys below COEFF_FLOOR, so the results' keys,
+    insertion order and bits do not depend on the path; only a NaN's sign
+    and payload may, which no output shows.
     """
     outer, inner = _bracket_terms(A, B, E)
     kernel = (_bracket_loop if len(outer) * len(inner) < _NUMPY_MIN_PAIRS
@@ -976,68 +992,28 @@ def _bracket_terms(A, B, E) -> tuple:
 
 
 def _bracket_loop(lay, outer, inner) -> tuple:
-    """The sums ({A, B}, {E, B}) of ``_bracket``'s rows, pair by pair.
-
-    A row meets only the terms of B that share one of its modes, through
-    a mode index of B built once per call: per mode m, B's terms whose
-    support holds m, in B's order.  A per-call memo keyed by (m,
-    (k_m, k_bar_m)) of the row holds that mode's plan: the indexed terms
-    whose factor f at m is nonzero, with their positions in B.  A row takes
-    the plans of its support modes, in mode order, and when more than one
-    is nonempty sorts their join stably by position, which restores the
-    visiting order.
-    """
+    """The sums ({A, B}, {E, B}) of ``_bracket``'s rows, pair by pair: each
+    row meets B's terms in B's order, and each pair its common modes in
+    mode order."""
     uq, jlists = lay.uq, lay.jlists
     acc, acc_e = {}, {}
-    # The mode index of B: per mode, the positions of B's terms whose
-    # support holds the mode, in B's order.
-    index = {}
-    for pos, term in enumerate(inner):
-        for m in term[1]:
-            index.setdefault(m, []).append(pos)
-    # A row's plan at mode m depends only on (m, (k_m, k'_m)): B's terms
-    # with a nonzero factor f there, as columns of position, key offset,
-    # coeff and f.  Columns, not a tuple per term: plans live for the
-    # call, and a tuple each would add to the cyclic collector's work.
     # A contributing mode m has k_m >= 1 and k'_m >= 1 in the merged
     # exponents, so subtracting one q_m qbar_m pair never borrows.
-    plans = {}
     for x1, e1, sup1, c1, ce, to_e in outer:
         sink = acc_e if to_e else acc
-        found = []
-        for m in jlists[sup1]:
-            e1m = e1[m]
-            plan = plans.get((m, e1m))
-            if plan is None:
-                k1m, kb1m = e1m
-                uqm = uq[m]
-                plan = plans[m, e1m] = ([], [], [], [])
-                poss, ys, cs, fs = plan
-                for pos in index.get(m, ()):
-                    x2, e2, _, _, c2 = inner[pos]
-                    k2m, kb2m = e2[m]
-                    f = k1m * kb2m - kb1m * k2m
-                    if f:
-                        poss.append(pos)
-                        ys.append(x2 - uqm)
-                        cs.append(c2)
-                        fs.append(f)
-            if plan[0]:
-                found.append(plan)
-        if not found:
-            continue
-        if len(found) == 1:
-            seq = zip(*found[0])
-        else:
-            # B's order, then mode order: a stable sort by position of the
-            # plans joined in mode order
-            seq = sorted(chain.from_iterable(zip(*p) for p in found),
-                         key=itemgetter(0))
-        for _, y, c2, f in seq:
-            key = x1 + y
-            sink[key] = sink.get(key, 0j) + c1 * c2 * 1j * f
-            if ce is not None:
-                acc_e[key] = acc_e.get(key, 0j) + ce * c2 * 1j * f
+        for x2, e2, sup2, _, c2 in inner:
+            common = sup1 & sup2
+            if not common:
+                continue
+            for m in jlists[common]:
+                k1m, kb1m = e1[m]
+                k2m, kb2m = e2[m]
+                f = k1m * kb2m - kb1m * k2m
+                if f:
+                    key = x1 + x2 - uq[m]
+                    sink[key] = sink.get(key, 0j) + c1 * c2 * 1j * f
+                    if ce is not None:
+                        acc_e[key] = acc_e.get(key, 0j) + ce * c2 * 1j * f
     return acc, acc_e
 
 
@@ -1186,7 +1162,9 @@ def _key_fields(lay, keys) -> np.ndarray:
     Each key is written as little-endian 64-bit words, with one spare word
     for the fields that cross a word boundary; a field at bit s is
     (word[s // 64] >> s % 64) | (word[s // 64 + 1] << 64 - s % 64), the
-    second shift done as two, since a shift by 64 is undefined in C.
+    second shift done as two, since a shift by 64 is undefined in C.  Both
+    halves are shifted, joined and masked in place, so the one temporary
+    beside the result is the high halves, of the result's size.
     """
     w, nm = lay.w, len(lay.modes)
     nwords = 4 * w * nm // 64 + 2
@@ -1195,9 +1173,16 @@ def _key_fields(lay, keys) -> np.ndarray:
     words = np.frombuffer(raw, "<u8").reshape(len(keys), nwords)
     start = (4 * np.arange(nm) + np.arange(3)[:, None]) * w
     low, shift = start // 64, (start % 64).astype(np.uint64)
-    fields = (words[:, low] >> shift) | (
-        (words[:, low + 1] << np.uint64(1)) << (np.uint64(63) - shift))
-    return (fields & np.uint64((1 << w) - 1)).astype(np.int64)
+    fields = words[:, low]
+    fields >>= shift
+    high = words[:, low + 1]
+    high <<= np.uint64(1)
+    high <<= np.uint64(63) - shift
+    fields |= high
+    del high
+    fields &= np.uint64((1 << w) - 1)
+    # each field is below 2^w, so its int64 view is its value
+    return fields.view(np.int64)
 
 
 def _contributions(c1, c2, f):

@@ -14,6 +14,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -136,14 +137,14 @@ def _log_superadditivity(case, hp):
     sigma = hp.sigma
     c = case.params["c"]
     rng = np.random.default_rng(case.seed)
+    # y = c e^u and x = e^v y; the first sample is the draw (0, 0), the
+    # corner y = c, x = y, which is the tight spot
+    draws = chain([(0.0, 0.0)], _uniform_pairs(rng, 0.0, math.log(1e6),
+                                                case.samples - 1))
     margins = []
-    for i in range(case.samples):
-        if i == 0:
-            y, t = c, 1.0  # the corner is the tight spot
-        else:
-            y = c * math.exp(rng.uniform(0.0, math.log(1e6)))
-            t = math.exp(rng.uniform(0.0, math.log(1e6)))
-        x = t * y
+    for u, v in draws:
+        y = c * math.exp(u)
+        x = math.exp(v) * y
         margins.append(math.log(x) ** sigma + 0.5 * math.log(y) ** sigma
                        - math.log(x + y) ** sigma)
     _tally(case, margins)
@@ -371,9 +372,10 @@ def _draws(params, rng, n_terms, max_factors, max_actions):
     the box.  Fewer draws come after 1000 * n_terms tries.
 
     Each bounded int is the one a scalar ``rng.integers`` call would give
-    (``_bounded``), at less than half its cost: 0.52 against 1.15 us a
-    draw in process on a 2-vCPU x86_64 VM, of which 0.31 us is the bit
-    generator's ``next_uint32``.  The lock is held over a draw's ints as
+    (``_bounded``), at less than half its cost: 0.30 against 0.69 us a
+    draw in process on a 2-vCPU x86_64 VM (best of 9 runs of 200,000
+    draws from 25), of which 0.11 us is the bit generator's
+    ``next_uint32``.  The lock is held over a draw's ints as
     Generator holds it over an array draw.  ``rng.random()`` shares their
     stream and its uint32 buffer: it is uniform(0, 1) bit for bit, and
     2 pi random() is uniform(0, 2 pi).  Bad factor or action counts raise
@@ -387,8 +389,7 @@ def _draws(params, rng, n_terms, max_factors, max_actions):
     modes = params.box_modes()
     n_modes = len(modes)
     bits = rng.bit_generator
-    draw = functools.partial(_bounded, bits.ctypes.next_uint32,
-                             bits.ctypes.state)
+    draw = _int_draw(bits)
     kept = 0
     guard = 0
     while kept < n_terms and guard < 1000 * n_terms:
@@ -436,12 +437,48 @@ def _bounded(next_uint32, state, n) -> int:
     return m >> 32
 
 
+def _int_draw(bits):
+    """``_bounded`` on bit generator ``bits``' uint32 stream: called with
+    n, under ``bits.lock``, it draws what ``Generator.integers(0, n)``
+    would."""
+    return functools.partial(_bounded, bits.ctypes.next_uint32,
+                             bits.ctypes.state)
+
+
+def _uniform(rng, lo, hi) -> float:
+    """``rng.uniform(lo, hi)``, bit for bit, and with the same draws:
+    ``Generator.uniform`` forms lo + (hi - lo) * next_double, and
+    ``random()`` is next_double.  It costs 0.23 against 0.72 us a draw
+    (in process, 2-vCPU x86_64 VM, best of 9 runs of 200,000)."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _uniform_pairs(rng, lo, hi, n):
+    """Yield n pairs of ``rng.uniform(lo, hi)`` draws, in draw order.
+
+    An array draw fills in the order of scalar draws, and its values are
+    theirs bit for bit.  The pairs come from arrays of at most 2,048
+    values, so no list of all of them is held at once.
+    """
+    while n > 0:
+        size = min(n, 1024)
+        n -= size
+        yield from rng.uniform(lo, hi, size=(size, 2)).tolist()
+
+
 def random_state(params: HamParams, rng, rho):
-    """Random state with sup_n |q_n| e^{rho w(n)} <= 1."""
+    """Random state with sup_n |q_n| e^{rho w(n)} <= 1.
+
+    Each mode, in box order, takes a magnitude factor u and a phase
+    2 pi v, (u, v) the next two of one ``rng.random`` array: the values
+    of scalar ``uniform(0, 1)`` and ``uniform(0, 2 pi)`` draws.
+    """
+    modes = params.box_modes()
+    u = rng.random(2 * len(modes)).tolist()
     out = {}
-    for m in params.box_modes():
-        mag = rng.uniform(0.0, 1.0) * math.exp(-rho * params.weight(m))
-        phase = rng.uniform(0.0, 2.0 * math.pi)
+    for m, mag, phase in zip(modes, u[0::2], u[1::2]):
+        mag *= math.exp(-rho * params.weight(m))
+        phase *= 2.0 * math.pi
         out[m] = mag * complex(math.cos(phase), math.sin(phase))
     return out
 
@@ -497,8 +534,8 @@ def log_transfer_up_constant(d, sigma, delta):
 
 def _check_monotonicity(rng, hp, p):
     H = random_hamiltonian(hp, rng)
-    rho = rng.uniform(0.0, 0.4)
-    delta = rng.uniform(0.0, 0.4)
+    rho = _uniform(rng, 0.0, 0.4)
+    delta = _uniform(rng, 0.0, 0.4)
     lhs = norm(H, "star_rho", rho + delta)
     rhs = norm(H, "star_rho", rho)
     return (rhs - lhs) / max(rhs, 1e-300)
@@ -507,7 +544,7 @@ def _check_monotonicity(rng, hp, p):
 def _check_submultiplicativity(rng, hp, p):
     H1 = random_hamiltonian(hp, rng, n_terms=4)
     H2 = random_hamiltonian(hp, rng, n_terms=4)
-    rho = rng.uniform(0.0, 0.5)
+    rho = _uniform(rng, 0.0, 0.5)
     lhs = norm(multiply(H1, H2), "star_rho", rho)
     rhs = norm(H1, "star_rho", rho) * norm(H2, "star_rho", rho)
     return (rhs - lhs) / max(rhs, 1e-300)
@@ -515,8 +552,8 @@ def _check_submultiplicativity(rng, hp, p):
 
 def _check_transfer_up(rng, hp, p):
     H = random_hamiltonian(hp, rng)
-    rho = rng.uniform(0.0, 0.3)
-    delta = rng.uniform(0.05, 0.3)
+    rho = _uniform(rng, 0.0, 0.3)
+    delta = _uniform(rng, 0.05, 0.3)
     log_lhs = _log(norm(H, "plus_rho", rho + delta))
     log_rhs = (log_transfer_up_constant(hp.d, hp.sigma, delta)
                + _log(norm(H, "sup_rho", rho)))
@@ -525,8 +562,8 @@ def _check_transfer_up(rng, hp, p):
 
 def _check_transfer_down(rng, hp, p):
     H = random_hamiltonian(hp, rng)
-    rho = rng.uniform(0.0, 0.3)
-    delta = rng.uniform(0.05, 0.3)
+    rho = _uniform(rng, 0.0, 0.3)
+    delta = _uniform(rng, 0.05, 0.3)
     lhs = norm(H, "sup_rho", rho + delta)
     rhs = (64.0 / (math.e ** 2 * delta ** 2)) * norm(H, "plus_rho", rho)
     return (rhs - lhs) / max(rhs, 1e-300)
@@ -552,10 +589,10 @@ def bracket_bound(H1, H2, rho, delta1, delta2):
 def _check_bracket_bound(rng, hp, p):
     H1 = random_hamiltonian(hp, rng, n_terms=4)
     H2 = random_hamiltonian(hp, rng, n_terms=4)
-    rho = rng.uniform(0.05, 0.15)
+    rho = _uniform(rng, 0.05, 0.15)
     dmax = min(rho / 4.0, 3.0 - 2.0 * math.sqrt(2.0))
-    d1 = rng.uniform(0.2 * dmax, 0.96 * dmax)
-    d2 = rng.uniform(0.2 * dmax, 0.96 * dmax)
+    d1 = _uniform(rng, 0.2 * dmax, 0.96 * dmax)
+    d2 = _uniform(rng, 0.2 * dmax, 0.96 * dmax)
     _, log_lhs, log_rhs = bracket_bound(H1, H2, rho, d1, d2)
     # both sides -inf: 0 <= C * 0 holds with equality
     return 0.0 if log_rhs == log_lhs else log_rhs - log_lhs
@@ -573,12 +610,15 @@ def _check_vector_field(rng, hp, p):
 def _check_second_derivative(rng, hp, p):
     H = random_hamiltonian(hp, rng)
     modes = hp.box_modes()
-    m = tuple(modes[rng.integers(0, len(modes))])
-    l = tuple(modes[rng.integers(0, len(modes))])
-    rho = rng.uniform(0.0, 0.3)
-    delta = rng.uniform(0.05, 0.3)
-    D = second_partial(H, m, l, bool(rng.integers(0, 2)),
-                       bool(rng.integers(0, 2)))
+    bits = rng.bit_generator
+    draw = _int_draw(bits)
+    with bits.lock:
+        m, l = modes[draw(len(modes))], modes[draw(len(modes))]
+    rho = _uniform(rng, 0.0, 0.3)
+    delta = _uniform(rng, 0.05, 0.3)
+    with bits.lock:
+        conj_m, conj_l = bool(draw(2)), bool(draw(2))
+    D = second_partial(H, m, l, conj_m, conj_l)
     log_lhs = _log(norm(D, "star_rho", rho + delta))
     log_rhs = (log_second_derivative_constant(hp.d, hp.sigma, delta)
                + _log(norm(H, "sup_rho", rho)))
@@ -588,8 +628,8 @@ def _check_second_derivative(rng, hp, p):
 def _check_flow_bound(rng, hp, p):
     H = random_hamiltonian(hp, rng, n_terms=4)
     F = random_hamiltonian(hp, rng, n_terms=3).scale(p.get("f_scale", 1e-4))
-    rho = rng.uniform(0.05, 0.15)
-    delta = rng.uniform(0.2 * rho, 0.9 * rho)
+    rho = _uniform(rng, 0.05, 0.15)
+    delta = _uniform(rng, 0.2 * rho, 0.9 * rho)
     HE = H.expanded()
     series = lie_transform(HE, HE, F, order_cap=4)
     if not series.decays:

@@ -14,6 +14,12 @@ The default lemma suite's CSV (seconds written as 0), recorded before
 the per-params lookups moved into the key layout.  Its margins are
 fixed by the random draws and by every norm's floating-point order, so
 a change to either moves them.
+
+The sha256 of the suite's CSV at 400 samples per norm lemma, as the
+lemmas benchmark workload runs it (seconds written as 0), at three
+seeds, recorded before the oracles' scalar draws moved from
+``Generator.uniform`` and ``Generator.integers`` to ``random()`` and the
+bit generator's uint32 stream.
 """
 
 import hashlib
@@ -21,6 +27,7 @@ import hashlib
 import pytest
 
 from nlskam.cli import dispatch
+from nlskam.verification import SUITE_CSV_SCHEMA, run_suite
 
 HEADER = ("s,rho,eps,r0_before,r1_before,r2_before,r0_after,r1_after,"
           "r2_after,min_divisor,deferred_mass,shift_magnitude,vf_proxy,"
@@ -110,3 +117,20 @@ def test_verify_lemmas_bytes_are_pinned(tmp_path, capsys):
     assert dispatch(["verify-lemmas", "--seed", "0", "--out", str(out)]) == 0
     assert capsys.readouterr() == ("", "")
     assert out.read_text() == LEMMA_CSV
+
+
+SUITE_SHA256 = {
+    0: "7437a4cf872b5e847ac542b137e34c0fee9647dbfce34b4e91703ac6671f1235",
+    3: "01792abe2aeffc55c75e292effe9e558421047ac56b1d1410a9070df57534863",
+    7: "56cb72083716aabd9dc90a0ba02aa8d83d653338a0aa2deafaee04d00c9d3880",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_SHA256))
+def test_lemma_suite_bytes_at_400_samples_are_pinned(seed):
+    cases = run_suite(samples_norm=400, seed=seed)
+    for c in cases:
+        c.seconds = 0.0
+    text = "\n".join([SUITE_CSV_SCHEMA, *(c.csv_row() for c in cases)])
+    assert hashlib.sha256(
+        (text + "\n").encode()).hexdigest() == SUITE_SHA256[seed]

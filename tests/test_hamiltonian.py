@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import seed as hypothesis_seed
 from hypothesis import strategies as st
 
 from nlskam import (
@@ -31,7 +32,7 @@ from nlskam import (
 )
 from nlskam import driver
 from nlskam.cli import dispatch
-from nlskam.hamiltonian import _LAYOUTS, _packed
+from nlskam.hamiltonian import _LAYOUTS, _NO_OVERLAP, _Layout, _packed
 from nlskam.lattice import _mode_sort_key, mi
 from nlskam.nls import NlsConfig, build_cubic_nls
 from nlskam.verification import (
@@ -570,6 +571,62 @@ def test_packed_kernels_of_low_degrees_under_a_large_cap(seed, d):
             _bits(w) for w in _ref_class_split(X)]
     for X, Y in ((H, R), (R, H), (H, H)):
         assert _bits(multiply(X, Y)) == _bits(_ref_multiply(X, Y))
+
+
+def _kk(lay, k, kb):
+    """The kk int of multi-indices k and k_bar: k in the a fields, k_bar in
+    the k fields."""
+    w, amask = lay.w, lay.amask
+    return lay.pack(((), k, kb, ())) >> w & (amask | amask << w)
+
+
+@hypothesis_seed(42)
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]),
+       cap=st.sampled_from([0, 1, 16, 63, 1000]))
+@settings(max_examples=200, deadline=None)
+def test_overlap_reads_the_common_modes_from_the_bits(data, d, cap):
+    # exponents up to the field's all-ones value, on boxes of 5, 9 and 27
+    # modes registered in a drawn order
+    p = HamParams(d=d, sigma=2.5, r=1.0, degree_cap=cap,
+                  mode_radius=2 if d == 1 else 1)
+    lay = _Layout(p)
+    box = list(p.box_modes())
+    for m in data.draw(st.permutations(box)):
+        lay.unit(m)
+    index = st.dictionaries(st.sampled_from(box),
+                            st.integers(1, (1 << lay.w) - 1))
+    k, kb = data.draw(index), data.draw(index)
+    got = lay.overlap(_kk(lay, mi(k.items()), mi(kb.items())))
+    assert got == sum(lay.ua[m] for m in k.keys() & kb.keys())
+
+
+def test_collect_plan_decodes_nothing_without_a_common_mode():
+    # a (k, k_bar) without a common mode takes the shared plan from the
+    # bits; one with a common mode decodes its two blocks
+    p = HamParams(d=2, sigma=2.5, r=1.0, degree_cap=16, mode_radius=1)
+    lay = _Layout(p)
+    for m in p.box_modes():
+        lay.unit(m)
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "decode_block":
+            calls.append(frame.f_code)
+
+    apart = _kk(lay, mi([((0, 1), 3), ((1, 0), 1)]), mi([((0, -1), 2)]))
+    shared = _kk(lay, mi([((0, 1), 3)]), mi([((0, 1), 2), ((1, 1), 1)]))
+    sys.setprofile(count)
+    try:
+        plan = lay.collects[apart]
+    finally:
+        sys.setprofile(None)
+    assert plan is _NO_OVERLAP and calls == []
+    sys.setprofile(count)
+    try:
+        plan = lay.collects[shared]
+    finally:
+        sys.setprofile(None)
+    assert plan is not _NO_OVERLAP and len(calls) == 2
 
 
 @pytest.mark.parametrize("cap,w", [(0, 1), (1, 2), (16, 6), (63, 7),

@@ -139,6 +139,120 @@ def test_bounded_draw_matches_generator_integers(n):
         assert len(used) > 300  # the rejection loop ran
 
 
+# The oracles' ranges, a signed one and the unit and 2 pi ranges of
+# random_state; 0.0048 and 0.023 are bracket_bound's delta range at rho 0.1
+@pytest.mark.parametrize("lo,hi", [
+    (0.0, 0.4), (0.0, 0.5), (0.0, 0.3), (0.05, 0.3), (0.05, 0.15),
+    (0.2 * 0.024, 0.96 * 0.024), (0.0, math.log(1e6)), (0.0, 1.0),
+    (0.0, 2.0 * math.pi), (-3.5, 1e3)])
+def test_uniform_is_generator_uniform_bit_for_bit(lo, hi):
+    got, want = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(2000):
+        assert (verification._uniform(got, lo, hi).hex()
+                == want.uniform(lo, hi).hex())
+    # the same draws: the next one matches too
+    assert got.random() == want.random()
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+def _reference_random_state(params, rng, rho):
+    out = {}
+    for m in params.box_modes():
+        mag = rng.uniform(0.0, 1.0) * math.exp(-rho * params.weight(m))
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        out[m] = mag * complex(math.cos(phase), math.sin(phase))
+    return out
+
+
+@pytest.mark.parametrize("d,radius", [(1, 2), (2, 1), (3, 1)])
+def test_random_state_matches_scalar_draws(d, radius):
+    params = HamParams(d=d, mode_radius=radius)
+    got, want = np.random.default_rng(3), np.random.default_rng(3)
+    for rho in (0.0, 0.1, 1.0):
+        x, y = random_state(params, got, rho), _reference_random_state(
+            params, want, rho)
+        assert list(x) == list(y)
+        assert [(v.real.hex(), v.imag.hex()) for v in x.values()] == [
+            (v.real.hex(), v.imag.hex()) for v in y.values()]
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+class _RecordingRng:
+    """A Generator that records each ``uniform``, ``integers`` and
+    ``random`` call as (name, size), size None for a scalar draw."""
+
+    # the positional index of each method's size argument
+    SIZE_AT = {"uniform": 2, "integers": 2, "random": 0}
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+        if name not in self.SIZE_AT:
+            return method
+
+        def recorded(*args, **kw):
+            at = self.SIZE_AT[name]
+            size = args[at] if len(args) > at else kw.get("size")
+            self._calls.append((name, size))
+            return method(*args, **kw)
+
+        return recorded
+
+
+def _record_draws(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: (
+        _RecordingRng(default_rng(seed), calls)))
+    return calls
+
+
+def _reference_superadditivity_margins(c, sigma, samples, seed):
+    rng = np.random.default_rng(seed)
+    margins = []
+    for i in range(samples):
+        if i == 0:
+            y, t = c, 1.0
+        else:
+            y = c * math.exp(rng.uniform(0.0, math.log(1e6)))
+            t = math.exp(rng.uniform(0.0, math.log(1e6)))
+        x = t * y
+        margins.append(math.log(x) ** sigma + 0.5 * math.log(y) ** sigma
+                       - math.log(x + y) ** sigma)
+    return margins
+
+
+# the corner alone, one draw pair, and each side of one and two arrays
+# of 1,024 pairs
+@pytest.mark.parametrize("samples", [1, 2, 1024, 1025, 1026, 2049, 2050])
+def test_log_superadditivity_matches_scalar_draws(monkeypatch, samples):
+    cases = ((1024.0, 2.5, 0), (51.2, 2.1, 9))
+    want = [_reference_superadditivity_margins(c, sigma, samples, seed)
+            for c, sigma, seed in cases]
+    tallied = []
+    monkeypatch.setattr(verification, "_tally",
+                        lambda case, margins: tallied.append(margins))
+    calls = _record_draws(monkeypatch)
+    for c, sigma, seed in cases:
+        verify_scalar_lemma("log_superadditivity", {"c": c, "sigma": sigma},
+                            samples=samples, seed=seed)
+    assert tallied == want
+    # array draws only, of at most 2,048 values each
+    assert all(name == "uniform" and size is not None
+               and math.prod(size) <= 2048 for name, size in calls)
+    assert sum(math.prod(size) for _, size in calls) == 4 * (samples - 1)
+
+
+def test_lemma_suite_makes_no_scalar_uniform_or_integers_draw(monkeypatch):
+    calls = _record_draws(monkeypatch)
+    run_suite(samples_norm=20)
+    assert ("uniform", None) not in calls
+    assert ("integers", None) not in calls
+    assert ("random", None) in calls
+
+
 def test_random_terms_refuse_bad_factor_counts():
     # numpy raised ValueError at the first draw, _bounded would divide by 0
     for kw in ({"max_factors": 1}, {"max_actions": -1}):
