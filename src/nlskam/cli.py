@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import stat
 import sys
 
 from .diophantine import (
@@ -61,19 +62,38 @@ class _Parser(argparse.ArgumentParser):
 def _write(path, doc):
     """Write ``doc``, a str or a Hamiltonian, to the file ``path`` or, for
     None or "-", to stdout, where it ends in a newline.  A Hamiltonian's
-    document is written term by term, by ``Hamiltonian.dump``."""
+    document is written term by term, by ``Hamiltonian.dump``.
+
+    A file at ``path`` is replaced by a new one with its permission bits
+    when it is a regular file, not a symlink, with no other link, owned by
+    us and writable by its owner: on ext4, truncating a freshly written
+    file, or renaming a file over it, flushes it to disk first, which made
+    a ``kam-run`` into an existing ``--out-prefix`` several times slower.
+    Any other target, such as /dev/null, a FIFO, a symlink or a read-only
+    file, is opened in place, so a file we may not write is refused.
+    """
     ham = isinstance(doc, Hamiltonian)
     emit = doc.dump if ham else (lambda fh: fh.write(doc))
     if path in (None, "-"):
         emit(sys.stdout)
         if ham or not doc.endswith("\n"):
             sys.stdout.write("\n")
-    else:
-        try:
-            with open(path, "w") as fh:
-                emit(fh)
-        except OSError as e:
-            raise ValidationError(f"cannot write {path}: {e}") from e
+        return
+    mode = 0o666                # open()'s own, less the umask
+    try:
+        st = os.lstat(path)
+        if (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                and st.st_uid == os.geteuid() and st.st_mode & stat.S_IWUSR):
+            os.unlink(path)
+            mode = stat.S_IMODE(st.st_mode)
+    except OSError:
+        pass                    # no file there, or it stays: open decides
+    try:
+        with open(path, "w",
+                  opener=lambda p, flags: os.open(p, flags, mode)) as fh:
+            emit(fh)
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from e
 
 
 def _read(path) -> str:

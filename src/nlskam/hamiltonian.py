@@ -462,8 +462,9 @@ class Hamiltonian:
         with magnitude below 1e-300 are dropped.  Each kept key's modes
         are registered in the layout of ``params``, which lives for the
         process.  Tuple keys come from documents and callers; the program's
-        own Hamiltonians (``_from_box_products``), the ops' results and
-        ``split_terms``' parts are built from packed keys, unchecked.
+        own Hamiltonians (``_from_box_products``, ``random_hamiltonian``),
+        the ops' results and ``split_terms``' parts are built from packed
+        keys, unchecked.
     """
 
     __slots__ = ("params", "_layout", "_store", "_expanded", "_collected")
@@ -510,7 +511,8 @@ class Hamiltonian:
         each (a, k, k_bar, c) that ``products`` yields to the sum of its
         c in yield order; a, k and k_bar are lists of ``params.box_modes()``
         tuples, one entry per factor, and c is finite.  The callers:
-        ``build_cubic_nls``, ``as_hamiltonian`` and ``random_hamiltonian``.
+        ``build_cubic_nls`` and ``as_hamiltonian``; ``random_hamiltonian``
+        packs its draws the same way, in its draw loop.
 
         No tuple key is built: each product in the cap is packed as it
         comes, the sum of its modes' units at the shifts of
@@ -520,30 +522,41 @@ class Hamiltonian:
         every NLS term at ``--eps 1e-320``) has its new modes registered
         all the same, which changes no output.  The modes are not checked:
         the box's are valid.  From the first product above the cap on, the
-        terms go through the constructor's checks, so it raises
-        CapacityError on the first kept term above the cap.
+        terms go through ``_from_sums``.
         """
-        lay = _LAYOUTS[params]
-        ua, w, cap = lay.ua, lay.w, params.degree_cap
+        lay, cap = _LAYOUTS[params], params.degree_cap
         acc = {}
         products = iter(products)
         for a, k, kb, c in products:
             if 2 * len(a) + len(k) + len(kb) > cap:
                 break
-            try:
-                x = _box_product_key(ua, w, a, k, kb)
-            except KeyError:
-                for m in chain(sorted(kb), sorted(k), sorted(a)):
-                    lay.unit(m)
-                x = _box_product_key(ua, w, a, k, kb)
+            x = _box_product_key(lay, a, k, kb)
             acc[x] = acc.get(x, 0j) + c
         else:
+            return cls._from_sums(params, acc)
+        return cls._from_sums(params, acc, chain([(a, k, kb, c)], products))
+
+    @classmethod
+    def _from_sums(cls, params, acc, over=None):
+        """The Hamiltonian of the packed-key sums ``acc`` in the layout of
+        ``params``, less those below COEFF_FLOOR; ``acc`` becomes the store,
+        so no one else may hold it.
+
+        ``over``, when given, holds the products from the first one above
+        ``degree_cap`` on, each (a, k, k_bar, c) as ``_from_box_products``
+        takes them.  Then ``acc``'s keys are decoded and every product of
+        ``over`` is added under its canonical key, in order, and the terms
+        go through the constructor's checks: it raises CapacityError on
+        the first kept term above the cap.
+        """
+        lay = _LAYOUTS[params]
+        if over is None:
             _drop_below_floor(acc)
             H = cls.__new__(cls)
             H._set(params, lay, acc, None)
             return H
         terms = {lay.decode(x): v for x, v in acc.items()}
-        for a, k, kb, c in chain([(a, k, kb, c)], products):
+        for a, k, kb, c in over:
             key = (mi((m, 1) for m in a), mi((m, 1) for m in k),
                    mi((m, 1) for m in kb), ())
             terms[key] = terms.get(key, 0j) + c
@@ -726,20 +739,28 @@ class Hamiltonian:
         return cls.from_terms(params, items)
 
 
-def _box_product_key(ua, w, a, k, kb) -> int:
-    """The packed key of the product of modes a, k and k_bar, each a list
-    with one entry per factor; KeyError if a mode is not registered."""
-    x = 0
-    # Horner's scheme over the blocks, as in ``_Layout.pack``
-    for m in kb:
-        x += ua[m]
-    x <<= w
-    for m in k:
-        x += ua[m]
-    x <<= w
-    for m in a:
-        x += ua[m]
-    return x
+def _box_product_key(lay, a, k, kb) -> int:
+    """The packed key in layout ``lay`` of the product of modes a, k and
+    k_bar, each a list with one entry per factor.  If a mode is new, the
+    product's new modes are registered first, in the order
+    ``_Layout.pack`` registers them: sorted k_bar, k, then a."""
+    ua = lay.ua
+    try:
+        x = 0
+        # Horner's scheme over the blocks, as in ``_Layout.pack``
+        for m in kb:
+            x += ua[m]
+        x <<= lay.w
+        for m in k:
+            x += ua[m]
+        x <<= lay.w
+        for m in a:
+            x += ua[m]
+        return x
+    except KeyError:
+        for m in chain(sorted(kb), sorted(k), sorted(a)):
+            lay.unit(m)
+        return _box_product_key(lay, a, k, kb)
 
 
 def _packed(like, acc, collected=False) -> Hamiltonian:

@@ -20,9 +20,11 @@ import numpy as np
 
 from .errors import CapacityError, DivergenceRiskError, ValidationError
 from .hamiltonian import (
+    _LAYOUTS,
     COEFF_FLOOR,
     HamParams,
     Hamiltonian,
+    _box_product_key,
     lie_transform,
     multiply,
     norm,
@@ -352,33 +354,42 @@ def verify_scalar_lemma(name, params=None, samples=None, seed=0) -> LemmaCase:
 
 def random_hamiltonian(params: HamParams, rng, n_terms=6, max_factors=4,
                        max_actions=1):
-    """Random momentum-conserving Hamiltonian with unit-disk coefficients,
-    the terms ``_draws`` yields, packed as they are drawn.  Raises
-    CapacityError on the first kept term above ``degree_cap``, as the
-    Hamiltonian constructor does.
+    """Random momentum-conserving Hamiltonian with unit-disk coefficients:
+    the terms ``_draws`` draws, packed into the layout of ``params`` as
+    they are drawn.  Once every term is drawn it raises CapacityError on
+    the first kept term above ``degree_cap``, as the Hamiltonian
+    constructor does.
     """
-    return Hamiltonian._from_box_products(
-        params, _draws(params, rng, n_terms, max_factors, max_actions))
+    acc, over = _draws(params, rng, n_terms, max_factors, max_actions,
+                       _LAYOUTS[params])
+    return Hamiltonian._from_sums(params, acc, over)
 
 
-def _draws(params, rng, n_terms, max_factors, max_actions):
-    """Yield up to n_terms random momentum-conserving draws (a, k, k_bar,
-    c): the action, q and qbar factors as lists of the box's own mode
-    tuples, one entry per factor, and a unit-disk coefficient.
+def _draws(params, rng, n_terms, max_factors, max_actions, lay=None):
+    """Draw up to n_terms random momentum-conserving terms, each an
+    action, a q and a qbar factor list and a unit-disk coefficient.
 
     Factors are drawn uniformly over the truncation box with mass split
     evenly between q and qbar factors; the momentum defect is repaired by
     moving the last q-factor, resampling when the repaired mode leaves
-    the box.  Fewer draws come after 1000 * n_terms tries.
+    the box.  Fewer terms come after 1000 * n_terms tries.
 
-    Each bounded int is the one a scalar ``rng.integers`` call would give
-    (``_bounded``), at less than half its cost: 0.30 against 0.69 us a
-    draw in process on a 2-vCPU x86_64 VM (best of 9 runs of 200,000
-    draws from 25), of which 0.11 us is the bit generator's
-    ``next_uint32``.  The lock is held over a draw's ints as
-    Generator holds it over an array draw.  ``rng.random()`` shares their
-    stream and its uint32 buffer: it is uniform(0, 1) bit for bit, and
-    2 pi random() is uniform(0, 2 pi).  Bad factor or action counts raise
+    Returns (acc, over).  With layout ``lay``, acc maps the packed key of
+    each kept term to the sum of its coefficients, in draw order, until
+    the first kept term above ``degree_cap``; a new mode of such a term is
+    registered as ``Hamiltonian._from_box_products`` registers it.  over
+    is None then, or lists that term and every later one as (a, k, k_bar,
+    c), a, k and k_bar lists of the box's mode tuples, one entry per
+    factor, as ``Hamiltonian._from_sums`` takes them.  Without a layout,
+    acc is empty and over lists every kept term.
+
+    The draws are those of ``Generator.integers(0, n)`` and
+    ``Generator.random()`` calls, from the same stream: a bounded int is
+    ``_bounded``'s, inline, where only a rejected word calls it, and a
+    double is the bit generator's next_double, which is what random()
+    returns and which leaves the uint32 buffer alone; 2 pi random() is
+    uniform(0, 2 pi).  The lock is held for the whole call, as Generator
+    holds it over an array draw.  Bad factor or action counts raise
     ValidationError before anything is drawn.
     """
     if max_factors < 2 or max_actions < 0:
@@ -386,39 +397,71 @@ def _draws(params, rng, n_terms, max_factors, max_actions):
                               f"max_actions >= 0, got {max_factors} and "
                               f"{max_actions}")
     rad, side = params.mode_radius, 2 * params.mode_radius + 1
+    cap = params.degree_cap
     modes = params.box_modes()
-    n_modes = len(modes)
     bits = rng.bit_generator
-    draw = _int_draw(bits)
-    kept = 0
-    guard = 0
-    while kept < n_terms and guard < 1000 * n_terms:
-        guard += 1
-        with bits.lock:
-            half = 1 + draw(max_factors // 2)
-            k = [modes[draw(n_modes)] for _ in range(half)]
-            kb = [modes[draw(n_modes)] for _ in range(half)]
-            a = [modes[draw(n_modes)] for _ in range(draw(max_actions + 1))]
-        # the momentum defect sum(k) - sum(kb) is linear in the modes; the
-        # repaired mode is the box's own tuple, at its mixed-radix index in
-        # the sorted box
-        idx = 0
-        for i, c in enumerate(k[-1]):
-            for m in k:
-                c -= m[i]
-            for m in kb:
-                c += m[i]
-            if not -rad <= c <= rad:
-                idx = -1
-                break
-            idx = idx * side + c + rad
-        if idx < 0:
-            continue
-        k[-1] = modes[idx]
-        radius = math.sqrt(rng.random())
-        phase = 2.0 * math.pi * rng.random()
-        kept += 1
-        yield a, k, kb, radius * complex(math.cos(phase), math.sin(phase))
+    word, double, state = (bits.ctypes.next_uint32, bits.ctypes.next_double,
+                           bits.ctypes.state)
+    # per range (q factors less one, modes, actions): its size, the low
+    # words that _bounded rejects, and where its words come from; a range
+    # of 1 draws nothing, and 0 * 1 >> 32 is its 0
+    nh, nm, na = max_factors // 2, len(modes), max_actions + 1
+    rh, rm, ra = ((0x100000000 - n) % n for n in (nh, nm, na))
+    wh, wm, wa = (word if n > 1 else _no_word for n in (nh, nm, na))
+    acc, over = {}, (None if lay else [])
+    kept = guard = 0
+    with bits.lock:
+        while kept < n_terms and guard < 1000 * n_terms:
+            guard += 1
+            x = wh(state) * nh
+            half = 1 + (x >> 32 if x & 0xFFFFFFFF >= rh
+                        else _bounded(word, state, nh))
+            q = []
+            for _ in range(2 * half):
+                x = wm(state) * nm
+                q.append(modes[x >> 32 if x & 0xFFFFFFFF >= rm
+                               else _bounded(word, state, nm)])
+            k, kb = q[:half], q[half:]
+            x = wa(state) * na
+            a = []
+            for _ in range(x >> 32 if x & 0xFFFFFFFF >= ra
+                           else _bounded(word, state, na)):
+                x = wm(state) * nm
+                a.append(modes[x >> 32 if x & 0xFFFFFFFF >= rm
+                               else _bounded(word, state, nm)])
+            # the momentum defect sum(k) - sum(kb) is linear in the modes;
+            # the repaired mode is the box's own tuple, at its mixed-radix
+            # index in the sorted box
+            i = 0
+            for j, c in enumerate(k[-1]):
+                for m in k:
+                    c -= m[j]
+                for m in kb:
+                    c += m[j]
+                if not -rad <= c <= rad:
+                    i = -1
+                    break
+                i = i * side + c + rad
+            if i < 0:
+                continue
+            k[-1] = modes[i]
+            radius = math.sqrt(double(state))
+            phase = 2.0 * math.pi * double(state)
+            c = radius * complex(math.cos(phase), math.sin(phase))
+            kept += 1
+            if over is None and 2 * (len(a) + half) <= cap:
+                x = _box_product_key(lay, a, k, kb)
+                acc[x] = acc.get(x, 0j) + c
+            else:
+                if over is None:
+                    over = []
+                over.append((a, k, kb, c))
+    return acc, over
+
+
+def _no_word(state) -> int:
+    """The word a range of 1 takes: none is drawn."""
+    return 0
 
 
 def _bounded(next_uint32, state, n) -> int:
@@ -651,8 +694,10 @@ def _check_flow_bound(rng, hp, p):
 
 
 def _check_gap(rng, hp, p):
-    # 0.0 when nothing is kept, as for the zero Hamiltonian
-    for a, k, kb, c in _draws(hp, rng, 1, 6, 2):
+    # drawn without a layout, so its kept term comes as mode lists; 0.0
+    # when nothing is kept, as for the zero Hamiltonian
+    _, drawn = _draws(hp, rng, 1, 6, 2)
+    for a, k, kb, c in drawn:
         if abs(c) >= COEFF_FLOOR:
             return weighted_gap(*(mi((m, 1) for m in f) for f in (a, k, kb)),
                                 hp)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import time
 from dataclasses import replace
 
@@ -659,6 +660,115 @@ def test_kam_run_into_missing_directory(tmp_path, capsys):
                    "--out-prefix", str(prefix)) == 1
     assert _one_error_line(capsys).startswith(
         f"error: cannot write {prefix}.steps.csv")
+
+
+def _guard_unlink(monkeypatch, tmp_path):
+    """Record each path os.unlink is given; refuse one outside tmp_path."""
+    removed = []
+    unlink = os.unlink
+
+    def guarded(path, *args, **kw):
+        assert str(path).startswith(str(tmp_path)), f"unlink {path}"
+        removed.append(str(path))
+        return unlink(path, *args, **kw)
+
+    monkeypatch.setattr(os, "unlink", guarded)
+    return removed
+
+
+def test_kam_run_into_an_existing_prefix_writes_the_same_bytes(tmp_path):
+    argv = ["kam-run", "--d", "1", "--radius", "1", "--steps", "1",
+            "--seed", "3"]
+
+    def files(prefix):
+        return {p.name: p.read_bytes()
+                for p in sorted(prefix.parent.iterdir())}
+
+    fresh = tmp_path / "fresh" / "k"
+    fresh.parent.mkdir()
+    assert run_cli(*argv, "--out-prefix", str(fresh)) == 0
+    again = tmp_path / "again" / "k"
+    again.parent.mkdir()
+    for _ in range(3):
+        assert run_cli(*argv, "--out-prefix", str(again)) == 0
+        assert files(again) == files(fresh)
+    assert len(files(fresh)) == 3
+
+
+def test_write_replaces_a_plain_file_of_ours(tmp_path, monkeypatch):
+    removed = _guard_unlink(monkeypatch, tmp_path)
+    out = tmp_path / "h.txt"
+    out.write_text("old text")
+    out.chmod(0o600)
+    with open(out) as old:
+        cli._write(str(out), "new")
+        # the old file was removed, not truncated: its reader still has it
+        assert os.fstat(old.fileno()).st_nlink == 0
+        assert old.read() == "old text"
+    assert out.read_text() == "new"
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert removed == [str(out)]
+
+
+def test_write_keeps_other_targets_in_place(tmp_path, monkeypatch):
+    removed = _guard_unlink(monkeypatch, tmp_path)
+    # a symlink: written through, and still a link
+    target = tmp_path / "target.txt"
+    target.write_text("old")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    cli._write(str(link), "via link")
+    assert link.is_symlink() and target.read_text() == "via link"
+    # a file with a second link: both names see the new text
+    other = tmp_path / "other.txt"
+    os.link(target, other)
+    cli._write(str(target), "both")
+    assert other.read_text() == "both" and target.stat().st_nlink == 2
+    # a FIFO with a reader
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        cli._write(str(fifo), "through the pipe")
+        assert os.read(fd, 100) == b"through the pipe"
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    # a device
+    cli._write(os.devnull, "nothing")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    if os.geteuid() == 0:
+        # a file of another user
+        theirs = tmp_path / "theirs.txt"
+        theirs.write_text("old")
+        os.chown(theirs, 12345, -1)
+        with open(theirs) as old:
+            cli._write(str(theirs), "new")
+            assert os.fstat(old.fileno()).st_nlink == 1
+        assert theirs.read_text() == "new"
+    assert removed == []
+
+
+def test_write_refuses_a_read_only_file_in_place(tmp_path, capsys,
+                                                 monkeypatch):
+    removed = _guard_unlink(monkeypatch, tmp_path)
+    out = tmp_path / "h.json"
+    out.write_text("old")
+    out.chmod(0o444)
+    capsys.readouterr()
+    with open(out) as old:
+        code = run_cli("build-nls", "--d", "1", "--radius", "1",
+                       "--out", str(out))
+        assert os.fstat(old.fileno()).st_nlink == 1
+    assert removed == []
+    if os.geteuid() == 0:
+        # no permission refuses root: it writes in place, as before
+        assert code == 0 and out.read_text() != "old"
+    else:
+        assert code == 1
+        assert _one_error_line(capsys).startswith(
+            f"error: cannot write {out}")
+        assert out.read_text() == "old"
 
 
 def test_measure_csv_schema(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from nlskam import (CapacityError, HamParams, Hamiltonian, KamConfig,
                     ValidationError, norm, resonance_measure, run,
                     verify_norm_lemma, verify_scalar_lemma)
-from nlskam import verification
+from nlskam import hamiltonian, verification
 from nlskam.hamiltonian import _Layout
 from nlskam.lattice import conservation_check, mi
 from nlskam.verification import (
@@ -113,6 +114,107 @@ def test_random_hamiltonian_refuses_an_over_cap_draw_as_the_reference():
         messages.add(str(got.value))
     assert messages == {"term degree 4 exceeds cap 3",
                         "term degree 6 exceeds cap 3"}
+
+
+def test_random_hamiltonian_leaves_the_references_state_after_an_over_cap_draw():
+    # the draws go on to the last term before the constructor raises
+    params = HamParams(d=1, degree_cap=3)
+    for seed in range(6):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.raises(CapacityError):
+            random_hamiltonian(params, got)
+        with pytest.raises(CapacityError):
+            _reference_random_hamiltonian(params, want)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random() == want.random()
+
+
+class _ZeroWordRng:
+    """Generator calls, scalar and array ints by ``_bounded`` and uniforms
+    from next_double, over a bit generator's stream that gets a 0 word
+    before every third word: a range that is not a power of two rejects
+    it (its low product word 0 is below (2**32 - n) % n > 0).  Its
+    ``bit_generator`` offers that stream to ``_draws``."""
+
+    def __init__(self, seed):
+        # held: the ctypes state points into it
+        self._real = real = np.random.default_rng(seed).bit_generator
+        self.words = 0
+        self.bit_generator = SimpleNamespace(lock=real.lock, ctypes=(
+            SimpleNamespace(next_uint32=self._next_uint32,
+                            next_double=real.ctypes.next_double,
+                            state=real.ctypes.state)))
+        self._word = real.ctypes.next_uint32
+
+    def _next_uint32(self, state):
+        self.words += 1
+        return 0 if self.words % 3 == 1 else self._word(state)
+
+    def integers(self, lo, hi, size=None):
+        ctypes = self.bit_generator.ctypes
+        values = [lo + verification._bounded(ctypes.next_uint32,
+                                             ctypes.state, hi - lo)
+                  for _ in range(1 if size is None else size)]
+        return values[0] if size is None else values
+
+    def uniform(self, lo, hi):
+        ctypes = self.bit_generator.ctypes
+        return lo + (hi - lo) * ctypes.next_double(ctypes.state)
+
+
+@pytest.mark.parametrize("d,radius", [(1, 2), (2, 1), (3, 1)])
+def test_inline_redraw_draws_what_bounded_draws(monkeypatch, d, radius):
+    # a 0 word is rejected by the ranges of 3 q-factor counts, of 6 action
+    # counts and of the 5, 9 or 27 modes; the ranges of 2 and 1 take it
+    params = HamParams(d=d, degree_cap=20, mode_radius=radius)
+    redraws = []
+    bounded = verification._bounded
+
+    def counting(next_uint32, state, n):
+        redraws.append(n)
+        return bounded(next_uint32, state, n)
+
+    for seed in range(3):
+        got, want = _ZeroWordRng(seed), _ZeroWordRng(seed)
+        for max_factors, max_actions in ((4, 1), (6, 5), (7, 0)):
+            kw = dict(n_terms=5, max_factors=max_factors,
+                      max_actions=max_actions)
+            monkeypatch.setattr(verification, "_bounded", counting)
+            H = random_hamiltonian(params, got, **kw)
+            monkeypatch.setattr(verification, "_bounded", bounded)
+            ref, _ = _reference_random_hamiltonian(params, want, **kw)
+            assert _bits(H) == _bits(ref)
+            assert got.words == want.words
+    assert set(redraws) == {3, 6, (2 * radius + 1) ** d}
+
+
+def test_random_hamiltonian_calls_no_generator_method(monkeypatch):
+    # the draws come from the bit generator alone: an rng offering nothing
+    # else gives the same Hamiltonians and leaves the same state
+    params = HamParams(d=2, degree_cap=12)
+    rng = np.random.default_rng(4)
+    bare = SimpleNamespace(bit_generator=np.random.default_rng(4).bit_generator)
+    for n_terms in (1, 4, 6):
+        assert (_bits(random_hamiltonian(params, bare, n_terms=n_terms))
+                == _bits(random_hamiltonian(params, rng, n_terms=n_terms)))
+    assert bare.bit_generator.state == rng.bit_generator.state
+    # nor through the recording proxy, nor in the gap oracle, which makes
+    # no layout either (an r of its own keeps its params apart from every
+    # other test's); and the suite makes, decodes and checks no tuple key
+    calls = _record_draws(monkeypatch)
+    random_hamiltonian(params, np.random.default_rng(4))
+    verify_norm_lemma("gap", params={"r": 1.0 + 7e-9}, samples=20)
+    assert calls == []
+    assert HamParams(d=1, r=1.0 + 7e-9, degree_cap=20,
+                     mode_radius=2048) not in hamiltonian._LAYOUTS
+    made = []
+    monkeypatch.setattr(hamiltonian, "mi", lambda *a: made.append(a))
+    monkeypatch.setattr(_Layout, "decode", lambda self, x: made.append(x))
+    monkeypatch.setattr(hamiltonian, "_check_key",
+                        lambda key, params: made.append(key))
+    assert len(run_suite(samples_norm=20)) == len(SCALAR_LEMMAS) + len(
+        NORM_LEMMAS)
+    assert made == []
 
 
 # 3 * 2**30 rejects a quarter of the uint32s: (2**32 - n) % n is 2**30
